@@ -1,12 +1,10 @@
-"""Small shared helpers: thread budget, parallel map, seeded streams."""
+"""Small shared helpers: thread budget, parallel map, unique ids."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -38,30 +36,6 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
-
-
-def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-sample random stream.
-
-    Each (seed, index) pair owns an independent Philox stream, so sample
-    draws do not depend on evaluation order or thread count.
-    """
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
-
-
-def stream_rng(seed: int, label: str) -> np.random.Generator:
-    """Named substream of a seed, for coarse-grained independent draws."""
-    h = np.uint64(1469598103934665603)
-    for ch in label.encode():
-        h = np.uint64((int(h) ^ ch) * 1099511628211 % (1 << 64))
-    return np.random.Generator(np.random.Philox(key=[seed, int(h)]))
-
-
-def as_int(x) -> int:
-    """Exact integer from a numpy scalar or Python number."""
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    raise TypeError(f"expected an integer, got {type(x).__name__}")
 
 
 def unique_ids(ids: Iterable) -> list:

@@ -135,11 +135,6 @@ def s1_distance(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return chord, geodesic
 
 
-def chord_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Elementwise chord distance between arrays of unit vectors."""
-    return np.linalg.norm(np.asarray(pa, float) - np.asarray(pb, float), axis=-1)
-
-
 def turn_chord(dt) -> np.ndarray:
     """Chord distance between angles separated by ``dt`` turns."""
     return 2.0 * np.abs(np.sin(np.pi * np.asarray(dt, dtype=float)))

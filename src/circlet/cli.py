@@ -36,7 +36,7 @@ from .errors import (
     ObstructionError,
     SchemaError,
 )
-from .intlinalg import solve_gf2
+from .intlinalg import sign_potential
 from .nerve import build_nerve, cut_base, edge_weights, filtration_order
 from .persistence import persistence_report
 from .projection import (
@@ -165,17 +165,7 @@ def _load_bundle(args):
 
 
 def _sign_is_coboundary(sw: Cochain) -> bool:
-    nerve = sw.nerve
-    verts = [v[0] for v in nerve.vertices]
-    vpos = {j: i for i, j in enumerate(verts)}
-    edges = list(nerve.edges)
-    a = np.zeros((len(edges), len(verts)), dtype=np.uint8)
-    b = np.zeros(len(edges), dtype=np.uint8)
-    for row, (j, k) in enumerate(edges):
-        a[row, vpos[j]] = 1
-        a[row, vpos[k]] = 1
-        b[row] = 1 if sw.values[(j, k)] < 0 else 0
-    return solve_gf2(a, b) is not None
+    return sign_potential(sw.values) is not None
 
 
 def _quality_dict(q) -> dict:

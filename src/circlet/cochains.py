@@ -81,11 +81,6 @@ class Cochain:
         w = self.twist.value((j, k)) if self.twist is not None else 1
         return -w * v
 
-    def twist_sign(self, j: int, k: int) -> int:
-        if self.twist is None:
-            return 1
-        return self.twist.value((j, k)) if j < k else self.twist.value((k, j))
-
 
 def check_sign_cocycle(omega: Cochain):
     """Raise unless a sign 1-cochain satisfies the cocycle identity."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cochains import Cochain, check_sign_cocycle
 from .errors import InconsistentClusters, LiftUndefined, PropagationConflict
-from .intlinalg import solve_gf2
+from .intlinalg import sign_potential
 from .nerve import BundleDataset, CoverSet, Nerve, build_nerve
 
 log = logging.getLogger(__name__)
@@ -105,18 +105,6 @@ class UnwrapResult:
     orientations: dict
 
 
-def _is_coboundary_on(comp: list[int], edges: list[tuple], nu_vals: dict) -> bool:
-    """Does nu restricted to the component bound a vertex sign pattern?"""
-    col = {j: i for i, j in enumerate(comp)}
-    A = np.zeros((len(edges), len(comp)), dtype=np.uint8)
-    b = np.zeros(len(edges), dtype=np.uint8)
-    for i, (j, k) in enumerate(edges):
-        A[i, col[j]] = 1
-        A[i, col[k]] = 1
-        b[i] = 0 if nu_vals[(j, k)] == 1 else 1
-    return solve_gf2(A, b) is not None
-
-
 def unwrap_double_cover(
     dataset: BundleDataset,
     cover: list[CoverSet],
@@ -183,7 +171,7 @@ def unwrap_double_cover(
     for piece in pieces:
         members = set(piece)
         piece_edges = [e for e in nerve.edges if e[0] in members]
-        if _is_coboundary_on(piece, piece_edges, nu.values):
+        if sign_potential({e: nu.values[e] for e in piece_edges}) is not None:
             # trivial class: the piece separates into two untouched copies
             components += 2
             continue

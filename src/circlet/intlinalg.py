@@ -5,11 +5,25 @@ solvers, and the twisted boundary matrices of a nerve.  All results are
 arbitrary-precision: the reduction runs on machine integers while it can
 prove no overflow is possible and transparently restarts on Python ints
 otherwise.
+
+Which solver serves which caller:
+
+* solvability probes (persistence codeath) use ``integer_solvable``,
+  sparse unit-pivot elimination that hands only a block without unit
+  pivots to the Smith form;
+* the twisted fundamental class and the winding solve of a global
+  trivialization need transforms or a particular solution, so they use
+  full-transform ``smith_normal_form`` and ``solve_integer``;
+* sign classes (is it a coboundary, and of which vertex signs) use the
+  parity union-find ``sign_potential``.  ``solve_gf2`` stays as the
+  dense reference it is tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -240,6 +254,138 @@ def solve_gf2(A, b):
     return x
 
 
+def integer_solvable(rows: list[dict], rhs) -> bool:
+    """Does the sparse integer system ``rows @ x = rhs`` have a solution?
+
+    Each row maps a column label to its nonzero integer coefficient.
+    Unit (+-1) pivots are eliminated first, on Python ints, sparsest row
+    first and within it the sparsest column: a unit pivot determines its
+    variable over the integers, so substituting it out leaves an
+    equivalent system.  Whatever has no unit pivot left goes to
+    ``solve_integer``, so torsion is decided exactly.  Tracks no
+    transforms and returns no solution.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("right-hand side does not match the matrix")
+    live = {}
+    b = {}
+    cols: dict = {}
+    for i, (given, bi) in enumerate(zip(rows, rhs)):
+        row = {c: int(v) for c, v in given.items() if v}
+        if not row:
+            if bi:
+                return False
+            continue
+        live[i] = row
+        b[i] = int(bi)
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+
+    def priority(i):
+        row = live[i]
+        units = [len(cols[c]) for c, v in row.items() if v in (1, -1)]
+        return (len(row), min(units)) if units else None
+
+    heap = []
+    for i in live:
+        key = priority(i)
+        if key is not None:
+            heap.append((key, i))
+    heapq.heapify(heap)
+    while heap:
+        key, i = heapq.heappop(heap)
+        if i not in live:
+            continue
+        now = priority(i)
+        if now != key:
+            # other pivots changed the row or its column counts: requeue
+            if now is not None:
+                heapq.heappush(heap, (now, i))
+            continue
+        piv = live.pop(i)
+        bi = b.pop(i)
+        c = min((c for c, v in piv.items() if v in (1, -1)), key=lambda c: len(cols[c]))
+        u = piv[c]
+        for cc in piv:
+            cols[cc].discard(i)
+        for r in cols.pop(c):
+            row = live[r]
+            f = row[c] * u
+            for cc, v in piv.items():
+                nv = row.get(cc, 0) - f * v
+                if nv:
+                    if cc not in row:
+                        cols[cc].add(r)
+                    row[cc] = nv
+                else:
+                    del row[cc]
+                    if cc != c:
+                        cols[cc].discard(r)
+            b[r] -= f * bi
+            if not row:
+                if b[r]:
+                    return False
+                del live[r], b[r]
+                continue
+            key = priority(r)
+            if key is not None:
+                heapq.heappush(heap, (key, r))
+    if not live:
+        return True
+    # no unit pivot left: decide the remaining block with Smith normal form
+    pos = {c: j for j, c in enumerate({c for row in live.values() for c in row})}
+    A = np.zeros((len(live), len(pos)), dtype=object)
+    rest = []
+    for r, (i, row) in enumerate(live.items()):
+        for c, v in row.items():
+            A[r, pos[c]] = v
+        rest.append(b[i])
+    return solve_integer(A, np.array(rest, dtype=object)) is not None
+
+
+def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
+    """Vertex signs whose products give an edge sign cochain, or None.
+
+    ``signs`` maps each edge (j, k) to +-1; the result ``phi`` satisfies
+    ``phi[j] * phi[k] == signs[(j, k)]`` on every edge and covers the
+    edges' endpoints plus ``vertices``.  A parity union-find: each
+    component is rooted at its largest vertex id with sign +1, the
+    solution ``solve_gf2`` picks on vertex columns in ascending order.
+    None means some cycle has odd parity, so the cochain is no
+    coboundary.
+    """
+    parent: dict = {}
+    parity: dict = {}  # parity of a vertex relative to its parent
+
+    def find(v):
+        path = []
+        p = 0
+        while parent.setdefault(v, v) != v:
+            path.append(v)
+            v = parent[v]
+        # compress: point every vertex on the path straight at the root
+        for w in reversed(path):
+            p ^= parity[w]
+            parent[w] = v
+            parity[w] = p
+        return v
+
+    for (j, k), s in signs.items():
+        rj, rk = find(j), find(k)
+        odd = parity.get(j, 0) ^ parity.get(k, 0) ^ (s < 0)
+        if rj == rk:
+            if odd:
+                return None
+            continue
+        lo, hi = (rj, rk) if rj < rk else (rk, rj)
+        parent[lo] = hi
+        parity[lo] = odd
+    for v in [*parent, *vertices]:
+        find(v)
+    # roots carry no parity entry, so they get +1
+    return {v: -1 if parity.get(v, 0) else 1 for v in parent}
+
+
 @dataclass
 class BoundaryMatrix:
     """Twisted boundary matrix with its labeled row/column simplices."""
@@ -272,6 +418,19 @@ def twisted_boundary_matrix(nerve: Nerve, omega: Cochain, p: int) -> BoundaryMat
                 coef = -1 if drop % 2 == 1 else 1
             D[row_pos[face], jcol] = coef
     return BoundaryMatrix(matrix=D, rows=rows, cols=cols)
+
+
+def coboundary_rows(triangles, twist: Optional[dict] = None) -> list[dict]:
+    """Sparse rows of the twisted coboundary from edges to triangles.
+
+    Row (j, k, l) is {(k, l): twist[(j, k)], (j, l): -1, (j, k): +1}, the
+    column of ``twisted_boundary_matrix(..., 2)`` for that triangle; no
+    twist means the constant +1 sign.
+    """
+    return [
+        {(k, l): twist[(j, k)] if twist is not None else 1, (j, l): -1, (j, k): 1}
+        for (j, k, l) in triangles
+    ]
 
 
 def ordered_simplices(nerve: Nerve, p: int) -> list[tuple]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import unique_ids
 from .circle import turn_chord
-from .errors import EmptyOverlap, IndexOutOfRange, ShapeMismatch
+from .errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cochains import Cochain
@@ -274,7 +274,11 @@ def stage_subcomplex(nerve: Nerve, r: int) -> Nerve:
     for s in keep:
         if len(s) > 1:
             for f in facets(s):
-                assert f in kept, "filtration order is not face-closed"
+                if f not in kept:
+                    raise GuardError(
+                        f"filtration order is not face-closed: stage {r} "
+                        f"holds {s} but not its face {f}"
+                    )
     simplices: dict[int, list[tuple]] = {p: [] for p in nerve.simplices}
     for s in keep:
         simplices[len(s) - 1].append(s)

@@ -5,9 +5,14 @@ condition or not, and either is a coboundary or not.  Both predicates
 are downward-closed in the stage index (restricting a solution stays a
 solution; a violating simplex stays present), so each has a single
 threshold.  Cobirth is found by locating the first violating simplex;
-codeath by binary search with an exact solver per probe.  A linear
-per-stage scan that assumes nothing about monotonicity is kept as the
-authoritative cross-check and runs automatically on small nerves.
+codeath by binary search with an exact solvability test per probe.  A
+linear per-stage scan that assumes nothing about monotonicity is kept as
+the authoritative cross-check and runs automatically on small nerves.
+
+Each probe builds its system straight from the stage's simplices: a sign
+class goes to the parity union-find ``sign_potential``, an integer class
+to the unit-pivot elimination ``integer_solvable`` on the sparse twisted
+coboundary.  Neither tracks transforms; only the yes/no answer is used.
 """
 
 from __future__ import annotations
@@ -15,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .classes import euler_cochain, sw_class
-from .cochains import Cochain, constant_sign_cochain, restrict
-from .errors import ShapeMismatch
-from .intlinalg import solve_gf2, solve_integer, twisted_boundary_matrix
+from .cochains import Cochain, restrict
+from .errors import GuardError, NotACocycle, ShapeMismatch
+from .intlinalg import coboundary_rows, integer_solvable, sign_potential
 from .nerve import Nerve, stage_subcomplex
 
 # nerves at or below this size always get the authoritative linear scan
@@ -38,7 +41,11 @@ class ThresholdPair:
 
     def __post_init__(self):
         # coboundaries are cocycles, so the thresholds are ordered
-        assert self.codeath_index <= self.cobirth_index
+        if self.codeath_index > self.cobirth_index:
+            raise GuardError(
+                f"codeath stage {self.codeath_index} exceeds cobirth stage "
+                f"{self.cobirth_index}"
+            )
 
 
 @dataclass
@@ -83,28 +90,17 @@ def _violation_stages(lam: Cochain, nerve: Nerve, hi: int) -> list[int]:
 
 def _solvable(lam: Cochain, nerve: Nerve, r: int) -> bool:
     """Is the restriction of the class to stage ``r`` a coboundary?"""
-    sub = stage_subcomplex(nerve, r)
+    stage = nerve.order[:r]
     if lam.tag == "Z2":
-        edges = sub.edges
-        if not edges:
-            return True
-        verts = sub.vertices
-        col = {v[0]: i for i, v in enumerate(verts)}
-        A = np.zeros((len(edges), len(verts)), dtype=np.uint8)
-        b = np.zeros(len(edges), dtype=np.uint8)
-        for i, (j, k) in enumerate(edges):
-            A[i, col[j]] = 1
-            A[i, col[k]] = 1
-            b[i] = 0 if lam.values[(j, k)] == 1 else 1
-        return solve_gf2(A, b) is not None
-    tris = sub.triangles
-    if not tris:
-        return True
-    twist = restrict(lam.twist, sub) if lam.twist is not None else constant_sign_cochain(sub)
-    d2 = twisted_boundary_matrix(sub, twist, 2)
-    A = d2.matrix.T  # coboundary from edges to triangles
-    b = np.array([lam.values[t] for t in d2.cols], dtype=object)
-    return solve_integer(A, b) is not None
+        signs = {s: lam.values[s] for s in stage if len(s) == 2}
+        return sign_potential(signs) is not None
+    tris = [s for s in stage if len(s) == 3]
+    twist = None
+    if lam.twist is not None:
+        if _violation_stages(lam.twist, nerve, r):
+            raise NotACocycle(f"the twist fails the cocycle identity at stage {r}")
+        twist = lam.twist.values
+    return integer_solvable(coboundary_rows(tris, twist), [lam.values[t] for t in tris])
 
 
 def persistence(

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._util import parallel_map
 from .circle import O2, IDENTITY, karcher_mean, o2_apply, o2_compose, o2_inverse, principal_turn, s1_angle
+from .classes import BRACKET_GUARD
 from .cochains import Cochain, cocycle_defect
 from .errors import (
     BracketAmbiguous,
@@ -35,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     UncoveredPoint,
 )
-from .intlinalg import solve_gf2, solve_integer
+from .intlinalg import sign_potential, solve_integer
 from .nerve import BundleDataset, CoverSet, base_geodesic
 
 log = logging.getLogger(__name__)
@@ -782,22 +783,14 @@ def global_trivialize(
     """
     nerve = omega.nerve
     verts = [v[0] for v in nerve.vertices]
-    vpos = {j: i for i, j in enumerate(verts)}
     edges = list(nerve.edges)
 
-    # reflection fix: write the sign class as a vertex coboundary mod 2
-    a2 = np.zeros((len(edges), len(verts)), dtype=np.uint8)
-    b2 = np.zeros(len(edges), dtype=np.uint8)
-    for row, (j, k) in enumerate(edges):
-        a2[row, vpos[j]] = 1
-        a2[row, vpos[k]] = 1
-        b2[row] = 1 if omega.values[(j, k)].sign < 0 else 0
-    phi_bits = solve_gf2(a2, b2)
-    if phi_bits is None:
+    # reflection fix: write the sign class as a vertex sign potential
+    phi = sign_potential({e: omega.values[e].sign for e in edges}, verts)
+    if phi is None:
         raise NotTrivializable(
             "sw", "the sign class is not a coboundary; no global orientation exists"
         )
-    phi = {j: -1 if phi_bits[vpos[j]] else 1 for j in verts}
     potential = Cochain(
         nerve, 0, "O2", {(j,): O2(0.0, phi[j]) for j in verts}
     )
@@ -830,9 +823,9 @@ def global_trivialize(
         a1[row, epos[(j, k)]] = 1
         pre = lift_at(k, l) - lift_at(j, l) + lift_at(j, k)
         e_val = round(pre)
-        if 0.5 - abs(pre - e_val) < 1e-6:
+        if 0.5 - abs(pre - e_val) < BRACKET_GUARD:
             raise BracketAmbiguous(
-                f"lift coboundary {pre} on ({j}, {k}, {l}) is within 1e-6 "
+                f"lift coboundary {pre} on ({j}, {k}, {l}) is within {BRACKET_GUARD} "
                 "of a half-integer"
             )
         b1[row] = int(e_val)

@@ -7,15 +7,22 @@ import pytest
 
 from circlet.cochains import Cochain, constant_sign_cochain
 from circlet.errors import NotACocycle
+import circlet.intlinalg as intlinalg
+from circlet.classes import euler_cochain
 from circlet.intlinalg import (
+    coboundary_rows,
+    integer_solvable,
     obj_matmul,
     ordered_simplices,
+    sign_potential,
     smith_normal_form,
     solve_gf2,
     solve_integer,
     twisted_boundary_matrix,
 )
-from circlet.nerve import CoverSet, build_nerve, filtration_order
+from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
+from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
+from circlet.witness import assemble_witness
 
 from oracles import brute_force_integer_solvable, gf2_solvable, snf_properties
 
@@ -235,3 +242,229 @@ class TestTwistedBoundaryMatrix:
         bm = twisted_boundary_matrix(ordered, constant_sign_cochain(ordered), 2)
         assert bm.rows == [(0, 2), (1, 2), (0, 1)]
         assert ordered_simplices(ordered, 1) == [(0, 2), (1, 2), (0, 1)]
+
+
+def sparse_rows(A):
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in np.asarray(A)]
+
+
+def dense(rows):
+    labels = sorted({c for row in rows for c in row})
+    pos = {c: j for j, c in enumerate(labels)}
+    A = np.zeros((len(rows), len(labels)), dtype=object)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            A[i, pos[c]] = v
+    return A
+
+
+def sympy_solvable(A, b):
+    # A x = b is solvable over Z iff A and [A | b] share their nonzero
+    # invariant factors (which also fixes the rank)
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def factors(M):
+        return [d for d in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ) if d != 0]
+
+    A = np.asarray(A).tolist()
+    aug = [row + [int(bi)] for row, bi in zip(A, b)]
+    return factors(A) == factors(aug)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the blocks handed to ``solve_integer`` for want of a unit pivot."""
+    calls = []
+    real = intlinalg.solve_integer
+
+    def counting(A, b):
+        calls.append(np.shape(A))
+        return real(A, b)
+
+    monkeypatch.setattr(intlinalg, "solve_integer", counting)
+    return calls
+
+
+class TestIntegerSolvable:
+    def test_empty_system(self):
+        assert integer_solvable([], [])
+
+    def test_zero_row_needs_zero_rhs(self):
+        assert integer_solvable([{}], [0])
+        assert not integer_solvable([{"a": 0}], [1])
+
+    def test_rejects_mismatched_rhs(self):
+        with pytest.raises(ValueError):
+            integer_solvable([{0: 1}], [1, 2])
+
+    def test_leaves_rows_untouched(self):
+        rows = [{0: 1, 1: 1}, {1: 1, 2: -1}]
+        copy = [dict(r) for r in rows]
+        integer_solvable(rows, [1, 2])
+        assert rows == copy
+
+    def test_inconsistent_units(self):
+        assert not integer_solvable([{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 2])
+
+    def test_torsion_falls_back_to_smith_form(self, fallbacks):
+        # [[2]] has no unit pivot: only the Smith form can decide it
+        assert not integer_solvable([{0: 2}], [1])
+        assert integer_solvable([{0: 2}], [4])
+        # a Z/2-torsion block left behind after a unit elimination
+        rows = [{0: 1, 1: 1}, {1: 2, 2: 2}, {1: 2, 2: -2}]
+        assert integer_solvable(rows, [5, 2, 2])
+        assert not integer_solvable(rows, [5, 2, 0])
+        assert len(fallbacks) == 4
+        assert fallbacks[-1] == (2, 2)
+
+    def test_units_never_fall_back_on_a_triangle(self, fallbacks):
+        rows = [{(1, 2): 1, (0, 2): -1, (0, 1): 1}]
+        assert integer_solvable(rows, [7])
+        assert fallbacks == []
+
+    def test_matches_sympy_on_small_integer_matrices(self):
+        rng = np.random.default_rng(61)
+        verdicts = set()
+        for _ in range(150):
+            m = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 6))
+            A = rng.integers(-4, 5, size=(m, n))
+            b = rng.integers(-4, 5, size=m)
+            got = integer_solvable(sparse_rows(A), b.tolist())
+            assert got == sympy_solvable(A, b)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_matches_sympy_on_sparse_unit_matrices(self):
+        rng = np.random.default_rng(67)
+        verdicts = set()
+        for _ in range(150):
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(1, 9))
+            A = rng.choice([-1, 0, 0, 1], size=(m, n))
+            # half the time plant a solution, otherwise a random right side
+            if rng.uniform() < 0.5:
+                b = A @ rng.integers(-3, 4, size=n)
+            else:
+                b = rng.integers(-2, 3, size=m)
+            got = integer_solvable(sparse_rows(A), b.tolist())
+            assert got == sympy_solvable(A, b)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+class TestCoboundaryRows:
+    def test_rows_are_the_boundary_transpose(self):
+        rng = np.random.default_rng(71)
+        ran = 0
+        for _ in range(10):
+            cover = [
+                CoverSet(j, set(int(x) for x in rng.choice(12, size=6, replace=False)))
+                for j in range(6)
+            ]
+            nerve = build_nerve(cover)
+            if not nerve.triangles:
+                continue
+            vs = {j: int(s) for j, s in zip(range(6), rng.choice([1, -1], 6))}
+            omega = signs_from_vertices(nerve, vs)
+            d2 = twisted_boundary_matrix(nerve, omega, 2)
+            rows = coboundary_rows(d2.cols, omega.values)
+            for row, column in zip(rows, d2.matrix.T):
+                assert row == {e: int(v) for e, v in zip(d2.rows, column) if v}
+            ran += 1
+        assert ran > 0
+
+    def test_no_twist_is_the_constant_sign(self):
+        nerve = build_nerve([CoverSet(j, {99, j}) for j in range(3)])
+        assert coboundary_rows(nerve.triangles) == coboundary_rows(
+            nerve.triangles, constant_sign_cochain(nerve).values
+        )
+
+
+def scenario(bundle):
+    ds, cover, trivs = bundle
+    nerve = build_nerve(cover)
+    nerve = filtration_order(edge_weights(nerve, trivs, assemble_witness(trivs, nerve)))
+    return nerve, euler_cochain(assemble_witness(trivs, nerve))
+
+
+SCENARIOS = {
+    "lens:1": lambda: gen_lens_bundle(1, n_samples=1000, n_sets=20, seed=1),
+    "rp2:1": lambda: gen_rp2_bundle(1, n_samples=1000, n_sets=20, seed=0),
+    "klein": lambda: gen_s1_bundle(False, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_stages_match_dense_solvers(name):
+    # every stage of the filtration: the Euler class and a random right
+    # side against the dense Smith-form solve, the sign class against the
+    # dense GF(2) solve
+    nerve, result = scenario(SCENARIOS[name]())
+    rng = np.random.default_rng(73)
+    tris, edges = [], {}
+    verts = [v[0] for v in nerve.vertices]
+    for s in nerve.order:
+        if len(s) == 2:
+            edges[s] = result.sw.values[s]
+            A = np.zeros((len(edges), len(verts)), dtype=np.uint8)
+            for i, (j, k) in enumerate(edges):
+                A[i, verts.index(j)] = A[i, verts.index(k)] = 1
+            b = [1 if v < 0 else 0 for v in edges.values()]
+            assert (sign_potential(edges) is None) == (solve_gf2(A, b) is None)
+        if len(s) == 3:
+            tris.append(s)
+            rows = coboundary_rows(tris, result.sw.values)
+            for b in ([result.euler.values[t] for t in tris],
+                      rng.integers(-1, 2, len(tris)).tolist()):
+                expected = solve_integer(dense(rows), np.array(b, dtype=object)) is not None
+                assert integer_solvable(rows, b) == expected
+
+
+def reference_potential(verts, signs):
+    """The vertex signs from the dense GF(2) solve on ascending vertex columns."""
+    col = {j: i for i, j in enumerate(verts)}
+    A = np.zeros((len(signs), len(verts)), dtype=np.uint8)
+    b = np.zeros(len(signs), dtype=np.uint8)
+    for i, ((j, k), s) in enumerate(signs.items()):
+        A[i, col[j]] = A[i, col[k]] = 1
+        b[i] = s < 0
+    x = solve_gf2(A, b)
+    return None if x is None else {j: -1 if x[col[j]] else 1 for j in verts}
+
+
+class TestSignPotential:
+    def test_empty(self):
+        assert sign_potential({}) == {}
+        assert sign_potential({}, [3, 1]) == {3: 1, 1: 1}
+
+    def test_odd_cycle(self):
+        assert sign_potential({(0, 1): -1, (1, 2): 1, (0, 2): 1}) is None
+
+    def test_root_is_the_largest_vertex(self):
+        phi = sign_potential({(0, 1): -1, (1, 2): -1}, [5])
+        assert phi == {0: 1, 1: -1, 2: 1, 5: 1}
+
+    def test_matches_dense_gf2_on_random_graphs(self):
+        rng = np.random.default_rng(79)
+        verdicts = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            verts = sorted(int(v) for v in rng.choice(40, size=n, replace=False))
+            pairs = [(j, k) for a, j in enumerate(verts) for k in verts[a + 1:]]
+            keep = rng.uniform(size=len(pairs)) < rng.uniform(0.05, 0.5)
+            edges = [e for e, kept in zip(pairs, keep) if kept]
+            # several components and isolated vertices; signs from a planted
+            # potential stay solvable, flipped edges usually do not
+            planted = {j: int(rng.choice([1, -1])) for j in verts}
+            signs = {(j, k): planted[j] * planted[k] for (j, k) in edges}
+            for e in edges:
+                if rng.uniform() < 0.1:
+                    signs[e] = -signs[e]
+            phi = sign_potential(signs, verts)
+            assert phi == reference_potential(verts, signs)
+            if phi is not None:
+                assert all(phi[j] * phi[k] == s for (j, k), s in signs.items())
+            verdicts.add(phi is None)
+        assert verdicts == {True, False}

@@ -7,7 +7,7 @@ import pytest
 
 from circlet.circle import O2, s1_point
 from circlet.cochains import Cochain
-from circlet.errors import EmptyOverlap, IndexOutOfRange, ShapeMismatch
+from circlet.errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMismatch
 from circlet.nerve import (
     BundleDataset,
     CoverSet,
@@ -227,6 +227,14 @@ class TestStageSubcomplex:
                     if p > 0:
                         for f in facets(s):
                             assert f in sub
+
+    def test_order_without_faces_refused(self):
+        nerve = self.ordered_nerve()
+        edge = next(s for s in nerve.order if len(s) == 2)
+        nerve.order.remove(edge)
+        nerve.order.append(edge)
+        with pytest.raises(GuardError, match="face-closed"):
+            stage_subcomplex(nerve, len(nerve) - 1)
 
     def test_out_of_range(self):
         nerve = self.ordered_nerve()

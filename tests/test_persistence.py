@@ -7,13 +7,18 @@ search is compared against the authoritative per-stage scan throughout
 (it also runs internally; disagreement raises).
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import circlet
 from circlet.circle import O2
 from circlet.classes import euler_cochain
 from circlet.cochains import Cochain, constant_sign_cochain
-from circlet.errors import ShapeMismatch
+from circlet.errors import GuardError, NotACocycle, ShapeMismatch
 from circlet.nerve import CoverSet, build_nerve, filtration_order
 from circlet.persistence import (
     PersistenceReport,
@@ -127,8 +132,25 @@ class TestSignThresholds:
                 slow.cobirth_index, slow.codeath_index)
 
     def test_threshold_pair_orders_itself(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(GuardError):
             ThresholdPair(3, 0.5, 4, 0.6)
+
+    def test_ordering_survives_optimized_interpreter(self):
+        # python -O strips assert statements; the ordering check must stay
+        code = (
+            "from circlet.errors import GuardError\n"
+            "from circlet.persistence import ThresholdPair\n"
+            "try:\n"
+            "    ThresholdPair(3, 0.5, 4, 0.6)\n"
+            "except GuardError:\n"
+            "    print('refused')\n"
+        )
+        src = os.path.dirname(os.path.dirname(circlet.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "refused"
 
 
 class TestEulerThresholds:
@@ -178,6 +200,13 @@ class TestEulerThresholds:
         assert all(v == 0 for v in res.euler.values.values())
         pair = persistence(res.euler, nerve)
         assert (pair.cobirth_index, pair.codeath_index) == (14, 14)
+
+    def test_twist_must_be_a_cocycle_where_probed(self):
+        nerve = weighted(tetra_boundary_nerve(), seed=8)
+        bad = sign_cochain(nerve, [nerve.edges[0]])
+        zero = Cochain(nerve, 2, "Z", {t: 0 for t in nerve.triangles}, twist=bad)
+        with pytest.raises(NotACocycle):
+            persistence(zero, nerve, cross_check=False)
 
     def test_rejects_wrong_shapes(self):
         nerve = weighted(tetra_boundary_nerve(), seed=2)
