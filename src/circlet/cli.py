@@ -452,7 +452,11 @@ def _cmd_report(args, run: _Run):
     with run.timed("classes"):
         classes_block: dict = {"sw_coboundary": None, "euler_number": None}
         try:
-            result = euler_cochain(wit)
+            if report.sw.cobirth_index == len(nerve):
+                # the sign-cobirth stage is the whole nerve: reuse its classes
+                result = report.classes
+            else:
+                result = euler_cochain(wit)
             classes_block["sw_coboundary"] = _sign_is_coboundary(result.sw)
             mu = fundamental_class_twisted(nerve, result.sw)
             classes_block["euler_number"] = euler_number(result.euler, mu)

@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ._util import unique_ids
-from .circle import turn_chord
 from .errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,6 +24,17 @@ BASE_KINDS = ("circle", "sphere", "projective_plane", "abstract")
 
 # distinct simplex weights closer than this count as an exact tie
 TIE_STEP = 1e-15
+
+
+def unique_ids(ids: Iterable) -> list:
+    seen = set()
+    out = []
+    for i in ids:
+        if i in seen:
+            raise ValueError(f"duplicate id: {i!r}")
+        seen.add(i)
+        out.append(i)
+    return out
 
 
 @dataclass
@@ -215,11 +224,9 @@ def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Cochain") -> N
     """
     weights: dict[tuple, float] = {v: 0.0 for v in nerve.vertices}
     for (j, k) in nerve.edges:
-        ids, aj, ak = trivs.shared(j, k)
-        if len(ids) == 0:
+        err = trivs.chord_errors(j, k, witness.value((j, k)))
+        if len(err) == 0:
             raise EmptyOverlap(f"edge ({j}, {k}) has no shared samples")
-        om = witness.value((j, k))
-        err = turn_chord(aj - (om.turn + om.sign * ak))
         weights[(j, k)] = float(np.mean(err))
     for p in (2, 3):
         for s in nerve.simplices.get(p, []):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classes import euler_cochain, sw_class
+from .classes import CharClassResult, euler_cochain, sw_class
 from .cochains import Cochain, restrict
 from .errors import GuardError, NotACocycle, ShapeMismatch
 from .intlinalg import coboundary_rows, integer_solvable, sign_potential
@@ -50,12 +50,18 @@ class ThresholdPair:
 
 @dataclass
 class PersistenceReport:
-    """Thresholds for the sign and integer classes of one witness."""
+    """Thresholds for the sign and integer classes of one witness.
+
+    ``classes`` holds the characteristic classes computed on the stage
+    subcomplex at the sign class's cobirth; reports read back from a
+    file carry None.
+    """
 
     sw: ThresholdPair
     euler: ThresholdPair
     w_max: float
     stage_sizes: dict
+    classes: Optional[CharClassResult] = None
 
 
 def _violation_stages(lam: Cochain, nerve: Nerve, hi: int) -> list[int]:
@@ -192,4 +198,5 @@ def persistence_report(witness: Cochain, nerve: Nerve) -> PersistenceReport:
         euler=euler_pair,
         w_max=nerve.weight_at(nerve.order[-1]),
         stage_sizes={p: len(s) for p, s in nerve.simplices.items() if s},
+        classes=result,
     )

@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import parallel_map
-from .circle import O2, IDENTITY, karcher_mean, o2_apply, o2_compose, o2_inverse, principal_turn, s1_angle
-from .classes import BRACKET_GUARD
-from .cochains import Cochain, cocycle_defect
+from .circle import O2, IDENTITY, karcher_mean, o2_apply, o2_compose, o2_inverse, s1_angle
+from .classes import euler_cochain
+from .cochains import Cochain, act_by_potential, cocycle_defect
 from .errors import (
-    BracketAmbiguous,
     DiameterTooLarge,
     EigengapTooSmall,
     GuardError,
@@ -36,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     UncoveredPoint,
 )
-from .intlinalg import sign_potential, solve_integer
+from .intlinalg import coboundary_rows, sign_potential, solve_integer
 from .nerve import BundleDataset, CoverSet, base_geodesic
 
 log = logging.getLogger(__name__)
@@ -76,6 +74,11 @@ class PartitionOfUnity:
 
     def weight(self, sample, j) -> float:
         return self.weights[sample].get(j, 0.0)
+
+    def row(self, sample):
+        """Supporting set ids, ascending, and their weights as an array."""
+        supp = self.support(sample)
+        return supp, np.array([self.weights[sample][j] for j in supp])
 
     def slot(self, j) -> int:
         return self._slot[j]
@@ -243,38 +246,44 @@ class FrameField:
     method: str = ""
     errors: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._slot = {j: i for i, j in enumerate(self.sets)}
+
+    def rows(self, sample) -> np.ndarray:
+        """Ambient rows that the stored frames of a sample occupy."""
+        if self.support is None:
+            return np.arange(self.dim)
+        slots = [self._slot[j] for j in self.support[sample]]
+        return np.array([r for i in slots for r in (2 * i, 2 * i + 1)], dtype=int)
+
     def dense(self, sample, j) -> np.ndarray:
         """The frame as a full ``(dim, 2)`` array in ambient block order."""
         mat = self.frames[sample][j]
         if self.support is None:
             return mat
-        slot = {j2: i for i, j2 in enumerate(self.sets)}
         out = np.zeros((self.dim, 2))
-        for row, j2 in enumerate(self.support[sample]):
-            i = slot[j2]
-            out[2 * i : 2 * i + 2, :] = mat[2 * row : 2 * row + 2, :]
+        out[self.rows(sample)] = mat
         return out
 
+    def principal_basis(self) -> np.ndarray:
+        """Uncentered principal directions of all frame columns.
 
-def _omega_at(omega: Cochain, j, k) -> O2:
-    if j == k:
-        return IDENTITY
-    if j < k:
-        try:
-            return omega.values[(j, k)]
-        except KeyError:
-            raise ShapeMismatch(f"witness has no value on edge ({j}, {k})") from None
-    try:
-        return o2_inverse(omega.values[(k, j)])
-    except KeyError:
-        raise ShapeMismatch(f"witness has no value on edge ({k}, {j})") from None
+        The eigenvectors of the second-moment matrix, the sum of
+        ``F @ F.T`` over every frame, as columns by decreasing eigenvalue.
+        """
+        moment = np.zeros((self.dim, self.dim))
+        for s, mats in self.frames.items():
+            rows = self.rows(s)
+            block = np.ix_(rows, rows)
+            for mat in mats.values():
+                moment[block] += mat @ mat.T
+        return _sorted_eigh(moment)[1]
 
 
 def _frames_at(omega: Cochain, rho: PartitionOfUnity, sample):
     """Support, weights, and restricted frames at one base point."""
-    supp = rho.support(sample)
+    supp, w = rho.row(sample)
     m = len(supp)
-    w = np.array([rho.weight(sample, j) for j in supp])
     roots = np.sqrt(w)
     frames = {}
     for j in supp:
@@ -308,6 +317,99 @@ def frame_field(
     return FrameField(
         frames=frames, sets=rho.sets, dim=rho.ambient, support=support
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-point kernel
+
+
+def _pair_at(pairs: dict, j, k) -> O2:
+    """Value on an ordered pair of sets, from values kept on ascending pairs.
+
+    The diagonal is the identity; a descending pair is the inverse of
+    its ascending one.
+    """
+    if j == k:
+        return IDENTITY
+    if j < k:
+        return pairs[(j, k)]
+    return o2_inverse(pairs[(k, j)])
+
+
+def _omega_at(omega: Cochain, j, k) -> O2:
+    try:
+        return _pair_at(omega.values, j, k)
+    except KeyError as exc:
+        raise ShapeMismatch(f"witness has no value on edge {exc.args[0]}") from None
+
+
+def _average_projector(s, w, frames: dict):
+    """Weighted frame average at base point ``s`` and its top-2 projector.
+
+    ``frames`` holds the supporting sets' frames in support order and
+    ``w`` their weights.  Returns the average, the projector and its
+    eigengap.
+
+    Raises
+    ------
+    EigengapTooSmall
+        Re-raised with the base point attached.
+    """
+    n = next(iter(frames.values())).shape[0]
+    tilde = np.zeros((n, n))
+    for wj, f in zip(w, frames.values()):
+        tilde += wj * (f @ f.T)
+    try:
+        p, gap = _gr_project_sym(tilde)
+    except EigengapTooSmall as exc:
+        raise EigengapTooSmall(f"base point {s}: {exc}") from exc
+    return tilde, p, gap
+
+
+def _project_point(s, supp, w, frames: dict):
+    """Exact transitions at one base point.
+
+    Re-orthonormalizes every supporting frame inside the plane of the
+    averaged projector and rounds the product of each ascending pair of
+    those frames to the nearest isometry.  Returns the projector, the
+    re-orthonormalized frames, the rounded pairs and the worst rounding
+    residual.
+
+    Raises
+    ------
+    EigengapTooSmall, RankDeficient
+        Re-raised with the base point (and set) attached.
+    """
+    _, p, _ = _average_projector(s, w, frames)
+    fixed = {}
+    for j in supp:
+        try:
+            fixed[j] = stiefel_fiber_project(p, frames[j])
+        except RankDeficient as exc:
+            raise RankDeficient(f"base point {s}, set {j}: {exc}") from exc
+    pairs = {}
+    ortho = 0.0
+    for a_i, j in enumerate(supp):
+        for k in supp[a_i + 1 :]:
+            pairs[(j, k)], resid = _nearest_o2(fixed[j].T @ fixed[k])
+            ortho = max(ortho, resid)
+    return p, fixed, pairs, ortho
+
+
+def _chart_mean(trivs, s, j, supp, w, pairs) -> np.ndarray:
+    """Weighted circular mean of the supporting charts, transported into ``j``.
+
+    Raises
+    ------
+    DiameterTooLarge
+        Re-raised with the sample and chart attached when the
+        transported values spread over half a circle.
+    """
+    pts = np.stack([o2_apply(_pair_at(pairs, j, k), trivs.charts[k][s]) for k in supp])
+    try:
+        return karcher_mean(pts, w)
+    except DiameterTooLarge as exc:
+        raise DiameterTooLarge(f"sample {s}, chart {j}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +450,14 @@ def classifying_map(
     """
     if samples is None:
         samples = sorted(rho.weights)
-
-    def one(s):
-        supp, w, frames = _frames_at(omega, rho, s)
-        tilde = np.zeros((2 * len(supp), 2 * len(supp)))
-        for row, j in enumerate(supp):
-            f = frames[j]
-            tilde += w[row] * (f @ f.T)
-        try:
-            p, gap = _gr_project_sym(tilde)
-        except EigengapTooSmall as exc:
-            raise EigengapTooSmall(f"base point {s}: {exc}") from exc
-        return s, tuple(supp), tilde, p, gap
-
     support, raw, proj, gaps = {}, {}, {}, {}
     worst = 0.0
-    for s, supp, tilde, p, gap in parallel_map(one, list(samples)):
-        support[s] = supp
+    for s in samples:
+        supp, w, frames = _frames_at(omega, rho, s)
+        tilde, p, gaps[s] = _average_projector(s, w, frames)
+        support[s] = tuple(supp)
         raw[s] = tilde
         proj[s] = p
-        gaps[s] = gap
         worst = max(worst, float(np.linalg.norm(tilde - p)))
     return ProjectorField(
         support=support, raw=raw, proj=proj, gap=gaps, distance=worst
@@ -395,12 +485,7 @@ class CocycleField:
     defect: float
 
     def at(self, sample, j, k) -> O2:
-        if j == k:
-            return IDENTITY
-        pair = self.values[sample]
-        if j < k:
-            return pair[(j, k)]
-        return o2_inverse(pair[(k, j)])
+        return _pair_at(self.values[sample], j, k)
 
 
 def project_cocycle(
@@ -429,55 +514,23 @@ def project_cocycle(
         )
     if samples is None:
         samples = sorted(rho.weights)
-
-    def one(s):
-        supp, w, frames = _frames_at(omega, rho, s)
-        tilde = np.zeros((2 * len(supp), 2 * len(supp)))
-        for row, j in enumerate(supp):
-            f = frames[j]
-            tilde += w[row] * (f @ f.T)
-        try:
-            p, _ = _gr_project_sym(tilde)
-        except EigengapTooSmall as exc:
-            raise EigengapTooSmall(f"base point {s}: {exc}") from exc
-        fixed = {}
-        for j in supp:
-            try:
-                fixed[j] = stiefel_fiber_project(p, frames[j])
-            except RankDeficient as exc:
-                raise RankDeficient(f"base point {s}, set {j}: {exc}") from exc
-        pairs = {}
-        ortho = 0.0
-        dist = 0.0
-        for a_i, j in enumerate(supp):
-            for k in supp[a_i + 1 :]:
-                m = fixed[j].T @ fixed[k]
-                om, resid = _nearest_o2(m)
-                pairs[(j, k)] = om
-                ortho = max(ortho, resid)
-                dist = max(
-                    dist,
-                    float(np.linalg.norm(_omega_at(omega, j, k).matrix - om.matrix)),
-                )
-        worst_tri = 0.0
-        for a_i, j in enumerate(supp):
-            for b_i in range(a_i + 1, len(supp)):
-                for l in supp[b_i + 1 :]:
-                    k = supp[b_i]
-                    lhs = o2_compose(pairs[(j, k)], pairs[(k, l)])
-                    worst_tri = max(
-                        worst_tri,
-                        float(np.linalg.norm(lhs.matrix - pairs[(j, l)].matrix)),
-                    )
-        return s, pairs, dist, ortho, worst_tri
-
     values = {}
     distance = ortho_residual = residual_defect = 0.0
-    for s, pairs, dist, ortho, tri in parallel_map(one, list(samples)):
+    for s in samples:
+        supp, w, frames = _frames_at(omega, rho, s)
+        _, _, pairs, ortho = _project_point(s, supp, w, frames)
         values[s] = pairs
-        distance = max(distance, dist)
         ortho_residual = max(ortho_residual, ortho)
-        residual_defect = max(residual_defect, tri)
+        for (j, k), om in pairs.items():
+            gap = np.linalg.norm(_omega_at(omega, j, k).matrix - om.matrix)
+            distance = max(distance, float(gap))
+        for a_i, j in enumerate(supp):
+            for b_i in range(a_i + 1, len(supp)):
+                k = supp[b_i]
+                for l in supp[b_i + 1 :]:
+                    lhs = o2_compose(pairs[(j, k)], pairs[(k, l)])
+                    gap = np.linalg.norm(lhs.matrix - pairs[(j, l)].matrix)
+                    residual_defect = max(residual_defect, float(gap))
     return CocycleField(
         values=values,
         distance=distance,
@@ -505,18 +558,10 @@ def project_trivialization(trivs, field: CocycleField, rho: PartitionOfUnity):
 
     charts: dict = {}
     for j in sorted(trivs.charts):
-        table = trivs.charts[j]
         new = {}
-        for s in table:
-            supp = rho.support(s)
-            w = np.array([rho.weight(s, k) for k in supp])
-            pts = np.stack(
-                [o2_apply(field.at(s, j, k), trivs.charts[k][s]) for k in supp]
-            )
-            try:
-                new[s] = karcher_mean(pts, w)
-            except DiameterTooLarge as exc:
-                raise DiameterTooLarge(f"sample {s}, chart {j}: {exc}") from exc
+        for s in trivs.charts[j]:
+            supp, w = rho.row(s)
+            new[s] = _chart_mean(trivs, s, j, supp, w, field.values[s])
         charts[j] = new
     return Trivialization(charts=charts)
 
@@ -541,21 +586,7 @@ def stiefel_reduce(frames: FrameField, d: int) -> FrameField:
     """
     if d < 2 or d > frames.dim:
         raise ValueError(f"need 2 <= d <= {frames.dim}, got {d}")
-    slot = {j: i for i, j in enumerate(frames.sets)}
-    moment = np.zeros((frames.dim, frames.dim))
-    for s, mats in frames.frames.items():
-        for j, mat in mats.items():
-            if frames.support is None:
-                rows = np.arange(frames.dim)
-                block = mat
-            else:
-                rows = np.concatenate(
-                    [(2 * slot[i], 2 * slot[i] + 1) for i in frames.support[s]]
-                ).astype(int)
-                block = mat
-            moment[np.ix_(rows, rows)] += block @ block.T
-    vals, vecs = _sorted_eigh(moment)
-    basis = vecs[:, :d]
+    basis = frames.principal_basis()[:, :d]
     # deterministic sign: the largest-magnitude entry of each direction is positive
     for c in range(d):
         col = basis[:, c]
@@ -595,18 +626,7 @@ def reduction_curve(frames: FrameField, dims=None) -> list:
     principal basis per dimension: each frame's squared coefficients
     against the full basis are accumulated once.
     """
-    slot = {j: i for i, j in enumerate(frames.sets)}
-    moment = np.zeros((frames.dim, frames.dim))
-    for s, mats in frames.frames.items():
-        for j, mat in mats.items():
-            if frames.support is None:
-                rows = np.arange(frames.dim)
-            else:
-                rows = np.concatenate(
-                    [(2 * slot[i], 2 * slot[i] + 1) for i in frames.support[s]]
-                ).astype(int)
-            moment[np.ix_(rows, rows)] += mat @ mat.T
-    _, vecs = _sorted_eigh(moment)
+    vecs = frames.principal_basis()
     sq = []
     for s, mats in frames.frames.items():
         for j in mats:
@@ -666,68 +686,20 @@ def bundle_map(
         Re-raised with the offending sample attached.
     """
     samples = sorted(rho.weights)
-    ff = frame_field(omega, rho, samples)
-    red = stiefel_reduce(ff, d)
-
-    def one(s):
-        supp = rho.support(s)
-        w = np.array([rho.weight(s, j) for j in supp])
-        mats = red.frames[s]
-        tilde = np.zeros((d, d))
-        for row, j in enumerate(supp):
-            f = mats[j]
-            tilde += w[row] * (f @ f.T)
-        try:
-            p, _ = _gr_project_sym(tilde)
-        except EigengapTooSmall as exc:
-            raise EigengapTooSmall(f"base point {s}: {exc}") from exc
-        fixed = {}
-        for j in supp:
-            try:
-                fixed[j] = stiefel_fiber_project(p, mats[j])
-            except RankDeficient as exc:
-                raise RankDeficient(f"base point {s}, set {j}: {exc}") from exc
-        pairs = {}
-        ortho = 0.0
-        for a_i, j in enumerate(supp):
-            for k in supp[a_i + 1 :]:
-                om, resid = _nearest_o2(fixed[j].T @ fixed[k])
-                pairs[(j, k)] = om
-                ortho = max(ortho, resid)
-
-        def pair_at(j, k):
-            if j == k:
-                return IDENTITY
-            if j < k:
-                return pairs[(j, k)]
-            return o2_inverse(pairs[(k, j)])
-
-        outputs = {}
-        for j in supp:
-            pts = np.stack(
-                [o2_apply(pair_at(j, k), trivs.charts[k][s]) for k in supp]
-            )
-            try:
-                mean = karcher_mean(pts, w)
-            except DiameterTooLarge as exc:
-                raise DiameterTooLarge(f"sample {s}, chart {j}: {exc}") from exc
-            outputs[j] = fixed[j] @ mean
-        best = min(supp, key=lambda j: (-rho.weight(s, j), j))
-        v = outputs[best]
-        overlap = 0.0
-        ids = list(outputs)
-        for a_i, j in enumerate(ids):
-            for k in ids[a_i + 1 :]:
-                overlap = max(overlap, float(np.linalg.norm(outputs[j] - outputs[k])))
-        plane = float(np.linalg.norm(v - p @ v))
-        return s, v, overlap, plane, ortho
-
+    red = stiefel_reduce(frame_field(omega, rho, samples), d)
     vectors = {}
     overlap_residual = plane_residual = ortho_residual = 0.0
-    for s, v, overlap, plane, ortho in parallel_map(one, samples):
+    for s in samples:
+        supp, w = rho.row(s)
+        p, fixed, pairs, ortho = _project_point(s, supp, w, red.frames[s])
+        outputs = {j: fixed[j] @ _chart_mean(trivs, s, j, supp, w, pairs) for j in supp}
+        v = outputs[min(supp, key=lambda j: (-rho.weight(s, j), j))]
+        for a_i, j in enumerate(supp):
+            for k in supp[a_i + 1 :]:
+                gap = np.linalg.norm(outputs[j] - outputs[k])
+                overlap_residual = max(overlap_residual, float(gap))
         vectors[s] = v
-        overlap_residual = max(overlap_residual, overlap)
-        plane_residual = max(plane_residual, plane)
+        plane_residual = max(plane_residual, float(np.linalg.norm(v - p @ v)))
         ortho_residual = max(ortho_residual, ortho)
     return BundleMapResult(
         vectors=vectors,
@@ -779,7 +751,8 @@ def global_trivialize(
         ``reason`` is "sw" when the sign class is not a coboundary,
         "euler" when the integer class is not.
     BracketAmbiguous
-        A lift coboundary sits too close to a half-integer to round.
+        A lift coboundary sits too close to a half-integer to round
+        (raised by ``euler_cochain``).
     """
     nerve = omega.nerve
     verts = [v[0] for v in nerve.vertices]
@@ -794,69 +767,48 @@ def global_trivialize(
     potential = Cochain(
         nerve, 0, "O2", {(j,): O2(0.0, phi[j]) for j in verts}
     )
-    from .cochains import act_by_potential
-
     hat = act_by_potential(potential, omega)
-
-    # winding fix: lift the rotations and write their coboundary over Z
-    theta = {}
     for j, k in edges:
-        om = hat.values[(j, k)]
-        if om.sign != 1:
+        if hat.values[(j, k)].sign != 1:
             raise ShapeMismatch(
                 f"edge ({j}, {k}) still reflects after the orientation fix"
             )
-        theta[(j, k)] = principal_turn(om.turn)
 
-    def lift_at(j, k):
-        if j == k:
-            return 0.0
-        return theta[(j, k)] if j < k else -theta[(k, j)]
-
+    # winding fix: write the rounded lift coboundary as a coboundary over Z
+    classes = euler_cochain(hat)
     triangles = list(nerve.triangles)
     epos = {e: i for i, e in enumerate(edges)}
     a1 = np.zeros((len(triangles), len(edges)), dtype=int)
-    b1 = np.zeros(len(triangles), dtype=int)
-    for row, (j, k, l) in enumerate(triangles):
-        a1[row, epos[(k, l)]] = 1
-        a1[row, epos[(j, l)]] = -1
-        a1[row, epos[(j, k)]] = 1
-        pre = lift_at(k, l) - lift_at(j, l) + lift_at(j, k)
-        e_val = round(pre)
-        if 0.5 - abs(pre - e_val) < BRACKET_GUARD:
-            raise BracketAmbiguous(
-                f"lift coboundary {pre} on ({j}, {k}, {l}) is within {BRACKET_GUARD} "
-                "of a half-integer"
-            )
-        b1[row] = int(e_val)
-    beta_vec = solve_integer(a1, b1)
+    for r, row in enumerate(coboundary_rows(triangles)):
+        for e, v in row.items():
+            a1[r, epos[e]] = v
+    beta_vec = solve_integer(a1, [classes.euler.values[t] for t in triangles])
     if beta_vec is None:
         raise NotTrivializable(
             "euler", "the integer class is not a coboundary; the bundle twists"
         )
     beta = {e: int(beta_vec[epos[e]]) for e in edges}
+    # per edge: the rotation lift less its winding correction
+    shift = {e: classes.lift.values[e] - beta[e] for e in edges}
 
-    def beta_at(j, k):
+    def shift_at(j, k):
         if j == k:
-            return 0
-        return beta[(j, k)] if j < k else -beta[(k, j)]
+            return 0.0
+        return shift[(j, k)] if j < k else -shift[(k, j)]
 
     # rotate each chart by its weighted lift difference, then average
     angles = {}
     bases = {}
     residual = 0.0
     for s in sorted(rho.weights):
-        supp = rho.support(s)
-        w = np.array([rho.weight(s, k) for k in supp])
+        supp, w = rho.row(s)
         pts = []
         for j in supp:
             raw = trivs.charts[j][s]
             turn = float(s1_angle(raw[None, :])[0])
             if phi[j] < 0:
                 turn = -turn
-            mu = sum(
-                rho.weight(s, k) * (lift_at(k, j) - beta_at(k, j)) for k in supp
-            )
+            mu = sum(rho.weight(s, k) * shift_at(k, j) for k in supp)
             pts.append((turn + mu) % 1.0)
         pts_xy = np.stack(
             [

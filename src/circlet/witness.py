@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import parallel_map
 from .circle import (
     O2,
     s1_angle,
@@ -89,6 +88,14 @@ class Trivialization:
         ak = np.array([tk[s] for s in ids], dtype=float)
         return ids, aj, ak
 
+    def chord_errors(self, j, k, om: O2) -> np.ndarray:
+        """Chord misalignment of chart ``j`` against ``om`` applied to chart ``k``.
+
+        One entry per shared sample, in sorted id order.
+        """
+        _, aj, ak = self.shared(j, k)
+        return turn_chord(aj - (om.turn + om.sign * ak))
+
     @classmethod
     def from_angles(cls, tables: dict[int, dict]) -> "Trivialization":
         """Build charts from angle tables given in turns."""
@@ -108,9 +115,8 @@ class EdgeQuality:
     edge: tuple
     turn: float
     sign: int
-    weight: float  # mean chord error, the filtration weight
     max_err: float
-    mean_err: float
+    mean_err: float  # the filtration weight
 
 
 @dataclass
@@ -184,14 +190,14 @@ def procrustes_o2(f_vals, g_vals) -> tuple[O2, float]:
 def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Cochain:
     """Per-edge minimax witnesses, assembled into an isometry 1-cochain.
 
-    Edges are processed independently (parallel when configured); any
-    per-edge failure is re-raised with the edge attached.  Edges whose
+    Edges are processed independently, in nerve order; any per-edge
+    failure is re-raised with the edge attached.  Edges whose
     minimax error reaches the validity threshold are logged as warnings,
     not rejected.
     """
-
-    def one_edge(edge):
-        j, k = edge
+    vals = {}
+    worst = 0.0
+    for j, k in nerve.edges:
         tj, tk = trivs.charts[j], trivs.charts[k]
         ids = sorted(set(tj) & set(tk))
         if len(ids) < 2:
@@ -199,15 +205,9 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Cochain:
         f = np.stack([tj[s] for s in ids])
         g = np.stack([tk[s] for s in ids])
         try:
-            om, err = procrustes_o2(f, g)
+            vals[(j, k)], err = procrustes_o2(f, g)
         except GuardError as exc:
             raise type(exc)(f"edge ({j}, {k}): {exc}") from exc
-        return edge, om, err
-
-    vals = {}
-    worst = 0.0
-    for edge, om, err in parallel_map(one_edge, nerve.edges):
-        vals[edge] = om
         worst = max(worst, err)
     if worst >= EPSILON_VALID:
         log.warning(
@@ -237,15 +237,13 @@ def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> Quali
     eps = 0.0
     edge_rows = []
     for (j, k) in nerve.edges:
-        ids, aj, ak = trivs.shared(j, k)
         om = witness.value((j, k))
-        errs = turn_chord(aj - (om.turn + om.sign * ak))
+        errs = trivs.chord_errors(j, k, om)
         edge_rows.append(
             EdgeQuality(
                 edge=(j, k),
                 turn=om.turn,
                 sign=om.sign,
-                weight=float(np.mean(errs)) if len(errs) else 0.0,
                 max_err=float(np.max(errs)) if len(errs) else 0.0,
                 mean_err=float(np.mean(errs)) if len(errs) else 0.0,
             )

@@ -299,20 +299,6 @@ class TestCoordinatizeCommand:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["guard"] == "RankDeficient"
 
-    def test_thread_count_does_not_change_bytes(self, torus_dir, tmp_path, monkeypatch):
-        one = tmp_path / "one"
-        argv = [
-            "coordinatize", "--data", str(torus_dir / "dataset.json"),
-            "--cover", str(torus_dir / "cover.json"),
-            "--trivs", str(torus_dir / "trivs.json"), "--dim", "4",
-        ]
-        monkeypatch.delenv("CIRCLET_THREADS", raising=False)
-        assert main(argv + ["--out", str(one)]) == 0
-        four = tmp_path / "four"
-        monkeypatch.setenv("CIRCLET_THREADS", "4")
-        assert main(argv + ["--out", str(four)]) == 0
-        assert (one / "coords.json").read_bytes() == (four / "coords.json").read_bytes()
-
 
 class TestUnwrapCommand:
     def test_split_labels_give_two_components(self, tmp_path, capsys):
@@ -385,6 +371,26 @@ class TestReportCommand:
         maxes = [row["max_error"] for row in curve]
         assert all(a >= b - 1e-12 for a, b in zip(maxes, maxes[1:]))
         assert doc["persistence"]["w_max"] >= 0
+
+    def test_euler_cochain_warns_once(self, tmp_path, caplog):
+        # on this input the sign class is a cocycle on the whole nerve, so
+        # the report reuses the classes persistence computed there
+        synth = tmp_path / "synth"
+        assert run(
+            "synth", "--model", "lens:1", "--samples", "2000", "--sets", "16",
+            "--radius", "0.85", "--seed", "0", "--out", str(synth),
+        ) == 0
+        with caplog.at_level("WARNING", logger="circlet.classes"):
+            assert run(
+                "report", "--data", str(synth / "dataset.json"),
+                "--cover", str(synth / "cover.json"),
+                "--trivs", str(synth / "trivs.json"), "--out", str(tmp_path / "rep"),
+            ) == 0
+        doc = read(tmp_path / "rep" / "report.json")
+        size = sum(row["count"] for row in doc["persistence"]["stage_sizes"])
+        assert doc["persistence"]["sw"]["cobirth_index"] == size
+        warned = [r for r in caplog.records if "is not below 1/2" in r.message]
+        assert len(warned) == 1
 
     def test_dims_outside_ambient_rejected(self, torus_dir, tmp_path):
         code = run(

@@ -20,6 +20,7 @@ from circlet.nerve import (
     overlap_members,
     stage_subcomplex,
 )
+from circlet.witness import Trivialization
 
 
 def circle_dataset(n=8):
@@ -43,6 +44,9 @@ class FakeCharts:
         aj = np.array([tj[s] for s in ids], dtype=float)
         ak = np.array([tk[s] for s in ids], dtype=float)
         return ids, aj, ak
+
+    # the real method, evaluated over this table's ``shared``
+    chord_errors = Trivialization.chord_errors
 
 
 class TestDataset:

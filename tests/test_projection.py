@@ -104,6 +104,30 @@ def defect_apparatus(lens):
     return base, with_defect
 
 
+def degenerate_triangle():
+    """A witness and a partition of unity over one base point, sample 7."""
+    nerve = Nerve(
+        simplices={
+            0: [(0,), (1,), (2,)],
+            1: [(0, 1), (0, 2), (1, 2)],
+            2: [(0, 1, 2)],
+        }
+    )
+    rho = PartitionOfUnity(
+        weights={7: {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}},
+        sets=(0, 1, 2),
+        mode="indicator",
+    )
+    # maximally inconsistent triangle: the averaged frames tie
+    om = Cochain(
+        nerve,
+        1,
+        "O2",
+        {(0, 1): O2(0.0, 1), (0, 2): O2(0.0, 1), (1, 2): O2(0.5, 1)},
+    )
+    return om, rho
+
+
 def compat_residual(trivs, field, nerve):
     worst = 0.0
     for j, k in nerve.edges:
@@ -340,25 +364,7 @@ class TestClassifyingMap:
         assert 0.0 < pf.distance <= SQRT2 * eps
 
     def test_degenerate_point_named_in_error(self):
-        nerve = Nerve(
-            simplices={
-                0: [(0,), (1,), (2,)],
-                1: [(0, 1), (0, 2), (1, 2)],
-                2: [(0, 1, 2)],
-            }
-        )
-        rho = PartitionOfUnity(
-            weights={7: {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}},
-            sets=(0, 1, 2),
-            mode="indicator",
-        )
-        # maximally inconsistent triangle: the averaged frames tie
-        om = Cochain(
-            nerve,
-            1,
-            "O2",
-            {(0, 1): O2(0.0, 1), (0, 2): O2(0.0, 1), (1, 2): O2(0.5, 1)},
-        )
+        om, rho = degenerate_triangle()
         with pytest.raises(EigengapTooSmall, match="base point 7"):
             classifying_map(om, rho, samples=[7])
 
@@ -497,6 +503,20 @@ class TestStiefelReduce:
         # noise into ~1e-7, so the floor is loose
         assert maxes[-1] <= 1e-6
 
+    def test_curve_summarizes_reduce_errors(self, lens, defect_apparatus):
+        # both read one principal basis, so each curve row is the mean and
+        # max of the per-frame errors of the reduction to that dimension
+        _, _, _, _, rho = lens
+        _, with_defect = defect_apparatus
+        ff = frame_field(with_defect(0.1), rho, samples=sorted(rho.weights)[:400])
+        dims = [2, 3, 8, 33, 68]
+        curve = reduction_curve(ff, dims=dims)
+        assert [row[0] for row in curve] == dims
+        for d, mean, worst in curve:
+            errs = np.array(list(stiefel_reduce(ff, d).errors.values()))
+            assert mean == pytest.approx(errs.mean(), abs=1e-6)
+            assert worst == pytest.approx(errs.max(), abs=1e-6)
+
     def test_collapsed_frame_raises(self):
         def frame(a, b, dim=4):
             m = np.zeros((dim, 2))
@@ -562,6 +582,28 @@ class TestBundleMap:
         # one fixed isometry: the principal-basis convention
         assert np.allclose(m @ m.T, np.eye(2), atol=1e-9)
         assert np.abs(out - chart @ m.T).max() <= 1e-9
+
+    def test_eigengap_error_names_base_point(self):
+        om, rho = degenerate_triangle()
+        trivs = Trivialization.from_angles({j: {7: 0.0} for j in range(3)})
+        with pytest.raises(EigengapTooSmall, match="base point 7"):
+            bundle_map(trivs, om, rho, d=6)
+
+    def test_diameter_error_names_sample_and_chart(self, torus):
+        ds, _, _, _, _, _ = torus
+        cover3 = make_cover(ds, 3, radius=2.2)
+        nerve3 = build_nerve(cover3)
+        ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
+        tables = {c.id: {s: ang[s] for s in c.members} for c in cover3}
+        wit3 = assemble_witness(Trivialization.from_angles(tables), nerve3)
+        rho3 = partition_of_unity(cover3, ds)
+        victim = next(s for s in sorted(rho3.weights) if len(rho3.support(s)) == 3)
+        # the exact witness transports the victim's three chart values to
+        # points a third of a turn apart
+        tables[1][victim] += 1.0 / 3.0
+        tables[2][victim] -= 1.0 / 3.0
+        with pytest.raises(DiameterTooLarge, match=f"sample {victim}, chart 0:"):
+            bundle_map(Trivialization.from_angles(tables), wit3, rho3, d=6)
 
 
 class TestGlobalTrivialize:
