@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .classes import (
     euler_cochain,
     euler_number,
     fundamental_class_twisted,
-    sw_class,
 )
 from .cochains import Cochain, cocycle_defect
 from .doublecover import connectivity_cocycle, unwrap_double_cover, carry_charts
@@ -52,7 +52,7 @@ from .synthetic import (
     gen_rp2_bundle,
     gen_s1_bundle,
 )
-from .witness import Trivialization, assemble_witness, triv_quality
+from .witness import assemble_witness, triv_quality
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -105,8 +105,13 @@ class _Run:
         digest = io.dump_json(doc, os.path.join(self.out_dir, name))
         self.outputs.append({"path": name, "sha256": digest})
 
+    @contextmanager
     def timed(self, name: str):
-        return _Timer(self, name)
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings.append((name, time.perf_counter() - t0))
 
     def finish(self, status: int):
         if self.out_dir is None:
@@ -123,20 +128,6 @@ class _Run:
         io.dump_json(doc, os.path.join(self.out_dir, "manifest.json"))
 
 
-class _Timer:
-    def __init__(self, run: _Run, name: str):
-        self.run = run
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.run.timings.append((self.name, time.perf_counter() - self.t0))
-        return False
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
@@ -145,20 +136,19 @@ def _load_bundle(args):
     ds = io.parse_dataset(io.load_json(args.data))
     cover = io.parse_cover(io.load_json(args.cover))
     trivs = io.parse_trivs(io.load_json(args.trivs))
-    ids = set(ds.ids)
+    ids, charted = set(ds.ids), set(trivs.sets())
     for c in cover:
         if not c.members <= ids:
             raise SchemaError(
                 f"cover set {c.id} references samples outside the dataset"
             )
-        chart = trivs.charts.get(c.id)
-        if chart is None:
+        if c.id not in charted:
             raise SchemaError(f"no chart for cover set {c.id}")
-        if set(chart) != set(c.members):
+        if set(trivs.chart(c.id).ids.tolist()) != set(c.members):
             raise SchemaError(
                 f"chart {c.id} domain does not match the cover set members"
             )
-    extra = set(trivs.charts) - {c.id for c in cover}
+    extra = charted - {c.id for c in cover}
     if extra:
         raise SchemaError(f"charts {sorted(extra)} have no cover set")
     return ds, cover, trivs
@@ -347,15 +337,12 @@ def _cmd_coordinatize(args, run: _Run):
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
     if args.stage is not None:
+        if not 1 <= args.stage <= len(nerve):
+            raise SchemaError(f"--stage {args.stage} outside 1..{len(nerve)}")
         with run.timed("stage-cut"):
             nerve = filtration_order(edge_weights(nerve, trivs, wit))
             cover, _ = cut_base(ds, cover, nerve, args.stage)
-            trivs = Trivialization(
-                charts={
-                    c.id: {s: trivs.charts[c.id][s] for s in c.members}
-                    for c in cover
-                }
-            )
+            trivs = trivs.restrict({c.id: (c.id, c.members) for c in cover})
             nerve = build_nerve(cover)
             wit = assemble_witness(trivs, nerve)
     with run.timed("coordinates"):

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .circle import O2, o2_compose, o2_inverse, o2_frobenius_distance, IDENTITY
+from .circle import O2, o2_compose, o2_inverse, o2_frobenius_distance
 from .errors import DegreeUnsupported, NotACocycle, ShapeMismatch
 from .nerve import Nerve
 

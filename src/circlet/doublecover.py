@@ -22,6 +22,7 @@ from .cochains import Cochain, check_sign_cocycle
 from .errors import InconsistentClusters, LiftUndefined, PropagationConflict
 from .intlinalg import sign_potential
 from .nerve import BundleDataset, CoverSet, Nerve, build_nerve
+from .witness import Trivialization
 
 log = logging.getLogger(__name__)
 
@@ -283,20 +284,13 @@ def unwrap_double_cover(
                         components=components, orientations=orientations)
 
 
-def carry_charts(trivs, result: UnwrapResult):
+def carry_charts(trivs: Trivialization, result: UnwrapResult) -> Trivialization:
     """Restrict chart tables to the split cover produced by an unwrap.
 
     Each split set keeps the angles of its parent chart on the samples it
     retained; the fiber data is untouched because the unwrap only relabels
     the base.  Parent sets absent from the trivialization are skipped.
     """
-    from .witness import Trivialization
-
-    charts = {}
-    for cs in result.cover:
-        j, _ = result.set_map[cs.id]
-        parent = trivs.charts.get(j)
-        if parent is None:
-            continue
-        charts[cs.id] = {s: parent[s] for s in cs.members if s in parent}
-    return Trivialization(charts=charts)
+    return trivs.restrict(
+        {cs.id: (result.set_map[cs.id][0], cs.members) for cs in result.cover}
+    )

@@ -6,9 +6,9 @@ newline-terminated.  Identical objects therefore serialize to identical
 bytes, which is what makes output digests meaningful.
 
 Angles travel in turns.  Isometries travel as {turn, sign} pairs,
-matrices row-major.  Chart values are stored as angles, so one
-serialization round trip may move a chart vector by a couple of ulps;
-everything discrete round-trips exactly.
+matrices row-major.  A chart travels as its stored angles, and reading
+it back costs one cos/sin per value, so a round trip may move a chart
+vector by a couple of ulps; everything discrete round-trips exactly.
 """
 
 from __future__ import annotations
@@ -107,9 +107,11 @@ def load_json(path: str):
 # validation helpers
 
 
-def _need(doc: dict, key: str, where: str):
+def _need(doc: dict, key: str, where: str, kind=object):
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{where}: missing key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise SchemaError(f"{where}: {key!r} must be a {kind.__name__}")
     return doc[key]
 
 
@@ -128,9 +130,15 @@ def _simplex(row, where: str) -> tuple:
 
 
 def _the_float(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(f"{where}: expected a number")
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise SchemaError(f"{where}: expected a finite number")
     return float(x)
+
+
+def _the_int(x, where: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or not -(2**63) <= x < 2**63:
+        raise SchemaError(f"{where}: expected a 64-bit integer")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +224,13 @@ def parse_cover(doc) -> list[CoverSet]:
 def trivs_doc(trivs: Trivialization) -> dict:
     rows = []
     for j in trivs.sets():
-        table = trivs.angle_table(j)
+        c = trivs.chart(j)
         rows.append(
             {
                 "id": int(j),
                 "values": [
-                    {"sample": int(s), "angle_turns": float(table[s]) % 1.0}
-                    for s in sorted(table)
+                    {"sample": s, "angle_turns": t % 1.0}
+                    for s, t in zip(c.ids.tolist(), c.turns.tolist())
                 ],
             }
         )
@@ -230,17 +238,19 @@ def trivs_doc(trivs: Trivialization) -> dict:
 
 
 def parse_trivs(doc) -> Trivialization:
+    """Charts from a trivs document; duplicate ids surface as ``ShapeMismatch``."""
     _check_schema(doc, "trivs")
     tables = {}
-    for row in _need(doc, "sets", "trivs"):
-        j = _need(row, "id", "trivs set")
-        tables[j] = {
-            v["sample"]: _the_float(
-                _need(v, "angle_turns", "trivs value"), "angle_turns"
-            )
-            for v in _need(row, "values", "trivs set")
-        }
-    return Trivialization.from_angles(tables)
+    for row in _need(doc, "sets", "trivs", list):
+        j = _the_int(_need(row, "id", "trivs set"), "trivs set id")
+        if j in tables:
+            raise SchemaError(f"trivs set {j} appears twice")
+        values = _need(row, "values", f"trivs set {j}", list)
+        tables[j] = (
+            [_the_int(_need(v, "sample", "trivs value"), "sample") for v in values],
+            [_the_float(_need(v, "angle_turns", "trivs value"), "angle") for v in values],
+        )
+    return Trivialization.from_turns(tables)
 
 
 # ---------------------------------------------------------------------------

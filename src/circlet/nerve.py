@@ -9,7 +9,6 @@ which is all the downstream boundary matrices consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -204,15 +203,6 @@ def build_nerve(cover: Sequence[CoverSet], max_dim: int = 3) -> Nerve:
                 simplices[q] = []
             break
     return Nerve(simplices={p: sorted(v) for p, v in simplices.items()})
-
-
-def overlap_members(cover_by_id: dict[int, CoverSet], simplex: tuple) -> frozenset:
-    """Samples shared by every vertex of a simplex."""
-    it = iter(simplex)
-    shared = set(cover_by_id[next(it)].members)
-    for j in it:
-        shared &= cover_by_id[j].members
-    return frozenset(shared)
 
 
 def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Cochain") -> Nerve:

@@ -146,7 +146,7 @@ def persistence(
     if cross_check:
         brute = persistence_brute(lam, nerve, max_stage=max_stage)
         if (brute.cobirth_index, brute.codeath_index) != (cobirth, codeath):
-            raise AssertionError(
+            raise GuardError(
                 f"threshold method ({cobirth}, {codeath}) disagrees with "
                 f"per-stage scan ({brute.cobirth_index}, {brute.codeath_index})"
             )

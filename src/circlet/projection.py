@@ -28,14 +28,14 @@ from .cochains import Cochain, act_by_potential, cocycle_defect
 from .errors import (
     DiameterTooLarge,
     EigengapTooSmall,
-    GuardError,
     NotTrivializable,
     RankDeficient,
     ShapeMismatch,
     UncoveredPoint,
 )
 from .intlinalg import coboundary_rows, sign_potential, solve_integer
-from .nerve import BundleDataset, CoverSet, base_geodesic
+from .nerve import BundleDataset, base_geodesic
+from .witness import Trivialization
 
 log = logging.getLogger(__name__)
 
@@ -396,8 +396,10 @@ def _project_point(s, supp, w, frames: dict):
     return p, fixed, pairs, ortho
 
 
-def _chart_mean(trivs, s, j, supp, w, pairs) -> np.ndarray:
+def _chart_mean(vals, s, j, supp, w, pairs) -> np.ndarray:
     """Weighted circular mean of the supporting charts, transported into ``j``.
+
+    ``vals`` holds the sample's value in each chart of ``supp``, one row each.
 
     Raises
     ------
@@ -405,7 +407,7 @@ def _chart_mean(trivs, s, j, supp, w, pairs) -> np.ndarray:
         Re-raised with the sample and chart attached when the
         transported values spread over half a circle.
     """
-    pts = np.stack([o2_apply(_pair_at(pairs, j, k), trivs.charts[k][s]) for k in supp])
+    pts = np.stack([o2_apply(_pair_at(pairs, j, k), v) for k, v in zip(supp, vals)])
     try:
         return karcher_mean(pts, w)
     except DiameterTooLarge as exc:
@@ -554,16 +556,16 @@ def project_trivialization(trivs, field: CocycleField, rho: PartitionOfUnity):
         Re-raised with the sample and chart attached when transported
         values spread over half a circle.
     """
-    from .witness import Trivialization
-
     charts: dict = {}
-    for j in sorted(trivs.charts):
-        new = {}
-        for s in trivs.charts[j]:
+    for j in trivs.sets():
+        ids = trivs.chart(j).ids.tolist()
+        new = []
+        for s in ids:
             supp, w = rho.row(s)
-            new[s] = _chart_mean(trivs, s, j, supp, w, field.values[s])
-        charts[j] = new
-    return Trivialization(charts=charts)
+            vals, _ = trivs.at(s, supp)
+            new.append(_chart_mean(vals, s, j, supp, w, field.values[s]))
+        charts[j] = (ids, new)
+    return Trivialization(charts)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +694,8 @@ def bundle_map(
     for s in samples:
         supp, w = rho.row(s)
         p, fixed, pairs, ortho = _project_point(s, supp, w, red.frames[s])
-        outputs = {j: fixed[j] @ _chart_mean(trivs, s, j, supp, w, pairs) for j in supp}
+        vals, _ = trivs.at(s, supp)
+        outputs = {j: fixed[j] @ _chart_mean(vals, s, j, supp, w, pairs) for j in supp}
         v = outputs[min(supp, key=lambda j: (-rho.weight(s, j), j))]
         for a_i, j in enumerate(supp):
             for k in supp[a_i + 1 :]:
@@ -802,10 +805,9 @@ def global_trivialize(
     residual = 0.0
     for s in sorted(rho.weights):
         supp, w = rho.row(s)
+        _, turns = trivs.at(s, supp)
         pts = []
-        for j in supp:
-            raw = trivs.charts[j][s]
-            turn = float(s1_angle(raw[None, :])[0])
+        for j, turn in zip(supp, turns):
             if phi[j] < 0:
                 turn = -turn
             mu = sum(rho.weight(s, k) * shift_at(k, j) for k in supp)

@@ -225,6 +225,25 @@ def _add_noise(turns: np.ndarray, seed: int, set_id: int, sigma: float) -> np.nd
     return (turns + rng.normal(0.0, sigma, size=len(turns)) / TAU) % 1.0
 
 
+def _bundle(model, dataset, cover, tables, noise, seed, sw_trivial, euler_number,
+            clusters=None) -> SyntheticBundle:
+    """The bundle with noisy charts from exact ``set id -> (ids, turns)`` tables."""
+    trivs = Trivialization.from_turns(
+        {j: (ids, _add_noise(t, seed, j, noise)) for j, (ids, t) in tables.items()}
+    )
+    scenario = SyntheticScenario(
+        model=model,
+        n_samples=len(dataset),
+        cover_sets=len(cover),
+        cover_radius=float(cover[0].radius),
+        noise=noise,
+        seed=seed,
+        sw_trivial=sw_trivial,
+        euler_number=euler_number,
+    )
+    return SyntheticBundle(dataset, cover, trivs, scenario, clusters=clusters)
+
+
 # ---------------------------------------------------------------------------
 # bundles over the circle
 
@@ -262,21 +281,9 @@ def gen_s1_bundle(
             # the seam arc reads the fiber through the flip on the side
             # past the gluing; 0.5 cleanly separates the two sides
             vals = np.where(beta[rows] < 0.5, -vals, vals)
-        vals = (vals + gauges[cs.id]) % 1.0
-        vals = _add_noise(vals, seed, cs.id, noise)
-        tables[cs.id] = dict(zip(members, vals))
-    trivs = Trivialization.from_angles(tables)
-    scenario = SyntheticScenario(
-        model="s1-torus" if orientable else "s1-klein",
-        n_samples=n_samples,
-        cover_sets=n_arcs,
-        cover_radius=radius,
-        noise=noise,
-        seed=seed,
-        sw_trivial=orientable,
-        euler_number=0,
-    )
-    return SyntheticBundle(dataset, cover, trivs, scenario)
+        tables[cs.id] = (members, (vals + gauges[cs.id]) % 1.0)
+    model = "s1-torus" if orientable else "s1-klein"
+    return _bundle(model, dataset, cover, tables, noise, seed, orientable, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +399,8 @@ def gen_lens_bundle(
         members = sorted(cs.members)
         rows = np.array(members, dtype=int)
         turns = _lens_chart(q[rows], base[rows], cs.center, p, f"set {cs.id}")
-        turns = _add_noise(turns, seed, cs.id, noise)
-        tables[cs.id] = dict(zip(members, turns))
-    trivs = Trivialization.from_angles(tables)
-    scenario = SyntheticScenario(
-        model=f"lens({p})",
-        n_samples=n_samples,
-        cover_sets=n_sets,
-        cover_radius=float(cover[0].radius),
-        noise=noise,
-        seed=seed,
-        sw_trivial=True,
-        euler_number=p,
-    )
-    return SyntheticBundle(dataset, cover, trivs, scenario)
+        tables[cs.id] = (members, turns)
+    return _bundle(f"lens({p})", dataset, cover, tables, noise, seed, True, p)
 
 
 def gen_rp2_bundle(
@@ -452,20 +447,8 @@ def gen_rp2_bundle(
         if np.any(far):
             qeff[far] = quat_mul(qeff[far], QUAT_J)
         turns = _lens_chart(qeff, blift, cs.center, 2 * p, f"set {cs.id}")
-        turns = _add_noise(turns, seed, cs.id, noise)
-        tables[cs.id] = dict(zip(members, turns))
-    trivs = Trivialization.from_angles(tables)
-    scenario = SyntheticScenario(
-        model=f"rp2({p})",
-        n_samples=n_samples,
-        cover_sets=n_sets,
-        cover_radius=float(cover[0].radius),
-        noise=noise,
-        seed=seed,
-        sw_trivial=False,
-        euler_number=p,
-    )
-    return SyntheticBundle(dataset, cover, trivs, scenario)
+        tables[cs.id] = (members, turns)
+    return _bundle(f"rp2({p})", dataset, cover, tables, noise, seed, False, p)
 
 
 def gen_disconnected_fiber(
@@ -587,18 +570,9 @@ def gen_disconnected_fiber(
                 )
             first = frozenset(members[i] for i in np.nonzero(d > 0)[0])
             second = frozenset(members[i] for i in np.nonzero(d < 0)[0])
-        turns = _add_noise(turns, seed, cs.id, noise)
-        tables[cs.id] = dict(zip(members, turns))
+        tables[cs.id] = (members, turns)
         clusters[cs.id] = (first, second)
-    trivs = Trivialization.from_angles(tables)
-    scenario = SyntheticScenario(
-        model=f"disconnected({p})" + ("-split" if split else ""),
-        n_samples=len(ids),
-        cover_sets=n_sets,
-        cover_radius=float(cover[0].radius),
-        noise=noise,
-        seed=seed,
-        sw_trivial=not split,
-        euler_number=p if split else 2 * p,
-    )
-    return SyntheticBundle(dataset, cover, trivs, scenario, clusters=clusters)
+    model = f"disconnected({p})" + ("-split" if split else "")
+    euler = p if split else 2 * p
+    return _bundle(model, dataset, cover, tables, noise, seed, not split, euler,
+                   clusters)

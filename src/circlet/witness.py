@@ -6,6 +6,12 @@ the two charts on the shared samples (a minimax Procrustes problem on
 the circle).  The per-edge witnesses assemble into a 1-cochain whose
 holonomy defect, together with the chart misalignment and the fiber
 coverage gap, quantifies how far the data is from an exact bundle.
+
+Charts are stored column-wise: each chart is a sorted int64 array of
+sample ids with a row-aligned ``(n, 2)`` array of unit vectors and an
+array of their angles in turns.  ``Trivialization.overlap`` is the one
+intersection of chart domains; the witness, the quality report and the
+edge weights all read it.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .circle import (
     O2,
+    TWO_PI,
     s1_angle,
     shortest_enclosing_arc,
     turn_chord,
@@ -38,55 +46,103 @@ log = logging.getLogger(__name__)
 EPSILON_VALID = math.sqrt(2.0)
 
 
-@dataclass
-class Trivialization:
-    """Circle-valued charts over a cover.
+class Chart(NamedTuple):
+    """One chart as row-aligned columns."""
 
-    Attributes
-    ----------
-    charts : dict
-        Cover-set id -> {sample id -> unit 2-vector on the circle}.
-        Each chart's domain is exactly the member set of its cover set.
+    ids: np.ndarray  # sorted, duplicate-free int64 sample ids
+    points: np.ndarray  # (n, 2) unit vectors on the circle
+    turns: np.ndarray  # (n,) their angles in turns, in [0, 1)
+
+
+class Trivialization:
+    """Circle-valued charts over a cover, one :class:`Chart` per cover set.
+
+    ``charts`` maps a set id to (sample ids, ``(n, 2)`` points), ids in
+    any order; a chart's domain is exactly its cover set's members.
+    Angles are computed once, here, and ``restrict`` copies whole rows.
+
+    ``overlap(*sets)`` is the only intersection of chart domains.  It
+    returns ``(ids, rows)``: the shared sample ids in ascending order,
+    and for each ``sets[i]`` the rows of that chart holding them, so that
+    ``chart(sets[i]).ids[rows[i]]`` equals ``ids``.
+
+    Raises ``ShapeMismatch`` when a point is not a 2-vector or a chart
+    repeats a sample id.
     """
 
-    charts: dict[int, dict]
+    def __init__(self, charts: dict):
+        self._charts = {}
+        for j, (ids, pts) in charts.items():
+            ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+            pts = np.asarray(pts, dtype=float) if len(ids) else np.empty((0, 2))
+            if pts.shape != (len(ids), 2):
+                raise ShapeMismatch(f"chart {j}: need one 2-vector per sample")
+            order = np.argsort(ids, kind="stable")
+            ids, pts = ids[order], pts[order]
+            dup = ids[1:][ids[1:] == ids[:-1]]
+            if len(dup):
+                raise ShapeMismatch(f"chart {j}: sample {dup[0]} appears twice")
+            self._charts[j] = Chart(ids, pts, s1_angle(pts))
 
-    def __post_init__(self):
-        fixed = {}
-        for j, table in self.charts.items():
-            fixed[j] = {s: np.asarray(p, dtype=float) for s, p in table.items()}
-            for s, p in fixed[j].items():
-                if p.shape != (2,):
-                    raise ShapeMismatch(f"chart {j} sample {s}: need a 2-vector")
-        self.charts = fixed
-        self._angles: dict[int, dict] = {}
+    @classmethod
+    def from_turns(cls, tables: dict) -> "Trivialization":
+        """Charts from angles in turns: ``set id -> (ids, turns)`` or ``{id: turn}``."""
+        charts = {}
+        for j, table in tables.items():
+            if isinstance(table, dict):
+                table = (list(table), list(table.values()))
+            ids, turns = table
+            t = TWO_PI * np.asarray(turns, dtype=float)
+            charts[j] = (ids, np.stack([np.cos(t), np.sin(t)], axis=-1))
+        return cls(charts)
 
     def sets(self) -> list[int]:
-        return sorted(self.charts)
+        return sorted(self._charts)
 
-    def samples(self, j) -> set:
-        return set(self.charts[j])
+    def chart(self, j) -> Chart:
+        return self._charts[j]
 
-    def angle_table(self, j) -> dict:
-        """Angles (turns) of chart ``j``, computed once and cached."""
-        if j not in self._angles:
-            table = self.charts[j]
-            if table:
-                ids = list(table)
-                pts = np.stack([table[s] for s in ids])
-                turns = s1_angle(pts)
-                self._angles[j] = dict(zip(ids, turns))
-            else:
-                self._angles[j] = {}
-        return self._angles[j]
+    def overlap(self, *sets):
+        """Shared sample ids of the charts ``sets`` and each chart's rows for them."""
+        ids = self._charts[sets[0]].ids
+        rows = [np.arange(len(ids))]
+        for j in sets[1:]:
+            ids, here, there = np.intersect1d(
+                ids, self._charts[j].ids, assume_unique=True, return_indices=True
+            )
+            rows = [r[here] for r in rows] + [there]
+        return ids, rows
+
+    def at(self, s, sets):
+        """Points and angles of sample ``s`` in the charts ``sets``, one each."""
+        pts, turns = [], []
+        for j in sets:
+            c = self._charts[j]
+            r = c.ids.searchsorted(s)
+            if r == len(c.ids) or c.ids[r] != s:
+                raise KeyError(f"chart {j} has no sample {s}")
+            pts.append(c.points[r])
+            turns.append(float(c.turns[r]))
+        return pts, turns
+
+    def restrict(self, domains: dict) -> "Trivialization":
+        """Charts cut to new domains, ``new id -> (parent id, sample ids)``.
+
+        A new chart keeps its parent's rows on those samples the parent
+        holds; parents without a chart are skipped.
+        """
+        out = Trivialization({})
+        for new, (j, members) in domains.items():
+            c = self._charts.get(j)
+            if c is not None:
+                keep = np.isin(c.ids, np.fromiter(members, np.int64, len(members)))
+                out._charts[new] = Chart(*(col[keep] for col in c))
+        return out
 
     def shared(self, j, k):
         """Shared sample ids with both charts' angles, in sorted id order."""
-        tj, tk = self.angle_table(j), self.angle_table(k)
-        ids = sorted(set(tj) & set(tk))
-        aj = np.array([tj[s] for s in ids], dtype=float)
-        ak = np.array([tk[s] for s in ids], dtype=float)
-        return ids, aj, ak
+        ids, (rj, rk) = self.overlap(j, k)
+        return ids, self._charts[j].turns[rj], self._charts[k].turns[rk]
 
     def chord_errors(self, j, k, om: O2) -> np.ndarray:
         """Chord misalignment of chart ``j`` against ``om`` applied to chart ``k``.
@@ -95,17 +151,6 @@ class Trivialization:
         """
         _, aj, ak = self.shared(j, k)
         return turn_chord(aj - (om.turn + om.sign * ak))
-
-    @classmethod
-    def from_angles(cls, tables: dict[int, dict]) -> "Trivialization":
-        """Build charts from angle tables given in turns."""
-        charts = {}
-        for j, table in tables.items():
-            charts[j] = {
-                s: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
-                for s, t in table.items()
-            }
-        return cls(charts)
 
 
 @dataclass
@@ -198,12 +243,10 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Cochain:
     vals = {}
     worst = 0.0
     for j, k in nerve.edges:
-        tj, tk = trivs.charts[j], trivs.charts[k]
-        ids = sorted(set(tj) & set(tk))
+        ids, (rj, rk) = trivs.overlap(j, k)
         if len(ids) < 2:
             raise TooFewSamples(f"edge ({j}, {k}): {len(ids)} shared samples")
-        f = np.stack([tj[s] for s in ids])
-        g = np.stack([tk[s] for s in ids])
+        f, g = trivs.chart(j).points[rj], trivs.chart(k).points[rk]
         try:
             vals[(j, k)], err = procrustes_o2(f, g)
         except GuardError as exc:
@@ -234,7 +277,6 @@ def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> Quali
     The coverage gap is evaluated for every chart of every pairwise and
     triple overlap; the reported delta is the worse of the two flavors.
     """
-    eps = 0.0
     edge_rows = []
     for (j, k) in nerve.edges:
         om = witness.value((j, k))
@@ -244,22 +286,18 @@ def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> Quali
                 edge=(j, k),
                 turn=om.turn,
                 sign=om.sign,
-                max_err=float(np.max(errs)) if len(errs) else 0.0,
+                max_err=float(np.max(errs, initial=0.0)),
                 mean_err=float(np.mean(errs)) if len(errs) else 0.0,
             )
         )
-        if len(errs):
-            eps = max(eps, float(np.max(errs)))
+    eps = max((row.max_err for row in edge_rows), default=0.0)
 
     def overlap_delta(simplices):
         worst = 0.0
         for s in simplices:
-            tables = [trivs.angle_table(j) for j in s]
-            ids = set(tables[0])
-            for t in tables[1:]:
-                ids &= set(t)
-            for t in tables:
-                worst = max(worst, coverage_gap(np.array([t[i] for i in sorted(ids)])))
+            _, rows = trivs.overlap(*s)
+            for j, r in zip(s, rows):
+                worst = max(worst, coverage_gap(trivs.chart(j).turns[r]))
         return worst
 
     d_pair = overlap_delta(nerve.edges)
@@ -279,13 +317,13 @@ def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> Quali
 
 def triv_distance(a: Trivialization, b: Trivialization) -> float:
     """Sup over sets and samples of the chord distance between charts."""
-    if set(a.charts) != set(b.charts):
+    if a.sets() != b.sets():
         raise ShapeMismatch("trivializations cover different sets")
     worst = 0.0
-    for j in a.charts:
-        ta, tb = a.charts[j], b.charts[j]
-        if set(ta) != set(tb):
+    for j in a.sets():
+        ca, cb = a.chart(j), b.chart(j)
+        if not np.array_equal(ca.ids, cb.ids):
             raise ShapeMismatch(f"set {j}: chart domains differ")
-        for s, p in ta.items():
-            worst = max(worst, float(np.linalg.norm(p - tb[s])))
+        gaps = np.linalg.norm(ca.points - cb.points, axis=1)
+        worst = max(worst, float(np.max(gaps, initial=0.0)))
     return worst

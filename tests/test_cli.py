@@ -76,7 +76,7 @@ class TestSynth:
         assert len(ds.ids) == 400
         assert len(cover) == 12
         for c in cover:
-            assert set(trivs.charts[c.id]) == set(c.members)
+            assert set(trivs.chart(c.id).ids.tolist()) == set(c.members)
 
     def test_same_seed_byte_identical(self, torus_dir, tmp_path):
         out = tmp_path / "again"
@@ -167,6 +167,41 @@ class TestWitnessCommand:
         )
         assert code == 1
         assert "domain" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["sets"][0]["values"][0].pop("sample"),
+        lambda d: d["sets"][0]["values"][0].pop("angle_turns"),
+        lambda d: d["sets"][0].pop("id"),
+        lambda d: d["sets"][0].pop("values"),
+        lambda d: d["sets"][0]["values"][0].update(sample="7"),
+        lambda d: d["sets"][0]["values"][0].update(sample=7.5),
+        lambda d: d["sets"][0].update(id=True),
+        lambda d: d["sets"][0]["values"][0].update(angle_turns=float("nan")),
+        lambda d: d["sets"][0]["values"][0].update(angle_turns=float("inf")),
+        lambda d: d["sets"][0]["values"].append(
+            dict(d["sets"][0]["values"][0], angle_turns=0.5)),
+        lambda d: d.update(sets={"0": []}),
+        lambda d: d["sets"][0].update(values={}),
+    ], ids=[
+        "no-sample", "no-angle", "no-set-id", "no-values", "string-sample",
+        "float-sample", "bool-set-id", "nan-angle", "inf-angle",
+        "duplicate-sample", "sets-not-list", "values-not-list",
+    ])
+    def test_malformed_trivs_exit_one(self, torus_dir, tmp_path, capsys, mutate):
+        doc = read(torus_dir / "trivs.json")
+        mutate(doc)
+        mangled = tmp_path / "trivs.json"
+        mangled.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run(
+            "witness", "--data", str(torus_dir / "dataset.json"),
+            "--cover", str(torus_dir / "cover.json"),
+            "--trivs", str(mangled), "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "schema"
+        assert read(out / "manifest.json")["status"] == 1
 
 
 class TestClassesAndEuler:
@@ -287,6 +322,19 @@ class TestCoordinatizeCommand:
         coords = io.parse_coords(read(out / "coords.json"))
         assert coords["stage"] == 23
         assert coords["overlap_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("stage", ["0", "400"])
+    def test_stage_outside_the_nerve_is_schema_error(self, torus_dir, tmp_path, capsys, stage):
+        out = tmp_path / "x"
+        code = run(
+            "coordinatize", "--data", str(torus_dir / "dataset.json"),
+            "--cover", str(torus_dir / "cover.json"),
+            "--trivs", str(torus_dir / "trivs.json"),
+            "--dim", "4", "--stage", stage, "--out", str(out),
+        )
+        assert code == 1
+        assert "outside 1..24" in capsys.readouterr().err
+        assert read(out / "manifest.json")["status"] == 1
 
     def test_deep_stage_cut_trips_rank_guard(self, torus_dir, tmp_path, capsys):
         code = run(

@@ -17,7 +17,6 @@ from circlet.nerve import (
     edge_weights,
     facets,
     filtration_order,
-    overlap_members,
     stage_subcomplex,
 )
 from circlet.witness import Trivialization
@@ -30,23 +29,6 @@ def circle_dataset(n=8):
         base=np.stack([s1_point(t) for t in turns]),
         kind="circle",
     )
-
-
-class FakeCharts:
-    """Duck-typed chart table: set id -> {sample id: angle in turns}."""
-
-    def __init__(self, tables):
-        self.tables = tables
-
-    def shared(self, j, k):
-        tj, tk = self.tables[j], self.tables[k]
-        ids = sorted(set(tj) & set(tk))
-        aj = np.array([tj[s] for s in ids], dtype=float)
-        ak = np.array([tk[s] for s in ids], dtype=float)
-        return ids, aj, ak
-
-    # the real method, evaluated over this table's ``shared``
-    chord_errors = Trivialization.chord_errors
 
 
 class TestDataset:
@@ -99,17 +81,14 @@ class TestBuildNerve:
         nerve = build_nerve([CoverSet(0, {0}), CoverSet(1, set())])
         assert nerve.vertices == [(0,)]
 
-    def test_overlap_members(self):
-        cover = {j: CoverSet(j, {99, j}) for j in range(3)}
-        assert overlap_members(cover, (0, 1, 2)) == frozenset({99})
-        assert overlap_members(cover, (0, 1)) == frozenset({99})
-
 
 class TestEdgeWeights:
     def nerve_and_charts(self, misalign=0.0):
         cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
         nerve = build_nerve(cover)
-        charts = FakeCharts({0: {0: 0.1, 1: 0.2}, 1: {1: 0.2 + misalign, 2: 0.9}})
+        charts = Trivialization.from_turns(
+            {0: {0: 0.1, 1: 0.2}, 1: {1: 0.2 + misalign, 2: 0.9}}
+        )
         witness = Cochain(nerve, 1, "O2", {(0, 1): O2(0.0, 1)})
         return nerve, charts, witness
 
@@ -134,7 +113,7 @@ class TestEdgeWeights:
     def test_empty_overlap_raises(self):
         cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
         nerve = build_nerve(cover)
-        charts = FakeCharts({0: {0: 0.1}, 1: {2: 0.9}})
+        charts = Trivialization.from_turns({0: {0: 0.1}, 1: {2: 0.9}})
         witness = Cochain(nerve, 1, "O2", {(0, 1): O2(0.0, 1)})
         with pytest.raises(EmptyOverlap):
             edge_weights(nerve, charts, witness)
@@ -142,7 +121,7 @@ class TestEdgeWeights:
     def test_higher_simplex_inherits_max_facet(self):
         cover = [CoverSet(j, {99, j}) for j in range(3)]
         nerve = build_nerve(cover)
-        charts = FakeCharts(
+        charts = Trivialization.from_turns(
             {
                 0: {99: 0.0, 0: 0.0},
                 1: {99: 0.1, 1: 0.0},

@@ -228,6 +228,18 @@ class TestCrossCheck:
         assert (a.cobirth_index, a.codeath_index) == (
             b.cobirth_index, b.codeath_index)
 
+    def test_disagreement_is_a_guard_error(self, monkeypatch):
+        nerve = cycle_nerve(seed=21)
+        lam = sign_cochain(nerve, [(3, 4)])
+        good = persistence_brute(lam, nerve)
+        off = ThresholdPair(good.cobirth_index, good.cobirth_weight,
+                            good.codeath_index - 1, good.codeath_weight)
+        monkeypatch.setattr(
+            circlet.persistence, "persistence_brute", lambda *a, **k: off
+        )
+        with pytest.raises(GuardError, match="disagrees with per-stage scan"):
+            persistence(lam, nerve, cross_check=True)
+
     def test_brute_respects_max_stage(self):
         nerve = cycle_nerve(seed=21)
         lam = sign_cochain(nerve, [(3, 4)])

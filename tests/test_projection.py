@@ -131,10 +131,10 @@ def degenerate_triangle():
 def compat_residual(trivs, field, nerve):
     worst = 0.0
     for j, k in nerve.edges:
-        shared = sorted(set(trivs.charts[j]) & set(trivs.charts[k]))
-        for s in shared:
-            lhs = trivs.charts[j][s]
-            rhs = o2_apply(field.at(s, j, k), trivs.charts[k][s])
+        ids_j, ids_k = trivs.chart(j).ids.tolist(), trivs.chart(k).ids.tolist()
+        for s in sorted(set(ids_j) & set(ids_k)):
+            (lhs, pk), _ = trivs.at(s, [j, k])
+            rhs = o2_apply(field.at(s, j, k), pk)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
@@ -434,7 +434,7 @@ class TestProjectTrivialization:
         cover3 = make_cover(ds, 3, radius=2.2)
         nerve3 = build_nerve(cover3)
         ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
-        trivs3 = Trivialization.from_angles(
+        trivs3 = Trivialization.from_turns(
             {c.id: {s: ang[s] for s in c.members} for c in cover3}
         )
         wit3 = assemble_witness(trivs3, nerve3)
@@ -568,14 +568,14 @@ class TestBundleMap:
         cover1 = make_cover(ds, 1, radius=3.2)
         nerve1 = build_nerve(cover1)
         rng = np.random.default_rng(0)
-        trivs1 = Trivialization.from_angles(
+        trivs1 = Trivialization.from_turns(
             {0: {s: rng.uniform() for s in ds.ids}}
         )
         wit1 = Cochain(nerve1, 1, "O2", {})
         rho1 = partition_of_unity(cover1, ds)
         bm = bundle_map(trivs1, wit1, rho1, d=2)
-        ids = list(ds.ids)
-        chart = np.stack([trivs1.charts[0][s] for s in ids])
+        ids = trivs1.chart(0).ids.tolist()
+        chart = trivs1.chart(0).points
         out = np.stack([bm.vectors[s] for s in ids])
         m, *_ = np.linalg.lstsq(chart, out, rcond=None)
         m = m.T
@@ -585,7 +585,7 @@ class TestBundleMap:
 
     def test_eigengap_error_names_base_point(self):
         om, rho = degenerate_triangle()
-        trivs = Trivialization.from_angles({j: {7: 0.0} for j in range(3)})
+        trivs = Trivialization.from_turns({j: {7: 0.0} for j in range(3)})
         with pytest.raises(EigengapTooSmall, match="base point 7"):
             bundle_map(trivs, om, rho, d=6)
 
@@ -595,7 +595,7 @@ class TestBundleMap:
         nerve3 = build_nerve(cover3)
         ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
         tables = {c.id: {s: ang[s] for s in c.members} for c in cover3}
-        wit3 = assemble_witness(Trivialization.from_angles(tables), nerve3)
+        wit3 = assemble_witness(Trivialization.from_turns(tables), nerve3)
         rho3 = partition_of_unity(cover3, ds)
         victim = next(s for s in sorted(rho3.weights) if len(rho3.support(s)) == 3)
         # the exact witness transports the victim's three chart values to
@@ -603,7 +603,7 @@ class TestBundleMap:
         tables[1][victim] += 1.0 / 3.0
         tables[2][victim] -= 1.0 / 3.0
         with pytest.raises(DiameterTooLarge, match=f"sample {victim}, chart 0:"):
-            bundle_map(Trivialization.from_angles(tables), wit3, rho3, d=6)
+            bundle_map(Trivialization.from_turns(tables), wit3, rho3, d=6)
 
 
 class TestGlobalTrivialize:

@@ -154,10 +154,10 @@ class TestDeterminism:
     def test_s1_bit_identical(self):
         a = gen_s1_bundle(True, noise=0.02, seed=11)
         b = gen_s1_bundle(True, noise=0.02, seed=11)
-        assert a.trivs.charts.keys() == b.trivs.charts.keys()
-        for j in a.trivs.charts:
-            for s, vec in a.trivs.charts[j].items():
-                assert np.array_equal(vec, b.trivs.charts[j][s])
+        assert a.trivs.sets() == b.trivs.sets()
+        for j in a.trivs.sets():
+            for x, y in zip(a.trivs.chart(j), b.trivs.chart(j)):
+                assert np.array_equal(x, y)
 
     def test_s1_seed_sensitivity(self):
         a = gen_s1_bundle(True, seed=11)
@@ -168,9 +168,9 @@ class TestDeterminism:
         a = gen_lens_bundle(2, n_samples=500, n_sets=12, seed=4)
         b = gen_lens_bundle(2, n_samples=500, n_sets=12, seed=4)
         assert np.array_equal(a.dataset.base, b.dataset.base)
-        for j in a.trivs.charts:
-            for s, vec in a.trivs.charts[j].items():
-                assert np.array_equal(vec, b.trivs.charts[j][s])
+        for j in a.trivs.sets():
+            for x, y in zip(a.trivs.chart(j), b.trivs.chart(j)):
+                assert np.array_equal(x, y)
 
 
 class TestTorus:
@@ -263,16 +263,14 @@ class TestNoiseCalibration:
     def test_noise_is_reproducible(self):
         a = gen_s1_bundle(True, noise=0.05, seed=3)
         b = gen_s1_bundle(True, noise=0.05, seed=3)
-        j = next(iter(a.trivs.charts))
-        s = next(iter(a.trivs.charts[j]))
-        assert np.array_equal(a.trivs.charts[j][s], b.trivs.charts[j][s])
+        j = a.trivs.sets()[0]
+        assert np.array_equal(a.trivs.chart(j).points[0], b.trivs.chart(j).points[0])
 
     def test_noise_changes_angles(self):
         a = gen_s1_bundle(True, noise=0.0, seed=3)
         b = gen_s1_bundle(True, noise=0.05, seed=3)
-        j = next(iter(a.trivs.charts))
-        s = next(iter(a.trivs.charts[j]))
-        assert not np.array_equal(a.trivs.charts[j][s], b.trivs.charts[j][s])
+        j = a.trivs.sets()[0]
+        assert not np.array_equal(a.trivs.chart(j).points[0], b.trivs.chart(j).points[0])
 
 
 class TestLensBundle:

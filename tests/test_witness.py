@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circlet.circle import O2, o2_compose, s1_point
+from circlet.circle import O2, o2_compose, s1_angle, s1_point
 from circlet.cochains import Cochain, act_by_potential, cocycle_defect
 from circlet.errors import DiameterTooLarge, ShapeMismatch, TooFewSamples
+from circlet.doublecover import carry_charts
 from circlet.nerve import CoverSet, build_nerve
 from circlet.witness import (
     Trivialization,
@@ -129,7 +134,13 @@ def three_set_nerve_and_charts(n_shared=5, seed=0):
     }
     cover = [CoverSet(j, members[j]) for j in range(3)]
     nerve = build_nerve(cover)
-    return nerve, Trivialization.from_angles(tables)
+    return nerve, Trivialization.from_turns(tables)
+
+
+def turn_table(trivs, j):
+    """Chart ``j`` as {sample id: angle in turns}, in sample-id order."""
+    c = trivs.chart(j)
+    return dict(zip(c.ids.tolist(), c.turns.tolist()))
 
 
 class TestAssembleWitness:
@@ -147,7 +158,7 @@ class TestAssembleWitness:
     def test_single_edge_nerve(self):
         cover = [CoverSet(0, {0, 1, 2}), CoverSet(1, {1, 2, 3})]
         nerve = build_nerve(cover)
-        trivs = Trivialization.from_angles(
+        trivs = Trivialization.from_turns(
             {0: {0: 0.1, 1: 0.2, 2: 0.3}, 1: {1: 0.1, 2: 0.2, 3: 0.5}}
         )
         witness = assemble_witness(trivs, nerve)
@@ -158,7 +169,7 @@ class TestAssembleWitness:
     def test_edge_error_carries_edge_identity(self):
         cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
         nerve = build_nerve(cover)
-        trivs = Trivialization.from_angles({0: {0: 0.1, 1: 0.2}, 1: {1: 0.4, 2: 0.5}})
+        trivs = Trivialization.from_turns({0: {0: 0.1, 1: 0.2}, 1: {1: 0.4, 2: 0.5}})
         with pytest.raises(TooFewSamples, match=r"\(0, 1\)"):
             assemble_witness(trivs, nerve)
 
@@ -166,9 +177,9 @@ class TestAssembleWitness:
         nerve, trivs = three_set_nerve_and_charts(seed=3)
         witness = assemble_witness(trivs, nerve)
         c = 0.17
-        rotated = Trivialization.from_angles(
+        rotated = Trivialization.from_turns(
             {
-                j: {s: (t + c) % 1.0 for s, t in trivs.angle_table(j).items()}
+                j: {s: (t + c) % 1.0 for s, t in turn_table(trivs, j).items()}
                 for j in trivs.sets()
             }
         )
@@ -187,11 +198,11 @@ class TestAssembleWitness:
         rng = np.random.default_rng(8)
         nerve, trivs = three_set_nerve_and_charts(n_shared=40, seed=5)
         assert nerve.triangles == [(0, 1, 2)]
-        noisy = Trivialization.from_angles(
+        noisy = Trivialization.from_turns(
             {
                 j: {
                     s: (t + rng.normal(0.0, 0.005)) % 1.0
-                    for s, t in trivs.angle_table(j).items()
+                    for s, t in turn_table(trivs, j).items()
                 }
                 for j in trivs.sets()
             }
@@ -234,11 +245,11 @@ class TestTrivQuality:
         sigma = 0.01
         rng = np.random.default_rng(21)
         nerve, trivs = three_set_nerve_and_charts(n_shared=150, seed=13)
-        noisy = Trivialization.from_angles(
+        noisy = Trivialization.from_turns(
             {
                 j: {
                     s: (t + rng.normal(0.0, sigma)) % 1.0
-                    for s, t in trivs.angle_table(j).items()
+                    for s, t in turn_table(trivs, j).items()
                 }
                 for j in trivs.sets()
             }
@@ -252,17 +263,17 @@ class TestTrivQuality:
 
 class TestTrivDistance:
     def test_identical_zero(self):
-        trivs = Trivialization.from_angles({0: {0: 0.1, 1: 0.4}})
+        trivs = Trivialization.from_turns({0: {0: 0.1, 1: 0.4}})
         assert triv_distance(trivs, trivs) == 0.0
 
     def test_quarter_turn_one_set(self):
-        a = Trivialization.from_angles({0: {0: 0.1}, 1: {1: 0.2}})
-        b = Trivialization.from_angles({0: {0: 0.35}, 1: {1: 0.2}})
+        a = Trivialization.from_turns({0: {0: 0.1}, 1: {1: 0.2}})
+        b = Trivialization.from_turns({0: {0: 0.35}, 1: {1: 0.2}})
         assert triv_distance(a, b) == pytest.approx(np.sqrt(2.0))
 
     def test_domain_mismatch(self):
-        a = Trivialization.from_angles({0: {0: 0.1}})
-        b = Trivialization.from_angles({1: {0: 0.1}})
+        a = Trivialization.from_turns({0: {0: 0.1}})
+        b = Trivialization.from_turns({1: {0: 0.1}})
         with pytest.raises(ShapeMismatch):
             triv_distance(a, b)
 
@@ -270,7 +281,7 @@ class TestTrivDistance:
         rng = np.random.default_rng(4)
         ta = {j: {s: float(rng.random()) for s in range(6)} for j in range(3)}
         tb = {j: {s: float(rng.random()) for s in range(6)} for j in range(3)}
-        a, b = Trivialization.from_angles(ta), Trivialization.from_angles(tb)
+        a, b = Trivialization.from_turns(ta), Trivialization.from_turns(tb)
         worst = 0.0
         for j in range(3):
             for s in range(6):
@@ -281,3 +292,98 @@ class TestTrivDistance:
                     ),
                 )
         assert triv_distance(a, b) == pytest.approx(worst)
+
+
+# chart domains over a dozen sample ids: disjoint, single-sample and
+# triple overlaps all turn up
+domains_st = st.dictionaries(
+    st.integers(0, 5), st.sets(st.integers(0, 11), max_size=8), min_size=1, max_size=5
+)
+
+
+def random_charts(domains, seed=0):
+    rng = np.random.default_rng(seed)
+    return Trivialization.from_turns(
+        {j: {s: float(rng.random()) for s in ids} for j, ids in domains.items()}
+    )
+
+
+def vector_dicts(trivs):
+    """The charts as {set id: {sample id: 2-vector}}, the reference layout."""
+    return {
+        j: dict(zip(trivs.chart(j).ids.tolist(), trivs.chart(j).points))
+        for j in trivs.sets()
+    }
+
+
+def assert_charts_equal(trivs, reference):
+    assert trivs.sets() == sorted(reference)
+    for j, table in reference.items():
+        c = trivs.chart(j)
+        assert c.ids.tolist() == sorted(table)
+        assert np.array_equal(c.points.reshape(-1, 2),
+                              np.array([table[s] for s in sorted(table)]).reshape(-1, 2))
+        assert np.array_equal(c.turns, s1_angle(c.points))
+
+
+class TestOverlap:
+    @settings(max_examples=200, deadline=None)
+    @given(domains=domains_st, data=st.data())
+    def test_matches_set_intersection(self, domains, data):
+        trivs = random_charts(domains)
+        sets = data.draw(
+            st.lists(st.sampled_from(sorted(domains)), min_size=1, max_size=3, unique=True)
+        )
+        ids, rows = trivs.overlap(*sets)
+        expected = sorted(set.intersection(*(set(domains[j]) for j in sets)))
+        assert ids.tolist() == expected
+        assert len(rows) == len(sets)
+        tables = vector_dicts(trivs)
+        for j, r in zip(sets, rows):
+            c = trivs.chart(j)
+            assert c.ids[r].tolist() == expected
+            for s, p, t in zip(expected, c.points[r], c.turns[r]):
+                assert np.array_equal(p, tables[j][s])
+                assert t == s1_angle(tables[j][s])
+
+
+class TestRestrict:
+    @settings(max_examples=200, deadline=None)
+    @given(domains=domains_st, data=st.data())
+    def test_stage_cut_matches_dict_comprehension(self, domains, data):
+        trivs = random_charts(domains, seed=1)
+        cover = [
+            CoverSet(j, data.draw(st.sets(st.sampled_from(sorted(ids))))
+                     if ids else set())
+            for j, ids in domains.items()
+        ]
+        charts = vector_dicts(trivs)
+        reference = {c.id: {s: charts[c.id][s] for s in c.members} for c in cover}
+        cut = trivs.restrict({c.id: (c.id, c.members) for c in cover})
+        assert_charts_equal(cut, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        domains=domains_st,
+        split=st.dictionaries(
+            st.integers(10, 30),
+            st.tuples(st.integers(0, 7), st.sets(st.integers(0, 13), max_size=8)),
+            max_size=6,
+        ),
+    )
+    def test_carry_charts_matches_dict_comprehension(self, domains, split):
+        # parents 6 and 7 never have a chart; members may leave the parent
+        trivs = random_charts(domains, seed=2)
+        result = SimpleNamespace(
+            cover=[CoverSet(new, members) for new, (_, members) in split.items()],
+            set_map={new: (j, 0) for new, (j, _) in split.items()},
+        )
+        charts = vector_dicts(trivs)
+        reference = {}
+        for cs in result.cover:
+            j, _ = result.set_map[cs.id]
+            parent = charts.get(j)
+            if parent is None:
+                continue
+            reference[cs.id] = {s: parent[s] for s in cs.members if s in parent}
+        assert_charts_equal(carry_charts(trivs, result), reference)
