@@ -137,7 +137,13 @@ def _load_bundle(args):
     cover = io.parse_cover(io.load_json(args.cover))
     trivs = io.parse_trivs(io.load_json(args.trivs))
     ids, charted = set(ds.ids), set(trivs.sets())
+    dim = ds.base.shape[1]
     for c in cover:
+        if ds.kind != "abstract" and c.center is not None and len(c.center) != dim:
+            raise SchemaError(
+                f"cover set {c.id} center has length {len(c.center)}, "
+                f"base points have {dim}"
+            )
         if not c.members <= ids:
             raise SchemaError(
                 f"cover set {c.id} references samples outside the dataset"

@@ -3,17 +3,22 @@
 Values are stored on ascending vertex tuples only; permuted lookups are
 derived by the inversion rules, so there is a single source of truth per
 simplex.  A cochain may be twisted by a sign-valued 1-cocycle, which
-modifies the coboundary formulas and the antisymmetry rule.
+modifies the coboundary and the antisymmetry rule.
+
+The twisted coboundary convention is written once, in ``coboundary_rows``;
+``coboundary_values`` evaluates it.  Cocycle checks, the boundary
+matrices of ``intlinalg`` and the persistence probes all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import Optional
 
 from .circle import O2, o2_compose, o2_inverse, o2_frobenius_distance
 from .errors import DegreeUnsupported, NotACocycle, ShapeMismatch
-from .nerve import Nerve
+from .nerve import Nerve, facets
 
 TAGS = ("Z2", "Z", "R", "O2")
 
@@ -80,30 +85,67 @@ class Cochain:
         return -w * v
 
 
+def coboundary_rows(simplices, twist: Optional[dict] = None) -> list[dict]:
+    """Sparse rows of the twisted coboundary into the given simplices.
+
+    The one statement of the coboundary convention.  Row ``s`` maps each
+    facet of ``s``, in facet order, to its coefficient: the facet without
+    vertex ``i`` carries ``(-1)**i``, except that the facet without the
+    leading vertex carries the twist on the leading edge
+    ``twist[(s[0], s[1])]`` (+1 without a twist).  Any dimension.
+    """
+    rows = []
+    for s in simplices:
+        row = dict(zip(facets(s), cycle((1, -1))))
+        if twist is not None:
+            row[s[1:]] = twist[s[:2]]
+        rows.append(row)
+    return rows
+
+
+def coboundary_values(values: dict, tag: str, simplices, twist: Optional[dict] = None) -> dict:
+    """The twisted coboundary of a cochain's values on the given simplices.
+
+    Signs ("Z2") multiply their facet values and ignore the twist;
+    numbers add their signed facet values left to right.
+    """
+    out = {}
+    for s, row in zip(simplices, coboundary_rows(simplices, twist)):
+        if tag == "Z2":
+            v = 1
+            for f in row:
+                v *= values[f]
+        else:
+            terms = iter(row.items())
+            f, coef = next(terms)
+            v = coef * values[f]
+            for f, coef in terms:
+                v += coef * values[f]
+        out[s] = v
+    return out
+
+
 def check_sign_cocycle(omega: Cochain):
     """Raise unless a sign 1-cochain satisfies the cocycle identity."""
     if omega.degree != 1 or omega.tag != "Z2":
         raise ShapeMismatch("twist must be a sign-valued 1-cochain")
-    for (j, k, l) in omega.nerve.triangles:
-        if omega.values[(j, k)] * omega.values[(k, l)] * omega.values[(j, l)] != 1:
-            raise NotACocycle(f"sign cochain fails the cocycle identity on ({j},{k},{l})")
+    for t, v in coboundary_values(omega.values, "Z2", omega.nerve.triangles).items():
+        if v != 1:
+            raise NotACocycle(
+                f"sign cochain fails the cocycle identity on ({','.join(map(str, t))})"
+            )
 
 
 def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
     """Coboundary of a cochain, twisted by a sign cocycle when given.
 
-    Degree 0 to 1: the leading vertex's value is subtracted from the
-    twisted trailing one.  Degree 1 to 2 and 2 to 3 alternate signs with
-    the twist applied to the face that drops the leading vertex.  For
-    isometry-valued 1-cochains the result is the holonomy defect around
-    each triangle (composition against the direct transition).
+    Signs and numbers follow ``coboundary_rows``: alternating facet
+    signs, with the twist on the facet that drops the leading vertex.
+    For isometry-valued 1-cochains the result is the holonomy defect
+    around each triangle (composition against the direct transition).
     """
     if omega is not None:
         check_sign_cocycle(omega)
-
-    def w(j, k):
-        return omega.values[(j, k)] if omega is not None else 1
-
     nerve = c.nerve
     if c.tag == "O2":
         if c.degree != 1:
@@ -113,41 +155,10 @@ def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
             trip = o2_compose(c.values[(j, k)], c.values[(k, l)])
             vals[(j, k, l)] = o2_compose(trip, o2_inverse(c.values[(j, l)]))
         return Cochain(nerve, 2, "O2", vals, twist=omega)
-    if c.degree == 0:
-        vals = {}
-        for (j, k) in nerve.edges:
-            if c.tag == "Z2":
-                vals[(j, k)] = c.values[(k,)] * c.values[(j,)]
-            else:
-                vals[(j, k)] = w(j, k) * c.values[(k,)] - c.values[(j,)]
-    elif c.degree == 1:
-        vals = {}
-        for (j, k, l) in nerve.triangles:
-            if c.tag == "Z2":
-                vals[(j, k, l)] = c.values[(k, l)] * c.values[(j, l)] * c.values[(j, k)]
-            else:
-                vals[(j, k, l)] = (
-                    w(j, k) * c.values[(k, l)] - c.values[(j, l)] + c.values[(j, k)]
-                )
-    elif c.degree == 2:
-        vals = {}
-        for (j, k, l, m) in nerve.tetrahedra:
-            if c.tag == "Z2":
-                vals[(j, k, l, m)] = (
-                    c.values[(k, l, m)]
-                    * c.values[(j, l, m)]
-                    * c.values[(j, k, m)]
-                    * c.values[(j, k, l)]
-                )
-            else:
-                vals[(j, k, l, m)] = (
-                    w(j, k) * c.values[(k, l, m)]
-                    - c.values[(j, l, m)]
-                    + c.values[(j, k, m)]
-                    - c.values[(j, k, l)]
-                )
-    else:
+    if c.degree not in (0, 1, 2):
         raise DegreeUnsupported(f"coboundary not defined for degree {c.degree}")
+    twist = omega.values if omega is not None else None
+    vals = coboundary_values(c.values, c.tag, nerve.simplices.get(c.degree + 1, []), twist)
     return Cochain(nerve, c.degree + 1, c.tag, vals, twist=omega)
 
 

@@ -4,7 +4,9 @@ Smith normal form with full transform tracking, integer and GF(2) linear
 solvers, and the twisted boundary matrices of a nerve.  All results are
 arbitrary-precision: the reduction runs on machine integers while it can
 prove no overflow is possible and transparently restarts on Python ints
-otherwise.
+otherwise.  A boundary matrix is the transpose of the rows that
+``cochains.coboundary_rows``, the one statement of the sign convention,
+returns.
 
 Which solver serves which caller:
 
@@ -27,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cochains import Cochain, check_sign_cocycle
+from .cochains import Cochain, check_sign_cocycle, coboundary_rows
 from .nerve import Nerve
 
 _INT64_SAFE = 1 << 62
@@ -333,14 +335,19 @@ def integer_solvable(rows: list[dict], rhs) -> bool:
     if not live:
         return True
     # no unit pivot left: decide the remaining block with Smith normal form
-    pos = {c: j for j, c in enumerate({c for row in live.values() for c in row})}
-    A = np.zeros((len(live), len(pos)), dtype=object)
-    rest = []
-    for r, (i, row) in enumerate(live.items()):
+    labels = list(dict.fromkeys(c for row in live.values() for c in row))
+    A = _dense_rows(list(live.values()), labels)
+    return solve_integer(A, np.array([b[i] for i in live], dtype=object)) is not None
+
+
+def _dense_rows(rows: list[dict], labels: list) -> np.ndarray:
+    """Scatter sparse rows into a dense object matrix, columns by label."""
+    pos = {c: j for j, c in enumerate(labels)}
+    A = np.zeros((len(rows), len(labels)), dtype=object)
+    for i, row in enumerate(rows):
         for c, v in row.items():
-            A[r, pos[c]] = v
-        rest.append(b[i])
-    return solve_integer(A, np.array(rest, dtype=object)) is not None
+            A[i, pos[c]] = v
+    return A
 
 
 def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
@@ -398,39 +405,17 @@ class BoundaryMatrix:
 def twisted_boundary_matrix(nerve: Nerve, omega: Cochain, p: int) -> BoundaryMatrix:
     """Boundary matrix from p-chains to (p-1)-chains, twisted by a sign cocycle.
 
-    The face dropping the leading vertex carries the sign of the leading
-    edge; the remaining faces alternate -1, +1, ...  Rows and columns
-    follow the nerve's filtration order when present, lex order otherwise.
+    Column ``s`` is the coboundary row of ``s`` from
+    ``cochains.coboundary_rows``.  Rows and columns follow the nerve's
+    filtration order when present, lex order otherwise.
     """
     if p not in (1, 2, 3):
         raise ValueError("boundary matrices are built for chain dimensions 1..3")
     check_sign_cocycle(omega)
     rows = ordered_simplices(nerve, p - 1)
     cols = ordered_simplices(nerve, p)
-    row_pos = {s: i for i, s in enumerate(rows)}
-    D = np.zeros((len(rows), len(cols)), dtype=object)
-    for jcol, s in enumerate(cols):
-        for drop in range(p + 1):
-            face = s[:drop] + s[drop + 1:]
-            if drop == 0:
-                coef = omega.values[(s[0], s[1])]
-            else:
-                coef = -1 if drop % 2 == 1 else 1
-            D[row_pos[face], jcol] = coef
+    D = _dense_rows(coboundary_rows(cols, omega.values), rows).T
     return BoundaryMatrix(matrix=D, rows=rows, cols=cols)
-
-
-def coboundary_rows(triangles, twist: Optional[dict] = None) -> list[dict]:
-    """Sparse rows of the twisted coboundary from edges to triangles.
-
-    Row (j, k, l) is {(k, l): twist[(j, k)], (j, l): -1, (j, k): +1}, the
-    column of ``twisted_boundary_matrix(..., 2)`` for that triangle; no
-    twist means the constant +1 sign.
-    """
-    return [
-        {(k, l): twist[(j, k)] if twist is not None else 1, (j, l): -1, (j, k): 1}
-        for (j, k, l) in triangles
-    ]
 
 
 def ordered_simplices(nerve: Nerve, p: int) -> list[tuple]:

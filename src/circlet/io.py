@@ -163,21 +163,26 @@ def dataset_doc(ds: BundleDataset) -> dict:
 def parse_dataset(doc) -> BundleDataset:
     _check_schema(doc, "dataset")
     kind = _need(_need(doc, "base_space", "dataset"), "kind", "base_space")
-    rows = _need(doc, "samples", "dataset")
+    rows = _need(doc, "samples", "dataset", list)
     ids = []
     base = []
     for row in rows:
-        ids.append(_need(row, "id", "sample"))
-        base.append([_the_float(x, "sample base") for x in _need(row, "base", "sample")])
-    dists = None
-    if kind == "abstract":
-        dists = np.array(
-            [[_the_float(x, "distances") for x in r] for r in _need(doc, "distances", "dataset")]
+        ids.append(_the_int(_need(row, "id", "sample"), "sample id"))
+        base.append(
+            [_the_float(x, "sample base") for x in _need(row, "base", "sample", list)]
         )
+    if len({len(b) for b in base}) > 1:
+        raise SchemaError("dataset: sample base points differ in length")
     arr = np.array(base, dtype=float)
     if arr.size == 0:
         arr = arr.reshape(len(ids), 0)
     try:
+        dists = None
+        if kind == "abstract":
+            dists = np.array(
+                [[_the_float(x, "distances") for x in r]
+                 for r in _need(doc, "distances", "dataset", list)]
+            )
         return BundleDataset(ids=tuple(ids), base=arr, kind=kind, distances=dists)
     except ValueError as exc:
         raise SchemaError(f"dataset: {exc}")
@@ -204,12 +209,19 @@ def cover_doc(cover: Sequence[CoverSet]) -> dict:
 def parse_cover(doc) -> list[CoverSet]:
     _check_schema(doc, "cover")
     out = []
-    for row in _need(doc, "sets", "cover"):
+    for row in _need(doc, "sets", "cover", list):
+        j = _the_int(_need(row, "id", "cover set"), "cover set id")
+        members = _need(row, "members", f"cover set {j}", list)
+        center = _need(row, "center", f"cover set {j}", list) if "center" in row else None
         out.append(
             CoverSet(
-                id=_need(row, "id", "cover set"),
-                members=frozenset(_need(row, "members", "cover set")),
-                center=np.array(row["center"], dtype=float) if "center" in row else None,
+                id=j,
+                members=frozenset(_the_int(s, "member") for s in members),
+                center=(
+                    np.array([_the_float(x, "center") for x in center])
+                    if center is not None
+                    else None
+                ),
                 radius=_the_float(row["radius"], "radius") if "radius" in row else None,
                 clipped=bool(row.get("clipped", False)),
             )

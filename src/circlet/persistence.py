@@ -9,21 +9,25 @@ codeath by binary search with an exact solvability test per probe.  A
 linear per-stage scan that assumes nothing about monotonicity is kept as
 the authoritative cross-check and runs automatically on small nerves.
 
-Each probe builds its system straight from the stage's simplices: a sign
-class goes to the parity union-find ``sign_potential``, an integer class
-to the unit-pivot elimination ``integer_solvable`` on the sparse twisted
-coboundary.  Neither tracks transforms; only the yes/no answer is used.
+Cocycle failures and the probe systems both come from the twisted
+coboundary of ``cochains.coboundary_rows``.  Each call builds one stage
+probe: the class's simplices in filtration order with their coboundary
+rows, so every probed stage reads a prefix.  A sign class goes to the
+parity union-find ``sign_potential``, an integer class to the unit-pivot
+elimination ``integer_solvable``.  Neither tracks transforms; only the
+yes/no answer is used.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .classes import CharClassResult, euler_cochain, sw_class
-from .cochains import Cochain, restrict
+from .cochains import Cochain, coboundary_rows, coboundary_values, restrict
 from .errors import GuardError, NotACocycle, ShapeMismatch
-from .intlinalg import coboundary_rows, integer_solvable, sign_potential
+from .intlinalg import integer_solvable, sign_potential
 from .nerve import Nerve, stage_subcomplex
 
 # nerves at or below this size always get the authoritative linear scan
@@ -64,78 +68,80 @@ class PersistenceReport:
     classes: Optional[CharClassResult] = None
 
 
-def _violation_stages(lam: Cochain, nerve: Nerve, hi: int) -> list[int]:
+def _violation_stages(lam: Cochain, nerve: Nerve) -> list[int]:
     """Filtration indices of simplices witnessing a cocycle failure."""
-    out = []
-    if lam.tag == "Z2" and lam.degree == 1:
-        for t in nerve.triangles:
-            (j, k, l) = t
-            if lam.values[(j, k)] * lam.values[(k, l)] * lam.values[(j, l)] != 1:
-                idx = nerve.index[t]
-                if idx <= hi:
-                    out.append(idx)
-    elif lam.tag == "Z" and lam.degree == 2:
-        tw = lam.twist
-        for s in nerve.tetrahedra:
-            (j, k, l, m) = s
-            w = tw.values[(j, k)] if tw is not None else 1
-            v = (
-                w * lam.values[(k, l, m)]
-                - lam.values[(j, l, m)]
-                + lam.values[(j, k, m)]
-                - lam.values[(j, k, l)]
-            )
-            if v != 0:
-                idx = nerve.index[s]
-                if idx <= hi:
-                    out.append(idx)
-    else:
+    if (lam.tag, lam.degree) not in (("Z2", 1), ("Z", 2)):
         raise ShapeMismatch("persistence handles sign 1-cochains and integer 2-cochains")
-    return out
+    unit = 1 if lam.tag == "Z2" else 0
+    twist = lam.twist.values if lam.twist is not None else None
+    cofaces = nerve.simplices.get(lam.degree + 1, [])
+    vals = coboundary_values(lam.values, lam.tag, cofaces, twist)
+    return [nerve.index[s] for s, v in vals.items() if v != unit]
 
 
-def _solvable(lam: Cochain, nerve: Nerve, r: int) -> bool:
-    """Is the restriction of the class to stage ``r`` a coboundary?"""
-    stage = nerve.order[:r]
-    if lam.tag == "Z2":
-        signs = {s: lam.values[s] for s in stage if len(s) == 2}
-        return sign_potential(signs) is not None
-    tris = [s for s in stage if len(s) == 3]
-    twist = None
-    if lam.twist is not None:
-        if _violation_stages(lam.twist, nerve, r):
+class _StageProbe:
+    """The coboundary system of a class along the filtration, built once.
+
+    Holds the class's simplices in filtration order, their right sides,
+    the twisted coboundary rows of an integer class and the first stage
+    where its twist fails to be a cocycle.  Stage ``r`` reads the prefix
+    of simplices with index at most ``r``.
+    """
+
+    def __init__(self, lam: Cochain, nerve: Nerve):
+        self.cells = [s for s in nerve.order if len(s) == lam.degree + 1]
+        self.index = [nerve.index[s] for s in self.cells]
+        self.rhs = [lam.values[s] for s in self.cells]
+        self.rows = None  # a sign class goes to the union-find, without rows
+        self.twist_broken = None
+        if lam.tag == "Z":
+            twist = lam.twist.values if lam.twist is not None else None
+            if twist is not None:
+                self.twist_broken = min(_violation_stages(lam.twist, nerve), default=None)
+            self.rows = coboundary_rows(self.cells, twist)
+
+    def solvable(self, r: int) -> bool:
+        """Is the restriction of the class to stage ``r`` a coboundary?"""
+        n = bisect_right(self.index, r)
+        if self.rows is None:
+            return sign_potential(dict(zip(self.cells[:n], self.rhs[:n]))) is not None
+        if self.twist_broken is not None and self.twist_broken <= r:
             raise NotACocycle(f"the twist fails the cocycle identity at stage {r}")
-        twist = lam.twist.values
-    return integer_solvable(coboundary_rows(tris, twist), [lam.values[t] for t in tris])
+        return integer_solvable(self.rows[:n], self.rhs[:n])
+
+
+def _pair(nerve: Nerve, cobirth: int, codeath: int) -> ThresholdPair:
+    return ThresholdPair(
+        cobirth_index=cobirth,
+        cobirth_weight=nerve.weight_at(nerve.order[cobirth - 1]),
+        codeath_index=codeath,
+        codeath_weight=nerve.weight_at(nerve.order[codeath - 1]),
+    )
 
 
 def persistence(
-    lam: Cochain,
-    nerve: Nerve,
-    max_stage: Optional[int] = None,
-    cross_check: Optional[bool] = None,
+    lam: Cochain, nerve: Nerve, cross_check: Optional[bool] = None
 ) -> ThresholdPair:
     """Cobirth and codeath stages of a class along the filtration.
 
-    ``max_stage`` clips the scan: integer classes twisted by a sign class
-    are only meaningful while the twist is a cocycle, so callers pass the
-    twist's own cobirth.  ``cross_check`` forces or suppresses the linear
-    per-stage scan; by default it runs on nerves up to 500 simplices and
-    any disagreement with the threshold method is a hard error.
+    ``cross_check`` forces or suppresses the linear per-stage scan; by
+    default it runs on nerves up to 500 simplices and any disagreement
+    with the threshold method is a hard error.  To scan only part of the
+    filtration, pass the class restricted to a ``stage_subcomplex``.
     """
     nerve.require_order()
-    hi = len(nerve) if max_stage is None else min(max_stage, len(nerve))
-    violations = _violation_stages(lam, nerve, hi)
-    cobirth = min(violations) - 1 if violations else hi
+    violations = _violation_stages(lam, nerve)
+    cobirth = min(violations) - 1 if violations else len(nerve)
+    probe = _StageProbe(lam, nerve)
 
-    if _solvable(lam, nerve, cobirth):
+    if probe.solvable(cobirth):
         codeath = cobirth
     else:
         lo = 1  # a single-vertex stage carries nothing to solve
         death_hi = cobirth
         while death_hi - lo > 1:
             mid = (lo + death_hi) // 2
-            if _solvable(lam, nerve, mid):
+            if probe.solvable(mid):
                 lo = mid
             else:
                 death_hi = mid
@@ -144,41 +150,28 @@ def persistence(
     if cross_check is None:
         cross_check = len(nerve) <= CROSS_CHECK_LIMIT
     if cross_check:
-        brute = persistence_brute(lam, nerve, max_stage=max_stage)
+        brute = persistence_brute(lam, nerve)
         if (brute.cobirth_index, brute.codeath_index) != (cobirth, codeath):
             raise GuardError(
                 f"threshold method ({cobirth}, {codeath}) disagrees with "
                 f"per-stage scan ({brute.cobirth_index}, {brute.codeath_index})"
             )
-
-    return ThresholdPair(
-        cobirth_index=cobirth,
-        cobirth_weight=nerve.weight_at(nerve.order[cobirth - 1]),
-        codeath_index=codeath,
-        codeath_weight=nerve.weight_at(nerve.order[codeath - 1]),
-    )
+    return _pair(nerve, cobirth, codeath)
 
 
-def persistence_brute(
-    lam: Cochain, nerve: Nerve, max_stage: Optional[int] = None
-) -> ThresholdPair:
+def persistence_brute(lam: Cochain, nerve: Nerve) -> ThresholdPair:
     """Authoritative linear scan: test every stage, assume no monotonicity."""
     nerve.require_order()
-    hi = len(nerve) if max_stage is None else min(max_stage, len(nerve))
-    violations = set(_violation_stages(lam, nerve, hi))
+    violations = set(_violation_stages(lam, nerve))
+    probe = _StageProbe(lam, nerve)
     cobirth = 0
     codeath = 0
-    for r in range(1, hi + 1):
+    for r in range(1, len(nerve) + 1):
         if not any(v <= r for v in violations):
             cobirth = r
-        if r <= cobirth and _solvable(lam, nerve, r):
+        if r <= cobirth and probe.solvable(r):
             codeath = r
-    return ThresholdPair(
-        cobirth_index=cobirth,
-        cobirth_weight=nerve.weight_at(nerve.order[cobirth - 1]),
-        codeath_index=codeath,
-        codeath_weight=nerve.weight_at(nerve.order[codeath - 1]),
-    )
+    return _pair(nerve, cobirth, codeath)
 
 
 def persistence_report(witness: Cochain, nerve: Nerve) -> PersistenceReport:

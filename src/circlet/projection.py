@@ -24,7 +24,7 @@ import numpy as np
 
 from .circle import O2, IDENTITY, karcher_mean, o2_apply, o2_compose, o2_inverse, s1_angle
 from .classes import euler_cochain
-from .cochains import Cochain, act_by_potential, cocycle_defect
+from .cochains import Cochain, act_by_potential, cocycle_defect, constant_sign_cochain
 from .errors import (
     DiameterTooLarge,
     EigengapTooSmall,
@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     UncoveredPoint,
 )
-from .intlinalg import coboundary_rows, sign_potential, solve_integer
+from .intlinalg import sign_potential, solve_integer, twisted_boundary_matrix
 from .nerve import BundleDataset, base_geodesic
 from .witness import Trivialization
 
@@ -255,15 +255,6 @@ class FrameField:
             return np.arange(self.dim)
         slots = [self._slot[j] for j in self.support[sample]]
         return np.array([r for i in slots for r in (2 * i, 2 * i + 1)], dtype=int)
-
-    def dense(self, sample, j) -> np.ndarray:
-        """The frame as a full ``(dim, 2)`` array in ambient block order."""
-        mat = self.frames[sample][j]
-        if self.support is None:
-            return mat
-        out = np.zeros((self.dim, 2))
-        out[self.rows(sample)] = mat
-        return out
 
     def principal_basis(self) -> np.ndarray:
         """Uncentered principal directions of all frame columns.
@@ -598,10 +589,10 @@ def stiefel_reduce(frames: FrameField, d: int) -> FrameField:
     reduced: dict = {}
     errors: dict = {}
     for s, mats in frames.frames.items():
+        proj = basis[frames.rows(s)].T
         out = {}
-        for j in mats:
-            dense = frames.dense(s, j)
-            y = basis.T @ dense
+        for j, mat in mats.items():
+            y = proj @ mat
             errors[(s, j)] = math.sqrt(max(0.0, 2.0 - float(np.sum(y * y))))
             try:
                 inv_root, _ = _inv_sqrt_gram(y)
@@ -631,8 +622,9 @@ def reduction_curve(frames: FrameField, dims=None) -> list:
     vecs = frames.principal_basis()
     sq = []
     for s, mats in frames.frames.items():
-        for j in mats:
-            y = vecs.T @ frames.dense(s, j)
+        proj = vecs[frames.rows(s)].T
+        for mat in mats.values():
+            y = proj @ mat
             sq.append(np.sum(y * y, axis=1))
     sq = np.stack(sq)  # (frames, dim) squared coefficients per direction
     tail = 2.0 - np.cumsum(sq, axis=1)
@@ -779,18 +771,13 @@ def global_trivialize(
 
     # winding fix: write the rounded lift coboundary as a coboundary over Z
     classes = euler_cochain(hat)
-    triangles = list(nerve.triangles)
-    epos = {e: i for i, e in enumerate(edges)}
-    a1 = np.zeros((len(triangles), len(edges)), dtype=int)
-    for r, row in enumerate(coboundary_rows(triangles)):
-        for e, v in row.items():
-            a1[r, epos[e]] = v
-    beta_vec = solve_integer(a1, [classes.euler.values[t] for t in triangles])
+    d2 = twisted_boundary_matrix(nerve, constant_sign_cochain(nerve), 2)
+    beta_vec = solve_integer(d2.matrix.T, [classes.euler.values[t] for t in d2.cols])
     if beta_vec is None:
         raise NotTrivializable(
             "euler", "the integer class is not a coboundary; the bundle twists"
         )
-    beta = {e: int(beta_vec[epos[e]]) for e in edges}
+    beta = {e: int(v) for e, v in zip(d2.rows, beta_vec)}
     # per edge: the rotation lift less its winding correction
     shift = {e: classes.lift.values[e] - beta[e] for e in edges}
 

@@ -295,9 +295,7 @@ def _sample_quaternions(n: int, seed: int) -> np.ndarray:
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
-def _cover_trimmed(
-    dataset: BundleDataset, n_sets: int, radius: float | None, min_shared: int = 2
-):
+def _cover_trimmed(dataset: BundleDataset, n_sets: int, radius: float | None):
     """Ball cover with too-thin overlaps trimmed away.
 
     Witness fitting needs at least two shared samples per edge, and a
@@ -322,7 +320,7 @@ def _cover_trimmed(
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 shared = members[a] & members[b]
-                if 0 < len(shared) < min_shared:
+                if 0 < len(shared) < _MIN_SHARED:
                     members[b] -= shared
                     clipped.add(b)
                     changed = True
@@ -388,7 +386,7 @@ def gen_lens_bundle(
     q = _sample_quaternions(n_samples, seed)
     base = quat_rotate(q, E1)
     dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="sphere")
-    cover = _cover_trimmed(dataset, n_sets, radius, min_shared=_MIN_SHARED)
+    cover = _cover_trimmed(dataset, n_sets, radius)
     if cover[0].radius >= math.pi / 2:
         raise SectionUndefined(
             f"ball radius {cover[0].radius:.3f} reaches the section antipode"
@@ -427,7 +425,7 @@ def gen_rp2_bundle(
     dataset = BundleDataset(
         ids=tuple(range(n_samples)), base=btrue, kind="projective_plane"
     )
-    cover = _cover_trimmed(dataset, n_sets, radius, min_shared=_MIN_SHARED)
+    cover = _cover_trimmed(dataset, n_sets, radius)
     if cover[0].radius >= math.pi / 4:
         raise LiftUndefined(
             f"ball radius {cover[0].radius:.3f} is too large for coherent "
@@ -503,9 +501,10 @@ def gen_disconnected_fiber(
 
     # each label combination on an overlap becomes its own edge after the
     # lift, so the flat trimming rule is not enough here: a thin side
-    # invites the same reflection accident upstairs, and a one-sided
-    # overlap would contradict the two-combination contract on labels.
-    # When any side is thin the later set sheds the whole overlap.
+    # invites the same reflection accident upstairs, and an overlap that
+    # does not show exactly two matching combinations (++ with --, or +-
+    # with -+) would contradict the contract on labels.  When any side is
+    # thin or a combination is missing, the later set sheds the overlap.
     members = {cs.id: set(cs.members) for cs in cover}
     order = sorted(members)
     clipped = set()
@@ -520,7 +519,8 @@ def gen_disconnected_fiber(
                 combos = {}
                 for s in shared:
                     combos.setdefault((_lab(a, s), _lab(b, s)), []).append(s)
-                if all(len(v) >= _MIN_SHARED for v in combos.values()):
+                matching = len(combos) == 2 and len({x == y for x, y in combos}) == 1
+                if matching and all(len(v) >= _MIN_SHARED for v in combos.values()):
                     continue
                 members[b] -= shared
                 clipped.add(b)

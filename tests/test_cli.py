@@ -203,6 +203,48 @@ class TestWitnessCommand:
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "schema"
         assert read(out / "manifest.json")["status"] == 1
 
+    @pytest.mark.parametrize("name, mutate", [
+        ("cover.json", lambda d: d["sets"][0].update(center=["x", 0.0])),
+        ("cover.json", lambda d: d["sets"][0].update(center=[1.0, 0.0, 0.0])),
+        ("cover.json", lambda d: d["sets"][0].update(center=1.0)),
+        ("cover.json", lambda d: d["sets"][0].update(id="0")),
+        ("cover.json", lambda d: d["sets"][0].update(id=True)),
+        ("cover.json", lambda d: d["sets"][0]["members"].append("7")),
+        ("cover.json", lambda d: d["sets"][0]["members"].append(7.5)),
+        ("cover.json", lambda d: d["sets"][0].update(members=7)),
+        ("cover.json", lambda d: d.update(sets={"0": []})),
+        ("dataset.json", lambda d: d["samples"][0]["base"].append(0.0)),
+        ("dataset.json", lambda d: d["samples"][0].update(id="0")),
+        ("dataset.json", lambda d: d["samples"][0].update(id=0.5)),
+        ("dataset.json", lambda d: d["samples"][0].update(base=1.0)),
+        ("dataset.json", lambda d: d.update(samples={"0": []})),
+    ], ids=[
+        "string-center", "long-center", "scalar-center", "string-set-id",
+        "bool-set-id", "string-member", "float-member", "members-not-list",
+        "sets-not-list", "long-base", "string-sample-id", "float-sample-id",
+        "scalar-base", "samples-not-list",
+    ])
+    def test_malformed_cover_or_dataset_exit_one(
+        self, torus_dir, tmp_path, capsys, name, mutate
+    ):
+        doc = read(torus_dir / name)
+        mutate(doc)
+        mangled = tmp_path / name
+        mangled.write_text(json.dumps(doc))
+        paths = {n: torus_dir / n for n in ("dataset.json", "cover.json", "trivs.json")}
+        paths[name] = mangled
+        for command in ("witness", "trivialize"):
+            out = tmp_path / command
+            code = run(
+                command, "--data", str(paths["dataset.json"]),
+                "--cover", str(paths["cover.json"]),
+                "--trivs", str(paths["trivs.json"]), "--out", str(out),
+            )
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert json.loads(err)["error"] == "schema"
+            assert read(out / "manifest.json")["status"] == 1
+
 
 class TestClassesAndEuler:
     def test_lens_pipeline_recovers_unit_euler_number(self, lens_dirs, tmp_path, capsys):

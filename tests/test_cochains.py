@@ -178,6 +178,12 @@ class TestTwistedCoboundary:
         )
         dd = twisted_coboundary(twisted_coboundary(c, omega), omega)
         assert all(abs(v) < 1e-9 for v in dd.values.values())
+        # integers, degree 2 -> 3: exactly zero on the tetrahedron
+        z = Cochain(
+            nerve, 1, "Z", {e: int(round(4 * v)) for e, v in zip(nerve.edges, vals)}
+        )
+        dd = twisted_coboundary(twisted_coboundary(z, omega), omega)
+        assert dd.degree == 3 and dd.values == {(0, 1, 2, 3): 0}
 
 
 class TestCochainDistance:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from circlet.cochains import Cochain, constant_sign_cochain
+from circlet.cochains import Cochain, coboundary_rows, constant_sign_cochain
 from circlet.errors import NotACocycle
 import circlet.intlinalg as intlinalg
 from circlet.classes import euler_cochain
 from circlet.intlinalg import (
-    coboundary_rows,
     integer_solvable,
     obj_matmul,
     ordered_simplices,
@@ -355,6 +354,28 @@ class TestIntegerSolvable:
 
 
 class TestCoboundaryRows:
+    @pytest.mark.parametrize("simplex, twisted, untwisted", [
+        ((2, 5), [((5,), -1), ((2,), -1)], [((5,), 1), ((2,), -1)]),
+        (
+            (1, 3, 4),
+            [((3, 4), -1), ((1, 4), -1), ((1, 3), 1)],
+            [((3, 4), 1), ((1, 4), -1), ((1, 3), 1)],
+        ),
+        (
+            (0, 2, 3, 7),
+            [((2, 3, 7), -1), ((0, 3, 7), -1), ((0, 2, 7), 1), ((0, 2, 3), -1)],
+            [((2, 3, 7), 1), ((0, 3, 7), -1), ((0, 2, 7), 1), ((0, 2, 3), -1)],
+        ),
+    ], ids=["p1", "p2", "p3"])
+    def test_hand_written_rows(self, simplex, twisted, untwisted):
+        # facets in order; the one without the leading vertex carries the
+        # twist on the leading edge, facet i otherwise carries (-1)**i
+        twist = {simplex[:2]: -1}
+        [row] = coboundary_rows([simplex], twist)
+        assert list(row.items()) == twisted
+        [row] = coboundary_rows([simplex])
+        assert list(row.items()) == untwisted
+
     def test_rows_are_the_boundary_transpose(self):
         rng = np.random.default_rng(71)
         ran = 0

@@ -106,6 +106,15 @@ class TestDatasetSchema:
         back = io.parse_dataset(io.dataset_doc(ds))
         assert np.array_equal(back.distances, d)
 
+    def test_ragged_distance_table_rejected(self):
+        ds = BundleDataset(
+            ids=(0, 1), base=np.zeros((2, 0)), kind="abstract", distances=1 - np.eye(2)
+        )
+        doc = io.dataset_doc(ds)
+        doc["distances"][0].pop()
+        with pytest.raises(SchemaError, match="dataset"):
+            io.parse_dataset(doc)
+
     def test_wrong_schema_tag_rejected(self, torus):
         ds, _, _ = torus
         doc = io.dataset_doc(ds)

@@ -17,9 +17,9 @@ import pytest
 import circlet
 from circlet.circle import O2
 from circlet.classes import euler_cochain
-from circlet.cochains import Cochain, constant_sign_cochain
+from circlet.cochains import Cochain, constant_sign_cochain, restrict
 from circlet.errors import GuardError, NotACocycle, ShapeMismatch
-from circlet.nerve import CoverSet, build_nerve, filtration_order
+from circlet.nerve import CoverSet, build_nerve, filtration_order, stage_subcomplex
 from circlet.persistence import (
     PersistenceReport,
     ThresholdPair,
@@ -181,7 +181,8 @@ class TestEulerThresholds:
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
         res = euler_cochain(rotation_witness(nerve, turns))
-        pair = persistence(res.euler, nerve, max_stage=10)
+        sub = stage_subcomplex(nerve, 10)
+        pair = persistence(restrict(res.euler, sub), sub)
         # stage 10 holds vertices and edges only: nothing to violate,
         # nothing to solve for
         assert (pair.cobirth_index, pair.codeath_index) == (10, 10)
@@ -243,7 +244,8 @@ class TestCrossCheck:
     def test_brute_respects_max_stage(self):
         nerve = cycle_nerve(seed=21)
         lam = sign_cochain(nerve, [(3, 4)])
-        pair = persistence_brute(lam, nerve, max_stage=15)
+        sub = stage_subcomplex(nerve, 15)
+        pair = persistence_brute(restrict(lam, sub), sub)
         assert pair.cobirth_index == 15
         assert pair.codeath_index == 15  # 3 loop edges still missing
 

@@ -319,8 +319,12 @@ class TestFrameField:
         s = sorted(rho.weights)[0]
         ff = frame_field(wit, rho, samples=[s])
         j = ff.support[s][0]
-        dense = ff.dense(s, j)
-        assert dense.shape == (rho.ambient, 2)
+        rows = ff.rows(s)
+        assert rows.tolist() == [
+            r for i in ff.support[s] for r in (2 * rho.slot(i), 2 * rho.slot(i) + 1)
+        ]
+        dense = np.zeros((rho.ambient, 2))
+        dense[rows] = ff.frames[s][j]
         hot = {rho.slot(i) for i in ff.support[s]}
         for slot in range(len(rho.sets)):
             block = dense[2 * slot : 2 * slot + 2, :]

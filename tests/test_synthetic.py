@@ -377,6 +377,20 @@ class TestDisconnectedFiber:
         assert res.dataset.kind == "projective_plane"
         assert res.orientations == {}
 
+    @pytest.mark.parametrize("split, seed", [
+        (True, 0), (True, 2), (True, 4), (False, 1), (False, 3),
+    ])
+    def test_small_inputs_unwrap(self, split, seed):
+        # at 1000 samples these seeds give overlaps that show one label
+        # combination only; unless the generator sheds them, unwrapping
+        # rejects its own input
+        b = gen_disconnected_fiber(1, n_samples=1000, seed=seed, split=split)
+        nerve = build_nerve(b.cover)
+        nu = connectivity_cocycle(b.clusters, nerve)
+        res = unwrap_double_cover(b.dataset, b.cover, b.clusters, nu)
+        lifted = carry_charts(b.trivs, res)
+        assert set(lifted.sets()) == {cs.id for cs in res.cover}
+
     def test_scenario_records(self, disconnected1):
         s = disconnected1.scenario
         assert s.model == "disconnected(1)"
