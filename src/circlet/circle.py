@@ -197,57 +197,68 @@ def shortest_enclosing_arc(angles: Sequence[float]) -> ArcSummary:
     return ArcSummary(midpoint=float((start + width / 2.0) % 1.0), width=width, max_gap=g)
 
 
-def karcher_mean(points: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+def karcher_mean(points: np.ndarray, weights) -> np.ndarray:
     """Weighted Karcher (Frechet) mean of points on the circle.
 
     The minimizer of the weighted sum of squared geodesic distances,
     computed in closed form: re-center at the first point of positive
-    weight, average the principal-branch logs, exponentiate.
+    weight, average the principal-branch logs, exponentiate.  Leading
+    batch axes are allowed; each batch item is one mean.
 
     Parameters
     ----------
-    points : ndarray of shape (n, 2)
+    points : ndarray of shape (..., n, 2)
         Unit vectors.
-    weights : sequence of n nonnegative floats
-        Must sum to 1 within 1e-9.
+    weights : array broadcastable to (..., n)
+        Nonnegative, summing to 1 within 1e-9 over the last axis.
+
+    Returns
+    -------
+    ndarray of shape (..., 2)
 
     Raises
     ------
     DiameterTooLarge
-        If the points do not fit in an open half circle.  Outside that
-        range the mean need not be unique and the closed form is invalid.
+        If the points of positive weight do not fit in an open half
+        circle; outside that range the mean need not be unique and the
+        closed form is invalid.  ``index`` is the first failing batch item.
     """
     pts = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != w.size:
-        raise ValueError("points must be (n, 2) with matching weights")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+    if pts.ndim < 2 or pts.shape[-1] != 2:
+        raise ValueError("points must be (..., n, 2) with matching weights")
+    try:
+        w = np.broadcast_to(np.asarray(weights, dtype=float), pts.shape[:-1])
+    except ValueError:
+        raise ValueError("points must be (..., n, 2) with matching weights") from None
+    if np.any(w < 0) or np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("weights must be nonnegative and sum to 1")
-    pos = np.flatnonzero(w > 0)
-    if pos.size == 0:
-        raise ValueError("all weights are zero")
+    pos = w > 0
     ang = s1_angle(pts)
-    support = ang[pos]
-    if pos.size > 1:
-        width = enclosing_width(support)
-        if width >= 0.5:
-            raise DiameterTooLarge(
-                f"points span {width:.6f} turns, not contained in a half circle"
-            )
-    center = float(ang[pos[0]])
-    rel = np.array([principal_turn(t - center) for t in support])
-    mean = center + float(np.dot(w[pos], rel))
+    center = np.take_along_axis(ang, np.argmax(pos, axis=-1)[..., None], axis=-1)
+    # points of zero weight sit at the center: they neither widen the arc nor move the mean
+    support = np.where(pos, ang, center)
+    width = enclosing_width(support)
+    bad = np.flatnonzero(width >= 0.5)
+    if bad.size:
+        i = np.unravel_index(bad[0], width.shape)
+        raise DiameterTooLarge(
+            f"points span {width[i]:.6f} turns, not contained in a half circle", index=i
+        )
+    rel = (support - center) % 1.0
+    rel = np.where(rel <= 0.5, rel, rel - 1.0)  # principal_turn
+    mean = center[..., 0] + np.sum(w * rel, axis=-1)
     return s1_point(mean % 1.0)
 
 
-def enclosing_width(angles: Sequence[float]) -> float:
+def enclosing_width(angles) -> np.ndarray:
     """Width in turns of the shortest arc containing the angles.
 
     Unlike ``shortest_enclosing_arc`` this never raises on gap ties,
-    since tied gaps share a width.
+    since tied gaps share a width.  Leading batch axes are allowed; the
+    angles of one arc run along the last axis.
     """
-    a = np.sort(np.asarray(angles, dtype=float) % 1.0)
-    if a.size <= 1:
-        return 0.0
-    gaps = np.diff(a, append=a[0] + 1.0)
-    return 1.0 - float(np.max(gaps))
+    a = np.sort(np.asarray(angles, dtype=float) % 1.0, axis=-1)
+    if a.shape[-1] <= 1:
+        return np.zeros(a.shape[:-1])
+    gaps = np.diff(a, axis=-1, append=a[..., :1] + 1.0)
+    return 1.0 - np.max(gaps, axis=-1)

@@ -37,7 +37,7 @@ from .errors import (
     SchemaError,
 )
 from .intlinalg import sign_potential
-from .nerve import build_nerve, cut_base, edge_weights, filtration_order
+from .nerve import build_nerve, cut_base, edge_weights, filtration_order, simplex_weights
 from .persistence import persistence_report
 from .projection import (
     bundle_map,
@@ -440,7 +440,9 @@ def _cmd_report(args, run: _Run):
         wit = assemble_witness(trivs, nerve)
         q = triv_quality(trivs, wit, nerve)
     with run.timed("persistence"):
-        nerve = filtration_order(edge_weights(nerve, trivs, wit))
+        # the quality report already holds every edge's mean chord error
+        edge_means = {e.edge: e.mean_err for e in q.edges}
+        nerve = filtration_order(simplex_weights(nerve, edge_means))
         report = persistence_report(wit, nerve)
     with run.timed("classes"):
         classes_block: dict = {"sw_coboundary": None, "euler_number": None}

@@ -109,8 +109,13 @@ def coboundary_values(values: dict, tag: str, simplices, twist: Optional[dict] =
     Signs ("Z2") multiply their facet values and ignore the twist;
     numbers add their signed facet values left to right.
     """
+    return _row_values(values, tag, simplices, coboundary_rows(simplices, twist))
+
+
+def _row_values(values: dict, tag: str, simplices, rows) -> dict:
+    """Evaluate coboundary rows of ``simplices`` on a cochain's values."""
     out = {}
-    for s, row in zip(simplices, coboundary_rows(simplices, twist)):
+    for s, row in zip(simplices, rows):
         if tag == "Z2":
             v = 1
             for f in row:
@@ -127,9 +132,18 @@ def coboundary_values(values: dict, tag: str, simplices, twist: Optional[dict] =
 
 def check_sign_cocycle(omega: Cochain):
     """Raise unless a sign 1-cochain satisfies the cocycle identity."""
+    _need_sign_cochain(omega)
+    _check_sign_rows(omega, coboundary_rows(omega.nerve.triangles))
+
+
+def _need_sign_cochain(omega: Cochain):
     if omega.degree != 1 or omega.tag != "Z2":
         raise ShapeMismatch("twist must be a sign-valued 1-cochain")
-    for t, v in coboundary_values(omega.values, "Z2", omega.nerve.triangles).items():
+
+
+def _check_sign_rows(omega: Cochain, rows):
+    """The cocycle identity on the triangles' coboundary rows (any twist: signs ignore it)."""
+    for t, v in _row_values(omega.values, "Z2", omega.nerve.triangles, rows).items():
         if v != 1:
             raise NotACocycle(
                 f"sign cochain fails the cocycle identity on ({','.join(map(str, t))})"
@@ -144,9 +158,18 @@ def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
     For isometry-valued 1-cochains the result is the holonomy defect
     around each triangle (composition against the direct transition).
     """
-    if omega is not None:
-        check_sign_cocycle(omega)
     nerve = c.nerve
+    twist = None
+    if omega is not None:
+        _need_sign_cochain(omega)
+        twist = omega.values
+    numeric = c.tag != "O2" and c.degree in (0, 1, 2)
+    simplices = nerve.simplices.get(c.degree + 1, [])
+    rows = coboundary_rows(simplices, twist) if numeric else None
+    if omega is not None:
+        # a 1-cochain's rows are the triangle rows that the twist check reads
+        same = numeric and c.degree == 1 and omega.nerve is nerve
+        _check_sign_rows(omega, rows if same else coboundary_rows(omega.nerve.triangles))
     if c.tag == "O2":
         if c.degree != 1:
             raise DegreeUnsupported("isometry coboundary is defined in degree 1 only")
@@ -155,10 +178,9 @@ def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
             trip = o2_compose(c.values[(j, k)], c.values[(k, l)])
             vals[(j, k, l)] = o2_compose(trip, o2_inverse(c.values[(j, l)]))
         return Cochain(nerve, 2, "O2", vals, twist=omega)
-    if c.degree not in (0, 1, 2):
+    if not numeric:
         raise DegreeUnsupported(f"coboundary not defined for degree {c.degree}")
-    twist = omega.values if omega is not None else None
-    vals = coboundary_values(c.values, c.tag, nerve.simplices.get(c.degree + 1, []), twist)
+    vals = _row_values(c.values, c.tag, simplices, rows)
     return Cochain(nerve, c.degree + 1, c.tag, vals, twist=omega)
 
 

@@ -25,7 +25,15 @@ class ShapeMismatch(SchemaError):
 
 
 class GuardError(CircletError):
-    """A numerical guard tripped; the result would not be trustworthy."""
+    """A numerical guard tripped; the result would not be trustworthy.
+
+    ``index`` is set by kernels that take leading batch axes: the batch
+    position of the first failing item, in C order.
+    """
+
+    def __init__(self, *args, index: tuple | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class ReflectionHasNoLog(GuardError):

@@ -209,15 +209,27 @@ def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Cochain") -> N
     """Fill simplex weights from the witness misalignment.
 
     The weight of an edge is the mean chord error between one chart and
-    the witness image of the other, over the samples they share.  Higher
-    simplices inherit the max over their facets; vertices stay at zero.
+    the witness image of the other, over the samples they share; the
+    other simplices follow ``simplex_weights``.
     """
-    weights: dict[tuple, float] = {v: 0.0 for v in nerve.vertices}
+    means = {}
     for (j, k) in nerve.edges:
         err = trivs.chord_errors(j, k, witness.value((j, k)))
         if len(err) == 0:
             raise EmptyOverlap(f"edge ({j}, {k}) has no shared samples")
-        weights[(j, k)] = float(np.mean(err))
+        means[(j, k)] = float(np.mean(err))
+    return simplex_weights(nerve, means)
+
+
+def simplex_weights(nerve: Nerve, edge_means: dict) -> Nerve:
+    """A copy of the nerve weighted by its edges' mean chord errors.
+
+    Edges take their entry of ``edge_means``; higher simplices inherit
+    the max over their facets; vertices stay at zero.
+    """
+    weights: dict[tuple, float] = {v: 0.0 for v in nerve.vertices}
+    for e in nerve.edges:
+        weights[e] = edge_means[e]
     for p in (2, 3):
         for s in nerve.simplices.get(p, []):
             weights[s] = max(weights[f] for f in facets(s))

@@ -9,9 +9,28 @@ idea repairs the charts themselves (weighted circular means of aligned
 chart values) and, when both obstruction classes vanish, assembles a
 single global fiber coordinate.
 
-Dimension reduction substitutes a principal-subspace projection with
-polar re-orthonormalization for the external Stiefel-coordinates
-algorithm; results carry the method tag "psc-substitute".
+Layout: the partition of unity is CSR, one row per sample in id order,
+and samples with ``m`` supporting sets form a ``SupportGroup``.  Per-point
+quantities are stacked over a group: weights ``(n, m)``, frames
+``(n, m, r, 2)`` (frame ``a`` belongs to the ``a``-th supporting set;
+``r = 2m`` before reduction, the target dimension after), projectors
+``(n, r, r)``, rounded transitions as turns and signs ``(n, m, m)``.
+Each stage is one call per group:
+
+1. ``_projectors``: weighted frame average and its top-2 projector (batched ``eigh``);
+2. ``stiefel_fiber_project``: polar re-orthonormalization inside that plane;
+3. ``_round_pairs``: the nearest isometry to each pair's frame product;
+4. ``_chart_means``: chart values transported through the rounded pairs,
+   averaged by ``circle.karcher_mean``.
+
+``classifying_map`` is stage 1, ``project_cocycle`` stages 1-3 and
+``project_trivialization`` stage 4; ``bundle_map`` composes all four on
+reduced frames and ``global_trivialize`` averages with ``karcher_mean``.
+A stage checks its guard over every group before the next one runs, and
+names the first failing sample in sample-id order.  Dimension reduction
+substitutes a principal-subspace projection with polar
+re-orthonormalization for the external Stiefel-coordinates algorithm;
+results carry the method tag "psc-substitute".
 """
 
 from __future__ import annotations
@@ -19,20 +38,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .circle import O2, IDENTITY, karcher_mean, o2_apply, o2_compose, o2_inverse, s1_angle
+from .circle import O2, IDENTITY, TWO_PI, karcher_mean, o2_inverse, s1_angle
 from .classes import euler_cochain
 from .cochains import Cochain, act_by_potential, cocycle_defect, constant_sign_cochain
-from .errors import (
-    DiameterTooLarge,
-    EigengapTooSmall,
-    NotTrivializable,
-    RankDeficient,
-    ShapeMismatch,
-    UncoveredPoint,
-)
+from .errors import EigengapTooSmall, GuardError, NotTrivializable, RankDeficient, ShapeMismatch
+from .errors import UncoveredPoint
 from .intlinalg import sign_potential, solve_integer, twisted_boundary_matrix
 from .nerve import BundleDataset, base_geodesic
 from .witness import Trivialization
@@ -45,43 +60,55 @@ EIGENGAP_MIN = 1e-10
 RANK_MIN = 1e-10
 # cocycle projection carries its distance guarantee only under this defect
 DEFECT_GUARANTEE = math.sqrt(2.0) / 4.0
+# a reduction cut whose eigenvalue gap is at most this share of the top one splits a pair
+PAIR_GAP = 1e-9
+# floats per temporary block of the moment and the error curve
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # partitions of unity
 
 
-@dataclass
-class PartitionOfUnity:
-    """Convex weights over cover sets, evaluated at every sample's base point.
+class SupportGroup(NamedTuple):
+    """The samples whose support has ``m`` sets, as row-aligned columns."""
 
-    ``weights`` maps sample id to a dict of strictly positive weights
-    keyed by cover-set id; each row sums to one and is supported only on
-    sets that contain the sample.  ``sets`` fixes the ambient block
-    order used by frame constructions.
+    rows: np.ndarray  # (n,) ascending positions in the partition's sample order
+    ids: np.ndarray  # (n,) sample ids
+    sets: np.ndarray  # (n, m) supporting set ids, ascending
+    slots: np.ndarray  # (n, m) their positions in the partition's ``sets``
+    weights: np.ndarray  # (n, m)
+
+
+@dataclass(eq=False)
+class PartitionOfUnity:
+    """Convex weights over cover sets at every sample, as CSR rows.
+
+    Row ``i`` is sample ``ids[i]`` (ascending): strictly positive
+    ``weights`` summing to one on ``slots[indptr[i]:indptr[i + 1]]``,
+    ascending positions in ``sets`` (the sorted set ids, which also fix
+    the ambient block order of frames).  ``groups`` gathers the rows by
+    support size.
     """
 
-    weights: dict
+    ids: np.ndarray
+    indptr: np.ndarray
+    slots: np.ndarray
+    weights: np.ndarray
     sets: tuple
     mode: str
 
     def __post_init__(self):
         self.sets = tuple(sorted(self.sets))
-        self._slot = {j: i for i, j in enumerate(self.sets)}
-
-    def support(self, sample) -> list:
-        return sorted(self.weights[sample])
-
-    def weight(self, sample, j) -> float:
-        return self.weights[sample].get(j, 0.0)
-
-    def row(self, sample):
-        """Supporting set ids, ascending, and their weights as an array."""
-        supp = self.support(sample)
-        return supp, np.array([self.weights[sample][j] for j in supp])
-
-    def slot(self, j) -> int:
-        return self._slot[j]
+        set_ids = np.array(self.sets, dtype=np.int64)
+        sizes = np.diff(self.indptr)
+        self.groups = []
+        for m in np.unique(sizes):
+            rows = np.flatnonzero(sizes == m)
+            at = self.indptr[rows, None] + np.arange(m)
+            slots = self.slots[at]
+            group = SupportGroup(rows, self.ids[rows], set_ids[slots], slots, self.weights[at])
+            self.groups.append(group)
 
     @property
     def ambient(self) -> int:
@@ -95,395 +122,402 @@ def partition_of_unity(cover, dataset: BundleDataset) -> PartitionOfUnity:
     radius minus geodesic distance and clipped at zero; covers without
     geometry fall back to membership indicators.  Either way the support
     at a sample is contained in the sets that hold it, and rows
-    normalize to one.
-
-    Raises
-    ------
-    UncoveredPoint
-        A sample belongs to no cover set.
+    normalize to one.  Raises ``UncoveredPoint`` when a sample belongs to no cover set.
     """
     cover = list(cover)
     parametric = dataset.kind != "abstract" and all(
         c.center is not None and c.radius is not None for c in cover
     )
-    holders: dict = {s: [] for s in dataset.ids}
+    ids = np.array(dataset.ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    sets = sorted(c.id for c in cover)
+    slot = {j: i for i, j in enumerate(sets)}
+    pos, slots, vals = [], [], []
     for c in cover:
-        for s in c.members:
-            holders[s].append(c)
-    weights: dict = {}
-    for s in dataset.ids:
-        sets_here = holders[s]
-        if not sets_here:
-            raise UncoveredPoint(f"sample {s} lies in no cover set")
+        mem = np.fromiter(c.members, np.int64, len(c.members))
+        at = np.minimum(sorted_ids.searchsorted(mem), max(len(ids) - 1, 0))
+        if len(mem) and (not len(ids) or np.any(sorted_ids[at] != mem)):
+            raise ShapeMismatch(f"cover set {c.id} holds samples outside the dataset")
         if parametric:
-            b = dataset.base_of(s)
-            row = {}
-            for c in sets_here:
-                d = float(base_geodesic(dataset.kind, b[None, :], c.center)[0])
-                row[c.id] = max(0.0, c.radius - d)
-            total = sum(row.values())
-            if total <= 0.0:
-                # members sit strictly inside their balls, so this only
-                # happens on malformed input; fall back to indicators
-                row = {c.id: 1.0 for c in sets_here}
-                total = float(len(sets_here))
+            # stacked (n, 1, k) rows against a (k, 1) center: each distance is
+            # the same one-row product that a single-point call makes
+            b = dataset.base[order[at]]
+            d = base_geodesic(dataset.kind, b[:, None, :], c.center[:, None]).reshape(-1)
+            vals.append(np.maximum(c.radius - d, 0.0))
         else:
-            row = {c.id: 1.0 for c in sets_here}
-            total = float(len(sets_here))
-        weights[s] = {j: w / total for j, w in row.items() if w > 0.0}
-    return PartitionOfUnity(
-        weights=weights,
-        sets=tuple(c.id for c in cover),
-        mode="distance" if parametric else "indicator",
-    )
+            vals.append(np.ones(len(mem)))
+        pos.append(at)
+        slots.append(np.full(len(mem), slot[c.id], dtype=np.int64))
+    pos = np.concatenate([np.zeros(0, dtype=np.int64), *pos])
+    counts = np.bincount(pos, minlength=len(ids))
+    bare = np.flatnonzero(counts[np.argsort(order)] == 0)
+    if bare.size:
+        raise UncoveredPoint(f"sample {dataset.ids[bare[0]]} lies in no cover set")
+    slots, vals = np.concatenate(slots), np.concatenate(vals)
+    total = np.zeros(len(ids))
+    np.add.at(total, pos, vals)  # each row adds its terms in cover order
+    # members sit strictly inside their balls, so a zero total only
+    # happens on malformed input; fall back to indicators
+    dead = total <= 0.0
+    vals[dead[pos]] = 1.0
+    total[dead] = counts[dead]
+    w = vals / total[pos]
+    keep = np.flatnonzero(w > 0.0)
+    keep = keep[np.lexsort((slots[keep], pos[keep]))]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pos[keep], minlength=len(ids)))])
+    mode = "distance" if parametric else "indicator"
+    return PartitionOfUnity(sorted_ids, indptr, slots[keep], w[keep], tuple(sets), mode)
 
 
 # ---------------------------------------------------------------------------
-# pointwise matrix projections
+# batched matrix kernels
 
 
 def _sorted_eigh(a: np.ndarray):
     vals, vecs = np.linalg.eigh(a)
-    return vals[::-1], vecs[:, ::-1]  # descending
+    return vals[..., ::-1], vecs[..., ::-1]  # descending
+
+
+def _top_plane(sym: np.ndarray):
+    """Top-2 spectral projectors of symmetric matrices ``(..., r, r)``, with eigengaps.
+
+    Raises an indexed ``EigengapTooSmall`` when the second and third
+    eigenvalues are within ``EIGENGAP_MIN``.
+    """
+    vals, vecs = _sorted_eigh(sym)
+    gap = vals[..., 1] - (vals[..., 2] if vals.shape[-1] > 2 else 0.0)
+    bad = np.flatnonzero(gap <= EIGENGAP_MIN)
+    if bad.size:
+        i = np.unravel_index(bad[0], gap.shape)
+        raise EigengapTooSmall(
+            f"eigengap {gap[i]:.3e} between second and third eigenvalues", index=i
+        )
+    top = vecs[..., :2]
+    return top @ top.swapaxes(-1, -2), gap
 
 
 def gr_project(a: np.ndarray) -> np.ndarray:
-    """Nearest rank-2 orthogonal projector to a square matrix.
+    """Nearest rank-2 orthogonal projector to a square matrix (or a stack of them).
 
-    Symmetrizes, diagonalizes with eigenvalues in decreasing order, and
-    keeps the top two eigendirections.
-
-    Raises
-    ------
-    EigengapTooSmall
-        The second and third eigenvalues of the symmetrization are
-        within ``EIGENGAP_MIN``, so the top plane is not well defined.
+    The top-2 spectral projector of the symmetrization; raises
+    ``EigengapTooSmall`` when its second and third eigenvalues are within
+    ``EIGENGAP_MIN``, so the top plane is not well defined.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 2:
         raise ShapeMismatch("need a square matrix of size at least 2")
-    sym = 0.5 * (a + a.T)
-    p, gap = _gr_project_sym(sym)
-    return p
+    return _top_plane(0.5 * (a + a.swapaxes(-1, -2)))[0]
 
 
-def _gr_project_sym(sym: np.ndarray):
-    """Top-2 spectral projector of a symmetric matrix, with the eigengap."""
-    vals, vecs = _sorted_eigh(sym)
-    third = vals[2] if vals.size > 2 else 0.0
-    gap = float(vals[1] - third)
-    if gap <= EIGENGAP_MIN:
-        raise EigengapTooSmall(
-            f"eigengap {gap:.3e} between second and third eigenvalues"
-        )
-    top = vecs[:, :2]
-    return top @ top.T, gap
+def _polar(b: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factors of 2-column frames ``(..., r, 2)``, through the 2x2 Gram.
 
-
-def _inv_sqrt_gram(b: np.ndarray):
-    """Inverse square root of the 2x2 Gram of ``b``, plus sigma_min."""
-    g = b.T @ b
-    vals, vecs = np.linalg.eigh(g)
-    sigma_min = math.sqrt(max(float(vals[0]), 0.0))
-    if sigma_min <= RANK_MIN:
-        raise RankDeficient(f"singular value {sigma_min:.3e} at the rank guard")
-    inv_root = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-    return inv_root, sigma_min
+    Raises an indexed ``RankDeficient`` at a singular value at or below ``RANK_MIN``.
+    """
+    vals, vecs = np.linalg.eigh(b.swapaxes(-1, -2) @ b)
+    sigma = np.sqrt(np.maximum(vals[..., 0], 0.0))
+    bad = np.flatnonzero(sigma <= RANK_MIN)
+    if bad.size:
+        i = np.unravel_index(bad[0], sigma.shape)
+        raise RankDeficient(f"singular value {sigma[i]:.3e} at the rank guard", index=i)
+    inv_root = (vecs * (1.0 / np.sqrt(vals))[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return b @ inv_root
 
 
 def stiefel_fiber_project(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Nearest 2-frame to ``a`` whose columns span inside ``range(p)``.
 
     The orthogonal factor of the polar decomposition of ``p @ a``:
-    U = (PA)((PA)^T(PA))^{-1/2}, with the Gram inverse square root in
-    closed form from its 2x2 eigendecomposition.
-
-    Raises
-    ------
-    RankDeficient
-        ``p @ a`` has a singular value at or below ``RANK_MIN``.
+    U = (PA)((PA)^T(PA))^{-1/2}.  Leading batch axes of ``p`` and ``a``
+    broadcast against each other.  Raises ``RankDeficient`` when ``p @ a``
+    has a singular value at or below ``RANK_MIN``; its ``index`` is the
+    first failing batch item.
     """
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2 or p.shape != (a.shape[0], a.shape[0]):
+    if a.ndim < 2 or a.shape[-1] != 2 or p.shape[-2:] != (a.shape[-2],) * 2:
         raise ShapeMismatch("need a projector matching a tall 2-column frame")
-    b = p @ a
-    inv_root, _ = _inv_sqrt_gram(b)
-    return b @ inv_root
+    return _polar(p @ a)
+
+
+def _o2_matrices(turn, sign) -> np.ndarray:
+    """Matrix forms ``(..., 2, 2)`` of isometries given as turns and signs."""
+    c, s = np.cos(TWO_PI * turn), np.sin(TWO_PI * turn)
+    return np.stack([np.stack([c, -s * sign], -1), np.stack([s, c * sign], -1)], -2)
 
 
 def _nearest_o2(m: np.ndarray):
-    """Closest circle isometry to a 2x2 matrix, with the Frobenius gap."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det >= 0:
-        theta = math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
-        om = O2(theta / (2.0 * math.pi), 1)
-    else:
-        theta = math.atan2(m[1, 0] + m[0, 1], m[0, 0] - m[1, 1])
-        om = O2(theta / (2.0 * math.pi), -1)
-    return om, float(np.linalg.norm(m - om.matrix))
+    """Closest circle isometries to 2x2 matrices: turns, signs and Frobenius gaps."""
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    sign = np.where(m00 * m11 - m01 * m10 >= 0, 1, -1)
+    theta = np.where(sign == 1, np.arctan2(m10 - m01, m00 + m11), np.arctan2(m10 + m01, m00 - m11))
+    turn = theta / TWO_PI % 1.0
+    return turn, sign, np.linalg.norm(m - _o2_matrices(turn, sign), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
 # frame fields
 
 
-@dataclass
-class FrameField:
-    """Per-sample, per-set orthonormal 2-frames.
+def _pair_rows(groups, sets, values: dict, what: str) -> list:
+    """Values on every ordered pair of supporting sets, ``(n, m, m)`` per group.
 
-    Before reduction the frames are stored restricted to their support
-    blocks: ``support[s]`` lists the cover sets whose pair of ambient
-    rows the ``(2m, 2)`` arrays occupy.  After reduction ``support`` is
-    None and the frames are dense ``(dim, 2)`` arrays in a common
-    coordinate system.
+    ``values`` maps ``(j, k)`` set ids to an entry; entry ``[i, a, b]``
+    of a group is the value on its ``a``-th and ``b``-th supporting sets.
+    Raises ``ShapeMismatch`` when a pair that a support spans is missing.
+    """
+    width = len(sets)
+    slot = {j: i for i, j in enumerate(sets)}
+    known = [(slot[j] * width + slot[k], v) for (j, k), v in values.items()
+             if j in slot and k in slot]
+    keys = np.array([key for key, _ in known], dtype=np.int64)
+    order = np.argsort(keys)
+    keys, table = keys[order], np.array([v for _, v in known])[order]
+    out = []
+    for g in groups:
+        want = g.slots[:, :, None] * width + g.slots[:, None, :]
+        at = np.minimum(keys.searchsorted(want), len(keys) - 1)
+        bad = np.flatnonzero(keys[at] != want)
+        if bad.size:
+            i, a, b = np.unravel_index(bad[0], want.shape)
+            pair = sorted((int(g.sets[i, a]), int(g.sets[i, b])))
+            raise ShapeMismatch(f"{what} has no value on edge {tuple(pair)}")
+        out.append(table[at])
+    return out
+
+
+def _transitions(omega: Cochain, groups, sets) -> list:
+    """Witness matrices ``(n, m, m, 2, 2)`` per group, on every ordered pair of supporting sets.
+
+    The identity on the diagonal, a descending pair the inverse of its ascending one.
+    """
+    values = {(j, j): IDENTITY.matrix for j in sets}
+    for (j, k), om in omega.values.items():
+        values[(j, k)] = om.matrix
+        values[(k, j)] = o2_inverse(om).matrix
+    return _pair_rows(groups, sets, values, "witness")
+
+
+@dataclass(eq=False)
+class FrameField:
+    """Orthonormal 2-frames per sample and supporting set, stacked per support group.
+
+    ``frames[g]`` ``(n, m, r, 2)`` belongs to ``groups[g]``; frame ``a`` of
+    a sample belongs to its ``a``-th supporting set.  Restricted frames
+    (r = 2m) occupy the ambient row pairs of the support's slots; reduced
+    ones (r = ``dim``) are dense and carry their projection ``errors``.
     """
 
-    frames: dict
-    sets: tuple
+    groups: list
+    frames: list
     dim: int
-    support: dict | None = None
+    restricted: bool = True
     method: str = ""
-    errors: dict = field(default_factory=dict)
+    errors: list = field(default_factory=list)
 
-    def __post_init__(self):
-        self._slot = {j: i for i, j in enumerate(self.sets)}
+    def rows(self, g: int) -> np.ndarray:
+        """Ambient rows that each sample's frames occupy in group ``g``, ``(n, r)``."""
+        n = len(self.groups[g].rows)
+        if not self.restricted:
+            return np.broadcast_to(np.arange(self.dim), (n, self.dim))
+        return (2 * self.groups[g].slots[:, :, None] + np.arange(2)).reshape(n, -1)
 
-    def rows(self, sample) -> np.ndarray:
-        """Ambient rows that the stored frames of a sample occupy."""
-        if self.support is None:
-            return np.arange(self.dim)
-        slots = [self._slot[j] for j in self.support[sample]]
-        return np.array([r for i in slots for r in (2 * i, 2 * i + 1)], dtype=int)
+    def moment(self) -> np.ndarray:
+        """Second-moment matrix of all frame columns, the sum of ``F @ F.T`` over every frame.
 
-    def principal_basis(self) -> np.ndarray:
-        """Uncentered principal directions of all frame columns.
-
-        The eigenvectors of the second-moment matrix, the sum of
-        ``F @ F.T`` over every frame, as columns by decreasing eigenvalue.
+        Each entry adds its terms in (sample, set) order, one block of
+        samples at a time: for witnesses without reflections the
+        eigenvalues come in exact pairs and the principal basis inside a
+        pair is fixed only by rounding, so the order is part of the result.
         """
-        moment = np.zeros((self.dim, self.dim))
-        for s, mats in self.frames.items():
-            rows = self.rows(s)
-            block = np.ix_(rows, rows)
-            for mat in mats.values():
-                moment[block] += mat @ mat.T
-        return _sorted_eigh(moment)[1]
+        dim = self.dim
+        moment = np.zeros(dim * dim)
+        rows = [self.rows(g) for g in range(len(self.groups))]
+        end = max((int(g.rows[-1]) + 1 for g in self.groups if len(g.rows)), default=0)
+        widest = max((f[0].size * f.shape[2] for f in self.frames if len(f)), default=1)
+        step = max(1, _BLOCK // widest)
+        for lo in range(0, end, step):
+            keys, cells, terms = [], [], []
+            for g, f, r in zip(self.groups, self.frames, rows):
+                a, b = g.rows.searchsorted([lo, lo + step])
+                if a == b:
+                    continue
+                outer = f[a:b] @ f[a:b].swapaxes(-1, -2)  # (k, m, r, r)
+                cell = r[a:b, :, None] * dim + r[a:b, None, :]
+                cells.append(np.broadcast_to(cell[:, None], outer.shape).reshape(-1))
+                terms.append(outer.reshape(-1))
+                keys.append(np.repeat(g.rows[a:b], outer[0].size))
+            if not keys:
+                continue
+            first = np.argsort(np.concatenate(keys), kind="stable")
+            np.add.at(moment, np.concatenate(cells)[first], np.concatenate(terms)[first])
+        return moment.reshape(dim, dim)
+
+    def principal_basis(self):
+        """Eigenvalues of ``moment()``, decreasing, with its eigenvectors as columns."""
+        return _sorted_eigh(self.moment())
 
 
-def _frames_at(omega: Cochain, rho: PartitionOfUnity, sample):
-    """Support, weights, and restricted frames at one base point."""
-    supp, w = rho.row(sample)
-    m = len(supp)
-    roots = np.sqrt(w)
-    frames = {}
-    for j in supp:
-        mat = np.empty((2 * m, 2))
-        for row, i in enumerate(supp):
-            mat[2 * row : 2 * row + 2, :] = roots[row] * _omega_at(omega, i, j).matrix
-        frames[j] = mat
-    return supp, w, frames
-
-
-def frame_field(
-    omega: Cochain, rho: PartitionOfUnity, samples=None
-) -> FrameField:
+def frame_field(omega: Cochain, rho: PartitionOfUnity, samples=None) -> FrameField:
     """Square-root-weighted stacks of witness transitions, per sample.
 
     The frame of set ``j`` at a base point stacks each supporting set's
     transition into ``j`` scaled by the square root of its weight; the
     columns are exactly orthonormal.  Frames are stored restricted to
-    their support blocks.
+    their support blocks.  ``samples`` limits the field to those ids.
     """
     if omega.degree != 1 or omega.tag != "O2":
         raise ShapeMismatch("need an isometry-valued 1-cochain")
-    if samples is None:
-        samples = sorted(rho.weights)
-    support = {}
-    frames = {}
-    for s in samples:
-        supp, _, mats = _frames_at(omega, rho, s)
-        support[s] = tuple(supp)
-        frames[s] = mats
-    return FrameField(
-        frames=frames, sets=rho.sets, dim=rho.ambient, support=support
-    )
+    groups = rho.groups
+    if samples is not None:
+        groups = [SupportGroup(*(col[np.isin(g.ids, samples)] for col in g)) for g in groups]
+        groups = [g for g in groups if len(g.ids)]
+    frames = []
+    for g, t in zip(groups, _transitions(omega, groups, rho.sets)):
+        n, m = g.weights.shape
+        # block b of frame a: the transition from set b into set a, times sqrt(w_b)
+        blocks = np.sqrt(g.weights)[:, :, None, None, None] * t
+        frames.append(blocks.transpose(0, 2, 1, 3, 4).reshape(n, m, 2 * m, 2))
+    return FrameField(groups=groups, frames=frames, dim=rho.ambient)
 
 
 # ---------------------------------------------------------------------------
-# the per-point kernel
+# the pointwise stages
 
 
-def _pair_at(pairs: dict, j, k) -> O2:
-    """Value on an ordered pair of sets, from values kept on ascending pairs.
+def _by_group(groups, stage, where: str, *cols) -> list:
+    """Run one stage on every group and check its guard over all of them.
 
-    The diagonal is the identity; a descending pair is the inverse of
-    its ascending one.
+    ``stage`` takes a group's entries of ``cols`` and raises an indexed
+    ``GuardError`` at its first failing item.  The error re-raised here
+    names the first failing sample in sample-id order across the groups:
+    ``where`` is formatted with its sample ``s`` and, for an index into
+    the supporting sets, the set ``j``.
     """
-    if j == k:
-        return IDENTITY
-    if j < k:
-        return pairs[(j, k)]
-    return o2_inverse(pairs[(k, j)])
-
-
-def _omega_at(omega: Cochain, j, k) -> O2:
-    try:
-        return _pair_at(omega.values, j, k)
-    except KeyError as exc:
-        raise ShapeMismatch(f"witness has no value on edge {exc.args[0]}") from None
-
-
-def _average_projector(s, w, frames: dict):
-    """Weighted frame average at base point ``s`` and its top-2 projector.
-
-    ``frames`` holds the supporting sets' frames in support order and
-    ``w`` their weights.  Returns the average, the projector and its
-    eigengap.
-
-    Raises
-    ------
-    EigengapTooSmall
-        Re-raised with the base point attached.
-    """
-    n = next(iter(frames.values())).shape[0]
-    tilde = np.zeros((n, n))
-    for wj, f in zip(w, frames.values()):
-        tilde += wj * (f @ f.T)
-    try:
-        p, gap = _gr_project_sym(tilde)
-    except EigengapTooSmall as exc:
-        raise EigengapTooSmall(f"base point {s}: {exc}") from exc
-    return tilde, p, gap
-
-
-def _project_point(s, supp, w, frames: dict):
-    """Exact transitions at one base point.
-
-    Re-orthonormalizes every supporting frame inside the plane of the
-    averaged projector and rounds the product of each ascending pair of
-    those frames to the nearest isometry.  Returns the projector, the
-    re-orthonormalized frames, the rounded pairs and the worst rounding
-    residual.
-
-    Raises
-    ------
-    EigengapTooSmall, RankDeficient
-        Re-raised with the base point (and set) attached.
-    """
-    _, p, _ = _average_projector(s, w, frames)
-    fixed = {}
-    for j in supp:
+    out, failed = [], []
+    for g, *args in zip(groups, *cols):
         try:
-            fixed[j] = stiefel_fiber_project(p, frames[j])
-        except RankDeficient as exc:
-            raise RankDeficient(f"base point {s}, set {j}: {exc}") from exc
-    pairs = {}
-    ortho = 0.0
-    for a_i, j in enumerate(supp):
-        for k in supp[a_i + 1 :]:
-            pairs[(j, k)], resid = _nearest_o2(fixed[j].T @ fixed[k])
-            ortho = max(ortho, resid)
-    return p, fixed, pairs, ortho
+            out.append(stage(*args))
+        except GuardError as exc:
+            if exc.index is None:
+                raise
+            i = exc.index
+            failed.append((g.ids[i[0]], where.format(s=g.ids[i[0]], j=g.sets[i]), exc))
+    if failed:
+        _, name, exc = min(failed, key=lambda f: f[0])
+        raise type(exc)(f"{name}: {exc}") from exc
+    return out
 
 
-def _chart_mean(vals, s, j, supp, w, pairs) -> np.ndarray:
-    """Weighted circular mean of the supporting charts, transported into ``j``.
+def _projectors(g, frames):
+    """Stage 1: the weighted frame average ``(n, r, r)``, its top-2 projector and eigengap."""
+    outer = frames @ frames.swapaxes(-1, -2)
+    tilde = np.zeros(outer.shape[:1] + outer.shape[2:])
+    for a in range(outer.shape[1]):
+        tilde += g.weights[:, a, None, None] * outer[:, a]
+    return (tilde, *_top_plane(tilde))
 
-    ``vals`` holds the sample's value in each chart of ``supp``, one row each.
 
-    Raises
-    ------
-    DiameterTooLarge
-        Re-raised with the sample and chart attached when the
-        transported values spread over half a circle.
+def _round_pairs(fixed):
+    """Stage 3: the nearest isometry to each pair's product of re-orthonormalized frames.
+
+    Returns turns and signs ``(n, m, m)`` on every ordered pair (identity
+    on the diagonal, a descending pair the inverse of its ascending one)
+    and each sample's worst rounding residual.
     """
-    pts = np.stack([o2_apply(_pair_at(pairs, j, k), v) for k, v in zip(supp, vals)])
-    try:
-        return karcher_mean(pts, w)
-    except DiameterTooLarge as exc:
-        raise DiameterTooLarge(f"sample {s}, chart {j}: {exc}") from exc
+    n, m = fixed.shape[:2]
+    a, b = np.triu_indices(m, 1)
+    t, sg, gap = _nearest_o2(fixed[:, a].swapaxes(-1, -2) @ fixed[:, b])
+    turn = np.zeros((n, m, m))
+    sign = np.ones((n, m, m), dtype=int)
+    turn[:, a, b], sign[:, a, b] = t, sg
+    turn[:, b, a], sign[:, b, a] = np.where(sg == 1, -t % 1.0, t), sg
+    return turn, sign, gap.max(axis=1, initial=0.0)
+
+
+def _chart_means(trivs, groups, turns, signs) -> list:
+    """Stage 4: each supporting chart's value carried into every set, then averaged.
+
+    Entry ``[i, a]`` of a group's result is the weighted circular mean in
+    the chart of its ``a``-th supporting set.
+    """
+
+    def means(g, turn, sign):
+        vals = trivs.at(g.ids[:, None], g.sets)[0]  # (n, m, 2)
+        moved = (_o2_matrices(turn, sign) @ vals[:, None, :, :, None])[..., 0]
+        return karcher_mean(moved, g.weights[:, None, :])
+
+    return _by_group(groups, means, "sample {s}, chart {j}", groups, turns, signs)
+
+
+def _project(ff: FrameField):
+    """Stages 1-3 on every group: averages, re-orthonormalized frames, rounded pairs."""
+    avg = _by_group(ff.groups, _projectors, "base point {s}", ff.groups, ff.frames)
+    projs = [p[:, None] for _, p, _ in avg]  # one plane for all frames of a sample
+    where = "base point {s}, set {j}"
+    fixed = _by_group(ff.groups, stiefel_fiber_project, where, projs, ff.frames)
+    return avg, fixed, [_round_pairs(u) for u in fixed]
 
 
 # ---------------------------------------------------------------------------
-# classifying maps
+# classifying maps and cocycle projection
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjectorField:
-    """Weighted frame average and its nearest rank-2 projector, per sample.
+    """Weighted frame averages and their nearest rank-2 projectors, per group.
 
-    Matrices are restricted to the support blocks listed in
-    ``support``; rows outside the support carry weight zero and vanish.
-    ``distance`` is the largest Frobenius gap between the average and
-    its projection, the measured counterpart of the sqrt(2)-epsilon
-    guarantee.
+    ``raw[g]`` and ``proj[g]`` are ``(n, r, r)`` stacks on the support
+    blocks of ``groups[g]``, ``gap[g]`` the eigengaps.  ``distance`` is
+    the largest Frobenius gap between an average and its projection, the
+    measured counterpart of the sqrt(2)-epsilon guarantee.
     """
 
-    support: dict
-    raw: dict
-    proj: dict
-    gap: dict
+    groups: list
+    raw: list
+    proj: list
+    gap: list
     distance: float
 
 
-def classifying_map(
-    omega: Cochain, rho: PartitionOfUnity, samples=None
-) -> ProjectorField:
+def classifying_map(omega: Cochain, rho: PartitionOfUnity, samples=None) -> ProjectorField:
     """Average the frame projectors of a witness into a projector field.
 
     At each base point the weighted sum of frame outer products is
     symmetric with trace 2; its top-2 spectral projector is the value of
-    the associated map into the plane Grassmannian.
-
-    Raises
-    ------
-    EigengapTooSmall
-        Re-raised with the offending base point attached.
+    the associated map into the plane Grassmannian.  ``EigengapTooSmall``
+    names the first failing base point.
     """
-    if samples is None:
-        samples = sorted(rho.weights)
-    support, raw, proj, gaps = {}, {}, {}, {}
-    worst = 0.0
-    for s in samples:
-        supp, w, frames = _frames_at(omega, rho, s)
-        tilde, p, gaps[s] = _average_projector(s, w, frames)
-        support[s] = tuple(supp)
-        raw[s] = tilde
-        proj[s] = p
-        worst = max(worst, float(np.linalg.norm(tilde - p)))
-    return ProjectorField(
-        support=support, raw=raw, proj=proj, gap=gaps, distance=worst
-    )
+    ff = frame_field(omega, rho, samples)
+    avg = _by_group(ff.groups, _projectors, "base point {s}", ff.groups, ff.frames)
+    raw, proj, gap = (list(x) for x in zip(*avg)) if avg else ([], [], [])
+    gaps = (float(np.linalg.norm(t - p, axis=(-2, -1)).max()) for t, p in zip(raw, proj))
+    distance = max(gaps, default=0.0)
+    return ProjectorField(ff.groups, raw, proj, gap, distance)
 
 
-# ---------------------------------------------------------------------------
-# cocycle projection
-
-
-@dataclass
+@dataclass(eq=False)
 class CocycleField:
     """Exactly multiplicative transitions, evaluated per base point.
 
-    ``values[s]`` holds the projected transition for every ordered pair
-    of supporting sets at sample ``s``.  ``distance`` is the measured
-    sup-gap to the input witness, ``ortho_residual`` the worst distance
-    of a raw projected transition from its isometry rounding, and
-    ``defect`` the worst remaining cocycle-identity residual.
+    ``turn[g]`` and ``sign[g]`` ``(n, m, m)`` hold the projected
+    transition on every ordered pair of supporting sets of ``groups[g]``.
+    ``distance`` is the measured sup-gap to the input witness,
+    ``ortho_residual`` the worst distance of a raw projected transition
+    from its isometry rounding, and ``defect`` the worst remaining
+    cocycle-identity residual.
     """
 
-    values: dict
+    groups: list
+    turn: list
+    sign: list
     distance: float
     ortho_residual: float
     defect: float
 
-    def at(self, sample, j, k) -> O2:
-        return _pair_at(self.values[sample], j, k)
 
-
-def project_cocycle(
-    omega: Cochain, rho: PartitionOfUnity, samples=None
-) -> CocycleField:
+def project_cocycle(omega: Cochain, rho: PartitionOfUnity, samples=None) -> CocycleField:
     """Replace a witness with exactly multiplicative per-point transitions.
 
     Frames are re-orthonormalized inside the plane of the projector
@@ -492,11 +526,7 @@ def project_cocycle(
     to the input comes out bounded by nine times the witness defect when
     that defect is below sqrt(2)/4; outside that range the projection
     still runs but the bound is not guaranteed and a warning is logged.
-
-    Raises
-    ------
-    EigengapTooSmall, RankDeficient
-        Re-raised with the offending base point attached.
+    ``EigengapTooSmall`` and ``RankDeficient`` name the failing base point.
     """
     defect = cocycle_defect(omega)
     if defect >= DEFECT_GUARANTEE:
@@ -505,58 +535,42 @@ def project_cocycle(
             "distance bound does not apply",
             defect,
         )
-    if samples is None:
-        samples = sorted(rho.weights)
-    values = {}
+    ff = frame_field(omega, rho, samples)
+    _, _, pairs = _project(ff)
+    witness = _transitions(omega, ff.groups, rho.sets)
     distance = ortho_residual = residual_defect = 0.0
-    for s in samples:
-        supp, w, frames = _frames_at(omega, rho, s)
-        _, _, pairs, ortho = _project_point(s, supp, w, frames)
-        values[s] = pairs
-        ortho_residual = max(ortho_residual, ortho)
-        for (j, k), om in pairs.items():
-            gap = np.linalg.norm(_omega_at(omega, j, k).matrix - om.matrix)
-            distance = max(distance, float(gap))
-        for a_i, j in enumerate(supp):
-            for b_i in range(a_i + 1, len(supp)):
-                k = supp[b_i]
-                for l in supp[b_i + 1 :]:
-                    lhs = o2_compose(pairs[(j, k)], pairs[(k, l)])
-                    gap = np.linalg.norm(lhs.matrix - pairs[(j, l)].matrix)
-                    residual_defect = max(residual_defect, float(gap))
+    for (turn, sign, ortho), t in zip(pairs, witness):
+        m = turn.shape[1]
+        rounded = _o2_matrices(turn, sign)
+        a, b = np.triu_indices(m, 1)
+        gaps = np.linalg.norm(t[:, a, b] - rounded[:, a, b], axis=(-2, -1))
+        distance = max(distance, float(gaps.max(initial=0.0)))
+        ortho_residual = max(ortho_residual, float(ortho.max()))
+        for x, y, z in combinations(range(m), 3):
+            lhs = rounded[:, x, y] @ rounded[:, y, z]
+            gaps = np.linalg.norm(lhs - rounded[:, x, z], axis=(-2, -1))
+            residual_defect = max(residual_defect, float(gaps.max()))
+    turns, signs, _ = zip(*pairs)
     return CocycleField(
-        values=values,
-        distance=distance,
-        ortho_residual=ortho_residual,
-        defect=residual_defect,
+        ff.groups, list(turns), list(signs), distance, ortho_residual, residual_defect
     )
 
 
-def project_trivialization(trivs, field: CocycleField, rho: PartitionOfUnity):
+def project_trivialization(trivs, field: CocycleField) -> Trivialization:
     """Repair charts to be exactly compatible with projected transitions.
 
     Each chart value is replaced by the weighted circular mean of all
     supporting charts' values transported through the projected
     transitions.  Because the transitions are exactly multiplicative and
     the mean is isometry-equivariant, the new charts satisfy the
-    compatibility identity on every overlap.
-
-    Raises
-    ------
-    DiameterTooLarge
-        Re-raised with the sample and chart attached when transported
-        values spread over half a circle.
+    compatibility identity on every overlap.  ``DiameterTooLarge`` names
+    the sample and chart whose transported values spread over half a circle.
     """
-    charts: dict = {}
-    for j in trivs.sets():
-        ids = trivs.chart(j).ids.tolist()
-        new = []
-        for s in ids:
-            supp, w = rho.row(s)
-            vals, _ = trivs.at(s, supp)
-            new.append(_chart_mean(vals, s, j, supp, w, field.values[s]))
-        charts[j] = (ids, new)
-    return Trivialization(charts)
+    means = _chart_means(trivs, field.groups, field.turn, field.sign)
+    sets = np.concatenate([g.sets.reshape(-1) for g in field.groups])
+    ids = np.concatenate([np.repeat(g.ids, g.sets.shape[1]) for g in field.groups])
+    pts = np.concatenate([mean.reshape(-1, 2) for mean in means])
+    return Trivialization({j: (ids[sets == j], pts[sets == j]) for j in trivs.sets()})
 
 
 # ---------------------------------------------------------------------------
@@ -572,44 +586,37 @@ def stiefel_reduce(frames: FrameField, d: int) -> FrameField:
     for the external Stiefel-coordinates algorithm; the result carries
     method "psc-substitute" and per-frame projection errors.
 
-    Raises
-    ------
-    RankDeficient
-        A truncated frame collapses below the rank guard.
+    The basis is fixed only up to a rotation inside each pair of equal
+    eigenvalues.  Witnesses without a reflecting edge (lens spaces, the
+    torus) give second-moment eigenvalues in exact pairs, and which
+    orthonormal pair spans such a plane is decided by rounding.  A cut
+    at ``d`` inside a pair, (lambda_d - lambda_{d+1}) <= 1e-9 lambda_1,
+    keeps an arbitrary line of that plane; a warning is logged.
+    ``RankDeficient`` names the first frame that collapses.
     """
     if d < 2 or d > frames.dim:
         raise ValueError(f"need 2 <= d <= {frames.dim}, got {d}")
-    basis = frames.principal_basis()[:, :d]
+    vals, vecs = frames.principal_basis()
+    if d < frames.dim and vals[d - 1] - vals[d] <= PAIR_GAP * vals[0]:
+        log.warning(
+            "reduction to dimension %d cuts inside a pair of equal moment eigenvalues "
+            "(%.6g, %.6g); the kept direction of that plane is fixed only by rounding",
+            d,
+            vals[d - 1],
+            vals[d],
+        )
+    basis = vecs[:, :d]
     # deterministic sign: the largest-magnitude entry of each direction is positive
     for c in range(d):
         col = basis[:, c]
         lead = int(np.argmax(np.abs(col)))
         if col[lead] < 0:
             basis[:, c] = -col
-    reduced: dict = {}
-    errors: dict = {}
-    for s, mats in frames.frames.items():
-        proj = basis[frames.rows(s)].T
-        out = {}
-        for j, mat in mats.items():
-            y = proj @ mat
-            errors[(s, j)] = math.sqrt(max(0.0, 2.0 - float(np.sum(y * y))))
-            try:
-                inv_root, _ = _inv_sqrt_gram(y)
-            except RankDeficient as exc:
-                raise RankDeficient(
-                    f"sample {s}, set {j}: frame collapses at dimension {d}: {exc}"
-                ) from exc
-            out[j] = y @ inv_root
-        reduced[s] = out
-    return FrameField(
-        frames=reduced,
-        sets=frames.sets,
-        dim=d,
-        support=None,
-        method="psc-substitute",
-        errors=errors,
-    )
+    ys = [basis[frames.rows(g)].swapaxes(-1, -2)[:, None] @ f for g, f in enumerate(frames.frames)]
+    where = f"sample {{s}}, set {{j}}: frame collapses at dimension {d}"
+    errors = [np.sqrt(np.maximum(0.0, 2.0 - np.sum(y * y, axis=(-2, -1)))) for y in ys]
+    reduced = _by_group(frames.groups, _polar, where, ys)
+    return FrameField(frames.groups, reduced, d, False, "psc-substitute", errors)
 
 
 def reduction_curve(frames: FrameField, dims=None) -> list:
@@ -617,24 +624,23 @@ def reduction_curve(frames: FrameField, dims=None) -> list:
 
     Returns ``(d, mean_error, max_error)`` rows without recomputing the
     principal basis per dimension: each frame's squared coefficients
-    against the full basis are accumulated once.
+    against the full basis are accumulated once, a block of samples at a
+    time, and the means add the frames in (sample, set) order.
     """
-    vecs = frames.principal_basis()
-    sq = []
-    for s, mats in frames.frames.items():
-        proj = vecs[frames.rows(s)].T
-        for mat in mats.values():
-            y = proj @ mat
-            sq.append(np.sum(y * y, axis=1))
-    sq = np.stack(sq)  # (frames, dim) squared coefficients per direction
-    tail = 2.0 - np.cumsum(sq, axis=1)
-    if dims is None:
-        dims = range(2, frames.dim + 1)
-    rows = []
-    for d in dims:
-        errs = np.sqrt(np.clip(tail[:, d - 1], 0.0, None))
-        rows.append((int(d), float(errs.mean()), float(errs.max())))
-    return rows
+    _, vecs = frames.principal_basis()
+    dims = list(range(2, frames.dim + 1) if dims is None else dims)
+    cut = np.array(dims, dtype=int) - 1
+    errs, keys = [], []
+    for g, f in enumerate(frames.frames):
+        rows = frames.rows(g)
+        step = max(1, _BLOCK // max(f[0].size * frames.dim, 1))
+        for lo in range(0, len(f), step):
+            y = vecs[rows[lo : lo + step]].swapaxes(-1, -2)[:, None] @ f[lo : lo + step]
+            tail = 2.0 - np.cumsum(np.sum(y * y, axis=-1), axis=-1)
+            errs.append(np.sqrt(np.clip(tail[..., cut], 0.0, None)).reshape(-1, len(cut)).T)
+        keys.append(np.repeat(frames.groups[g].rows, f.shape[1]))
+    errs = np.concatenate(errs, axis=1)[:, np.argsort(np.concatenate(keys), kind="stable")]
+    return [(int(d), float(e.mean()), float(e.max())) for d, e in zip(dims, errs)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +654,7 @@ class BundleMapResult:
     ``vectors[s]`` is a unit vector in the plane of the sample's
     projector; the residuals record how far chart disagreement,
     plane membership, and isometry rounding actually strayed.
+    ``reduction_errors`` holds the reduction's per-frame errors.
     """
 
     vectors: dict
@@ -657,7 +664,7 @@ class BundleMapResult:
     overlap_residual: float
     plane_residual: float
     ortho_residual: float
-    reduction_errors: dict
+    reduction_errors: np.ndarray
 
 
 def bundle_map(
@@ -679,23 +686,23 @@ def bundle_map(
     EigengapTooSmall, RankDeficient, DiameterTooLarge
         Re-raised with the offending sample attached.
     """
-    samples = sorted(rho.weights)
-    red = stiefel_reduce(frame_field(omega, rho, samples), d)
+    red = stiefel_reduce(frame_field(omega, rho), d)
+    groups = red.groups
+    avg, fixed, pairs = _project(red)
+    turns, signs, orthos = zip(*pairs)
+    means = _chart_means(trivs, groups, turns, signs)
     vectors = {}
-    overlap_residual = plane_residual = ortho_residual = 0.0
-    for s in samples:
-        supp, w = rho.row(s)
-        p, fixed, pairs, ortho = _project_point(s, supp, w, red.frames[s])
-        vals, _ = trivs.at(s, supp)
-        outputs = {j: fixed[j] @ _chart_mean(vals, s, j, supp, w, pairs) for j in supp}
-        v = outputs[min(supp, key=lambda j: (-rho.weight(s, j), j))]
-        for a_i, j in enumerate(supp):
-            for k in supp[a_i + 1 :]:
-                gap = np.linalg.norm(outputs[j] - outputs[k])
-                overlap_residual = max(overlap_residual, float(gap))
-        vectors[s] = v
-        plane_residual = max(plane_residual, float(np.linalg.norm(v - p @ v)))
-        ortho_residual = max(ortho_residual, ortho)
+    overlap_residual = plane_residual = 0.0
+    for g, (_, p, _), u, mean in zip(groups, avg, fixed, means):
+        outputs = (u @ mean[..., None])[..., 0]  # (n, m, d): the mean in each chart's frame
+        # the heaviest supporting set, the lowest id among ties
+        v = outputs[np.arange(len(g.ids)), np.argmax(g.weights, axis=1)]
+        for a, b in combinations(range(outputs.shape[1]), 2):
+            gaps = np.linalg.norm(outputs[:, a] - outputs[:, b], axis=-1)
+            overlap_residual = max(overlap_residual, float(gaps.max()))
+        off = np.linalg.norm(v - (p @ v[..., None])[..., 0], axis=-1)
+        plane_residual = max(plane_residual, float(off.max()))
+        vectors.update(zip(g.ids.tolist(), v))
     return BundleMapResult(
         vectors=vectors,
         dim=d,
@@ -703,8 +710,8 @@ def bundle_map(
         method=red.method,
         overlap_residual=overlap_residual,
         plane_residual=plane_residual,
-        ortho_residual=ortho_residual,
-        reduction_errors=red.errors,
+        ortho_residual=max((float(o.max()) for o in orthos), default=0.0),
+        reduction_errors=np.concatenate([e.reshape(-1) for e in red.errors]),
     )
 
 
@@ -748,6 +755,8 @@ def global_trivialize(
     BracketAmbiguous
         A lift coboundary sits too close to a half-integer to round
         (raised by ``euler_cochain``).
+    DiameterTooLarge
+        Names the first sample whose rotated chart values spread over half a circle.
     """
     nerve = omega.nerve
     verts = [v[0] for v in nerve.vertices]
@@ -778,46 +787,31 @@ def global_trivialize(
             "euler", "the integer class is not a coboundary; the bundle twists"
         )
     beta = {e: int(v) for e, v in zip(d2.rows, beta_vec)}
-    # per edge: the rotation lift less its winding correction
-    shift = {e: classes.lift.values[e] - beta[e] for e in edges}
-
-    def shift_at(j, k):
-        if j == k:
-            return 0.0
-        return shift[(j, k)] if j < k else -shift[(k, j)]
+    # per ordered pair (k, j): the rotation lift less its winding correction
+    shift = {(j, j): 0.0 for j in rho.sets}
+    for e in edges:
+        shift[e] = classes.lift.values[e] - beta[e]
+        shift[e[::-1]] = -shift[e]
+    shifts = _pair_rows(rho.groups, rho.sets, shift, "lift")
+    flip = np.array([phi[j] < 0 for j in rho.sets])
 
     # rotate each chart by its weighted lift difference, then average
+    pts, residual = [], 0.0
+    for g, sh in zip(rho.groups, shifts):
+        _, turns = trivs.at(g.ids[:, None], g.sets)
+        mu = 0.0
+        for b in range(sh.shape[1]):
+            mu = mu + g.weights[:, b, None] * sh[:, b, :]
+        t = TWO_PI * ((np.where(flip[g.slots], -turns, turns) + mu) % 1.0)
+        xy = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        for a, b in combinations(range(xy.shape[1]), 2):
+            residual = max(residual, float(np.linalg.norm(xy[:, a] - xy[:, b], axis=-1).max()))
+        pts.append(xy)
+    means = _by_group(rho.groups, karcher_mean, "sample {s}", pts, [g.weights for g in rho.groups])
     angles = {}
-    bases = {}
-    residual = 0.0
-    for s in sorted(rho.weights):
-        supp, w = rho.row(s)
-        _, turns = trivs.at(s, supp)
-        pts = []
-        for j, turn in zip(supp, turns):
-            if phi[j] < 0:
-                turn = -turn
-            mu = sum(rho.weight(s, k) * shift_at(k, j) for k in supp)
-            pts.append((turn + mu) % 1.0)
-        pts_xy = np.stack(
-            [
-                np.array(
-                    [math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)]
-                )
-                for t in pts
-            ]
-        )
-        for a_i in range(len(pts)):
-            for b_i in range(a_i + 1, len(pts)):
-                residual = max(
-                    residual, float(np.linalg.norm(pts_xy[a_i] - pts_xy[b_i]))
-                )
-        try:
-            mean = karcher_mean(pts_xy, w)
-        except DiameterTooLarge as exc:
-            raise DiameterTooLarge(f"sample {s}: {exc}") from exc
-        angles[s] = float(s1_angle(mean[None, :])[0])
-        bases[s] = dataset.base_of(s)
+    for g, mean in zip(rho.groups, means):
+        angles.update(zip(g.ids.tolist(), s1_angle(mean).tolist()))
+    bases = {s: dataset.base_of(s) for s in rho.ids.tolist()}
     return GlobalTrivialization(
         base=bases, angle=angles, phi=phi, beta=beta, residual=residual
     )

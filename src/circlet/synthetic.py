@@ -324,8 +324,7 @@ def _cover_trimmed(dataset: BundleDataset, n_sets: int, radius: float | None):
                     members[b] -= shared
                     clipped.add(b)
                     changed = True
-    if any(not members[j] for j in ids):
-        raise NotACover("a cover set lost all samples to overlap trimming")
+    _check_trimmed(cover, members, len(dataset))
     return [
         CoverSet(
             id=cs.id,
@@ -449,6 +448,17 @@ def gen_rp2_bundle(
     return _bundle(f"rp2({p})", dataset, cover, tables, noise, seed, False, p)
 
 
+def _check_trimmed(cover, members: dict, n_samples: int):
+    """Raise ``NotACover`` naming the first cover set that trimming emptied."""
+    for cs in sorted(cover, key=lambda c: c.id):
+        if not members[cs.id]:
+            raise NotACover(
+                f"overlap trimming emptied cover set {cs.id}, which held "
+                f"{len(cs.members)} samples before trimming; {n_samples} samples "
+                f"over {len(cover)} sets leave overlaps too thin, try fewer --sets"
+            )
+
+
 def gen_disconnected_fiber(
     p: int = 5,
     n_samples: int = 6000,
@@ -525,8 +535,7 @@ def gen_disconnected_fiber(
                 members[b] -= shared
                 clipped.add(b)
                 changed = True
-    if any(not members[j] for j in order):
-        raise NotACover("a cover set lost all samples to overlap trimming")
+    _check_trimmed(cover, members, len(dataset))
     cover = [
         CoverSet(
             id=cs.id,

@@ -113,16 +113,27 @@ class Trivialization:
             rows = [r[here] for r in rows] + [there]
         return ids, rows
 
-    def at(self, s, sets):
-        """Points and angles of sample ``s`` in the charts ``sets``, one each."""
-        pts, turns = [], []
-        for j in sets:
-            c = self._charts[j]
-            r = c.ids.searchsorted(s)
-            if r == len(c.ids) or c.ids[r] != s:
-                raise KeyError(f"chart {j} has no sample {s}")
-            pts.append(c.points[r])
-            turns.append(float(c.turns[r]))
+    def at(self, samples, sets):
+        """Points and angles of samples in charts, elementwise.
+
+        ``samples`` and ``sets`` broadcast against each other: ``at(s, [j, k])``
+        gives sample ``s`` in charts ``j`` and ``k``, and an ``(n, 1)`` column
+        of samples against ``(n, m)`` set ids gives every sample in each of
+        its sets.  Returns points ``(..., 2)`` and turns ``(...)``.
+        """
+        samples, sets = np.broadcast_arrays(np.asarray(samples, dtype=np.int64), sets)
+        pts = np.empty(samples.shape + (2,))
+        turns = np.empty(samples.shape)
+        for j in np.unique(sets):
+            here = sets == j
+            c = self._charts[j.item()]
+            want = samples[here]
+            r = np.minimum(c.ids.searchsorted(want), max(len(c.ids) - 1, 0))
+            miss = c.ids[r] != want if len(c.ids) else np.ones(len(want), bool)
+            if miss.any():
+                raise KeyError(f"chart {j} has no sample {want[miss][0]}")
+            pts[here] = c.points[r]
+            turns[here] = c.turns[r]
         return pts, turns
 
     def restrict(self, domains: dict) -> "Trivialization":

@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 
+from circlet.circle import O2
+from circlet.projection import PartitionOfUnity
+
 
 def gap_scan_arc(angles, resolution: int = 200_000):
     """Shortest enclosing arc by scanning candidate start points.
@@ -253,3 +256,210 @@ def integer_kernel_via_rationals(A):
                 M[i] = [x - f * y for x, y in zip(M[i], M[r])]
         r += 1
     return r, cols - r
+
+
+# ---------------------------------------------------------------------------
+# per-sample projection loops
+#
+# The projection pipeline used to run one sample at a time; these loops are
+# that code, kept as references.  The partition weights and the frame
+# moment must match them bit for bit: the moment's eigenvalues come in
+# exact pairs for witnesses without reflections, so its principal basis is
+# fixed only by rounding and any change of summation order moves it.
+
+
+def loop_partition_weights(cover, dataset):
+    """Partition-of-unity rows ``{sample: {set: weight}}``, one (sample, set) at a time.
+
+    Tent weights (radius minus geodesic distance, clipped at zero) are
+    summed in cover order and normalized; covers without geometry get
+    membership indicators.
+    """
+    cover = list(cover)
+    parametric = dataset.kind != "abstract" and all(
+        c.center is not None and c.radius is not None for c in cover
+    )
+    holders = {s: [] for s in dataset.ids}
+    for c in cover:
+        for s in c.members:
+            holders[s].append(c)
+    rows = {}
+    for i, s in enumerate(dataset.ids):
+        sets_here = holders[s]
+        if parametric:
+            row = {}
+            for c in sets_here:
+                dot = np.atleast_2d(dataset.base[i]) @ c.center
+                if dataset.kind == "projective_plane":
+                    dot = np.abs(dot)
+                d = float(np.arccos(np.clip(dot, -1.0, 1.0))[0])
+                row[c.id] = max(0.0, c.radius - d)
+            total = sum(row.values())
+            if total <= 0.0:
+                row = {c.id: 1.0 for c in sets_here}
+                total = float(len(sets_here))
+        else:
+            row = {c.id: 1.0 for c in sets_here}
+            total = float(len(sets_here))
+        rows[s] = {j: w / total for j, w in row.items() if w > 0.0}
+    return rows
+
+
+def partition_from_rows(rows, sets, mode):
+    """A ``PartitionOfUnity`` holding ``{sample: {set: weight}}`` rows."""
+    sets = tuple(sorted(sets))
+    ids = sorted(rows)
+    supp = [sorted(rows[s]) for s in ids]
+    return PartitionOfUnity(
+        ids=np.array(ids, dtype=np.int64),
+        indptr=np.cumsum([0] + [len(x) for x in supp]),
+        slots=np.array([sets.index(j) for x in supp for j in x], dtype=np.int64),
+        weights=np.array([rows[s][j] for s, x in zip(ids, supp) for j in x], dtype=float),
+        sets=sets,
+        mode=mode,
+    )
+
+
+def _o2_at(values, j, k):
+    """Isometry on an ordered pair from values kept on ascending pairs."""
+    if j == k:
+        return O2(0.0, 1)
+    if j < k:
+        return values[(j, k)]
+    return values[(k, j)].inverse()
+
+
+def loop_frames(values, rows, sets):
+    """Restricted witness frames, ``sample -> (support, weights, {set: frame}, ambient rows)``."""
+    slot = {j: i for i, j in enumerate(sorted(sets))}
+    out = {}
+    for s in sorted(rows):
+        supp = sorted(rows[s])
+        w = np.array([rows[s][j] for j in supp])
+        roots = np.sqrt(w)
+        frames = {}
+        for j in supp:
+            mat = np.empty((2 * len(supp), 2))
+            for r, i in enumerate(supp):
+                mat[2 * r : 2 * r + 2, :] = roots[r] * _o2_at(values, i, j).matrix
+            frames[j] = mat
+        amb = np.array([x for i in supp for x in (2 * slot[i], 2 * slot[i] + 1)], dtype=int)
+        out[s] = (supp, w, frames, amb)
+    return out
+
+
+def loop_moment(frames, dim):
+    """Second-moment matrix of all frame columns, scattered frame by frame."""
+    moment = np.zeros((dim, dim))
+    for _, _, mats, amb in frames.values():
+        block = np.ix_(amb, amb)
+        for mat in mats.values():
+            moment[block] += mat @ mat.T
+    return moment
+
+
+def _loop_polar(b):
+    vals, vecs = np.linalg.eigh(b.T @ b)
+    return b @ (vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T)
+
+
+def _loop_round(m):
+    """Nearest circle isometry to a 2x2 matrix, with the Frobenius gap."""
+    if m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] >= 0:
+        om = O2(math.atan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1]) / (2.0 * math.pi), 1)
+    else:
+        om = O2(math.atan2(m[1, 0] + m[0, 1], m[0, 0] - m[1, 1]) / (2.0 * math.pi), -1)
+    return om, float(np.linalg.norm(m - om.matrix))
+
+
+def _loop_karcher(pts, w):
+    """Closed-form weighted circular mean of points within a half circle."""
+    ang = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * math.pi) % 1.0
+    center = float(ang[0])
+    rel = []
+    for t in ang:
+        r = (t - center) % 1.0
+        rel.append(r if r <= 0.5 else r - 1.0)
+    t = ((center + float(np.dot(w, rel))) % 1.0) * 2.0 * math.pi
+    return np.array([np.cos(t), np.sin(t)])
+
+
+def _chart_value(trivs, j, s):
+    c = trivs.chart(j)
+    r = int(c.ids.searchsorted(s))
+    return c.points[r], float(c.turns[r])
+
+
+def loop_bundle_map(trivs, values, rows, sets, d):
+    """Frame-bundle coordinates, one sample at a time.
+
+    Returns ``(vectors, overlap_residual, plane_residual, ortho_residual)``
+    for valid inputs (no guard is checked).
+    """
+    frames = loop_frames(values, rows, sets)
+    _, vecs = np.linalg.eigh(loop_moment(frames, 2 * len(sets)))
+    basis = vecs[:, ::-1][:, :d]
+    for c in range(d):
+        col = basis[:, c]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            basis[:, c] = -col
+    vectors = {}
+    overlap = plane = ortho = 0.0
+    for s, (supp, w, mats, amb) in frames.items():
+        proj = basis[amb].T
+        red = {j: _loop_polar(proj @ mat) for j, mat in mats.items()}
+        tilde = np.zeros((d, d))
+        for wj, f in zip(w, red.values()):
+            tilde += wj * (f @ f.T)
+        top = np.linalg.eigh(tilde)[1][:, ::-1][:, :2]
+        p = top @ top.T
+        fixed = {j: _loop_polar(p @ red[j]) for j in supp}
+        pairs = {}
+        for a, j in enumerate(supp):
+            for k in supp[a + 1 :]:
+                pairs[(j, k)], resid = _loop_round(fixed[j].T @ fixed[k])
+                ortho = max(ortho, resid)
+        here = [_chart_value(trivs, j, s)[0] for j in supp]
+        outputs = {}
+        for j in supp:
+            pts = np.stack([v @ _o2_at(pairs, j, k).matrix.T for k, v in zip(supp, here)])
+            outputs[j] = fixed[j] @ _loop_karcher(pts, w)
+        v = outputs[min(supp, key=lambda j: (-rows[s][j], j))]
+        for a, j in enumerate(supp):
+            for k in supp[a + 1 :]:
+                overlap = max(overlap, float(np.linalg.norm(outputs[j] - outputs[k])))
+        vectors[s] = v
+        plane = max(plane, float(np.linalg.norm(v - p @ v)))
+    return vectors, overlap, plane, ortho
+
+
+def loop_global_angles(trivs, rows, phi, shift):
+    """Global fiber angles, one sample at a time, and the worst chart disagreement.
+
+    ``phi`` is the per-set reflection fix and ``shift`` the per-edge
+    rotation lift less its winding correction, on ascending edges.
+    """
+
+    def shift_at(j, k):
+        if j == k:
+            return 0.0
+        return shift[(j, k)] if j < k else -shift[(k, j)]
+
+    angles = {}
+    residual = 0.0
+    for s in sorted(rows):
+        supp = sorted(rows[s])
+        pts = []
+        for j in supp:
+            turn = _chart_value(trivs, j, s)[1]
+            if phi[j] < 0:
+                turn = -turn
+            mu = sum(rows[s][k] * shift_at(k, j) for k in supp)
+            pts.append((turn + mu) % 1.0)
+        xy = np.array([[math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)] for t in pts])
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                residual = max(residual, float(np.linalg.norm(xy[a] - xy[b])))
+        mean = _loop_karcher(xy, np.array([rows[s][j] for j in supp]))
+        angles[s] = float(np.arctan2(mean[1], mean[0]) / (2.0 * math.pi) % 1.0)
+    return angles, residual

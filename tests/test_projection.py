@@ -6,6 +6,7 @@ the paper-derived constants (9 epsilon, sqrt(2) epsilon) are asserted
 as stated.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from circlet.projection import (
     BundleMapResult,
     CocycleField,
     FrameField,
-    PartitionOfUnity,
+    SupportGroup,
     bundle_map,
     classifying_map,
     frame_field,
@@ -42,6 +43,8 @@ from circlet.projection import (
 )
 from circlet.synthetic import gen_lens_bundle, gen_s1_bundle, make_cover
 from circlet.witness import Trivialization, assemble_witness, triv_distance, triv_quality
+
+from oracles import partition_from_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,10 +116,8 @@ def degenerate_triangle():
             2: [(0, 1, 2)],
         }
     )
-    rho = PartitionOfUnity(
-        weights={7: {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}},
-        sets=(0, 1, 2),
-        mode="indicator",
+    rho = partition_from_rows(
+        {7: {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}}, sets=(0, 1, 2), mode="indicator"
     )
     # maximally inconsistent triangle: the averaged frames tie
     om = Cochain(
@@ -128,14 +129,23 @@ def degenerate_triangle():
     return om, rho
 
 
-def compat_residual(trivs, field, nerve):
+def row_of(rho, s):
+    """Supporting set ids of sample ``s``, ascending, and their weights."""
+    i = int(np.searchsorted(rho.ids, s))
+    assert rho.ids[i] == s
+    lo, hi = rho.indptr[i], rho.indptr[i + 1]
+    return [rho.sets[k] for k in rho.slots[lo:hi]], rho.weights[lo:hi]
+
+
+def compat_residual(trivs, field):
+    """Worst gap between a chart value and a field transition applied to another chart."""
     worst = 0.0
-    for j, k in nerve.edges:
-        ids_j, ids_k = trivs.chart(j).ids.tolist(), trivs.chart(k).ids.tolist()
-        for s in sorted(set(ids_j) & set(ids_k)):
-            (lhs, pk), _ = trivs.at(s, [j, k])
-            rhs = o2_apply(field.at(s, j, k), pk)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    for g, turn, sign in zip(field.groups, field.turn, field.sign):
+        for i, s in enumerate(g.ids):
+            for a, b in itertools.combinations(range(g.sets.shape[1]), 2):
+                (lhs, pk), _ = trivs.at(s, [g.sets[i, a], g.sets[i, b]])
+                rhs = o2_apply(O2(float(turn[i, a, b]), int(sign[i, a, b])), pk)
+                worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
 
@@ -148,17 +158,17 @@ class TestPartitionOfUnity:
             for s in c.members:
                 member_of[s].add(c.id)
         for s in ds.ids:
-            row = rho.weights[s]
-            assert abs(sum(row.values()) - 1.0) <= 1e-12
-            assert all(w > 0 for w in row.values())
-            assert set(row) <= member_of[s]
+            supp, w = row_of(rho, s)
+            assert abs(sum(w) - 1.0) <= 1e-12
+            assert all(w > 0)
+            assert set(supp) <= member_of[s]
 
     def test_single_holder_gets_weight_one(self, torus):
         ds, _, _, _, _, rho = torus
-        solo = [s for s in ds.ids if len(rho.weights[s]) == 1]
+        solo = [s for s in ds.ids if len(row_of(rho, s)[0]) == 1]
         assert solo  # arcs overlap only pairwise, interiors are single-held
         for s in solo[:20]:
-            (w,) = rho.weights[s].values()
+            (w,) = row_of(rho, s)[1]
             assert w == 1.0
 
     def test_equidistant_equal_arcs_split_evenly(self):
@@ -169,19 +179,18 @@ class TestPartitionOfUnity:
             CoverSet(1, {0}, center=np.array([c[0], -c[1]]), radius=0.5),
         ]
         rho = partition_of_unity(cover, ds)
-        assert rho.weights[0][0] == pytest.approx(0.5, abs=1e-12)
-        assert rho.weights[0][1] == pytest.approx(0.5, abs=1e-12)
+        assert row_of(rho, 0)[0] == [0, 1]
+        assert row_of(rho, 0)[1][0] == pytest.approx(0.5, abs=1e-12)
+        assert row_of(rho, 0)[1][1] == pytest.approx(0.5, abs=1e-12)
 
     def test_indicator_mode_without_geometry(self, torus):
         ds, cover, _, _, _, _ = torus
         bare = [CoverSet(c.id, c.members) for c in cover]
         rho = partition_of_unity(bare, ds)
         assert rho.mode == "indicator"
-        two = [s for s in ds.ids if len(rho.weights[s]) == 2]
+        two = [s for s in ds.ids if len(row_of(rho, s)[0]) == 2]
         assert two
-        assert all(
-            w == pytest.approx(0.5) for s in two[:10] for w in rho.weights[s].values()
-        )
+        assert all(w == pytest.approx(0.5) for s in two[:10] for w in row_of(rho, s)[1])
 
     def test_uncovered_sample_raises(self):
         ds = BundleDataset(
@@ -205,13 +214,13 @@ class TestPartitionOfUnity:
             for i, s in enumerate(ds.ids):
                 if dist[i] < c.radius and s not in c.members:
                     masked += 1
-                    assert c.id not in rho.weights[s]
+                    assert c.id not in row_of(rho, s)[0]
         assert masked > 0
 
     def test_ambient_counts_two_rows_per_set(self, torus):
         _, _, _, _, _, rho = torus
         assert rho.ambient == 24
-        assert rho.slot(rho.sets[0]) == 0
+        assert rho.sets[0] == min(rho.sets)
 
 
 class TestGrProject:
@@ -309,23 +318,24 @@ class TestFrameField:
     def test_columns_orthonormal(self, lens):
         ds, _, trivs, nerve, rho = lens
         wit = assemble_witness(trivs, nerve)
-        ff = frame_field(wit, rho, samples=sorted(rho.weights)[:50])
-        for s, mats in ff.frames.items():
-            for j, mat in mats.items():
-                assert np.allclose(mat.T @ mat, np.eye(2), atol=1e-10)
+        ff = frame_field(wit, rho, samples=rho.ids[:50])
+        assert sum(len(g.ids) for g in ff.groups) == 50
+        for f in ff.frames:
+            assert np.allclose(f.swapaxes(-1, -2) @ f, np.eye(2), atol=1e-10)
 
     def test_dense_embedding_places_blocks(self, torus):
         _, _, _, _, wit, rho = torus
-        s = sorted(rho.weights)[0]
+        s = rho.ids[0]
         ff = frame_field(wit, rho, samples=[s])
-        j = ff.support[s][0]
-        rows = ff.rows(s)
+        (group,) = ff.groups
+        support = group.sets[0].tolist()
+        rows = ff.rows(0)[0]
         assert rows.tolist() == [
-            r for i in ff.support[s] for r in (2 * rho.slot(i), 2 * rho.slot(i) + 1)
+            r for i in support for r in (2 * rho.sets.index(i), 2 * rho.sets.index(i) + 1)
         ]
         dense = np.zeros((rho.ambient, 2))
-        dense[rows] = ff.frames[s][j]
-        hot = {rho.slot(i) for i in ff.support[s]}
+        dense[rows] = ff.frames[0][0, 0]
+        hot = {rho.sets.index(i) for i in support}
         for slot in range(len(rho.sets)):
             block = dense[2 * slot : 2 * slot + 2, :]
             if slot in hot:
@@ -347,7 +357,7 @@ class TestClassifyingMap:
         _, _, _, _, wit, rho = torus
         pf = classifying_map(wit, rho)
         assert pf.distance <= 1e-12
-        assert min(pf.gap.values()) > 0.99
+        assert min(g.min() for g in pf.gap) > 0.99
 
     def test_single_set_point_already_projector(self, torus):
         ds, _, _, _, _, _ = torus
@@ -357,7 +367,7 @@ class TestClassifyingMap:
         wit1 = Cochain(nerve1, 1, "O2", {})
         pf = classifying_map(wit1, rho1)
         assert pf.distance <= 1e-12
-        assert min(pf.gap.values()) > 0.99
+        assert min(g.min() for g in pf.gap) > 0.99
 
     def test_defective_cocycle_within_sqrt2_epsilon(self, lens, defect_apparatus):
         _, _, _, _, rho = lens
@@ -402,7 +412,7 @@ class TestProjectCocycle:
         _, _, _, _, rho = lens
         _, with_defect = defect_apparatus
         w = with_defect(0.4)  # above sqrt(2)/4
-        some = sorted(rho.weights)[:5]
+        some = rho.ids[:5]
         with caplog.at_level("WARNING", logger="circlet.projection"):
             project_cocycle(w, rho, samples=some)
         assert any("sqrt(2)/4" in r.message for r in caplog.records)
@@ -412,21 +422,21 @@ class TestProjectTrivialization:
     def test_exact_charts_unchanged(self, torus):
         _, _, trivs, nerve, wit, rho = torus
         cf = project_cocycle(wit, rho)
-        new = project_trivialization(trivs, cf, rho)
+        new = project_trivialization(trivs, cf)
         assert triv_distance(trivs, new) <= 1e-12
-        assert compat_residual(new, cf, nerve) <= 1e-9
+        assert compat_residual(new, cf) <= 1e-9
 
     def test_noisy_charts_become_exactly_compatible(self, noisy_torus):
         _, _, trivs, nerve, wit, rho = noisy_torus
         cf = project_cocycle(wit, rho)
-        new = project_trivialization(trivs, cf, rho)
-        assert compat_residual(new, cf, nerve) <= 1e-9
+        new = project_trivialization(trivs, cf)
+        assert compat_residual(new, cf) <= 1e-9
 
     def test_distance_bounded_by_alpha_delta(self, noisy_torus):
         _, _, trivs, nerve, wit, rho = noisy_torus
         q = triv_quality(trivs, wit, nerve)
         cf = project_cocycle(wit, rho)
-        new = project_trivialization(trivs, cf, rho)
+        new = project_trivialization(trivs, cf)
         moved = triv_distance(trivs, new)
         assert moved <= q.alpha + cf.distance / SQRT2
         assert moved <= 0.2  # frozen: 0.139 measured at this seed and noise
@@ -444,22 +454,25 @@ class TestProjectTrivialization:
         wit3 = assemble_witness(trivs3, nerve3)
         rho3 = partition_of_unity(cover3, ds)
         cf = project_cocycle(wit3, rho3)
-        victim = next(s for s in sorted(cf.values) if len(cf.values[s]) == 3)
-        a = cf.values[victim][(0, 1)]
-        b = cf.values[victim][(0, 2)]
-        cf.values[victim][(0, 1)] = O2(a.turn + 1.0 / 3.0, a.sign)
-        cf.values[victim][(0, 2)] = O2(b.turn - 1.0 / 3.0, b.sign)
+        group, turn = next(
+            (g, t) for g, t in zip(cf.groups, cf.turn) if g.sets.shape[1] == 3
+        )
+        victim = group.ids[0]
+        # rotate the first three-set sample's transitions into set 0
+        turn[0, 0, 1] += 1.0 / 3.0
+        turn[0, 0, 2] -= 1.0 / 3.0
         with pytest.raises(DiameterTooLarge, match=f"sample {victim}"):
-            project_trivialization(trivs3, cf, rho3)
+            project_trivialization(trivs3, cf)
 
 
 class TestStiefelReduce:
-    def _field(self, frames_by_sample, dim, sets=None):
-        if sets is None:
-            sets = tuple(range(dim // 2))
-        return FrameField(
-            frames=frames_by_sample, sets=sets, dim=dim, support=None
-        )
+    def _field(self, frames_by_sample, dim):
+        # one dense frame per sample, as a single support group
+        ids = np.array(sorted(frames_by_sample))
+        one = np.zeros((len(ids), 1), dtype=int)
+        group = SupportGroup(np.arange(len(ids)), ids, one, one, np.ones((len(ids), 1)))
+        stack = np.stack([frames_by_sample[s][0] for s in ids])[:, None]
+        return FrameField(groups=[group], frames=[stack], dim=dim, restricted=False)
 
     def test_full_dimension_distinct_spectrum_is_identity(self):
         # column degrees 4,3,2,1 make the principal basis the standard one
@@ -478,9 +491,9 @@ class TestStiefelReduce:
         }
         red = stiefel_reduce(self._field(frames, 4), 4)
         assert red.method == "psc-substitute"
-        for s, mats in frames.items():
-            assert np.allclose(red.frames[s][0], mats[0], atol=1e-9)
-        assert max(red.errors.values()) <= 1e-9
+        for i, s in enumerate(sorted(frames)):
+            assert np.allclose(red.frames[0][i, 0], frames[s][0], atol=1e-9)
+        assert red.errors[0].max() <= 1e-9
 
     def test_fixed_subspace_projects_without_error(self):
         rng = np.random.default_rng(10)
@@ -491,9 +504,8 @@ class TestStiefelReduce:
             m[:4, :] = q[:, :2]
             frames[s] = {0: m}
         red = stiefel_reduce(self._field(frames, 8), 4)
-        assert max(red.errors.values()) <= 1e-9
-        for s in frames:
-            u = red.frames[s][0]
+        assert red.errors[0].max() <= 1e-9
+        for u in red.frames[0][:, 0]:
             assert np.allclose(u.T @ u, np.eye(2), atol=1e-10)
 
     def test_error_curve_monotone(self, lens, defect_apparatus):
@@ -512,14 +524,26 @@ class TestStiefelReduce:
         # max of the per-frame errors of the reduction to that dimension
         _, _, _, _, rho = lens
         _, with_defect = defect_apparatus
-        ff = frame_field(with_defect(0.1), rho, samples=sorted(rho.weights)[:400])
+        ff = frame_field(with_defect(0.1), rho, samples=rho.ids[:400])
         dims = [2, 3, 8, 33, 68]
         curve = reduction_curve(ff, dims=dims)
         assert [row[0] for row in curve] == dims
         for d, mean, worst in curve:
-            errs = np.array(list(stiefel_reduce(ff, d).errors.values()))
+            errs = np.concatenate([e.ravel() for e in stiefel_reduce(ff, d).errors])
             assert mean == pytest.approx(errs.mean(), abs=1e-6)
             assert worst == pytest.approx(errs.max(), abs=1e-6)
+
+    def test_cut_inside_eigenvalue_pair_warns(self, lens, caplog):
+        # an exact lens:1 witness has no reflections, so its moment
+        # eigenvalues pair up: 3 splits the second pair, 4 does not
+        _, _, trivs, nerve, rho = lens
+        ff = frame_field(assemble_witness(trivs, nerve), rho)
+        for d, warned in ((3, 1), (4, 0)):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="circlet.projection"):
+                stiefel_reduce(ff, d)
+            hits = [r for r in caplog.records if "inside a pair" in r.message]
+            assert len(hits) == warned
 
     def test_collapsed_frame_raises(self):
         def frame(a, b, dim=4):
@@ -536,7 +560,7 @@ class TestStiefelReduce:
 
     def test_dimension_bounds(self, torus):
         _, _, _, _, wit, rho = torus
-        ff = frame_field(wit, rho, samples=sorted(rho.weights)[:5])
+        ff = frame_field(wit, rho, samples=rho.ids[:5])
         with pytest.raises(ValueError):
             stiefel_reduce(ff, 1)
         with pytest.raises(ValueError):
@@ -564,7 +588,7 @@ class TestBundleMap:
     def test_full_dimension_reduction_lossless(self, torus):
         _, _, trivs, _, wit, rho = torus
         bm = bundle_map(trivs, wit, rho, d=24)
-        assert max(bm.reduction_errors.values()) <= 1e-6
+        assert bm.reduction_errors.max() <= 1e-6
         assert bm.overlap_residual <= 1e-8
 
     def test_single_set_reduces_to_frame_times_chart(self, torus):
@@ -601,7 +625,7 @@ class TestBundleMap:
         tables = {c.id: {s: ang[s] for s in c.members} for c in cover3}
         wit3 = assemble_witness(Trivialization.from_turns(tables), nerve3)
         rho3 = partition_of_unity(cover3, ds)
-        victim = next(s for s in sorted(rho3.weights) if len(rho3.support(s)) == 3)
+        victim = next(s for s in rho3.ids.tolist() if len(row_of(rho3, s)[0]) == 3)
         # the exact witness transports the victim's three chart values to
         # points a third of a turn apart
         tables[1][victim] += 1.0 / 3.0
@@ -651,10 +675,11 @@ class TestGlobalTrivialize:
         # base-continuous rotation: adjacent samples never jump far
         ds, _, trivs, _, wit, rho = torus
         sq = {}
-        for s, row in rho.weights.items():
-            tot = sum(v * v for v in row.values())
-            sq[s] = {j: v * v / tot for j, v in row.items()}
-        rho_sq = PartitionOfUnity(weights=sq, sets=rho.sets, mode="distance")
+        for s in rho.ids.tolist():
+            supp, w = row_of(rho, s)
+            tot = sum(v * v for v in w)
+            sq[s] = {j: v * v / tot for j, v in zip(supp, w)}
+        rho_sq = partition_from_rows(sq, rho.sets, mode="distance")
         g1 = global_trivialize(ds, trivs, wit, rho)
         g2 = global_trivialize(ds, trivs, wit, rho_sq)
         base_ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}

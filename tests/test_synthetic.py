@@ -391,6 +391,19 @@ class TestDisconnectedFiber:
         lifted = carry_charts(b.trivs, res)
         assert set(lifted.sets()) == {cs.id for cs in res.cover}
 
+    @pytest.mark.parametrize("split, seed", [(True, 3), (False, 0), (False, 5)])
+    def test_emptied_set_is_named(self, split, seed):
+        # at 1000 samples the default 36 sets leave overlaps so thin that
+        # trimming empties a set; the guard names it and suggests fewer sets
+        with pytest.raises(
+            NotACover,
+            match=r"emptied cover set \d+, which held \d+ samples before trimming; "
+            r"1000 samples over 36 sets .*try fewer --sets",
+        ):
+            gen_disconnected_fiber(1, n_samples=1000, seed=seed, split=split)
+        b = gen_disconnected_fiber(1, n_samples=1000, n_sets=30, seed=seed, split=split)
+        assert len(b.cover) == 30
+
     def test_scenario_records(self, disconnected1):
         s = disconnected1.scenario
         assert s.model == "disconnected(1)"
