@@ -27,8 +27,9 @@ from .classes import (
     euler_cochain,
     euler_number,
     fundamental_class_twisted,
+    orientation_anchor,
 )
-from .cochains import Cochain, cocycle_defect
+from .cochains import Cochain
 from .doublecover import connectivity_cocycle, unwrap_double_cover, carry_charts
 from .errors import (
     GuardError,
@@ -266,7 +267,6 @@ def _cmd_classes(args, run: _Run):
     with run.timed("classes"):
         result = euler_cochain(wit)
         swb = _sign_is_coboundary(result.sw)
-        defect = cocycle_defect(wit)
     with run.timed("write"):
         run.write(
             "classes.json",
@@ -277,7 +277,7 @@ def _cmd_classes(args, run: _Run):
                 result.lift,
                 result.bracket_margin,
                 swb,
-                defect,
+                result.cocycle_defect,
             ),
         )
     return {
@@ -296,6 +296,7 @@ def _cmd_euler(args, run: _Run):
     with run.timed("pairing"):
         mu = fundamental_class_twisted(parsed["nerve"], parsed["sw"])
         number = euler_number(parsed["euler"], mu)
+        anchor = orientation_anchor(parsed["nerve"], mu)
     with run.timed("write"):
         run.write(
             "euler.json",
@@ -304,7 +305,9 @@ def _cmd_euler(args, run: _Run):
                 "euler_number": number,
                 "magnitude": abs(number),
                 "sw_coboundary": parsed["sw_coboundary"],
+                # support of the collapsed-core representative
                 "fundamental_support": sum(1 for v in mu.values() if v != 0),
+                "euler_orientation": None if anchor is None else list(anchor),
             },
         )
     return {
@@ -432,6 +435,38 @@ def _default_dims(ambient: int) -> list[int]:
     return dims
 
 
+def _report_classes(wit: Cochain, nerve, report) -> dict:
+    """The classes block of report.json.
+
+    Keys stay null when a guard or obstruction stops the computation, and
+    ``reason`` names the error.  ``euler_orientation`` is the triangle
+    whose fundamental-cycle coefficient is positive; ``euler_cocycle``
+    says whether the rounded class vanishes on every tetrahedron, which
+    makes the pairing independent of the cycle's representative.
+    """
+    block = dict.fromkeys((
+        "sw_coboundary", "euler_number", "euler_orientation", "euler_cocycle",
+        "cocycle_defect", "defect_margin", "reason",
+    ))
+    try:
+        if report.sw.cobirth_index == len(nerve):
+            # the sign-cobirth stage is the whole nerve: reuse its classes
+            result = report.classes
+        else:
+            result = euler_cochain(wit)
+        block["sw_coboundary"] = _sign_is_coboundary(result.sw)
+        block["cocycle_defect"] = float(result.cocycle_defect)
+        block["defect_margin"] = float(result.defect_margin)
+        block["euler_cocycle"] = result.euler_is_cocycle()
+        mu = fundamental_class_twisted(nerve, result.sw)
+        block["euler_number"] = euler_number(result.euler, mu)
+        anchor = orientation_anchor(nerve, mu)
+        block["euler_orientation"] = None if anchor is None else list(anchor)
+    except (GuardError, NotASurface) as exc:
+        block["reason"] = {"error": type(exc).__name__, "message": str(exc)}
+    return block
+
+
 def _cmd_report(args, run: _Run):
     with run.timed("load"):
         ds, cover, trivs = _load_bundle(args)
@@ -445,18 +480,7 @@ def _cmd_report(args, run: _Run):
         nerve = filtration_order(simplex_weights(nerve, edge_means))
         report = persistence_report(wit, nerve)
     with run.timed("classes"):
-        classes_block: dict = {"sw_coboundary": None, "euler_number": None}
-        try:
-            if report.sw.cobirth_index == len(nerve):
-                # the sign-cobirth stage is the whole nerve: reuse its classes
-                result = report.classes
-            else:
-                result = euler_cochain(wit)
-            classes_block["sw_coboundary"] = _sign_is_coboundary(result.sw)
-            mu = fundamental_class_twisted(nerve, result.sw)
-            classes_block["euler_number"] = euler_number(result.euler, mu)
-        except (GuardError, NotASurface):
-            pass
+        classes_block = _report_classes(wit, nerve, report)
     with run.timed("reduction"):
         rho = partition_of_unity(cover, ds)
         ff = frame_field(wit, rho)

@@ -1,21 +1,25 @@
 """Exact integer and mod-2 linear algebra.
 
-Smith normal form with full transform tracking, integer and GF(2) linear
-solvers, and the twisted boundary matrices of a nerve.  All results are
-arbitrary-precision: the reduction runs on machine integers while it can
-prove no overflow is possible and transparently restarts on Python ints
-otherwise.  A boundary matrix is the transpose of the rows that
-``cochains.coboundary_rows``, the one statement of the sign convention,
-returns.
+Smith normal form with full transform tracking, sparse unit-pivot
+elimination, integer and GF(2) linear solvers, and the twisted boundary
+matrices of a nerve.  All results are arbitrary-precision: the Smith
+reduction runs on machine integers while it can prove no overflow is
+possible and transparently restarts on Python ints otherwise; the
+elimination runs on Python ints throughout.  A boundary matrix is the
+transpose of the rows that ``cochains.coboundary_rows``, the one
+statement of the sign convention, returns.
 
 Which solver serves which caller:
 
-* solvability probes (persistence codeath) use ``integer_solvable``,
-  sparse unit-pivot elimination that hands only a block without unit
-  pivots to the Smith form;
-* the twisted fundamental class and the winding solve of a global
-  trivialization need transforms or a particular solution, so they use
-  full-transform ``smith_normal_form`` and ``solve_integer``;
+* solvability probes (persistence codeath) use ``integer_solvable`` and
+  the twisted fundamental class uses ``integer_kernel``; both run the
+  one sparse unit-pivot elimination ``_unit_pivots`` and hand only a
+  block without unit pivots to the Smith form.  The fundamental class
+  also takes the Smith form of its small 3-boundary image in kernel
+  parameters;
+* the winding solve of a global trivialization needs a particular
+  solution, so it uses full-transform ``smith_normal_form`` through
+  ``solve_integer``;
 * sign classes (is it a coboundary, and of which vertex signs) use the
   parity union-find ``sign_potential``.  ``solve_gf2`` stays as the
   dense reference it is tested against.
@@ -256,16 +260,19 @@ def solve_gf2(A, b):
     return x
 
 
-def integer_solvable(rows: list[dict], rhs) -> bool:
-    """Does the sparse integer system ``rows @ x = rhs`` have a solution?
+def _unit_pivots(rows: list[dict], rhs) -> Optional[tuple[list, dict, dict]]:
+    """Eliminate the unit pivots of the sparse integer system ``rows @ x = rhs``.
 
-    Each row maps a column label to its nonzero integer coefficient.
-    Unit (+-1) pivots are eliminated first, on Python ints, sparsest row
-    first and within it the sparsest column: a unit pivot determines its
-    variable over the integers, so substituting it out leaves an
-    equivalent system.  Whatever has no unit pivot left goes to
-    ``solve_integer``, so torsion is decided exactly.  Tracks no
-    transforms and returns no solution.
+    Each row maps a column label to its integer coefficient.  Unit (+-1)
+    pivots go first by the sparsest row and within it the sparsest
+    column, on Python ints: a unit pivot determines its variable over the
+    integers, so substituting it out leaves an equivalent system.
+
+    Returns ``(pivots, live, b)``: the pivots in elimination order as
+    ``(column, unit, row)`` with the row as it stood when it was picked,
+    and the rows left without a unit pivot with their right sides, by
+    input position.  None when some row reduces to ``0 = b`` with ``b``
+    nonzero.  The input rows are left untouched.
     """
     if len(rows) != len(rhs):
         raise ValueError("right-hand side does not match the matrix")
@@ -276,7 +283,7 @@ def integer_solvable(rows: list[dict], rhs) -> bool:
         row = {c: int(v) for c, v in given.items() if v}
         if not row:
             if bi:
-                return False
+                return None
             continue
         live[i] = row
         b[i] = int(bi)
@@ -294,6 +301,7 @@ def integer_solvable(rows: list[dict], rhs) -> bool:
         if key is not None:
             heap.append((key, i))
     heapq.heapify(heap)
+    pivots = []
     while heap:
         key, i = heapq.heappop(heap)
         if i not in live:
@@ -308,6 +316,7 @@ def integer_solvable(rows: list[dict], rhs) -> bool:
         bi = b.pop(i)
         c = min((c for c, v in piv.items() if v in (1, -1)), key=lambda c: len(cols[c]))
         u = piv[c]
+        pivots.append((c, u, piv))
         for cc in piv:
             cols[cc].discard(i)
         for r in cols.pop(c):
@@ -326,18 +335,90 @@ def integer_solvable(rows: list[dict], rhs) -> bool:
             b[r] -= f * bi
             if not row:
                 if b[r]:
-                    return False
+                    return None
                 del live[r], b[r]
                 continue
             key = priority(r)
             if key is not None:
                 heapq.heappush(heap, (key, r))
+    return pivots, live, b
+
+
+def integer_solvable(rows: list[dict], rhs) -> bool:
+    """Does the sparse integer system ``rows @ x = rhs`` have a solution?
+
+    Each row maps a column label to its nonzero integer coefficient.
+    ``_unit_pivots`` substitutes out every unit pivot; whatever has no
+    unit pivot left goes to ``solve_integer``, so torsion is decided
+    exactly.  Tracks no transforms and returns no solution.
+    """
+    reduced = _unit_pivots(rows, rhs)
+    if reduced is None:
+        return False
+    _, live, b = reduced
     if not live:
         return True
     # no unit pivot left: decide the remaining block with Smith normal form
     labels = list(dict.fromkeys(c for row in live.values() for c in row))
     A = _dense_rows(list(live.values()), labels)
     return solve_integer(A, np.array([b[i] for i in live], dtype=object)) is not None
+
+
+@dataclass
+class IntegerKernel:
+    """Integer kernel of a sparse matrix, parametrized by free columns.
+
+    A kernel vector is fixed by its values on ``free`` (any integers) and
+    on ``block`` (the columns of the rows left without a unit pivot, in
+    the span of ``basis``); the unit pivots follow by back-substitution.
+    Its parameters are the free values followed by ``coords`` applied to
+    the block values.
+    """
+
+    free: list  # columns with no pivot and no leftover row
+    block: list  # columns of the rows left without a unit pivot
+    basis: np.ndarray  # (len(block), b) integer kernel basis of that block
+    coords: np.ndarray  # (b, len(block)) inverse rows: block values -> parameters
+    pivots: list  # (column, unit, row) in elimination order
+
+    @property
+    def rank(self) -> int:
+        return len(self.free) + self.basis.shape[1]
+
+    def parameters(self, x: dict) -> list[int]:
+        """Parameters of a kernel vector given as column -> integer."""
+        y = np.array([x.get(c, 0) for c in self.block], dtype=object)
+        return [int(x.get(c, 0)) for c in self.free] + [int(v) for v in self.coords @ y]
+
+    def vector(self, t) -> dict:
+        """The kernel vector with parameters ``t``, as column -> integer."""
+        t = [int(v) for v in t]
+        nf = len(self.free)
+        x = dict(zip(self.free, t[:nf]))
+        x.update(zip(self.block, (int(v) for v in self.basis @ np.array(t[nf:], dtype=object))))
+        for c, u, row in reversed(self.pivots):
+            # u * x[c] + sum(row[cc] * x[cc]) = 0, and u is its own inverse
+            x[c] = -u * sum(v * x[cc] for cc, v in row.items() if cc != c)
+        return x
+
+
+def integer_kernel(rows: list[dict], columns: list) -> IntegerKernel:
+    """Integer kernel of ``rows`` over the given columns, by unit pivots.
+
+    The elimination is ``integer_solvable``'s.  Only a block without a
+    unit pivot reaches ``smith_normal_form``; its last right-transform
+    columns span the block's kernel.
+    """
+    pivots, live, _ = _unit_pivots(rows, [0] * len(rows))
+    block = list(dict.fromkeys(c for row in live.values() for c in row))
+    if block:
+        snf = smith_normal_form(_dense_rows(list(live.values()), block))
+        basis, coords = snf.R[:, snf.rank:], snf.Rinv[snf.rank:, :]
+    else:
+        basis = coords = np.zeros((0, 0), dtype=object)
+    done = {c for c, _, _ in pivots} | set(block)
+    free = [c for c in columns if c not in done]
+    return IntegerKernel(free=free, block=block, basis=basis, coords=coords, pivots=pivots)
 
 
 def _dense_rows(rows: list[dict], labels: list) -> np.ndarray:

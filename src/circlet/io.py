@@ -38,32 +38,51 @@ SCHEMA_PREFIX = "circlet/"
 
 
 def _float_text(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    s = format(x, ".17g")
+    if "." in s or "e" in s:
+        return s
+    if s in ("nan", "inf", "-inf"):
         raise SchemaError("non-finite float has no canonical form; encode as null")
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".e"):
-        s += ".0"
-    return s
+    return s + ".0"
+
+
+# the text of a plain Python scalar, looked up by its exact type
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: str,
+    bool: lambda b: "true" if b else "false",
+    str: lambda s: json.dumps(s, ensure_ascii=False),
+    type(None): lambda _: "null",
+}
 
 
 def canonical_text(obj, indent: int = 0) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit floats.
 
     The standard encoder gives no control over float formatting, so this
-    walks the structure itself; json.loads parses the result back.
+    walks the structure itself; json.loads parses the result back.  Plain
+    scalars inside a list or dict are formatted in place, and a numeric
+    array becomes such a list in one ``tolist`` call, so a row of numbers
+    costs no call per number.
     """
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     pad = " " * indent
     kid = " " * (indent + 2)
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _float_text(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
+    get = _SCALAR_TEXT.get
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        items = [canonical_text(x, indent + 2) for x in obj]
+        if isinstance(obj, np.ndarray) and obj.dtype.kind in "iuf":
+            obj = obj.tolist()
+        items = [
+            f(x) if (f := get(type(x))) else canonical_text(x, indent + 2) for x in obj
+        ]
         if not items:
             return "[]"
         return "[\n" + ",\n".join(kid + x for x in items) + "\n" + pad + "]"
@@ -72,7 +91,9 @@ def canonical_text(obj, indent: int = 0) -> str:
         for k in sorted(obj, key=str):
             if not isinstance(k, str):
                 raise SchemaError(f"document keys must be strings, got {k!r}")
-            rows.append(kid + json.dumps(k) + ": " + canonical_text(obj[k], indent + 2))
+            v = obj[k]
+            text = f(v) if (f := get(type(v))) else canonical_text(v, indent + 2)
+            rows.append(kid + json.dumps(k) + ": " + text)
         if not rows:
             return "{}"
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"

@@ -258,6 +258,96 @@ def integer_kernel_via_rationals(A):
     return r, cols - r
 
 
+def recursive_canonical_text(obj, indent: int = 0) -> str:
+    """Canonical JSON text by one recursive call per value.
+
+    The serializer's original form: sorted keys, two-space indent, floats
+    by ``repr``-exact 17 significant digits with a decimal marker.
+    """
+    import json
+
+    pad = " " * indent
+    kid = " " * (indent + 2)
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        s = format(float(obj), ".17g")
+        return s if any(c in s for c in ".e") else s + ".0"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [recursive_canonical_text(x, indent + 2) for x in obj]
+        if not items:
+            return "[]"
+        return "[\n" + ",\n".join(kid + x for x in items) + "\n" + pad + "]"
+    rows = [
+        kid + json.dumps(k) + ": " + recursive_canonical_text(obj[k], indent + 2)
+        for k in sorted(obj, key=str)
+    ]
+    if not rows:
+        return "{}"
+    return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+
+
+def dense_boundary(nerve, twist: dict, p: int):
+    """Twisted boundary matrix of p-chains, restated from the definition.
+
+    The face without vertex i has sign (-1)**i, except that the face
+    without the leading vertex carries the twist on the leading edge.
+    Rows and columns follow the nerve's filtration order (lex without
+    one).  Returns ``(matrix, rows, cols)`` with an object matrix.
+    """
+
+    def ordered(q):
+        simps = list(nerve.simplices.get(q, []))
+        if nerve.index is not None:
+            simps.sort(key=lambda s: nerve.index[s])
+        return simps
+
+    rows, cols = ordered(p - 1), ordered(p)
+    pos = {s: i for i, s in enumerate(rows)}
+    D = np.zeros((len(rows), len(cols)), dtype=object)
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            D[pos[s[:i] + s[i + 1:]], j] = twist[s[:2]] if i == 0 else (-1) ** i
+    return D, rows, cols
+
+
+def snf_fundamental_class(nerve, twist: dict) -> dict:
+    """Twisted fundamental 2-cycle by two dense full-transform Smith forms.
+
+    The kernel of the 2-boundary is read off the Smith form's zero
+    columns, the 3-boundary is taken into kernel coordinates, and the
+    free generator of the quotient is pulled back; first nonzero
+    coefficient positive.  Returns None unless the free rank is one.
+    The Smith form is the library's dense one, which the intlinalg tests
+    check against its defining properties.
+    """
+    from circlet.intlinalg import smith_normal_form
+
+    d2, _, tris = dense_boundary(nerve, twist, 2)
+    d3, _, tets = dense_boundary(nerve, twist, 3)
+    snf = smith_normal_form(d2)
+    k = len(tris) - snf.rank
+    if k == 0:
+        return None
+    K = snf.R[:, snf.rank:]
+    if tets:
+        bsnf = smith_normal_form(np.dot(snf.Rinv[snf.rank:, :], d3))
+        if k - bsnf.rank != 1:
+            return None
+        v = bsnf.Linv[:, k - 1].reshape(-1, 1)
+    elif k == 1:
+        v = np.ones((1, 1), dtype=object)
+    else:
+        return None
+    mu = np.dot(K, v).reshape(-1)
+    lead = next(x for x in mu if x != 0)
+    return {s: int(c) * (1 if lead > 0 else -1) for s, c in zip(tris, mu)}
+
+
 # ---------------------------------------------------------------------------
 # per-sample projection loops
 #

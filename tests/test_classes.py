@@ -2,7 +2,10 @@
 
 Frozen expected values come from hand-computed principal-branch sums and
 from the boundary of the standard 3-simplex; kernel facts are cross
-checked with the rational-elimination oracle.
+checked with the rational-elimination oracle.  The collapsed-core cycle
+is checked against the dense two-Smith-form path it replaced
+(``oracles.snf_fundamental_class``) and against sympy's invariant
+factors.
 """
 
 import logging
@@ -10,15 +13,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import gf2_nullspace, integer_kernel_via_rationals, mat_mul
+from oracles import (
+    dense_boundary,
+    gf2_nullspace,
+    integer_kernel_via_rationals,
+    mat_mul,
+    snf_fundamental_class,
+)
 
+import circlet.intlinalg as intlinalg
 from circlet.circle import O2, o2_compose, o2_inverse
 from circlet.classes import (
     CharClassResult,
+    collapsed_core,
     euler_cochain,
     euler_number,
     fundamental_class_twisted,
+    orientation_anchor,
     sw_class,
 )
 from circlet.cochains import (
@@ -28,8 +42,15 @@ from circlet.cochains import (
     twisted_coboundary,
 )
 from circlet.errors import BracketAmbiguous, NotASurface, ShapeMismatch
-from circlet.intlinalg import obj_matmul, solve_gf2, twisted_boundary_matrix
-from circlet.nerve import CoverSet, build_nerve
+from circlet.intlinalg import (
+    integer_solvable,
+    obj_matmul,
+    solve_gf2,
+    twisted_boundary_matrix,
+)
+from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
+from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle
+from circlet.witness import assemble_witness
 
 
 def nerve_from_tops(tops):
@@ -378,3 +399,194 @@ class TestBranchIndependence:
         # pairing with the fundamental cycle is unchanged by the shift
         mu = fundamental_class_twisted(nerve, res.sw)
         assert sum(round(delta.values[t]) * mu[t] for t in nerve.triangles) == 0
+
+
+# ---------------------------------------------------------------------------
+# the collapsed-core cycle against the dense Smith-form path
+
+
+def octahedron_with_cone():
+    # the octahedron on vertices 1..6 with a solid tetrahedron glued on
+    # along face (1, 2, 3): still a sphere up to homotopy, but that face,
+    # the first of the octahedron in lex order, now has a coface
+    faces = [
+        (1, 3, 5), (1, 4, 5), (1, 2, 4),
+        (2, 3, 6), (3, 5, 6), (4, 5, 6), (2, 4, 6),
+    ]
+    return nerve_from_tops(faces + [(0, 1, 2, 3)])
+
+
+def indicator(nerve, omega, triangle, value=1):
+    vals = {t: 0 for t in nerve.triangles}
+    vals[triangle] = value
+    return Cochain(nerve, 2, "Z", vals, twist=omega)
+
+
+def hand_built_cases():
+    cases = {}
+    nerve = tetra_boundary_nerve()
+    turns = {e: 0.0 for e in nerve.edges}
+    turns[(0, 1)] = turns[(1, 2)] = 0.33
+    turns[(0, 2)] = -0.33
+    res = euler_cochain(rotation_witness(nerve, turns))
+    cases["tetra-boundary"] = (nerve, res.sw, res.euler)
+    nerve = octahedron_nerve()
+    omega = constant_sign_cochain(nerve)
+    cases["octahedron"] = (nerve, omega, indicator(nerve, omega, (2, 4, 5), 3))
+    nerve = projective_plane_nerve()
+    omega = orientation_class(nerve)
+    cases["rp2-twisted"] = (nerve, omega, indicator(nerve, omega, (1, 3, 5), -2))
+    nerve = octahedron_with_cone()
+    omega = constant_sign_cochain(nerve)
+    # zero on the faces of the tetrahedron, so a twisted cocycle
+    cases["octahedron-cone"] = (nerve, omega, indicator(nerve, omega, (4, 5, 6), 2))
+    return cases
+
+
+HAND_BUILT = hand_built_cases()
+
+SYNTHETIC = {
+    "lens1-2000-16": lambda: gen_lens_bundle(1, n_samples=2000, n_sets=16, radius=0.85, seed=0),
+    "lens2-2000-64": lambda: gen_lens_bundle(2, n_samples=2000, n_sets=64, radius=0.44, seed=0),
+    "lens2-4000-64": lambda: gen_lens_bundle(2, n_samples=4000, n_sets=64, radius=0.44, seed=0),
+    "rp2-3000": lambda: gen_rp2_bundle(1, n_samples=3000, seed=0),
+}
+
+
+@pytest.fixture(scope="module")
+def synthetic_cases():
+    out = {}
+    for name, make in SYNTHETIC.items():
+        ds, cover, trivs = make()
+        nerve = build_nerve(cover)
+        wit = assemble_witness(trivs, nerve)
+        nerve = filtration_order(edge_weights(nerve, trivs, wit))
+        res = euler_cochain(Cochain(nerve, 1, "O2", wit.values))
+        assert res.euler_is_cocycle()
+        out[name] = (nerve, res.sw, res.euler)
+    return out
+
+
+def boundary_rows(nerve, omega):
+    """Rows of the twisted 3-boundary, one per triangle in filtration order."""
+    D, tris, tets = dense_boundary(nerve, omega.values, 3)
+    return tris, [{q: int(v) for q, v in zip(tets, row) if v} for row in D]
+
+
+def check_against_dense_path(nerve, omega, e):
+    mu = fundamental_class_twisted(nerve, omega)
+    old = snf_fundamental_class(nerve, omega.values)
+    assert old is not None
+    # a twisted cycle, zero off the collapsed core
+    D2, _, tris = dense_boundary(nerve, omega.values, 2)
+    assert not np.any(np.dot(D2, np.array([mu[t] for t in tris], dtype=object)))
+    core = set(collapsed_core(nerve)[0])
+    assert all(mu[t] == 0 for t in tris if t not in core)
+    assert abs(euler_number(e, mu)) == abs(euler_number(e, old))
+    anchor = orientation_anchor(nerve, mu)
+    assert anchor is not None and mu[anchor] > 0
+    assert anchor not in {q[:i] + q[i + 1:] for q in nerve.tetrahedra for i in range(4)}
+    # the dense cycle, re-signed by the anchor rule, gives the same number
+    sign = 1 if old[anchor] > 0 else -1
+    assert euler_number(e, {t: sign * c for t, c in old.items()}) == euler_number(e, mu)
+    # and differs from the new cycle by a twisted 3-boundary
+    order, rows = boundary_rows(nerve, omega)
+    assert integer_solvable(rows, [mu[t] - sign * old[t] for t in order])
+    if not nerve.tetrahedra:
+        # without tetrahedra the cycle is unique up to sign: the old rule
+        assert mu == old
+    return mu
+
+
+def sympy_free_rank(nerve, omega) -> int:
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def rank(D):
+        if not D.size:
+            return 0
+        return sum(1 for d in invariant_factors(sympy.Matrix(D.tolist()), domain=sympy.ZZ) if d)
+
+    D2, _, tris = dense_boundary(nerve, omega.values, 2)
+    D3, _, _ = dense_boundary(nerve, omega.values, 3)
+    return len(tris) - rank(D2) - rank(D3)
+
+
+class TestCollapsedCycle:
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_matches_dense_path(self, name):
+        nerve, omega, e = HAND_BUILT[name]
+        check_against_dense_path(nerve, omega, e)
+        assert sympy_free_rank(nerve, omega) == 1
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    def test_synthetic_matches_dense_path(self, name, synthetic_cases):
+        nerve, omega, e = synthetic_cases[name]
+        mu = check_against_dense_path(nerve, omega, e)
+        assert abs(euler_number(e, mu)) == (1 if name.startswith(("lens1", "rp2")) else 2)
+
+    @pytest.mark.parametrize("name", ["lens1-2000-16", "rp2-3000"])
+    def test_sympy_free_rank_one(self, name, synthetic_cases):
+        nerve, omega, _ = synthetic_cases[name]
+        assert sympy_free_rank(nerve, omega) == 1
+
+    def test_collapse_leaves_a_core(self, synthetic_cases):
+        # lens:1 collapses to a closed pseudo-surface; the larger nerves
+        # keep a few tetrahedra whose faces all have two cofaces
+        sizes = {
+            name: tuple(map(len, collapsed_core(nerve)))
+            for name, (nerve, _, _) in synthetic_cases.items()
+        }
+        assert sizes["lens1-2000-16"] == (28, 0)
+        for name, (nerve, _, _) in synthetic_cases.items():
+            tris, tets = sizes[name]
+            assert tris < len(nerve.triangles) / 1.5
+            assert tets <= len(nerve.tetrahedra) / 4
+
+    def test_anchor_skips_faces_of_tetrahedra(self):
+        nerve, omega, _ = HAND_BUILT["octahedron-cone"]
+        mu = fundamental_class_twisted(nerve, omega)
+        # the core is the octahedron; its first face carries the cycle, but
+        # adding the tetrahedron's boundary could move that coefficient
+        assert sorted(t for t in mu if mu[t]) == sorted(nerve_from_tops(
+            [(1, 2, 3), (1, 3, 5), (1, 4, 5), (1, 2, 4),
+             (2, 3, 6), (3, 5, 6), (4, 5, 6), (2, 4, 6)]).triangles)
+        assert next(t for t in nerve.triangles if mu[t]) == (1, 2, 3)
+        assert orientation_anchor(nerve, mu) == (1, 2, 4)
+        assert mu[(1, 2, 4)] == 1
+
+    def test_fallback_on_a_block_without_unit_pivot(self, monkeypatch):
+        # untwisted RP^2: elimination leaves a coefficient 2, the Z/2 that
+        # kills the integer second homology, for the Smith form to decide
+        calls = []
+        real = intlinalg.smith_normal_form
+        monkeypatch.setattr(
+            intlinalg, "smith_normal_form", lambda A: calls.append(np.shape(A)) or real(A)
+        )
+        nerve = projective_plane_nerve()
+        with pytest.raises(NotASurface):
+            fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+        # one block: a single column with no unit entry left
+        assert len(calls) == 1 and calls[0][1] == 1
+
+
+@pytest.fixture(scope="module")
+def rp2_cycle(synthetic_cases):
+    nerve, omega, e = synthetic_cases["rp2-3000"]
+    mu = fundamental_class_twisted(nerve, omega)
+    order, rows = boundary_rows(nerve, omega)
+    return nerve, e, mu, dict(zip(order, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_boundaries_keep_anchor_and_pairing(rp2_cycle, data):
+    nerve, e, mu, rows = rp2_cycle
+    tets = nerve.tetrahedra
+    tau = data.draw(st.lists(st.integers(-3, 3), min_size=len(tets), max_size=len(tets)))
+    coef = dict(zip(tets, tau))
+    moved = {t: c + sum(v * coef[q] for q, v in rows[t].items()) for t, c in mu.items()}
+    anchor = orientation_anchor(nerve, mu)
+    assert orientation_anchor(nerve, moved) == anchor
+    assert moved[anchor] == mu[anchor] > 0
+    assert euler_number(e, moved) == euler_number(e, mu)

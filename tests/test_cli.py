@@ -256,6 +256,10 @@ class TestClassesAndEuler:
         doc = read(out / "euler.json")
         assert abs(doc["euler_number"]) == 1
         assert doc["sw_coboundary"] is True
+        # the triangle that fixes the sign is a triangle of the nerve
+        nerve = io.parse_classes(read(lens_dirs[2] / "classes.json"))["nerve"]
+        assert tuple(doc["euler_orientation"]) in nerve.triangles
+        assert 0 < doc["fundamental_support"] <= len(nerve.triangles)
 
     def test_classes_document_is_parseable(self, lens_dirs):
         _, _, cls = lens_dirs
@@ -456,6 +460,11 @@ class TestReportCommand:
         assert doc["quality"]["epsilon"] <= 1e-12
         assert doc["classes"]["sw_coboundary"] is True
         assert doc["classes"]["euler_number"] is None  # no triangles to pair over
+        assert doc["classes"]["euler_orientation"] is None
+        assert doc["classes"]["reason"] == {
+            "error": "NotASurface",
+            "message": "nerve has no 2-simplices",
+        }
         curve = doc["reduction_curve"]
         assert [row["dim"] for row in curve] == [2, 4, 8, 24]
         maxes = [row["max_error"] for row in curve]
@@ -481,6 +490,15 @@ class TestReportCommand:
         assert doc["persistence"]["sw"]["cobirth_index"] == size
         warned = [r for r in caplog.records if "is not below 1/2" in r.message]
         assert len(warned) == 1
+        # the report records the warning's defect, its margin and the
+        # cocycle check that decides whether the pairing can be trusted
+        classes = doc["classes"]
+        assert classes["cocycle_defect"] == pytest.approx(0.519, abs=5e-4)
+        assert classes["defect_margin"] == pytest.approx(0.5 - classes["cocycle_defect"])
+        assert classes["euler_cocycle"] is True
+        assert abs(classes["euler_number"]) == 1 and classes["reason"] is None
+        tri = classes["euler_orientation"]
+        assert len(tri) == 3 and tri == sorted(tri)
 
     def test_dims_outside_ambient_rejected(self, torus_dir, tmp_path):
         code = run(

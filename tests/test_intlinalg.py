@@ -10,6 +10,7 @@ from circlet.errors import NotACocycle
 import circlet.intlinalg as intlinalg
 from circlet.classes import euler_cochain
 from circlet.intlinalg import (
+    integer_kernel,
     integer_solvable,
     obj_matmul,
     ordered_simplices,
@@ -23,7 +24,12 @@ from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 from circlet.witness import assemble_witness
 
-from oracles import brute_force_integer_solvable, gf2_solvable, snf_properties
+from oracles import (
+    brute_force_integer_solvable,
+    gf2_solvable,
+    integer_kernel_via_rationals,
+    snf_properties,
+)
 
 
 def signs_from_vertices(nerve, vertex_signs):
@@ -351,6 +357,53 @@ class TestIntegerSolvable:
             assert got == sympy_solvable(A, b)
             verdicts.add(got)
         assert verdicts == {True, False}
+
+
+def kernel_basis(kernel):
+    """The kernel vectors of unit parameter vectors, as column -> integer."""
+    eye = np.eye(kernel.rank, dtype=int)
+    return [kernel.vector(row) for row in eye]
+
+
+class TestIntegerKernel:
+    def test_free_columns_and_back_substitution(self):
+        # x0 + x1 = 0, x1 - x2 = 0 over columns 0..3: column 3 meets no row
+        kernel = integer_kernel([{0: 1, 1: 1}, {1: 1, 2: -1}], [0, 1, 2, 3])
+        assert kernel.rank == 2 and kernel.block == []
+        for x in kernel_basis(kernel):
+            assert x[0] + x[1] == 0 and x[1] - x[2] == 0
+
+    def test_block_without_unit_pivot_goes_to_smith_form(self, monkeypatch):
+        calls = []
+        real = intlinalg.smith_normal_form
+        monkeypatch.setattr(
+            intlinalg, "smith_normal_form", lambda A: calls.append(np.shape(A)) or real(A)
+        )
+        # 2 x0 + 2 x1 = 0 has no unit pivot; x2 is free
+        kernel = integer_kernel([{0: 2, 1: 2}], [0, 1, 2])
+        assert calls == [(1, 2)]
+        assert sorted(kernel.block) == [0, 1] and kernel.free == [2]
+        assert kernel.rank == 2
+        for x in kernel_basis(kernel):
+            assert 2 * x[0] + 2 * x[1] == 0
+        # a block with no kernel still leaves the free column
+        kernel = integer_kernel([{0: 2}], [0, 1])
+        assert kernel.rank == 1 and kernel.vector([5]) == {0: 0, 1: 5}
+
+    def test_matches_rational_rank_and_round_trips(self):
+        rng = np.random.default_rng(71)
+        for _ in range(120):
+            m = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 8))
+            A = rng.choice([-2, -1, 0, 0, 0, 1, 1, 2], size=(m, n))
+            kernel = integer_kernel(sparse_rows(A), list(range(n)))
+            assert kernel.rank == integer_kernel_via_rationals(A.tolist())[1]
+            for x in kernel_basis(kernel):
+                assert set(x) <= set(range(n))
+                vec = np.array([x.get(j, 0) for j in range(n)])
+                assert not np.any(A @ vec)
+            t = rng.integers(-3, 4, size=kernel.rank).tolist()
+            assert kernel.parameters(kernel.vector(t)) == t
 
 
 class TestCoboundaryRows:

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import recursive_canonical_text
+
 from circlet import io
+from circlet.cli import main
 from circlet.circle import O2
 from circlet.cochains import Cochain
 from circlet.errors import SchemaError
@@ -68,6 +71,10 @@ class TestCanonicalText:
             io.canonical_text(float("nan"))
         with pytest.raises(SchemaError):
             io.canonical_text([float("inf")])
+        with pytest.raises(SchemaError):
+            io.canonical_text({"v": np.array([0.5, -np.inf])})
+        with pytest.raises(SchemaError):
+            io.canonical_text(np.array([True]))
 
     def test_nonstring_keys_rejected(self):
         with pytest.raises(SchemaError):
@@ -76,6 +83,31 @@ class TestCanonicalText:
     def test_numpy_scalars_and_arrays_serialize(self):
         doc = {"a": np.float64(0.5), "b": np.int64(3), "c": np.arange(3)}
         assert json.loads(io.canonical_text(doc)) == {"a": 0.5, "b": 3, "c": [0, 1, 2]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_matches_the_recursive_form(self, value):
+        assert io.canonical_text(value) == recursive_canonical_text(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.integers(min_value=-(2**70), max_value=2**70)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.booleans(),
+        max_size=6,
+    ))
+    def test_number_rows_match_the_recursive_form(self, row):
+        assert io.canonical_text(row) == recursive_canonical_text(row)
+        floats = np.array([float(x) for x in row], dtype=float)
+        assert io.canonical_text(floats) == recursive_canonical_text(floats)
+        assert io.canonical_text(floats.reshape(-1, 1)) == recursive_canonical_text(
+            floats.reshape(-1, 1)
+        )
+        mixed = [np.float64(x) if i % 2 else np.int64(i) for i, x in enumerate(floats)]
+        assert io.canonical_text(mixed) == recursive_canonical_text(mixed)
+        small = floats[np.abs(floats) < 1e30].astype(np.float32)
+        for arr in (small, np.arange(len(row)) - 3, np.arange(len(row), dtype=np.uint8)):
+            assert io.canonical_text(arr) == recursive_canonical_text(arr)
 
     def test_dump_returns_digest_of_written_bytes(self, tmp_path):
         p = tmp_path / "x.json"
@@ -348,3 +380,50 @@ class TestProvenance:
         p.write_text("{oops")
         with pytest.raises(SchemaError, match="not valid JSON"):
             io.load_json(str(p))
+
+
+def test_every_cli_output_matches_the_recursive_form(tmp_path, monkeypatch):
+    # every document a subcommand writes, success or failure, formats to
+    # the same bytes as the one-call-per-value serializer
+    docs = []
+    real = io.dump_json
+    monkeypatch.setattr(io, "dump_json", lambda obj, path: docs.append(obj) or real(obj, path))
+
+    def run(*argv):
+        return main([str(a) for a in argv])
+
+    lens, torus, split = tmp_path / "lens", tmp_path / "torus", tmp_path / "split"
+    assert run("synth", "--model", "lens:1", "--samples", 2000, "--sets", 16,
+               "--radius", 0.85, "--out", lens) == 0
+    assert run("synth", "--model", "torus", "--samples", 400, "--sets", 12, "--out", torus) == 0
+    assert run("synth", "--model", "split:1", "--samples", 3000, "--sets", 36,
+               "--seed", 2, "--out", split) == 0
+
+    def bundle(d):
+        return ("--data", d / "dataset.json", "--cover", d / "cover.json",
+                "--trivs", d / "trivs.json")
+
+    assert run("witness", *bundle(lens), "--out", tmp_path / "w") == 0
+    assert run("witness", *bundle(torus), "--out", tmp_path / "tw") == 0
+    assert run("classes", "--witness", tmp_path / "w" / "witness.json", "--out", tmp_path / "c") == 0
+    assert run("classes", "--witness", tmp_path / "tw" / "witness.json",
+               "--out", tmp_path / "tc") == 0
+    assert run("euler", "--classes", tmp_path / "c" / "classes.json", "--out", tmp_path / "e") == 0
+    assert run("euler", "--classes", tmp_path / "tc" / "classes.json",
+               "--out", tmp_path / "te") == 3
+    assert run("persist", "--witness", tmp_path / "w" / "witness.json", "--out", tmp_path / "p") == 0
+    assert run("report", *bundle(lens), "--dims", "2,4", "--out", tmp_path / "r") == 0
+    assert run("coordinatize", *bundle(lens), "--dim", 4, "--out", tmp_path / "f") == 0
+    assert run("trivialize", *bundle(torus), "--out", tmp_path / "g") == 0
+    assert run("trivialize", *bundle(lens), "--out", tmp_path / "o") == 2
+    assert run("unwrap", *bundle(split), "--clusters", split / "clusters.json",
+               "--out", tmp_path / "u") == 0
+
+    kinds = {doc["schema"].split("/")[1] for doc in docs}
+    assert kinds == {
+        "dataset", "cover", "trivs", "scenario", "clusters", "manifest", "witness",
+        "classes", "euler", "guard", "persistence", "report", "coords", "obstruction",
+        "unwrap",
+    }
+    for doc in docs:
+        assert io.canonical_text(doc) == recursive_canonical_text(doc)
