@@ -375,12 +375,12 @@ def _cmd_trivialize(args, run: _Run):
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
         rho = partition_of_unity(cover, ds)
-        g = global_trivialize(ds, trivs, wit, rho)
+        g = global_trivialize(trivs, wit, rho)
     with run.timed("write"):
         run.write("coords.json", io.global_coords_doc(g))
     return {
         "command": "trivialize",
-        "samples": len(g.angle),
+        "samples": len(g.ids),
         "residual": g.residual,
     }
 

@@ -9,6 +9,13 @@ Angles travel in turns.  Isometries travel as {turn, sign} pairs,
 matrices row-major.  A chart travels as its stored angles, and reading
 it back costs one cos/sin per value, so a round trip may move a chart
 vector by a couple of ulps; everything discrete round-trips exactly.
+
+Bulk fields (dataset ids and base rows, cover members, chart samples and
+angles) are read as one list per key and checked in one step by ``_ints``
+or ``_floats``, the one statement of a valid value; ``_need`` runs per
+row only to name a missing key or a wrong container.  A list of dicts
+sharing one nonempty set of string keys is written through one row
+template; everything else takes the recursive path, with the same bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import json
 import math
 import os
 import platform
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -76,13 +84,10 @@ def canonical_text(obj, indent: int = 0) -> str:
         return _float_text(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    get = _SCALAR_TEXT.get
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         if isinstance(obj, np.ndarray) and obj.dtype.kind in "iuf":
             obj = obj.tolist()
-        items = [
-            f(x) if (f := get(type(x))) else canonical_text(x, indent + 2) for x in obj
-        ]
+        items = _record_texts(obj, indent + 2) or _column_texts(obj, indent + 2)
         if not items:
             return "[]"
         return "[\n" + ",\n".join(kid + x for x in items) + "\n" + pad + "]"
@@ -92,12 +97,43 @@ def canonical_text(obj, indent: int = 0) -> str:
             if not isinstance(k, str):
                 raise SchemaError(f"document keys must be strings, got {k!r}")
             v = obj[k]
-            text = f(v) if (f := get(type(v))) else canonical_text(v, indent + 2)
+            text = f(v) if (f := _SCALAR_TEXT.get(type(v))) else canonical_text(v, indent + 2)
             rows.append(kid + json.dumps(k) + ": " + text)
         if not rows:
             return "{}"
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
+
+
+def _column_texts(col, indent: int) -> list:
+    """Texts of a list's values: one ``map`` per scalar column or flat list column."""
+    types = set(map(type, col))
+    if len(types) == 1 and (f := _SCALAR_TEXT.get(next(iter(types)))):
+        return list(map(f, col))
+    if types == {list}:
+        flat = list(chain.from_iterable(col))
+        if set(map(type, flat)) <= _SCALAR_TEXT.keys():
+            texts, kid, out, at = _column_texts(flat, indent + 2), " " * (indent + 2), [], 0
+            head, sep, tail = "[\n" + kid, ",\n" + kid, "\n" + " " * indent + "]"
+            for n in map(len, col):
+                out.append(head + sep.join(texts[at : at + n]) + tail if n else "[]")
+                at += n
+            return out
+    return [f(x) if (f := _SCALAR_TEXT.get(type(x))) else canonical_text(x, indent) for x in col]
+
+
+def _record_texts(rows, indent: int) -> list | None:
+    """Texts of dicts sharing one nonempty set of string keys, by one row template; else None."""
+    if not len(rows) or set(map(type, rows)) != {dict} or not rows[0]:
+        return None
+    keys = rows[0].keys()
+    if not all(type(k) is str for k in keys) or not all(r.keys() == keys for r in rows):
+        return None
+    keys, kid = sorted(keys), " " * (indent + 2)
+    fields = ",\n".join(kid + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{\n" + fields + "\n" + " " * indent + "}"
+    cols = [_column_texts([r[k] for r in rows], indent + 2) for k in keys]
+    return [template % vals for vals in zip(*cols)]
 
 
 def sha256_hex(data) -> str:
@@ -120,8 +156,10 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError(f"{path} nests deeper than the JSON decoder can follow")
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +188,45 @@ def _simplex(row, where: str) -> tuple:
     return tuple(row)
 
 
+def _column(rows, key: str, where: str, kind=object) -> list:
+    """``row[key]`` of every row, each a ``kind``; ``_need`` names the first row that fails."""
+    try:
+        col = [row[key] for row in rows]
+        if kind is object or set(map(type, col)) <= {kind}:
+            return col
+    except (TypeError, KeyError):
+        pass
+    return [_need(row, key, where, kind) for row in rows]
+
+
+def _ints(col, where: str) -> np.ndarray:
+    """The one check of integer fields: each an exact ``int`` (not ``bool``) inside int64."""
+    try:
+        if set(map(type, col)) <= {int}:
+            return np.array(col, dtype=np.int64)
+    except OverflowError:
+        pass
+    raise SchemaError(f"{where}: expected a 64-bit integer")
+
+
+def _floats(col, where: str) -> np.ndarray:
+    """The one check of number fields: each an exact ``int`` or ``float``, a finite double."""
+    try:
+        if set(map(type, col)) <= {int, float}:
+            arr = np.array(col, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+    except OverflowError:
+        pass
+    raise SchemaError(f"{where}: expected a finite number")
+
+
 def _the_float(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-        raise SchemaError(f"{where}: expected a finite number")
-    return float(x)
+    return float(_floats([x], where)[0])
 
 
 def _the_int(x, where: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int) or not -(2**63) <= x < 2**63:
-        raise SchemaError(f"{where}: expected a 64-bit integer")
-    return x
+    return int(_ints([x], where)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +252,18 @@ def parse_dataset(doc) -> BundleDataset:
     _check_schema(doc, "dataset")
     kind = _need(_need(doc, "base_space", "dataset"), "kind", "base_space")
     rows = _need(doc, "samples", "dataset", list)
-    ids = []
-    base = []
-    for row in rows:
-        ids.append(_the_int(_need(row, "id", "sample"), "sample id"))
-        base.append(
-            [_the_float(x, "sample base") for x in _need(row, "base", "sample", list)]
-        )
-    if len({len(b) for b in base}) > 1:
+    ids = _column(rows, "id", "sample")
+    _ints(ids, "sample id")
+    base = _column(rows, "base", "sample", list)
+    flat = _floats(list(chain.from_iterable(base)), "sample base")
+    if len(set(map(len, base))) > 1:
         raise SchemaError("dataset: sample base points differ in length")
-    arr = np.array(base, dtype=float)
-    if arr.size == 0:
-        arr = arr.reshape(len(ids), 0)
+    arr = flat.reshape(len(base), len(base[0]) if base else 0)
     try:
         dists = None
         if kind == "abstract":
-            dists = np.array(
-                [[_the_float(x, "distances") for x in r]
-                 for r in _need(doc, "distances", "dataset", list)]
-            )
+            table = _need(doc, "distances", "dataset", list)
+            dists = np.array([_floats(r, "distances") for r in table])
         return BundleDataset(ids=tuple(ids), base=arr, kind=kind, distances=dists)
     except ValueError as exc:
         raise SchemaError(f"dataset: {exc}")
@@ -233,16 +293,13 @@ def parse_cover(doc) -> list[CoverSet]:
     for row in _need(doc, "sets", "cover", list):
         j = _the_int(_need(row, "id", "cover set"), "cover set id")
         members = _need(row, "members", f"cover set {j}", list)
+        _ints(members, "member")
         center = _need(row, "center", f"cover set {j}", list) if "center" in row else None
         out.append(
             CoverSet(
                 id=j,
-                members=frozenset(_the_int(s, "member") for s in members),
-                center=(
-                    np.array([_the_float(x, "center") for x in center])
-                    if center is not None
-                    else None
-                ),
+                members=frozenset(members),
+                center=None if center is None else _floats(center, "center"),
                 radius=_the_float(row["radius"], "radius") if "radius" in row else None,
                 clipped=bool(row.get("clipped", False)),
             )
@@ -280,8 +337,8 @@ def parse_trivs(doc) -> Trivialization:
             raise SchemaError(f"trivs set {j} appears twice")
         values = _need(row, "values", f"trivs set {j}", list)
         tables[j] = (
-            [_the_int(_need(v, "sample", "trivs value"), "sample") for v in values],
-            [_the_float(_need(v, "angle_turns", "trivs value"), "angle") for v in values],
+            _ints(_column(values, "sample", "trivs value"), "sample"),
+            _floats(_column(values, "angle_turns", "trivs value"), "angle"),
         )
     return Trivialization.from_turns(tables)
 
@@ -562,8 +619,8 @@ def global_coords_doc(g) -> dict:
         "schema": SCHEMA_PREFIX + "coords",
         "kind": "global",
         "angles": [
-            {"id": int(s), "angle_turns": float(g.angle[s]) % 1.0}
-            for s in sorted(g.angle)
+            {"id": s, "angle_turns": t}
+            for s, t in zip(g.ids.tolist(), (g.turns % 1.0).tolist())
         ],
         "phi": [{"set": int(j), "sign": int(v)} for j, v in sorted(g.phi.items())],
         "beta": [
@@ -583,8 +640,7 @@ def frame_coords_doc(bm) -> dict:
         "overlap_residual": float(bm.overlap_residual),
         "plane_residual": float(bm.plane_residual),
         "vectors": [
-            {"id": int(s), "v": [float(x) for x in v]}
-            for s, v in sorted(bm.vectors.items())
+            {"id": s, "v": v} for s, v in zip(bm.ids.tolist(), bm.vectors.tolist())
         ],
     }
 

@@ -26,13 +26,13 @@ TIE_STEP = 1e-15
 
 
 def unique_ids(ids: Iterable) -> list:
-    seen = set()
-    out = []
-    for i in ids:
-        if i in seen:
-            raise ValueError(f"duplicate id: {i!r}")
-        seen.add(i)
-        out.append(i)
+    out = list(ids)
+    if len(set(out)) < len(out):
+        seen = set()
+        for i in out:
+            if i in seen:
+                raise ValueError(f"duplicate id: {i!r}")
+            seen.add(i)
     return out
 
 
@@ -248,8 +248,10 @@ def filtration_order(nerve: Nerve) -> Nerve:
 
     Exact weight ties among positive-dimensional simplices are perturbed
     by k * 1e-15 in order position (k = 0, 1, ...) so that reported stage
-    weights are distinct; vertices keep weight zero.  Faces always
-    precede cofaces because facet weights never exceed the coface's.
+    weights are distinct; vertices keep weight zero.  A block whose last
+    offset would reach the next weight spreads its offsets evenly below
+    it, so effective weights never decrease.  Faces always precede
+    cofaces because facet weights never exceed the coface's.
     """
     everything = [s for p in sorted(nerve.simplices) for s in nerve.simplices[p]]
     everything.sort(key=lambda s: (nerve.weights[s], len(s), s))
@@ -261,9 +263,11 @@ def filtration_order(nerve: Nerve) -> Nerve:
         while j < len(everything) and nerve.weights[everything[j]] == w:
             j += 1
         if j - i > 1:
+            above = nerve.weights[everything[j]] if j < len(everything) else float("inf")
+            step = TIE_STEP if w + (j - i - 1) * TIE_STEP < above else (above - w) / (j - i)
             for k, s in enumerate(everything[i:j]):
                 if k > 0 and len(s) > 1:
-                    perturbations[s] = k * TIE_STEP
+                    perturbations[s] = k * step
         i = j
     out = Nerve(simplices={p: list(v) for p, v in nerve.simplices.items()})
     out.weights = dict(nerve.weights)

@@ -103,7 +103,7 @@ class PartitionOfUnity:
         set_ids = np.array(self.sets, dtype=np.int64)
         sizes = np.diff(self.indptr)
         self.groups = []
-        for m in np.unique(sizes):
+        for m in sorted(set(sizes.tolist())):
             rows = np.flatnonzero(sizes == m)
             at = self.indptr[rows, None] + np.arange(m)
             slots = self.slots[at]
@@ -651,13 +651,14 @@ def reduction_curve(frames: FrameField, dims=None) -> list:
 class BundleMapResult:
     """Per-sample coordinates in the reduced frame bundle.
 
-    ``vectors[s]`` is a unit vector in the plane of the sample's
-    projector; the residuals record how far chart disagreement,
-    plane membership, and isometry rounding actually strayed.
+    ``vectors[i]`` is a unit vector in the plane of the projector at
+    sample ``ids[i]`` (ascending); the residuals record how far chart
+    disagreement, plane membership, and isometry rounding actually strayed.
     ``reduction_errors`` holds the reduction's per-frame errors.
     """
 
-    vectors: dict
+    ids: np.ndarray
+    vectors: np.ndarray  # (n, dim)
     dim: int
     stage: int | None
     method: str
@@ -691,7 +692,7 @@ def bundle_map(
     avg, fixed, pairs = _project(red)
     turns, signs, orthos = zip(*pairs)
     means = _chart_means(trivs, groups, turns, signs)
-    vectors = {}
+    vectors = np.empty((len(rho.ids), d))
     overlap_residual = plane_residual = 0.0
     for g, (_, p, _), u, mean in zip(groups, avg, fixed, means):
         outputs = (u @ mean[..., None])[..., 0]  # (n, m, d): the mean in each chart's frame
@@ -702,8 +703,9 @@ def bundle_map(
             overlap_residual = max(overlap_residual, float(gaps.max()))
         off = np.linalg.norm(v - (p @ v[..., None])[..., 0], axis=-1)
         plane_residual = max(plane_residual, float(off.max()))
-        vectors.update(zip(g.ids.tolist(), v))
+        vectors[g.rows] = v
     return BundleMapResult(
+        ids=rho.ids,
         vectors=vectors,
         dim=d,
         stage=stage,
@@ -723,23 +725,20 @@ def bundle_map(
 class GlobalTrivialization:
     """A single fiber coordinate over the whole base.
 
-    ``angle`` maps each sample to its fiber angle in turns; ``base``
-    keeps the sample's base point for pairing.  ``phi`` records the
-    per-set reflection fix and ``beta`` the per-edge integer winding
-    correction that made the charts agree; ``residual`` is the worst
-    remaining chart disagreement (chord units).
+    ``turns[i]`` is the fiber angle of sample ``ids[i]`` (ascending), in
+    turns.  ``phi`` records the per-set reflection fix and ``beta`` the
+    per-edge integer winding correction that made the charts agree;
+    ``residual`` is the worst remaining chart disagreement (chord units).
     """
 
-    base: dict
-    angle: dict
+    ids: np.ndarray
+    turns: np.ndarray
     phi: dict
     beta: dict
     residual: float
 
 
-def global_trivialize(
-    dataset: BundleDataset, trivs, omega: Cochain, rho: PartitionOfUnity
-) -> GlobalTrivialization:
+def global_trivialize(trivs, omega: Cochain, rho: PartitionOfUnity) -> GlobalTrivialization:
     """Assemble one global fiber coordinate from charts with trivial classes.
 
     Solves the sign class as a mod-2 coboundary to fix reflections, the
@@ -808,10 +807,9 @@ def global_trivialize(
             residual = max(residual, float(np.linalg.norm(xy[:, a] - xy[:, b], axis=-1).max()))
         pts.append(xy)
     means = _by_group(rho.groups, karcher_mean, "sample {s}", pts, [g.weights for g in rho.groups])
-    angles = {}
+    angles = np.empty(len(rho.ids))
     for g, mean in zip(rho.groups, means):
-        angles.update(zip(g.ids.tolist(), s1_angle(mean).tolist()))
-    bases = {s: dataset.base_of(s) for s in rho.ids.tolist()}
+        angles[g.rows] = s1_angle(mean)
     return GlobalTrivialization(
-        base=bases, angle=angles, phi=phi, beta=beta, residual=residual
+        ids=rho.ids, turns=angles, phi=phi, beta=beta, residual=residual
     )

@@ -124,9 +124,9 @@ class Trivialization:
         samples, sets = np.broadcast_arrays(np.asarray(samples, dtype=np.int64), sets)
         pts = np.empty(samples.shape + (2,))
         turns = np.empty(samples.shape)
-        for j in np.unique(sets):
+        for j in sorted(set(sets.ravel().tolist())):
             here = sets == j
-            c = self._charts[j.item()]
+            c = self._charts[j]
             want = samples[here]
             r = np.minimum(c.ids.searchsorted(want), max(len(c.ids) - 1, 0))
             miss = c.ids[r] != want if len(c.ids) else np.ones(len(want), bool)

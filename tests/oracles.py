@@ -553,3 +553,21 @@ def loop_global_angles(trivs, rows, phi, shift):
         mean = _loop_karcher(xy, np.array([rows[s][j] for j in supp]))
         angles[s] = float(np.arctan2(mean[1], mean[0]) / (2.0 * math.pi) % 1.0)
     return angles, residual
+
+
+def per_value_int(x):
+    """An integer field's value, or None: an exact int (bool is not) inside int64."""
+    if isinstance(x, bool) or not isinstance(x, int) or not -(2**63) <= x < 2**63:
+        return None
+    return x
+
+
+def per_value_number(x):
+    """A number field's value as a double, or None: int or float (bool is not), finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import circlet
 from circlet import io
 from circlet.cli import main
 
@@ -183,16 +186,37 @@ class TestWitnessCommand:
             dict(d["sets"][0]["values"][0], angle_turns=0.5)),
         lambda d: d.update(sets={"0": []}),
         lambda d: d["sets"][0].update(values={}),
+        # an integer literal too large for a float
+        lambda d: d["sets"][0]["values"][0].update(angle_turns=10**400),
+        lambda d: d["sets"][0]["values"][0].update(sample=2**63),
     ], ids=[
         "no-sample", "no-angle", "no-set-id", "no-values", "string-sample",
         "float-sample", "bool-set-id", "nan-angle", "inf-angle",
-        "duplicate-sample", "sets-not-list", "values-not-list",
+        "duplicate-sample", "sets-not-list", "values-not-list", "huge-int-angle",
+        "int64-overflow-sample",
     ])
     def test_malformed_trivs_exit_one(self, torus_dir, tmp_path, capsys, mutate):
         doc = read(torus_dir / "trivs.json")
         mutate(doc)
         mangled = tmp_path / "trivs.json"
         mangled.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run(
+            "witness", "--data", str(torus_dir / "dataset.json"),
+            "--cover", str(torus_dir / "cover.json"),
+            "--trivs", str(mangled), "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "schema"
+        assert read(out / "manifest.json")["status"] == 1
+
+    @pytest.mark.parametrize("text", [
+        b'{"schema": "circlet/trivs", "sets": [\xff]}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_trivs_exit_one(self, torus_dir, tmp_path, capsys, text):
+        mangled = tmp_path / "trivs.json"
+        mangled.write_bytes(text)
         out = tmp_path / "o"
         code = run(
             "witness", "--data", str(torus_dir / "dataset.json"),
@@ -522,3 +546,33 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "subcommand" not in capsys.readouterr().err
+
+
+class TestImports:
+    def test_pipelines_leave_numpy_ma_unloaded(self, torus_dir, tmp_path):
+        # importing numpy.ma costs each run tens of milliseconds; on numpy
+        # 2.4, np.unique without return_counts pulls it in
+        inputs = [
+            f"--{flag}={torus_dir / name}"
+            for flag, name in (("data", "dataset.json"), ("cover", "cover.json"),
+                               ("trivs", "trivs.json"))
+        ]
+        argvs = [
+            ["report", *inputs, f"--out={tmp_path / 'report'}"],
+            ["coordinatize", "--dim", "4", *inputs, f"--out={tmp_path / 'coords'}"],
+            ["trivialize", *inputs, f"--out={tmp_path / 'triv'}"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from circlet.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circlet.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert not loaded

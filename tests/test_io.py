@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import recursive_canonical_text
+from oracles import per_value_int, per_value_number, recursive_canonical_text
 
 from circlet import io
 from circlet.cli import main
 from circlet.circle import O2
 from circlet.cochains import Cochain
-from circlet.errors import SchemaError
+from circlet.errors import SchemaError, ShapeMismatch
 from circlet.nerve import BundleDataset, CoverSet, build_nerve, edge_weights, filtration_order
 from circlet.persistence import PersistenceReport, ThresholdPair
 from circlet.synthetic import gen_s1_bundle
@@ -41,6 +41,40 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
+
+record_keys = st.text(alphabet='ab%"\\ é中', max_size=4)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+record_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    finite,
+    st.text(alphabet='x%"é中\n', max_size=4),
+    finite.map(np.float64),
+    st.integers(min_value=-(2**62), max_value=2**62).map(np.int64),
+    st.lists(finite, max_size=3).map(np.array),
+    st.lists(st.integers(-5, 5) | finite, max_size=4),
+    st.lists(finite, min_size=2, max_size=2),
+    st.lists(st.lists(st.integers(-5, 5), max_size=2), max_size=2),
+    st.lists(st.fixed_dictionaries({"x": st.integers(-5, 5)}), max_size=2),
+    st.just({}),
+    st.dictionaries(record_keys, st.integers(-5, 5), max_size=2),
+)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts, mostly sharing one key set, with a broken set now and then."""
+    keys = draw(st.lists(record_keys, max_size=4, unique=True))
+    column = draw(st.sampled_from([None, finite, st.lists(finite, min_size=3, max_size=3)]))
+    rows = [
+        {k: draw(column if column is not None and i == 0 else record_values)
+         for i, k in enumerate(keys)}
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(record_keys)] = draw(record_values)
+    return rows
 
 
 class TestCanonicalText:
@@ -109,6 +143,24 @@ class TestCanonicalText:
         for arr in (small, np.arange(len(row)) - 3, np.arange(len(row), dtype=np.uint8)):
             assert io.canonical_text(arr) == recursive_canonical_text(arr)
 
+    @settings(max_examples=300, deadline=None)
+    @given(record_lists())
+    def test_record_lists_match_the_recursive_form(self, rows):
+        assert io.canonical_text(rows) == recursive_canonical_text(rows)
+        doc = {"rows": rows, "%s": [rows]}
+        assert io.canonical_text(doc) == recursive_canonical_text(doc)
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": 1.0}, {"a": float("nan")}],
+        [{"a": [0.5]}, {"a": [1.0, float("inf")]}],
+        [{"a": 1}, {"a": np.array([np.nan])}],
+        [{1: "x"}, {1: "y"}],
+        [{"a": 1}, {"a": object()}],
+    ], ids=["nan", "inf-in-row", "nan-array", "int-key", "object"])
+    def test_record_lists_reject_what_the_recursive_path_rejects(self, rows):
+        with pytest.raises(SchemaError):
+            io.canonical_text(rows)
+
     def test_dump_returns_digest_of_written_bytes(self, tmp_path):
         p = tmp_path / "x.json"
         digest = io.dump_json({"a": 1}, str(p))
@@ -157,6 +209,103 @@ class TestDatasetSchema:
     def test_missing_key_rejected(self):
         with pytest.raises(SchemaError, match="samples"):
             io.parse_dataset({"schema": "circlet/dataset", "base_space": {"kind": "circle"}})
+
+
+# values that a number or integer field may hold in a JSON document
+field_values = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.integers(min_value=-(2**65), max_value=2**65),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**400, -(10**400)]),
+    st.floats(),
+    st.lists(st.integers(-3, 3), max_size=1),
+)
+
+
+class TestColumnChecks:
+    """The column parsers accept exactly what one check per value accepts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=field_values, at=st.integers(0, 4), key=st.sampled_from(["sample", "angle_turns"]))
+    def test_trivs_values(self, value, at, key):
+        rows = [{"sample": 10 * i, "angle_turns": 0.125 * i} for i in range(5)]
+        rows[at][key] = value
+        doc = {"schema": "circlet/trivs", "sets": [{"id": 0, "values": rows}]}
+        if (per_value_int if key == "sample" else per_value_number)(value) is None:
+            with pytest.raises(SchemaError, match="expected a"):
+                io.parse_trivs(doc)
+            return
+        samples = [r["sample"] for r in rows]
+        turns = [per_value_number(r["angle_turns"]) for r in rows]
+        if len(set(samples)) < len(samples):
+            with pytest.raises(ShapeMismatch, match="appears twice"):
+                io.parse_trivs(doc)
+            return
+        with np.errstate(over="ignore", invalid="ignore"):  # angles near the double's limit
+            want = Trivialization.from_turns({0: (samples, turns)}).chart(0)
+            got = io.parse_trivs(doc).chart(0)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=field_values, at=st.integers(0, 3), key=st.sampled_from(["id", "base"]))
+    def test_dataset_samples(self, value, at, key):
+        rows = [{"id": i, "base": [1.0, 0.0]} for i in range(4)]
+        if key == "id":
+            rows[at]["id"] = value
+            expect = per_value_int(value)
+        else:
+            rows[at]["base"] = [1.0, value]
+            expect = per_value_number(value)
+        doc = {"schema": "circlet/dataset", "base_space": {"kind": "circle"}, "samples": rows}
+        if expect is None:
+            with pytest.raises(SchemaError, match="expected a"):
+                io.parse_dataset(doc)
+            return
+        # past the type check; a duplicate id or a point off the circle is refused later
+        try:
+            with np.errstate(over="ignore"):  # the norm of a huge base point
+                ds = io.parse_dataset(doc)
+        except SchemaError as exc:
+            assert "expected a" not in str(exc)
+        else:
+            assert ds.ids == tuple(r["id"] for r in rows)
+            assert ds.base[at, 1] == expect if key == "base" else type(ds.ids[at]) is int
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5))
+    def test_ragged_base_rows(self, lengths):
+        rows = [{"id": i, "base": [1.0] + [0.0] * (n - 1)} for i, n in enumerate(lengths)]
+        doc = {"schema": "circlet/dataset", "base_space": {"kind": "sphere"}, "samples": rows}
+        if len(set(lengths)) > 1:
+            with pytest.raises(SchemaError, match="differ in length"):
+                io.parse_dataset(doc)
+        else:
+            assert io.parse_dataset(doc).base.shape == (len(lengths), lengths[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=field_values)
+    def test_cover_members(self, value):
+        doc = {"schema": "circlet/cover", "sets": [{"id": 0, "members": [1, value, 2]}]}
+        expect = per_value_int(value)
+        if expect is None:
+            with pytest.raises(SchemaError, match="member: expected a 64-bit integer"):
+                io.parse_cover(doc)
+        else:
+            assert io.parse_cover(doc)[0].members == {1, expect, 2}
+
+    def test_missing_keys_and_containers_are_named(self):
+        rows = [{"sample": 1, "angle_turns": 0.5}, {"angle_turns": 0.5}]
+        doc = {"schema": "circlet/trivs", "sets": [{"id": 0, "values": rows}]}
+        with pytest.raises(SchemaError, match="trivs value: missing key 'sample'"):
+            io.parse_trivs(doc)
+        rows[1] = [1, 0.5]
+        with pytest.raises(SchemaError, match="trivs value: missing key 'sample'"):
+            io.parse_trivs(doc)
+        doc = {"schema": "circlet/dataset", "base_space": {"kind": "circle"},
+               "samples": [{"id": 0, "base": [1.0, 0.0]}, {"id": 1, "base": 1.0}]}
+        with pytest.raises(SchemaError, match="sample: 'base' must be a list"):
+            io.parse_dataset(doc)
 
 
 class TestCoverSchema:
@@ -304,8 +453,8 @@ class TestCoordsSchema:
         from circlet.projection import GlobalTrivialization
 
         g = GlobalTrivialization(
-            base={0: np.array([1.0, 0.0])},
-            angle={0: 0.25, 1: 0.75},
+            ids=np.array([0, 1]),
+            turns=np.array([0.25, 0.75]),
             phi={0: 1, 1: -1},
             beta={(0, 1): 2},
             residual=1e-9,
@@ -320,7 +469,8 @@ class TestCoordsSchema:
         from circlet.projection import BundleMapResult
 
         bm = BundleMapResult(
-            vectors={0: np.array([1.0, 0.0, 0.0]), 1: np.array([0.0, 1.0, 0.0])},
+            ids=np.array([0, 1]),
+            vectors=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             dim=3,
             stage=None,
             method="psc-substitute",

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlet.circle import O2, s1_point
 from circlet.cochains import Cochain
@@ -183,6 +187,38 @@ class TestFiltrationOrder:
         assert ordered.perturbations[(1, 2)] == pytest.approx(2e-15)
         # vertices stay untouched at zero
         assert all(ordered.weight_at(v) == 0.0 for v in ordered.vertices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+        step=st.sampled_from([2e-16, 5e-16, 1.5e-15]),
+        ks=st.lists(st.integers(0, 8), min_size=10, max_size=10),
+    )
+    def test_effective_weights_never_decrease(self, base, step, ks):
+        # edges on a few near-tied weights, higher simplices at their
+        # largest facet's weight, as edge_weights sets them
+        cover = [CoverSet(j, {99, j}) for j in range(5)]
+        nerve = build_nerve(cover)
+        for e, k in zip(nerve.edges, ks):
+            nerve.weights[e] = base + k * step
+        for p in (2, 3):
+            for s in nerve.simplices[p]:
+                nerve.weights[s] = max(nerve.weights[f] for f in facets(s))
+        ordered = filtration_order(nerve)
+        eff = [ordered.weight_at(s) for s in ordered.order]
+        assert all(a <= b for a, b in itertools.pairwise(eff)), eff
+
+    def test_tie_block_stays_below_next_weight(self):
+        # three edges tied at 0.1, the fourth 1.5e-15 above them
+        members = [{"a", "b"}, {"a", "c"}, {"b", "c", "d"}, {"d"}]
+        nerve = build_nerve([CoverSet(j, m) for j, m in enumerate(members)])
+        assert nerve.edges == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        for e in nerve.edges:
+            nerve.weights[e] = 0.1
+        nerve.weights[(2, 3)] = 0.1 + 1.5e-15
+        ordered = filtration_order(nerve)
+        eff = [ordered.weight_at(e) for e in ordered.order[4:]]
+        assert eff[0] < eff[1] < eff[2] < eff[3] == 0.1 + 1.5e-15
 
 
 class TestStageSubcomplex:

@@ -575,14 +575,14 @@ class TestBundleMap:
         assert bm.method == "psc-substitute"
         assert bm.overlap_residual <= 1e-8
         assert bm.plane_residual <= 1e-8
-        norms = [np.linalg.norm(v) for v in bm.vectors.values()]
+        norms = np.linalg.norm(bm.vectors, axis=1)
         assert max(abs(n - 1.0) for n in norms) <= 1e-9
 
     def test_noisy_torus_still_agrees_on_overlaps(self, noisy_torus):
         _, _, trivs, _, wit, rho = noisy_torus
         bm = bundle_map(trivs, wit, rho, d=4)
         assert bm.overlap_residual <= 1e-8
-        norms = [np.linalg.norm(v) for v in bm.vectors.values()]
+        norms = np.linalg.norm(bm.vectors, axis=1)
         assert max(abs(n - 1.0) for n in norms) <= 1e-9
 
     def test_full_dimension_reduction_lossless(self, torus):
@@ -604,7 +604,8 @@ class TestBundleMap:
         bm = bundle_map(trivs1, wit1, rho1, d=2)
         ids = trivs1.chart(0).ids.tolist()
         chart = trivs1.chart(0).points
-        out = np.stack([bm.vectors[s] for s in ids])
+        assert bm.ids.tolist() == ids
+        out = bm.vectors
         m, *_ = np.linalg.lstsq(chart, out, rcond=None)
         m = m.T
         # one fixed isometry: the principal-basis convention
@@ -637,19 +638,17 @@ class TestBundleMap:
 class TestGlobalTrivialize:
     def test_torus_gets_global_coordinate(self, torus):
         ds, _, trivs, _, wit, rho = torus
-        g = global_trivialize(ds, trivs, wit, rho)
+        g = global_trivialize(trivs, wit, rho)
         assert g.residual <= 1e-8
         assert set(g.phi.values()) == {1}
         assert all(b == 0 for b in g.beta.values())
-        angles = np.array(sorted(g.angle.values()))
-        assert angles.size == len(ds.ids)
-        assert angles.max() - angles.min() > 0.5  # genuinely covers the fiber
-        for s in list(g.base)[:5]:
-            assert np.allclose(g.base[s], ds.base_of(s))
+        assert np.array_equal(g.ids, np.sort(np.array(ds.ids)))
+        assert g.turns.size == len(ds.ids)
+        assert g.turns.max() - g.turns.min() > 0.5  # genuinely covers the fiber
 
     def test_noisy_torus_residual_stays_small(self, noisy_torus):
         ds, _, trivs, _, wit, rho = noisy_torus
-        g = global_trivialize(ds, trivs, wit, rho)
+        g = global_trivialize(trivs, wit, rho)
         assert g.residual <= 0.25  # frozen: 0.156 at noise 0.05
 
     def test_klein_obstructed_by_sign_class(self):
@@ -660,14 +659,14 @@ class TestGlobalTrivialize:
         wit = assemble_witness(trivs, nerve)
         rho = partition_of_unity(cover, ds)
         with pytest.raises(NotTrivializable) as info:
-            global_trivialize(ds, trivs, wit, rho)
+            global_trivialize(trivs, wit, rho)
         assert info.value.reason == "sw"
 
     def test_twisted_sphere_bundle_obstructed_by_integer_class(self, lens):
         ds, _, trivs, nerve, rho = lens
         wit = assemble_witness(trivs, nerve)
         with pytest.raises(NotTrivializable) as info:
-            global_trivialize(ds, trivs, wit, rho)
+            global_trivialize(trivs, wit, rho)
         assert info.value.reason == "euler"
 
     def test_partition_choice_shifts_continuously(self, torus):
@@ -680,11 +679,13 @@ class TestGlobalTrivialize:
             tot = sum(v * v for v in w)
             sq[s] = {j: v * v / tot for j, v in zip(supp, w)}
         rho_sq = partition_from_rows(sq, rho.sets, mode="distance")
-        g1 = global_trivialize(ds, trivs, wit, rho)
-        g2 = global_trivialize(ds, trivs, wit, rho_sq)
+        g1 = global_trivialize(trivs, wit, rho)
+        g2 = global_trivialize(trivs, wit, rho_sq)
         base_ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
         order = sorted(ds.ids, key=lambda s: base_ang[s])
-        diffs = [principal_turn(g1.angle[s] - g2.angle[s]) for s in order]
+        angle1 = dict(zip(g1.ids.tolist(), g1.turns.tolist()))
+        angle2 = dict(zip(g2.ids.tolist(), g2.turns.tolist()))
+        diffs = [principal_turn(angle1[s] - angle2[s]) for s in order]
         jumps = [
             abs(principal_turn(b - a)) for a, b in zip(diffs, diffs[1:] + diffs[:1])
         ]

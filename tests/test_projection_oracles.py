@@ -74,8 +74,8 @@ def test_bundle_map_matches_loop(case):
     _, _, trivs, wit, rho, rows, d = case
     vectors, overlap, plane, ortho = loop_bundle_map(trivs, wit.values, rows, rho.sets, d)
     bm = bundle_map(trivs, wit, rho, d)
-    assert sorted(bm.vectors) == sorted(vectors)
-    dev = max(float(np.abs(bm.vectors[s] - v).max()) for s, v in vectors.items())
+    assert bm.ids.tolist() == sorted(vectors)
+    dev = max(float(np.abs(bm.vectors[i] - vectors[s]).max()) for i, s in enumerate(bm.ids.tolist()))
     assert dev <= TOL
     assert abs(bm.overlap_residual - overlap) <= TOL
     assert abs(bm.plane_residual - plane) <= TOL
@@ -86,12 +86,12 @@ def test_bundle_map_matches_loop(case):
 def test_global_angles_match_loop(case):
     # the torus is the only case with trivial classes
     _, ds, trivs, wit, rho, rows, _ = case
-    g = global_trivialize(ds, trivs, wit, rho)
+    g = global_trivialize(trivs, wit, rho)
     potential = Cochain(wit.nerve, 0, "O2", {(j,): O2(0.0, v) for j, v in g.phi.items()})
     lift = euler_cochain(act_by_potential(potential, wit)).lift
     shift = {e: lift.values[e] - g.beta[e] for e in wit.nerve.edges}
     angles, residual = loop_global_angles(trivs, rows, g.phi, shift)
-    assert sorted(g.angle) == sorted(angles)
-    dev = max(abs(principal_turn(g.angle[s] - t)) for s, t in angles.items())
+    assert g.ids.tolist() == sorted(angles)
+    dev = max(abs(principal_turn(t - angles[s])) for s, t in zip(g.ids.tolist(), g.turns.tolist()))
     assert dev <= TOL
     assert abs(g.residual - residual) <= TOL
