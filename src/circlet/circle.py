@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,11 +164,86 @@ class ArcSummary:
     max_gap: float
 
 
+def segment_max(values, indptr, empty: float = 0.0) -> np.ndarray:
+    """Largest value of each segment ``values[indptr[i]:indptr[i + 1]]``; ``empty`` if none."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    full = indptr[1:] > indptr[:-1]
+    out = np.full(len(full), empty)
+    if full.any():
+        out[full] = np.maximum.reduceat(values, indptr[:-1][full])
+    return out
+
+
+def _circular_gaps(angles, indptr):
+    """Each segment's angles sorted mod 1, with each one's gap to the next.
+
+    Returns each angle's segment, the sorted angles and the gaps; the
+    last gap of a segment wraps around to its first angle,
+    ``(first + 1) - last``.
+    """
+    x = np.asarray(angles, dtype=float) % 1.0
+    counts = np.diff(indptr)
+    seg = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
+    # a lexsort by (angle, segment) in two passes: the unstable angle sort is
+    # the fast one, and a stable sort of small segment numbers is a radix sort
+    by_angle = np.argsort(x)
+    a, seg_by_angle = x[by_angle], seg[by_angle]
+    del x, by_angle
+    a = a[np.argsort(seg_by_angle, kind="stable")]
+    gaps = np.empty(len(a))
+    gaps[:-1] = a[1:] - a[:-1]
+    full = counts > 0
+    last = indptr[1:][full] - 1
+    gaps[last] = (a[indptr[:-1][full]] + 1.0) - a[last]
+    return seg, a, gaps
+
+
+def _successor(i, indptr, seg):
+    """Index of the angle after sorted angle ``i`` in its segment, cyclically."""
+    return np.where(i + 1 < indptr[1:][seg[i]], i + 1, indptr[:-1][seg[i]])
+
+
+class Arcs(NamedTuple):
+    """Shortest enclosing arcs, one entry per segment, all in turns."""
+
+    midpoint: np.ndarray
+    width: np.ndarray
+    max_gap: np.ndarray
+    ties: np.ndarray  # gaps tied for the maximum; the arc is unique when 1
+
+
+def enclosing_arcs(angles, indptr) -> Arcs:
+    """Shortest arc containing each segment ``angles[indptr[i]:indptr[i + 1]]``.
+
+    An arc is the complement of the largest circular gap between
+    consecutive sorted angles of its segment, the wrap gap included; gaps
+    within ``_GAP_TIE_TOL`` of the largest count as ties, and the midpoint
+    is that of the first tied gap.  One angle is an arc of width 0 with
+    max gap 1; an empty segment has max gap 1, no ties and NaN midpoint
+    and width.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    counts = np.diff(indptr)
+    seg, a, gaps = _circular_gaps(angles, indptr)
+    g = np.where(counts == 1, 1.0, segment_max(gaps, indptr, empty=1.0))
+    tied = np.flatnonzero(gaps >= g[seg] - _GAP_TIE_TOL)
+    # every nonempty segment has a tie, its largest gap: take each one's first
+    first = tied[np.r_[True, seg[tied][1:] != seg[tied][:-1]]] if len(tied) else tied
+    full = counts > 0
+    width = np.full(len(counts), np.nan)
+    mid = np.full(len(counts), np.nan)
+    width[full] = 1.0 - g[full]
+    # the arc runs from the gap's far end
+    mid[full] = (a[_successor(first, indptr, seg)] % 1.0 + width[full] / 2.0) % 1.0
+    one = counts == 1
+    width[one], mid[one] = 0.0, a[indptr[:-1][one]]
+    return Arcs(mid, width, g, np.bincount(seg[tied], minlength=len(counts)))
+
+
 def shortest_enclosing_arc(angles: Sequence[float]) -> ArcSummary:
     """Shortest arc of the circle containing every given angle.
 
-    The arc is the complement of the largest circular gap between
-    consecutive sorted angles.
+    The one-segment form of ``enclosing_arcs``.
 
     Raises
     ------
@@ -178,23 +253,20 @@ def shortest_enclosing_arc(angles: Sequence[float]) -> ArcSummary:
     ValueError
         If the list is empty.
     """
-    a = np.sort(np.asarray(angles, dtype=float) % 1.0)
-    if a.size == 0:
+    angles = np.asarray(angles, dtype=float)
+    if angles.size == 0:
         raise ValueError("no angles given")
-    if a.size == 1:
-        return ArcSummary(midpoint=float(a[0]), width=0.0, max_gap=1.0)
-    gaps = np.diff(a, append=a[0] + 1.0)
-    g = float(np.max(gaps))
-    tied = np.flatnonzero(gaps >= g - _GAP_TIE_TOL)
-    if tied.size > 1:
-        mids = [float((a[(i + 1) % a.size] + (1.0 - gaps[i]) / 2.0) % 1.0) for i in tied]
+    indptr = np.array([0, angles.size])
+    arc = enclosing_arcs(angles, indptr)
+    g = float(arc.max_gap[0])
+    if arc.ties[0] > 1:
+        seg, a, gaps = _circular_gaps(angles, indptr)
+        tied = np.flatnonzero(gaps >= g - _GAP_TIE_TOL)
+        mids = ((a[_successor(tied, indptr, seg)] + (1.0 - gaps[tied]) / 2.0) % 1.0).tolist()
         raise NonUniqueArc(
             f"{tied.size} circular gaps tie for the maximum ({g:.17g} turns)", mids
         )
-    i = int(tied[0])
-    width = 1.0 - g
-    start = a[(i + 1) % a.size] % 1.0  # arc runs from the gap's far end
-    return ArcSummary(midpoint=float((start + width / 2.0) % 1.0), width=width, max_gap=g)
+    return ArcSummary(midpoint=float(arc.midpoint[0]), width=float(arc.width[0]), max_gap=g)
 
 
 def karcher_mean(points: np.ndarray, weights) -> np.ndarray:

@@ -263,7 +263,10 @@ def parse_dataset(doc) -> BundleDataset:
         dists = None
         if kind == "abstract":
             table = _need(doc, "distances", "dataset", list)
-            dists = np.array([_floats(r, "distances") for r in table])
+            if not set(map(type, table)) <= {list} or len(set(map(len, table))) > 1:
+                raise SchemaError("dataset: distances must be rows of numbers, all one length")
+            flat = _floats(list(chain.from_iterable(table)), "distances")
+            dists = flat.reshape(len(table), len(table[0]) if table else 0)
         return BundleDataset(ids=tuple(ids), base=arr, kind=kind, distances=dists)
     except ValueError as exc:
         raise SchemaError(f"dataset: {exc}")

@@ -3,12 +3,14 @@
 A cover set is a finite object: a set of sample ids, optionally tagged
 with the geometry (center, radius) that produced it.  The nerve collects
 every tuple of cover sets whose members intersect, up to 3-simplices,
-which is all the downstream boundary matrices consume.
+which is all the downstream boundary matrices consume; it is read off
+each sample's support, the tuple of sets that hold it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -174,35 +176,30 @@ class Nerve:
 def build_nerve(cover: Sequence[CoverSet], max_dim: int = 3) -> Nerve:
     """Nerve of a cover: tuples of set ids with a common sample.
 
-    Weights are left at zero.  Tuples are sorted ascending and listed in
-    lex order within each dimension.
+    A tuple of sets is a simplex exactly when some sample lies in every
+    one of them.  So the p-simplices are the distinct (p+1)-subsets of
+    the samples' support tuples, the ascending ids of the sets that hold
+    each sample.  Weights are left at zero.  Tuples are sorted ascending
+    and listed in lex order within each dimension ``0..max_dim``, empty
+    where a dimension has no simplices.  Members may be any hashable
+    values.
     """
     if not cover:
         raise ValueError("cover is empty")
-    members = {c.id: set(c.members) for c in cover}
+    members = {c.id: c.members for c in cover}
     if len(members) != len(cover):
         raise ValueError("cover set ids are not unique")
-    verts = sorted(j for j, m in members.items() if m)
-    simplices: dict[int, list[tuple]] = {0: [(j,) for j in verts]}
-    overlaps: dict[tuple, set] = {(j,): members[j] for j in verts}
-    for p in range(1, max_dim + 1):
-        level: list[tuple] = []
-        for s in simplices.get(p - 1, []):
-            base = overlaps[s]
-            for j in verts:
-                if j <= s[-1]:
-                    continue
-                shared = base & members[j]
-                if shared:
-                    t = s + (j,)
-                    level.append(t)
-                    overlaps[t] = shared
-        simplices[p] = level
-        if not level:
-            for q in range(p + 1, max_dim + 1):
-                simplices[q] = []
-            break
-    return Nerve(simplices={p: sorted(v) for p, v in simplices.items()})
+    supports: dict = {}
+    for j in sorted(members):
+        for s in members[j]:
+            supports.setdefault(s, []).append(j)
+    tuples = set(map(tuple, supports.values()))
+    return Nerve(
+        simplices={
+            p: sorted({f for t in tuples for f in combinations(t, p + 1)})
+            for p in range(max_dim + 1)
+        }
+    )
 
 
 def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Cochain") -> Nerve:
@@ -212,13 +209,12 @@ def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Cochain") -> N
     the witness image of the other, over the samples they share; the
     other simplices follow ``simplex_weights``.
     """
-    means = {}
-    for (j, k) in nerve.edges:
-        err = trivs.chord_errors(j, k, witness.value((j, k)))
-        if len(err) == 0:
-            raise EmptyOverlap(f"edge ({j}, {k}) has no shared samples")
-        means[(j, k)] = float(np.mean(err))
-    return simplex_weights(nerve, means)
+    ov, _, means = trivs.chord_errors(nerve.edges, witness)
+    empty = np.flatnonzero(np.diff(ov.indptr) == 0)
+    if empty.size:
+        j, k = nerve.edges[empty[0]]
+        raise EmptyOverlap(f"edge ({j}, {k}) has no shared samples")
+    return simplex_weights(nerve, dict(zip(nerve.edges, means)))
 
 
 def simplex_weights(nerve: Nerve, edge_means: dict) -> Nerve:

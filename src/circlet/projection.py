@@ -636,7 +636,9 @@ def reduction_curve(frames: FrameField, dims=None) -> list:
         step = max(1, _BLOCK // max(f[0].size * frames.dim, 1))
         for lo in range(0, len(f), step):
             y = vecs[rows[lo : lo + step]].swapaxes(-1, -2)[:, None] @ f[lo : lo + step]
-            tail = 2.0 - np.cumsum(np.sum(y * y, axis=-1), axis=-1)
+            y *= y
+            # the two-term sum a reduce over the axis of length 2 would make, without its overhead
+            tail = 2.0 - np.cumsum(y[..., 0] + y[..., 1], axis=-1)
             errs.append(np.sqrt(np.clip(tail[..., cut], 0.0, None)).reshape(-1, len(cut)).T)
         keys.append(np.repeat(frames.groups[g].rows, f.shape[1]))
     errs = np.concatenate(errs, axis=1)[:, np.argsort(np.concatenate(keys), kind="stable")]

@@ -9,9 +9,12 @@ coverage gap, quantifies how far the data is from an exact bundle.
 
 Charts are stored column-wise: each chart is a sorted int64 array of
 sample ids with a row-aligned ``(n, 2)`` array of unit vectors and an
-array of their angles in turns.  ``Trivialization.overlap`` is the one
-intersection of chart domains; the witness, the quality report and the
-edge weights all read it.
+array of their angles in turns.  ``Trivialization.overlaps`` is the one
+intersection of chart domains: it reads every overlap of a list of set
+tuples off the (sample, set) incidence at once and returns them as CSR
+segments.  The witness, the quality report and the edge weights each
+make one call per simplex dimension and run their per-overlap kernels
+(the minimax fit, the coverage gap, the chord errors) on the segments.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -26,15 +30,15 @@ import numpy as np
 from .circle import (
     O2,
     TWO_PI,
+    enclosing_arcs,
     s1_angle,
-    shortest_enclosing_arc,
+    segment_max,
     turn_chord,
 )
 from .cochains import Cochain, cocycle_defect
 from .errors import (
     DiameterTooLarge,
     GuardError,
-    NonUniqueArc,
     ShapeMismatch,
     TooFewSamples,
 )
@@ -54,6 +58,71 @@ class Chart(NamedTuple):
     turns: np.ndarray  # (n,) their angles in turns, in [0, 1)
 
 
+class Overlaps(NamedTuple):
+    """Overlaps of a list of set tuples, as CSR segments.
+
+    Segment ``i``, ``indptr[i]:indptr[i + 1]``, holds the samples that
+    every set of tuple ``i`` contains, ids ascending.  Row ``p`` of
+    ``points`` and ``turns`` holds the values of the tuple's ``p``-th
+    chart at those samples.
+    """
+
+    indptr: np.ndarray  # (k + 1,)
+    ids: np.ndarray  # (n,)
+    points: np.ndarray  # (m, n, 2)
+    turns: np.ndarray  # (m, n)
+
+
+def _subsets(ids: np.ndarray, m: int):
+    """Every m-subset of every sample's support, from concatenated chart ids.
+
+    Charts are concatenated in set order, so a stable sort by sample is
+    the lexsort by (sample, set).  Returns each subset's sample rank and
+    its rows of the concatenation, sets ascending, one support size at a
+    time, and the number of distinct samples.
+    """
+    order = np.argsort(ids, kind="stable")
+    sid = ids[order]
+    head = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])
+    support = np.diff(np.r_[head, len(sid)])
+    ranks, picks = [np.empty(0, np.int64)], [np.empty((0, m), np.int64)]
+    for q in (np.flatnonzero(np.bincount(support)[m:]) + m).tolist():
+        subsets = np.array(list(combinations(range(q), m)), dtype=np.int64)
+        rank = np.flatnonzero(support == q)
+        ranks.append(np.repeat(rank, len(subsets)))
+        picks.append(order[(head[rank, None, None] + subsets).reshape(-1, m)])
+    return np.concatenate(ranks), np.concatenate(picks), len(head)
+
+
+def _shared_rows(ids: np.ndarray, sizes: list, want: np.ndarray):
+    """Rows of concatenated charts at the samples each tuple of charts shares.
+
+    ``want`` holds one tuple of chart positions per row, ``sizes`` the
+    charts' lengths.  Returns the tuple of each hit and its rows, one
+    column per chart, ordered by tuple and then sample.
+    """
+    m = want.shape[1]
+    dims = (len(sizes),) * m
+    perm = np.argsort(want, axis=1, kind="stable")
+    wkey = np.ravel_multi_index(tuple(np.take_along_axis(want, perm, axis=1).T), dims)
+    by = np.argsort(wkey)
+    wkey = wkey[by]
+    if np.any(wkey[1:] == wkey[:-1]):
+        raise ValueError("two tuples name the same sets")
+    rank, pick, samples = _subsets(ids, m)
+    slot = np.repeat(np.arange(len(sizes)), sizes)
+    key = np.ravel_multi_index(tuple(slot[pick].T), dims)
+    at = np.minimum(np.searchsorted(wkey, key), len(wkey) - 1)
+    hit = np.flatnonzero(wkey[at] == key)
+    which = by[at[hit]]
+    del slot, key, at  # incidence-sized: free them before the reorder
+    o = np.argsort(which * samples + rank[hit])
+    which, pick = which[o], pick[hit[o]]
+    if np.any(perm != np.arange(m)):  # some tuple lists its sets out of order
+        pick = np.take_along_axis(pick, np.argsort(perm, axis=1)[which], axis=1)
+    return which, pick
+
+
 class Trivialization:
     """Circle-valued charts over a cover, one :class:`Chart` per cover set.
 
@@ -61,10 +130,8 @@ class Trivialization:
     any order; a chart's domain is exactly its cover set's members.
     Angles are computed once, here, and ``restrict`` copies whole rows.
 
-    ``overlap(*sets)`` is the only intersection of chart domains.  It
-    returns ``(ids, rows)``: the shared sample ids in ascending order,
-    and for each ``sets[i]`` the rows of that chart holding them, so that
-    ``chart(sets[i]).ids[rows[i]]`` equals ``ids``.
+    ``overlaps(simplices)`` is the only intersection of chart domains;
+    ``overlap(*sets)`` and ``shared(j, k)`` are one-segment views of it.
 
     Raises ``ShapeMismatch`` when a point is not a 2-vector or a chart
     repeats a sample id.
@@ -92,7 +159,8 @@ class Trivialization:
             if isinstance(table, dict):
                 table = (list(table), list(table.values()))
             ids, turns = table
-            t = TWO_PI * np.asarray(turns, dtype=float)
+            # reduced first: a huge finite turn must not overflow to a NaN point
+            t = TWO_PI * (np.asarray(turns, dtype=float) % 1.0)
             charts[j] = (ids, np.stack([np.cos(t), np.sin(t)], axis=-1))
         return cls(charts)
 
@@ -102,16 +170,40 @@ class Trivialization:
     def chart(self, j) -> Chart:
         return self._charts[j]
 
+    def overlaps(self, simplices) -> Overlaps:
+        """Every overlap of ``simplices``, a list of same-length set tuples.
+
+        Read off the (sample, set) incidence of the charts involved: the
+        charts' concatenated columns, sorted by sample and then set, give
+        every sample's support, and the tuples a sample lies in are the
+        combinations of its support, enumerated once per support size.
+        The sets of a tuple may come in any order, and row ``p`` of the
+        result follows the tuple's order.  Raises ``KeyError`` for a set
+        without a chart and ``ValueError`` when two tuples name the same
+        sets.
+        """
+        simplices = list(simplices)
+        if not simplices:
+            return Overlaps(np.zeros(1, np.int64), np.empty(0, np.int64), np.empty((0, 0, 2)),
+                            np.empty((0, 0)))
+        sets = sorted({j for s in simplices for j in s})
+        charts = [self._charts[j] for j in sets]
+        slot_of = {j: i for i, j in enumerate(sets)}
+        want = np.array([[slot_of[j] for j in s] for s in simplices], dtype=np.int64)
+        ids = np.concatenate([c.ids for c in charts])
+        which, pick = _shared_rows(ids, [len(c.ids) for c in charts], want)
+        rows = pick.T
+        indptr = np.r_[0, np.cumsum(np.bincount(which, minlength=len(simplices)))]
+        points = np.concatenate([c.points for c in charts])[rows]
+        return Overlaps(indptr, ids[rows[0]], points, np.concatenate([c.turns for c in charts])[rows])
+
     def overlap(self, *sets):
-        """Shared sample ids of the charts ``sets`` and each chart's rows for them."""
-        ids = self._charts[sets[0]].ids
-        rows = [np.arange(len(ids))]
-        for j in sets[1:]:
-            ids, here, there = np.intersect1d(
-                ids, self._charts[j].ids, assume_unique=True, return_indices=True
-            )
-            rows = [r[here] for r in rows] + [there]
-        return ids, rows
+        """Shared sample ids of the charts ``sets`` and each chart's rows for them.
+
+        ``chart(sets[i]).ids[rows[i]]`` equals ``ids``, which ascend.
+        """
+        ids = self.overlaps([sets]).ids
+        return ids, [self._charts[j].ids.searchsorted(ids) for j in sets]
 
     def at(self, samples, sets):
         """Points and angles of samples in charts, elementwise.
@@ -152,16 +244,27 @@ class Trivialization:
 
     def shared(self, j, k):
         """Shared sample ids with both charts' angles, in sorted id order."""
-        ids, (rj, rk) = self.overlap(j, k)
-        return ids, self._charts[j].turns[rj], self._charts[k].turns[rk]
+        ov = self.overlaps([(j, k)])
+        return ov.ids, ov.turns[0], ov.turns[1]
 
-    def chord_errors(self, j, k, om: O2) -> np.ndarray:
-        """Chord misalignment of chart ``j`` against ``om`` applied to chart ``k``.
+    def chord_errors(self, edges, witness: Cochain):
+        """Chord misalignment of each edge's first chart against the witness image of its second.
 
-        One entry per shared sample, in sorted id order.
+        Returns the edges' overlaps, the error at every shared sample in
+        segment order, and each edge's mean error (0.0 on an empty
+        overlap).  A mean is ``np.mean`` of its segment, the same bits
+        as on the edge's own array.
         """
-        _, aj, ak = self.shared(j, k)
-        return turn_chord(aj - (om.turn + om.sign * ak))
+        ov = self.overlaps(edges)
+        if not edges:
+            return ov, np.empty(0), []
+        om = [witness.value(e) for e in edges]
+        each = np.repeat(np.arange(len(edges)), np.diff(ov.indptr))
+        turn = np.array([o.turn for o in om])[each]
+        sign = np.array([o.sign for o in om])[each]
+        errs = turn_chord(ov.turns[0] - (turn + sign * ov.turns[1]))
+        means = [float(np.mean(errs[a:b])) if b > a else 0.0 for a, b in pairwise(ov.indptr)]
+        return ov, errs, means
 
 
 @dataclass
@@ -195,15 +298,31 @@ class QualityReport:
     edges: list[EdgeQuality] = field(default_factory=list)
 
 
-def procrustes_o2(f_vals, g_vals) -> tuple[O2, float]:
-    """Minimax alignment of two circle-valued sample lists.
+def _fit_failure(counts: np.ndarray, i: int) -> GuardError:
+    """Why segment ``i`` of a minimax fit has no witness."""
+    if counts[i] < 2:
+        return TooFewSamples(f"minimax alignment needs >= 2 samples, got {counts[i]}", index=(i,))
+    return DiameterTooLarge(
+        "rotation and reflection residuals both spread over half a circle", index=(i,)
+    )
+
+
+def procrustes_o2(f_vals, g_vals, indptr=None):
+    """Minimax alignment of two circle-valued sample lists, or of each segment of them.
 
     Considers the rotation candidate built from the differences of
     angles and the reflection candidate built from their sums; for each,
     the turn is the midpoint of the shortest arc enclosing the residuals
     (the chord error is monotone in circular distance, so the midpoint
     is the minimax choice).  Returns whichever candidate achieves the
-    smaller actual max chord error, with that error.
+    smaller actual max chord error, with that error; the rotation on a
+    tie.  An arc whose largest gap is tied is no candidate: ties only
+    happen at width >= 1/2, out of range anyway.
+
+    Without ``indptr`` the lists are one segment and the result is
+    ``(O2, error)``.  With it, rows ``indptr[i]:indptr[i + 1]`` form
+    segment ``i``, every segment is fitted on its own in one pass, and
+    the result is the arrays ``(turns, signs, errors)``.
 
     Raises
     ------
@@ -212,74 +331,92 @@ def procrustes_o2(f_vals, g_vals) -> tuple[O2, float]:
     DiameterTooLarge
         Both residual sets spread over half a circle or more, so neither
         enclosing-arc construction is valid.
+
+    For segments, the error is that of the first failing segment, with
+    ``index=(i,)``.
     """
     f_vals = np.atleast_2d(np.asarray(f_vals, dtype=float))
     g_vals = np.atleast_2d(np.asarray(g_vals, dtype=float))
     if f_vals.shape != g_vals.shape:
         raise ShapeMismatch("sample lists differ in shape")
-    n = f_vals.shape[0]
-    if n < 2:
-        raise TooFewSamples(f"minimax alignment needs >= 2 samples, got {n}")
+    bounds = np.asarray([0, len(f_vals)] if indptr is None else indptr, dtype=np.int64)
+    counts = np.diff(bounds)
+    if indptr is None and counts[0] < 2:
+        raise _fit_failure(counts, 0)  # before the angles: a short list need not hold 2-vectors
     alpha = s1_angle(f_vals)
     beta = s1_angle(g_vals)
-    candidates = []
-    for resid, sign in (((alpha - beta) % 1.0, 1), ((alpha + beta) % 1.0, -1)):
-        try:
-            arc = shortest_enclosing_arc(resid)
-        except NonUniqueArc:
-            continue  # ties only happen at width >= 1/2, out of range anyway
-        if arc.width >= 0.5:
-            continue
-        err = float(np.max(turn_chord(resid - arc.midpoint)))
-        candidates.append((err, sign, O2(arc.midpoint, sign)))
-    if not candidates:
-        raise DiameterTooLarge(
-            "rotation and reflection residuals both spread over half a circle"
-        )
-    if len(candidates) == 2 and candidates[0][0] == candidates[1][0]:
+    fits = []
+    for combine in (np.subtract, np.add):
+        resid = combine(alpha, beta) % 1.0
+        arcs = enclosing_arcs(resid, bounds)
+        valid = (arcs.ties == 1) & (arcs.width < 0.5)
+        err = segment_max(turn_chord(resid - np.repeat(arcs.midpoint, counts)), bounds)
+        fits.append((arcs.midpoint, valid, err))
+    (t_rot, ok_rot, e_rot), (t_ref, ok_ref, e_ref) = fits
+    bad = np.flatnonzero((counts < 2) | ~(ok_rot | ok_ref))
+    if bad.size:
+        raise _fit_failure(counts, int(bad[0]))
+    for _ in range(np.count_nonzero(ok_rot & ok_ref & (e_rot == e_ref))):
         log.info("procrustes tie between components; returning the rotation")
-        return candidates[0][2], candidates[0][0]
-    err, _, om = min(candidates, key=lambda c: c[0])
-    return om, err
+    reflect = ok_ref & ~(ok_rot & (e_rot <= e_ref))
+    turns = np.where(reflect, t_ref, t_rot)
+    signs = np.where(reflect, -1, 1)
+    errs = np.where(reflect, e_ref, e_rot)
+    if indptr is None:
+        return O2(float(turns[0]), int(signs[0])), float(errs[0])
+    return turns, signs, errs
 
 
 def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Cochain:
-    """Per-edge minimax witnesses, assembled into an isometry 1-cochain.
+    """Minimax witnesses on every edge, assembled into an isometry 1-cochain.
 
-    Edges are processed independently, in nerve order; any per-edge
-    failure is re-raised with the edge attached.  Edges whose
-    minimax error reaches the validity threshold are logged as warnings,
-    not rejected.
+    One ``overlaps`` call gives every edge's shared samples and one
+    segmented ``procrustes_o2`` call fits them all; a failure names the
+    first failing edge in nerve order.  Edges whose minimax error
+    reaches the validity threshold are logged as warnings, not rejected.
     """
-    vals = {}
-    worst = 0.0
-    for j, k in nerve.edges:
-        ids, (rj, rk) = trivs.overlap(j, k)
-        if len(ids) < 2:
-            raise TooFewSamples(f"edge ({j}, {k}): {len(ids)} shared samples")
-        f, g = trivs.chart(j).points[rj], trivs.chart(k).points[rk]
-        try:
-            vals[(j, k)], err = procrustes_o2(f, g)
-        except GuardError as exc:
-            raise type(exc)(f"edge ({j}, {k}): {exc}") from exc
-        worst = max(worst, err)
+    edges = nerve.edges
+    if not edges:
+        return Cochain(nerve, 1, "O2", {})
+    indptr, _, points, _ = trivs.overlaps(edges)
+    try:
+        turns, signs, errs = procrustes_o2(*points, indptr)
+    except GuardError as exc:
+        i = exc.index[0]
+        j, k = edges[i]
+        if isinstance(exc, TooFewSamples):
+            n = indptr[i + 1] - indptr[i]
+            raise TooFewSamples(f"edge ({j}, {k}): {n} shared samples") from exc
+        raise type(exc)(f"edge ({j}, {k}): {exc}") from exc
+    worst = max(errs.tolist())
     if worst >= EPSILON_VALID:
         log.warning(
             "witness misalignment %.3f exceeds the validity threshold %.3f",
             worst,
             EPSILON_VALID,
         )
+    vals = {e: O2(t, s) for e, t, s in zip(edges, turns.tolist(), signs.tolist())}
     return Cochain(nerve, 1, "O2", vals)
 
 
-def coverage_gap(turns: np.ndarray) -> float:
-    """Hausdorff gap of a circular sample set: 2 sin(g/4), g the max gap."""
-    if len(turns) == 0:
-        return 2.0
-    a = np.sort(np.asarray(turns, dtype=float) % 1.0)
-    gaps = np.diff(a, append=a[0] + 1.0)
+def coverage_gap(turns: np.ndarray, indptr=None) -> float:
+    """Hausdorff gap of a circular sample set: 2 sin(g/4), g the max gap; 2 when empty.
+
+    With ``indptr``, the worst gap over the segments
+    ``turns[indptr[i]:indptr[i + 1]]``, 0 with none: the gap grows with
+    g, so it is the gap of the largest g of ``enclosing_arcs``.
+    """
+    turns = np.asarray(turns, dtype=float)
+    gaps = enclosing_arcs(turns, [0, len(turns)] if indptr is None else indptr).max_gap
+    if not len(gaps):
+        return 0.0
     g = float(np.max(gaps)) * 2.0 * np.pi
     return 2.0 * math.sin(g / 4.0)
+
+
+def _worst_coverage(ov: Overlaps) -> float:
+    """Worst coverage gap over every chart of every overlap."""
+    return max((coverage_gap(turns, ov.indptr) for turns in ov.turns), default=0.0)
 
 
 def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> QualityReport:
@@ -288,31 +425,16 @@ def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> Quali
     The coverage gap is evaluated for every chart of every pairwise and
     triple overlap; the reported delta is the worse of the two flavors.
     """
+    # triangles first, so that their overlaps are freed before the edges' are built
+    d_triple = _worst_coverage(trivs.overlaps(nerve.triangles))
+    ov, errs, means = trivs.chord_errors(nerve.edges, witness)
+    max_errs = segment_max(errs, ov.indptr).tolist()
     edge_rows = []
-    for (j, k) in nerve.edges:
-        om = witness.value((j, k))
-        errs = trivs.chord_errors(j, k, om)
-        edge_rows.append(
-            EdgeQuality(
-                edge=(j, k),
-                turn=om.turn,
-                sign=om.sign,
-                max_err=float(np.max(errs, initial=0.0)),
-                mean_err=float(np.mean(errs)) if len(errs) else 0.0,
-            )
-        )
-    eps = max((row.max_err for row in edge_rows), default=0.0)
-
-    def overlap_delta(simplices):
-        worst = 0.0
-        for s in simplices:
-            _, rows = trivs.overlap(*s)
-            for j, r in zip(s, rows):
-                worst = max(worst, coverage_gap(trivs.chart(j).turns[r]))
-        return worst
-
-    d_pair = overlap_delta(nerve.edges)
-    d_triple = overlap_delta(nerve.triangles)
+    for e, max_err, mean_err in zip(nerve.edges, max_errs, means):
+        om = witness.value(e)
+        edge_rows.append(EdgeQuality(e, om.turn, om.sign, max_err, mean_err))
+    eps = max(max_errs, default=0.0)
+    d_pair = _worst_coverage(ov)
     delta = max(d_pair, d_triple)
     alpha = math.inf if delta >= 1.0 else eps / (1.0 - delta)
     return QualityReport(

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from circlet.circle import O2
+from circlet.errors import DiameterTooLarge, GuardError, TooFewSamples
 from circlet.projection import PartitionOfUnity
 
 
@@ -571,3 +572,141 @@ def per_value_number(x):
     except OverflowError:
         return None
     return x if math.isfinite(x) else None
+
+
+# ---------------------------------------------------------------------------
+# the witness layer, one overlap at a time: nerve by set intersection,
+# per-edge minimax fits and per-overlap quality, as the package computed
+# them before its overlaps became segments of one incidence
+
+_TIE_TOL = 1e-12
+
+
+def loop_nerve(cover, max_dim: int = 3) -> dict:
+    """Simplices by extending each tuple with every later set that still meets it."""
+    members = {c.id: set(c.members) for c in cover}
+    verts = sorted(j for j, m in members.items() if m)
+    simplices = {0: [(j,) for j in verts]}
+    shared = {(j,): members[j] for j in verts}
+    for p in range(1, max_dim + 1):
+        level = []
+        for s in simplices[p - 1]:
+            for j in verts:
+                if j > s[-1] and shared[s] & members[j]:
+                    level.append(s + (j,))
+                    shared[s + (j,)] = shared[s] & members[j]
+        simplices[p] = sorted(level)
+    return simplices
+
+
+def loop_overlap(trivs, sets):
+    """Shared ids of charts and each chart's rows, by chained pairwise intersection."""
+    ids = trivs.chart(sets[0]).ids
+    rows = [np.arange(len(ids))]
+    for j in sets[1:]:
+        ids, here, there = np.intersect1d(
+            ids, trivs.chart(j).ids, assume_unique=True, return_indices=True
+        )
+        rows = [r[here] for r in rows] + [there]
+    return ids, rows
+
+
+def _angle(points):
+    p = np.asarray(points, dtype=float)
+    return np.arctan2(p[..., 1], p[..., 0]) / (2.0 * math.pi) % 1.0
+
+
+def _chord(dt):
+    return 2.0 * np.abs(np.sin(np.pi * np.asarray(dt, dtype=float)))
+
+
+def loop_arc(angles):
+    """Shortest enclosing arc of one angle list: ``(midpoint, width, max_gap, tied_midpoints)``.
+
+    More than one tied midpoint means the largest gap is not unique.
+    """
+    a = np.sort(np.asarray(angles, dtype=float) % 1.0)
+    if a.size == 1:
+        return float(a[0]), 0.0, 1.0, [float(a[0])]
+    gaps = np.diff(a, append=a[0] + 1.0)
+    g = float(np.max(gaps))
+    tied = np.flatnonzero(gaps >= g - _TIE_TOL)
+    mids = [float((a[(i + 1) % a.size] + (1.0 - gaps[i]) / 2.0) % 1.0) for i in tied]
+    i = int(tied[0])
+    width = 1.0 - g
+    start = a[(i + 1) % a.size] % 1.0
+    return float((start + width / 2.0) % 1.0), width, g, mids
+
+
+def loop_procrustes(f_points, g_points):
+    """Minimax O(2) fit of two point lists: ``(turn, sign, error)``, the rotation on a tie."""
+    n = len(f_points)
+    if n < 2:
+        raise TooFewSamples(f"minimax alignment needs >= 2 samples, got {n}")
+    alpha, beta = _angle(f_points), _angle(g_points)
+    candidates = []
+    for resid, sign in (((alpha - beta) % 1.0, 1), ((alpha + beta) % 1.0, -1)):
+        mid, width, _, mids = loop_arc(resid)
+        if len(mids) > 1 or width >= 0.5:
+            continue
+        candidates.append((float(np.max(_chord(resid - mid))), sign, mid))
+    if not candidates:
+        raise DiameterTooLarge("rotation and reflection residuals both spread over half a circle")
+    err, sign, mid = min(candidates, key=lambda c: c[0])
+    return mid, sign, err
+
+
+def loop_witness(trivs, edges):
+    """Per-edge fits ``{edge: (turn, sign)}`` and the worst error; errors name the edge."""
+    values, worst = {}, 0.0
+    for j, k in edges:
+        ids, (rj, rk) = loop_overlap(trivs, (j, k))
+        if len(ids) < 2:
+            raise TooFewSamples(f"edge ({j}, {k}): {len(ids)} shared samples")
+        try:
+            turn, sign, err = loop_procrustes(trivs.chart(j).points[rj], trivs.chart(k).points[rk])
+        except GuardError as exc:
+            raise type(exc)(f"edge ({j}, {k}): {exc}") from exc
+        values[(j, k)] = (turn, sign)
+        worst = max(worst, err)
+    return values, worst
+
+
+def loop_coverage_gap(turns):
+    if len(turns) == 0:
+        return 2.0
+    a = np.sort(np.asarray(turns, dtype=float) % 1.0)
+    gaps = np.diff(a, append=a[0] + 1.0)
+    g = float(np.max(gaps)) * 2.0 * np.pi
+    return 2.0 * math.sin(g / 4.0)
+
+
+def loop_edge_errors(trivs, values, edge):
+    """Chord errors of one edge under ``values[edge] = (turn, sign)``."""
+    j, k = edge
+    turn, sign = values[edge]
+    _, (rj, rk) = loop_overlap(trivs, edge)
+    return _chord(trivs.chart(j).turns[rj] - (turn + sign * trivs.chart(k).turns[rk]))
+
+
+def loop_quality(trivs, values, edges, triangles) -> dict:
+    """Per-edge max and mean errors, epsilon, and the pairwise and triple coverage gaps."""
+    rows = []
+    for e in edges:
+        err = loop_edge_errors(trivs, values, e)
+        rows.append((e, float(np.max(err, initial=0.0)), float(np.mean(err)) if len(err) else 0.0))
+
+    def worst_gap(simplices):
+        worst = 0.0
+        for s in simplices:
+            _, rows_of = loop_overlap(trivs, s)
+            for j, r in zip(s, rows_of):
+                worst = max(worst, loop_coverage_gap(trivs.chart(j).turns[r]))
+        return worst
+
+    return {
+        "rows": rows,
+        "epsilon": max((r[1] for r in rows), default=0.0),
+        "delta_pairwise": worst_gap(edges),
+        "delta_triple": worst_gap(triangles),
+    }

@@ -22,6 +22,16 @@ def read(path):
         return json.load(fh)
 
 
+def abstract_distances(table):
+    """A dataset mutation: make the base abstract, with this distance table."""
+
+    def mutate(doc):
+        doc["base_space"]["kind"] = "abstract"
+        doc["distances"] = table
+
+    return mutate
+
+
 @pytest.fixture(scope="module")
 def torus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("torus")
@@ -242,11 +252,15 @@ class TestWitnessCommand:
         ("dataset.json", lambda d: d["samples"][0].update(id=0.5)),
         ("dataset.json", lambda d: d["samples"][0].update(base=1.0)),
         ("dataset.json", lambda d: d.update(samples={"0": []})),
+        ("dataset.json", abstract_distances([5, [1.0, 0.0]])),
+        ("dataset.json", abstract_distances([[0.0, 1.0], [1.0]])),
+        ("dataset.json", abstract_distances([[0.0, 1.0], [1.0, 0.0]])),
     ], ids=[
         "string-center", "long-center", "scalar-center", "string-set-id",
         "bool-set-id", "string-member", "float-member", "members-not-list",
         "sets-not-list", "long-base", "string-sample-id", "float-sample-id",
-        "scalar-base", "samples-not-list",
+        "scalar-base", "samples-not-list", "distance-row-not-list",
+        "ragged-distances", "distances-wrong-row-count",
     ])
     def test_malformed_cover_or_dataset_exit_one(
         self, torus_dir, tmp_path, capsys, name, mutate

@@ -56,6 +56,8 @@ class TestProcrustes:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             procrustes_o2(points([0.1]), points([0.2]))
+        with pytest.raises(TooFewSamples):
+            procrustes_o2([], [])
 
     def test_diameter_guard(self):
         # beta constant: both residual sets equal alpha, evenly spread
@@ -259,6 +261,16 @@ class TestTrivQuality:
         # chord scale of the injected angular noise
         scale = 2 * np.pi * sigma
         assert scale <= report.epsilon <= 8 * scale
+
+
+class TestFromTurns:
+    def test_huge_finite_turn_is_reduced_before_the_multiply(self):
+        huge = {0: {0: 1e308, 1: -1e308, 2: 0.25}}
+        reduced = {0: {s: t % 1.0 for s, t in huge[0].items()}}
+        big, small = Trivialization.from_turns(huge), Trivialization.from_turns(reduced)
+        assert np.isfinite(big.chart(0).points).all()
+        assert np.array_equal(big.chart(0).points, small.chart(0).points)
+        assert np.array_equal(big.chart(0).turns, small.chart(0).turns)
 
 
 class TestTrivDistance:

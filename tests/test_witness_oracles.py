@@ -1,0 +1,224 @@
+"""The segmented witness layer against its per-overlap oracles, bit for bit.
+
+``tests/oracles.py`` keeps the per-edge and per-triangle computations:
+the set-intersection nerve, one minimax fit per edge, and the quality
+and edge weights one overlap at a time.  The segmented kernels must give
+exactly the same simplices, witness turns and signs, epsilon, deltas and
+edge means (``==`` on floats), and the same error type and message when
+an edge fails.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circlet.circle import O2, enclosing_arcs, shortest_enclosing_arc
+from circlet.cochains import Cochain
+from circlet.errors import DiameterTooLarge, EmptyOverlap, GuardError, NonUniqueArc
+from circlet.nerve import CoverSet, build_nerve, edge_weights
+from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
+from circlet.witness import (
+    Trivialization,
+    assemble_witness,
+    coverage_gap,
+    procrustes_o2,
+    triv_quality,
+)
+
+from oracles import (
+    loop_arc,
+    loop_coverage_gap,
+    loop_nerve,
+    loop_overlap,
+    loop_procrustes,
+    loop_quality,
+    loop_witness,
+)
+
+SCENARIOS = {
+    "lens1": lambda: gen_lens_bundle(1, n_samples=2000, n_sets=16, radius=0.85, seed=0),
+    "lens2": lambda: gen_lens_bundle(2, n_samples=2000, n_sets=64, radius=0.44, seed=0),
+    "rp2": lambda: gen_rp2_bundle(1, n_samples=2000, n_sets=20, noise=0.02, seed=1),
+    "klein": lambda: gen_s1_bundle(orientable=False, n_samples=1500, noise=0.02, seed=2),
+    "torus": lambda: gen_s1_bundle(orientable=True, n_samples=3000, n_arcs=16, noise=0.02, seed=3),
+}
+
+
+def assert_layer_matches(cover, trivs, witness_values=None):
+    """Nerve, witness, quality and edge weights equal their oracles exactly.
+
+    ``witness_values`` (edge -> O2) replaces the fitted witness for the
+    quality and weights, so they can be checked where no fit exists.
+    """
+    nerve = build_nerve(cover)
+    assert nerve.simplices == loop_nerve(cover)
+    try:
+        expected, worst = loop_witness(trivs, nerve.edges)
+    except GuardError as exc:
+        with pytest.raises(type(exc)) as got:
+            assemble_witness(trivs, nerve)
+        assert str(got.value) == str(exc)
+        expected = None
+    else:
+        witness = assemble_witness(trivs, nerve)
+        got = {e: (om.turn, om.sign) for e, om in witness.values.items()}
+        assert got == expected
+    if witness_values is not None:
+        witness = Cochain(nerve, 1, "O2", witness_values)
+    elif expected is None:
+        return
+    values = {e: (om.turn, om.sign) for e, om in witness.values.items()}
+    want = loop_quality(trivs, values, nerve.edges, nerve.triangles)
+    q = triv_quality(trivs, witness, nerve)
+    assert [(r.edge, r.max_err, r.mean_err) for r in q.edges] == want["rows"]
+    assert [(r.turn, r.sign) for r in q.edges] == [values[e] for e in nerve.edges]
+    assert q.epsilon == want["epsilon"]
+    assert q.delta_pairwise == want["delta_pairwise"]
+    assert q.delta_triple == want["delta_triple"]
+    assert q.delta == max(want["delta_pairwise"], want["delta_triple"])
+    empty = [e for e in nerve.edges if len(loop_overlap(trivs, e)[0]) == 0]
+    if empty:
+        with pytest.raises(EmptyOverlap, match=rf"edge \({empty[0][0]}, {empty[0][1]}\)"):
+            edge_weights(nerve, trivs, witness)
+    else:
+        weights = edge_weights(nerve, trivs, witness).weights
+        assert [weights[e] for e in nerve.edges] == [r[2] for r in want["rows"]]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_synth_scenarios_match_oracles(name):
+    dataset, cover, trivs = SCENARIOS[name]()
+    assert_layer_matches(cover, trivs)
+
+
+class TestKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-1, 15), min_size=1, max_size=9), st.booleans())
+    def test_arc_matches_oracle(self, ks, grid):
+        # sixteenths of a turn make tied gaps common; random angles rarely tie;
+        # -1e-20 reduces to exactly 1.0 mod 1
+        rng = np.random.default_rng(len(ks))
+        angles = np.array([k / 16.0 if k >= 0 else -1e-20 for k in ks])
+        if not grid:
+            angles = rng.random(len(ks))
+        mid, width, max_gap, mids = loop_arc(angles)
+        if len(mids) > 1:
+            with pytest.raises(NonUniqueArc) as exc:
+                shortest_enclosing_arc(angles)
+            assert exc.value.midpoints == mids
+        else:
+            arc = shortest_enclosing_arc(angles)
+            assert (arc.midpoint, arc.width, arc.max_gap) == (mid, width, max_gap)
+        assert coverage_gap(angles) == loop_coverage_gap(angles)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 7), max_size=6), min_size=1, max_size=6))
+    def test_segments_are_independent(self, segments):
+        angles = np.array([k / 8.0 for seg in segments for k in seg])
+        indptr = np.cumsum([0] + [len(seg) for seg in segments])
+        arcs = enclosing_arcs(angles, indptr)
+        for i, seg in enumerate(segments):
+            if not seg:
+                assert arcs.max_gap[i] == 1.0 and arcs.ties[i] == 0
+                continue
+            mid, width, max_gap, mids = loop_arc(np.array(seg) / 8.0)
+            assert arcs.ties[i] == len(mids)
+            assert (arcs.midpoint[i], arcs.width[i], arcs.max_gap[i]) == (mid, width, max_gap)
+
+    def test_tie_within_tolerance_is_no_candidate(self):
+        # gaps 1/2 + 1e-13 and 1/2 - 1e-13 tie: the arc is narrower than a
+        # half circle, but not unique, for both the rotation and the reflection
+        f = np.array([[1.0, 0.0], [np.cos(np.pi + 2e-13 * np.pi), np.sin(np.pi + 2e-13 * np.pi)]])
+        g = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(DiameterTooLarge) as want:
+            loop_procrustes(f, g)
+        with pytest.raises(DiameterTooLarge) as got:
+            procrustes_o2(f, g)
+        assert str(got.value) == str(want.value)
+
+    def test_tied_rotation_falls_to_the_reflection(self):
+        # rotation residuals {0, 1/2} tie; the reflection residuals coincide
+        f, g = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]
+        assert len(loop_arc([0.0, 0.5])[3]) == 2
+        om, err = procrustes_o2(f, g)
+        assert (om.turn, om.sign, err) == loop_procrustes(np.array(f), np.array(g))
+        assert om.sign == -1
+
+
+# small covers: empty sets, single-sample and empty overlaps, reflecting
+# charts, and angles on a grid of eighths so that gaps tie
+cover_st = st.dictionaries(
+    st.integers(0, 6), st.sets(st.integers(0, 9), max_size=7), min_size=1, max_size=5
+)
+
+
+def gauged_charts(domains, grid, draw, consistent=True):
+    """Charts of one fiber angle per sample, each under its own O(2) gauge.
+
+    Inconsistent charts draw every value on its own, so fits can fail.
+    """
+    def angle():
+        return draw(st.integers(0, 7)) / 8.0 if grid else draw(st.floats(0.0, 0.999))
+
+    theta = {s: angle() for s in range(10)}
+    tables = {}
+    for j, ids in domains.items():
+        c, sign = draw(st.integers(0, 7)) / 8.0, draw(st.sampled_from([1, -1]))
+        tables[j] = {s: (c + sign * (theta[s] if consistent else angle())) % 1.0
+                     for s in sorted(ids)}
+    return Trivialization.from_turns(tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(domains=cover_st, grid=st.booleans(), consistent=st.booleans(), data=st.data())
+def test_random_covers_match_oracles(domains, grid, consistent, data):
+    trivs = gauged_charts(domains, grid, data.draw, consistent)
+    cover = [CoverSet(j, ids) for j, ids in domains.items()]
+    assert_layer_matches(cover, trivs)
+    # an arbitrary witness reaches the quality and the weights even where no fit exists
+    nerve = build_nerve(cover)
+    values = {e: O2(data.draw(st.integers(0, 7)) / 8.0, data.draw(st.sampled_from([1, -1])))
+              for e in nerve.edges}
+    assert_layer_matches(cover, trivs, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(domains=cover_st, data=st.data())
+def test_charts_narrower_than_the_cover(domains, data):
+    # each cover set also holds samples its chart lacks, so overlaps can be empty
+    trivs = gauged_charts(domains, True, data.draw)
+    cover = [CoverSet(j, set(ids) | {10 + j, 20}) for j, ids in domains.items()]
+    nerve = build_nerve(cover)
+    values = {e: O2(0.0, 1) for e in nerve.edges}
+    assert_layer_matches(cover, trivs, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(domains=cover_st)
+def test_string_members_give_the_same_nerve(domains):
+    cover = [CoverSet(j, {f"s{s}" for s in ids}) for j, ids in domains.items()]
+    assert build_nerve(cover).simplices == loop_nerve(cover)
+
+
+@settings(max_examples=200, deadline=None)
+@given(domains=cover_st, data=st.data())
+def test_overlap_takes_sets_in_any_order(domains, data):
+    trivs = gauged_charts(domains, False, data.draw)
+    order = data.draw(st.permutations(sorted(domains)))
+    sets = order[: data.draw(st.integers(1, min(3, len(order))))]
+    ids, rows = trivs.overlap(*sets)
+    want_ids, want_rows = loop_overlap(trivs, sets)
+    assert ids.tolist() == want_ids.tolist()
+    assert [r.tolist() for r in rows] == [r.tolist() for r in want_rows]
+    for perm in itertools.permutations(range(len(sets))):
+        many = trivs.overlaps([tuple(sets[i] for i in perm)])
+        assert many.ids.tolist() == want_ids.tolist()
+        for p, i in enumerate(perm):
+            chart = trivs.chart(sets[i])
+            assert np.array_equal(many.points[p], chart.points[want_rows[i]].reshape(-1, 2))
+            assert np.array_equal(many.turns[p], chart.turns[want_rows[i]])
