@@ -356,6 +356,7 @@ def _cmd_coordinatize(args, run: _Run):
             wit = assemble_witness(trivs, nerve)
     with run.timed("coordinates"):
         rho = partition_of_unity(cover, ds)
+        _check_dims([args.dim], rho.ambient)
         bm = bundle_map(trivs, wit, rho, d=args.dim, stage=args.stage)
     with run.timed("write"):
         run.write("coords.json", io.frame_coords_doc(bm))
@@ -435,6 +436,12 @@ def _default_dims(ambient: int) -> list[int]:
     return dims
 
 
+def _check_dims(dims: list[int], ambient: int):
+    bad = [d for d in dims if not 2 <= d <= ambient]
+    if bad:
+        raise SchemaError(f"dims {bad} outside 2..{ambient} for this cover")
+
+
 def _report_classes(wit: Cochain, nerve, report) -> dict:
     """The classes block of report.json.
 
@@ -491,11 +498,7 @@ def _cmd_report(args, run: _Run):
                 raise SchemaError(f"bad --dims list {args.dims!r}")
         else:
             dims = _default_dims(rho.ambient)
-        bad = [d for d in dims if not 2 <= d <= rho.ambient]
-        if bad:
-            raise SchemaError(
-                f"dims {bad} outside 2..{rho.ambient} for this cover"
-            )
+        _check_dims(dims, rho.ambient)
         curve = reduction_curve(ff, dims=dims)
     with run.timed("write"):
         run.write(

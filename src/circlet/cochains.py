@@ -6,8 +6,9 @@ simplex.  A cochain may be twisted by a sign-valued 1-cocycle, which
 modifies the coboundary and the antisymmetry rule.
 
 The twisted coboundary convention is written once, in ``coboundary_rows``;
-``coboundary_values`` evaluates it.  Cocycle checks, the boundary
-matrices of ``intlinalg`` and the persistence probes all read it.
+``coboundary_values`` evaluates it.  Cocycle checks, the persistence
+probes and the integer systems of the fundamental class and the global
+trivialization all read it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import cycle
 from typing import Optional
 
-from .circle import O2, o2_compose, o2_inverse, o2_frobenius_distance
+from .circle import o2_compose, o2_inverse, o2_frobenius_distance
 from .errors import DegreeUnsupported, NotACocycle, ShapeMismatch
 from .nerve import Nerve, facets
 
@@ -151,59 +152,27 @@ def _check_sign_rows(omega: Cochain, rows):
 
 
 def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
-    """Coboundary of a cochain, twisted by a sign cocycle when given.
+    """Coboundary of a sign or number cochain, twisted by a sign cocycle when given.
 
-    Signs and numbers follow ``coboundary_rows``: alternating facet
-    signs, with the twist on the facet that drops the leading vertex.
-    For isometry-valued 1-cochains the result is the holonomy defect
-    around each triangle (composition against the direct transition).
+    Follows ``coboundary_rows``: alternating facet signs, with the twist
+    on the facet that drops the leading vertex.  Isometry cochains have
+    no coboundary here; ``cocycle_defect`` measures their holonomy.
     """
     nerve = c.nerve
     twist = None
     if omega is not None:
         _need_sign_cochain(omega)
         twist = omega.values
-    numeric = c.tag != "O2" and c.degree in (0, 1, 2)
+    if c.tag == "O2" or c.degree not in (0, 1, 2):
+        raise DegreeUnsupported(f"coboundary not defined for {c.tag} cochains of degree {c.degree}")
     simplices = nerve.simplices.get(c.degree + 1, [])
-    rows = coboundary_rows(simplices, twist) if numeric else None
+    rows = coboundary_rows(simplices, twist)
     if omega is not None:
         # a 1-cochain's rows are the triangle rows that the twist check reads
-        same = numeric and c.degree == 1 and omega.nerve is nerve
+        same = c.degree == 1 and omega.nerve is nerve
         _check_sign_rows(omega, rows if same else coboundary_rows(omega.nerve.triangles))
-    if c.tag == "O2":
-        if c.degree != 1:
-            raise DegreeUnsupported("isometry coboundary is defined in degree 1 only")
-        vals = {}
-        for (j, k, l) in nerve.triangles:
-            trip = o2_compose(c.values[(j, k)], c.values[(k, l)])
-            vals[(j, k, l)] = o2_compose(trip, o2_inverse(c.values[(j, l)]))
-        return Cochain(nerve, 2, "O2", vals, twist=omega)
-    if not numeric:
-        raise DegreeUnsupported(f"coboundary not defined for degree {c.degree}")
     vals = _row_values(c.values, c.tag, simplices, rows)
     return Cochain(nerve, c.degree + 1, c.tag, vals, twist=omega)
-
-
-def cochain_distance(a: Cochain, b: Cochain) -> float:
-    """Sup over simplices of the coefficient metric.
-
-    Frobenius distance for isometries, absolute difference for reals and
-    integers, 0-or-2 for signs (the Frobenius gap between the identity
-    and the pure reflection).
-    """
-    if a.degree != b.degree or a.tag != b.tag or set(a.values) != set(b.values):
-        raise ShapeMismatch("cochain domains, degrees, or coefficients differ")
-    worst = 0.0
-    for s, va in a.values.items():
-        vb = b.values[s]
-        if a.tag == "O2":
-            d = o2_frobenius_distance(va, vb)
-        elif a.tag == "Z2":
-            d = 0.0 if va == vb else 2.0
-        else:
-            d = abs(float(va) - float(vb))
-        worst = max(worst, d)
-    return worst
 
 
 def cocycle_defect(omega: Cochain) -> float:

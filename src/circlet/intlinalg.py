@@ -1,25 +1,23 @@
 """Exact integer and mod-2 linear algebra.
 
-Smith normal form with full transform tracking, sparse unit-pivot
-elimination, integer and GF(2) linear solvers, and the twisted boundary
-matrices of a nerve.  All results are arbitrary-precision: the Smith
-reduction runs on machine integers while it can prove no overflow is
-possible and transparently restarts on Python ints otherwise; the
-elimination runs on Python ints throughout.  A boundary matrix is the
-transpose of the rows that ``cochains.coboundary_rows``, the one
-statement of the sign convention, returns.
+Smith normal form with full transform tracking, one sparse unit-pivot
+elimination, and the integer and GF(2) solvers built on them.  All
+integer arithmetic runs on Python ints, so every result is exact.  A
+sparse system is a list of rows, each mapping a column label to its
+integer coefficient, as ``cochains.coboundary_rows`` returns them.
 
-Which solver serves which caller:
+Which solver serves which caller: every integer system first goes
+through the unit-pivot elimination ``_unit_pivots`` (Mrozek-Batko
+coreduction, extended by back-substitution), and only a block left
+without a unit pivot reaches ``smith_normal_form``.
 
-* solvability probes (persistence codeath) use ``integer_solvable`` and
-  the twisted fundamental class uses ``integer_kernel``; both run the
-  one sparse unit-pivot elimination ``_unit_pivots`` and hand only a
-  block without unit pivots to the Smith form.  The fundamental class
-  also takes the Smith form of its small 3-boundary image in kernel
-  parameters;
-* the winding solve of a global trivialization needs a particular
-  solution, so it uses full-transform ``smith_normal_form`` through
-  ``solve_integer``;
+* persistence codeath probes ask ``integer_solvable``, which decides
+  and returns nothing;
+* the winding solve of a global trivialization asks ``solve_integer``
+  for one solution, with every undetermined column set to 0;
+* the twisted fundamental class asks ``integer_kernel`` for a kernel
+  parametrization, and takes the Smith form of its small 3-boundary
+  image in kernel parameters;
 * sign classes (is it a coboundary, and of which vertex signs) use the
   parity union-find ``sign_potential``.  ``solve_gf2`` stays as the
   dense reference it is tested against.
@@ -33,15 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cochains import Cochain, check_sign_cocycle, coboundary_rows
 from .nerve import Nerve
-
-_INT64_SAFE = 1 << 62
-
-
-class _NeedsExact(Exception):
-    # internal: machine-int path cannot bound the next update
-    pass
 
 
 @dataclass
@@ -74,37 +64,15 @@ def smith_normal_form(D) -> SNFResult:
 
     The diagonal is nonnegative with each entry dividing the next.
     """
-    A = np.asarray(D)
-    if A.ndim != 2:
+    S = np.asarray(D)
+    if S.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    try:
-        work = A.astype(np.int64)
-        if not np.array_equal(work.astype(object), A.astype(object)):
-            raise _NeedsExact
-        return _snf(work, exact=False)
-    except (_NeedsExact, OverflowError):
-        return _snf(A.astype(object), exact=True)
-
-
-def _snf(A: np.ndarray, exact: bool) -> SNFResult:
-    m, n = A.shape
-    dtype = object if exact else np.int64
-    S = A.copy()
-    L = np.eye(m, dtype=dtype)
-    Linv = np.eye(m, dtype=dtype)
-    R = np.eye(n, dtype=dtype)
-    Rinv = np.eye(n, dtype=dtype)
-
-    def guard(*mats):
-        # conservative overflow bound for the next multiply-subtract
-        if exact:
-            return
-        worst = 1
-        for M in mats:
-            if M.size:
-                worst = max(worst, int(np.max(np.abs(M))))
-        if worst * worst * max(m, n) >= _INT64_SAFE:
-            raise _NeedsExact
+    S = S.astype(object)
+    m, n = S.shape
+    L = np.eye(m, dtype=object)
+    Linv = np.eye(m, dtype=object)
+    R = np.eye(n, dtype=object)
+    Rinv = np.eye(n, dtype=object)
 
     def swap_rows(i, j):
         if i != j:
@@ -138,7 +106,6 @@ def _snf(A: np.ndarray, exact: bool) -> SNFResult:
             # smaller pivot whenever a remainder survives
             col = S[t + 1:, t]
             if np.any(col):
-                guard(S, L, Linv)
                 q = col // S[t, t]
                 S[t + 1:, :] -= q[:, None] * S[t, :]
                 L[t + 1:, :] -= q[:, None] * L[t, :]
@@ -151,7 +118,6 @@ def _snf(A: np.ndarray, exact: bool) -> SNFResult:
                     continue
             row = S[t, t + 1:]
             if np.any(row):
-                guard(S, R, Rinv)
                 q = row // S[t, t]
                 S[:, t + 1:] -= S[:, t][:, None] * q[None, :]
                 R[:, t + 1:] -= R[:, t][:, None] * q[None, :]
@@ -172,7 +138,6 @@ def _snf(A: np.ndarray, exact: bool) -> SNFResult:
             bad = np.nonzero(rest % S[t, t])
             if len(bad[0]):
                 i = t + 1 + int(bad[0][0])
-                guard(S, L, Linv)
                 S[t, :] += S[i, :]
                 L[t, :] += L[i, :]
                 Linv[:, i] -= Linv[:, t]
@@ -181,51 +146,7 @@ def _snf(A: np.ndarray, exact: bool) -> SNFResult:
     for i in range(min(m, n)):
         if S[i, i] < 0:
             negate_row(i)
-    return SNFResult(
-        L=L.astype(object),
-        S=S.astype(object),
-        R=R.astype(object),
-        Linv=Linv.astype(object),
-        Rinv=Rinv.astype(object),
-    )
-
-
-def obj_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matrix product over Python ints."""
-    A = np.asarray(A, dtype=object)
-    B = np.asarray(B, dtype=object)
-    return np.dot(A, B)
-
-
-def solve_integer(A, b):
-    """Some integer solution of A x = b, or None when none exists.
-
-    Diagonalizes A and divides through: a solution exists exactly when
-    the transformed right side is divisible by the diagonal and vanishes
-    beyond the rank.
-    """
-    A = np.asarray(A, dtype=object)
-    b = np.asarray(b, dtype=object).reshape(-1)
-    m, n = A.shape
-    if b.size != m:
-        raise ValueError("right-hand side does not match the matrix")
-    snf = smith_normal_form(A)
-    c = obj_matmul(snf.L, b.reshape(-1, 1)).reshape(-1)
-    y = np.zeros(n, dtype=object)
-    r = min(m, n)
-    for i in range(r):
-        d = int(snf.S[i, i])
-        ci = int(c[i])
-        if d == 0:
-            if ci != 0:
-                return None
-        else:
-            if ci % d != 0:
-                return None
-            y[i] = ci // d
-    if any(int(c[i]) != 0 for i in range(r, m)):
-        return None
-    return obj_matmul(snf.R, y.reshape(-1, 1)).reshape(-1)
+    return SNFResult(L=L, S=S, R=R, Linv=Linv, Rinv=Rinv)
 
 
 def solve_gf2(A, b):
@@ -269,10 +190,10 @@ def _unit_pivots(rows: list[dict], rhs) -> Optional[tuple[list, dict, dict]]:
     integers, so substituting it out leaves an equivalent system.
 
     Returns ``(pivots, live, b)``: the pivots in elimination order as
-    ``(column, unit, row)`` with the row as it stood when it was picked,
-    and the rows left without a unit pivot with their right sides, by
-    input position.  None when some row reduces to ``0 = b`` with ``b``
-    nonzero.  The input rows are left untouched.
+    ``(column, unit, row, rhs)`` with the row and its right side as they
+    stood when it was picked, and the rows left without a unit pivot with
+    their right sides, by input position.  None when some row reduces to
+    ``0 = b`` with ``b`` nonzero.  The input rows are left untouched.
     """
     if len(rows) != len(rhs):
         raise ValueError("right-hand side does not match the matrix")
@@ -316,7 +237,7 @@ def _unit_pivots(rows: list[dict], rhs) -> Optional[tuple[list, dict, dict]]:
         bi = b.pop(i)
         c = min((c for c, v in piv.items() if v in (1, -1)), key=lambda c: len(cols[c]))
         u = piv[c]
-        pivots.append((c, u, piv))
+        pivots.append((c, u, piv, bi))
         for cc in piv:
             cols[cc].discard(i)
         for r in cols.pop(c):
@@ -344,24 +265,62 @@ def _unit_pivots(rows: list[dict], rhs) -> Optional[tuple[list, dict, dict]]:
     return pivots, live, b
 
 
+def _back_substitute(pivots: list, x: dict) -> dict:
+    """Fill in the pivot columns of ``x``, last pivot first.
+
+    A pivot row reads ``u * x[c] + sum(row[cc] * x[cc]) = rhs`` and ``u``
+    is its own inverse; a column ``x`` holds no value for is set to 0.
+    """
+    for c, u, row, bi in reversed(pivots):
+        x[c] = u * (bi - sum(v * x.setdefault(cc, 0) for cc, v in row.items() if cc != c))
+    return x
+
+
+def _solve_block(live: dict, b: dict) -> Optional[dict]:
+    """Some solution of the rows left without a unit pivot, or None.
+
+    With ``S = L @ A @ R`` diagonal, ``A x = b`` is solvable exactly when
+    ``L @ b`` vanishes past the rank and each earlier entry is divisible
+    by its diagonal entry; then ``x = R @ y`` with ``y = (L @ b) / S``.
+    """
+    if not live:
+        return {}
+    block = list(dict.fromkeys(c for row in live.values() for c in row))
+    snf = smith_normal_form(_dense_rows(list(live.values()), block))
+    lb = snf.L @ np.array([b[i] for i in live], dtype=object)
+    d = snf.diagonal[: snf.rank]
+    if any(lb[len(d):]) or any(v % di for v, di in zip(lb, d)):
+        return None
+    y = np.zeros(len(block), dtype=object)
+    y[: len(d)] = [v // di for v, di in zip(lb, d)]
+    return dict(zip(block, (int(v) for v in snf.R @ y)))
+
+
 def integer_solvable(rows: list[dict], rhs) -> bool:
     """Does the sparse integer system ``rows @ x = rhs`` have a solution?
 
-    Each row maps a column label to its nonzero integer coefficient.
-    ``_unit_pivots`` substitutes out every unit pivot; whatever has no
-    unit pivot left goes to ``solve_integer``, so torsion is decided
-    exactly.  Tracks no transforms and returns no solution.
+    ``_unit_pivots`` substitutes out every unit pivot and the Smith form
+    decides whatever has no unit pivot left, so torsion is decided
+    exactly.  Back-substitutes nothing and returns no solution.
+    """
+    reduced = _unit_pivots(rows, rhs)
+    return reduced is not None and _solve_block(*reduced[1:]) is not None
+
+
+def solve_integer(rows: list[dict], rhs) -> Optional[dict]:
+    """Some integer solution of the sparse system ``rows @ x = rhs``, or None.
+
+    The elimination is ``integer_solvable``'s; the block without unit
+    pivots is solved by the Smith form, every column that nothing
+    determines is set to 0, and the pivots are back-substituted.  The
+    solution maps every column of the system to an integer.
     """
     reduced = _unit_pivots(rows, rhs)
     if reduced is None:
-        return False
-    _, live, b = reduced
-    if not live:
-        return True
-    # no unit pivot left: decide the remaining block with Smith normal form
-    labels = list(dict.fromkeys(c for row in live.values() for c in row))
-    A = _dense_rows(list(live.values()), labels)
-    return solve_integer(A, np.array([b[i] for i in live], dtype=object)) is not None
+        return None
+    pivots, live, b = reduced
+    x = _solve_block(live, b)
+    return None if x is None else _back_substitute(pivots, x)
 
 
 @dataclass
@@ -379,7 +338,7 @@ class IntegerKernel:
     block: list  # columns of the rows left without a unit pivot
     basis: np.ndarray  # (len(block), b) integer kernel basis of that block
     coords: np.ndarray  # (b, len(block)) inverse rows: block values -> parameters
-    pivots: list  # (column, unit, row) in elimination order
+    pivots: list  # (column, unit, row, 0) in elimination order
 
     @property
     def rank(self) -> int:
@@ -396,10 +355,7 @@ class IntegerKernel:
         nf = len(self.free)
         x = dict(zip(self.free, t[:nf]))
         x.update(zip(self.block, (int(v) for v in self.basis @ np.array(t[nf:], dtype=object))))
-        for c, u, row in reversed(self.pivots):
-            # u * x[c] + sum(row[cc] * x[cc]) = 0, and u is its own inverse
-            x[c] = -u * sum(v * x[cc] for cc, v in row.items() if cc != c)
-        return x
+        return _back_substitute(self.pivots, x)
 
 
 def integer_kernel(rows: list[dict], columns: list) -> IntegerKernel:
@@ -416,7 +372,7 @@ def integer_kernel(rows: list[dict], columns: list) -> IntegerKernel:
         basis, coords = snf.R[:, snf.rank:], snf.Rinv[snf.rank:, :]
     else:
         basis = coords = np.zeros((0, 0), dtype=object)
-    done = {c for c, _, _ in pivots} | set(block)
+    done = {c for c, *_ in pivots} | set(block)
     free = [c for c in columns if c not in done]
     return IntegerKernel(free=free, block=block, basis=basis, coords=coords, pivots=pivots)
 
@@ -472,31 +428,6 @@ def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
         find(v)
     # roots carry no parity entry, so they get +1
     return {v: -1 if parity.get(v, 0) else 1 for v in parent}
-
-
-@dataclass
-class BoundaryMatrix:
-    """Twisted boundary matrix with its labeled row/column simplices."""
-
-    matrix: np.ndarray  # dtype=object, rows x cols
-    rows: list[tuple]  # (p-1)-simplices, in filtration (or lex) order
-    cols: list[tuple]  # p-simplices, same order
-
-
-def twisted_boundary_matrix(nerve: Nerve, omega: Cochain, p: int) -> BoundaryMatrix:
-    """Boundary matrix from p-chains to (p-1)-chains, twisted by a sign cocycle.
-
-    Column ``s`` is the coboundary row of ``s`` from
-    ``cochains.coboundary_rows``.  Rows and columns follow the nerve's
-    filtration order when present, lex order otherwise.
-    """
-    if p not in (1, 2, 3):
-        raise ValueError("boundary matrices are built for chain dimensions 1..3")
-    check_sign_cocycle(omega)
-    rows = ordered_simplices(nerve, p - 1)
-    cols = ordered_simplices(nerve, p)
-    D = _dense_rows(coboundary_rows(cols, omega.values), rows).T
-    return BoundaryMatrix(matrix=D, rows=rows, cols=cols)
 
 
 def ordered_simplices(nerve: Nerve, p: int) -> list[tuple]:

@@ -373,7 +373,7 @@ def nerve_doc(nerve: Nerve) -> dict:
 
 
 def parse_nerve(doc) -> Nerve:
-    raw = _need(doc, "simplices", "nerve")
+    raw = _need(doc, "simplices", "nerve", dict)
     simplices = {}
     for p, simps in raw.items():
         try:
@@ -386,11 +386,14 @@ def parse_nerve(doc) -> Nerve:
         s = _simplex(_need(row, "simplex", "weight row"), "weight row")
         nerve.weights[s] = _the_float(_need(row, "weight", "weight row"), "weight")
     if "order" in doc:
-        nerve.order = [_simplex(s, "order") for s in doc["order"]]
-        nerve.index = {s: i + 1 for i, s in enumerate(nerve.order)}
+        order = [_simplex(s, "order") for s in _need(doc, "order", "nerve", list)]
+        if sorted(order) != sorted(s for simps in simplices.values() for s in simps):
+            raise SchemaError("nerve: order is not a permutation of the simplices")
+        nerve.order = order
+        nerve.index = {s: i + 1 for i, s in enumerate(order)}
     for row in doc.get("perturbations", []):
-        s = _simplex(row["simplex"], "perturbation row")
-        nerve.perturbations[s] = _the_float(row["offset"], "offset")
+        s = _simplex(_need(row, "simplex", "perturbation row"), "perturbation row")
+        nerve.perturbations[s] = _the_float(_need(row, "offset", "perturbation row"), "offset")
     return nerve
 
 
@@ -515,15 +518,6 @@ def _pair_doc(p: ThresholdPair) -> dict:
     }
 
 
-def _parse_pair(doc, where: str) -> ThresholdPair:
-    return ThresholdPair(
-        cobirth_index=int(_need(doc, "cobirth_index", where)),
-        cobirth_weight=_the_float(_need(doc, "cobirth_weight", where), where),
-        codeath_index=int(_need(doc, "codeath_index", where)),
-        codeath_weight=_the_float(_need(doc, "codeath_weight", where), where),
-    )
-
-
 def persistence_doc(report: PersistenceReport) -> dict:
     return {
         "schema": SCHEMA_PREFIX + "persistence",
@@ -535,19 +529,6 @@ def persistence_doc(report: PersistenceReport) -> dict:
             for p, n in sorted(report.stage_sizes.items())
         ],
     }
-
-
-def parse_persistence(doc) -> PersistenceReport:
-    _check_schema(doc, "persistence")
-    return PersistenceReport(
-        sw=_parse_pair(_need(doc, "sw", "persistence"), "sw pair"),
-        euler=_parse_pair(_need(doc, "euler", "persistence"), "euler pair"),
-        w_max=_the_float(_need(doc, "w_max", "persistence"), "w_max"),
-        stage_sizes={
-            int(r["dim"]): int(r["count"])
-            for r in _need(doc, "stage_sizes", "persistence")
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,20 +580,6 @@ def scenario_doc(sc: SyntheticScenario) -> dict:
     }
 
 
-def parse_scenario(doc) -> SyntheticScenario:
-    _check_schema(doc, "scenario")
-    return SyntheticScenario(
-        model=_need(doc, "model", "scenario"),
-        n_samples=int(_need(doc, "n_samples", "scenario")),
-        cover_sets=int(_need(doc, "cover_sets", "scenario")),
-        cover_radius=_the_float(_need(doc, "cover_radius", "scenario"), "radius"),
-        noise=_the_float(_need(doc, "noise", "scenario"), "noise"),
-        seed=int(_need(doc, "seed", "scenario")),
-        sw_trivial=bool(_need(doc, "sw_trivial", "scenario")),
-        euler_number=int(_need(doc, "euler_number", "scenario")),
-    )
-
-
 # ---------------------------------------------------------------------------
 # coordinates
 
@@ -646,43 +613,6 @@ def frame_coords_doc(bm) -> dict:
             {"id": s, "v": v} for s, v in zip(bm.ids.tolist(), bm.vectors.tolist())
         ],
     }
-
-
-def parse_coords(doc) -> dict:
-    _check_schema(doc, "coords")
-    kind = _need(doc, "kind", "coords")
-    if kind == "global":
-        return {
-            "kind": "global",
-            "angles": {
-                r["id"]: _the_float(r["angle_turns"], "angle")
-                for r in _need(doc, "angles", "coords")
-            },
-            "phi": {r["set"]: int(r["sign"]) for r in _need(doc, "phi", "coords")},
-            "beta": {
-                _simplex(r["simplex"], "beta row"): int(r["value"])
-                for r in _need(doc, "beta", "coords")
-            },
-            "residual": _the_float(_need(doc, "residual", "coords"), "residual"),
-        }
-    if kind == "frame":
-        return {
-            "kind": "frame",
-            "dim": int(_need(doc, "dim", "coords")),
-            "stage": doc.get("stage"),
-            "method": _need(doc, "method", "coords"),
-            "overlap_residual": _the_float(
-                _need(doc, "overlap_residual", "coords"), "overlap"
-            ),
-            "plane_residual": _the_float(
-                _need(doc, "plane_residual", "coords"), "plane"
-            ),
-            "vectors": {
-                r["id"]: np.array(r["v"], dtype=float)
-                for r in _need(doc, "vectors", "coords")
-            },
-        }
-    raise SchemaError(f"coords: unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

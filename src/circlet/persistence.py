@@ -57,8 +57,7 @@ class PersistenceReport:
     """Thresholds for the sign and integer classes of one witness.
 
     ``classes`` holds the characteristic classes computed on the stage
-    subcomplex at the sign class's cobirth; reports read back from a
-    file carry None.
+    subcomplex at the sign class's cobirth, or None when not computed.
     """
 
     sw: ThresholdPair

@@ -2,12 +2,12 @@
 
 A witness cochain is only approximately multiplicative.  Averaging its
 frames against a partition of unity gives a nearly rank-2 projector
-field over the base; projecting to the nearest true projector and
-re-orthonormalizing the frames inside its plane produces transition
-data that satisfies the cocycle identity exactly.  The same averaging
-idea repairs the charts themselves (weighted circular means of aligned
-chart values) and, when both obstruction classes vanish, assembles a
-single global fiber coordinate.
+field over the base (the classifying map); projecting to the nearest
+true projector and re-orthonormalizing the frames inside its plane
+produces transition data that satisfies the cocycle identity exactly.
+The same averaging idea repairs the charts themselves (weighted circular
+means of aligned chart values) and, when both obstruction classes
+vanish, assembles a single global fiber coordinate.
 
 Layout: the partition of unity is CSR, one row per sample in id order,
 and samples with ``m`` supporting sets form a ``SupportGroup``.  Per-point
@@ -23,20 +23,20 @@ Each stage is one call per group:
 4. ``_chart_means``: chart values transported through the rounded pairs,
    averaged by ``circle.karcher_mean``.
 
-``classifying_map`` is stage 1, ``project_cocycle`` stages 1-3 and
-``project_trivialization`` stage 4; ``bundle_map`` composes all four on
-reduced frames and ``global_trivialize`` averages with ``karcher_mean``.
-A stage checks its guard over every group before the next one runs, and
-names the first failing sample in sample-id order.  Dimension reduction
-substitutes a principal-subspace projection with polar
-re-orthonormalization for the external Stiefel-coordinates algorithm;
-results carry the method tag "psc-substitute".
+The views a command reaches: ``_project`` runs stages 1-3, and
+``bundle_map`` runs it on reduced frames, then stage 4 (``coordinatize``);
+``frame_field`` and ``reduction_curve`` give the error curve (``report``);
+``global_trivialize`` averages rotated charts with ``karcher_mean``
+(``trivialize``).  A stage checks its guard over every group before the
+next one runs, and names the first failing sample in sample-id order.
+Dimension reduction substitutes a principal-subspace projection with
+polar re-orthonormalization for the external Stiefel-coordinates
+algorithm; results carry the method tag "psc-substitute".
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -45,12 +45,11 @@ import numpy as np
 
 from .circle import O2, IDENTITY, TWO_PI, karcher_mean, o2_inverse, s1_angle
 from .classes import euler_cochain
-from .cochains import Cochain, act_by_potential, cocycle_defect, constant_sign_cochain
+from .cochains import Cochain, act_by_potential, coboundary_rows
 from .errors import EigengapTooSmall, GuardError, NotTrivializable, RankDeficient, ShapeMismatch
 from .errors import UncoveredPoint
-from .intlinalg import sign_potential, solve_integer, twisted_boundary_matrix
+from .intlinalg import sign_potential, solve_integer
 from .nerve import BundleDataset, base_geodesic
-from .witness import Trivialization
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +57,6 @@ log = logging.getLogger(__name__)
 EIGENGAP_MIN = 1e-10
 # below this singular value a projected frame has collapsed
 RANK_MIN = 1e-10
-# cocycle projection carries its distance guarantee only under this defect
-DEFECT_GUARANTEE = math.sqrt(2.0) / 4.0
 # a reduction cut whose eigenvalue gap is at most this share of the top one splits a pair
 PAIR_GAP = 1e-9
 # floats per temporary block of the moment and the error curve
@@ -195,19 +192,6 @@ def _top_plane(sym: np.ndarray):
         )
     top = vecs[..., :2]
     return top @ top.swapaxes(-1, -2), gap
-
-
-def gr_project(a: np.ndarray) -> np.ndarray:
-    """Nearest rank-2 orthogonal projector to a square matrix (or a stack of them).
-
-    The top-2 spectral projector of the symmetrization; raises
-    ``EigengapTooSmall`` when its second and third eigenvalues are within
-    ``EIGENGAP_MIN``, so the top plane is not well defined.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 2:
-        raise ShapeMismatch("need a square matrix of size at least 2")
-    return _top_plane(0.5 * (a + a.swapaxes(-1, -2)))[0]
 
 
 def _polar(b: np.ndarray) -> np.ndarray:
@@ -461,119 +445,6 @@ def _project(ff: FrameField):
 
 
 # ---------------------------------------------------------------------------
-# classifying maps and cocycle projection
-
-
-@dataclass(eq=False)
-class ProjectorField:
-    """Weighted frame averages and their nearest rank-2 projectors, per group.
-
-    ``raw[g]`` and ``proj[g]`` are ``(n, r, r)`` stacks on the support
-    blocks of ``groups[g]``, ``gap[g]`` the eigengaps.  ``distance`` is
-    the largest Frobenius gap between an average and its projection, the
-    measured counterpart of the sqrt(2)-epsilon guarantee.
-    """
-
-    groups: list
-    raw: list
-    proj: list
-    gap: list
-    distance: float
-
-
-def classifying_map(omega: Cochain, rho: PartitionOfUnity, samples=None) -> ProjectorField:
-    """Average the frame projectors of a witness into a projector field.
-
-    At each base point the weighted sum of frame outer products is
-    symmetric with trace 2; its top-2 spectral projector is the value of
-    the associated map into the plane Grassmannian.  ``EigengapTooSmall``
-    names the first failing base point.
-    """
-    ff = frame_field(omega, rho, samples)
-    avg = _by_group(ff.groups, _projectors, "base point {s}", ff.groups, ff.frames)
-    raw, proj, gap = (list(x) for x in zip(*avg)) if avg else ([], [], [])
-    gaps = (float(np.linalg.norm(t - p, axis=(-2, -1)).max()) for t, p in zip(raw, proj))
-    distance = max(gaps, default=0.0)
-    return ProjectorField(ff.groups, raw, proj, gap, distance)
-
-
-@dataclass(eq=False)
-class CocycleField:
-    """Exactly multiplicative transitions, evaluated per base point.
-
-    ``turn[g]`` and ``sign[g]`` ``(n, m, m)`` hold the projected
-    transition on every ordered pair of supporting sets of ``groups[g]``.
-    ``distance`` is the measured sup-gap to the input witness,
-    ``ortho_residual`` the worst distance of a raw projected transition
-    from its isometry rounding, and ``defect`` the worst remaining
-    cocycle-identity residual.
-    """
-
-    groups: list
-    turn: list
-    sign: list
-    distance: float
-    ortho_residual: float
-    defect: float
-
-
-def project_cocycle(omega: Cochain, rho: PartitionOfUnity, samples=None) -> CocycleField:
-    """Replace a witness with exactly multiplicative per-point transitions.
-
-    Frames are re-orthonormalized inside the plane of the projector
-    field; their pairwise products are then genuine isometries up to
-    numerical rounding, and the rounding is recorded.  The sup distance
-    to the input comes out bounded by nine times the witness defect when
-    that defect is below sqrt(2)/4; outside that range the projection
-    still runs but the bound is not guaranteed and a warning is logged.
-    ``EigengapTooSmall`` and ``RankDeficient`` name the failing base point.
-    """
-    defect = cocycle_defect(omega)
-    if defect >= DEFECT_GUARANTEE:
-        log.warning(
-            "witness defect %.3f is not below sqrt(2)/4; the projection "
-            "distance bound does not apply",
-            defect,
-        )
-    ff = frame_field(omega, rho, samples)
-    _, _, pairs = _project(ff)
-    witness = _transitions(omega, ff.groups, rho.sets)
-    distance = ortho_residual = residual_defect = 0.0
-    for (turn, sign, ortho), t in zip(pairs, witness):
-        m = turn.shape[1]
-        rounded = _o2_matrices(turn, sign)
-        a, b = np.triu_indices(m, 1)
-        gaps = np.linalg.norm(t[:, a, b] - rounded[:, a, b], axis=(-2, -1))
-        distance = max(distance, float(gaps.max(initial=0.0)))
-        ortho_residual = max(ortho_residual, float(ortho.max()))
-        for x, y, z in combinations(range(m), 3):
-            lhs = rounded[:, x, y] @ rounded[:, y, z]
-            gaps = np.linalg.norm(lhs - rounded[:, x, z], axis=(-2, -1))
-            residual_defect = max(residual_defect, float(gaps.max()))
-    turns, signs, _ = zip(*pairs)
-    return CocycleField(
-        ff.groups, list(turns), list(signs), distance, ortho_residual, residual_defect
-    )
-
-
-def project_trivialization(trivs, field: CocycleField) -> Trivialization:
-    """Repair charts to be exactly compatible with projected transitions.
-
-    Each chart value is replaced by the weighted circular mean of all
-    supporting charts' values transported through the projected
-    transitions.  Because the transitions are exactly multiplicative and
-    the mean is isometry-equivariant, the new charts satisfy the
-    compatibility identity on every overlap.  ``DiameterTooLarge`` names
-    the sample and chart whose transported values spread over half a circle.
-    """
-    means = _chart_means(trivs, field.groups, field.turn, field.sign)
-    sets = np.concatenate([g.sets.reshape(-1) for g in field.groups])
-    ids = np.concatenate([np.repeat(g.ids, g.sets.shape[1]) for g in field.groups])
-    pts = np.concatenate([mean.reshape(-1, 2) for mean in means])
-    return Trivialization({j: (ids[sets == j], pts[sets == j]) for j in trivs.sets()})
-
-
-# ---------------------------------------------------------------------------
 # dimension reduction
 
 
@@ -779,15 +650,15 @@ def global_trivialize(trivs, omega: Cochain, rho: PartitionOfUnity) -> GlobalTri
                 f"edge ({j}, {k}) still reflects after the orientation fix"
             )
 
-    # winding fix: write the rounded lift coboundary as a coboundary over Z
+    # winding fix: the rounded lift coboundary as an untwisted coboundary over Z
     classes = euler_cochain(hat)
-    d2 = twisted_boundary_matrix(nerve, constant_sign_cochain(nerve), 2)
-    beta_vec = solve_integer(d2.matrix.T, [classes.euler.values[t] for t in d2.cols])
-    if beta_vec is None:
+    tris = nerve.triangles
+    winding = solve_integer(coboundary_rows(tris), [classes.euler.values[t] for t in tris])
+    if winding is None:
         raise NotTrivializable(
             "euler", "the integer class is not a coboundary; the bundle twists"
         )
-    beta = {e: int(v) for e, v in zip(d2.rows, beta_vec)}
+    beta = {e: winding.get(e, 0) for e in edges}
     # per ordered pair (k, j): the rotation lift less its winding correction
     shift = {(j, j): 0.0 for j in rho.sets}
     for e in edges:

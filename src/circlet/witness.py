@@ -446,17 +446,3 @@ def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> Quali
         cocycle_epsilon=cocycle_defect(witness),
         edges=edge_rows,
     )
-
-
-def triv_distance(a: Trivialization, b: Trivialization) -> float:
-    """Sup over sets and samples of the chord distance between charts."""
-    if a.sets() != b.sets():
-        raise ShapeMismatch("trivializations cover different sets")
-    worst = 0.0
-    for j in a.sets():
-        ca, cb = a.chart(j), b.chart(j)
-        if not np.array_equal(ca.ids, cb.ids):
-            raise ShapeMismatch(f"set {j}: chart domains differ")
-        gaps = np.linalg.norm(ca.points - cb.points, axis=1)
-        worst = max(worst, float(np.max(gaps, initial=0.0)))
-    return worst

@@ -172,6 +172,35 @@ def brute_force_integer_solvable(A, b, bound: int = 12) -> bool:
     return False
 
 
+def dense_solve_integer(A, b):
+    """Some integer solution of the dense system A x = b, or None.
+
+    One full-transform Smith form S = L A R: a solution exists exactly
+    when L b is divisible by the diagonal and vanishes beyond the rank,
+    and then x = R y with y = (L b) / S.  The Smith form is the
+    library's, which the intlinalg tests check against its defining
+    properties.
+    """
+    from circlet.intlinalg import smith_normal_form
+
+    A = np.asarray(A, dtype=object)
+    b = np.asarray(b, dtype=object).reshape(-1)
+    m, n = A.shape
+    snf = smith_normal_form(A)
+    c = np.dot(snf.L, b)
+    y = np.zeros(n, dtype=object)
+    for i in range(m):
+        d = int(snf.S[i, i]) if i < n else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        elif c[i] % d != 0:
+            return None
+        else:
+            y[i] = c[i] // d
+    return np.dot(snf.R, y)
+
+
 def gf2_solvable(A, b) -> bool:
     """Decide solvability of A x = b over GF(2) by row reduction."""
     A = [[x & 1 for x in row] for row in A]
@@ -554,6 +583,36 @@ def loop_global_angles(trivs, rows, phi, shift):
         mean = _loop_karcher(xy, np.array([rows[s][j] for j in supp]))
         angles[s] = float(np.arctan2(mean[1], mean[0]) / (2.0 * math.pi) % 1.0)
     return angles, residual
+
+
+def projection_distances(omega, ff, projected) -> dict:
+    """What one run of projection stages 1-3 measured, one sample at a time.
+
+    ``projected`` is ``(averages, frames, pairs)`` of a ``FrameField``
+    ``ff``: per group the weighted frame averages with their projectors,
+    and the rounded transitions as turns, signs and residuals.  Returns
+    the largest Frobenius gaps between an average and its projector
+    ("projector"), between a witness transition and its rounded one
+    ("cocycle"), the worst rounding residual ("ortho"), and the worst
+    cocycle-identity residual of the rounded transitions ("defect").
+    """
+    out = dict.fromkeys(("projector", "cocycle", "ortho", "defect"), 0.0)
+    averages, _, pairs = projected
+    for g, (tilde, proj, _), (turn, sign, ortho) in zip(ff.groups, averages, pairs):
+        for i in range(len(g.ids)):
+            sets = [int(j) for j in g.sets[i]]
+            m = len(sets)
+            out["projector"] = max(out["projector"], float(np.linalg.norm(tilde[i] - proj[i])))
+            out["ortho"] = max(out["ortho"], float(ortho[i]))
+            rounded = {(a, b): O2(float(turn[i, a, b]), int(sign[i, a, b])).matrix
+                       for a in range(m) for b in range(m)}
+            for a, b in itertools.combinations(range(m), 2):
+                gap = np.linalg.norm(omega.values[(sets[a], sets[b])].matrix - rounded[a, b])
+                out["cocycle"] = max(out["cocycle"], float(gap))
+            for a, b, c in itertools.combinations(range(m), 3):
+                gap = np.linalg.norm(rounded[a, b] @ rounded[b, c] - rounded[a, c])
+                out["defect"] = max(out["defect"], float(gap))
+    return out
 
 
 def per_value_int(x):

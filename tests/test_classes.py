@@ -42,12 +42,7 @@ from circlet.cochains import (
     twisted_coboundary,
 )
 from circlet.errors import BracketAmbiguous, NotASurface, ShapeMismatch
-from circlet.intlinalg import (
-    integer_solvable,
-    obj_matmul,
-    solve_gf2,
-    twisted_boundary_matrix,
-)
+from circlet.intlinalg import integer_solvable, solve_gf2
 from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle
 from circlet.witness import assemble_witness
@@ -262,15 +257,15 @@ class TestFundamentalClass:
         assert sorted(mu) == nerve.triangles
         assert all(abs(c) == 1 for c in mu.values())
         assert mu[nerve.triangles[0]] == 1
-        d2 = twisted_boundary_matrix(nerve, omega, 2)
-        chain = [[mu[t]] for t in d2.cols]
-        boundary = mat_mul([[int(x) for x in row] for row in d2.matrix], chain)
+        d2, _, tris = dense_boundary(nerve, omega.values, 2)
+        chain = [[mu[t]] for t in tris]
+        boundary = mat_mul([[int(x) for x in row] for row in d2], chain)
         assert all(v == [0] for v in boundary)
 
     def test_octahedron_kernel_rank_matches_oracle(self):
         nerve = octahedron_nerve()
-        d2 = twisted_boundary_matrix(nerve, constant_sign_cochain(nerve), 2)
-        plain = [[int(x) for x in row] for row in d2.matrix]
+        d2, _, _ = dense_boundary(nerve, constant_sign_cochain(nerve).values, 2)
+        plain = [[int(x) for x in row] for row in d2]
         rank, nullity = integer_kernel_via_rationals(plain)
         assert (rank, nullity) == (7, 1)
 
@@ -288,9 +283,9 @@ class TestFundamentalClass:
         assert sorted(mu) == nerve.triangles
         assert all(abs(c) == 1 for c in mu.values())
         # the twisted boundary of the chain vanishes exactly
-        d2 = twisted_boundary_matrix(nerve, omega, 2)
-        chain = np.array([[mu[t]] for t in d2.cols], dtype=object)
-        assert all(v == 0 for v in obj_matmul(d2.matrix, chain).reshape(-1))
+        d2, _, tris = dense_boundary(nerve, omega.values, 2)
+        chain = np.array([[mu[t]] for t in tris], dtype=object)
+        assert all(v == 0 for v in np.dot(d2, chain).reshape(-1))
 
     def test_twist_by_coboundary_still_works(self):
         # conjugating the constant twist by vertex signs relabels fibers

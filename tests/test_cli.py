@@ -78,9 +78,9 @@ class TestSynth:
     def test_writes_all_documents(self, torus_dir):
         for name in ("dataset.json", "cover.json", "trivs.json", "scenario.json", "manifest.json"):
             assert (torus_dir / name).exists()
-        sc = io.parse_scenario(read(torus_dir / "scenario.json"))
-        assert sc.model == "s1-torus"
-        assert sc.sw_trivial and sc.euler_number == 0
+        sc = read(torus_dir / "scenario.json")
+        assert sc["model"] == "s1-torus"
+        assert sc["sw_trivial"] is True and sc["euler_number"] == 0
 
     def test_outputs_parse_and_agree(self, torus_dir):
         ds = io.parse_dataset(read(torus_dir / "dataset.json"))
@@ -326,10 +326,10 @@ class TestPersistCommand:
             "persist", "--witness", str(torus_witness_dir / "witness.json"),
             "--out", str(out),
         ) == 0
-        rep = io.parse_persistence(read(out / "persistence.json"))
+        rep = read(out / "persistence.json")
         # exact cocycle: both classes trivial at every stage
-        assert rep.sw.codeath_index == rep.sw.cobirth_index
-        assert rep.sw.cobirth_weight == rep.w_max
+        assert rep["sw"]["codeath_index"] == rep["sw"]["cobirth_index"]
+        assert rep["sw"]["cobirth_weight"] == rep["w_max"]
 
     def test_witness_without_order_rejected(self, torus_witness_dir, tmp_path, capsys):
         doc = read(torus_witness_dir / "witness.json")
@@ -338,6 +338,21 @@ class TestPersistCommand:
         stripped.write_text(json.dumps(doc))
         assert run("persist", "--witness", str(stripped), "--out", str(tmp_path / "o")) == 1
         assert "filtration order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("order", [[0], [0]], "permutation"),
+        ("perturbations", [{"simplex": [0, 1]}], "offset"),
+    ], ids=["order-not-a-permutation", "perturbation-without-offset"])
+    def test_malformed_nerve_rejected(self, torus_witness_dir, tmp_path, capsys, key, value, match):
+        doc = read(torus_witness_dir / "witness.json")
+        doc["nerve"][key] = value
+        bad = tmp_path / "witness.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("persist", "classes"):
+            out = tmp_path / command
+            assert run(command, "--witness", str(bad), "--out", str(out)) == 1
+            assert match in capsys.readouterr().err
+            assert read(out / "manifest.json")["status"] == 1
 
 
 class TestTrivializeCommand:
@@ -351,9 +366,9 @@ class TestTrivializeCommand:
         assert code == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["residual"] <= 1e-8
-        coords = io.parse_coords(read(out / "coords.json"))
+        coords = read(out / "coords.json")
         assert len(coords["angles"]) == 400
-        assert set(coords["phi"].values()) == {1}
+        assert {r["sign"] for r in coords["phi"]} == {1}
 
     def test_klein_obstruction_exits_two(self, tmp_path, capsys):
         synth = tmp_path / "klein"
@@ -387,11 +402,11 @@ class TestCoordinatizeCommand:
             "--dim", "4", "--out", str(out),
         )
         assert code == 0
-        coords = io.parse_coords(read(out / "coords.json"))
+        coords = read(out / "coords.json")
         assert coords["dim"] == 4
         assert coords["stage"] is None
         assert coords["overlap_residual"] <= 1e-8
-        norms = [np.linalg.norm(v) for v in coords["vectors"].values()]
+        norms = [np.linalg.norm(r["v"]) for r in coords["vectors"]]
         assert max(abs(n - 1.0) for n in norms) <= 1e-9
 
     def test_stage_cut_succeeds_near_the_top(self, torus_dir, tmp_path):
@@ -403,7 +418,7 @@ class TestCoordinatizeCommand:
             "--dim", "4", "--stage", "23", "--out", str(out),
         )
         assert code == 0
-        coords = io.parse_coords(read(out / "coords.json"))
+        coords = read(out / "coords.json")
         assert coords["stage"] == 23
         assert coords["overlap_residual"] <= 1e-8
 
@@ -418,6 +433,19 @@ class TestCoordinatizeCommand:
         )
         assert code == 1
         assert "outside 1..24" in capsys.readouterr().err
+        assert read(out / "manifest.json")["status"] == 1
+
+    @pytest.mark.parametrize("dim", ["1", "0", "-3", "10000"])
+    def test_dim_outside_ambient_is_schema_error(self, torus_dir, tmp_path, capsys, dim):
+        out = tmp_path / "x"
+        code = run(
+            "coordinatize", "--data", str(torus_dir / "dataset.json"),
+            "--cover", str(torus_dir / "cover.json"),
+            "--trivs", str(torus_dir / "trivs.json"),
+            "--dim", dim, "--out", str(out),
+        )
+        assert code == 1
+        assert f"dims [{dim}] outside 2..24 for this cover" in capsys.readouterr().err
         assert read(out / "manifest.json")["status"] == 1
 
     def test_deep_stage_cut_trips_rank_guard(self, torus_dir, tmp_path, capsys):

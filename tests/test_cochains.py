@@ -12,7 +12,6 @@ from circlet.cochains import (
     Cochain,
     act_by_potential,
     check_sign_cocycle,
-    cochain_distance,
     cocycle_defect,
     constant_sign_cochain,
     restrict,
@@ -131,13 +130,6 @@ class TestTwistedCoboundary:
         d = twisted_coboundary(c)
         assert d.values == {(0, 1): -1, (0, 2): 1, (1, 2): -1}
 
-    def test_o2_holonomy_defect(self):
-        nerve = triangle_nerve()
-        a, b = O2(0.15, 1), O2(0.4, -1)
-        vals = {(0, 1): a, (1, 2): b, (0, 2): o2_compose(a, b)}
-        d = twisted_coboundary(Cochain(nerve, 1, "O2", vals))
-        assert d.values[(0, 1, 2)] == IDENTITY
-
     def test_unsupported_degree(self):
         nerve = tetra_nerve()
         c = Cochain(nerve, 3, "R", {s: 0.0 for s in nerve.tetrahedra})
@@ -184,63 +176,6 @@ class TestTwistedCoboundary:
         )
         dd = twisted_coboundary(twisted_coboundary(z, omega), omega)
         assert dd.degree == 3 and dd.values == {(0, 1, 2, 3): 0}
-
-
-class TestCochainDistance:
-    def test_identical_zero(self):
-        nerve = triangle_nerve()
-        c = Cochain(nerve, 1, "R", {e: 0.1 for e in nerve.edges})
-        assert cochain_distance(c, c) == 0.0
-
-    def test_half_turn_edge(self):
-        nerve = triangle_nerve()
-        a = Cochain(nerve, 1, "O2", {e: IDENTITY for e in nerve.edges})
-        vals = {e: IDENTITY for e in nerve.edges}
-        vals[(0, 1)] = O2(0.5, 1)
-        b = Cochain(nerve, 1, "O2", vals)
-        assert cochain_distance(a, b) == pytest.approx(2 * np.sqrt(2.0))
-
-    def test_sign_distance_discrete(self):
-        nerve = triangle_nerve()
-        a = constant_sign_cochain(nerve)
-        vals = dict(a.values)
-        vals[(0, 2)] = -1
-        b = Cochain(nerve, 1, "Z2", vals)
-        assert cochain_distance(a, b) == 2.0
-
-    def test_mismatched_domains_raise(self):
-        n1, n2 = triangle_nerve(), tetra_nerve()
-        a = Cochain(n1, 1, "R", {e: 0.0 for e in n1.edges})
-        b = Cochain(n2, 1, "R", {e: 0.0 for e in n2.edges})
-        with pytest.raises(ShapeMismatch):
-            cochain_distance(a, b)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        va=st.lists(turns, min_size=3, max_size=3),
-        vb=st.lists(turns, min_size=3, max_size=3),
-        vc=st.lists(turns, min_size=3, max_size=3),
-        sa=st.tuples(signs, signs, signs),
-        sb=st.tuples(signs, signs, signs),
-        sc=st.tuples(signs, signs, signs),
-    )
-    def test_metric_properties(self, va, vb, vc, sa, sb, sc):
-        nerve = triangle_nerve()
-        edges = nerve.edges
-
-        def mk(vals, sgns):
-            return Cochain(
-                nerve,
-                1,
-                "O2",
-                {e: O2(t, s) for e, t, s in zip(edges, vals, sgns)},
-            )
-
-        a, b, c = mk(va, sa), mk(vb, sb), mk(vc, sc)
-        dab = cochain_distance(a, b)
-        assert dab == pytest.approx(cochain_distance(b, a))
-        assert cochain_distance(a, a) == 0.0
-        assert dab <= cochain_distance(a, c) + cochain_distance(c, b) + 1e-9
 
 
 class TestCocycleDefect:

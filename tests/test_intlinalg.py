@@ -1,24 +1,24 @@
-"""Smith normal form, exact solvers, twisted boundary matrices."""
+"""Smith normal form, the exact solvers, and the coboundary rows they solve."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circlet.cochains import Cochain, coboundary_rows, constant_sign_cochain
+from circlet.cochains import Cochain, coboundary_rows, constant_sign_cochain, twisted_coboundary
 from circlet.errors import NotACocycle
 import circlet.intlinalg as intlinalg
 from circlet.classes import euler_cochain
 from circlet.intlinalg import (
     integer_kernel,
     integer_solvable,
-    obj_matmul,
     ordered_simplices,
     sign_potential,
     smith_normal_form,
     solve_gf2,
     solve_integer,
-    twisted_boundary_matrix,
 )
 from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
@@ -26,6 +26,8 @@ from circlet.witness import assemble_witness
 
 from oracles import (
     brute_force_integer_solvable,
+    dense_boundary,
+    dense_solve_integer,
     gf2_solvable,
     integer_kernel_via_rationals,
     snf_properties,
@@ -77,8 +79,8 @@ class TestSmithNormalForm:
             snf = smith_normal_form(A)
             eye_m = np.eye(5, dtype=object)
             eye_n = np.eye(6, dtype=object)
-            assert np.array_equal(obj_matmul(snf.L, snf.Linv), eye_m)
-            assert np.array_equal(obj_matmul(snf.Rinv, snf.R), eye_n)
+            assert np.array_equal(np.dot(snf.L, snf.Linv), eye_m)
+            assert np.array_equal(np.dot(snf.Rinv, snf.R), eye_n)
 
     def test_large_entries_stay_exact(self):
         # big inputs push the reduction onto arbitrary precision
@@ -96,21 +98,27 @@ class TestSmithNormalForm:
         assert all(isinstance(x, int) for x in snf.S.ravel())
 
 
+def solve_dense(A, b):
+    """``solve_integer`` on the rows of a dense matrix, as a vector, or None."""
+    x = solve_integer(sparse_rows(A), list(b))
+    return None if x is None else np.array([x.get(j, 0) for j in range(np.shape(A)[1])], dtype=object)
+
+
 class TestSolveInteger:
     def test_zero_rhs(self):
-        x = solve_integer(np.array([[3, 1], [0, 2]]), np.zeros(2, dtype=int))
+        x = solve_dense(np.array([[3, 1], [0, 2]]), np.zeros(2, dtype=int))
         assert list(x) == [0, 0]
 
     def test_divisibility_obstruction(self):
-        assert solve_integer(np.array([[2]]), np.array([3])) is None
+        assert solve_dense(np.array([[2]]), np.array([3])) is None
 
     def test_simple_solution(self):
-        x = solve_integer(np.array([[2]]), np.array([4]))
+        x = solve_dense(np.array([[2]]), np.array([4]))
         assert list(x) == [2]
 
     def test_inconsistent_row(self):
         A = np.array([[1, 1], [1, 1]])
-        assert solve_integer(A, np.array([1, 2])) is None
+        assert solve_dense(A, np.array([1, 2])) is None
 
     def test_recovers_planted_solution(self):
         rng = np.random.default_rng(23)
@@ -120,12 +128,9 @@ class TestSolveInteger:
             A = rng.integers(-5, 6, size=(m, n))
             x0 = rng.integers(-4, 5, size=n)
             b = A @ x0
-            x = solve_integer(A, b)
+            x = solve_dense(A, b)
             assert x is not None
-            assert np.array_equal(
-                obj_matmul(A.astype(object), x.reshape(-1, 1)).reshape(-1),
-                b.astype(object),
-            )
+            assert np.array_equal(np.dot(A.astype(object), x), b.astype(object))
 
     def test_solvability_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -135,7 +140,7 @@ class TestSolveInteger:
             n = int(rng.integers(1, 4))
             A = rng.integers(-3, 4, size=(m, n))
             b = rng.integers(-3, 4, size=m)
-            got = solve_integer(A, b)
+            got = solve_dense(A, b)
             if got is None:
                 # unsolvable verdicts must survive an exhaustive box search
                 assert not brute_force_integer_solvable(
@@ -143,11 +148,46 @@ class TestSolveInteger:
                 )
                 checked_none += 1
             else:
-                assert np.array_equal(
-                    obj_matmul(A.astype(object), got.reshape(-1, 1)).reshape(-1),
-                    b.astype(object),
-                )
+                assert np.array_equal(np.dot(A.astype(object), got), b.astype(object))
         assert checked_none > 0
+
+    def test_free_columns_are_zero(self):
+        # x0 + x1 = 3 leaves x1 free; the free column gets 0
+        assert solve_integer([{0: 1, 1: 1}], [3]) == {0: 3, 1: 0}
+
+    def test_back_substitutes_through_a_block(self, fallbacks):
+        # the block 2 x1 + 4 x2 = 4 x1 + 2 x2 = 6 has no unit entry and goes
+        # to the Smith form; x0 then follows from x0 + 2 x1 = 7
+        rows = [{0: 1, 1: 2}, {1: 2, 2: 4}, {1: 4, 2: 2}]
+        x = solve_integer(rows, [7, 6, 6])
+        assert fallbacks == [(2, 2)]
+        assert all(sum(v * x[c] for c, v in row.items()) == bi for row, bi in zip(rows, [7, 6, 6]))
+        assert solve_integer(rows, [7, 6, 5]) is None
+
+
+@st.composite
+def sparse_systems(draw):
+    """A small integer system whose rows are often without a unit entry."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from([-2, -1, 0, 0, 0, 1, 2])
+    scale = st.sampled_from([1, 1, 2, 3])
+    A = np.array([[draw(entry) * k for _ in range(n)] for k in (draw(scale) for _ in range(m))],
+                 dtype=object)
+    if draw(st.booleans()):
+        b = A.dot(np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=object))
+    else:
+        b = np.array(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)), dtype=object)
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_sparse_solve_matches_the_dense_oracle(system):
+    A, b = system
+    x = solve_dense(A, b)
+    assert (x is None) == (dense_solve_integer(A, b) is None)
+    if x is not None:
+        assert np.array_equal(A.dot(x), b)
 
 
 class TestSolveGF2:
@@ -180,39 +220,35 @@ class TestSolveGF2:
 
 
 class TestTwistedBoundaryMatrix:
+    """The twisted boundary matrix, read as the transpose of ``coboundary_rows``."""
+
     def triangle(self):
         return build_nerve([CoverSet(j, {99, j}) for j in range(3)])
 
     def test_untwisted_is_standard_boundary(self):
-        nerve = self.triangle()
-        bm = twisted_boundary_matrix(nerve, constant_sign_cochain(nerve), 2)
-        col = {r: int(v) for r, v in zip(bm.rows, bm.matrix[:, 0])}
+        [col] = coboundary_rows(self.triangle().triangles)
         assert col == {(1, 2): 1, (0, 2): -1, (0, 1): 1}
 
     def test_twisted_leading_face(self):
         # frozen column: omega_01 = -1 puts -1 on the face dropping vertex 0
         nerve = self.triangle()
         omega = signs_from_vertices(nerve, {0: -1, 1: 1, 2: 1})
-        bm = twisted_boundary_matrix(nerve, omega, 2)
-        col = {r: int(v) for r, v in zip(bm.rows, bm.matrix[:, 0])}
-        assert col[(1, 2)] == -1
-        assert col[(0, 2)] == -1
-        assert col[(0, 1)] == 1
+        [col] = coboundary_rows(nerve.triangles, omega.values)
+        assert col == {(1, 2): -1, (0, 2): -1, (0, 1): 1}
 
     def test_degree_one_pattern(self):
         nerve = self.triangle()
         omega = signs_from_vertices(nerve, {0: -1, 1: 1, 2: 1})
-        bm = twisted_boundary_matrix(nerve, omega, 1)
-        j = bm.cols.index((0, 1))
-        col = {r: int(v) for r, v in zip(bm.rows, bm.matrix[:, j])}
-        assert col == {(0,): -1, (1,): -1, (2,): 0}
+        rows = coboundary_rows(nerve.edges, omega.values)
+        assert rows[nerve.edges.index((0, 1))] == {(0,): -1, (1,): -1}
 
     def test_rejects_non_cocycle(self):
         nerve = self.triangle()
         vals = {(0, 1): -1, (0, 2): 1, (1, 2): 1}
         bad = Cochain(nerve, 1, "Z2", vals)
+        theta = Cochain(nerve, 1, "Z", {e: 0 for e in nerve.edges})
         with pytest.raises(NotACocycle):
-            twisted_boundary_matrix(nerve, bad, 2)
+            twisted_coboundary(theta, bad)
 
     def test_chain_complex_property(self):
         rng = np.random.default_rng(57)
@@ -230,10 +266,13 @@ class TestTwistedBoundaryMatrix:
                 continue
             vs = {j: int(s) for j, s in zip(range(n_sets), rng.choice([1, -1], n_sets))}
             omega = signs_from_vertices(nerve, vs)
-            d2 = twisted_boundary_matrix(nerve, omega, 2)
-            d3 = twisted_boundary_matrix(nerve, omega, 3)
-            prod = obj_matmul(d2.matrix, d3.matrix)
-            assert not np.any(prod)
+            d2 = dict(zip(nerve.triangles, coboundary_rows(nerve.triangles, omega.values)))
+            for row in coboundary_rows(nerve.tetrahedra, omega.values):
+                total = {}
+                for t, a in row.items():
+                    for e, v in d2[t].items():
+                        total[e] = total.get(e, 0) + a * v
+                assert not any(total.values())
             ran += 1
         assert ran > 0
 
@@ -244,8 +283,7 @@ class TestTwistedBoundaryMatrix:
         nerve.weights[(0, 2)] = 0.1
         nerve.weights[(1, 2)] = 0.2
         ordered = filtration_order(nerve)
-        bm = twisted_boundary_matrix(ordered, constant_sign_cochain(ordered), 2)
-        assert bm.rows == [(0, 2), (1, 2), (0, 1)]
+        assert ordered_simplices(nerve, 1) == [(0, 1), (0, 2), (1, 2)]
         assert ordered_simplices(ordered, 1) == [(0, 2), (1, 2), (0, 1)]
 
 
@@ -279,15 +317,12 @@ def sympy_solvable(A, b):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts the blocks handed to ``solve_integer`` for want of a unit pivot."""
+    """Shapes of the blocks handed to the Smith form for want of a unit pivot."""
     calls = []
-    real = intlinalg.solve_integer
-
-    def counting(A, b):
-        calls.append(np.shape(A))
-        return real(A, b)
-
-    monkeypatch.setattr(intlinalg, "solve_integer", counting)
+    real = intlinalg.smith_normal_form
+    monkeypatch.setattr(
+        intlinalg, "smith_normal_form", lambda A: calls.append(np.shape(A)) or real(A)
+    )
     return calls
 
 
@@ -442,10 +477,10 @@ class TestCoboundaryRows:
                 continue
             vs = {j: int(s) for j, s in zip(range(6), rng.choice([1, -1], 6))}
             omega = signs_from_vertices(nerve, vs)
-            d2 = twisted_boundary_matrix(nerve, omega, 2)
-            rows = coboundary_rows(d2.cols, omega.values)
-            for row, column in zip(rows, d2.matrix.T):
-                assert row == {e: int(v) for e, v in zip(d2.rows, column) if v}
+            d2, edges, tris = dense_boundary(nerve, omega.values, 2)
+            rows = coboundary_rows(tris, omega.values)
+            for row, column in zip(rows, d2.T):
+                assert row == {e: int(v) for e, v in zip(edges, column) if v}
             ran += 1
         assert ran > 0
 
@@ -492,8 +527,12 @@ def test_scenario_stages_match_dense_solvers(name):
             rows = coboundary_rows(tris, result.sw.values)
             for b in ([result.euler.values[t] for t in tris],
                       rng.integers(-1, 2, len(tris)).tolist()):
-                expected = solve_integer(dense(rows), np.array(b, dtype=object)) is not None
+                expected = dense_solve_integer(dense(rows), b) is not None
                 assert integer_solvable(rows, b) == expected
+                x = solve_integer(rows, b)
+                assert (x is not None) == expected
+                if x is not None:
+                    assert [sum(v * x[c] for c, v in row.items()) for row in rows] == b
 
 
 def reference_potential(verts, signs):

@@ -14,7 +14,8 @@ import pytest
 import scipy.linalg
 
 from circlet.circle import O2, o2_apply, principal_turn, s1_angle
-from circlet.cochains import Cochain, act_by_potential, cocycle_defect
+from circlet.classes import euler_cochain
+from circlet.cochains import Cochain, act_by_potential, coboundary_values, cocycle_defect
 from circlet.errors import (
     DiameterTooLarge,
     EigengapTooSmall,
@@ -26,25 +27,23 @@ from circlet.errors import (
 from circlet.nerve import BundleDataset, CoverSet, Nerve, base_geodesic, build_nerve
 from circlet.projection import (
     BundleMapResult,
-    CocycleField,
     FrameField,
     SupportGroup,
+    _chart_means,
+    _project,
+    _top_plane,
     bundle_map,
-    classifying_map,
     frame_field,
     global_trivialize,
-    gr_project,
     partition_of_unity,
-    project_cocycle,
-    project_trivialization,
     reduction_curve,
     stiefel_fiber_project,
     stiefel_reduce,
 )
 from circlet.synthetic import gen_lens_bundle, gen_s1_bundle, make_cover
-from circlet.witness import Trivialization, assemble_witness, triv_distance, triv_quality
+from circlet.witness import Trivialization, assemble_witness, triv_quality
 
-from oracles import partition_from_rows
+from oracles import partition_from_rows, projection_distances
 
 SQRT2 = math.sqrt(2.0)
 
@@ -137,16 +136,36 @@ def row_of(rho, s):
     return [rho.sets[k] for k in rho.slots[lo:hi]], rho.weights[lo:hi]
 
 
-def compat_residual(trivs, field):
-    """Worst gap between a chart value and a field transition applied to another chart."""
+def projected(omega, rho, samples=None):
+    """The frame field of a witness and its ``_project`` stages 1-3."""
+    ff = frame_field(omega, rho, samples)
+    return ff, _project(ff)
+
+
+def repaired_charts(trivs, omega, rho):
+    """Stage 4 on the projected transitions: groups, turns, signs and chart means."""
+    ff, (_, _, pairs) = projected(omega, rho)
+    turns, signs, _ = zip(*pairs)
+    return ff.groups, turns, signs, _chart_means(trivs, ff.groups, turns, signs)
+
+
+def compat_residual(groups, turns, signs, means):
+    """Worst gap between a repaired chart value and a transition applied to another one."""
     worst = 0.0
-    for g, turn, sign in zip(field.groups, field.turn, field.sign):
-        for i, s in enumerate(g.ids):
+    for g, turn, sign, mean in zip(groups, turns, signs, means):
+        for i in range(len(g.ids)):
             for a, b in itertools.combinations(range(g.sets.shape[1]), 2):
-                (lhs, pk), _ = trivs.at(s, [g.sets[i, a], g.sets[i, b]])
-                rhs = o2_apply(O2(float(turn[i, a, b]), int(sign[i, a, b])), pk)
-                worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+                rhs = o2_apply(O2(float(turn[i, a, b]), int(sign[i, a, b])), mean[i, b])
+                worst = max(worst, float(np.linalg.norm(mean[i, a] - rhs)))
     return worst
+
+
+def chart_moves(trivs, groups, means):
+    """Largest distance a repaired chart value moved from its input."""
+    return max(
+        float(np.linalg.norm(mean - trivs.at(g.ids[:, None], g.sets)[0], axis=-1).max())
+        for g, mean in zip(groups, means)
+    )
 
 
 class TestPartitionOfUnity:
@@ -224,14 +243,16 @@ class TestPartitionOfUnity:
 
 
 class TestGrProject:
+    """The nearest rank-2 projector, ``_top_plane``, that stage 1 applies."""
+
     def test_projector_is_fixed_point(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         p = q[:, :2] @ q[:, :2].T
-        assert np.allclose(gr_project(p), p, atol=1e-12)
+        assert np.allclose(_top_plane(p)[0], p, atol=1e-12)
 
     def test_ordered_eigenvalues_pick_top_plane(self):
-        out = gr_project(np.diag([3.0, 2.0, 1.0]))
+        out = _top_plane(np.diag([3.0, 2.0, 1.0]))[0]
         assert np.allclose(out, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     def test_matches_dense_eigensolver_oracle(self):
@@ -245,14 +266,14 @@ class TestGrProject:
             vals, vecs = scipy.linalg.eigh(a)
             idx = np.argsort(vals)[::-1][:2]
             expect = vecs[:, idx] @ vecs[:, idx].T
-            assert np.allclose(gr_project(a), expect, atol=1e-9)
+            assert np.allclose(_top_plane(a)[0], expect, atol=1e-9)
 
     def test_output_is_projector(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = rng.normal(size=(5, 5))
             try:
-                p = gr_project(a)
+                p = _top_plane(a + a.T)[0]
             except EigengapTooSmall:
                 continue
             assert np.allclose(p, p.T, atol=1e-10)
@@ -261,11 +282,7 @@ class TestGrProject:
 
     def test_degenerate_gap_raises(self):
         with pytest.raises(EigengapTooSmall):
-            gr_project(np.eye(3))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ShapeMismatch):
-            gr_project(np.zeros((3, 2)))
+            _top_plane(np.eye(3))
 
 
 class TestStiefelFiberProject:
@@ -353,11 +370,13 @@ class TestFrameField:
 
 
 class TestClassifyingMap:
+    """Stage 1 of ``_project``: weighted frame averages and their projectors."""
+
     def test_exact_cocycle_gives_projectors(self, torus):
         _, _, _, _, wit, rho = torus
-        pf = classifying_map(wit, rho)
-        assert pf.distance <= 1e-12
-        assert min(g.min() for g in pf.gap) > 0.99
+        ff, out = projected(wit, rho)
+        assert projection_distances(wit, ff, out)["projector"] <= 1e-12
+        assert min(gap.min() for _, _, gap in out[0]) > 0.99
 
     def test_single_set_point_already_projector(self, torus):
         ds, _, _, _, _, _ = torus
@@ -365,37 +384,38 @@ class TestClassifyingMap:
         nerve1 = build_nerve(cover1)
         rho1 = partition_of_unity(cover1, ds)
         wit1 = Cochain(nerve1, 1, "O2", {})
-        pf = classifying_map(wit1, rho1)
-        assert pf.distance <= 1e-12
-        assert min(g.min() for g in pf.gap) > 0.99
+        ff, out = projected(wit1, rho1)
+        assert projection_distances(wit1, ff, out)["projector"] <= 1e-12
+        assert min(gap.min() for _, _, gap in out[0]) > 0.99
 
     def test_defective_cocycle_within_sqrt2_epsilon(self, lens, defect_apparatus):
         _, _, _, _, rho = lens
         _, with_defect = defect_apparatus
         w = with_defect(0.1)
         eps = cocycle_defect(w)
-        pf = classifying_map(w, rho)
-        assert 0.0 < pf.distance <= SQRT2 * eps
+        distance = projection_distances(w, *projected(w, rho))["projector"]
+        assert 0.0 < distance <= SQRT2 * eps
 
     def test_degenerate_point_named_in_error(self):
         om, rho = degenerate_triangle()
         with pytest.raises(EigengapTooSmall, match="base point 7"):
-            classifying_map(om, rho, samples=[7])
+            projected(om, rho, samples=[7])
 
 
 class TestProjectCocycle:
+    """Stages 1-3 of ``_project``: exactly multiplicative rounded transitions."""
+
     def test_exact_input_unchanged(self, torus):
         _, _, _, _, wit, rho = torus
-        cf = project_cocycle(wit, rho)
-        assert cf.distance <= 1e-12
-        assert cf.ortho_residual <= 1e-12
-        assert cf.defect <= 1e-12
+        got = projection_distances(wit, *projected(wit, rho))
+        assert got["cocycle"] <= 1e-12
+        assert got["ortho"] <= 1e-12
+        assert got["defect"] <= 1e-12
 
     def test_triangle_free_nerve_is_already_exact(self, noisy_torus):
         # any 1-cochain on a graph nerve is a cocycle; projection is a no-op
         _, _, _, _, wit, rho = noisy_torus
-        cf = project_cocycle(wit, rho)
-        assert cf.distance <= 1e-9
+        assert projection_distances(wit, *projected(wit, rho))["cocycle"] <= 1e-9
 
     @pytest.mark.parametrize("target", [0.02, 0.05, 0.1])
     def test_nine_epsilon_distance_bound(self, lens, defect_apparatus, target):
@@ -404,41 +424,32 @@ class TestProjectCocycle:
         w = with_defect(target)
         eps = cocycle_defect(w)
         assert eps == pytest.approx(target, rel=1e-6)
-        cf = project_cocycle(w, rho)
-        assert 0.5 * eps <= cf.distance <= 9.0 * eps
-        assert cf.defect <= 1e-8
-
-    def test_high_defect_logs_warning(self, lens, defect_apparatus, caplog):
-        _, _, _, _, rho = lens
-        _, with_defect = defect_apparatus
-        w = with_defect(0.4)  # above sqrt(2)/4
-        some = rho.ids[:5]
-        with caplog.at_level("WARNING", logger="circlet.projection"):
-            project_cocycle(w, rho, samples=some)
-        assert any("sqrt(2)/4" in r.message for r in caplog.records)
+        got = projection_distances(w, *projected(w, rho))
+        assert 0.5 * eps <= got["cocycle"] <= 9.0 * eps
+        assert got["defect"] <= 1e-8
 
 
 class TestProjectTrivialization:
+    """Stage 4, ``_chart_means``: charts repaired through the rounded transitions."""
+
     def test_exact_charts_unchanged(self, torus):
         _, _, trivs, nerve, wit, rho = torus
-        cf = project_cocycle(wit, rho)
-        new = project_trivialization(trivs, cf)
-        assert triv_distance(trivs, new) <= 1e-12
-        assert compat_residual(new, cf) <= 1e-9
+        groups, turns, signs, means = repaired_charts(trivs, wit, rho)
+        assert chart_moves(trivs, groups, means) <= 1e-12
+        assert compat_residual(groups, turns, signs, means) <= 1e-9
 
     def test_noisy_charts_become_exactly_compatible(self, noisy_torus):
         _, _, trivs, nerve, wit, rho = noisy_torus
-        cf = project_cocycle(wit, rho)
-        new = project_trivialization(trivs, cf)
-        assert compat_residual(new, cf) <= 1e-9
+        groups, turns, signs, means = repaired_charts(trivs, wit, rho)
+        assert compat_residual(groups, turns, signs, means) <= 1e-9
 
     def test_distance_bounded_by_alpha_delta(self, noisy_torus):
         _, _, trivs, nerve, wit, rho = noisy_torus
         q = triv_quality(trivs, wit, nerve)
-        cf = project_cocycle(wit, rho)
-        new = project_trivialization(trivs, cf)
-        moved = triv_distance(trivs, new)
-        assert moved <= q.alpha + cf.distance / SQRT2
+        distance = projection_distances(wit, *projected(wit, rho))["cocycle"]
+        groups, _, _, means = repaired_charts(trivs, wit, rho)
+        moved = chart_moves(trivs, groups, means)
+        assert moved <= q.alpha + distance / SQRT2
         assert moved <= 0.2  # frozen: 0.139 measured at this seed and noise
 
     def test_diameter_error_names_sample(self, torus):
@@ -453,16 +464,17 @@ class TestProjectTrivialization:
         )
         wit3 = assemble_witness(trivs3, nerve3)
         rho3 = partition_of_unity(cover3, ds)
-        cf = project_cocycle(wit3, rho3)
+        ff, (_, _, pairs) = projected(wit3, rho3)
+        turns, signs, _ = zip(*pairs)
         group, turn = next(
-            (g, t) for g, t in zip(cf.groups, cf.turn) if g.sets.shape[1] == 3
+            (g, t) for g, t in zip(ff.groups, turns) if g.sets.shape[1] == 3
         )
         victim = group.ids[0]
         # rotate the first three-set sample's transitions into set 0
         turn[0, 0, 1] += 1.0 / 3.0
         turn[0, 0, 2] -= 1.0 / 3.0
         with pytest.raises(DiameterTooLarge, match=f"sample {victim}"):
-            project_trivialization(trivs3, cf)
+            _chart_means(trivs3, ff.groups, turns, signs)
 
 
 class TestStiefelReduce:
@@ -645,6 +657,23 @@ class TestGlobalTrivialize:
         assert np.array_equal(g.ids, np.sort(np.array(ds.ids)))
         assert g.turns.size == len(ds.ids)
         assert g.turns.max() - g.turns.min() > 0.5  # genuinely covers the fiber
+
+    def test_winding_solve_on_a_nerve_with_triangles(self, torus):
+        # a trivial bundle over three arcs with a triple overlap, charts
+        # rotated by 0, 0.4 and 0.8 turns: the rounded class is not zero
+        ds, _, _, _, _, _ = torus
+        cover3 = make_cover(ds, 3, radius=2.2)
+        nerve3 = build_nerve(cover3)
+        ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
+        trivs3 = Trivialization.from_turns(
+            {c.id: {s: ang[s] + 0.4 * c.id for s in c.members} for c in cover3}
+        )
+        wit3 = assemble_witness(trivs3, nerve3)
+        g = global_trivialize(trivs3, wit3, partition_of_unity(cover3, ds))
+        euler = euler_cochain(wit3).euler.values
+        assert nerve3.triangles and any(euler.values())
+        assert coboundary_values(g.beta, "Z", nerve3.triangles) == euler
+        assert g.residual <= 1e-8
 
     def test_noisy_torus_residual_stays_small(self, noisy_torus):
         ds, _, trivs, _, wit, rho = noisy_torus

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from circlet.circle import O2, o2_compose, s1_angle, s1_point
 from circlet.cochains import Cochain, act_by_potential, cocycle_defect
-from circlet.errors import DiameterTooLarge, ShapeMismatch, TooFewSamples
+from circlet.errors import DiameterTooLarge, TooFewSamples
 from circlet.doublecover import carry_charts
 from circlet.nerve import CoverSet, build_nerve
 from circlet.witness import (
@@ -19,7 +19,6 @@ from circlet.witness import (
     assemble_witness,
     coverage_gap,
     procrustes_o2,
-    triv_distance,
     triv_quality,
 )
 
@@ -271,39 +270,6 @@ class TestFromTurns:
         assert np.isfinite(big.chart(0).points).all()
         assert np.array_equal(big.chart(0).points, small.chart(0).points)
         assert np.array_equal(big.chart(0).turns, small.chart(0).turns)
-
-
-class TestTrivDistance:
-    def test_identical_zero(self):
-        trivs = Trivialization.from_turns({0: {0: 0.1, 1: 0.4}})
-        assert triv_distance(trivs, trivs) == 0.0
-
-    def test_quarter_turn_one_set(self):
-        a = Trivialization.from_turns({0: {0: 0.1}, 1: {1: 0.2}})
-        b = Trivialization.from_turns({0: {0: 0.35}, 1: {1: 0.2}})
-        assert triv_distance(a, b) == pytest.approx(np.sqrt(2.0))
-
-    def test_domain_mismatch(self):
-        a = Trivialization.from_turns({0: {0: 0.1}})
-        b = Trivialization.from_turns({1: {0: 0.1}})
-        with pytest.raises(ShapeMismatch):
-            triv_distance(a, b)
-
-    def test_matches_scan(self):
-        rng = np.random.default_rng(4)
-        ta = {j: {s: float(rng.random()) for s in range(6)} for j in range(3)}
-        tb = {j: {s: float(rng.random()) for s in range(6)} for j in range(3)}
-        a, b = Trivialization.from_turns(ta), Trivialization.from_turns(tb)
-        worst = 0.0
-        for j in range(3):
-            for s in range(6):
-                worst = max(
-                    worst,
-                    float(
-                        np.linalg.norm(points(ta[j][s])[0] - points(tb[j][s])[0])
-                    ),
-                )
-        assert triv_distance(a, b) == pytest.approx(worst)
 
 
 # chart domains over a dozen sample ids: disjoint, single-sample and
