@@ -4,25 +4,12 @@ Build a nerve from a cover, estimate the optimal isometry witness on each
 overlap, compute the orientation and twisted Euler classes with exact
 integer linear algebra, track their persistence along the weights
 filtration, and produce topology-respecting coordinates.
-"""
 
-from .circle import (
-    O2,
-    IDENTITY,
-    ArcSummary,
-    exp_so2,
-    karcher_mean,
-    log_so2,
-    o2_apply,
-    o2_compose,
-    o2_frobenius_distance,
-    o2_inverse,
-    principal_turn,
-    s1_angle,
-    s1_distance,
-    s1_point,
-    shortest_enclosing_arc,
-)
+The names in ``__all__`` are re-exported from ``circlet.circle`` lazily,
+through a module ``__getattr__`` (PEP 562): importing the package loads
+no numpy, so ``python -m circlet.cli`` can choose the BLAS thread count
+before numpy is first imported (see ``circlet.cli``).
+"""
 
 __version__ = "0.1.0"
 
@@ -43,3 +30,11 @@ __all__ = [
     "s1_point",
     "shortest_enclosing_arc",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        from . import circle
+
+        return getattr(circle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

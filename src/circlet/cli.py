@@ -9,6 +9,20 @@ that produced them.
 Exit codes partition by error family: 0 success, 1 schema violation,
 2 topological obstruction (a certified result, reported machine-readably
 on stdout), 3 numerical guard.
+
+A run uses one BLAS thread unless its caller chose a count.  The largest
+matrix a pipeline factors is the frame moment, of order twice the number of
+cover sets (128x128 on a 64-set cover); the rest are small batched blocks.
+At those sizes OpenBLAS's worker threads only spin beside the main thread:
+on a 2-core machine they cost each run about a quarter of its CPU time, and
+now and then stall one ``eigh`` for a fifth of a second.  OpenBLAS reads its
+thread count once, when numpy loads it, so this module sets
+``OPENBLAS_NUM_THREADS=1`` before its first ``import numpy``, and only when
+numpy is not loaded yet and none of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` is set.  To override it, set
+one of those variables; a process that imported numpy before this module
+keeps whatever its BLAS already runs with.  ``manifest.json`` records the
+setting in effect and who chose it.
 """
 
 from __future__ import annotations
@@ -20,6 +34,28 @@ import sys
 import time
 from contextlib import contextmanager
 
+# the variables OpenBLAS reads for its thread count, first one set wins
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _choose_blas_threads() -> dict:
+    """Take one BLAS thread unless the caller chose a count or numpy is loaded.
+
+    Returns the setting in effect, as the manifest records it: the count
+    OpenBLAS reads (None for its one-per-core default) and who chose it.
+    A loaded numpy has read its count already, and the variable would only
+    leak into child processes.
+    """
+    if "numpy" not in sys.modules and not any(os.environ.get(k) for k in _BLAS_ENV):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        return {"threads": "1", "chosen_by": "circlet"}
+    threads = next((os.environ[k] for k in _BLAS_ENV if os.environ.get(k)), None)
+    return {"threads": threads, "chosen_by": "caller"}
+
+
+_BLAS_THREADS = _choose_blas_threads()
+
+# numpy, and every module below that imports it, loads OpenBLAS only here
 import numpy as np
 
 from . import io
@@ -30,7 +66,6 @@ from .classes import (
     orientation_anchor,
 )
 from .cochains import Cochain
-from .doublecover import connectivity_cocycle, unwrap_double_cover, carry_charts
 from .errors import (
     GuardError,
     NotASurface,
@@ -126,6 +161,7 @@ class _Run:
             outputs=self.outputs,
         )
         doc["status"] = status
+        doc["blas"] = _BLAS_THREADS
         io.dump_json(doc, os.path.join(self.out_dir, "manifest.json"))
 
 
@@ -387,6 +423,8 @@ def _cmd_trivialize(args, run: _Run):
 
 
 def _cmd_unwrap(args, run: _Run):
+    from .doublecover import carry_charts, connectivity_cocycle, unwrap_double_cover
+
     with run.timed("load"):
         ds, cover, trivs = _load_bundle(args)
         clusters = io.parse_clusters(io.load_json(args.clusters))

@@ -26,7 +26,7 @@ import math
 import os
 import platform
 from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -36,7 +36,9 @@ from .nerve import BundleDataset, CoverSet, Nerve
 from .persistence import PersistenceReport, ThresholdPair
 from .witness import Trivialization
 from .circle import O2
-from .synthetic import SyntheticScenario
+
+if TYPE_CHECKING:
+    from .synthetic import SyntheticScenario
 
 SCHEMA_PREFIX = "circlet/"
 
@@ -372,6 +374,24 @@ def nerve_doc(nerve: Nerve) -> dict:
     return doc
 
 
+def _check_complex(simplices: dict[int, list[tuple]]):
+    """Each p-simplex has p+1 ascending vertices, appears once, and has every facet."""
+    seen: set[tuple] = set()
+    for p in sorted(simplices):
+        for s in simplices[p]:
+            if len(s) != p + 1 or any(a >= b for a, b in zip(s, s[1:])):
+                raise SchemaError(
+                    f"nerve: {p}-simplex {list(s)} needs {p + 1} strictly ascending vertices"
+                )
+            if s in seen:
+                raise SchemaError(f"nerve: simplex {list(s)} is repeated")
+            facets = (s[:i] + s[i + 1:] for i in range(p + 1)) if p else ()
+            missing = next((f for f in facets if f not in seen), None)
+            if missing is not None:
+                raise SchemaError(f"nerve: facet {list(missing)} of {list(s)} is missing")
+            seen.add(s)
+
+
 def parse_nerve(doc) -> Nerve:
     raw = _need(doc, "simplices", "nerve", dict)
     simplices = {}
@@ -380,7 +400,10 @@ def parse_nerve(doc) -> Nerve:
             dim = int(p)
         except ValueError:
             raise SchemaError(f"nerve: bad dimension key {p!r}")
+        if dim < 0 or dim in simplices:
+            raise SchemaError(f"nerve: bad dimension key {p!r}")
         simplices[dim] = [_simplex(s, "nerve") for s in simps]
+    _check_complex(simplices)
     nerve = Nerve(simplices=simplices)
     for row in doc.get("weights", []):
         s = _simplex(_need(row, "simplex", "weight row"), "weight row")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import circlet
-from circlet import io
+from circlet import cli, io
 from circlet.cli import main
 
 
@@ -355,6 +355,26 @@ class TestPersistCommand:
             assert read(out / "manifest.json")["status"] == 1
 
 
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda s: s.update({"2": [[1, 5, 9]]}), "facet [5, 9] of [1, 5, 9] is missing"),
+        (lambda s: s.update({"2": [[0, 1]]}), "2-simplex [0, 1] needs 3 strictly ascending"),
+        (lambda s: s["1"].append([1, 0]), "1-simplex [1, 0] needs 2 strictly ascending"),
+        (lambda s: s["1"].append([0, 1]), "simplex [0, 1] is repeated"),
+        (lambda s: s["0"].remove([5]), "facet [5] of [4, 5] is missing"),
+    ], ids=["triangle-without-edges", "short-simplex", "descending-edge",
+            "repeated-edge", "missing-vertex"])
+    def test_non_complex_rejected(self, torus_witness_dir, tmp_path, capsys, mutate, match):
+        doc = read(torus_witness_dir / "witness.json")
+        del doc["nerve"]["order"]
+        mutate(doc["nerve"]["simplices"])
+        bad = tmp_path / "witness.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "classes"
+        assert run("classes", "--witness", str(bad), "--out", str(out)) == 1
+        assert match in capsys.readouterr().err
+        assert read(out / "manifest.json")["status"] == 1
+
+
 class TestTrivializeCommand:
     def test_torus_succeeds_with_tiny_residual(self, torus_dir, tmp_path, capsys):
         out = tmp_path / "triv"
@@ -590,31 +610,137 @@ class TestUsage:
         assert "subcommand" not in capsys.readouterr().err
 
 
+def _python(*args, env=None):
+    """Run a fresh interpreter on the source tree; its last stdout line as JSON."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(circlet.__file__))
+    done = subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _without_blas_env(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_ENV}
+    return {**env, **extra}
+
+
+def _bundle_flags(directory):
+    return [
+        f"--{flag}={directory / name}"
+        for flag, name in (("data", "dataset.json"), ("cover", "cover.json"),
+                           ("trivs", "trivs.json"))
+    ]
+
+
 class TestImports:
-    def test_pipelines_leave_numpy_ma_unloaded(self, torus_dir, tmp_path):
-        # importing numpy.ma costs each run tens of milliseconds; on numpy
-        # 2.4, np.unique without return_counts pulls it in
-        inputs = [
-            f"--{flag}={torus_dir / name}"
-            for flag, name in (("data", "dataset.json"), ("cover", "cover.json"),
-                               ("trivs", "trivs.json"))
-        ]
+    @pytest.fixture(scope="class")
+    def pipelines(self, torus_dir, tmp_path_factory):
+        """Exit codes and module loads of report, coordinatize and trivialize
+        in one fresh process, then of synth and unwrap on a split bundle."""
+        out = tmp_path_factory.mktemp("pipelines")
+        inputs = _bundle_flags(torus_dir)
+        split = out / "split"
         argvs = [
-            ["report", *inputs, f"--out={tmp_path / 'report'}"],
-            ["coordinatize", "--dim", "4", *inputs, f"--out={tmp_path / 'coords'}"],
-            ["trivialize", *inputs, f"--out={tmp_path / 'triv'}"],
+            ["report", *inputs, f"--out={out / 'report'}"],
+            ["coordinatize", "--dim", "4", *inputs, f"--out={out / 'coords'}"],
+            ["trivialize", *inputs, f"--out={out / 'triv'}"],
+        ]
+        later = [
+            ["synth", "--model", "split:1", "--samples", "600", "--sets", "16",
+             "--seed", "2", f"--out={split}"],
+            ["unwrap", *_bundle_flags(split), f"--clusters={split / 'clusters.json'}",
+             f"--out={out / 'unwrap'}"],
         ]
         script = (
             "import json, sys\n"
             "from circlet.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+            "loaded = {m: m in sys.modules for m in ('numpy.ma', 'circlet.doublecover')}\n"
+            "later = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+            "print(json.dumps([codes, loaded, later]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circlet.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argvs)],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
-        )
-        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        return _python("-c", script, json.dumps(argvs), json.dumps(later))
+
+    def test_pipelines_leave_numpy_ma_unloaded(self, pipelines):
+        # importing numpy.ma costs each run tens of milliseconds; on numpy
+        # 2.4, np.unique without return_counts pulls it in
+        codes, loaded, _ = pipelines
         assert codes == [0, 0, 0]
-        assert not loaded
+        assert not loaded["numpy.ma"]
+
+    def test_pipelines_leave_doublecover_unloaded(self, pipelines):
+        codes, loaded, _ = pipelines
+        assert codes == [0, 0, 0]
+        assert not loaded["circlet.doublecover"]
+
+    def test_unwrap_imports_doublecover_itself(self, pipelines):
+        _, _, later = pipelines
+        assert later == [0, 0]
+
+    def test_library_import_loads_no_numpy_and_sets_no_variable(self):
+        script = (
+            "import json, os, sys\n"
+            "before = dict(os.environ)\n"
+            "import circlet\n"
+            "bare = 'numpy' not in sys.modules\n"
+            "import circlet.projection\n"
+            "same = dict(os.environ) == before\n"
+            "from circlet import O2, karcher_mean\n"
+            "print(json.dumps([bare, same, O2.__name__, karcher_mean.__name__]))\n"
+        )
+        bare, same, *names = _python("-c", script, env=_without_blas_env())
+        assert bare
+        assert same
+        assert names == ["O2", "karcher_mean"]
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("extra, expected", [
+        ({}, {"threads": "1", "chosen_by": "circlet"}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {"threads": "2", "chosen_by": "caller"}),
+        ({"OMP_NUM_THREADS": "2"}, {"threads": "2", "chosen_by": "caller"}),
+    ], ids=["default", "openblas-set", "omp-set"])
+    def test_manifest_records_the_setting(self, torus_dir, tmp_path, extra, expected):
+        out = tmp_path / "report"
+        _python("-m", "circlet.cli", "report", *_bundle_flags(torus_dir), f"--out={out}",
+                env=_without_blas_env(**extra))
+        assert read(out / "manifest.json")["blas"] == expected
+
+    def test_numpy_loaded_first_keeps_its_threads(self):
+        # the variable could no longer reach this process's BLAS, only its children
+        script = (
+            "import json, os, numpy, circlet.cli\n"
+            "print(json.dumps([circlet.cli._BLAS_THREADS, "
+            "os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+        )
+        assert _python("-c", script, env=_without_blas_env()) == [
+            {"threads": None, "chosen_by": "caller"}, None,
+        ]
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        lens = tmp_path / "lens2"
+        assert run(
+            "synth", "--model", "lens:2", "--samples", "1000", "--sets", "32",
+            "--seed", "0", "--out", str(lens),
+        ) == 0
+        script = (
+            "import json, sys\n"
+            "from circlet.cli import main\n"
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        )
+        commands = {"report": ["report"], "coordinatize": ["coordinatize", "--dim", "4"]}
+        outputs = {}
+        for threads in ("1", "2"):
+            argvs = [[*argv, *_bundle_flags(lens), f"--out={tmp_path / threads / name}"]
+                     for name, argv in commands.items()]
+            assert _python("-c", script, json.dumps(argvs),
+                           env=_without_blas_env(OPENBLAS_NUM_THREADS=threads)) == [0, 0]
+            outputs[threads] = {
+                path.relative_to(tmp_path / threads): path.read_bytes()
+                for path in (tmp_path / threads).rglob("*.json")
+                if path.name != "manifest.json"
+            }
+        assert len(outputs["1"]) == 2
+        assert outputs["1"] == outputs["2"]
