@@ -1,26 +1,31 @@
 """Exact integer and mod-2 linear algebra.
 
-Smith normal form with full transform tracking, one sparse unit-pivot
-elimination, and the integer and GF(2) solvers built on them.  All
+Smith normal form with full transform tracking, two sparse unit-pivot
+eliminations, and the integer and GF(2) solvers built on them.  All
 integer arithmetic runs on Python ints, so every result is exact.  A
 sparse system is a list of rows, each mapping a column label to its
 integer coefficient, as ``cochains.coboundary_rows`` returns them.
 
 Which solver serves which caller: every integer system first goes
-through the unit-pivot elimination ``_unit_pivots`` (Mrozek-Batko
-coreduction, extended by back-substitution), and only a block left
-without a unit pivot reaches ``smith_normal_form``.
+through a unit-pivot elimination (Mrozek-Batko coreduction), and only a
+block left without a unit pivot reaches ``smith_normal_form``.
+``_unit_pivots`` sees the whole system and picks the sparsest pivot
+first; the sweep ``solvable_prefixes`` takes the rows in the order given
+and pivots each as it arrives.
 
-* persistence codeath probes ask ``integer_solvable``, which decides
-  and returns nothing;
+* persistence codeaths ask ``solvable_prefixes`` whether every prefix of
+  the filtration-ordered system is solvable, in one sweep;
+* the per-stage cross-check of persistence asks ``integer_solvable``,
+  which eliminates one stage from scratch, decides and returns nothing;
 * the winding solve of a global trivialization asks ``solve_integer``
   for one solution, with every undetermined column set to 0;
 * the twisted fundamental class asks ``integer_kernel`` for a kernel
   parametrization, and takes the Smith form of its small 3-boundary
   image in kernel parameters;
 * sign classes (is it a coboundary, and of which vertex signs) use the
-  parity union-find ``sign_potential``.  ``solve_gf2`` stays as the
-  dense reference it is tested against.
+  parity union-find ``sign_potential``; persistence feeds the same
+  union-find one edge at a time through ``sign_solvable_prefixes``.
+  ``solve_gf2`` stays as the dense reference both are tested against.
 """
 
 from __future__ import annotations
@@ -213,8 +218,11 @@ def _unit_pivots(rows: list[dict], rhs) -> Optional[tuple[list, dict, dict]]:
 
     def priority(i):
         row = live[i]
-        units = [len(cols[c]) for c, v in row.items() if v in (1, -1)]
-        return (len(row), min(units)) if units else None
+        best = None
+        for c, v in row.items():
+            if (v == 1 or v == -1) and (best is None or len(cols[c]) < best):
+                best = len(cols[c])
+        return None if best is None else (len(row), best)
 
     heap = []
     for i in live:
@@ -235,7 +243,10 @@ def _unit_pivots(rows: list[dict], rhs) -> Optional[tuple[list, dict, dict]]:
             continue
         piv = live.pop(i)
         bi = b.pop(i)
-        c = min((c for c, v in piv.items() if v in (1, -1)), key=lambda c: len(cols[c]))
+        c, fewest = None, None
+        for cc, v in piv.items():  # the first unit column in the fewest rows
+            if (v == 1 or v == -1) and (fewest is None or len(cols[cc]) < fewest):
+                c, fewest = cc, len(cols[cc])
         u = piv[c]
         pivots.append((c, u, piv, bi))
         for cc in piv:
@@ -305,6 +316,87 @@ def integer_solvable(rows: list[dict], rhs) -> bool:
     """
     reduced = _unit_pivots(rows, rhs)
     return reduced is not None and _solve_block(*reduced[1:]) is not None
+
+
+def _reduce(row: dict, bi: int, pivots: list, position: dict) -> int:
+    """Subtract the pivots from ``row`` in creation order; return its right side.
+
+    A pivot row holds no column of an earlier pivot, so one pass in
+    creation order clears every pivot column.  ``row`` changes in place.
+    """
+    heap = [position[c] for c in row if c in position]
+    heapq.heapify(heap)
+    while heap:
+        c, u, piv, pb = pivots[heapq.heappop(heap)]
+        f = row.get(c)
+        if not f:
+            continue  # a repeat, or cleared already
+        f *= u
+        for cc, v in piv.items():
+            nv = row.get(cc, 0) - f * v
+            if not nv:
+                del row[cc]
+                continue
+            if cc not in row and cc in position:
+                heapq.heappush(heap, position[cc])
+            row[cc] = nv
+        bi -= f * pb
+    return bi
+
+
+def solvable_prefixes(rows: list[dict], rhs) -> list[bool]:
+    """Entry n: is the system of the first n rows of ``rows @ x = rhs`` solvable over Z?
+
+    One elimination in row order.  Each new row is reduced by the
+    existing pivots in creation order; a +-1 entry left over makes its
+    column a pivot, and the rows left without a unit entry that hold that
+    column go through the reduction again.  A row reduced to ``0 = b``
+    with ``b`` nonzero makes its prefix and every later one unsolvable.
+    The rows left without a unit entry form the block that
+    ``_solve_block`` decides, whenever it has changed.  Entry 0 (no rows)
+    is True.  The input rows are left untouched.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("right-hand side does not match the matrix")
+    pivots = []  # (column, unit, row, rhs) in creation order
+    position = {}  # pivot column -> its place in pivots
+    live = {}  # rows without a unit entry, by arrival number
+    b = {}
+    holding: dict = {}  # column -> arrival numbers of the live rows holding it
+    out = [True]
+    block = True  # the block's answer, decided again only when it changes
+    changed = False
+    for i, (given, bi) in enumerate(zip(rows, rhs)):
+        queue = [(i, {c: int(v) for c, v in given.items() if v}, int(bi))]
+        while queue:
+            k, row, rb = queue.pop()
+            rb = _reduce(row, rb, pivots, position)
+            if not row:
+                if rb:
+                    return out + [False] * (len(rows) - i)
+                continue
+            units = [c for c, v in row.items() if v in (1, -1)]
+            if not units:
+                live[k], b[k] = row, rb
+                for c in row:
+                    holding.setdefault(c, set()).add(k)
+                changed = True
+                continue
+            c = min(units, key=lambda c: len(holding.get(c, ())))
+            position[c] = len(pivots)
+            pivots.append((c, row[c], row, rb))
+            for j in holding.pop(c, ()):
+                old = live.pop(j)
+                for cc in old:
+                    if cc != c:
+                        holding[cc].discard(j)
+                queue.append((j, old, b.pop(j)))
+                changed = True
+        if changed:
+            block = _solve_block(live, b) is not None
+            changed = False
+        out.append(block)
+    return out
 
 
 def solve_integer(rows: list[dict], rhs) -> Optional[dict]:
@@ -387,6 +479,42 @@ def _dense_rows(rows: list[dict], labels: list) -> np.ndarray:
     return A
 
 
+class _ParityForest:
+    """Union-find over vertices, each carrying its parity relative to its parent.
+
+    Every component is rooted at its largest vertex id; a root carries no
+    parity entry.
+    """
+
+    def __init__(self):
+        self.parent: dict = {}
+        self.parity: dict = {}
+
+    def find(self, v):
+        path = []
+        p = 0
+        while self.parent.setdefault(v, v) != v:
+            path.append(v)
+            v = self.parent[v]
+        # compress: point every vertex on the path straight at the root
+        for w in reversed(path):
+            p ^= self.parity[w]
+            self.parent[w] = v
+            self.parity[w] = p
+        return v
+
+    def union(self, j, k, odd: bool) -> bool:
+        """Join j and k at relative parity ``odd``; False on an odd cycle."""
+        rj, rk = self.find(j), self.find(k)
+        odd ^= self.parity.get(j, 0) ^ self.parity.get(k, 0)
+        if rj == rk:
+            return not odd
+        lo, hi = (rj, rk) if rj < rk else (rk, rj)
+        self.parent[lo] = hi
+        self.parity[lo] = odd
+        return True
+
+
 def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
     """Vertex signs whose products give an edge sign cochain, or None.
 
@@ -398,36 +526,27 @@ def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
     None means some cycle has odd parity, so the cochain is no
     coboundary.
     """
-    parent: dict = {}
-    parity: dict = {}  # parity of a vertex relative to its parent
-
-    def find(v):
-        path = []
-        p = 0
-        while parent.setdefault(v, v) != v:
-            path.append(v)
-            v = parent[v]
-        # compress: point every vertex on the path straight at the root
-        for w in reversed(path):
-            p ^= parity[w]
-            parent[w] = v
-            parity[w] = p
-        return v
-
+    forest = _ParityForest()
     for (j, k), s in signs.items():
-        rj, rk = find(j), find(k)
-        odd = parity.get(j, 0) ^ parity.get(k, 0) ^ (s < 0)
-        if rj == rk:
-            if odd:
-                return None
-            continue
-        lo, hi = (rj, rk) if rj < rk else (rk, rj)
-        parent[lo] = hi
-        parity[lo] = odd
-    for v in [*parent, *vertices]:
-        find(v)
+        if not forest.union(j, k, s < 0):
+            return None
+    for v in [*forest.parent, *vertices]:
+        forest.find(v)
     # roots carry no parity entry, so they get +1
-    return {v: -1 if parity.get(v, 0) else 1 for v in parent}
+    return {v: -1 if forest.parity.get(v, 0) else 1 for v in forest.parent}
+
+
+def sign_solvable_prefixes(signs: dict) -> list[bool]:
+    """Entry n: is the sign cochain on the first n edges of ``signs`` a coboundary?
+
+    ``sign_potential``'s union-find, fed one edge at a time; once an edge
+    closes an odd cycle every longer prefix holds that cycle too.
+    """
+    forest = _ParityForest()
+    out = [True]
+    for (j, k), s in signs.items():
+        out.append(out[-1] and forest.union(j, k, s < 0))
+    return out
 
 
 def ordered_simplices(nerve: Nerve, p: int) -> list[tuple]:

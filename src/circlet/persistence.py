@@ -1,21 +1,26 @@
 """Cobirth/codeath thresholds of classes along the weights filtration.
 
 A class restricted to a filtration stage either satisfies its cocycle
-condition or not, and either is a coboundary or not.  Both predicates
-are downward-closed in the stage index (restricting a solution stays a
-solution; a violating simplex stays present), so each has a single
-threshold.  Cobirth is found by locating the first violating simplex;
-codeath by binary search with an exact solvability test per probe.  A
-linear per-stage scan that assumes nothing about monotonicity is kept as
-the authoritative cross-check and runs automatically on small nerves.
+condition or not, and either is a coboundary or not.  Cobirth is found
+by locating the first violating simplex.  Codeath comes from one sweep:
+the class's cells are fed in filtration order to an incremental
+elimination that answers, for every prefix, whether the stage system is
+solvable, and the largest solvable stage up to cobirth is read off
+without assuming that the answers are monotone.  A sign class goes to
+the parity union-find ``sign_solvable_prefixes``, an integer class to
+the unit-pivot sweep ``solvable_prefixes``.
 
-Cocycle failures and the probe systems both come from the twisted
+The independent check is a per-stage scan, ``persistence_brute``: it
+solves every stage from scratch, the integer class by the elimination
+``integer_solvable`` that picks the sparsest pivot first, and runs
+automatically on small nerves; any disagreement with the sweep is a hard
+error.  Stages that add no cell of the class pose the same system, so
+the scan decides each distinct system once.
+
+Cocycle failures and the stage systems both come from the twisted
 coboundary of ``cochains.coboundary_rows``.  Each call builds one stage
 probe: the class's simplices in filtration order with their coboundary
-rows, so every probed stage reads a prefix.  A sign class goes to the
-parity union-find ``sign_potential``, an integer class to the unit-pivot
-elimination ``integer_solvable``.  Neither tracks transforms; only the
-yes/no answer is used.
+rows, so every stage reads a prefix.  Only the yes/no answers are used.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ from typing import Optional
 from .classes import CharClassResult, euler_cochain, sw_class
 from .cochains import Cochain, coboundary_rows, coboundary_values, restrict
 from .errors import GuardError, NotACocycle, ShapeMismatch
-from .intlinalg import integer_solvable, sign_potential
+from .intlinalg import (
+    integer_solvable,
+    sign_potential,
+    sign_solvable_prefixes,
+    solvable_prefixes,
+)
 from .nerve import Nerve, stage_subcomplex
 
 # nerves at or below this size always get the authoritative linear scan
@@ -93,20 +103,51 @@ class _StageProbe:
         self.rhs = [lam.values[s] for s in self.cells]
         self.rows = None  # a sign class goes to the union-find, without rows
         self.twist_broken = None
+        self.answers: dict = {}  # prefix length -> solvable, for the per-stage scan
         if lam.tag == "Z":
             twist = lam.twist.values if lam.twist is not None else None
             if twist is not None:
                 self.twist_broken = min(_violation_stages(lam.twist, nerve), default=None)
             self.rows = coboundary_rows(self.cells, twist)
 
-    def solvable(self, r: int) -> bool:
-        """Is the restriction of the class to stage ``r`` a coboundary?"""
-        n = bisect_right(self.index, r)
-        if self.rows is None:
-            return sign_potential(dict(zip(self.cells[:n], self.rhs[:n]))) is not None
+    def _check_twist(self, r: int) -> None:
         if self.twist_broken is not None and self.twist_broken <= r:
             raise NotACocycle(f"the twist fails the cocycle identity at stage {r}")
-        return integer_solvable(self.rows[:n], self.rhs[:n])
+
+    def solvable(self, r: int) -> bool:
+        """Is the restriction of the class to stage ``r`` a coboundary?
+
+        Solved from scratch, once per prefix: stages that add no cell of
+        the class pose the same system.
+        """
+        self._check_twist(r)
+        n = bisect_right(self.index, r)
+        if n not in self.answers:
+            if self.rows is None:
+                found = sign_potential(dict(zip(self.cells[:n], self.rhs[:n]))) is not None
+            else:
+                found = integer_solvable(self.rows[:n], self.rhs[:n])
+            self.answers[n] = found
+        return self.answers[n]
+
+    def codeath(self, cobirth: int) -> int:
+        """The largest stage up to ``cobirth`` where the class is a coboundary.
+
+        One sweep over the cells up to ``cobirth`` decides every prefix;
+        the largest solvable one is read off without assuming that
+        solvability is monotone.
+        """
+        self._check_twist(cobirth)
+        n = bisect_right(self.index, cobirth)
+        if self.rows is None:
+            solvable = sign_solvable_prefixes(dict(zip(self.cells[:n], self.rhs[:n])))
+        else:
+            solvable = solvable_prefixes(self.rows[:n], self.rhs[:n])
+        m = n
+        while not solvable[m]:
+            m -= 1  # the empty prefix solves, so this stops
+        # the last stage before the (m+1)-th cell enters
+        return cobirth if m == n else self.index[m] - 1
 
 
 def _pair(nerve: Nerve, cobirth: int, codeath: int) -> ThresholdPair:
@@ -125,26 +166,13 @@ def persistence(
 
     ``cross_check`` forces or suppresses the linear per-stage scan; by
     default it runs on nerves up to 500 simplices and any disagreement
-    with the threshold method is a hard error.  To scan only part of the
+    with the sweep is a hard error.  To scan only part of the
     filtration, pass the class restricted to a ``stage_subcomplex``.
     """
     nerve.require_order()
     violations = _violation_stages(lam, nerve)
     cobirth = min(violations) - 1 if violations else len(nerve)
-    probe = _StageProbe(lam, nerve)
-
-    if probe.solvable(cobirth):
-        codeath = cobirth
-    else:
-        lo = 1  # a single-vertex stage carries nothing to solve
-        death_hi = cobirth
-        while death_hi - lo > 1:
-            mid = (lo + death_hi) // 2
-            if probe.solvable(mid):
-                lo = mid
-            else:
-                death_hi = mid
-        codeath = lo
+    codeath = _StageProbe(lam, nerve).codeath(cobirth)
 
     if cross_check is None:
         cross_check = len(nerve) <= CROSS_CHECK_LIMIT
@@ -152,7 +180,7 @@ def persistence(
         brute = persistence_brute(lam, nerve)
         if (brute.cobirth_index, brute.codeath_index) != (cobirth, codeath):
             raise GuardError(
-                f"threshold method ({cobirth}, {codeath}) disagrees with "
+                f"sweep ({cobirth}, {codeath}) disagrees with "
                 f"per-stage scan ({brute.cobirth_index}, {brute.codeath_index})"
             )
     return _pair(nerve, cobirth, codeath)

@@ -16,9 +16,11 @@ from circlet.intlinalg import (
     integer_solvable,
     ordered_simplices,
     sign_potential,
+    sign_solvable_prefixes,
     smith_normal_form,
     solve_gf2,
     solve_integer,
+    solvable_prefixes,
 )
 from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
@@ -400,6 +402,63 @@ def kernel_basis(kernel):
     return [kernel.vector(row) for row in eye]
 
 
+class TestSolvablePrefixes:
+    def test_empty_system(self):
+        assert solvable_prefixes([], []) == [True]
+
+    def test_rejects_mismatched_rhs(self):
+        with pytest.raises(ValueError):
+            solvable_prefixes([{0: 1}], [1, 2])
+
+    def test_torsion_row_stays_in_the_system(self, fallbacks):
+        # 2 x = 1 has no unit entry: the Smith form refuses it, and a later
+        # unit row on the same column pivots it to 0 = 1
+        assert solvable_prefixes([{0: 2}, {0: 1}], [1, 0]) == [True, False, False]
+        assert solvable_prefixes([{0: 2}, {0: 1}], [4, 2]) == [True, True, True]
+        assert solvable_prefixes([{0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1}], [1, 2, 0]) == [
+            True, True, False, False]
+
+    def test_left_over_row_becomes_a_pivot(self, fallbacks):
+        # 2 x0 + 3 x1 = 1 waits in the block until x1 = -x0 leaves -x0 = 1
+        rows = [{0: 2, 1: 3}, {1: 1, 0: 1}]
+        assert solvable_prefixes(rows, [1, 0]) == [True, True, True]
+        assert fallbacks == [(1, 2)]
+
+    def test_block_decided_only_when_it_changes(self, fallbacks):
+        rows = [{0: 2}, {1: 1}, {2: 1, 1: 1}, {0: 2, 3: 2}]
+        assert solvable_prefixes(rows, [4, 0, 0, 5]) == [True, True, True, True, False]
+        assert fallbacks == [(1, 1), (2, 2)]
+
+    def test_leaves_rows_untouched(self):
+        rows = [{0: 2, 1: 3}, {1: 1, 0: 1}, {0: 1, 2: 2}]
+        copy = [dict(r) for r in rows]
+        solvable_prefixes(rows, [1, 0, 3])
+        assert rows == copy
+
+
+@st.composite
+def row_systems(draw):
+    """Sparse rows with entries in -2..2, some of them torsion rows like 2 x = 1."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([-2, -1, 0, 0, 0, 1, 2])
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)):
+            rows.append({c: draw(entry) for c in range(n)})
+        else:
+            rows.append({draw(st.integers(0, n - 1)): 2})
+        rhs.append(draw(st.integers(-3, 3)))
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_systems())
+def test_solvable_prefixes_decide_every_prefix(system):
+    rows, rhs = system
+    expected = [integer_solvable(rows[:n], rhs[:n]) for n in range(len(rows) + 1)]
+    assert solvable_prefixes(rows, rhs) == expected
+
+
 class TestIntegerKernel:
     def test_free_columns_and_back_substitution(self):
         # x0 + x1 = 0, x1 - x2 = 0 over columns 0..3: column 3 meets no row
@@ -509,11 +568,12 @@ SCENARIOS = {
 def test_scenario_stages_match_dense_solvers(name):
     # every stage of the filtration: the Euler class and a random right
     # side against the dense Smith-form solve, the sign class against the
-    # dense GF(2) solve
+    # dense GF(2) solve, and the sweeps against both
     nerve, result = scenario(SCENARIOS[name]())
     rng = np.random.default_rng(73)
     tris, edges = [], {}
     verts = [v[0] for v in nerve.vertices]
+    sign_verdicts, euler_verdicts = [True], [True]
     for s in nerve.order:
         if len(s) == 2:
             edges[s] = result.sw.values[s]
@@ -521,18 +581,25 @@ def test_scenario_stages_match_dense_solvers(name):
             for i, (j, k) in enumerate(edges):
                 A[i, verts.index(j)] = A[i, verts.index(k)] = 1
             b = [1 if v < 0 else 0 for v in edges.values()]
-            assert (sign_potential(edges) is None) == (solve_gf2(A, b) is None)
+            sign_verdicts.append(solve_gf2(A, b) is not None)
+            assert (sign_potential(edges) is not None) == sign_verdicts[-1]
         if len(s) == 3:
             tris.append(s)
             rows = coboundary_rows(tris, result.sw.values)
-            for b in ([result.euler.values[t] for t in tris],
-                      rng.integers(-1, 2, len(tris)).tolist()):
+            euler = [result.euler.values[t] for t in tris]
+            for b in (euler, rng.integers(-1, 2, len(tris)).tolist()):
                 expected = dense_solve_integer(dense(rows), b) is not None
                 assert integer_solvable(rows, b) == expected
                 x = solve_integer(rows, b)
                 assert (x is not None) == expected
                 if x is not None:
                     assert [sum(v * x[c] for c, v in row.items()) for row in rows] == b
+                if b is euler:
+                    euler_verdicts.append(expected)
+    # one sweep in filtration order decides every stage the same way
+    assert sign_solvable_prefixes(edges) == sign_verdicts
+    rows = coboundary_rows(tris, result.sw.values)
+    assert solvable_prefixes(rows, [result.euler.values[t] for t in tris]) == euler_verdicts
 
 
 def reference_potential(verts, signs):
@@ -577,6 +644,9 @@ class TestSignPotential:
                     signs[e] = -signs[e]
             phi = sign_potential(signs, verts)
             assert phi == reference_potential(verts, signs)
+            prefixes = [dict(list(signs.items())[:n]) for n in range(len(signs) + 1)]
+            assert sign_solvable_prefixes(signs) == [
+                sign_potential(p) is not None for p in prefixes]
             if phi is not None:
                 assert all(phi[j] * phi[k] == s for (j, k), s in signs.items())
             verdicts.add(phi is None)

@@ -2,9 +2,9 @@
 
 Expected stages for cycle covers follow from parity: a sign class on a
 closed loop of n sets is solvable exactly while some loop edge is still
-missing, so an odd loop dies one stage before the top.  The threshold
-search is compared against the authoritative per-stage scan throughout
-(it also runs internally; disagreement raises).
+missing, so an odd loop dies one stage before the top.  The sweep is
+compared against the authoritative per-stage scan throughout (it also
+runs internally; disagreement raises).
 """
 
 import os
@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 import circlet
+import circlet.intlinalg
 from circlet.circle import O2
-from circlet.classes import euler_cochain
+from circlet.classes import euler_cochain, sw_class
 from circlet.cochains import Cochain, constant_sign_cochain, restrict
 from circlet.errors import GuardError, NotACocycle, ShapeMismatch
-from circlet.nerve import CoverSet, build_nerve, filtration_order, stage_subcomplex
+from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order, stage_subcomplex
 from circlet.persistence import (
     PersistenceReport,
     ThresholdPair,
@@ -27,6 +28,8 @@ from circlet.persistence import (
     persistence_brute,
     persistence_report,
 )
+from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
+from circlet.witness import assemble_witness
 
 from test_classes import gauge_witness, nerve_from_tops, rotation_witness
 
@@ -209,6 +212,30 @@ class TestEulerThresholds:
         with pytest.raises(NotACocycle):
             persistence(zero, nerve, cross_check=False)
 
+    def test_sweep_never_asks_the_per_stage_solver(self, monkeypatch):
+        calls = []
+        real = circlet.intlinalg.integer_solvable
+
+        def counted(rows, rhs):
+            calls.append(len(rows))
+            return real(rows, rhs)
+
+        monkeypatch.setattr(circlet.persistence, "integer_solvable", counted)
+        monkeypatch.setattr(circlet.intlinalg, "integer_solvable", counted)
+        nerve = weighted(tetra_boundary_nerve(), seed=2)
+        turns = {e: 0.0 for e in nerve.edges}
+        turns[(0, 1)] = 0.33
+        turns[(1, 2)] = 0.33
+        turns[(0, 2)] = -0.33
+        res = euler_cochain(rotation_witness(nerve, turns))
+        pair = persistence(res.euler, nerve, cross_check=False)
+        assert (pair.cobirth_index, pair.codeath_index) == (14, 13)
+        assert calls == []
+        # the scan solves each distinct prefix of the four faces once,
+        # though all 14 stages are scanned
+        persistence(res.euler, nerve, cross_check=True)
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+
     def test_rejects_wrong_shapes(self):
         nerve = weighted(tetra_boundary_nerve(), seed=2)
         reals = Cochain(nerve, 1, "R", {e: 0.0 for e in nerve.edges})
@@ -218,6 +245,63 @@ class TestEulerThresholds:
 
 def tetra_boundary_nerve():
     return nerve_from_tops([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def tetra_beside_triangle(triangle_weight):
+    """A filled tetrahedron on 0..3 at weight 0.3 beside a triangle on 3, 4, 5.
+
+    The tetrahedron's faces enter below 0.25 and the triangle's edges at
+    0.25, so the triangle enters just before or just after the
+    tetrahedron.
+    """
+    nerve = nerve_from_tops([(0, 1, 2, 3), (3, 4, 5)])
+    for p in (1, 2, 3):
+        for s in nerve.simplices[p]:
+            nerve.weights[s] = 0.25 if max(s) > 3 else 0.1 * p
+    nerve.weights[(3, 4, 5)] = triangle_weight
+    return filtration_order(nerve)
+
+
+class TestTwistBreak:
+    """NotACocycle exactly when the twist breaks at or before cobirth."""
+
+    def twisted_class(self, nerve):
+        # one reflection edge breaks the twist on the triangle 3, 4, 5; a
+        # unit on one face breaks the class on the tetrahedron
+        twist = sign_cochain(nerve, [(3, 4)])
+        vals = {t: int(t == (0, 1, 2)) for t in nerve.triangles}
+        return Cochain(nerve, 2, "Z", vals, twist=twist)
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_twist_breaking_at_cobirth_raises(self, cross_check):
+        nerve = tetra_beside_triangle(0.28)
+        cobirth = nerve.index[(0, 1, 2, 3)] - 1
+        assert nerve.index[(3, 4, 5)] == cobirth
+        with pytest.raises(NotACocycle):
+            persistence(self.twisted_class(nerve), nerve, cross_check=cross_check)
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_twist_breaking_after_cobirth_is_never_probed(self, cross_check):
+        nerve = tetra_beside_triangle(0.35)
+        cobirth = nerve.index[(0, 1, 2, 3)] - 1
+        assert nerve.index[(3, 4, 5)] == cobirth + 2
+        pair = persistence(self.twisted_class(nerve), nerve, cross_check=cross_check)
+        # the class pairs to one with the tetrahedron's boundary sphere, so
+        # it dies when the last face closes that sphere
+        assert (pair.cobirth_index, pair.codeath_index) == (
+            cobirth, nerve.index[(1, 2, 3)] - 1)
+
+    def test_zero_class_under_a_broken_twist(self):
+        nerve = tetra_beside_triangle(0.35)
+        zero = Cochain(nerve, 2, "Z", {t: 0 for t in nerve.triangles},
+                       twist=sign_cochain(nerve, [(3, 4)]))
+        with pytest.raises(NotACocycle):
+            persistence(zero, nerve, cross_check=False)
+        with pytest.raises(NotACocycle):
+            persistence_brute(zero, nerve)
+        sub = stage_subcomplex(nerve, len(nerve) - 1)
+        pair = persistence(restrict(zero, sub), sub, cross_check=True)
+        assert (pair.cobirth_index, pair.codeath_index) == (len(sub), len(sub))
 
 
 class TestCrossCheck:
@@ -248,6 +332,35 @@ class TestCrossCheck:
         pair = persistence_brute(restrict(lam, sub), sub)
         assert pair.cobirth_index == 15
         assert pair.codeath_index == 15  # 3 loop edges still missing
+
+
+def synthetic_stages(make):
+    """Sign and Euler (cobirth, codeath) stages of a synthetic bundle, cross-checked."""
+    _, cover, trivs = make()
+    nerve = build_nerve(cover)
+    nerve = filtration_order(edge_weights(nerve, trivs, assemble_witness(trivs, nerve)))
+    wit = assemble_witness(trivs, nerve)
+    sw = persistence(sw_class(wit), nerve, cross_check=True)
+    sub = stage_subcomplex(nerve, sw.cobirth_index)
+    eu = persistence(euler_cochain(restrict(wit, sub)).euler, sub, cross_check=True)
+    return sw.cobirth_index, sw.codeath_index, eu.cobirth_index, eu.codeath_index
+
+
+# stages as the binary search and the per-stage scan agreed on them
+# before the sweep replaced the search
+PINNED = {
+    "lens:1": (lambda: gen_lens_bundle(1, n_samples=1000, n_sets=20, seed=1), (142, 142, 142, 139)),
+    "lens:2": (lambda: gen_lens_bundle(2, n_samples=1000, n_sets=24, seed=0), (162, 162, 162, 159)),
+    "rp2:1": (lambda: gen_rp2_bundle(1, n_samples=1000, n_sets=20, seed=0), (198, 41, 198, 171)),
+    "klein": (lambda: gen_s1_bundle(False, seed=0), (24, 23, 24, 24)),
+    "torus": (lambda: gen_s1_bundle(True, seed=0), (24, 24, 24, 24)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_sweep_and_scan_keep_the_pinned_stages(name):
+    make, stages = PINNED[name]
+    assert synthetic_stages(make) == stages
 
 
 class TestReport:
