@@ -201,6 +201,12 @@ def _sign_is_coboundary(sw: Cochain) -> bool:
     return sign_potential(sw.values) is not None
 
 
+def _filtration(nerve, q):
+    """The nerve in filtration order, weighted by the quality report's edge means."""
+    # the quality report already holds every edge's mean chord error
+    return filtration_order(simplex_weights(nerve, {e.edge: e.mean_err for e in q.edges}))
+
+
 def _quality_dict(q) -> dict:
     # alpha is infinite when coverage is too sparse; null in transit
     return {
@@ -283,7 +289,7 @@ def _cmd_witness(args, run: _Run):
         wit = assemble_witness(trivs, nerve)
         q = triv_quality(trivs, wit, nerve)
     with run.timed("filtration"):
-        nerve = filtration_order(edge_weights(nerve, trivs, wit))
+        nerve = _filtration(nerve, q)
         wit = Cochain(nerve, 1, "O2", wit.values)
     with run.timed("write"):
         run.write("witness.json", io.witness_doc(wit, quality=_quality_dict(q)))
@@ -423,15 +429,13 @@ def _cmd_trivialize(args, run: _Run):
 
 
 def _cmd_unwrap(args, run: _Run):
-    from .doublecover import carry_charts, connectivity_cocycle, unwrap_double_cover
+    from .doublecover import carry_charts, unwrap_double_cover
 
     with run.timed("load"):
         ds, cover, trivs = _load_bundle(args)
         clusters = io.parse_clusters(io.load_json(args.clusters))
     with run.timed("unwrap"):
-        nerve = build_nerve(cover)
-        nu = connectivity_cocycle(clusters, nerve)
-        result = unwrap_double_cover(ds, cover, clusters, nu=nu)
+        result = unwrap_double_cover(ds, cover, clusters)
         lifted = carry_charts(trivs, result)
     with run.timed("write"):
         run.write("dataset.json", io.dataset_doc(result.dataset))
@@ -452,7 +456,7 @@ def _cmd_unwrap(args, run: _Run):
                 ],
                 "nu": [
                     {"simplex": list(e), "sign": int(v)}
-                    for e, v in sorted(nu.values.items())
+                    for e, v in sorted(result.nu.values.items())
                 ],
             },
         )
@@ -460,7 +464,7 @@ def _cmd_unwrap(args, run: _Run):
         "command": "unwrap",
         "components": result.components,
         "sets": len(result.cover),
-        "nu_nontrivial": any(v < 0 for v in nu.values.values()),
+        "nu_nontrivial": any(v < 0 for v in result.nu.values.values()),
     }
 
 
@@ -520,9 +524,7 @@ def _cmd_report(args, run: _Run):
         wit = assemble_witness(trivs, nerve)
         q = triv_quality(trivs, wit, nerve)
     with run.timed("persistence"):
-        # the quality report already holds every edge's mean chord error
-        edge_means = {e.edge: e.mean_err for e in q.edges}
-        nerve = filtration_order(simplex_weights(nerve, edge_means))
+        nerve = _filtration(nerve, q)
         report = persistence_report(wit, nerve)
     with run.timed("classes"):
         classes_block = _report_classes(wit, nerve, report)

@@ -6,21 +6,20 @@ nu is a coboundary the total space splits into two circle bundles over
 the same base; when it is not, the base unwraps to its double cover and
 the labels select a lift of every base point.  For antipodal-quotient
 bases the lift is concrete: each cluster picks a hemisphere around its
-set's (signed) center, and a breadth-first search over the cluster graph
+set's (signed) center, and a parity union-find over the cluster relations
 propagates the hemisphere choices.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cochains import Cochain, check_sign_cocycle
 from .errors import InconsistentClusters, LiftUndefined, PropagationConflict
-from .intlinalg import sign_potential
+from .intlinalg import ParityForest
 from .nerve import BundleDataset, CoverSet, Nerve, build_nerve
 from .witness import Trivialization
 
@@ -97,6 +96,8 @@ class UnwrapResult:
     orientations : dict
         New set id -> +-1 hemisphere orientation, for sets that were
         lifted geometrically; absent ids belong to split components.
+    nu : Cochain
+        The connectivity sign class of the labels on the original nerve.
     """
 
     dataset: BundleDataset
@@ -104,23 +105,25 @@ class UnwrapResult:
     set_map: dict
     components: int
     orientations: dict
+    nu: Cochain
 
 
 def unwrap_double_cover(
     dataset: BundleDataset,
     cover: list[CoverSet],
     clusters: dict,
-    nu: Cochain | None = None,
 ) -> UnwrapResult:
     """Split or unwrap a two-cluster dataset along its connectivity class.
 
-    Per connected piece of the cover: if the sign class is a coboundary
-    the piece splits into two disjoint copies and base points are left
-    alone.  Otherwise the base must be an antipodal quotient; every
-    cluster gets a hemisphere orientation by breadth-first propagation
-    from an arbitrary seed (the seed set's two clusters start opposite),
-    and each sample's base point is replaced by the representative on
-    its cluster's hemisphere.
+    One parity union-find over the nerve's edges, at nu's signs, yields
+    the connected pieces of the cover and whether nu is a coboundary on
+    each.  Where it is, the piece splits into two disjoint copies and
+    base points are left alone.  Otherwise the base must be an antipodal
+    quotient: a second union-find over the cluster relations, plus an odd
+    edge between the two clusters of the piece's smallest set (the
+    seed), gives every cluster a hemisphere orientation, its parity
+    relative to the seed's first cluster.  Each sample's base point is
+    replaced by the representative on its cluster's hemisphere.
     """
     cl = _validated_clusters(clusters)
     by_id = {c.id: c for c in cover}
@@ -132,31 +135,14 @@ def unwrap_double_cover(
                 f"clusters of set {j} do not partition its members"
             )
     nerve = build_nerve(cover)
-    derived = connectivity_cocycle(clusters, nerve)
-    if nu is not None and dict(nu.values) != dict(derived.values):
-        raise InconsistentClusters("supplied sign class disagrees with the labels")
-    nu = derived
+    nu = connectivity_cocycle(clusters, nerve)
 
-    adjacency: dict[int, set[int]] = {v[0]: set() for v in nerve.vertices}
-    for (j, k) in nerve.edges:
-        adjacency[j].add(k)
-        adjacency[k].add(j)
-    seen: set[int] = set()
-    pieces: list[list[int]] = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        piece = []
-        while queue:
-            j = queue.popleft()
-            piece.append(j)
-            for k in sorted(adjacency[j]):
-                if k not in seen:
-                    seen.add(k)
-                    queue.append(k)
-        pieces.append(sorted(piece))
+    forest = ParityForest()
+    odd = [j for (j, k), v in nu.values.items() if not forest.union(j, k, v < 0)]
+    pieces: dict = {}
+    for j in sorted(v[0] for v in nerve.vertices):
+        pieces.setdefault(forest.find(j), []).append(j)
+    nontrivial = {forest.find(j) for j in odd}
 
     base = np.array(dataset.base, dtype=float, copy=True)
     orientations: dict[int, int] = {}
@@ -169,10 +155,8 @@ def unwrap_double_cover(
         log.warning("%d samples belong to no cover set; their base points "
                     "pass through unlifted", len(orphans))
 
-    for piece in pieces:
-        members = set(piece)
-        piece_edges = [e for e in nerve.edges if e[0] in members]
-        if sign_potential({e: nu.values[e] for e in piece_edges}) is not None:
+    for root, piece in pieces.items():
+        if root not in nontrivial:
             # trivial class: the piece separates into two untouched copies
             components += 2
             continue
@@ -190,8 +174,13 @@ def unwrap_double_cover(
                 raise ValueError(f"set {j} has no center; cannot pick hemispheres")
             centers[j] = by_id[j].center
 
-        rel: dict[tuple, list] = {(j, c): [] for j in piece for c in (0, 1)}
-        for (j, k) in piece_edges:
+        seed = piece[0]
+        sheets = ParityForest()
+        sheets.union((seed, 0), (seed, 1), True)
+        contradicted = None
+        for (j, k) in nerve.edges:
+            if j not in centers:
+                continue
             for cj in (0, 1):
                 for ck in (0, 1):
                     shared = cl[j][cj] & cl[k][ck]
@@ -213,50 +202,34 @@ def unwrap_double_cover(
                             f"overlap of clusters ({j},{cj}) and ({k},{ck}) "
                             "straddles the antipodal seam"
                         )
-                    r = signs.pop()
-                    rel[(j, cj)].append(((k, ck), r))
-                    rel[(k, ck)].append(((j, cj), r))
-
-        seed = min(piece)
-        orient = {(seed, 0): 1, (seed, 1): -1}
-        queue = deque([(seed, 0), (seed, 1)])
-        while queue:
-            node = queue.popleft()
-            for other, r in rel[node]:
-                want = orient[node] * r
-                if other in orient:
-                    if orient[other] != want:
-                        raise PropagationConflict(
-                            f"cluster {other} is reached with contradictory "
-                            "hemisphere orientations"
-                        )
-                else:
-                    orient[other] = want
-                    queue.append(other)
-        missing = [n for n in rel if n not in orient]
-        if missing:
+                    if not sheets.union((j, cj), (k, ck), signs.pop() < 0):
+                        contradicted = contradicted or (k, ck)
+        if contradicted:
             raise PropagationConflict(
-                f"cluster graph is disconnected; {missing[0]} was never reached"
+                f"cluster {contradicted} is reached with contradictory "
+                "hemisphere orientations"
             )
-        for j in piece:
-            if orient[(j, 0)] == orient[(j, 1)]:
-                raise PropagationConflict(
-                    f"both clusters of set {j} landed on the same sheet"
-                )
-
+        top = sheets.find((seed, 0))
+        flip = sheets.parity.get((seed, 0), 0)
         sample_sign: dict = {}
         for j in piece:
             for c in (0, 1):
-                orientations[2 * j + c] = orient[(j, c)]
-                axis = orient[(j, c)] * centers[j]
+                if sheets.find((j, c)) != top:
+                    raise PropagationConflict(
+                        f"cluster graph is disconnected; {(j, c)} was never reached"
+                    )
+                sheet = -1 if sheets.parity.get((j, c), 0) ^ flip else 1
+                orientations[2 * j + c] = sheet
+                axis = sheet * centers[j]
                 for s in cl[j][c]:
                     v = dataset.base_of(s)
                     eta = 1 if float(v @ axis) > 0 else -1
-                    prior = sample_sign.setdefault(s, eta)
-                    if prior != eta:
-                        raise PropagationConflict(
-                            f"sample {s} needs two different lifts"
-                        )
+                    if sample_sign.setdefault(s, eta) != eta:
+                        raise PropagationConflict(f"sample {s} needs two different lifts")
+            if orientations[2 * j] == orientations[2 * j + 1]:
+                raise PropagationConflict(
+                    f"both clusters of set {j} landed on the same sheet"
+                )
         for s, eta in sample_sign.items():
             base[dataset.position(s)] = eta * dataset.base_of(s)
         components += 1
@@ -281,7 +254,7 @@ def unwrap_double_cover(
     lifted = BundleDataset(ids=dataset.ids, base=base, kind=kind,
                            distances=distances)
     return UnwrapResult(dataset=lifted, cover=new_cover, set_map=set_map,
-                        components=components, orientations=orientations)
+                        components=components, orientations=orientations, nu=nu)
 
 
 def carry_charts(trivs: Trivialization, result: UnwrapResult) -> Trivialization:

@@ -113,7 +113,7 @@ class InconsistentClusters(GuardError):
 
 
 class PropagationConflict(GuardError):
-    """Breadth-first sign propagation met a contradiction."""
+    """Hemisphere sign propagation over two-cluster labels met a contradiction."""
 
 
 class ObstructionError(CircletError):

@@ -25,7 +25,11 @@ and pivots each as it arrives.
 * sign classes (is it a coboundary, and of which vertex signs) use the
   parity union-find ``sign_potential``; persistence feeds the same
   union-find one edge at a time through ``sign_solvable_prefixes``.
-  ``solve_gf2`` stays as the dense reference both are tested against.
+  ``solve_gf2`` stays as the dense reference both are tested against;
+* unwrapping two-cluster labels runs ``ParityForest`` itself: once over
+  the nerve's edges for the connected pieces and the connectivity
+  class's parity on each, once over the cluster relations for the
+  hemisphere sheets.
 """
 
 from __future__ import annotations
@@ -479,7 +483,7 @@ def _dense_rows(rows: list[dict], labels: list) -> np.ndarray:
     return A
 
 
-class _ParityForest:
+class ParityForest:
     """Union-find over vertices, each carrying its parity relative to its parent.
 
     Every component is rooted at its largest vertex id; a root carries no
@@ -526,7 +530,7 @@ def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
     None means some cycle has odd parity, so the cochain is no
     coboundary.
     """
-    forest = _ParityForest()
+    forest = ParityForest()
     for (j, k), s in signs.items():
         if not forest.union(j, k, s < 0):
             return None
@@ -542,7 +546,7 @@ def sign_solvable_prefixes(signs: dict) -> list[bool]:
     ``sign_potential``'s union-find, fed one edge at a time; once an edge
     closes an odd cycle every longer prefix holds that cycle too.
     """
-    forest = _ParityForest()
+    forest = ParityForest()
     out = [True]
     for (j, k), s in signs.items():
         out.append(out[-1] and forest.union(j, k, s < 0))

@@ -11,9 +11,11 @@ it back costs one cos/sin per value, so a round trip may move a chart
 vector by a couple of ulps; everything discrete round-trips exactly.
 
 Bulk fields (dataset ids and base rows, cover members, chart samples and
-angles) are read as one list per key and checked in one step by ``_ints``
-or ``_floats``, the one statement of a valid value; ``_need`` runs per
-row only to name a missing key or a wrong container.  A list of dicts
+angles, cluster ids and members, and the simplex-keyed rows of nerve,
+witness and classes documents) are read as one list per key and checked
+in one step by ``_ints``, ``_floats`` or ``_signs``, the one statement of
+a valid value; ``_need`` runs per row only to name a missing key or a
+wrong container.  A list of dicts
 sharing one nonempty set of string keys is written through one row
 template; everything else takes the recursive path, with the same bytes.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from .cochains import Cochain
 from .errors import SchemaError
-from .nerve import BundleDataset, CoverSet, Nerve
+from .nerve import BundleDataset, CoverSet, Nerve, facets
 from .persistence import PersistenceReport, ThresholdPair
 from .witness import Trivialization
 from .circle import O2
@@ -223,6 +225,21 @@ def _floats(col, where: str) -> np.ndarray:
     raise SchemaError(f"{where}: expected a finite number")
 
 
+def _signs(col, where: str) -> np.ndarray:
+    """The one check of sign fields: each an exact ``int``, +1 or -1."""
+    arr = _ints(col, where)
+    if not np.all(np.abs(arr) == 1):
+        raise SchemaError(f"{where}: sign must be +-1")
+    return arr
+
+
+def _simplex_values(doc, name: str, key: str, field: str, check) -> dict:
+    """``{simplex: value}`` over the list ``doc[key]``; ``check`` reads its ``field`` column."""
+    rows, where = _need(doc, key, name, list), f"{key} row"
+    simplices = [_simplex(s, where) for s in _column(rows, "simplex", where)]
+    return dict(zip(simplices, check(_column(rows, field, where), f"{key} {field}").tolist()))
+
+
 def _the_float(x, where: str) -> float:
     return float(_floats([x], where)[0])
 
@@ -385,8 +402,7 @@ def _check_complex(simplices: dict[int, list[tuple]]):
                 )
             if s in seen:
                 raise SchemaError(f"nerve: simplex {list(s)} is repeated")
-            facets = (s[:i] + s[i + 1:] for i in range(p + 1)) if p else ()
-            missing = next((f for f in facets if f not in seen), None)
+            missing = next((f for f in (facets(s) if p else ()) if f not in seen), None)
             if missing is not None:
                 raise SchemaError(f"nerve: facet {list(missing)} of {list(s)} is missing")
             seen.add(s)
@@ -395,28 +411,31 @@ def _check_complex(simplices: dict[int, list[tuple]]):
 def parse_nerve(doc) -> Nerve:
     raw = _need(doc, "simplices", "nerve", dict)
     simplices = {}
-    for p, simps in raw.items():
+    for p in raw:
         try:
             dim = int(p)
         except ValueError:
             raise SchemaError(f"nerve: bad dimension key {p!r}")
         if dim < 0 or dim in simplices:
             raise SchemaError(f"nerve: bad dimension key {p!r}")
-        simplices[dim] = [_simplex(s, "nerve") for s in simps]
+        simplices[dim] = [_simplex(s, "nerve") for s in _need(raw, p, "nerve", list)]
     _check_complex(simplices)
     nerve = Nerve(simplices=simplices)
-    for row in doc.get("weights", []):
-        s = _simplex(_need(row, "simplex", "weight row"), "weight row")
-        nerve.weights[s] = _the_float(_need(row, "weight", "weight row"), "weight")
+    if "weights" in doc:
+        nerve.weights.update(_simplex_values(doc, "nerve", "weights", "weight", _floats))
     if "order" in doc:
         order = [_simplex(s, "order") for s in _need(doc, "order", "nerve", list)]
         if sorted(order) != sorted(s for simps in simplices.values() for s in simps):
             raise SchemaError("nerve: order is not a permutation of the simplices")
-        nerve.order = order
-        nerve.index = {s: i + 1 for i, s in enumerate(order)}
-    for row in doc.get("perturbations", []):
-        s = _simplex(_need(row, "simplex", "perturbation row"), "perturbation row")
-        nerve.perturbations[s] = _the_float(_need(row, "offset", "perturbation row"), "offset")
+        index = {s: i + 1 for i, s in enumerate(order)}
+        late = next((s for s in order if len(s) > 1
+                     and max(index[f] for f in facets(s)) > index[s]), None)
+        if late is not None:
+            raise SchemaError(f"nerve: order lists {list(late)} before one of its facets")
+        nerve.order, nerve.index = order, index
+    if "perturbations" in doc:
+        nerve.perturbations.update(
+            _simplex_values(doc, "nerve", "perturbations", "offset", _floats))
     return nerve
 
 
@@ -441,15 +460,10 @@ def witness_doc(witness: Cochain, quality: dict | None = None) -> dict:
 def parse_witness(doc) -> tuple[Cochain, dict | None]:
     _check_schema(doc, "witness")
     nerve = parse_nerve(_need(doc, "nerve", "witness"))
-    vals = {}
-    for row in _need(doc, "values", "witness"):
-        e = _simplex(_need(row, "simplex", "witness value"), "witness value")
-        sign = _need(row, "sign", "witness value")
-        if sign not in (1, -1):
-            raise SchemaError(f"witness value on {e}: sign must be +-1")
-        vals[e] = O2(_the_float(_need(row, "turn", "witness value"), "turn"), sign)
+    turns = _simplex_values(doc, "witness", "values", "turn", _floats)
+    signs = _simplex_values(doc, "witness", "values", "sign", _signs)
     try:
-        witness = Cochain(nerve, 1, "O2", vals)
+        witness = Cochain(nerve, 1, "O2", {e: O2(turns[e], s) for e, s in signs.items()})
     except Exception as exc:
         raise SchemaError(f"witness: {exc}")
     return witness, doc.get("quality")
@@ -491,39 +505,17 @@ def classes_doc(
 def parse_classes(doc) -> dict:
     _check_schema(doc, "classes")
     nerve = parse_nerve(_need(doc, "nerve", "classes"))
-    sw_vals = {
-        _simplex(r["simplex"], "sw row"): int(_need(r, "sign", "sw row"))
-        for r in _need(doc, "sw", "classes")
-    }
-    sw = Cochain(nerve, 1, "Z2", sw_vals)
-    euler = Cochain(
-        nerve,
-        2,
-        "Z",
-        {
-            _simplex(r["simplex"], "euler row"): int(_need(r, "value", "euler row"))
-            for r in _need(doc, "euler", "classes")
-        },
-        twist=sw,
-    )
-    lift = Cochain(
-        nerve,
-        1,
-        "R",
-        {
-            _simplex(r["simplex"], "lift row"): _the_float(r["turn"], "lift turn")
-            for r in _need(doc, "lift", "classes")
-        },
-        twist=sw,
-    )
+    sw = Cochain(nerve, 1, "Z2", _simplex_values(doc, "classes", "sw", "sign", _signs))
+    euler = _simplex_values(doc, "classes", "euler", "value", _ints)
+    lift = _simplex_values(doc, "classes", "lift", "turn", _floats)
     margin = doc.get("bracket_margin")
     return {
         "nerve": nerve,
         "sw": sw,
-        "euler": euler,
-        "lift": lift,
-        "bracket_margin": math.inf if margin is None else float(margin),
-        "sw_coboundary": bool(_need(doc, "sw_coboundary", "classes")),
+        "euler": Cochain(nerve, 2, "Z", euler, twist=sw),
+        "lift": Cochain(nerve, 1, "R", lift, twist=sw),
+        "bracket_margin": math.inf if margin is None else _the_float(margin, "bracket_margin"),
+        "sw_coboundary": _need(doc, "sw_coboundary", "classes", bool),
         "cocycle_defect": _the_float(_need(doc, "cocycle_defect", "classes"), "defect"),
     }
 
@@ -573,15 +565,13 @@ def clusters_doc(clusters: dict) -> dict:
 
 def parse_clusters(doc) -> dict:
     _check_schema(doc, "clusters")
+    rows = _need(doc, "sets", "clusters", list)
+    ids = _ints(_column(rows, "id", "cluster row"), "cluster id").tolist()
     out = {}
-    for row in _need(doc, "sets", "clusters"):
-        pair = _need(row, "clusters", "cluster row")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError("cluster row: need exactly two clusters")
-        out[_need(row, "id", "cluster row")] = (
-            frozenset(pair[0]),
-            frozenset(pair[1]),
-        )
+    for j, pair in zip(ids, _column(rows, "clusters", "cluster row", list)):
+        if len(pair) != 2 or not set(map(type, pair)) <= {list}:
+            raise SchemaError("cluster row: need exactly two clusters, each a list of sample ids")
+        out[j] = tuple(frozenset(_ints(part, "cluster member").tolist()) for part in pair)
     return out
 
 

@@ -295,8 +295,13 @@ def _sample_quaternions(n: int, seed: int) -> np.ndarray:
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
-def _cover_trimmed(dataset: BundleDataset, n_sets: int, radius: float | None):
-    """Ball cover with too-thin overlaps trimmed away.
+def _thin_overlap(a: CoverSet, b: CoverSet, shared: set) -> bool:
+    """The flat trimming rule: an overlap of fewer than ``_MIN_SHARED`` samples."""
+    return len(shared) < _MIN_SHARED
+
+
+def _cover_trimmed(cover: list, n_samples: int, thin) -> list:
+    """The ball cover with every overlap that ``thin(a, b, shared)`` rejects trimmed away.
 
     Witness fitting needs at least two shared samples per edge, and a
     sliver between nearly tangent balls is doubly treacherous: it holds
@@ -308,23 +313,28 @@ def _cover_trimmed(dataset: BundleDataset, n_sets: int, radius: float | None):
     the way a filtration cut would: the lexicographically later set
     sheds the stragglers (they stay covered by the earlier set) and is
     marked clipped.  Trims can thin a neighboring overlap, hence the
-    sweep repeats until stable.
+    sweep repeats until stable.  ``thin`` sees each nonempty overlap of
+    sets a before b; a trim that empties a set raises ``NotACover``.
     """
-    cover = make_cover(dataset, n_sets, radius)
     members = {cs.id: set(cs.members) for cs in cover}
-    ids = sorted(members)
     clipped = set()
     changed = True
     while changed:
         changed = False
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                shared = members[a] & members[b]
-                if 0 < len(shared) < _MIN_SHARED:
-                    members[b] -= shared
-                    clipped.add(b)
+        for i, a in enumerate(cover):
+            for b in cover[i + 1 :]:
+                shared = members[a.id] & members[b.id]
+                if shared and thin(a, b, shared):
+                    members[b.id] -= shared
+                    clipped.add(b.id)
                     changed = True
-    _check_trimmed(cover, members, len(dataset))
+    for cs in cover:
+        if not members[cs.id]:
+            raise NotACover(
+                f"overlap trimming emptied cover set {cs.id}, which held "
+                f"{len(cs.members)} samples before trimming; {n_samples} samples "
+                f"over {len(cover)} sets leave overlaps too thin, try fewer --sets"
+            )
     return [
         CoverSet(
             id=cs.id,
@@ -335,6 +345,25 @@ def _cover_trimmed(dataset: BundleDataset, n_sets: int, radius: float | None):
         )
         for cs in cover
     ]
+
+
+def _hemisphere_cover(dataset: BundleDataset, n_sets: int, radius: float | None) -> list:
+    """A ball cover of the projective plane, each set narrow enough to lift."""
+    cover = make_cover(dataset, n_sets, radius)
+    if cover[0].radius >= math.pi / 4:
+        raise LiftUndefined(
+            f"ball radius {cover[0].radius:.3f} is too large for coherent "
+            "hemisphere lifts"
+        )
+    return cover
+
+
+def _lift_dots(b: np.ndarray, center: np.ndarray, context: str) -> np.ndarray:
+    """Base dot products with a set center; none may sit on the lift seam."""
+    d = b @ center
+    if np.any(np.abs(d) < 1e-12):
+        raise LiftUndefined(f"{context}: a base point sits on the lift seam")
+    return d
 
 
 def _complex_angle(w: np.ndarray, context: str) -> np.ndarray:
@@ -365,6 +394,19 @@ def _lens_chart(
     return (power * psi / TAU) % 1.0
 
 
+def _hemisphere_chart(
+    q: np.ndarray, b: np.ndarray, center: np.ndarray, p: int, context: str
+) -> np.ndarray:
+    """Fiber turns at power 2p, read through the hemisphere lift around a center.
+
+    Samples whose base falls on the far hemisphere are read through the
+    gluing, a right multiplication flipping the base.
+    """
+    d = _lift_dots(b, center, context)
+    q = np.where((d < 0)[:, None], quat_mul(q, QUAT_J), q)
+    return _lens_chart(q, b * np.sign(d)[:, None], center, 2 * p, context)
+
+
 def gen_lens_bundle(
     p: int,
     n_samples: int = 4000,
@@ -385,7 +427,7 @@ def gen_lens_bundle(
     q = _sample_quaternions(n_samples, seed)
     base = quat_rotate(q, E1)
     dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="sphere")
-    cover = _cover_trimmed(dataset, n_sets, radius)
+    cover = _cover_trimmed(make_cover(dataset, n_sets, radius), n_samples, _thin_overlap)
     if cover[0].radius >= math.pi / 2:
         raise SectionUndefined(
             f"ball radius {cover[0].radius:.3f} reaches the section antipode"
@@ -424,39 +466,16 @@ def gen_rp2_bundle(
     dataset = BundleDataset(
         ids=tuple(range(n_samples)), base=btrue, kind="projective_plane"
     )
-    cover = _cover_trimmed(dataset, n_sets, radius)
-    if cover[0].radius >= math.pi / 4:
-        raise LiftUndefined(
-            f"ball radius {cover[0].radius:.3f} is too large for coherent "
-            "hemisphere lifts"
-        )
-
+    cover = _cover_trimmed(
+        _hemisphere_cover(dataset, n_sets, radius), n_samples, _thin_overlap
+    )
     tables = {}
     for cs in cover:
         members = sorted(cs.members)
         rows = np.array(members, dtype=int)
-        d = btrue[rows] @ cs.center
-        if np.any(np.abs(d) < 1e-12):
-            raise LiftUndefined(f"set {cs.id}: a base point sits on the lift seam")
-        blift = btrue[rows] * np.sign(d)[:, None]
-        qeff = q[rows].copy()
-        far = d < 0
-        if np.any(far):
-            qeff[far] = quat_mul(qeff[far], QUAT_J)
-        turns = _lens_chart(qeff, blift, cs.center, 2 * p, f"set {cs.id}")
+        turns = _hemisphere_chart(q[rows], btrue[rows], cs.center, p, f"set {cs.id}")
         tables[cs.id] = (members, turns)
     return _bundle(f"rp2({p})", dataset, cover, tables, noise, seed, False, p)
-
-
-def _check_trimmed(cover, members: dict, n_samples: int):
-    """Raise ``NotACover`` naming the first cover set that trimming emptied."""
-    for cs in sorted(cover, key=lambda c: c.id):
-        if not members[cs.id]:
-            raise NotACover(
-                f"overlap trimming emptied cover set {cs.id}, which held "
-                f"{len(cs.members)} samples before trimming; {n_samples} samples "
-                f"over {len(cover)} sets leave overlaps too thin, try fewer --sets"
-            )
 
 
 def gen_disconnected_fiber(
@@ -481,33 +500,20 @@ def gen_disconnected_fiber(
         raise ValueError("p must be a positive integer")
     if split:
         half = n_samples // 2
-        parts = []
-        for c in (0, 1):
-            qc = _sample_quaternions(half, (seed << 1) ^ (_TAG_COPY + c))
-            parts.append(qc)
-        q = np.concatenate(parts)
+        q = np.concatenate(
+            [_sample_quaternions(half, (seed << 1) ^ (_TAG_COPY + c)) for c in (0, 1)]
+        )
         ids = tuple(range(half)) + tuple(2_000_000 + t for t in range(half))
     else:
         q = _sample_quaternions(n_samples, seed)
         ids = tuple(range(n_samples))
     btrue = quat_rotate(q, E1)
     dataset = BundleDataset(ids=ids, base=btrue, kind="projective_plane")
-    cover = make_cover(dataset, n_sets, radius)
-    if cover[0].radius >= math.pi / 4:
-        raise LiftUndefined(
-            f"ball radius {cover[0].radius:.3f} is too large for coherent "
-            "hemisphere lifts"
-        )
     pos = {s: i for i, s in enumerate(ids)}
 
-    if split:
-        def _lab(j, s):
-            return s < 2_000_000
-    else:
-        _cdict = {cs.id: cs.center for cs in cover}
-
-        def _lab(j, s):
-            return float(btrue[pos[s]] @ _cdict[j]) > 0
+    # a sample's label in a set: in the first copy, or on the near hemisphere
+    def label(cs, s):
+        return s < 2_000_000 if split else float(btrue[pos[s]] @ cs.center) > 0
 
     # each label combination on an overlap becomes its own edge after the
     # lift, so the flat trimming rule is not enough here: a thin side
@@ -515,72 +521,38 @@ def gen_disconnected_fiber(
     # does not show exactly two matching combinations (++ with --, or +-
     # with -+) would contradict the contract on labels.  When any side is
     # thin or a combination is missing, the later set sheds the overlap.
-    members = {cs.id: set(cs.members) for cs in cover}
-    order = sorted(members)
-    clipped = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, a in enumerate(order):
-            for b in order[i + 1 :]:
-                shared = members[a] & members[b]
-                if not shared:
-                    continue
-                combos = {}
-                for s in shared:
-                    combos.setdefault((_lab(a, s), _lab(b, s)), []).append(s)
-                matching = len(combos) == 2 and len({x == y for x, y in combos}) == 1
-                if matching and all(len(v) >= _MIN_SHARED for v in combos.values()):
-                    continue
-                members[b] -= shared
-                clipped.add(b)
-                changed = True
-    _check_trimmed(cover, members, len(dataset))
-    cover = [
-        CoverSet(
-            id=cs.id,
-            members=members[cs.id],
-            center=cs.center,
-            radius=cs.radius,
-            clipped=cs.clipped or cs.id in clipped,
-        )
-        for cs in cover
-    ]
+    def thin(a, b, shared):
+        combos = {}
+        for s in shared:
+            key = (label(a, s), label(b, s))
+            combos[key] = combos.get(key, 0) + 1
+        matching = len(combos) == 2 and len({x == y for x, y in combos}) == 1
+        return not matching or min(combos.values()) < _MIN_SHARED
 
+    cover = _cover_trimmed(_hemisphere_cover(dataset, n_sets, radius), len(ids), thin)
     tables = {}
     clusters = {}
     for cs in cover:
         members = sorted(cs.members)
         rows = np.array([pos[s] for s in members], dtype=int)
-        d = btrue[rows] @ cs.center
-        if np.any(np.abs(d) < 1e-12):
-            raise LiftUndefined(f"set {cs.id}: a base point sits on the lift seam")
-        turns = np.empty(len(rows))
+        context = f"set {cs.id}"
         if split:
             # labels are the two copies; both live on the quotient, so
             # each chart reads through the hemisphere gluing as usual
-            blift = btrue[rows] * np.sign(d)[:, None]
-            qeff = q[rows].copy()
-            far = d < 0
-            if np.any(far):
-                qeff[far] = quat_mul(qeff[far], QUAT_J)
-            turns = _lens_chart(qeff, blift, cs.center, 2 * p, f"set {cs.id}")
-            first = frozenset(s for s in members if s < 2_000_000)
-            second = frozenset(s for s in members if s >= 2_000_000)
+            turns = _hemisphere_chart(q[rows], btrue[rows], cs.center, p, context)
         else:
             # labels are the hemispheres of the honest double cover; each
             # cluster gets the section anchored at its own hemisphere
-            for sign_, anchor in ((1, cs.center), (-1, -cs.center)):
-                side = np.nonzero((d > 0) if sign_ > 0 else (d < 0))[0]
-                if len(side) == 0:
-                    continue
-                turns[side] = _lens_chart(
-                    q[rows[side]], btrue[rows[side]], anchor, 2 * p, f"set {cs.id}"
-                )
-            first = frozenset(members[i] for i in np.nonzero(d > 0)[0])
-            second = frozenset(members[i] for i in np.nonzero(d < 0)[0])
+            d = _lift_dots(btrue[rows], cs.center, context)
+            turns = np.empty(len(rows))
+            for side, anchor in ((d > 0, cs.center), (d < 0, -cs.center)):
+                if side.any():
+                    turns[side] = _lens_chart(
+                        q[rows[side]], btrue[rows[side]], anchor, 2 * p, context
+                    )
         tables[cs.id] = (members, turns)
-        clusters[cs.id] = (first, second)
+        first = frozenset(s for s in members if label(cs, s))
+        clusters[cs.id] = (first, frozenset(members) - first)
     model = f"disconnected({p})" + ("-split" if split else "")
     euler = p if split else 2 * p
     return _bundle(model, dataset, cover, tables, noise, seed, not split, euler,

@@ -14,7 +14,14 @@ import math
 import numpy as np
 
 from circlet.circle import O2
-from circlet.errors import DiameterTooLarge, GuardError, TooFewSamples
+from circlet.errors import (
+    DiameterTooLarge,
+    GuardError,
+    InconsistentClusters,
+    LiftUndefined,
+    PropagationConflict,
+    TooFewSamples,
+)
 from circlet.projection import PartitionOfUnity
 
 
@@ -768,4 +775,175 @@ def loop_quality(trivs, values, edges, triangles) -> dict:
         "epsilon": max((r[1] for r in rows), default=0.0),
         "delta_pairwise": worst_gap(edges),
         "delta_triple": worst_gap(triangles),
+    }
+
+
+# ---------------------------------------------------------------------------
+# overlap trimming and two-cluster unwrapping written out directly: one loop
+# per trimming rule and breadth-first searches over the cover
+
+
+def loop_trim_flat(cover, min_shared: int = 6):
+    """Until stable, the later set of a pair sheds any overlap under ``min_shared`` samples.
+
+    Returns (members by set id, ids of the sets that shed samples).
+    """
+    members = {cs.id: set(cs.members) for cs in cover}
+    ids = sorted(members)
+    clipped = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                shared = members[a] & members[b]
+                if 0 < len(shared) < min_shared:
+                    members[b] -= shared
+                    clipped.add(b)
+                    changed = True
+    return members, clipped
+
+
+def loop_trim_labels(cover, label, min_shared: int = 6):
+    """Until stable, the later set sheds an overlap unless its label pairs are two matching
+    combinations (++ with --, or +- with -+), each on at least ``min_shared`` samples.
+
+    ``label(j, s)`` is sample s's label in set j.  Returns (members by
+    set id, ids of the sets that shed samples).
+    """
+    members = {cs.id: set(cs.members) for cs in cover}
+    order = sorted(members)
+    clipped = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(order):
+            for b in order[i + 1 :]:
+                shared = members[a] & members[b]
+                if not shared:
+                    continue
+                combos = {}
+                for s in shared:
+                    combos.setdefault((label(a, s), label(b, s)), []).append(s)
+                matching = len(combos) == 2 and len({x == y for x, y in combos}) == 1
+                if matching and all(len(v) >= min_shared for v in combos.values()):
+                    continue
+                members[b] -= shared
+                clipped.add(b)
+                changed = True
+    return members, clipped
+
+
+def bfs_unwrap(dataset, cover, clusters) -> dict:
+    """Two-cluster unwrapping with breadth-first searches and a GF(2) elimination.
+
+    The connectivity sign on an overlap is read off its label pairs; the
+    pieces of the cover are BFS components of its overlap graph; a piece
+    whose signs GF(2) elimination solves splits into two copies.  On any
+    other piece every cluster's hemisphere orientation propagates by BFS
+    from the piece's smallest set, whose two clusters start opposite, and
+    each sample takes the base representative on its cluster's
+    hemisphere.  Returns base, kind, set_map, components, orientations,
+    nu and the lifted sets' (members, center) by new id.
+    """
+    by_id = {c.id: c for c in cover}
+    cl = {j: (frozenset(a), frozenset(b)) for j, (a, b) in clusters.items()}
+    for j, (plus, minus) in cl.items():
+        if not plus or not minus or plus & minus or plus | minus != by_id[j].members:
+            raise InconsistentClusters(f"clusters of set {j} do not partition its members")
+    edges = loop_nerve(cover, max_dim=1)[1]
+    nu = {}
+    for (j, k) in edges:
+        pairs = {(c, d) for c in (0, 1) for d in (0, 1) if cl[j][c] & cl[k][d]}
+        if pairs not in ({(0, 0), (1, 1)}, {(0, 1), (1, 0)}):
+            raise InconsistentClusters(f"edge ({j}, {k}) meets label pairs {sorted(pairs)}")
+        nu[(j, k)] = 1 if (0, 0) in pairs else -1
+
+    adjacency = {j: set() for j in by_id if by_id[j].members}
+    for (j, k) in edges:
+        adjacency[j].add(k)
+        adjacency[k].add(j)
+    seen, pieces = set(), []
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        queue, piece = [start], []
+        seen.add(start)
+        while queue:
+            j = queue.pop(0)
+            piece.append(j)
+            for k in sorted(adjacency[j] - seen):
+                seen.add(k)
+                queue.append(k)
+        pieces.append(sorted(piece))
+
+    base = np.array(dataset.base, dtype=float, copy=True)
+    orientations, components, geometric = {}, 0, False
+    for piece in pieces:
+        piece_edges = [e for e in edges if e[0] in piece]
+        col = {j: i for i, j in enumerate(piece)}
+        A = [[int(i in (col[j], col[k])) for i in range(len(piece))] for (j, k) in piece_edges]
+        if gf2_solvable(A, [int(nu[e] < 0) for e in piece_edges]):
+            components += 2
+            continue
+        if dataset.kind != "projective_plane":
+            raise ValueError("nontrivial connectivity class needs an antipodal base")
+        centers = {j: by_id[j].center for j in piece}
+        rel = {(j, c): [] for j in piece for c in (0, 1)}
+        for (j, k) in piece_edges:
+            for cj in (0, 1):
+                for ck in (0, 1):
+                    signs = set()
+                    for s in sorted(cl[j][cj] & cl[k][ck]):
+                        v = dataset.base_of(s)
+                        dj, dk = float(v @ centers[j]), float(v @ centers[k])
+                        if abs(dj) < 1e-12 or abs(dk) < 1e-12:
+                            raise LiftUndefined(f"sample {s} sits on a hemisphere boundary")
+                        signs.add(1 if dj * dk > 0 else -1)
+                    if len(signs) > 1:
+                        raise PropagationConflict("an overlap straddles the antipodal seam")
+                    if signs:
+                        r = signs.pop()
+                        rel[(j, cj)].append(((k, ck), r))
+                        rel[(k, ck)].append(((j, cj), r))
+        seed = piece[0]
+        orient = {(seed, 0): 1, (seed, 1): -1}
+        queue = [(seed, 0), (seed, 1)]
+        while queue:
+            node = queue.pop(0)
+            for other, r in rel[node]:
+                if other not in orient:
+                    orient[other] = orient[node] * r
+                    queue.append(other)
+                elif orient[other] != orient[node] * r:
+                    raise PropagationConflict(f"cluster {other} has contradictory orientations")
+        if set(orient) != set(rel) or any(orient[(j, 0)] == orient[(j, 1)] for j in piece):
+            raise PropagationConflict("some cluster has no sheet of its own")
+        lift = {}
+        for j in piece:
+            for c in (0, 1):
+                orientations[2 * j + c] = orient[(j, c)]
+                for s in cl[j][c]:
+                    eta = 1 if float(dataset.base_of(s) @ centers[j]) * orient[(j, c)] > 0 else -1
+                    if lift.setdefault(s, eta) != eta:
+                        raise PropagationConflict(f"sample {s} needs two different lifts")
+        for s, eta in lift.items():
+            base[dataset.position(s)] = eta * dataset.base_of(s)
+        components += 1
+        geometric = True
+
+    sets = {}
+    for j in sorted(by_id):
+        for c in (0, 1):
+            o = orientations.get(2 * j + c, 1)
+            center = by_id[j].center
+            sets[2 * j + c] = (cl[j][c], None if center is None else o * center)
+    return {
+        "base": base,
+        "kind": "sphere" if geometric else dataset.kind,
+        "set_map": {2 * j + c: (j, c) for j in by_id for c in (0, 1)},
+        "components": components,
+        "orientations": orientations,
+        "nu": nu,
+        "sets": sets,
     }

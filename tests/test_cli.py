@@ -532,6 +532,82 @@ class TestUnwrapCommand:
         assert read(base / "d4" / "euler.json")["magnitude"] == 2
 
 
+@pytest.fixture(scope="module")
+def split_dirs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("split")
+    synth, wit, cls = base / "synth", base / "wit", base / "cls"
+    assert run(
+        "synth", "--model", "split:1", "--samples", "2000", "--sets", "20",
+        "--out", str(synth),
+    ) == 0
+    assert run("witness", *_bundle_flags(synth), "--out", str(wit)) == 0
+    assert run("classes", "--witness", str(wit / "witness.json"), "--out", str(cls)) == 0
+    return synth, wit, cls
+
+
+def _set(path, value):
+    """A document mutation: replace the entry at ``path`` with ``value``."""
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return mutate
+
+
+def _reverse_order(doc):
+    doc["nerve"]["order"].reverse()
+
+
+class TestMalformedPipelineDocuments:
+    """Clusters, classes and witness documents go through the same column checks."""
+
+    @pytest.mark.parametrize("name, mutate", [
+        ("clusters.json", _set(["sets", 0, "id"], [0])),
+        ("clusters.json", _set(["sets", 0, "clusters"], [1, 2])),
+        ("clusters.json", lambda d: d["sets"][0]["clusters"][0].append([1])),
+        ("clusters.json", _set(["sets", 0, "id"], "0")),
+        ("classes.json", lambda d: d["sw"][0].pop("simplex")),
+        ("classes.json", _set(["sw", 0, "sign"], 3)),
+        ("classes.json", _set(["sw", 0, "sign"], "x")),
+        ("classes.json", _set(["sw"], 5)),
+        ("classes.json", _set(["euler", 0, "value"], 1.5)),
+        ("witness.json", _set(["values"], 5)),
+        ("witness.json", _set(["values", 0, "sign"], 1.0)),
+        ("witness.json", _set(["values", 0, "sign"], True)),
+        ("witness.json", _set(["nerve", "weights"], 5)),
+        ("witness.json", _set(["nerve", "simplices", "1"], 5)),
+        ("witness.json", _reverse_order),
+    ], ids=[
+        "cluster-id-list", "clusters-not-lists", "member-list", "cluster-id-string",
+        "sw-without-simplex", "sw-sign-3", "sw-sign-string", "sw-not-list",
+        "euler-value-float", "values-not-list", "witness-sign-float",
+        "witness-sign-bool", "weights-not-list", "simplices-not-list",
+        "order-before-facets",
+    ])
+    def test_schema_exit_without_traceback(self, split_dirs, tmp_path, capsys, name, mutate):
+        synth, wit, cls = split_dirs
+        source = {"clusters.json": synth, "classes.json": cls, "witness.json": wit}[name]
+        doc = read(source / name)
+        mutate(doc)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        commands = {
+            "clusters.json": [["unwrap", *_bundle_flags(synth), "--clusters", str(bad)]],
+            "classes.json": [["euler", "--classes", str(bad)]],
+            "witness.json": [["classes", "--witness", str(bad)],
+                             ["persist", "--witness", str(bad)]],
+        }[name]
+        for argv in commands:
+            out = tmp_path / argv[0]
+            assert run(*argv, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert json.loads(err.splitlines()[-1])["error"] == "schema"
+            assert read(out / "manifest.json")["status"] == 1
+
+
 class TestReportCommand:
     def test_report_blocks(self, torus_dir, tmp_path):
         out = tmp_path / "rep"

@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from circlet.cochains import Cochain
 from circlet.doublecover import (
     UnwrapResult,
     connectivity_cocycle,
@@ -24,6 +23,7 @@ from circlet.errors import (
 )
 from circlet.intlinalg import solve_gf2
 from circlet.nerve import BundleDataset, CoverSet, build_nerve
+from oracles import bfs_unwrap
 
 TAU = 2 * math.pi
 
@@ -204,9 +204,9 @@ class TestUnwrapGeometric:
 
     def test_pulled_back_class_bounds(self):
         dataset, cover, clusters, _ = ring_fixture()
-        nerve = build_nerve(cover)
-        nu = connectivity_cocycle(clusters, nerve)
-        res = unwrap_double_cover(dataset, cover, clusters, nu=nu)
+        res = unwrap_double_cover(dataset, cover, clusters)
+        nu = res.nu
+        assert nu.values == connectivity_cocycle(clusters, build_nerve(cover)).values
         lifted = build_nerve(res.cover)
         edges = lifted.edges
         verts = [v[0] for v in lifted.vertices]
@@ -230,20 +230,14 @@ class TestUnwrapGeometric:
             o = res.orientations[s.id]
             assert np.allclose(s.center, o * old[j].center)
 
-    def test_supplied_cocycle_must_match(self):
-        dataset, cover, clusters, _ = ring_fixture()
-        nerve = build_nerve(cover)
-        wrong = Cochain(nerve, 1, "Z2", {e: 1 for e in nerve.edges})
-        with pytest.raises(InconsistentClusters):
-            unwrap_double_cover(dataset, cover, clusters, nu=wrong)
-
     def test_partition_must_cover_members(self):
         dataset, cover, clusters, _ = ring_fixture()
         some = next(iter(clusters[2][1]))
         bad = dict(clusters)
         bad[2] = (clusters[2][0], clusters[2][1] - {some})
-        with pytest.raises(InconsistentClusters):
-            unwrap_double_cover(dataset, cover, bad)
+        for unwrap in (unwrap_double_cover, bfs_unwrap):
+            with pytest.raises(InconsistentClusters):
+                unwrap(dataset, cover, bad)
 
     def test_seam_conflict_detected(self):
         # corrupt one shared sample so its hemisphere vote disagrees
@@ -259,8 +253,9 @@ class TestUnwrapGeometric:
         base[victim] = u
         broken = BundleDataset(ids=dataset.ids, base=base,
                                kind="projective_plane")
-        with pytest.raises(PropagationConflict):
-            unwrap_double_cover(broken, cover, clusters)
+        for unwrap in (unwrap_double_cover, bfs_unwrap):
+            with pytest.raises(PropagationConflict):
+                unwrap(broken, cover, clusters)
 
     def test_equatorial_sample_rejected(self):
         dataset, cover, clusters, _ = ring_fixture()
@@ -271,8 +266,9 @@ class TestUnwrapGeometric:
         base[victim] = perp / np.linalg.norm(perp)
         broken = BundleDataset(ids=dataset.ids, base=base,
                                kind="projective_plane")
-        with pytest.raises(LiftUndefined):
-            unwrap_double_cover(broken, cover, clusters)
+        for unwrap in (unwrap_double_cover, bfs_unwrap):
+            with pytest.raises(LiftUndefined):
+                unwrap(broken, cover, clusters)
 
     def test_wrong_base_kind_rejected(self):
         # crossing the two copies inside set 2 makes the class
@@ -289,8 +285,9 @@ class TestUnwrapGeometric:
         nerve = build_nerve(cover)
         nu = connectivity_cocycle(crossed, nerve)
         assert nu.values == {(0, 1): 1, (0, 2): 1, (1, 2): -1}
-        with pytest.raises(ValueError, match="antipodal"):
-            unwrap_double_cover(dataset, cover, crossed)
+        for unwrap in (unwrap_double_cover, bfs_unwrap):
+            with pytest.raises(ValueError, match="antipodal"):
+                unwrap(dataset, cover, crossed)
 
     def test_stored_sign_convention_is_irrelevant(self):
         # projective base points are only defined up to sign; flipping
@@ -308,3 +305,32 @@ class TestUnwrapGeometric:
         dots = [float(a.dataset.base[i] @ b.dataset.base[i])
                 for i in range(len(dataset))]
         assert set(round(d, 9) for d in dots) in ({1.0}, {-1.0})
+
+
+def _flipped_ring():
+    dataset, cover, clusters, _ = ring_fixture()
+    signs = np.random.default_rng(5).choice([1.0, -1.0], size=len(dataset))
+    flipped = BundleDataset(ids=dataset.ids, base=dataset.base * signs[:, None],
+                            kind="projective_plane")
+    return flipped, cover, clusters
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ring_fixture()[:3],
+    lambda: ring_fixture(n=41)[:3],
+    _flipped_ring,
+    two_copy_fixture,
+], ids=["ring", "odd-ring", "flipped-ring", "two-copies"])
+def test_matches_breadth_first_oracle(build):
+    # the union-find passes reproduce the breadth-first unwrap exactly
+    dataset, cover, clusters = build()
+    res = unwrap_double_cover(dataset, cover, clusters)
+    ref = bfs_unwrap(dataset, cover, clusters)
+    assert res.nu.values == ref["nu"]
+    assert (res.components, res.orientations, res.set_map) == (
+        ref["components"], ref["orientations"], ref["set_map"])
+    assert res.dataset.kind == ref["kind"]
+    assert np.array_equal(res.dataset.base, ref["base"])
+    for cs in res.cover:
+        members, center = ref["sets"][cs.id]
+        assert cs.members == members and np.array_equal(cs.center, center)

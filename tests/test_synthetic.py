@@ -34,6 +34,7 @@ from circlet.synthetic import (
     make_cover,
 )
 from circlet.witness import assemble_witness, triv_quality
+from oracles import bfs_unwrap, loop_trim_flat, loop_trim_labels
 
 TAU = 2.0 * math.pi
 
@@ -342,9 +343,7 @@ class TestDisconnectedFiber:
 
     def test_unwrap_recovers_double_euler(self, disconnected1):
         b = disconnected1
-        nerve = build_nerve(b.cover)
-        nu = connectivity_cocycle(b.clusters, nerve)
-        res = unwrap_double_cover(b.dataset, b.cover, b.clusters, nu)
+        res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
         assert res.components == 1
         assert res.dataset.kind == "sphere"
         for j in {sid // 2 for sid in res.orientations}:
@@ -359,9 +358,7 @@ class TestDisconnectedFiber:
 
     def test_lifted_overlaps_not_thin(self, disconnected1):
         b = disconnected1
-        nerve = build_nerve(b.cover)
-        nu = connectivity_cocycle(b.clusters, nerve)
-        res = unwrap_double_cover(b.dataset, b.cover, b.clusters, nu)
+        res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
         members = [set(cs.members) for cs in res.cover]
         for i, a in enumerate(members):
             for c in members[i + 1 :]:
@@ -369,10 +366,8 @@ class TestDisconnectedFiber:
 
     def test_split_variant_trivial_class(self):
         b = gen_disconnected_fiber(1, n_samples=6000, n_sets=36, seed=2, split=True)
-        nerve = build_nerve(b.cover)
-        nu = connectivity_cocycle(b.clusters, nerve)
-        assert all(v == 1 for v in nu.values.values())
-        res = unwrap_double_cover(b.dataset, b.cover, b.clusters, nu)
+        res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
+        assert all(v == 1 for v in res.nu.values.values())
         assert res.components == 2
         assert res.dataset.kind == "projective_plane"
         assert res.orientations == {}
@@ -385,9 +380,7 @@ class TestDisconnectedFiber:
         # combination only; unless the generator sheds them, unwrapping
         # rejects its own input
         b = gen_disconnected_fiber(1, n_samples=1000, seed=seed, split=split)
-        nerve = build_nerve(b.cover)
-        nu = connectivity_cocycle(b.clusters, nerve)
-        res = unwrap_double_cover(b.dataset, b.cover, b.clusters, nu)
+        res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
         lifted = carry_charts(b.trivs, res)
         assert set(lifted.sets()) == {cs.id for cs in res.cover}
 
@@ -415,6 +408,55 @@ class TestDisconnectedFiber:
         assert t.model == "disconnected(1)-split"
         assert t.sw_trivial is False
         assert t.euler_number == 1
+
+
+def _cover_state(cover):
+    return {cs.id: set(cs.members) for cs in cover}, {cs.id for cs in cover if cs.clipped}
+
+
+class TestTrimmingOracles:
+    """The one trimming pass against the loops it replaced, on the untrimmed cover."""
+
+    @pytest.mark.parametrize("gen", [gen_lens_bundle, gen_rp2_bundle])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_rule(self, gen, seed):
+        b = gen(1, n_samples=1500, n_sets=40, seed=seed)
+        expected = loop_trim_flat(make_cover(b.dataset, 40, None))
+        assert expected[1] and _cover_state(b.cover) == expected
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_label_rule_and_unwrap(self, split, seed):
+        b = gen_disconnected_fiber(1, n_samples=1500, n_sets=24, seed=seed, split=split)
+        ds = b.dataset
+        centers = {cs.id: cs.center for cs in b.cover}
+
+        def label(j, s):
+            if split:
+                return s < 2_000_000
+            return float(ds.base_of(s) @ centers[j]) > 0
+
+        expected = loop_trim_labels(make_cover(ds, 24, None), label)
+        assert expected[1] and _cover_state(b.cover) == expected
+        for cs in b.cover:
+            assert b.clusters[cs.id] == tuple(
+                frozenset(s for s in cs.members if label(cs.id, s) == side)
+                for side in (True, False)
+            )
+
+        res = unwrap_double_cover(ds, b.cover, b.clusters)
+        ref = bfs_unwrap(ds, b.cover, b.clusters)
+        assert res.nu.values == ref["nu"]
+        assert res.components == ref["components"] == (2 if split else 1)
+        assert res.orientations == ref["orientations"]
+        assert res.set_map == ref["set_map"]
+        assert res.dataset.kind == ref["kind"]
+        assert np.array_equal(res.dataset.base, ref["base"])
+        for cs in res.cover:
+            members, center = ref["sets"][cs.id]
+            assert cs.members == members
+            assert np.array_equal(cs.center, center)
+            assert cs.clipped == b.cover[cs.id // 2].clipped
 
 
 class TestGeneratorPreconditions:
