@@ -1,9 +1,10 @@
 """Discrete approximate circle bundles over sampled base spaces.
 
 Build a nerve from a cover, estimate the optimal isometry witness on each
-overlap, compute the orientation and twisted Euler classes with exact
-integer linear algebra, track their persistence along the weights
-filtration, and produce topology-respecting coordinates.
+overlap (a turn and a sign per edge, ``cochains.Witness``), compute the
+orientation and twisted Euler classes with exact integer linear algebra,
+track their persistence along the weights filtration, and produce
+topology-respecting coordinates.
 
 The names in ``__all__`` are re-exported from ``circlet.circle`` lazily,
 through a module ``__getattr__`` (PEP 562): importing the package loads
@@ -13,23 +14,7 @@ before numpy is first imported (see ``circlet.cli``).
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "O2",
-    "IDENTITY",
-    "ArcSummary",
-    "exp_so2",
-    "karcher_mean",
-    "log_so2",
-    "o2_apply",
-    "o2_compose",
-    "o2_frobenius_distance",
-    "o2_inverse",
-    "principal_turn",
-    "s1_angle",
-    "s1_distance",
-    "s1_point",
-    "shortest_enclosing_arc",
-]
+__all__ = ["karcher_mean", "principal_turn", "s1_angle", "s1_point"]
 
 
 def __getattr__(name):

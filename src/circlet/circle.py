@@ -1,104 +1,27 @@
-"""Algebra of the circle and its isometry group.
+"""Angles, arcs and means on the circle.
 
 Angles are measured in turns (full revolutions), so a quarter rotation is
 0.25 and the exponential map is ``t -> (cos 2*pi*t, sin 2*pi*t)``.  An
 isometry is a rotation optionally followed by conjugation (reflection in
-the x axis), stored as a (turn, sign) pair; its matrix form is
-``R(2*pi*turn) @ diag(1, sign)``.
+the x axis), held as a turn and a sign, arrays of them elementwise; its
+matrix form is ``R(2*pi*turn) @ diag(1, sign)`` (``o2_matrices``).  The
+product of two has turn ``a.turn + a.sign * b.turn`` and the product of
+their signs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DiameterTooLarge, NonUniqueArc, ReflectionHasNoLog
+from .errors import DiameterTooLarge
 
 TWO_PI = 2.0 * math.pi
 
 # Ties between circular gaps closer than this are treated as exact.
 _GAP_TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class O2:
-    """Isometry of the circle: rotate by ``turn``, reflect first if ``sign`` is -1.
-
-    Attributes
-    ----------
-    turn : float
-        Rotation amount in turns, normalized to [0, 1).
-    sign : int
-        +1 for a rotation, -1 for a reflection (the determinant).
-    """
-
-    turn: float
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "turn", self.turn % 1.0)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        c = math.cos(TWO_PI * self.turn)
-        s = math.sin(TWO_PI * self.turn)
-        return np.array([[c, -s * self.sign], [s, c * self.sign]])
-
-    def inverse(self) -> "O2":
-        if self.sign == 1:
-            return O2(-self.turn, 1)
-        # reflections are involutions
-        return O2(self.turn, -1)
-
-
-IDENTITY = O2(0.0, 1)
-
-
-def o2_compose(a: O2, b: O2) -> O2:
-    """Composition a then-apply-after b, i.e. the product of matrix forms.
-
-    The turn of the product is ``a.turn + a.sign * b.turn`` modulo 1 and
-    the signs multiply.
-    """
-    return O2(a.turn + a.sign * b.turn, a.sign * b.sign)
-
-
-def o2_inverse(a: O2) -> O2:
-    return a.inverse()
-
-
-def o2_apply(a: O2, p: np.ndarray) -> np.ndarray:
-    """Apply an isometry to points of shape (..., 2)."""
-    p = np.asarray(p, dtype=float)
-    return p @ a.matrix.T
-
-
-def exp_so2(t: float) -> O2:
-    """Rotation by ``t`` turns."""
-    return O2(t % 1.0, 1)
-
-
-def log_so2(a: O2) -> float:
-    """Principal logarithm of a rotation, in turns.
-
-    Returns
-    -------
-    float
-        The unique t in (-1/2, 1/2] with ``exp_so2(t) == a``.
-
-    Raises
-    ------
-    ReflectionHasNoLog
-        If ``a`` is orientation reversing.
-    """
-    if a.sign != 1:
-        raise ReflectionHasNoLog("log requested for a reflection")
-    return principal_turn(a.turn)
 
 
 def principal_turn(t: float) -> float:
@@ -119,49 +42,15 @@ def s1_angle(p: np.ndarray) -> np.ndarray:
     return np.arctan2(p[..., 1], p[..., 0]) / TWO_PI % 1.0
 
 
-def s1_distance(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """Chord and geodesic distance between two unit vectors.
-
-    Returns
-    -------
-    (chord, geodesic) : tuple of floats
-        Euclidean norm of the difference, and arc length in radians.
-        They satisfy ``chord = 2 sin(geodesic / 2)``.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    chord = float(np.linalg.norm(p - q))
-    geodesic = 2.0 * math.asin(min(1.0, chord / 2.0))
-    return chord, geodesic
-
-
 def turn_chord(dt) -> np.ndarray:
     """Chord distance between angles separated by ``dt`` turns."""
     return 2.0 * np.abs(np.sin(np.pi * np.asarray(dt, dtype=float)))
 
 
-def o2_frobenius_distance(a: O2, b: O2) -> float:
-    """Frobenius norm of the difference of matrix forms.
-
-    Equals ``2*sqrt(2)*|sin(pi*(a.turn - b.turn))|`` when the signs match
-    and is at least 2 when they differ.
-    """
-    if a.sign == b.sign:
-        return math.sqrt(8.0) * abs(math.sin(math.pi * (a.turn - b.turn)))
-    return float(np.linalg.norm(a.matrix - b.matrix))
-
-
-@dataclass(frozen=True)
-class ArcSummary:
-    """Shortest arc containing a set of angles.
-
-    ``width = 1 - max_gap`` and the midpoint lies halfway along the arc.
-    All three fields are in turns.
-    """
-
-    midpoint: float
-    width: float
-    max_gap: float
+def o2_matrices(turn, sign) -> np.ndarray:
+    """Matrix forms ``(..., 2, 2)`` of isometries given as turns and signs."""
+    c, s = np.cos(TWO_PI * turn), np.sin(TWO_PI * turn)
+    return np.stack([np.stack([c, -s * sign], -1), np.stack([s, c * sign], -1)], -2)
 
 
 def segment_max(values, indptr, empty: float = 0.0) -> np.ndarray:
@@ -240,35 +129,6 @@ def enclosing_arcs(angles, indptr) -> Arcs:
     return Arcs(mid, width, g, np.bincount(seg[tied], minlength=len(counts)))
 
 
-def shortest_enclosing_arc(angles: Sequence[float]) -> ArcSummary:
-    """Shortest arc of the circle containing every given angle.
-
-    The one-segment form of ``enclosing_arcs``.
-
-    Raises
-    ------
-    NonUniqueArc
-        If two gaps tie for the maximum; the error lists every tied
-        candidate midpoint so the caller can decide.
-    ValueError
-        If the list is empty.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.size == 0:
-        raise ValueError("no angles given")
-    indptr = np.array([0, angles.size])
-    arc = enclosing_arcs(angles, indptr)
-    g = float(arc.max_gap[0])
-    if arc.ties[0] > 1:
-        seg, a, gaps = _circular_gaps(angles, indptr)
-        tied = np.flatnonzero(gaps >= g - _GAP_TIE_TOL)
-        mids = ((a[_successor(tied, indptr, seg)] + (1.0 - gaps[tied]) / 2.0) % 1.0).tolist()
-        raise NonUniqueArc(
-            f"{tied.size} circular gaps tie for the maximum ({g:.17g} turns)", mids
-        )
-    return ArcSummary(midpoint=float(arc.midpoint[0]), width=float(arc.width[0]), max_gap=g)
-
-
 def karcher_mean(points: np.ndarray, weights) -> np.ndarray:
     """Weighted Karcher (Frechet) mean of points on the circle.
 
@@ -325,9 +185,8 @@ def karcher_mean(points: np.ndarray, weights) -> np.ndarray:
 def enclosing_width(angles) -> np.ndarray:
     """Width in turns of the shortest arc containing the angles.
 
-    Unlike ``shortest_enclosing_arc`` this never raises on gap ties,
-    since tied gaps share a width.  Leading batch axes are allowed; the
-    angles of one arc run along the last axis.
+    Tied gaps share a width, so ties need no care.  Leading batch axes
+    are allowed; the angles of one arc run along the last axis.
     """
     a = np.sort(np.asarray(angles, dtype=float) % 1.0, axis=-1)
     if a.shape[-1] <= 1:

@@ -1,14 +1,14 @@
-"""Sign and integer characteristic classes of a witness cochain.
+"""Sign and integer characteristic classes of a witness.
 
-The entrywise determinant of the witness gives a sign class; stripping
-reflections and taking principal logs gives a real lift whose twisted
-coboundary rounds to an integer class.  On surface bases the integer
-class pairs with a twisted fundamental cycle to give the twisted Euler
-number.  The cycle comes from a collapsed core of the nerve: collapses
-keep the twisted second homology, the core's 2-boundary kernel comes
-from unit-pivot elimination, and only the small image of the core's
-3-boundary in kernel parameters (or a block without unit pivots) sees a
-Smith form.  Its sign is anchored on a triangle no boundary can reach.
+The witness's signs give a sign class; its turns, taken on the principal
+branch, give a real lift whose twisted coboundary rounds to an integer
+class.  On surface bases the integer class pairs with a twisted
+fundamental cycle to give the twisted Euler number.  The cycle comes
+from a collapsed core of the nerve: collapses keep the twisted second
+homology, the core's 2-boundary kernel comes from unit-pivot
+elimination, and only the small image of the core's 3-boundary in kernel
+parameters (or a block without unit pivots) sees a Smith form.  Its
+sign is anchored on a triangle no boundary can reach.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .circle import principal_turn
-from .cochains import (
-    Cochain,
-    check_sign_cocycle,
-    coboundary_rows,
-    cocycle_defect,
-    twisted_coboundary,
-)
+from .cochains import (Cochain, Witness, check_sign_cocycle, coboundary_rows, cocycle_defect,
+                       twisted_coboundary)
 from .errors import BracketAmbiguous, NotASurface, ShapeMismatch
 from .intlinalg import integer_kernel, ordered_simplices, smith_normal_form
 from .nerve import Nerve, facets
@@ -43,12 +38,12 @@ DEFECT_BOUND = 0.5
 
 @dataclass
 class CharClassResult:
-    """Characteristic classes extracted from one witness cochain.
+    """Characteristic classes extracted from one witness.
 
     Attributes
     ----------
     sw : Cochain
-        Sign-valued 1-cochain, the entrywise determinant.
+        Sign-valued 1-cochain, the witness's signs.
     euler : Cochain
         Integer 2-cochain twisted by ``sw``.
     lift : Cochain
@@ -82,15 +77,12 @@ class CharClassResult:
         return all(v == 0 for v in delta.values.values())
 
 
-def sw_class(witness: Cochain) -> Cochain:
-    """Entrywise determinant of an isometry 1-cochain, as a sign cochain."""
-    if witness.tag != "O2" or witness.degree != 1:
-        raise ShapeMismatch("need an isometry-valued 1-cochain")
-    vals = {e: om.sign for e, om in witness.values.items()}
-    return Cochain(witness.nerve, 1, "Z2", vals)
+def sw_class(witness: Witness) -> Cochain:
+    """The signs of a witness (its isometries' determinants), as a sign cochain."""
+    return Cochain(witness.nerve, 1, "Z2", dict(zip(witness.nerve.edges, witness.sign.tolist())))
 
 
-def euler_cochain(witness: Cochain) -> CharClassResult:
+def euler_cochain(witness: Witness) -> CharClassResult:
     """Integer 2-cochain of a witness, with its sign class and real lift.
 
     The rotation part of each edge keeps the witness turn; its principal
@@ -106,7 +98,7 @@ def euler_cochain(witness: Cochain) -> CharClassResult:
             defect,
         )
     sw = sw_class(witness)
-    lift_vals = {e: principal_turn(om.turn) for e, om in witness.values.items()}
+    lift_vals = dict(zip(witness.nerve.edges, map(principal_turn, witness.turn.tolist())))
     lift = Cochain(witness.nerve, 1, "R", lift_vals, twist=sw)
     pre = twisted_coboundary(lift, sw)
     margin = math.inf

@@ -65,7 +65,7 @@ from .classes import (
     fundamental_class_twisted,
     orientation_anchor,
 )
-from .cochains import Cochain
+from .cochains import Cochain, Witness
 from .errors import (
     GuardError,
     NotASurface,
@@ -290,7 +290,7 @@ def _cmd_witness(args, run: _Run):
         q = triv_quality(trivs, wit, nerve)
     with run.timed("filtration"):
         nerve = _filtration(nerve, q)
-        wit = Cochain(nerve, 1, "O2", wit.values)
+        wit = wit._replace(nerve=nerve)
     with run.timed("write"):
         run.write("witness.json", io.witness_doc(wit, quality=_quality_dict(q)))
     return {
@@ -484,7 +484,7 @@ def _check_dims(dims: list[int], ambient: int):
         raise SchemaError(f"dims {bad} outside 2..{ambient} for this cover")
 
 
-def _report_classes(wit: Cochain, nerve, report) -> dict:
+def _report_classes(wit: Witness, nerve, report) -> dict:
     """The classes block of report.json.
 
     Keys stay null when a guard or obstruction stops the computation, and

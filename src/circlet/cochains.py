@@ -1,9 +1,11 @@
-"""Cochains on a nerve with values in {sign group, integers, reals, isometries}.
+"""Cochains on a nerve with values in signs, integers or reals, and the witness.
 
-Values are stored on ascending vertex tuples only; permuted lookups are
-derived by the inversion rules, so there is a single source of truth per
-simplex.  A cochain may be twisted by a sign-valued 1-cocycle, which
-modifies the coboundary and the antisymmetry rule.
+A ``Cochain`` stores its values on ascending vertex tuples only, one
+source of truth per simplex.  It may be twisted by a sign-valued
+1-cocycle, which modifies the coboundary.  An isometry 1-cochain, the
+witness, is a ``Witness``: a turn array and a sign array aligned to the
+nerve's edges, whose holonomy defect is one vectorized product over the
+triangles.
 
 The twisted coboundary convention is written once, in ``coboundary_rows``;
 ``coboundary_values`` evaluates it.  Cocycle checks, the persistence
@@ -15,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import cycle
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .circle import o2_compose, o2_inverse, o2_frobenius_distance
+import numpy as np
+
+from .circle import o2_matrices
 from .errors import DegreeUnsupported, NotACocycle, ShapeMismatch
 from .nerve import Nerve, facets
 
-TAGS = ("Z2", "Z", "R", "O2")
+TAGS = ("Z2", "Z", "R")
 
 
 @dataclass
@@ -34,7 +38,7 @@ class Cochain:
         The nerve (or stage subcomplex) the cochain lives on.
     degree : int
     tag : str
-        Coefficient system: "Z2" (signs, multiplicative), "Z", "R", "O2".
+        Coefficient system: "Z2" (signs, multiplicative), "Z" or "R".
     values : dict
         Ascending p-simplex tuple -> coefficient.
     twist : Cochain, optional
@@ -61,29 +65,6 @@ class Cochain:
             )
         if self.tag == "Z2" and any(v not in (1, -1) for v in self.values.values()):
             raise ValueError("sign cochain values must be +1 or -1")
-
-    def value(self, simplex: tuple):
-        """Coefficient on a simplex, resolving unordered pairs.
-
-        For a pair given as (k, j) with k > j the stored value on (j, k)
-        is inverted: isometries by group inverse, signs unchanged, reals
-        and integers by negation times the twist sign.
-        """
-        s = tuple(simplex)
-        if len(s) - 1 != self.degree:
-            raise ShapeMismatch(f"simplex {s} has wrong dimension for degree {self.degree}")
-        if list(s) == sorted(s):
-            return self.values[s]
-        if self.degree != 1:
-            raise DegreeUnsupported("permuted lookups are defined for pairs only")
-        k, j = s
-        v = self.values[(j, k)]
-        if self.tag == "O2":
-            return o2_inverse(v)
-        if self.tag == "Z2":
-            return v
-        w = self.twist.value((j, k)) if self.twist is not None else 1
-        return -w * v
 
 
 def coboundary_rows(simplices, twist: Optional[dict] = None) -> list[dict]:
@@ -155,15 +136,15 @@ def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
     """Coboundary of a sign or number cochain, twisted by a sign cocycle when given.
 
     Follows ``coboundary_rows``: alternating facet signs, with the twist
-    on the facet that drops the leading vertex.  Isometry cochains have
-    no coboundary here; ``cocycle_defect`` measures their holonomy.
+    on the facet that drops the leading vertex.  A witness has no
+    coboundary here; ``cocycle_defect`` measures its holonomy.
     """
     nerve = c.nerve
     twist = None
     if omega is not None:
         _need_sign_cochain(omega)
         twist = omega.values
-    if c.tag == "O2" or c.degree not in (0, 1, 2):
+    if c.degree not in (0, 1, 2):
         raise DegreeUnsupported(f"coboundary not defined for {c.tag} cochains of degree {c.degree}")
     simplices = nerve.simplices.get(c.degree + 1, [])
     rows = coboundary_rows(simplices, twist)
@@ -175,45 +156,45 @@ def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
     return Cochain(nerve, c.degree + 1, c.tag, vals, twist=omega)
 
 
-def cocycle_defect(omega: Cochain) -> float:
-    """Worst holonomy defect of an isometry 1-cochain over all triangles.
+class Witness(NamedTuple):
+    """An isometry 1-cochain: edge ``nerve.edges[i]`` carries ``turn[i]`` and ``sign[i]``.
 
-    Zero exactly when the cochain is a cocycle; zero vacuously on nerves
-    with no triangles.
+    ``turn`` is float64 in [0, 1), ``sign`` int64 +-1; the matrix forms
+    are ``circle.o2_matrices(turn, sign)``.
     """
-    if omega.tag != "O2" or omega.degree != 1:
-        raise ShapeMismatch("defect is defined for isometry-valued 1-cochains")
-    worst = 0.0
-    for (j, k, l) in omega.nerve.triangles:
-        trip = o2_compose(omega.values[(j, k)], omega.values[(k, l)])
-        d = o2_frobenius_distance(trip, omega.values[(j, l)])
-        worst = max(worst, d)
-    return worst
+
+    nerve: Nerve
+    turn: np.ndarray
+    sign: np.ndarray
+
+    def restrict(self, sub: Nerve) -> "Witness":
+        """The witness on a subcomplex, its edges picked by name, not by position."""
+        at = {e: i for i, e in enumerate(self.nerve.edges)}
+        pick = np.array([at[e] for e in sub.edges], dtype=np.int64)
+        return Witness(sub, self.turn[pick], self.sign[pick])
 
 
-def act_by_potential(phi: Cochain, omega: Cochain) -> Cochain:
-    """Gauge action of a 0-cochain of isometries on a 1-cochain.
+def cocycle_defect(witness: Witness) -> float:
+    """Worst holonomy defect of a witness over all triangles.
 
-    Each edge value is conjugated: the head vertex's isometry composed
-    with the transition composed with the inverse of the tail's.  The
-    holonomy defect is preserved because conjugation is isometric.
+    On triangle (j, k, l) it is the Frobenius distance between the
+    product of the isometries on (j, k) and (k, l) and the one on
+    (j, l): ``sqrt(8) |sin(pi d)|`` for their turn difference ``d`` where
+    the signs close, the norm of the matrix difference where they do
+    not.  Zero exactly on a cocycle; zero vacuously with no triangles.
     """
-    if phi.degree != 0 or phi.tag != "O2" or omega.degree != 1 or omega.tag != "O2":
-        raise ShapeMismatch("need a degree-0 and a degree-1 isometry cochain")
-    if phi.nerve is not omega.nerve and set(phi.nerve.vertices) != set(omega.nerve.vertices):
-        raise ShapeMismatch("potential and cochain live on different nerves")
-    vals = {}
-    for (j, k), om in omega.values.items():
-        vals[(j, k)] = o2_compose(
-            phi.values[(j,)], o2_compose(om, o2_inverse(phi.values[(k,)]))
-        )
-    return Cochain(omega.nerve, 1, "O2", vals, twist=omega.twist)
-
-
-def constant_sign_cochain(nerve: Nerve, degree: int = 1, value: int = 1) -> Cochain:
-    """The constant sign cochain, handy as a trivial twist."""
-    simps = nerve.simplices.get(degree, [])
-    return Cochain(nerve, degree, "Z2", {s: value for s in simps})
+    tris = witness.nerve.triangles
+    if not tris:
+        return 0.0
+    at = {e: i for i, e in enumerate(witness.nerve.edges)}
+    jk, kl, jl = np.array([(at[j, k], at[k, l], at[j, l]) for j, k, l in tris]).T
+    turn, sign = witness.turn, witness.sign
+    trip, trip_sign = (turn[jk] + sign[jk] * turn[kl]) % 1.0, sign[jk] * sign[kl]
+    d = np.sqrt(8.0) * np.abs(np.sin(np.pi * (trip - turn[jl])))
+    for i in np.flatnonzero(trip_sign != sign[jl]).tolist():
+        gap = o2_matrices(trip[i], trip_sign[i]) - o2_matrices(turn[jl[i]], sign[jl[i]])
+        d[i] = np.linalg.norm(gap)
+    return max(d.tolist())
 
 
 def restrict(c: Cochain, sub: Nerve) -> Cochain:

@@ -36,22 +36,6 @@ class GuardError(CircletError):
         self.index = index
 
 
-class ReflectionHasNoLog(GuardError):
-    """Rotation logarithm requested for an orientation-reversing element."""
-
-
-class NonUniqueArc(GuardError):
-    """Two circular gaps tie for the maximum; the enclosing arc is ambiguous.
-
-    ``midpoints`` carries every tied candidate midpoint so the caller can
-    pick a policy instead of silently inheriting an arbitrary one.
-    """
-
-    def __init__(self, message: str, midpoints: list[float]):
-        super().__init__(message)
-        self.midpoints = list(midpoints)
-
-
 class DiameterTooLarge(GuardError):
     """Points do not fit in an open half circle; means and arcs degenerate."""
 

@@ -32,12 +32,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cochains import Cochain
+from .cochains import Cochain, Witness
 from .errors import SchemaError
 from .nerve import BundleDataset, CoverSet, Nerve, facets
 from .persistence import PersistenceReport, ThresholdPair
 from .witness import Trivialization
-from .circle import O2
 
 if TYPE_CHECKING:
     from .synthetic import SyntheticScenario
@@ -187,7 +186,7 @@ def _check_schema(doc, name: str):
 
 
 def _simplex(row, where: str) -> tuple:
-    if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
+    if not isinstance(row, list) or not all(type(v) is int for v in row):
         raise SchemaError(f"{where}: simplex must be a list of integers")
     return tuple(row)
 
@@ -317,13 +316,14 @@ def parse_cover(doc) -> list[CoverSet]:
         members = _need(row, "members", f"cover set {j}", list)
         _ints(members, "member")
         center = _need(row, "center", f"cover set {j}", list) if "center" in row else None
+        clipped = _need(row, "clipped", f"cover set {j}", bool) if "clipped" in row else False
         out.append(
             CoverSet(
                 id=j,
                 members=frozenset(members),
                 center=None if center is None else _floats(center, "center"),
                 radius=_the_float(row["radius"], "radius") if "radius" in row else None,
-                clipped=bool(row.get("clipped", False)),
+                clipped=clipped,
             )
         )
     return out
@@ -443,30 +443,31 @@ def parse_nerve(doc) -> Nerve:
 # witness
 
 
-def witness_doc(witness: Cochain, quality: dict | None = None) -> dict:
+def witness_doc(witness: Witness, quality: dict | None = None) -> dict:
+    rows = sorted(zip(witness.nerve.edges, witness.turn.tolist(), witness.sign.tolist()))
     doc = {
         "schema": SCHEMA_PREFIX + "witness",
         "nerve": nerve_doc(witness.nerve),
-        "values": [
-            {"simplex": list(e), "turn": float(om.turn), "sign": int(om.sign)}
-            for e, om in sorted(witness.values.items())
-        ],
+        "values": [{"simplex": list(e), "turn": t, "sign": s} for e, t, s in rows],
     }
     if quality is not None:
         doc["quality"] = quality
     return doc
 
 
-def parse_witness(doc) -> tuple[Cochain, dict | None]:
+def parse_witness(doc) -> tuple[Witness, dict | None]:
     _check_schema(doc, "witness")
     nerve = parse_nerve(_need(doc, "nerve", "witness"))
     turns = _simplex_values(doc, "witness", "values", "turn", _floats)
     signs = _simplex_values(doc, "witness", "values", "sign", _signs)
     try:
-        witness = Cochain(nerve, 1, "O2", {e: O2(turns[e], s) for e, s in signs.items()})
+        Cochain(nerve, 1, "Z2", signs)  # the one check that the rows cover the edges
     except Exception as exc:
         raise SchemaError(f"witness: {exc}")
-    return witness, doc.get("quality")
+    edges = nerve.edges
+    turn = np.array([turns[e] for e in edges], dtype=float) % 1.0
+    sign = np.array([signs[e] for e in edges], dtype=np.int64)
+    return Witness(nerve, turn, sign), doc.get("quality")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cochains import Cochain
+    from .cochains import Witness
     from .witness import Trivialization
 
 BASE_KINDS = ("circle", "sphere", "projective_plane", "abstract")
@@ -202,14 +202,14 @@ def build_nerve(cover: Sequence[CoverSet], max_dim: int = 3) -> Nerve:
     )
 
 
-def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Cochain") -> Nerve:
-    """Fill simplex weights from the witness misalignment.
+def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Witness") -> Nerve:
+    """Fill simplex weights from the misalignment of a witness on this nerve.
 
     The weight of an edge is the mean chord error between one chart and
     the witness image of the other, over the samples they share; the
     other simplices follow ``simplex_weights``.
     """
-    ov, _, means = trivs.chord_errors(nerve.edges, witness)
+    ov, _, means = trivs.chord_errors(witness)
     empty = np.flatnonzero(np.diff(ov.indptr) == 0)
     if empty.size:
         j, k = nerve.edges[empty[0]]

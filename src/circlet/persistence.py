@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classes import CharClassResult, euler_cochain, sw_class
-from .cochains import Cochain, coboundary_rows, coboundary_values, restrict
+from .cochains import Cochain, Witness, coboundary_rows, coboundary_values
 from .errors import GuardError, NotACocycle, ShapeMismatch
 from .intlinalg import (
     integer_solvable,
@@ -201,7 +201,7 @@ def persistence_brute(lam: Cochain, nerve: Nerve) -> ThresholdPair:
     return _pair(nerve, cobirth, codeath)
 
 
-def persistence_report(witness: Cochain, nerve: Nerve) -> PersistenceReport:
+def persistence_report(witness: Witness, nerve: Nerve) -> PersistenceReport:
     """Thresholds for both classes of a witness, with filtration context.
 
     The integer class needs the sign class to be a cocycle, so it is
@@ -211,7 +211,7 @@ def persistence_report(witness: Cochain, nerve: Nerve) -> PersistenceReport:
     nerve.require_order()
     sw_pair = persistence(sw_class(witness), nerve)
     sub = stage_subcomplex(nerve, sw_pair.cobirth_index)
-    result = euler_cochain(restrict(witness, sub))
+    result = euler_cochain(witness.restrict(sub))
     euler_pair = persistence(result.euler, sub)
     return PersistenceReport(
         sw=sw_pair,

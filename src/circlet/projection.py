@@ -1,10 +1,11 @@
 """Partitions of unity, classifying maps, and projection to exact data.
 
-A witness cochain is only approximately multiplicative.  Averaging its
-frames against a partition of unity gives a nearly rank-2 projector
-field over the base (the classifying map); projecting to the nearest
-true projector and re-orthonormalizing the frames inside its plane
-produces transition data that satisfies the cocycle identity exactly.
+A witness (a turn and a sign per nerve edge) is only approximately
+multiplicative.  Averaging its frames against a partition of unity
+gives a nearly rank-2 projector field over the base (the classifying
+map); projecting to the nearest true projector and re-orthonormalizing
+the frames inside its plane produces transition data that satisfies the
+cocycle identity exactly.
 The same averaging idea repairs the charts themselves (weighted circular
 means of aligned chart values) and, when both obstruction classes
 vanish, assembles a single global fiber coordinate.
@@ -43,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import O2, IDENTITY, TWO_PI, karcher_mean, o2_inverse, s1_angle
+from .circle import TWO_PI, karcher_mean, o2_matrices, s1_angle
 from .classes import euler_cochain
-from .cochains import Cochain, act_by_potential, coboundary_rows
+from .cochains import Witness, coboundary_rows
 from .errors import EigengapTooSmall, GuardError, NotTrivializable, RankDeficient, ShapeMismatch
 from .errors import UncoveredPoint
 from .intlinalg import sign_potential, solve_integer
@@ -225,19 +226,13 @@ def stiefel_fiber_project(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _polar(p @ a)
 
 
-def _o2_matrices(turn, sign) -> np.ndarray:
-    """Matrix forms ``(..., 2, 2)`` of isometries given as turns and signs."""
-    c, s = np.cos(TWO_PI * turn), np.sin(TWO_PI * turn)
-    return np.stack([np.stack([c, -s * sign], -1), np.stack([s, c * sign], -1)], -2)
-
-
 def _nearest_o2(m: np.ndarray):
     """Closest circle isometries to 2x2 matrices: turns, signs and Frobenius gaps."""
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     sign = np.where(m00 * m11 - m01 * m10 >= 0, 1, -1)
     theta = np.where(sign == 1, np.arctan2(m10 - m01, m00 + m11), np.arctan2(m10 + m01, m00 - m11))
     turn = theta / TWO_PI % 1.0
-    return turn, sign, np.linalg.norm(m - _o2_matrices(turn, sign), axis=(-2, -1))
+    return turn, sign, np.linalg.norm(m - o2_matrices(turn, sign), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +266,16 @@ def _pair_rows(groups, sets, values: dict, what: str) -> list:
     return out
 
 
-def _transitions(omega: Cochain, groups, sets) -> list:
+def _transitions(omega: Witness, groups, sets) -> list:
     """Witness matrices ``(n, m, m, 2, 2)`` per group, on every ordered pair of supporting sets.
 
-    The identity on the diagonal, a descending pair the inverse of its ascending one.
+    The identity on the diagonal, a descending pair the inverse of its
+    ascending one: a rotation's negated turn, a reflection itself.
     """
-    values = {(j, j): IDENTITY.matrix for j in sets}
-    for (j, k), om in omega.values.items():
-        values[(j, k)] = om.matrix
-        values[(k, j)] = o2_inverse(om).matrix
+    values = dict.fromkeys(((j, j) for j in sets), o2_matrices(0.0, 1))
+    values.update(zip(omega.nerve.edges, o2_matrices(omega.turn, omega.sign)))
+    back = np.where(omega.sign == 1, -omega.turn % 1.0, omega.turn)
+    values.update(zip([e[::-1] for e in omega.nerve.edges], o2_matrices(back, omega.sign)))
     return _pair_rows(groups, sets, values, "witness")
 
 
@@ -343,7 +339,7 @@ class FrameField:
         return _sorted_eigh(self.moment())
 
 
-def frame_field(omega: Cochain, rho: PartitionOfUnity, samples=None) -> FrameField:
+def frame_field(omega: Witness, rho: PartitionOfUnity, samples=None) -> FrameField:
     """Square-root-weighted stacks of witness transitions, per sample.
 
     The frame of set ``j`` at a base point stacks each supporting set's
@@ -351,8 +347,6 @@ def frame_field(omega: Cochain, rho: PartitionOfUnity, samples=None) -> FrameFie
     columns are exactly orthonormal.  Frames are stored restricted to
     their support blocks.  ``samples`` limits the field to those ids.
     """
-    if omega.degree != 1 or omega.tag != "O2":
-        raise ShapeMismatch("need an isometry-valued 1-cochain")
     groups = rho.groups
     if samples is not None:
         groups = [SupportGroup(*(col[np.isin(g.ids, samples)] for col in g)) for g in groups]
@@ -429,7 +423,7 @@ def _chart_means(trivs, groups, turns, signs) -> list:
 
     def means(g, turn, sign):
         vals = trivs.at(g.ids[:, None], g.sets)[0]  # (n, m, 2)
-        moved = (_o2_matrices(turn, sign) @ vals[:, None, :, :, None])[..., 0]
+        moved = (o2_matrices(turn, sign) @ vals[:, None, :, :, None])[..., 0]
         return karcher_mean(moved, g.weights[:, None, :])
 
     return _by_group(groups, means, "sample {s}, chart {j}", groups, turns, signs)
@@ -542,7 +536,7 @@ class BundleMapResult:
 
 
 def bundle_map(
-    trivs, omega: Cochain, rho: PartitionOfUnity, d: int, stage: int | None = None
+    trivs, omega: Witness, rho: PartitionOfUnity, d: int, stage: int | None = None
 ) -> BundleMapResult:
     """Map every sample into reduced frame coordinates.
 
@@ -611,7 +605,7 @@ class GlobalTrivialization:
     residual: float
 
 
-def global_trivialize(trivs, omega: Cochain, rho: PartitionOfUnity) -> GlobalTrivialization:
+def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTrivialization:
     """Assemble one global fiber coordinate from charts with trivial classes.
 
     Solves the sign class as a mod-2 coboundary to fix reflections, the
@@ -635,20 +629,18 @@ def global_trivialize(trivs, omega: Cochain, rho: PartitionOfUnity) -> GlobalTri
     edges = list(nerve.edges)
 
     # reflection fix: write the sign class as a vertex sign potential
-    phi = sign_potential({e: omega.values[e].sign for e in edges}, verts)
+    phi = sign_potential(dict(zip(edges, omega.sign.tolist())), verts)
     if phi is None:
         raise NotTrivializable(
             "sw", "the sign class is not a coboundary; no global orientation exists"
         )
-    potential = Cochain(
-        nerve, 0, "O2", {(j,): O2(0.0, phi[j]) for j in verts}
-    )
-    hat = act_by_potential(potential, omega)
-    for j, k in edges:
-        if hat.values[(j, k)].sign != 1:
-            raise ShapeMismatch(
-                f"edge ({j}, {k}) still reflects after the orientation fix"
-            )
+    # conjugate each edge by its end points' reflections
+    head, tail = np.array([[phi[j] for j in e] for e in edges], dtype=np.int64).reshape(-1, 2).T
+    hat = Witness(nerve, head * omega.turn % 1.0, head * omega.sign * tail)
+    still = np.flatnonzero(hat.sign != 1)
+    if still.size:
+        j, k = edges[still[0]]
+        raise ShapeMismatch(f"edge ({j}, {k}) still reflects after the orientation fix")
 
     # winding fix: the rounded lift coboundary as an untwisted coboundary over Z
     classes = euler_cochain(hat)

@@ -3,9 +3,10 @@
 Given circle-valued charts over a cover, each edge of the nerve gets the
 O(2) element that minimizes the worst-case chord misalignment between
 the two charts on the shared samples (a minimax Procrustes problem on
-the circle).  The per-edge witnesses assemble into a 1-cochain whose
-holonomy defect, together with the chart misalignment and the fiber
-coverage gap, quantifies how far the data is from an exact bundle.
+the circle).  The per-edge fits assemble into a ``Witness``, a turn and
+a sign per edge, whose holonomy defect, together with the chart
+misalignment and the fiber coverage gap, quantifies how far the data is
+from an exact bundle.
 
 Charts are stored column-wise: each chart is a sorted int64 array of
 sample ids with a row-aligned ``(n, 2)`` array of unit vectors and an
@@ -27,15 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import (
-    O2,
-    TWO_PI,
-    enclosing_arcs,
-    s1_angle,
-    segment_max,
-    turn_chord,
-)
-from .cochains import Cochain, cocycle_defect
+from .circle import TWO_PI, enclosing_arcs, s1_angle, segment_max, turn_chord
+from .cochains import Witness, cocycle_defect
 from .errors import (
     DiameterTooLarge,
     GuardError,
@@ -130,8 +124,7 @@ class Trivialization:
     any order; a chart's domain is exactly its cover set's members.
     Angles are computed once, here, and ``restrict`` copies whole rows.
 
-    ``overlaps(simplices)`` is the only intersection of chart domains;
-    ``overlap(*sets)`` and ``shared(j, k)`` are one-segment views of it.
+    ``overlaps(simplices)`` is the only intersection of chart domains.
 
     Raises ``ShapeMismatch`` when a point is not a 2-vector or a chart
     repeats a sample id.
@@ -197,14 +190,6 @@ class Trivialization:
         points = np.concatenate([c.points for c in charts])[rows]
         return Overlaps(indptr, ids[rows[0]], points, np.concatenate([c.turns for c in charts])[rows])
 
-    def overlap(self, *sets):
-        """Shared sample ids of the charts ``sets`` and each chart's rows for them.
-
-        ``chart(sets[i]).ids[rows[i]]`` equals ``ids``, which ascend.
-        """
-        ids = self.overlaps([sets]).ids
-        return ids, [self._charts[j].ids.searchsorted(ids) for j in sets]
-
     def at(self, samples, sets):
         """Points and angles of samples in charts, elementwise.
 
@@ -242,27 +227,20 @@ class Trivialization:
                 out._charts[new] = Chart(*(col[keep] for col in c))
         return out
 
-    def shared(self, j, k):
-        """Shared sample ids with both charts' angles, in sorted id order."""
-        ov = self.overlaps([(j, k)])
-        return ov.ids, ov.turns[0], ov.turns[1]
-
-    def chord_errors(self, edges, witness: Cochain):
+    def chord_errors(self, witness: Witness):
         """Chord misalignment of each edge's first chart against the witness image of its second.
 
-        Returns the edges' overlaps, the error at every shared sample in
-        segment order, and each edge's mean error (0.0 on an empty
-        overlap).  A mean is ``np.mean`` of its segment, the same bits
-        as on the edge's own array.
+        Returns the overlaps of the witness's edges, the error at every
+        shared sample in segment order, and each edge's mean error (0.0
+        on an empty overlap).  A mean is ``np.mean`` of its segment, the
+        same bits as on the edge's own array.
         """
+        edges = witness.nerve.edges
         ov = self.overlaps(edges)
         if not edges:
             return ov, np.empty(0), []
-        om = [witness.value(e) for e in edges]
         each = np.repeat(np.arange(len(edges)), np.diff(ov.indptr))
-        turn = np.array([o.turn for o in om])[each]
-        sign = np.array([o.sign for o in om])[each]
-        errs = turn_chord(ov.turns[0] - (turn + sign * ov.turns[1]))
+        errs = turn_chord(ov.turns[0] - (witness.turn[each] + witness.sign[each] * ov.turns[1]))
         means = [float(np.mean(errs[a:b])) if b > a else 0.0 for a, b in pairwise(ov.indptr)]
         return ov, errs, means
 
@@ -280,7 +258,7 @@ class EdgeQuality:
 
 @dataclass
 class QualityReport:
-    """Trivialization quality against a witness cochain.
+    """Trivialization quality against a witness.
 
     ``epsilon`` is the worst chord misalignment over all edges and shared
     samples; ``delta`` the worst fiber-coverage gap over pairwise and
@@ -319,8 +297,8 @@ def procrustes_o2(f_vals, g_vals, indptr=None):
     tie.  An arc whose largest gap is tied is no candidate: ties only
     happen at width >= 1/2, out of range anyway.
 
-    Without ``indptr`` the lists are one segment and the result is
-    ``(O2, error)``.  With it, rows ``indptr[i]:indptr[i + 1]`` form
+    Without ``indptr`` the lists are one segment and the result is the
+    floats ``(turn, sign, error)``.  With it, rows ``indptr[i]:indptr[i + 1]`` form
     segment ``i``, every segment is fitted on its own in one pass, and
     the result is the arrays ``(turns, signs, errors)``.
 
@@ -363,12 +341,12 @@ def procrustes_o2(f_vals, g_vals, indptr=None):
     signs = np.where(reflect, -1, 1)
     errs = np.where(reflect, e_ref, e_rot)
     if indptr is None:
-        return O2(float(turns[0]), int(signs[0])), float(errs[0])
+        return float(turns[0]), int(signs[0]), float(errs[0])
     return turns, signs, errs
 
 
-def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Cochain:
-    """Minimax witnesses on every edge, assembled into an isometry 1-cochain.
+def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Witness:
+    """Minimax fits on every edge, assembled into a witness.
 
     One ``overlaps`` call gives every edge's shared samples and one
     segmented ``procrustes_o2`` call fits them all; a failure names the
@@ -377,7 +355,7 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Cochain:
     """
     edges = nerve.edges
     if not edges:
-        return Cochain(nerve, 1, "O2", {})
+        return Witness(nerve, np.empty(0), np.empty(0, np.int64))
     indptr, _, points, _ = trivs.overlaps(edges)
     try:
         turns, signs, errs = procrustes_o2(*points, indptr)
@@ -395,8 +373,7 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Cochain:
             worst,
             EPSILON_VALID,
         )
-    vals = {e: O2(t, s) for e, t, s in zip(edges, turns.tolist(), signs.tolist())}
-    return Cochain(nerve, 1, "O2", vals)
+    return Witness(nerve, turns, signs)
 
 
 def coverage_gap(turns: np.ndarray, indptr=None) -> float:
@@ -419,7 +396,7 @@ def _worst_coverage(ov: Overlaps) -> float:
     return max((coverage_gap(turns, ov.indptr) for turns in ov.turns), default=0.0)
 
 
-def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> QualityReport:
+def triv_quality(trivs: Trivialization, witness: Witness, nerve: Nerve) -> QualityReport:
     """Misalignment, coverage, and cocycle-defect summary of charts.
 
     The coverage gap is evaluated for every chart of every pairwise and
@@ -427,12 +404,10 @@ def triv_quality(trivs: Trivialization, witness: Cochain, nerve: Nerve) -> Quali
     """
     # triangles first, so that their overlaps are freed before the edges' are built
     d_triple = _worst_coverage(trivs.overlaps(nerve.triangles))
-    ov, errs, means = trivs.chord_errors(nerve.edges, witness)
+    ov, errs, means = trivs.chord_errors(witness)
     max_errs = segment_max(errs, ov.indptr).tolist()
-    edge_rows = []
-    for e, max_err, mean_err in zip(nerve.edges, max_errs, means):
-        om = witness.value(e)
-        edge_rows.append(EdgeQuality(e, om.turn, om.sign, max_err, mean_err))
+    edge_rows = list(map(EdgeQuality, witness.nerve.edges, witness.turn.tolist(),
+                         witness.sign.tolist(), max_errs, means))
     eps = max(max_errs, default=0.0)
     d_pair = _worst_coverage(ov)
     delta = max(d_pair, d_triple)

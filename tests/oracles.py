@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from circlet.circle import O2
+from circlet.cochains import Cochain, Witness
 from circlet.errors import (
     DiameterTooLarge,
     GuardError,
@@ -23,6 +24,65 @@ from circlet.errors import (
     TooFewSamples,
 )
 from circlet.projection import PartitionOfUnity
+
+
+@dataclass(frozen=True)
+class O2:
+    """Reference isometry of the circle: rotate by ``turn``, reflect first if ``sign`` is -1.
+
+    ``a @ b`` is the product of matrix forms: turn ``a.turn + a.sign * b.turn``
+    modulo 1, signs multiplied.
+    """
+
+    turn: float
+    sign: int = 1
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        object.__setattr__(self, "turn", self.turn % 1.0)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        c, s = math.cos(2.0 * math.pi * self.turn), math.sin(2.0 * math.pi * self.turn)
+        return np.array([[c, -s * self.sign], [s, c * self.sign]])
+
+    def inverse(self) -> "O2":
+        return O2(-self.turn, 1) if self.sign == 1 else self  # reflections are involutions
+
+    def __matmul__(self, other: "O2") -> "O2":
+        return O2(self.turn + self.sign * other.turn, self.sign * other.sign)
+
+
+def witness_of(nerve, values: dict) -> Witness:
+    """The package's witness of ``{edge: O2}``, aligned to ``nerve.edges``."""
+    om = [values[e] for e in nerve.edges]
+    turn = np.array([o.turn for o in om], dtype=float)
+    return Witness(nerve, turn, np.array([o.sign for o in om], dtype=np.int64))
+
+
+def o2_values(witness) -> dict:
+    """``{edge: O2}`` of a package witness."""
+    return {e: O2(t, s) for e, t, s in
+            zip(witness.nerve.edges, witness.turn.tolist(), witness.sign.tolist())}
+
+
+def trivial_twist(nerve):
+    """The sign cochain that is +1 on every edge."""
+    return Cochain(nerve, 1, "Z2", dict.fromkeys(nerve.edges, 1))
+
+
+def loop_defect(values: dict, triangles) -> float:
+    """Worst holonomy defect, one triangle at a time, from ``{edge: O2}``."""
+    worst = 0.0
+    for j, k, l in triangles:
+        a, b = values[(j, k)] @ values[(k, l)], values[(j, l)]
+        if a.sign == b.sign:
+            d = math.sqrt(8.0) * abs(math.sin(math.pi * (a.turn - b.turn)))
+        else:
+            d = float(np.linalg.norm(a.matrix - b.matrix))
+        worst = max(worst, d)
+    return worst
 
 
 def gap_scan_arc(angles, resolution: int = 200_000):
@@ -604,6 +664,7 @@ def projection_distances(omega, ff, projected) -> dict:
     cocycle-identity residual of the rounded transitions ("defect").
     """
     out = dict.fromkeys(("projector", "cocycle", "ortho", "defect"), 0.0)
+    values = o2_values(omega)
     averages, _, pairs = projected
     for g, (tilde, proj, _), (turn, sign, ortho) in zip(ff.groups, averages, pairs):
         for i in range(len(g.ids)):
@@ -614,7 +675,7 @@ def projection_distances(omega, ff, projected) -> dict:
             rounded = {(a, b): O2(float(turn[i, a, b]), int(sign[i, a, b])).matrix
                        for a in range(m) for b in range(m)}
             for a, b in itertools.combinations(range(m), 2):
-                gap = np.linalg.norm(omega.values[(sets[a], sets[b])].matrix - rounded[a, b])
+                gap = np.linalg.norm(values[(sets[a], sets[b])].matrix - rounded[a, b])
                 out["cocycle"] = max(out["cocycle"], float(gap))
             for a, b, c in itertools.combinations(range(m), 3):
                 gap = np.linalg.norm(rounded[a, b] @ rounded[b, c] - rounded[a, c])

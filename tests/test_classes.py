@@ -17,15 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    O2,
     dense_boundary,
     gf2_nullspace,
     integer_kernel_via_rationals,
     mat_mul,
     snf_fundamental_class,
+    trivial_twist,
+    witness_of,
 )
 
 import circlet.intlinalg as intlinalg
-from circlet.circle import O2, o2_compose, o2_inverse
 from circlet.classes import (
     CharClassResult,
     collapsed_core,
@@ -38,7 +40,6 @@ from circlet.classes import (
 from circlet.cochains import (
     Cochain,
     check_sign_cocycle,
-    constant_sign_cochain,
     twisted_coboundary,
 )
 from circlet.errors import BracketAmbiguous, NotASurface, ShapeMismatch
@@ -64,16 +65,11 @@ def nerve_from_tops(tops):
 
 def gauge_witness(nerve, gauges):
     """Exact transition cochain of per-vertex gauges: g_j applied after g_k inverse."""
-    vals = {
-        (j, k): o2_compose(gauges[j], o2_inverse(gauges[k]))
-        for (j, k) in nerve.edges
-    }
-    return Cochain(nerve, 1, "O2", vals)
+    return witness_of(nerve, {(j, k): gauges[j] @ gauges[k].inverse() for (j, k) in nerve.edges})
 
 
 def rotation_witness(nerve, turns):
-    vals = {e: O2(turns[e] % 1.0, 1) for e in nerve.edges}
-    return Cochain(nerve, 1, "O2", vals)
+    return witness_of(nerve, {e: O2(turns[e], 1) for e in nerve.edges})
 
 
 def triangle_nerve():
@@ -138,8 +134,9 @@ class TestSwClass:
 
     def test_rejects_non_isometry_input(self):
         nerve = triangle_nerve()
-        with pytest.raises(ShapeMismatch):
-            sw_class(constant_sign_cochain(nerve))
+        wit = rotation_witness(nerve, {e: 0.1 for e in nerve.edges})
+        with pytest.raises(ValueError):
+            sw_class(wit._replace(sign=np.array([1, 0, 1])))
 
 
 class TestEulerCochain:
@@ -242,7 +239,7 @@ class TestFundamentalClass:
         # boundary of the 3-simplex with alternating signs, leading
         # coefficient normalized positive
         nerve = tetra_boundary_nerve()
-        mu = fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+        mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
         assert mu == {
             (0, 1, 2): 1,
             (0, 1, 3): -1,
@@ -252,7 +249,7 @@ class TestFundamentalClass:
 
     def test_octahedron_is_a_cycle(self):
         nerve = octahedron_nerve()
-        omega = constant_sign_cochain(nerve)
+        omega = trivial_twist(nerve)
         mu = fundamental_class_twisted(nerve, omega)
         assert sorted(mu) == nerve.triangles
         assert all(abs(c) == 1 for c in mu.values())
@@ -264,7 +261,7 @@ class TestFundamentalClass:
 
     def test_octahedron_kernel_rank_matches_oracle(self):
         nerve = octahedron_nerve()
-        d2, _, _ = dense_boundary(nerve, constant_sign_cochain(nerve).values, 2)
+        d2, _, _ = dense_boundary(nerve, trivial_twist(nerve).values, 2)
         plain = [[int(x) for x in row] for row in d2]
         rank, nullity = integer_kernel_via_rationals(plain)
         assert (rank, nullity) == (7, 1)
@@ -272,7 +269,7 @@ class TestFundamentalClass:
     def test_projective_plane_untwisted_fails(self):
         nerve = projective_plane_nerve()
         with pytest.raises(NotASurface):
-            fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+            fundamental_class_twisted(nerve, trivial_twist(nerve))
 
     def test_projective_plane_twisted_by_orientation_class(self):
         nerve = projective_plane_nerve()
@@ -303,16 +300,16 @@ class TestFundamentalClass:
         nerve = nerve_from_tops([(0, 1, 2, 3)])
         assert nerve.tetrahedra
         with pytest.raises(NotASurface):
-            fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+            fundamental_class_twisted(nerve, trivial_twist(nerve))
 
     def test_no_triangles_rejected(self):
         nerve = nerve_from_tops([(0, 1), (1, 2)])
         with pytest.raises(NotASurface):
-            fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+            fundamental_class_twisted(nerve, trivial_twist(nerve))
 
     def test_first_nonzero_positive(self):
         nerve = octahedron_nerve()
-        mu = fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+        mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
         lead = next(mu[t] for t in nerve.triangles if mu[t] != 0)
         assert lead > 0
 
@@ -320,13 +317,13 @@ class TestFundamentalClass:
 class TestEulerNumber:
     def test_pairing_with_zero_cochain(self):
         nerve = tetra_boundary_nerve()
-        mu = fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+        mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
         zero = Cochain(nerve, 2, "Z", {t: 0 for t in nerve.triangles})
         assert euler_number(zero, mu) == 0
 
     def test_frozen_pairing(self):
         nerve = tetra_boundary_nerve()
-        mu = fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+        mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
         vals = {t: 0 for t in nerve.triangles}
         vals[(0, 1, 2)] = 2
         e = Cochain(nerve, 2, "Z", vals)
@@ -352,9 +349,9 @@ class TestEulerNumber:
 
     def test_shape_checks(self):
         nerve = tetra_boundary_nerve()
-        mu = fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+        mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
         with pytest.raises(ShapeMismatch):
-            euler_number(constant_sign_cochain(nerve), mu)
+            euler_number(trivial_twist(nerve), mu)
         other = triangle_nerve()
         e = Cochain(other, 2, "Z", {(0, 1, 2): 1})
         with pytest.raises(ShapeMismatch):
@@ -426,13 +423,13 @@ def hand_built_cases():
     res = euler_cochain(rotation_witness(nerve, turns))
     cases["tetra-boundary"] = (nerve, res.sw, res.euler)
     nerve = octahedron_nerve()
-    omega = constant_sign_cochain(nerve)
+    omega = trivial_twist(nerve)
     cases["octahedron"] = (nerve, omega, indicator(nerve, omega, (2, 4, 5), 3))
     nerve = projective_plane_nerve()
     omega = orientation_class(nerve)
     cases["rp2-twisted"] = (nerve, omega, indicator(nerve, omega, (1, 3, 5), -2))
     nerve = octahedron_with_cone()
-    omega = constant_sign_cochain(nerve)
+    omega = trivial_twist(nerve)
     # zero on the faces of the tetrahedron, so a twisted cocycle
     cases["octahedron-cone"] = (nerve, omega, indicator(nerve, omega, (4, 5, 6), 2))
     return cases
@@ -456,7 +453,7 @@ def synthetic_cases():
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
         nerve = filtration_order(edge_weights(nerve, trivs, wit))
-        res = euler_cochain(Cochain(nerve, 1, "O2", wit.values))
+        res = euler_cochain(wit._replace(nerve=nerve))
         assert res.euler_is_cocycle()
         out[name] = (nerve, res.sw, res.euler)
     return out
@@ -560,7 +557,7 @@ class TestCollapsedCycle:
         )
         nerve = projective_plane_nerve()
         with pytest.raises(NotASurface):
-            fundamental_class_twisted(nerve, constant_sign_cochain(nerve))
+            fundamental_class_twisted(nerve, trivial_twist(nerve))
         # one block: a single column with no unit entry left
         assert len(calls) == 1 and calls[0][1] == 1
 

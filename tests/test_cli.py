@@ -143,7 +143,7 @@ class TestWitnessCommand:
     def test_witness_file_has_order_and_quality(self, torus_witness_dir):
         wit, quality = io.parse_witness(read(torus_witness_dir / "witness.json"))
         assert wit.nerve.order is not None
-        assert len(wit.values) == 12
+        assert len(wit.turn) == len(wit.sign) == len(wit.nerve.edges) == 12
         assert quality["epsilon"] <= 1e-12
         assert quality["cocycle_epsilon"] <= 1e-12
 
@@ -247,6 +247,7 @@ class TestWitnessCommand:
         ("cover.json", lambda d: d["sets"][0]["members"].append(7.5)),
         ("cover.json", lambda d: d["sets"][0].update(members=7)),
         ("cover.json", lambda d: d.update(sets={"0": []})),
+        ("cover.json", lambda d: d["sets"][0].update(clipped="no")),
         ("dataset.json", lambda d: d["samples"][0]["base"].append(0.0)),
         ("dataset.json", lambda d: d["samples"][0].update(id="0")),
         ("dataset.json", lambda d: d["samples"][0].update(id=0.5)),
@@ -258,7 +259,7 @@ class TestWitnessCommand:
     ], ids=[
         "string-center", "long-center", "scalar-center", "string-set-id",
         "bool-set-id", "string-member", "float-member", "members-not-list",
-        "sets-not-list", "long-base", "string-sample-id", "float-sample-id",
+        "sets-not-list", "string-clipped", "long-base", "string-sample-id", "float-sample-id",
         "scalar-base", "samples-not-list", "distance-row-not-list",
         "ragged-distances", "distances-wrong-row-count",
     ])
@@ -279,8 +280,9 @@ class TestWitnessCommand:
                 "--trivs", str(paths["trivs.json"]), "--out", str(out),
             )
             assert code == 1
-            err = capsys.readouterr().err.splitlines()[-1]
-            assert json.loads(err)["error"] == "schema"
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert json.loads(err.splitlines()[-1])["error"] == "schema"
             assert read(out / "manifest.json")["status"] == 1
 
 
@@ -319,6 +321,14 @@ class TestClassesAndEuler:
         assert read(tmp_path / "e" / "guard.json")["guard"] == "NotASurface"
 
 
+def _boolean_vertices(nerve):
+    """Vertices 0 and 1 written as JSON false and true, in the simplices and the order."""
+    for rows in (nerve["simplices"]["0"], nerve["order"]):
+        for i, s in enumerate(rows):
+            if s in ([0], [1]):
+                rows[i] = [bool(s[0])]
+
+
 class TestPersistCommand:
     def test_exact_witness_lives_to_the_top(self, torus_witness_dir, tmp_path):
         out = tmp_path / "p"
@@ -331,6 +341,21 @@ class TestPersistCommand:
         assert rep["sw"]["codeath_index"] == rep["sw"]["cobirth_index"]
         assert rep["sw"]["cobirth_weight"] == rep["w_max"]
 
+    def test_edges_out_of_lex_order_give_the_same_persistence(self, lens_dirs, tmp_path):
+        _, wit, _ = lens_dirs
+        doc = read(wit / "witness.json")
+        doc["nerve"]["simplices"]["1"].reverse()
+        doc["values"].reverse()
+        reversed_doc = tmp_path / "witness.json"
+        reversed_doc.write_text(json.dumps(doc))
+        for name, path in (("lex", wit / "witness.json"), ("reversed", reversed_doc)):
+            assert run("persist", "--witness", str(path), "--out", str(tmp_path / name)) == 0
+        lex, rev = (read(tmp_path / name / "persistence.json") for name in ("lex", "reversed"))
+        assert lex["euler"]["codeath_index"] < lex["euler"]["cobirth_index"]
+        # the provenance digests the input file, which differs
+        assert lex.pop("provenance") != rev.pop("provenance")
+        assert lex == rev
+
     def test_witness_without_order_rejected(self, torus_witness_dir, tmp_path, capsys):
         doc = read(torus_witness_dir / "witness.json")
         del doc["nerve"]["order"]
@@ -339,19 +364,21 @@ class TestPersistCommand:
         assert run("persist", "--witness", str(stripped), "--out", str(tmp_path / "o")) == 1
         assert "filtration order" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value, match", [
-        ("order", [[0], [0]], "permutation"),
-        ("perturbations", [{"simplex": [0, 1]}], "offset"),
-    ], ids=["order-not-a-permutation", "perturbation-without-offset"])
-    def test_malformed_nerve_rejected(self, torus_witness_dir, tmp_path, capsys, key, value, match):
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda n: n.update(order=[[0], [0]]), "permutation"),
+        (lambda n: n.update(perturbations=[{"simplex": [0, 1]}]), "offset"),
+        (_boolean_vertices, "list of integers"),
+    ], ids=["order-not-a-permutation", "perturbation-without-offset", "boolean-vertices"])
+    def test_malformed_nerve_rejected(self, torus_witness_dir, tmp_path, capsys, mutate, match):
         doc = read(torus_witness_dir / "witness.json")
-        doc["nerve"][key] = value
+        mutate(doc["nerve"])
         bad = tmp_path / "witness.json"
         bad.write_text(json.dumps(doc))
         for command in ("persist", "classes"):
             out = tmp_path / command
             assert run(command, "--witness", str(bad), "--out", str(out)) == 1
-            assert match in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert match in err and "Traceback" not in err
             assert read(out / "manifest.json")["status"] == 1
 
 
@@ -763,13 +790,13 @@ class TestImports:
             "bare = 'numpy' not in sys.modules\n"
             "import circlet.projection\n"
             "same = dict(os.environ) == before\n"
-            "from circlet import O2, karcher_mean\n"
-            "print(json.dumps([bare, same, O2.__name__, karcher_mean.__name__]))\n"
+            "from circlet import karcher_mean, s1_point\n"
+            "print(json.dumps([bare, same, s1_point.__name__, karcher_mean.__name__]))\n"
         )
         bare, same, *names = _python("-c", script, env=_without_blas_env())
         assert bare
         assert same
-        assert names == ["O2", "karcher_mean"]
+        assert names == ["s1_point", "karcher_mean"]
 
 
 class TestBlasThreads:

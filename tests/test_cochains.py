@@ -1,4 +1,4 @@
-"""Twisted Cech cochains: coboundaries, distances, defects, gauge action."""
+"""Twisted Cech cochains and the witness: coboundaries, defects, restriction."""
 
 from __future__ import annotations
 
@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.circle import O2, IDENTITY, o2_compose, o2_inverse
+from circlet.circle import o2_matrices
 from circlet.cochains import (
     Cochain,
-    act_by_potential,
+    Witness,
     check_sign_cocycle,
     cocycle_defect,
-    constant_sign_cochain,
     restrict,
     twisted_coboundary,
 )
 from circlet.errors import DegreeUnsupported, NotACocycle, ShapeMismatch
-from circlet.nerve import CoverSet, build_nerve, filtration_order, stage_subcomplex
+from circlet.nerve import CoverSet, Nerve, build_nerve, filtration_order, stage_subcomplex
+from circlet.projection import _transitions
+
+from oracles import O2, loop_defect, o2_values, partition_from_rows, trivial_twist, witness_of
 
 
 def triangle_nerve():
@@ -51,31 +53,17 @@ class TestCochainContainer:
             Cochain(nerve, 0, "Z2", {(0,): 1, (1,): 0, (2,): 1})
 
     def test_permuted_pair_lookup_o2(self):
+        # the witness is kept on ascending edges; a descending pair of
+        # supporting sets reads the inverse isometry
         nerve = triangle_nerve()
-        om = O2(0.3, -1)
-        vals = {e: om for e in nerve.edges}
-        c = Cochain(nerve, 1, "O2", vals)
-        assert c.value((1, 0)) == o2_inverse(om)
-        assert c.value((0, 1)) == om
-
-    def test_permuted_pair_lookup_real_untwisted(self):
-        nerve = triangle_nerve()
-        c = Cochain(nerve, 1, "R", {e: 0.25 for e in nerve.edges})
-        assert c.value((2, 0)) == pytest.approx(-0.25)
-
-    def test_permuted_pair_lookup_real_twisted(self):
-        nerve = triangle_nerve()
-        omega = sign_cocycle_from_vertices(nerve, {0: 1, 1: -1, 2: 1})
-        c = Cochain(nerve, 1, "R", {e: 0.25 for e in nerve.edges}, twist=omega)
-        # (1,0): stored on (0,1) with twist -1 there
-        assert c.value((1, 0)) == pytest.approx(0.25)
-        assert c.value((2, 1)) == pytest.approx(0.25)
-        assert c.value((2, 0)) == pytest.approx(-0.25)
-
-    def test_permuted_sign_lookup_symmetric(self):
-        nerve = triangle_nerve()
-        omega = sign_cocycle_from_vertices(nerve, {0: 1, 1: -1, 2: 1})
-        assert omega.value((1, 0)) == omega.value((0, 1))
+        vals = {(0, 1): O2(0.3, -1), (0, 2): O2(0.3, 1), (1, 2): O2(0.85, 1)}
+        rho = partition_from_rows({7: {0: 0.5, 1: 0.25, 2: 0.25}}, (0, 1, 2), "indicator")
+        (t,) = _transitions(witness_of(nerve, vals), rho.groups, rho.sets)
+        for (j, k), om in vals.items():
+            assert np.array_equal(t[0, j, k], o2_matrices(om.turn, om.sign))
+            assert np.allclose(t[0, k, j], om.inverse().matrix, atol=1e-15)
+            assert np.allclose(t[0, j, k] @ t[0, k, j], np.eye(2), atol=1e-15)
+        assert np.array_equal(t[0, 1, 1], np.eye(2))
 
 
 class TestSignCocycleCheck:
@@ -104,7 +92,7 @@ class TestTwistedCoboundary:
         # frozen worked value: 0.4 + 0.4 - (-0.2) = 1.0
         nerve = triangle_nerve()
         theta = Cochain(nerve, 1, "R", {(0, 1): 0.4, (0, 2): -0.2, (1, 2): 0.4})
-        d = twisted_coboundary(theta, constant_sign_cochain(nerve))
+        d = twisted_coboundary(theta, trivial_twist(nerve))
         assert d.values[(0, 1, 2)] == pytest.approx(1.0)
 
     def test_twist_flips_leading_term(self):
@@ -182,39 +170,42 @@ class TestCocycleDefect:
     def test_exact_cocycle_zero(self):
         nerve = triangle_nerve()
         a, b = O2(0.15, 1), O2(0.4, -1)
-        vals = {(0, 1): a, (1, 2): b, (0, 2): o2_compose(a, b)}
-        assert cocycle_defect(Cochain(nerve, 1, "O2", vals)) == pytest.approx(0.0)
+        vals = {(0, 1): a, (1, 2): b, (0, 2): a @ b}
+        assert cocycle_defect(witness_of(nerve, vals)) == pytest.approx(0.0)
 
     def test_single_perturbed_edge(self):
         nerve = triangle_nerve()
         tau = 0.07
         a, b = O2(0.15, 1), O2(0.4, -1)
-        vals = {(0, 1): O2(a.turn + tau, 1), (1, 2): b, (0, 2): o2_compose(a, b)}
+        vals = {(0, 1): O2(a.turn + tau, 1), (1, 2): b, (0, 2): a @ b}
         expected = 2 * np.sqrt(2.0) * abs(np.sin(np.pi * tau))
-        assert cocycle_defect(Cochain(nerve, 1, "O2", vals)) == pytest.approx(expected)
+        assert cocycle_defect(witness_of(nerve, vals)) == pytest.approx(expected)
 
     def test_no_triangles_returns_zero(self):
         nerve = build_nerve([CoverSet(0, {0, 1}), CoverSet(1, {1, 2})])
-        c = Cochain(nerve, 1, "O2", {(0, 1): O2(0.2, -1)})
-        assert cocycle_defect(c) == 0.0
+        assert cocycle_defect(witness_of(nerve, {(0, 1): O2(0.2, -1)})) == 0.0
+
+    def test_signs_that_do_not_close(self):
+        # one reflection on a triangle: the product's sign differs from the
+        # third edge's, and the matrices are at least 2 apart
+        nerve = triangle_nerve()
+        vals = {(0, 1): O2(0.1, -1), (1, 2): O2(0.2, 1), (0, 2): O2(0.3, 1)}
+        got = cocycle_defect(witness_of(nerve, vals))
+        assert got >= 2.0
+        assert got == loop_defect(vals, nerve.triangles)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 6))
+    def test_matches_per_triangle_loop_exactly(self, data, n):
+        # a complete nerve on n vertices with random turns and signs: most
+        # triangles carry a reflection, and many have signs that do not close
+        nerve = build_nerve([CoverSet(j, {99, j}) for j in range(n)], max_dim=2)
+        vals = {e: O2(data.draw(turns), data.draw(signs)) for e in nerve.edges}
+        assert cocycle_defect(witness_of(nerve, vals)) == loop_defect(vals, nerve.triangles)
 
 
 class TestActByPotential:
-    def test_identity_potential(self):
-        nerve = triangle_nerve()
-        om = Cochain(nerve, 1, "O2", {e: O2(0.3, -1) for e in nerve.edges})
-        phi = Cochain(nerve, 0, "O2", {v: IDENTITY for v in nerve.vertices})
-        out = act_by_potential(phi, om)
-        assert out.values == om.values
-
-    def test_constant_rotation_fixes_rotation_cochain(self):
-        nerve = triangle_nerve()
-        om = Cochain(nerve, 1, "O2", {e: O2(0.3, 1) for e in nerve.edges})
-        phi = Cochain(nerve, 0, "O2", {v: O2(0.11, 1) for v in nerve.vertices})
-        out = act_by_potential(phi, om)
-        for e in nerve.edges:
-            assert out.values[e].turn == pytest.approx(0.3)
-            assert out.values[e].sign == 1
+    """The gauge action of a 0-cochain of isometries, written with the reference algebra."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -224,21 +215,13 @@ class TestActByPotential:
         zs=st.lists(signs, min_size=3, max_size=3),
     )
     def test_defect_preserved(self, ts, ss, es, zs):
+        # conjugation by a potential, with the reference algebra, is isometric
         nerve = triangle_nerve()
-        om = Cochain(
-            nerve,
-            1,
-            "O2",
-            {e: O2(t, s) for e, t, s in zip(nerve.edges, es, zs)},
-        )
-        phi = Cochain(
-            nerve,
-            0,
-            "O2",
-            {v: O2(t, s) for v, t, s in zip(nerve.vertices, ts, ss)},
-        )
-        out = act_by_potential(phi, om)
-        assert cocycle_defect(out) == pytest.approx(cocycle_defect(om), abs=1e-10)
+        om = {e: O2(t, s) for e, t, s in zip(nerve.edges, es, zs)}
+        phi = {j: O2(t, s) for (j,), t, s in zip(nerve.vertices, ts, ss)}
+        hat = {(j, k): phi[j] @ v @ phi[k].inverse() for (j, k), v in om.items()}
+        got = cocycle_defect(witness_of(nerve, hat))
+        assert got == pytest.approx(cocycle_defect(witness_of(nerve, om)), abs=1e-10)
 
 
 class TestRestrict:
@@ -250,3 +233,14 @@ class TestRestrict:
         assert set(rc.values) == set(sub.edges)
         for e in sub.edges:
             assert rc.values[e] == c.values[e]
+
+    def test_witness_restricts_by_edge(self):
+        # a parsed nerve may list its edges out of lex order
+        nerve = filtration_order(tetra_nerve())
+        shuffled = Nerve({p: list(reversed(v)) for p, v in nerve.simplices.items()})
+        shuffled.order, shuffled.index = nerve.order, nerve.index
+        wit = witness_of(shuffled, {e: O2(sum(e) / 10.0, (-1) ** e[0]) for e in nerve.edges})
+        sub = stage_subcomplex(nerve, 8)
+        rw = wit.restrict(sub)
+        assert isinstance(rw, Witness) and rw.nerve is sub
+        assert o2_values(rw) == {e: o2_values(wit)[e] for e in sub.edges}

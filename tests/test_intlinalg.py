@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.cochains import Cochain, coboundary_rows, constant_sign_cochain, twisted_coboundary
+from circlet.cochains import Cochain, coboundary_rows, twisted_coboundary
 from circlet.errors import NotACocycle
 import circlet.intlinalg as intlinalg
 from circlet.classes import euler_cochain
@@ -33,6 +33,7 @@ from oracles import (
     gf2_solvable,
     integer_kernel_via_rationals,
     snf_properties,
+    trivial_twist,
 )
 
 
@@ -546,7 +547,7 @@ class TestCoboundaryRows:
     def test_no_twist_is_the_constant_sign(self):
         nerve = build_nerve([CoverSet(j, {99, j}) for j in range(3)])
         assert coboundary_rows(nerve.triangles) == coboundary_rows(
-            nerve.triangles, constant_sign_cochain(nerve).values
+            nerve.triangles, trivial_twist(nerve).values
         )
 
 

@@ -13,8 +13,6 @@ from oracles import per_value_int, per_value_number, recursive_canonical_text
 
 from circlet import io
 from circlet.cli import main
-from circlet.circle import O2
-from circlet.cochains import Cochain
 from circlet.errors import SchemaError, ShapeMismatch
 from circlet.nerve import BundleDataset, CoverSet, build_nerve, edge_weights, filtration_order
 from circlet.persistence import PersistenceReport, ThresholdPair
@@ -356,12 +354,14 @@ class TestWitnessSchema:
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
         nerve = filtration_order(edge_weights(nerve, trivs, wit))
-        wit = Cochain(nerve, 1, "O2", wit.values)
+        wit = wit._replace(nerve=nerve)
         quality = {"epsilon": 0.25, "alpha": None}
         doc = io.witness_doc(wit, quality=quality)
         back, q = io.parse_witness(doc)
         assert q == quality
-        assert back.values == wit.values
+        assert back.nerve.edges == nerve.edges
+        assert back.turn.dtype == np.float64 and back.sign.dtype == np.int64
+        assert np.array_equal(back.turn, wit.turn) and np.array_equal(back.sign, wit.sign)
         # empty dimensions are canonicalized away by the schema
         assert {p: s for p, s in back.nerve.simplices.items() if s} == {
             p: s for p, s in nerve.simplices.items() if s
@@ -392,7 +392,7 @@ class TestWitnessSchema:
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
         nerve = filtration_order(edge_weights(nerve, trivs, wit))
-        doc = io.witness_doc(Cochain(nerve, 1, "O2", wit.values))
+        doc = io.witness_doc(wit._replace(nerve=nerve))
         mutate(doc["nerve"])
         with pytest.raises(SchemaError, match=match):
             io.parse_witness(doc)
@@ -402,9 +402,20 @@ class TestWitnessSchema:
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
         doc = io.witness_doc(wit)
+        lost = doc["values"][0]["simplex"]
         doc["values"][0]["simplex"] = [0, 99]
-        with pytest.raises(SchemaError):
+        match = rf"degree-1 cochain domain mismatch; missing \[\({lost[0]}, {lost[1]}\)\], extra \[\(0, 99\)\]"
+        with pytest.raises(SchemaError, match=match):
             io.parse_witness(doc)
+
+    def test_turns_are_reduced_to_the_unit_interval(self, torus):
+        _, cover, trivs = torus
+        doc = io.witness_doc(assemble_witness(trivs, build_nerve(cover)))
+        doc["values"][0]["turn"], doc["values"][1]["turn"] = 1.25, -0.25
+        back, _ = io.parse_witness(doc)
+        at = {e: i for i, e in enumerate(back.nerve.edges)}
+        rows = [at[tuple(doc["values"][i]["simplex"])] for i in (0, 1)]
+        assert back.turn[rows].tolist() == [0.25, 0.75]
 
 
 class TestClassesSchema:

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.circle import O2, s1_point
-from circlet.cochains import Cochain
+from circlet.circle import s1_point
 from circlet.errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMismatch
 from circlet.nerve import (
     BundleDataset,
@@ -24,6 +23,8 @@ from circlet.nerve import (
     stage_subcomplex,
 )
 from circlet.witness import Trivialization
+
+from oracles import O2, witness_of
 
 
 def circle_dataset(n=8):
@@ -93,7 +94,7 @@ class TestEdgeWeights:
         charts = Trivialization.from_turns(
             {0: {0: 0.1, 1: 0.2}, 1: {1: 0.2 + misalign, 2: 0.9}}
         )
-        witness = Cochain(nerve, 1, "O2", {(0, 1): O2(0.0, 1)})
+        witness = witness_of(nerve, {(0, 1): O2(0.0, 1)})
         return nerve, charts, witness
 
     def test_aligned_weights_zero(self):
@@ -110,7 +111,7 @@ class TestEdgeWeights:
     def test_witness_turn_absorbs_offset(self):
         # chart offset matched by the witness rotation: zero weight
         nerve, charts, _ = self.nerve_and_charts(misalign=0.3)
-        witness = Cochain(nerve, 1, "O2", {(0, 1): O2(-0.3, 1)})
+        witness = witness_of(nerve, {(0, 1): O2(-0.3, 1)})
         out = edge_weights(nerve, charts, witness)
         assert out.weights[(0, 1)] == pytest.approx(0.0, abs=1e-12)
 
@@ -118,7 +119,7 @@ class TestEdgeWeights:
         cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
         nerve = build_nerve(cover)
         charts = Trivialization.from_turns({0: {0: 0.1}, 1: {2: 0.9}})
-        witness = Cochain(nerve, 1, "O2", {(0, 1): O2(0.0, 1)})
+        witness = witness_of(nerve, {(0, 1): O2(0.0, 1)})
         with pytest.raises(EmptyOverlap):
             edge_weights(nerve, charts, witness)
 
@@ -132,12 +133,7 @@ class TestEdgeWeights:
                 2: {99: 0.25, 2: 0.0},
             }
         )
-        witness = Cochain(
-            nerve,
-            1,
-            "O2",
-            {(0, 1): O2(0, 1), (0, 2): O2(0, 1), (1, 2): O2(0, 1)},
-        )
+        witness = witness_of(nerve, dict.fromkeys(nerve.edges, O2(0.0, 1)))
         out = edge_weights(nerve, charts, witness)
         expected = max(out.weights[(0, 1)], out.weights[(0, 2)], out.weights[(1, 2)])
         assert out.weights[(0, 1, 2)] == pytest.approx(expected)

@@ -16,9 +16,8 @@ import pytest
 
 import circlet
 import circlet.intlinalg
-from circlet.circle import O2
 from circlet.classes import euler_cochain, sw_class
-from circlet.cochains import Cochain, constant_sign_cochain, restrict
+from circlet.cochains import Cochain, restrict
 from circlet.errors import GuardError, NotACocycle, ShapeMismatch
 from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order, stage_subcomplex
 from circlet.persistence import (
@@ -31,6 +30,7 @@ from circlet.persistence import (
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 from circlet.witness import assemble_witness
 
+from oracles import O2, witness_of
 from test_classes import gauge_witness, nerve_from_tops, rotation_witness
 
 
@@ -342,7 +342,7 @@ def synthetic_stages(make):
     wit = assemble_witness(trivs, nerve)
     sw = persistence(sw_class(wit), nerve, cross_check=True)
     sub = stage_subcomplex(nerve, sw.cobirth_index)
-    eu = persistence(euler_cochain(restrict(wit, sub)).euler, sub, cross_check=True)
+    eu = persistence(euler_cochain(wit.restrict(sub)).euler, sub, cross_check=True)
     return sw.cobirth_index, sw.codeath_index, eu.cobirth_index, eu.codeath_index
 
 
@@ -393,7 +393,7 @@ class TestReport:
             (1, 2): O2(0.0, 1),
             (0, 2): O2(0.0, 1),
         }
-        wit = Cochain(nerve, 1, "O2", vals)
+        wit = witness_of(nerve, vals)
         report = persistence_report(wit, nerve)
         assert report.sw.cobirth_index == 6
         assert report.euler.cobirth_index <= 6

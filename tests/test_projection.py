@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from circlet.circle import O2, o2_apply, principal_turn, s1_angle
+from circlet.circle import o2_matrices, principal_turn, s1_angle
 from circlet.classes import euler_cochain
-from circlet.cochains import Cochain, act_by_potential, coboundary_values, cocycle_defect
+from circlet.cochains import Witness, coboundary_values, cocycle_defect
 from circlet.errors import (
     DiameterTooLarge,
     EigengapTooSmall,
@@ -43,7 +43,7 @@ from circlet.projection import (
 from circlet.synthetic import gen_lens_bundle, gen_s1_bundle, make_cover
 from circlet.witness import Trivialization, assemble_witness, triv_quality
 
-from oracles import partition_from_rows, projection_distances
+from oracles import O2, partition_from_rows, projection_distances, witness_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,17 +81,15 @@ def defect_apparatus(lens):
     """Exact gauge coboundary on the sphere nerve plus scaled random bumps."""
     _, _, _, nerve, _ = lens
     rng = np.random.default_rng(11)
-    gauge = Cochain(nerve, 0, "O2", {v: O2(rng.uniform(), 1) for v in nerve.vertices})
-    ident = Cochain(nerve, 1, "O2", {e: O2(0.0, 1) for e in nerve.edges})
-    base = act_by_potential(gauge, ident)
+    gauge = {j: O2(rng.uniform(), 1) for (j,) in nerve.vertices}
+    ident = O2(0.0, 1)
+    values = {(j, k): gauge[j] @ (ident @ gauge[k].inverse()) for (j, k) in nerve.edges}
+    base = witness_of(nerve, values)
     bump = {e: rng.uniform(-1, 1) for e in nerve.edges}
 
     def perturbed(scale):
-        vals = {
-            e: O2(om.turn + scale * bump[e], om.sign)
-            for e, om in base.values.items()
-        }
-        return Cochain(nerve, 1, "O2", vals)
+        vals = {e: O2(om.turn + scale * bump[e], om.sign) for e, om in values.items()}
+        return witness_of(nerve, vals)
 
     def with_defect(target):
         lo, hi = 0.0, 0.2
@@ -119,12 +117,7 @@ def degenerate_triangle():
         {7: {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}}, sets=(0, 1, 2), mode="indicator"
     )
     # maximally inconsistent triangle: the averaged frames tie
-    om = Cochain(
-        nerve,
-        1,
-        "O2",
-        {(0, 1): O2(0.0, 1), (0, 2): O2(0.0, 1), (1, 2): O2(0.5, 1)},
-    )
+    om = witness_of(nerve, {(0, 1): O2(0.0, 1), (0, 2): O2(0.0, 1), (1, 2): O2(0.5, 1)})
     return om, rho
 
 
@@ -155,7 +148,7 @@ def compat_residual(groups, turns, signs, means):
     for g, turn, sign, mean in zip(groups, turns, signs, means):
         for i in range(len(g.ids)):
             for a, b in itertools.combinations(range(g.sets.shape[1]), 2):
-                rhs = o2_apply(O2(float(turn[i, a, b]), int(sign[i, a, b])), mean[i, b])
+                rhs = o2_matrices(turn[i, a, b], sign[i, a, b]) @ mean[i, b]
                 worst = max(worst, float(np.linalg.norm(mean[i, a] - rhs)))
     return worst
 
@@ -361,12 +354,11 @@ class TestFrameField:
                 assert np.linalg.norm(block) == 0.0
 
     def test_rejects_wrong_degree(self, torus):
+        # a witness with no values on the nerve's edges, only its vertices
         _, _, _, nerve, _, rho = torus
-        zero = Cochain(
-            nerve, 0, "O2", {v: O2(0.0, 1) for v in nerve.vertices}
-        )
-        with pytest.raises(ShapeMismatch):
-            frame_field(zero, rho)
+        bare = Witness(Nerve({0: nerve.vertices}), np.empty(0), np.empty(0, np.int64))
+        with pytest.raises(ShapeMismatch, match="witness has no value on edge"):
+            frame_field(bare, rho)
 
 
 class TestClassifyingMap:
@@ -383,7 +375,7 @@ class TestClassifyingMap:
         cover1 = make_cover(ds, 1, radius=3.2)
         nerve1 = build_nerve(cover1)
         rho1 = partition_of_unity(cover1, ds)
-        wit1 = Cochain(nerve1, 1, "O2", {})
+        wit1 = witness_of(nerve1, {})
         ff, out = projected(wit1, rho1)
         assert projection_distances(wit1, ff, out)["projector"] <= 1e-12
         assert min(gap.min() for _, _, gap in out[0]) > 0.99
@@ -611,7 +603,7 @@ class TestBundleMap:
         trivs1 = Trivialization.from_turns(
             {0: {s: rng.uniform() for s in ds.ids}}
         )
-        wit1 = Cochain(nerve1, 1, "O2", {})
+        wit1 = witness_of(nerve1, {})
         rho1 = partition_of_unity(cover1, ds)
         bm = bundle_map(trivs1, wit1, rho1, d=2)
         ids = trivs1.chart(0).ids.tolist()

@@ -12,9 +12,8 @@ within 1e-12.
 import numpy as np
 import pytest
 
-from circlet.circle import O2, principal_turn
+from circlet.circle import principal_turn
 from circlet.classes import euler_cochain
-from circlet.cochains import Cochain, act_by_potential
 from circlet.nerve import build_nerve
 from circlet.projection import (
     bundle_map,
@@ -26,12 +25,15 @@ from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 from circlet.witness import assemble_witness
 
 from oracles import (
+    O2,
     loop_bundle_map,
     loop_frames,
     loop_global_angles,
     loop_moment,
     loop_partition_weights,
+    o2_values,
     partition_from_rows,
+    witness_of,
 )
 
 TOL = 1e-12
@@ -66,13 +68,13 @@ def test_weights_bit_identical(case):
 
 def test_moment_bit_identical(case):
     _, _, _, wit, rho, rows, _ = case
-    expect = loop_moment(loop_frames(wit.values, rows, rho.sets), rho.ambient)
+    expect = loop_moment(loop_frames(o2_values(wit), rows, rho.sets), rho.ambient)
     assert np.array_equal(frame_field(wit, rho).moment(), expect)
 
 
 def test_bundle_map_matches_loop(case):
     _, _, trivs, wit, rho, rows, d = case
-    vectors, overlap, plane, ortho = loop_bundle_map(trivs, wit.values, rows, rho.sets, d)
+    vectors, overlap, plane, ortho = loop_bundle_map(trivs, o2_values(wit), rows, rho.sets, d)
     bm = bundle_map(trivs, wit, rho, d)
     assert bm.ids.tolist() == sorted(vectors)
     dev = max(float(np.abs(bm.vectors[i] - vectors[s]).max()) for i, s in enumerate(bm.ids.tolist()))
@@ -87,8 +89,10 @@ def test_global_angles_match_loop(case):
     # the torus is the only case with trivial classes
     _, ds, trivs, wit, rho, rows, _ = case
     g = global_trivialize(trivs, wit, rho)
-    potential = Cochain(wit.nerve, 0, "O2", {(j,): O2(0.0, v) for j, v in g.phi.items()})
-    lift = euler_cochain(act_by_potential(potential, wit)).lift
+    # the witness conjugated by the reflection fix, in the reference algebra
+    fix = {j: O2(0.0, v) for j, v in g.phi.items()}
+    hat = {(j, k): fix[j] @ (om @ fix[k].inverse()) for (j, k), om in o2_values(wit).items()}
+    lift = euler_cochain(witness_of(wit.nerve, hat)).lift
     shift = {e: lift.values[e] - g.beta[e] for e in wit.nerve.edges}
     angles, residual = loop_global_angles(trivs, rows, g.phi, shift)
     assert g.ids.tolist() == sorted(angles)

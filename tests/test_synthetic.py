@@ -34,7 +34,7 @@ from circlet.synthetic import (
     make_cover,
 )
 from circlet.witness import assemble_witness, triv_quality
-from oracles import bfs_unwrap, loop_trim_flat, loop_trim_labels
+from oracles import bfs_unwrap, loop_trim_flat, loop_trim_labels, o2_values
 
 TAU = 2.0 * math.pi
 
@@ -53,6 +53,12 @@ def sphere_dataset(n=2000, seed=5):
     v = rng.normal(size=(n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return BundleDataset(ids=tuple(range(n)), base=v, kind="sphere")
+
+
+def shared(trivs, j, k):
+    """Shared sample ids of charts ``j`` and ``k`` with both charts' angles."""
+    ov = trivs.overlaps([(j, k)])
+    return ov.ids, ov.turns[0], ov.turns[1]
 
 
 def sign_coboundary(nerve, cochain) -> bool:
@@ -187,9 +193,9 @@ class TestTorus:
         dataset, cover, trivs = torus
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
-        for (j, k), om in wit.values.items():
+        for (j, k), om in o2_values(wit).items():
             assert om.sign == 1
-            ids, aj, ak = trivs.shared(j, k)
+            ids, aj, ak = shared(trivs, j, k)
             diffs = (aj - ak) % 1.0
             spread = diffs.max() - diffs.min()
             assert min(spread, 1.0 - spread) <= 1e-9
@@ -224,7 +230,7 @@ class TestKlein:
         wit = assemble_witness(trivs, nerve)
         res = euler_cochain(wit)
         assert not sign_coboundary(nerve, res.sw)
-        flips = sum(1 for om in wit.values.values() if om.sign == -1)
+        flips = sum(1 for om in o2_values(wit).values() if om.sign == -1)
         assert flips % 2 == 1
 
     def test_loop_holonomy_reverses(self, klein):
@@ -235,15 +241,15 @@ class TestKlein:
         n_arcs = klein.scenario.cover_sets
         for j in range(n_arcs):
             k = (j + 1) % n_arcs
-            par *= wit.values[(min(j, k), max(j, k))].sign
+            par *= o2_values(wit)[(min(j, k), max(j, k))].sign
         assert par == -1
 
     def test_seam_edges_are_reflections(self, klein):
         dataset, cover, trivs = klein
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
-        for (j, k), om in wit.values.items():
-            ids, aj, ak = trivs.shared(j, k)
+        for (j, k), om in o2_values(wit).items():
+            ids, aj, ak = shared(trivs, j, k)
             if om.sign == 1:
                 resid = (aj - ak) % 1.0
             else:
@@ -287,7 +293,7 @@ class TestLensBundle:
         bundle, (nerve, wit, res, eu) = lens1
         assert abs(eu) == 1
         assert res.bracket_margin > 0.3
-        assert all(om.sign == 1 for om in wit.values.values())
+        assert all(om.sign == 1 for om in o2_values(wit).values())
         assert cocycle_defect(wit) < 0.5
 
     def test_euler_scaling_p2(self):
@@ -315,7 +321,7 @@ class TestRp2Bundle:
     def test_determinant_pattern_from_centers(self, rp21):
         bundle, (nerve, wit, res, eu) = rp21
         centers = {cs.id: cs.center for cs in bundle.cover}
-        for (j, k), om in wit.values.items():
+        for (j, k), om in o2_values(wit).items():
             expected = 1 if float(centers[j] @ centers[k]) > 0 else -1
             assert om.sign == expected
 

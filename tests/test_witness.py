@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.circle import O2, o2_compose, s1_angle, s1_point
-from circlet.cochains import Cochain, act_by_potential, cocycle_defect
+from circlet.circle import s1_angle, s1_point
+from circlet.cochains import cocycle_defect
 from circlet.errors import DiameterTooLarge, TooFewSamples
 from circlet.doublecover import carry_charts
 from circlet.nerve import CoverSet, build_nerve
@@ -22,7 +22,7 @@ from circlet.witness import (
     triv_quality,
 )
 
-from oracles import grid_procrustes
+from oracles import O2, grid_procrustes, o2_values
 
 
 def points(turns):
@@ -32,24 +32,25 @@ def points(turns):
 class TestProcrustes:
     def test_identical_gives_identity(self):
         f = points([0.1, 0.3, 0.7])
-        om, err = procrustes_o2(f, f)
-        assert om.sign == 1
-        assert om.turn == pytest.approx(0.0, abs=1e-12)
+        turn, sign, err = procrustes_o2(f, f)
+        assert (type(turn), type(sign), type(err)) == (float, int, float)
+        assert sign == 1
+        assert turn == pytest.approx(0.0, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_conjugation(self):
         alpha = np.array([0.05, 0.2, 0.4])
-        om, err = procrustes_o2(points(alpha), points(-alpha))
-        assert om.sign == -1
-        assert om.turn == pytest.approx(0.0, abs=1e-12)
+        turn, sign, err = procrustes_o2(points(alpha), points(-alpha))
+        assert sign == -1
+        assert turn == pytest.approx(0.0, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_rotation_instance(self):
         # frozen derived value: constant offset 0.13 recovered exactly
         alpha = np.array([0.0, 0.10, 0.25, 0.40, 0.77])
-        om, err = procrustes_o2(points(alpha), points(alpha - 0.13))
-        assert om.sign == 1
-        assert om.turn == pytest.approx(0.13, abs=1e-9)
+        turn, sign, err = procrustes_o2(points(alpha), points(alpha - 0.13))
+        assert sign == 1
+        assert turn == pytest.approx(0.13, abs=1e-9)
         assert err == pytest.approx(0.0, abs=1e-9)
 
     def test_too_few_samples(self):
@@ -80,16 +81,16 @@ class TestProcrustes:
             else:
                 beta = (true.turn - alpha) % 1.0
             beta = (beta + rng.normal(0.0, 0.01, n)) % 1.0
-            om, err = procrustes_o2(points(alpha), points(beta))
+            turn, sign, err = procrustes_o2(points(alpha), points(beta))
             g_turn, g_sign, g_err = grid_procrustes(alpha, beta)
             assert err <= g_err + 1e-4
-            assert om.sign == g_sign
+            assert sign == g_sign
 
     def test_minimax_beats_all_rotations(self):
         rng = np.random.default_rng(77)
         alpha = rng.random(6) * 0.3
         beta = (alpha - 0.2 + rng.normal(0, 0.02, 6)) % 1.0
-        om, err = procrustes_o2(points(alpha), points(beta))
+        turn, sign, err = procrustes_o2(points(alpha), points(beta))
         from circlet.circle import turn_chord
 
         for t in np.linspace(0, 1, 400, endpoint=False):
@@ -101,9 +102,7 @@ GAUGES = {0: O2(0.0, 1), 1: O2(0.8, 1), 2: O2(0.45, -1)}
 
 
 def expected_transition(j, k):
-    from circlet.circle import o2_inverse
-
-    return o2_compose(GAUGES[j], o2_inverse(GAUGES[k]))
+    return GAUGES[j] @ GAUGES[k].inverse()
 
 
 def three_set_nerve_and_charts(n_shared=5, seed=0):
@@ -147,11 +146,11 @@ def turn_table(trivs, j):
 class TestAssembleWitness:
     def test_recovers_exact_transitions(self):
         nerve, trivs = three_set_nerve_and_charts()
-        witness = assemble_witness(trivs, nerve)
-        assert witness.values[(0, 1)].turn == pytest.approx(0.2, abs=1e-9)
+        witness = o2_values(assemble_witness(trivs, nerve))
+        assert witness[(0, 1)].turn == pytest.approx(0.2, abs=1e-9)
         for (j, k) in nerve.edges:
             want = expected_transition(j, k)
-            got = witness.values[(j, k)]
+            got = witness[(j, k)]
             assert got.sign == want.sign
             gap = abs(got.turn - want.turn) % 1.0
             assert min(gap, 1.0 - gap) < 1e-9
@@ -163,7 +162,9 @@ class TestAssembleWitness:
             {0: {0: 0.1, 1: 0.2, 2: 0.3}, 1: {1: 0.1, 2: 0.2, 3: 0.5}}
         )
         witness = assemble_witness(trivs, nerve)
-        om = witness.values[(0, 1)]
+        assert witness.nerve is nerve
+        assert witness.turn.dtype == np.float64 and witness.sign.dtype == np.int64
+        om = o2_values(witness)[(0, 1)]
         assert om.sign == 1
         assert om.turn == pytest.approx(0.1, abs=1e-9)
 
@@ -184,13 +185,11 @@ class TestAssembleWitness:
                 for j in trivs.sets()
             }
         )
-        witness_rot = assemble_witness(rotated, nerve)
-        phi = Cochain(
-            nerve, 0, "O2", {v: O2(c, 1) for v in nerve.vertices}
-        )
-        expected = act_by_potential(phi, witness)
+        witness_rot = o2_values(assemble_witness(rotated, nerve))
+        # the gauge action of the constant rotation c, in the reference algebra
+        expected = {e: O2(c) @ om @ O2(c).inverse() for e, om in o2_values(witness).items()}
         for e in nerve.edges:
-            got, want = witness_rot.values[e], expected.values[e]
+            got, want = witness_rot[e], expected[e]
             assert got.sign == want.sign
             gap = abs(got.turn - want.turn) % 1.0
             assert min(gap, 1.0 - gap) < 1e-9
@@ -312,15 +311,14 @@ class TestOverlap:
         sets = data.draw(
             st.lists(st.sampled_from(sorted(domains)), min_size=1, max_size=3, unique=True)
         )
-        ids, rows = trivs.overlap(*sets)
+        ov = trivs.overlaps([tuple(sets)])
         expected = sorted(set.intersection(*(set(domains[j]) for j in sets)))
-        assert ids.tolist() == expected
-        assert len(rows) == len(sets)
+        assert ov.indptr.tolist() == [0, len(expected)]
+        assert ov.ids.tolist() == expected
+        assert len(ov.points) == len(ov.turns) == len(sets)
         tables = vector_dicts(trivs)
-        for j, r in zip(sets, rows):
-            c = trivs.chart(j)
-            assert c.ids[r].tolist() == expected
-            for s, p, t in zip(expected, c.points[r], c.turns[r]):
+        for j, points, turns in zip(sets, ov.points, ov.turns):
+            for s, p, t in zip(expected, points, turns):
                 assert np.array_equal(p, tables[j][s])
                 assert t == s1_angle(tables[j][s])
 
