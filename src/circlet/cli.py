@@ -23,11 +23,27 @@ numpy is not loaded yet and none of ``OPENBLAS_NUM_THREADS``,
 one of those variables; a process that imported numpy before this module
 keeps whatever its BLAS already runs with.  ``manifest.json`` records the
 setting in effect and who chose it.
+
+A process ends as soon as its files are written.  ``main`` runs one
+command with the cyclic garbage collector paused: a command builds many
+objects and few reference cycles, so automatic collections would only
+re-scan live data.  The one collection it makes is of the youngest
+generation, right after argument parsing, which frees the parser (argparse
+leaves it in cycles) before the command allocates.  ``main`` restores the
+caller's setting before it returns, on success and on error, so tests and
+in-process callers keep theirs.  ``run`` is the one process entry, for
+``python -m circlet.cli`` and for the ``circlet`` console script: it calls
+``main``, flushes stdout and stderr (a reader that went away is ignored),
+and leaves through ``os._exit`` without tearing the interpreter down.
+Every output file is closed by then, and circlet registers no exit handler
+and starts no thread, so skipping the teardown loses nothing.  An exception
+that escapes ``main`` takes the interpreter's usual exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -647,14 +663,42 @@ def _build_parser() -> _Parser:
 
 
 def _emit(payload: dict, stream=None):
-    print(json.dumps(payload, sort_keys=True), file=stream or sys.stdout)
+    try:
+        print(json.dumps(payload, sort_keys=True), file=stream or sys.stdout)
+    except BrokenPipeError:
+        pass  # the reader went away; the exit code and manifest still report the run
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code returns, the collector as the caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def run():
+    """The process entry: ``main``, a flush, then exit without interpreter teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (BrokenPipeError, ValueError):
+            pass  # a reader that went away, or a stream the command closed
+    os._exit(code)
+
+
+def _main(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the parser is garbage now, held in reference cycles; one collection of
+    # the youngest generation hands its memory to the command
+    gc.collect(0)
 
     config = {}
     for key, value in sorted(vars(args).items()):
@@ -699,4 +743,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,9 +15,17 @@ angles, cluster ids and members, and the simplex-keyed rows of nerve,
 witness and classes documents) are read as one list per key and checked
 in one step by ``_ints``, ``_floats`` or ``_signs``, the one statement of
 a valid value; ``_need`` runs per row only to name a missing key or a
-wrong container.  A list of dicts
-sharing one nonempty set of string keys is written through one row
-template; everything else takes the recursive path, with the same bytes.
+wrong container.
+
+The per-sample record lists (dataset samples, chart values, global
+angles and frame vectors) are built as :class:`Columns`, one array per
+key, and written through one row template repeated once per row and one
+``%`` over the interleaved values: ints by ``%d``, floats by ``%.17g``.
+A float column holding an integral value (``0.0``, ``-0.0``, ``1.0``,
+``1e17``) is formatted value by value instead, so such a float keeps its
+decimal marker.  Any other list of dicts sharing one nonempty set of
+string keys is written through one row template per list; everything
+else takes the recursive path, with the same bytes.
 """
 
 from __future__ import annotations
@@ -79,6 +87,8 @@ def canonical_text(obj, indent: int = 0) -> str:
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
         return scalar(obj)
+    if type(obj) is Columns:
+        return _columns_text(obj, indent)
     pad = " " * indent
     kid = " " * (indent + 2)
     if isinstance(obj, (int, np.integer)):
@@ -139,6 +149,61 @@ def _record_texts(rows, indent: int) -> list | None:
     return [template % vals for vals in zip(*cols)]
 
 
+class Columns:
+    """A record list held as named columns: row ``i`` is ``{key: col[i]}``.
+
+    Each column is a 1-D int or float array, or a 2-D one whose rows are
+    fixed-width number lists.  ``canonical_text`` writes it with the bytes
+    of the equivalent list of dicts.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, **cols):
+        self.cols = {k: np.asarray(v) for k, v in cols.items()}
+        if any(c.dtype.kind not in "iuf" or c.ndim not in (1, 2) for c in self.cols.values()):
+            raise SchemaError("a column must be a 1-D or 2-D int or float array")
+        if len({len(c) for c in self.cols.values()}) != 1:
+            raise ValueError("Columns needs at least one column, all of one length")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.cols.values())))
+
+
+def _columns_text(table: Columns, indent: int) -> str:
+    """One row template, repeated per row, filled by one ``%`` over every value."""
+    n = len(table)
+    if not n:
+        return "[]"
+    kid, field, item = (" " * (indent + k) for k in (2, 4, 6))
+    fields, slots = [], []  # slots: the values of each template slot, in row order
+    for key in sorted(table.cols):
+        col = table.cols[key]
+        flat = col.reshape(-1)
+        vals, spec = flat.tolist(), "%d"
+        if col.dtype.kind == "f":
+            if not np.isfinite(flat).all():
+                raise SchemaError("non-finite float has no canonical form; encode as null")
+            if (flat == np.trunc(flat)).any():
+                vals, spec = list(map(_float_text, vals)), "%s"
+            else:
+                spec = "%.17g"
+        if col.ndim == 1:
+            text, parts = spec, [vals]
+        else:
+            width = col.shape[1]
+            text = "[\n" + ",\n".join([item + spec] * width) + "\n" + field + "]" if width else "[]"
+            parts = [vals[j::width] for j in range(width)]
+        fields.append(field + json.dumps(key).replace("%", "%%") + ": " + text)
+        slots.extend(parts)
+    row = "{\n" + ",\n".join(fields) + "\n" + kid + "}"
+    k = len(slots)
+    values = [None] * (n * k)
+    for at, part in enumerate(slots):
+        values[at::k] = part
+    return "[\n" + kid + (",\n" + kid).join([row] * n) % tuple(values) + "\n" + " " * indent + "]"
+
+
 def sha256_hex(data) -> str:
     if isinstance(data, str):
         data = data.encode()
@@ -147,10 +212,10 @@ def sha256_hex(data) -> str:
 
 def dump_json(obj, path: str) -> str:
     """Write the canonical form; the digest of the written bytes returns."""
-    text = canonical_text(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return sha256_hex(text)
+    data = (canonical_text(obj) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_json(path: str):
@@ -256,13 +321,13 @@ def dataset_doc(ds: BundleDataset) -> dict:
     doc = {
         "schema": SCHEMA_PREFIX + "dataset",
         "base_space": base_space,
-        "samples": [
-            {"id": int(s), "base": [float(x) for x in ds.base[i]]}
-            for i, s in enumerate(ds.ids)
-        ],
+        "samples": Columns(
+            id=np.array(ds.ids, dtype=np.int64),
+            base=np.asarray(ds.base, dtype=float),
+        ),
     }
     if ds.kind == "abstract":
-        doc["distances"] = [[float(x) for x in row] for row in ds.distances]
+        doc["distances"] = np.asarray(ds.distances, dtype=float).tolist()
     return doc
 
 
@@ -297,7 +362,8 @@ def parse_dataset(doc) -> BundleDataset:
 def cover_doc(cover: Sequence[CoverSet]) -> dict:
     rows = []
     for c in sorted(cover, key=lambda c: c.id):
-        row: dict = {"id": int(c.id), "members": sorted(int(s) for s in c.members)}
+        members = np.fromiter(c.members, dtype=np.int64, count=len(c.members))
+        row: dict = {"id": int(c.id), "members": np.sort(members).tolist()}
         if c.center is not None:
             row["center"] = [float(x) for x in c.center]
         if c.radius is not None:
@@ -337,15 +403,7 @@ def trivs_doc(trivs: Trivialization) -> dict:
     rows = []
     for j in trivs.sets():
         c = trivs.chart(j)
-        rows.append(
-            {
-                "id": int(j),
-                "values": [
-                    {"sample": s, "angle_turns": t % 1.0}
-                    for s, t in zip(c.ids.tolist(), c.turns.tolist())
-                ],
-            }
-        )
+        rows.append({"id": int(j), "values": Columns(sample=c.ids, angle_turns=c.turns % 1.0)})
     return {"schema": SCHEMA_PREFIX + "trivs", "sets": rows}
 
 
@@ -602,10 +660,7 @@ def global_coords_doc(g) -> dict:
     return {
         "schema": SCHEMA_PREFIX + "coords",
         "kind": "global",
-        "angles": [
-            {"id": s, "angle_turns": t}
-            for s, t in zip(g.ids.tolist(), (g.turns % 1.0).tolist())
-        ],
+        "angles": Columns(id=g.ids, angle_turns=g.turns % 1.0),
         "phi": [{"set": int(j), "sign": int(v)} for j, v in sorted(g.phi.items())],
         "beta": [
             {"simplex": list(e), "value": int(v)} for e, v in sorted(g.beta.items())
@@ -623,9 +678,7 @@ def frame_coords_doc(bm) -> dict:
         "method": bm.method,
         "overlap_residual": float(bm.overlap_residual),
         "plane_residual": float(bm.plane_residual),
-        "vectors": [
-            {"id": s, "v": v} for s, v in zip(bm.ids.tolist(), bm.vectors.tolist())
-        ],
+        "vectors": Columns(id=bm.ids, v=bm.vectors),
     }
 
 

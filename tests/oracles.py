@@ -23,6 +23,7 @@ from circlet.errors import (
     PropagationConflict,
     TooFewSamples,
 )
+from circlet.io import Columns
 from circlet.projection import PartitionOfUnity
 
 
@@ -359,10 +360,13 @@ def recursive_canonical_text(obj, indent: int = 0) -> str:
     """Canonical JSON text by one recursive call per value.
 
     The serializer's original form: sorted keys, two-space indent, floats
-    by ``repr``-exact 17 significant digits with a decimal marker.
+    by ``repr``-exact 17 significant digits with a decimal marker.  A
+    column record list is written as the list of row dicts it stands for.
     """
     import json
 
+    if isinstance(obj, Columns):
+        obj = column_rows(obj)
     pad = " " * indent
     kid = " " * (indent + 2)
     if obj is None or isinstance(obj, bool):
@@ -386,6 +390,12 @@ def recursive_canonical_text(obj, indent: int = 0) -> str:
     if not rows:
         return "{}"
     return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+
+
+def column_rows(table: Columns) -> list:
+    """Row ``i`` of a column record list as ``{key: col[i]}``, plain Python values."""
+    keys = list(table.cols)
+    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in table.cols.values()))]
 
 
 def dense_boundary(nerve, twist: dict, p: int):

@@ -1,5 +1,6 @@
 """End-to-end subcommand pipelines, exit codes, and output provenance."""
 
+import gc
 import json
 import os
 import subprocess
@@ -847,3 +848,140 @@ class TestBlasThreads:
             }
         assert len(outputs["1"]) == 2
         assert outputs["1"] == outputs["2"]
+
+
+class TestProcessEntry:
+    """``python -m circlet.cli`` ends through ``cli.run``: a flush, then ``os._exit``."""
+
+    @staticmethod
+    def _env():
+        # block-buffered streams, so output reaches a file or pipe only at a flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(circlet.__file__))
+        return env
+
+    def _entry(self, tmp_path, *argv):
+        """Exit code, stdout and stderr of one fresh process, each stream a file."""
+        out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+        with open(out, "wb") as o, open(err, "wb") as e:
+            code = subprocess.run(
+                [sys.executable, "-m", "circlet.cli", *map(str, argv)],
+                stdout=o, stderr=e, env=self._env(), timeout=300,
+            ).returncode
+        return code, out.read_text(), err.read_text()
+
+    @staticmethod
+    def _manifest_agrees(out_dir, status):
+        manifest = read(out_dir / "manifest.json")
+        assert manifest["status"] == status
+        for row in manifest["outputs"]:
+            assert io.file_digest(str(out_dir / row["path"])) == row["sha256"]
+        return manifest
+
+    def test_success_exits_zero_with_summary_and_manifest(self, tmp_path):
+        out = tmp_path / "synth"
+        code, stdout, stderr = self._entry(
+            tmp_path, "synth", "--model", "torus", "--samples", "300", "--sets", "12",
+            "--out", out,
+        )
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout)["command"] == "synth"
+        manifest = self._manifest_agrees(out, 0)
+        assert {r["path"] for r in manifest["outputs"]} == {
+            "dataset.json", "cover.json", "trivs.json", "scenario.json",
+        }
+        assert io.parse_trivs(read(out / "trivs.json")).sets() == list(range(12))
+
+    def test_schema_error_exits_one(self, tmp_path):
+        out = tmp_path / "bad"
+        code, stdout, stderr = self._entry(tmp_path, "synth", "--model", "mobius", "--out", out)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {"error": "schema", "message": "unknown model 'mobius'"}
+        self._manifest_agrees(out, 1)
+
+    def test_obstruction_exits_two(self, lens_dirs, tmp_path):
+        out = tmp_path / "triv"
+        code, stdout, stderr = self._entry(tmp_path, "trivialize", *_bundle_flags(lens_dirs[0]),
+                                           "--out", out)
+        assert (code, stderr) == (2, "")
+        payload = json.loads(stdout)
+        assert payload["obstruction"] and payload == {
+            k: v for k, v in read(out / "obstruction.json").items()
+            if k not in ("schema", "provenance")
+        }
+        self._manifest_agrees(out, 2)
+
+    def test_guard_exits_three(self, torus_witness_dir, tmp_path):
+        classes = tmp_path / "classes"
+        assert run("classes", "--witness", str(torus_witness_dir / "witness.json"),
+                   "--out", str(classes)) == 0
+        out = tmp_path / "euler"
+        code, stdout, stderr = self._entry(tmp_path, "euler", "--classes",
+                                           classes / "classes.json", "--out", out)
+        assert (code, stderr) == (3, "")
+        assert json.loads(stdout)["guard"] == read(out / "guard.json")["guard"]
+        self._manifest_agrees(out, 3)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["at-flush", "at-print"])
+    def test_a_closed_stdout_ends_quietly(self, tmp_path, unbuffered):
+        # the summary reaches the closed pipe at the flush in ``run``, or at
+        # once when the streams are unbuffered
+        env = self._env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out = tmp_path / "synth"
+        with open(tmp_path / "stderr.txt", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "circlet.cli", "synth", "--model", "torus",
+                 "--samples", "300", "--sets", "12", "--out", str(out)],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            proc.stdout.close()
+            code = proc.wait(timeout=300)
+        assert code == 0
+        assert (tmp_path / "stderr.txt").read_text() == ""
+        self._manifest_agrees(out, 0)
+
+    def test_console_script_runs_the_entry(self):
+        import tomllib
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(circlet.__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"circlet": "circlet.cli:run"}
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector for the command and gives it back."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def setting(self, request):
+        was = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if was else gc.disable()
+
+    @pytest.mark.parametrize("model, code", [("torus", 0), ("mobius", 1)])
+    def test_setting_comes_back(self, setting, model, code, tmp_path, capsys):
+        argv = ["synth", "--model", model, "--samples", "200", "--sets", "8",
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == code
+        assert gc.isenabled() is setting
+        capsys.readouterr()
+
+    def test_paused_during_the_command(self, setting, monkeypatch, tmp_path, capsys):
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "synth",
+                            lambda args, run: seen.append(gc.isenabled()) or {})
+        assert main(["synth", "--model", "torus", "--out", str(tmp_path / "x")]) == 0
+        assert seen == [False] and gc.isenabled() is setting
+        capsys.readouterr()
+
+    def test_setting_comes_back_when_the_command_raises(self, setting, monkeypatch, tmp_path):
+        def fail(args, run):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "synth", fail)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["synth", "--model", "torus", "--out", str(tmp_path / "x")])
+        assert gc.isenabled() is setting

@@ -76,6 +76,40 @@ def record_lists(draw):
     return rows
 
 
+# values a column must write exactly: integral floats up to the largest
+# double, the smallest subnormal, and the int64 extremes
+EDGE_FLOATS = [0.0, -0.0, 1.0, 2.0**53, 1e17, 5e-324, 1.7976931348623157e308]
+EDGE_INTS = [-(2**63), 2**63 - 1, 0, -1]
+# floats with a fractional part, the ones a column writes by one %.17g template
+fractional = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.1, -1 / 3, 1e-5]),
+    st.tuples(st.integers(-(2**40), 2**40), st.floats(0.001, 0.999)).map(sum),
+)
+column_pools = st.sampled_from([
+    fractional,
+    st.sampled_from(EDGE_FLOATS) | finite,
+    st.sampled_from(EDGE_FLOATS) | fractional,
+])
+
+
+@st.composite
+def column_tables(draw):
+    """Columns of one length: int, float, and 2-D float columns of width 1-4."""
+    n = draw(st.integers(0, 5))
+    cols = {}
+    for key in draw(st.lists(record_keys, min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["int", "float", "rows"]))
+        if kind == "int":
+            ints = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
+            cols[key] = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+            continue
+        width = draw(st.integers(1, 4)) if kind == "rows" else 1
+        pool = draw(column_pools)
+        flat = np.array(draw(st.lists(pool, min_size=n * width, max_size=n * width)), dtype=float)
+        cols[key] = flat.reshape(n, width) if kind == "rows" else flat
+    return io.Columns(**cols)
+
+
 class TestCanonicalText:
     @settings(max_examples=200, deadline=None)
     @given(json_values)
@@ -160,6 +194,42 @@ class TestCanonicalText:
         with pytest.raises(SchemaError):
             io.canonical_text(rows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(column_tables())
+    def test_column_records_match_the_recursive_form(self, table):
+        assert io.canonical_text(table) == recursive_canonical_text(table)
+        doc = {"rows": table, "sets": [{"id": 0, "values": table}, {"id": 1, "values": table}]}
+        assert io.canonical_text(doc) == recursive_canonical_text(doc)
+
+    def test_edge_values_in_columns(self):
+        table = io.Columns(x=np.array(EDGE_FLOATS), n=np.array(EDGE_INTS * 2)[:7],
+                           v=np.array(EDGE_FLOATS[::-1] * 2).reshape(7, 2))
+        text = io.canonical_text(table)
+        assert text == recursive_canonical_text(table)
+        rows = json.loads(text)
+        assert [r["x"] for r in rows] == EDGE_FLOATS
+        assert {type(r["x"]) for r in rows} == {float}
+        assert math.copysign(1.0, rows[1]["x"]) == -1.0
+        assert io.canonical_text(io.Columns(a=np.zeros(0), b=np.zeros((0, 3)))) == "[]"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("shape", ["fractional", "integral", "rows"])
+    def test_nonfinite_column_values_rejected(self, bad, shape):
+        col = {"fractional": [0.5, bad], "integral": [1.0, bad], "rows": [[0.5, 1.0], [bad, 0.25]]}
+        table = io.Columns(id=np.arange(2), v=np.array(col[shape]))
+        with pytest.raises(SchemaError, match="non-finite"):
+            io.canonical_text(table)
+        with pytest.raises(SchemaError, match="non-finite"):
+            io.canonical_text({"sets": [{"values": table}]})
+
+    def test_columns_hold_only_numbers(self):
+        with pytest.raises(SchemaError):
+            io.Columns(ok=np.array([True, False]))
+        with pytest.raises(SchemaError):
+            io.Columns(ok=np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            io.Columns(a=np.arange(2), b=np.arange(3))
+
     def test_dump_returns_digest_of_written_bytes(self, tmp_path):
         p = tmp_path / "x.json"
         digest = io.dump_json({"a": 1}, str(p))
@@ -171,10 +241,15 @@ class TestCanonicalText:
 # schema round trips
 
 
+def written(doc):
+    """A document as a reader sees it: parsed back from its canonical text."""
+    return json.loads(io.canonical_text(doc))
+
+
 class TestDatasetSchema:
     def test_round_trip_exact(self, torus):
         ds, _, _ = torus
-        doc = io.dataset_doc(ds)
+        doc = written(io.dataset_doc(ds))
         back = io.parse_dataset(doc)
         assert back.ids == ds.ids
         assert back.kind == ds.kind
@@ -186,7 +261,7 @@ class TestDatasetSchema:
         ds = BundleDataset(
             ids=(0, 1, 2), base=np.zeros((3, 0)), kind="abstract", distances=d
         )
-        back = io.parse_dataset(io.dataset_doc(ds))
+        back = io.parse_dataset(written(io.dataset_doc(ds)))
         assert np.array_equal(back.distances, d)
 
     def test_ragged_distance_table_rejected(self):
@@ -330,7 +405,7 @@ class TestCoverSchema:
 class TestTrivsSchema:
     def test_round_trip_moves_vectors_at_most_ulps(self, torus):
         _, _, trivs = torus
-        back = io.parse_trivs(io.trivs_doc(trivs))
+        back = io.parse_trivs(written(io.trivs_doc(trivs)))
         assert back.sets() == trivs.sets()
         worst = 0.0
         for j in trivs.sets():
@@ -342,7 +417,7 @@ class TestTrivsSchema:
 
     def test_angles_stored_in_unit_range(self, torus):
         _, _, trivs = torus
-        doc = io.trivs_doc(trivs)
+        doc = written(io.trivs_doc(trivs))
         for row in doc["sets"]:
             for v in row["values"]:
                 assert 0.0 <= v["angle_turns"] < 1.0
@@ -511,11 +586,13 @@ class TestCoordsSchema:
             ortho_residual=0.0,
             reduction_errors={},
         )
-        doc = json.loads(io.canonical_text(io.frame_coords_doc(bm)))
+        doc = written(io.frame_coords_doc(bm))
         assert doc["kind"] == "frame"
         assert doc["dim"] == 3
         assert doc["method"] == "psc-substitute"
         assert doc["vectors"][0] == {"id": 0, "v": bm.vectors[0].tolist()}
+        # integral floats keep their decimal marker, so they read back as floats
+        assert {type(x) for row in doc["vectors"] for x in row["v"]} == {float}
 
 
 # ---------------------------------------------------------------------------
