@@ -13,7 +13,6 @@ sign is anchored on a triangle no boundary can reach.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .errors import BracketAmbiguous, NotASurface, ShapeMismatch
 from .intlinalg import integer_kernel, ordered_simplices, smith_normal_form
 from .nerve import Nerve, facets
 
-log = logging.getLogger(__name__)
 
 # pre-bracket values this close to a half-integer make rounding unreliable
 BRACKET_GUARD = 1e-6
@@ -92,7 +90,9 @@ def euler_cochain(witness: Witness) -> CharClassResult:
     """
     defect = cocycle_defect(witness)
     if defect >= DEFECT_BOUND:
-        log.warning(
+        import logging  # loaded only where a warning is logged
+
+        logging.getLogger(__name__).warning(
             "witness defect %.3f is not below 1/2; the rounded class "
             "may fail to be a cocycle",
             defect,

@@ -38,13 +38,31 @@ and leaves through ``os._exit`` without tearing the interpreter down.
 Every output file is closed by then, and circlet registers no exit handler
 and starts no thread, so skipping the teardown loses nothing.  An exception
 that escapes ``main`` takes the interpreter's usual exit.
+
+A process executes only the modules its command runs.  ``io``, ``errors``,
+``nerve``, ``cochains``, ``circle`` and ``witness`` load with this module;
+``classes``, ``intlinalg``, ``persistence``, ``projection`` and
+``synthetic`` are registered through ``importlib.util.LazyLoader`` and run
+on their first attribute access.  So ``synth`` executes ``synthetic`` and
+none of the other four, ``witness`` none of them, ``report`` all but
+``synthetic``, and ``coordinatize`` and ``trivialize`` neither
+``synthetic`` nor ``persistence``.  Handlers call a lazy layer through its
+module (``projection.bundle_map(...)``), never through a name bound at
+import.  Function-level imports would save the same time, but a lazy
+module is in ``sys.modules`` and on the ``circlet`` package from the
+start, so a tool that wraps functions in every loaded circlet module (the
+benchmark's tracer) finds and wraps it, and its first lookup runs it.
+Only the parser of the subcommand ``argv`` names is built; help, usage
+and error text read as if all of them were.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
+import math
 import os
 import sys
 import time
@@ -75,12 +93,6 @@ _BLAS_THREADS = _choose_blas_threads()
 import numpy as np
 
 from . import io
-from .classes import (
-    euler_cochain,
-    euler_number,
-    fundamental_class_twisted,
-    orientation_anchor,
-)
 from .cochains import Cochain, Witness
 from .errors import (
     GuardError,
@@ -88,23 +100,29 @@ from .errors import (
     ObstructionError,
     SchemaError,
 )
-from .intlinalg import sign_potential
 from .nerve import build_nerve, cut_base, edge_weights, filtration_order, simplex_weights
-from .persistence import persistence_report
-from .projection import (
-    bundle_map,
-    frame_field,
-    global_trivialize,
-    partition_of_unity,
-    reduction_curve,
-)
-from .synthetic import (
-    gen_disconnected_fiber,
-    gen_lens_bundle,
-    gen_rp2_bundle,
-    gen_s1_bundle,
-)
 from .witness import assemble_witness, triv_quality
+
+
+def _lazy(name: str):
+    """``circlet.<name>``, registered now and executed on first attribute access."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+classes = _lazy("classes")
+intlinalg = _lazy("intlinalg")
+persistence = _lazy("persistence")
+projection = _lazy("projection")
+synthetic = _lazy("synthetic")
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -214,7 +232,7 @@ def _load_bundle(args):
 
 
 def _sign_is_coboundary(sw: Cochain) -> bool:
-    return sign_potential(sw.values) is not None
+    return intlinalg.sign_potential(sw.values) is not None
 
 
 def _filtration(nerve, q):
@@ -239,6 +257,22 @@ def _quality_dict(q) -> dict:
 # subcommand handlers
 
 
+def _check_synth_ranges(args, name: str, circle: bool):
+    """Reject a synth flag outside the range its generator accepts, naming the flag."""
+    least = 2 if name == "split" else 1  # a split bundle needs a sample per copy
+    if args.samples is not None and args.samples < least:
+        raise SchemaError(f"--samples must be at least {least} for model {name!r}, "
+                          f"got {args.samples}")
+    least = 3 if circle else 1
+    if args.sets is not None and args.sets < least:
+        raise SchemaError(f"--sets must be at least {least} for model {name!r}, "
+                          f"got {args.sets}")
+    if args.radius is not None and not math.isfinite(args.radius):
+        raise SchemaError(f"--radius must be finite, got {args.radius}")
+    if not math.isfinite(args.noise) or args.noise < 0:
+        raise SchemaError(f"--noise must be finite and not negative, got {args.noise}")
+
+
 def _cmd_synth(args, run: _Run):
     name, _, arg = args.model.partition(":")
     power = None
@@ -260,22 +294,23 @@ def _cmd_synth(args, run: _Run):
         if circle:
             raise SchemaError("circle covers fix their radius from the arc count")
         kwargs["radius"] = args.radius
+    if circle and power is not None:
+        raise SchemaError(f"model {name!r} takes no parameter")
+    if not circle and name not in ("lens", "rp2", "disconnected", "split"):
+        raise SchemaError(f"unknown model {args.model!r}")
+    _check_synth_ranges(args, name, circle)
 
     with run.timed("generate"):
         if circle:
-            if power is not None:
-                raise SchemaError(f"model {name!r} takes no parameter")
-            bundle = gen_s1_bundle(orientable=(name == "torus"), **kwargs)
+            bundle = synthetic.gen_s1_bundle(orientable=(name == "torus"), **kwargs)
         elif name == "lens":
-            bundle = gen_lens_bundle(1 if power is None else power, **kwargs)
+            bundle = synthetic.gen_lens_bundle(1 if power is None else power, **kwargs)
         elif name == "rp2":
-            bundle = gen_rp2_bundle(1 if power is None else power, **kwargs)
-        elif name in ("disconnected", "split"):
-            bundle = gen_disconnected_fiber(
+            bundle = synthetic.gen_rp2_bundle(1 if power is None else power, **kwargs)
+        else:
+            bundle = synthetic.gen_disconnected_fiber(
                 5 if power is None else power, split=(name == "split"), **kwargs
             )
-        else:
-            raise SchemaError(f"unknown model {args.model!r}")
 
     with run.timed("write"):
         run.write("dataset.json", io.dataset_doc(bundle.dataset))
@@ -323,7 +358,7 @@ def _cmd_classes(args, run: _Run):
     with run.timed("load"):
         wit, _ = io.parse_witness(io.load_json(args.witness))
     with run.timed("classes"):
-        result = euler_cochain(wit)
+        result = classes.euler_cochain(wit)
         swb = _sign_is_coboundary(result.sw)
     with run.timed("write"):
         run.write(
@@ -352,9 +387,9 @@ def _cmd_euler(args, run: _Run):
     with run.timed("load"):
         parsed = io.parse_classes(io.load_json(args.classes))
     with run.timed("pairing"):
-        mu = fundamental_class_twisted(parsed["nerve"], parsed["sw"])
-        number = euler_number(parsed["euler"], mu)
-        anchor = orientation_anchor(parsed["nerve"], mu)
+        mu = classes.fundamental_class_twisted(parsed["nerve"], parsed["sw"])
+        number = classes.euler_number(parsed["euler"], mu)
+        anchor = classes.orientation_anchor(parsed["nerve"], mu)
     with run.timed("write"):
         run.write(
             "euler.json",
@@ -384,7 +419,7 @@ def _cmd_persist(args, run: _Run):
             "witness file has no filtration order; run the witness step first"
         )
     with run.timed("persistence"):
-        report = persistence_report(wit, wit.nerve)
+        report = persistence.persistence_report(wit, wit.nerve)
     with run.timed("write"):
         run.write("persistence.json", io.persistence_doc(report))
     return {
@@ -413,9 +448,9 @@ def _cmd_coordinatize(args, run: _Run):
             nerve = build_nerve(cover)
             wit = assemble_witness(trivs, nerve)
     with run.timed("coordinates"):
-        rho = partition_of_unity(cover, ds)
+        rho = projection.partition_of_unity(cover, ds)
         _check_dims([args.dim], rho.ambient)
-        bm = bundle_map(trivs, wit, rho, d=args.dim, stage=args.stage)
+        bm = projection.bundle_map(trivs, wit, rho, d=args.dim, stage=args.stage)
     with run.timed("write"):
         run.write("coords.json", io.frame_coords_doc(bm))
     return {
@@ -433,8 +468,8 @@ def _cmd_trivialize(args, run: _Run):
     with run.timed("pipeline"):
         nerve = build_nerve(cover)
         wit = assemble_witness(trivs, nerve)
-        rho = partition_of_unity(cover, ds)
-        g = global_trivialize(trivs, wit, rho)
+        rho = projection.partition_of_unity(cover, ds)
+        g = projection.global_trivialize(trivs, wit, rho)
     with run.timed("write"):
         run.write("coords.json", io.global_coords_doc(g))
     return {
@@ -518,14 +553,14 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
             # the sign-cobirth stage is the whole nerve: reuse its classes
             result = report.classes
         else:
-            result = euler_cochain(wit)
+            result = classes.euler_cochain(wit)
         block["sw_coboundary"] = _sign_is_coboundary(result.sw)
         block["cocycle_defect"] = float(result.cocycle_defect)
         block["defect_margin"] = float(result.defect_margin)
         block["euler_cocycle"] = result.euler_is_cocycle()
-        mu = fundamental_class_twisted(nerve, result.sw)
-        block["euler_number"] = euler_number(result.euler, mu)
-        anchor = orientation_anchor(nerve, mu)
+        mu = classes.fundamental_class_twisted(nerve, result.sw)
+        block["euler_number"] = classes.euler_number(result.euler, mu)
+        anchor = classes.orientation_anchor(nerve, mu)
         block["euler_orientation"] = None if anchor is None else list(anchor)
     except (GuardError, NotASurface) as exc:
         block["reason"] = {"error": type(exc).__name__, "message": str(exc)}
@@ -541,12 +576,12 @@ def _cmd_report(args, run: _Run):
         q = triv_quality(trivs, wit, nerve)
     with run.timed("persistence"):
         nerve = _filtration(nerve, q)
-        report = persistence_report(wit, nerve)
+        report = persistence.persistence_report(wit, nerve)
     with run.timed("classes"):
         classes_block = _report_classes(wit, nerve, report)
     with run.timed("reduction"):
-        rho = partition_of_unity(cover, ds)
-        ff = frame_field(wit, rho)
+        rho = projection.partition_of_unity(cover, ds)
+        ff = projection.frame_field(wit, rho)
         if args.dims:
             try:
                 dims = sorted({int(x) for x in args.dims.split(",")})
@@ -555,7 +590,7 @@ def _cmd_report(args, run: _Run):
         else:
             dims = _default_dims(rho.ambient)
         _check_dims(dims, rho.ambient)
-        curve = reduction_curve(ff, dims=dims)
+        curve = projection.reduction_curve(ff, dims=dims)
     with run.timed("write"):
         run.write(
             "report.json",
@@ -603,62 +638,61 @@ _HANDLERS = {
 # argument parsing
 
 
-def _build_parser() -> _Parser:
+_BUNDLE = [(flag, {"required": True}) for flag in ("--data", "--cover", "--trivs")]
+
+# subcommand -> help text and its arguments besides --out, in usage order
+_SUBCOMMANDS = {
+    "synth": ("generate a synthetic bundle with known ground truth", [
+        ("--model", {
+            "required": True,
+            "help": "torus | klein | lens:p | rp2:p | disconnected:p | split:p",
+        }),
+        ("--samples", {"type": int, "default": None}),
+        ("--sets", {"type": int, "default": None, "help": "cover sets (or arcs)"}),
+        ("--radius", {"type": float, "default": None}),
+        ("--noise", {"type": float, "default": 0.0, "help": "fiber noise, radians"}),
+        ("--seed", {"type": int, "default": 0}),
+    ]),
+    "witness": ("estimate overlap isometries and their quality", _BUNDLE),
+    "coordinatize": ("embed samples through reduced frames", _BUNDLE + [
+        ("--dim", {"type": int, "required": True}),
+        ("--stage", {"type": int, "default": None}),
+    ]),
+    "trivialize": ("assemble one global fiber coordinate", _BUNDLE),
+    "report": ("quality, persistence, and reduction-curve summary", _BUNDLE + [
+        ("--dims", {"default": None, "help": "comma list, e.g. 2,4,8"}),
+    ]),
+    "classes": ("sign and integer classes of a witness", [("--witness", {"required": True})]),
+    "euler": ("pair the integer class with the fundamental class",
+              [("--classes", {"required": True})]),
+    "persist": ("class persistence along the weight filtration",
+                [("--witness", {"required": True})]),
+    "unwrap": ("lift a two-cluster bundle to its double cover",
+               _BUNDLE + [("--clusters", {"required": True})]),
+}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser of the subcommand ``argv`` starts with, or of all of them.
+
+    Usage, help and error text are those of the full parser: the command
+    metavar lists every subcommand whichever ones were added.
+    """
     parser = _Parser(
         prog="circlet",
         description="Discrete approximate circle bundles: synthesize, "
         "witness, classify, and coordinatize.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}"
+    )
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_text, flags = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
-        return p
-
-    p = add("synth", "generate a synthetic bundle with known ground truth")
-    p.add_argument(
-        "--model",
-        required=True,
-        help="torus | klein | lens:p | rp2:p | disconnected:p | split:p",
-    )
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--sets", type=int, default=None, help="cover sets (or arcs)")
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--noise", type=float, default=0.0, help="fiber noise, radians")
-    p.add_argument("--seed", type=int, default=0)
-
-    for name, help_text in [
-        ("witness", "estimate overlap isometries and their quality"),
-        ("coordinatize", "embed samples through reduced frames"),
-        ("trivialize", "assemble one global fiber coordinate"),
-        ("report", "quality, persistence, and reduction-curve summary"),
-    ]:
-        p = add(name, help_text)
-        p.add_argument("--data", required=True)
-        p.add_argument("--cover", required=True)
-        p.add_argument("--trivs", required=True)
-        if name == "coordinatize":
-            p.add_argument("--dim", type=int, required=True)
-            p.add_argument("--stage", type=int, default=None)
-        if name == "report":
-            p.add_argument("--dims", default=None, help="comma list, e.g. 2,4,8")
-
-    p = add("classes", "sign and integer classes of a witness")
-    p.add_argument("--witness", required=True)
-
-    p = add("euler", "pair the integer class with the fundamental class")
-    p.add_argument("--classes", required=True)
-
-    p = add("persist", "class persistence along the weight filtration")
-    p.add_argument("--witness", required=True)
-
-    p = add("unwrap", "lift a two-cluster bundle to its double cover")
-    p.add_argument("--data", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--trivs", required=True)
-    p.add_argument("--clusters", required=True)
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -692,8 +726,9 @@ def run():
 
 
 def _main(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # the parser is garbage now, held in reference cycles; one collection of
@@ -706,6 +741,10 @@ def _main(argv) -> int:
             continue
         if key in _INPUTS[args.command]:
             config[key] = os.path.basename(value)
+        elif type(value) is float and not math.isfinite(value):
+            # canonical JSON has no non-finite float; the manifest of the
+            # run that rejects this flag records its text
+            config[key] = str(value)
         else:
             config[key] = value
 

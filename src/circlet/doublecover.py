@@ -12,7 +12,6 @@ propagates the hemisphere choices.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .intlinalg import ParityForest
 from .nerve import BundleDataset, CoverSet, Nerve, build_nerve
 from .witness import Trivialization
 
-log = logging.getLogger(__name__)
 
 # base-point dot products against a set center smaller than this cannot
 # select a hemisphere
@@ -152,8 +150,11 @@ def unwrap_double_cover(
     labeled = {s for parts in cl.values() for part in parts for s in part}
     orphans = [s for s in dataset.ids if s not in labeled]
     if orphans:
-        log.warning("%d samples belong to no cover set; their base points "
-                    "pass through unlifted", len(orphans))
+        import logging  # loaded only where a warning is logged
+
+        logging.getLogger(__name__).warning(
+            "%d samples belong to no cover set; their base points pass through unlifted",
+            len(orphans))
 
     for root, piece in pieces.items():
         if root not in nontrivial:

@@ -43,10 +43,10 @@ import numpy as np
 from .cochains import Cochain, Witness
 from .errors import SchemaError
 from .nerve import BundleDataset, CoverSet, Nerve, facets
-from .persistence import PersistenceReport, ThresholdPair
 from .witness import Trivialization
 
 if TYPE_CHECKING:
+    from .persistence import PersistenceReport, ThresholdPair
     from .synthetic import SyntheticScenario
 
 SCHEMA_PREFIX = "circlet/"

@@ -37,7 +37,6 @@ algorithm; results carry the method tag "psc-substitute".
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -52,7 +51,6 @@ from .errors import UncoveredPoint
 from .intlinalg import sign_potential, solve_integer
 from .nerve import BundleDataset, base_geodesic
 
-log = logging.getLogger(__name__)
 
 # below this second-versus-third eigenvalue gap the nearest plane is ill-defined
 EIGENGAP_MIN = 1e-10
@@ -463,7 +461,9 @@ def stiefel_reduce(frames: FrameField, d: int) -> FrameField:
         raise ValueError(f"need 2 <= d <= {frames.dim}, got {d}")
     vals, vecs = frames.principal_basis()
     if d < frames.dim and vals[d - 1] - vals[d] <= PAIR_GAP * vals[0]:
-        log.warning(
+        import logging  # loaded only where a warning is logged
+
+        logging.getLogger(__name__).warning(
             "reduction to dimension %d cuts inside a pair of equal moment eigenvalues "
             "(%.6g, %.6g); the kept direction of that plane is fixed only by rounding",
             d,

@@ -14,11 +14,18 @@ noise.
 All randomness flows through counter-based generators keyed by the seed
 and a stream tag, so identical seeds give bit-identical datasets under
 any execution order.
+
+A generated cover is one boolean incidence array, set by sample: row j
+marks the members of set j.  Overlap trimming sweeps the pairs of sets
+over integer shared-sample counts read off that array, and the charts of
+all sets come from one batched pass over its nonzero entries, ordered by
+set and then by sample; ``CoverSet`` objects are built from it once, at
+the end.  A chart failure names the first failing set in set order, as a
+loop over the sets would.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -28,7 +35,6 @@ from .errors import LiftUndefined, NotACover, SectionUndefined
 from .nerve import BundleDataset, CoverSet
 from .witness import Trivialization
 
-log = logging.getLogger(__name__)
 
 TAU = 2.0 * math.pi
 
@@ -145,13 +151,10 @@ def _center_distances(kind: str, base: np.ndarray, centers: np.ndarray) -> np.nd
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None):
-    """Evenly spread geodesic balls covering the sampled base.
+def _ball_incidence(dataset: BundleDataset, n_sets: int, radius: float | None):
+    """Centers, radius and set-by-sample membership of evenly spread geodesic balls.
 
-    Circle bases get evenly spaced arc centers, spheres a golden-angle
-    spiral, projective planes hemisphere representatives of a symmetric
-    spiral.  ``radius=None`` picks 1.3 times the empirical covering
-    radius.  Every sample must land in at least one set.
+    Raises ``NotACover`` when a sample lands in no ball.
     """
     if n_sets < 1:
         raise ValueError("n_sets must be positive")
@@ -172,13 +175,33 @@ def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None)
             f"{len(uncovered)} samples lie in no set; nearest-center "
             f"distance reaches {worst:.4f} against radius {radius:.4f}"
         )
-    cover = []
-    for j in range(n_sets):
-        members = frozenset(dataset.ids[i] for i in np.nonzero(hit[:, j])[0])
-        cover.append(
-            CoverSet(id=j, members=members, center=centers[j], radius=float(radius))
+    return centers, float(radius), np.ascontiguousarray(hit.T)
+
+
+def _cover_sets(ids: np.ndarray, centers, radius: float, inc, clipped=None) -> list:
+    """``CoverSet`` objects from a set-by-sample incidence over sample ``ids``."""
+    return [
+        CoverSet(
+            id=j,
+            members=frozenset(ids[row].tolist()),
+            center=centers[j],
+            radius=radius,
+            clipped=clipped is not None and bool(clipped[j]),
         )
-    return cover
+        for j, row in enumerate(inc)
+    ]
+
+
+def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None):
+    """Evenly spread geodesic balls covering the sampled base.
+
+    Circle bases get evenly spaced arc centers, spheres a golden-angle
+    spiral, projective planes hemisphere representatives of a symmetric
+    spiral.  ``radius=None`` picks 1.3 times the empirical covering
+    radius.  Every sample must land in at least one set.
+    """
+    centers, radius, inc = _ball_incidence(dataset, n_sets, radius)
+    return _cover_sets(np.asarray(dataset.ids), centers, radius, inc)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +248,44 @@ def _add_noise(turns: np.ndarray, seed: int, set_id: int, sigma: float) -> np.nd
     return (turns + rng.normal(0.0, sigma, size=len(turns)) / TAU) % 1.0
 
 
-def _bundle(model, dataset, cover, tables, noise, seed, sw_trivial, euler_number,
+class _Cover:
+    """A generated cover: set-by-sample incidence over a dataset, with its geometry."""
+
+    def __init__(self, dataset: BundleDataset, centers, radius: float, inc, clipped=None):
+        self.ids = np.asarray(dataset.ids)
+        self.centers, self.radius, self.inc, self.clipped = centers, radius, inc, clipped
+        # every (set, sample) incidence, by set and then by sample
+        self.sets, self.rows = np.nonzero(inc)
+        self.bounds = np.searchsorted(self.sets, np.arange(len(inc) + 1))
+
+    def parts(self, values: np.ndarray):
+        """``values`` over the incidences, split into one sorted-member slice per set."""
+        b = self.bounds
+        return [values[b[j]:b[j + 1]] for j in range(len(self.inc))]
+
+    def cover_sets(self) -> list:
+        return _cover_sets(self.ids, self.centers, self.radius, self.inc, self.clipped)
+
+
+def _bundle(model, dataset, cover: _Cover, turns, noise, seed, sw_trivial, euler_number,
             clusters=None) -> SyntheticBundle:
-    """The bundle with noisy charts from exact ``set id -> (ids, turns)`` tables."""
+    """The bundle with noisy charts from exact turns, one per incidence of ``cover``."""
+    members = cover.parts(cover.ids[cover.rows])
     trivs = Trivialization.from_turns(
-        {j: (ids, _add_noise(t, seed, j, noise)) for j, (ids, t) in tables.items()}
+        {j: (ids, _add_noise(t, seed, j, noise))
+         for j, (ids, t) in enumerate(zip(members, cover.parts(turns)))}
     )
     scenario = SyntheticScenario(
         model=model,
         n_samples=len(dataset),
-        cover_sets=len(cover),
-        cover_radius=float(cover[0].radius),
+        cover_sets=len(cover.inc),
+        cover_radius=cover.radius,
         noise=noise,
         seed=seed,
         sw_trivial=sw_trivial,
         euler_number=euler_number,
     )
-    return SyntheticBundle(dataset, cover, trivs, scenario, clusters=clusters)
+    return SyntheticBundle(dataset, cover.cover_sets(), trivs, scenario, clusters=clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +313,17 @@ def gen_s1_bundle(
     gauges = _stream(seed, _TAG_GAUGE).random(n_arcs)
     base = np.stack([np.cos(TAU * beta), np.sin(TAU * beta)], axis=1)
     dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="circle")
-    radius = 1.25 * math.pi / n_arcs
-    cover = make_cover(dataset, n_arcs, radius)
+    cover = _Cover(dataset, *_ball_incidence(dataset, n_arcs, 1.25 * math.pi / n_arcs))
 
-    tables = {}
-    for cs in cover:
-        members = sorted(cs.members)
-        rows = np.array(members, dtype=int)
-        vals = phi[rows].copy()
-        if not orientable and cs.id == 0:
-            # the seam arc reads the fiber through the flip on the side
-            # past the gluing; 0.5 cleanly separates the two sides
-            vals = np.where(beta[rows] < 0.5, -vals, vals)
-        tables[cs.id] = (members, (vals + gauges[cs.id]) % 1.0)
+    sets, rows = cover.sets, cover.rows
+    vals = phi[rows]
+    if not orientable:
+        # the seam arc reads the fiber through the flip on the side past
+        # the gluing; 0.5 cleanly separates the two sides
+        vals = np.where((sets == 0) & (beta[rows] < 0.5), -vals, vals)
+    turns = (vals + gauges[sets]) % 1.0
     model = "s1-torus" if orientable else "s1-klein"
-    return _bundle(model, dataset, cover, tables, noise, seed, orientable, 0)
+    return _bundle(model, dataset, cover, turns, noise, seed, orientable, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +335,29 @@ def _sample_quaternions(n: int, seed: int) -> np.ndarray:
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
-def _thin_overlap(a: CoverSet, b: CoverSet, shared: set) -> bool:
-    """The flat trimming rule: an overlap of fewer than ``_MIN_SHARED`` samples."""
-    return len(shared) < _MIN_SHARED
+def _overlap_counts(inc: np.ndarray) -> np.ndarray:
+    """Shared-sample counts of every pair of sets, in integers; set sizes on the diagonal.
+
+    Each sample adds one to every pair of the sets holding it: the
+    incidences sorted by sample pair up at offsets 1, 2, ... within a
+    sample, and one ``bincount`` per offset counts them.
+    """
+    m = len(inc)
+    samples, sets = np.nonzero(inc.T)
+    counts = np.zeros(m * m, np.int64)
+    for d in range(1, m):
+        same = samples[d:] == samples[:-d]
+        if not same.any():
+            break
+        counts += np.bincount(sets[:-d][same] * m + sets[d:][same], minlength=m * m)
+    counts = counts.reshape(m, m)
+    counts += counts.T
+    np.fill_diagonal(counts, np.count_nonzero(inc, axis=1))
+    return counts
 
 
-def _cover_trimmed(cover: list, n_samples: int, thin) -> list:
-    """The ball cover with every overlap that ``thin(a, b, shared)`` rejects trimmed away.
+def _trimmed(dataset: BundleDataset, centers, radius: float, inc, rule=None) -> _Cover:
+    """The ball cover with every thin overlap trimmed away.
 
     Witness fitting needs at least two shared samples per edge, and a
     sliver between nearly tangent balls is doubly treacherous: it holds
@@ -310,101 +366,139 @@ def _cover_trimmed(cover: list, n_samples: int, thin) -> list:
     residuals to pin the fit down, the reflection candidate can then win
     by accident and corrupt the determinant pattern.  Growing the radius
     just mints new tangent pairs, so instead a thin overlap is removed
-    the way a filtration cut would: the lexicographically later set
-    sheds the stragglers (they stay covered by the earlier set) and is
-    marked clipped.  Trims can thin a neighboring overlap, hence the
-    sweep repeats until stable.  ``thin`` sees each nonempty overlap of
-    sets a before b; a trim that empties a set raises ``NotACover``.
+    the way a filtration cut would: the later set sheds the stragglers
+    (they stay covered by the earlier set) and is marked clipped.
+
+    An overlap is thin when it holds fewer than ``_MIN_SHARED`` samples,
+    or when ``rule(i, j, shared)`` says so for sets i < j and the
+    positions of their shared samples.  Pairs are swept in order, (0, 1),
+    (0, 2), ..., until a sweep trims nothing.  A trim of set j changes
+    only j's overlaps, so the pairs of one earlier set are decided
+    together from one row of the integer shared-sample counts, and a trim
+    updates row and column j alone.  A trim that empties a set raises
+    ``NotACover`` naming the first emptied set.
     """
-    members = {cs.id: set(cs.members) for cs in cover}
-    clipped = set()
+    held = np.count_nonzero(inc, axis=1)
+    inc = inc.copy()
+    counts = _overlap_counts(inc)
+    clipped = np.zeros(len(inc), bool)
     changed = True
     while changed:
         changed = False
-        for i, a in enumerate(cover):
-            for b in cover[i + 1 :]:
-                shared = members[a.id] & members[b.id]
-                if shared and thin(a, b, shared):
-                    members[b.id] -= shared
-                    clipped.add(b.id)
-                    changed = True
-    for cs in cover:
-        if not members[cs.id]:
-            raise NotACover(
-                f"overlap trimming emptied cover set {cs.id}, which held "
-                f"{len(cs.members)} samples before trimming; {n_samples} samples "
-                f"over {len(cover)} sets leave overlaps too thin, try fewer --sets"
-            )
-    return [
-        CoverSet(
-            id=cs.id,
-            members=members[cs.id],
-            center=cs.center,
-            radius=cs.radius,
-            clipped=cs.clipped or cs.id in clipped,
+        for i in range(len(inc) - 1):
+            later = np.flatnonzero(counts[i, i + 1:]) + (i + 1)
+            thin = counts[i, later] < _MIN_SHARED
+            if rule is not None:
+                thin |= np.array([rule(i, j, np.flatnonzero(inc[i] & inc[j])) for j in later],
+                                 dtype=bool)
+            for j in later[thin]:
+                shed = inc[i] & inc[j]
+                drop = np.count_nonzero(inc[:, shed], axis=1)
+                inc[j, shed] = False
+                counts[j] -= drop
+                counts[:, j] -= drop
+                counts[j, j] += drop[j]
+                clipped[j] = changed = True
+    empty = np.flatnonzero(counts.diagonal() == 0)
+    if len(empty):
+        j = int(empty[0])
+        raise NotACover(
+            f"overlap trimming emptied cover set {j}, which held "
+            f"{held[j]} samples before trimming; {inc.shape[1]} samples "
+            f"over {len(inc)} sets leave overlaps too thin, try fewer --sets"
         )
-        for cs in cover
-    ]
+    return _Cover(dataset, centers, radius, inc, clipped)
 
 
-def _hemisphere_cover(dataset: BundleDataset, n_sets: int, radius: float | None) -> list:
+def _hemisphere_incidence(dataset: BundleDataset, n_sets: int, radius: float | None):
     """A ball cover of the projective plane, each set narrow enough to lift."""
-    cover = make_cover(dataset, n_sets, radius)
-    if cover[0].radius >= math.pi / 4:
+    centers, radius, inc = _ball_incidence(dataset, n_sets, radius)
+    if radius >= math.pi / 4:
         raise LiftUndefined(
-            f"ball radius {cover[0].radius:.3f} is too large for coherent "
+            f"ball radius {radius:.3f} is too large for coherent "
             "hemisphere lifts"
         )
-    return cover
+    return centers, radius, inc
 
 
-def _lift_dots(b: np.ndarray, center: np.ndarray, context: str) -> np.ndarray:
-    """Base dot products with a set center; none may sit on the lift seam."""
-    d = b @ center
-    if np.any(np.abs(d) < 1e-12):
-        raise LiftUndefined(f"{context}: a base point sits on the lift seam")
-    return d
+def _raise_first(checks):
+    """Raise the error a loop over the sets would have met first.
 
-
-def _complex_angle(w: np.ndarray, context: str) -> np.ndarray:
-    """Angle of quaternions expected to lie in the span of 1 and i."""
-    drift = float(np.max(np.abs(w[:, 2:]))) if len(w) else 0.0
-    if drift > 1e-9:
-        raise SectionUndefined(f"{context}: section residual {drift:.2e} is not planar")
-    return np.arctan2(w[:, 1], w[:, 0])
-
-
-def _lens_chart(
-    q: np.ndarray, b: np.ndarray, anchor: np.ndarray, power: int, context: str
-) -> np.ndarray:
-    """Fiber turns of samples against the geodesic section from an anchor.
-
-    The section at base point b is the minimizing rotation taking the
-    anchor to b, composed with a fixed rotation placing the anchor; the
-    sample quaternion relative to it is a unit complex number whose
-    angle, times the power, is the chart value.
+    ``checks`` lists, in the order one step of that loop runs them,
+    (step of each row, failing rows, error given the rows of the failing
+    step); steps run in increasing order.
     """
-    dots = b @ anchor
-    if np.any(dots <= -1.0 + 1e-9):
-        raise SectionUndefined(f"{context}: a sample sits at the section antipode")
-    a = rotation_between(E1, anchor)
-    sec = quat_mul(rotation_between(anchor, b), a)
+    failing = [(steps[bad].min(), k) for k, (steps, bad, _) in enumerate(checks) if bad.any()]
+    if failing:
+        step, k = min(failing)
+        steps, _, error = checks[k]
+        raise error(steps == step)
+
+
+def _dots(b: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", b, anchors)
+
+
+def _section_turns(q, b, anchors, power: int, sets, steps, seam=None) -> np.ndarray:
+    """Fiber turns of samples against the geodesic sections from their anchors.
+
+    Row r is sample ``q[r]`` over base point ``b[r]`` in set ``sets[r]``.
+    The section at b is the minimizing rotation taking the anchor to b,
+    composed with a fixed rotation placing the anchor; the sample
+    quaternion relative to it is a unit complex number whose angle, times
+    the power, is the chart value.  ``steps`` orders the rows the way a
+    loop over the sets (and, within one, over the sides) would chart
+    them, and ``seam`` marks rows that such a loop rejected before
+    charting their set.
+    """
+    a = rotation_between(E1, anchors)
+    sec = quat_mul(rotation_between(anchors, b), a)
     w = quat_mul(quat_conj(sec), q)
-    psi = _complex_angle(w, context)
+    drift = np.max(np.abs(w[:, 2:]), axis=1)
+    checks = [
+        (steps, _dots(b, anchors) <= -1.0 + 1e-9, lambda at: SectionUndefined(
+            f"set {sets[at][0]}: a sample sits at the section antipode")),
+        (steps, drift > 1e-9, lambda at: SectionUndefined(
+            f"set {sets[at][0]}: section residual {drift[at].max():.2e} is not planar")),
+    ]
+    if seam is not None:
+        first = sets if steps is sets else steps - steps % 2
+        checks.insert(0, (first, seam, lambda at: LiftUndefined(
+            f"set {sets[at][0]}: a base point sits on the lift seam")))
+    _raise_first(checks)
+    psi = np.arctan2(w[:, 1], w[:, 0])
     return (power * psi / TAU) % 1.0
 
 
-def _hemisphere_chart(
-    q: np.ndarray, b: np.ndarray, center: np.ndarray, p: int, context: str
-) -> np.ndarray:
-    """Fiber turns at power 2p, read through the hemisphere lift around a center.
+def _lens_turns(q, b, centers, p: int, sets) -> np.ndarray:
+    """Fiber turns at power p against the sections anchored at the set centers."""
+    return _section_turns(q, b, centers, p, sets, sets)
+
+
+def _hemisphere_turns(q, b, centers, p: int, sets) -> np.ndarray:
+    """Fiber turns at power 2p, read through the hemisphere lift around each center.
 
     Samples whose base falls on the far hemisphere are read through the
     gluing, a right multiplication flipping the base.
     """
-    d = _lift_dots(b, center, context)
+    d = _dots(b, centers)
     q = np.where((d < 0)[:, None], quat_mul(q, QUAT_J), q)
-    return _lens_chart(q, b * np.sign(d)[:, None], center, 2 * p, context)
+    return _section_turns(q, b * np.sign(d)[:, None], centers, 2 * p, sets, sets,
+                          seam=np.abs(d) < 1e-12)
+
+
+def _two_sheet_turns(q, b, centers, p: int, sets) -> np.ndarray:
+    """Fiber turns at power 2p, each hemisphere cluster against its own section.
+
+    Over set j the samples on the near side of the center are charted
+    against the section anchored at the center, and those on the far side
+    against the one anchored at its antipode, near side first.
+    """
+    d = _dots(b, centers)
+    far = d < 0
+    anchors = np.where(far, -1.0, 1.0)[:, None] * centers
+    return _section_turns(q, b, anchors, 2 * p, sets, 2 * sets + far,
+                          seam=np.abs(d) < 1e-12)
 
 
 def gen_lens_bundle(
@@ -427,19 +521,14 @@ def gen_lens_bundle(
     q = _sample_quaternions(n_samples, seed)
     base = quat_rotate(q, E1)
     dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="sphere")
-    cover = _cover_trimmed(make_cover(dataset, n_sets, radius), n_samples, _thin_overlap)
-    if cover[0].radius >= math.pi / 2:
+    cover = _trimmed(dataset, *_ball_incidence(dataset, n_sets, radius))
+    if cover.radius >= math.pi / 2:
         raise SectionUndefined(
-            f"ball radius {cover[0].radius:.3f} reaches the section antipode"
+            f"ball radius {cover.radius:.3f} reaches the section antipode"
         )
-
-    tables = {}
-    for cs in cover:
-        members = sorted(cs.members)
-        rows = np.array(members, dtype=int)
-        turns = _lens_chart(q[rows], base[rows], cs.center, p, f"set {cs.id}")
-        tables[cs.id] = (members, turns)
-    return _bundle(f"lens({p})", dataset, cover, tables, noise, seed, True, p)
+    sets, rows = cover.sets, cover.rows
+    turns = _lens_turns(q[rows], base[rows], cover.centers[sets], p, sets)
+    return _bundle(f"lens({p})", dataset, cover, turns, noise, seed, True, p)
 
 
 def gen_rp2_bundle(
@@ -466,16 +555,10 @@ def gen_rp2_bundle(
     dataset = BundleDataset(
         ids=tuple(range(n_samples)), base=btrue, kind="projective_plane"
     )
-    cover = _cover_trimmed(
-        _hemisphere_cover(dataset, n_sets, radius), n_samples, _thin_overlap
-    )
-    tables = {}
-    for cs in cover:
-        members = sorted(cs.members)
-        rows = np.array(members, dtype=int)
-        turns = _hemisphere_chart(q[rows], btrue[rows], cs.center, p, f"set {cs.id}")
-        tables[cs.id] = (members, turns)
-    return _bundle(f"rp2({p})", dataset, cover, tables, noise, seed, False, p)
+    cover = _trimmed(dataset, *_hemisphere_incidence(dataset, n_sets, radius))
+    sets, rows = cover.sets, cover.rows
+    turns = _hemisphere_turns(q[rows], btrue[rows], cover.centers[sets], p, sets)
+    return _bundle(f"rp2({p})", dataset, cover, turns, noise, seed, False, p)
 
 
 def gen_disconnected_fiber(
@@ -509,11 +592,13 @@ def gen_disconnected_fiber(
         ids = tuple(range(n_samples))
     btrue = quat_rotate(q, E1)
     dataset = BundleDataset(ids=ids, base=btrue, kind="projective_plane")
-    pos = {s: i for i, s in enumerate(ids)}
+    centers, radius, inc = _hemisphere_incidence(dataset, n_sets, radius)
 
     # a sample's label in a set: in the first copy, or on the near hemisphere
-    def label(cs, s):
-        return s < 2_000_000 if split else float(btrue[pos[s]] @ cs.center) > 0
+    if split:
+        labels = np.broadcast_to(np.asarray(ids) < 2_000_000, inc.shape)
+    else:
+        labels = centers @ btrue.T > 0
 
     # each label combination on an overlap becomes its own edge after the
     # lift, so the flat trimming rule is not enough here: a thin side
@@ -521,39 +606,26 @@ def gen_disconnected_fiber(
     # does not show exactly two matching combinations (++ with --, or +-
     # with -+) would contradict the contract on labels.  When any side is
     # thin or a combination is missing, the later set sheds the overlap.
-    def thin(a, b, shared):
-        combos = {}
-        for s in shared:
-            key = (label(a, s), label(b, s))
-            combos[key] = combos.get(key, 0) + 1
-        matching = len(combos) == 2 and len({x == y for x, y in combos}) == 1
-        return not matching or min(combos.values()) < _MIN_SHARED
+    def thin(i, j, shared):
+        combos = np.bincount(2 * labels[i, shared] + labels[j, shared], minlength=4)
+        seen = combos > 0
+        matching = seen.sum() == 2 and ((seen[0] and seen[3]) or (seen[1] and seen[2]))
+        return not matching or combos[seen].min() < _MIN_SHARED
 
-    cover = _cover_trimmed(_hemisphere_cover(dataset, n_sets, radius), len(ids), thin)
-    tables = {}
-    clusters = {}
-    for cs in cover:
-        members = sorted(cs.members)
-        rows = np.array([pos[s] for s in members], dtype=int)
-        context = f"set {cs.id}"
-        if split:
-            # labels are the two copies; both live on the quotient, so
-            # each chart reads through the hemisphere gluing as usual
-            turns = _hemisphere_chart(q[rows], btrue[rows], cs.center, p, context)
-        else:
-            # labels are the hemispheres of the honest double cover; each
-            # cluster gets the section anchored at its own hemisphere
-            d = _lift_dots(btrue[rows], cs.center, context)
-            turns = np.empty(len(rows))
-            for side, anchor in ((d > 0, cs.center), (d < 0, -cs.center)):
-                if side.any():
-                    turns[side] = _lens_chart(
-                        q[rows[side]], btrue[rows[side]], anchor, 2 * p, context
-                    )
-        tables[cs.id] = (members, turns)
-        first = frozenset(s for s in members if label(cs, s))
-        clusters[cs.id] = (first, frozenset(members) - first)
+    cover = _trimmed(dataset, centers, radius, inc, thin)
+    sets, rows = cover.sets, cover.rows
+    # split: labels are the two copies; both live on the quotient, so each
+    # chart reads through the hemisphere gluing as usual.  Connected: labels
+    # are the hemispheres of the honest double cover; each cluster gets the
+    # section anchored at its own hemisphere
+    charts = _hemisphere_turns if split else _two_sheet_turns
+    turns = charts(q[rows], btrue[rows], centers[sets], p, sets)
+    side = labels[sets, rows]
+    clusters = {
+        j: (frozenset(m[s].tolist()), frozenset(m[~s].tolist()))
+        for j, (m, s) in enumerate(zip(cover.parts(cover.ids[rows]), cover.parts(side)))
+    }
     model = f"disconnected({p})" + ("-split" if split else "")
     euler = p if split else 2 * p
-    return _bundle(model, dataset, cover, tables, noise, seed, not split, euler,
+    return _bundle(model, dataset, cover, turns, noise, seed, not split, euler,
                    clusters)

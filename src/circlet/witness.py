@@ -20,7 +20,6 @@ make one call per simplex dimension and run their per-overlap kernels
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, pairwise
@@ -38,7 +37,6 @@ from .errors import (
 )
 from .nerve import Nerve
 
-log = logging.getLogger(__name__)
 
 # theory range for a valid witness; exceeding it degrades guarantees only
 EPSILON_VALID = math.sqrt(2.0)
@@ -334,8 +332,13 @@ def procrustes_o2(f_vals, g_vals, indptr=None):
     bad = np.flatnonzero((counts < 2) | ~(ok_rot | ok_ref))
     if bad.size:
         raise _fit_failure(counts, int(bad[0]))
-    for _ in range(np.count_nonzero(ok_rot & ok_ref & (e_rot == e_ref))):
-        log.info("procrustes tie between components; returning the rotation")
+    ties = np.count_nonzero(ok_rot & ok_ref & (e_rot == e_ref))
+    if ties:
+        import logging  # loaded only where a tie is logged
+
+        for _ in range(ties):
+            logging.getLogger(__name__).info(
+                "procrustes tie between components; returning the rotation")
     reflect = ok_ref & ~(ok_rot & (e_rot <= e_ref))
     turns = np.where(reflect, t_ref, t_rot)
     signs = np.where(reflect, -1, 1)
@@ -368,7 +371,9 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Witness:
         raise type(exc)(f"edge ({j}, {k}): {exc}") from exc
     worst = max(errs.tolist())
     if worst >= EPSILON_VALID:
-        log.warning(
+        import logging  # loaded only where a warning is logged
+
+        logging.getLogger(__name__).warning(
             "witness misalignment %.3f exceeds the validity threshold %.3f",
             worst,
             EPSILON_VALID,

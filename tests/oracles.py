@@ -21,6 +21,7 @@ from circlet.errors import (
     InconsistentClusters,
     LiftUndefined,
     PropagationConflict,
+    SectionUndefined,
     TooFewSamples,
 )
 from circlet.io import Columns
@@ -1018,3 +1019,101 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
         "nu": nu,
         "sets": sets,
     }
+
+
+# ---------------------------------------------------------------------------
+# quaternion-generator charts, one set at a time: the per-set loops the
+# batched chart pass replaced.  The quaternion primitives are the
+# generator's own, so the comparison is exact; what is independent here is
+# the loop structure, the per-set error checks and the label bookkeeping.
+
+
+def oracle_quaternions(n: int, seed: int) -> np.ndarray:
+    """The generators' uniform unit quaternions: a Philox normal stream keyed by (seed, 0)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    q = np.random.Generator(np.random.Philox(key=key)).normal(size=(n, 4))
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def oracle_split_quaternions(n: int, seed: int) -> np.ndarray:
+    """The two copies of a split bundle, each from its own stream."""
+    return np.concatenate(
+        [oracle_quaternions(n // 2, (seed << 1) ^ (500 + c)) for c in (0, 1)]
+    )
+
+
+def loop_lens_chart(q, b, anchor, power, context):
+    """Fiber turns of one set's samples against the geodesic section from ``anchor``."""
+    from circlet.synthetic import E1, quat_conj, quat_mul, rotation_between
+
+    dots = b @ anchor
+    if np.any(dots <= -1.0 + 1e-9):
+        raise SectionUndefined(f"{context}: a sample sits at the section antipode")
+    sec = quat_mul(rotation_between(anchor, b), rotation_between(E1, anchor))
+    w = quat_mul(quat_conj(sec), q)
+    drift = float(np.max(np.abs(w[:, 2:]))) if len(w) else 0.0
+    if drift > 1e-9:
+        raise SectionUndefined(f"{context}: section residual {drift:.2e} is not planar")
+    return (power * np.arctan2(w[:, 1], w[:, 0]) / (2.0 * math.pi)) % 1.0
+
+
+def _loop_seam_dots(b, center, context):
+    d = b @ center
+    if np.any(np.abs(d) < 1e-12):
+        raise LiftUndefined(f"{context}: a base point sits on the lift seam")
+    return d
+
+
+def loop_hemisphere_chart(q, b, center, p, context):
+    """Turns at power 2p, far-hemisphere samples read through the gluing."""
+    from circlet.synthetic import QUAT_J, quat_mul
+
+    d = _loop_seam_dots(b, center, context)
+    q = np.where((d < 0)[:, None], quat_mul(q, QUAT_J), q)
+    return loop_lens_chart(q, b * np.sign(d)[:, None], center, 2 * p, context)
+
+
+def loop_two_sheet_chart(q, b, center, p, context):
+    """Turns at power 2p, each hemisphere cluster against its own section, near side first."""
+    d = _loop_seam_dots(b, center, context)
+    turns = np.empty(len(b))
+    for side, anchor in ((d > 0, center), (d < 0, -center)):
+        if side.any():
+            turns[side] = loop_lens_chart(q[side], b[side], anchor, 2 * p, context)
+    return turns
+
+
+LOOP_CHARTS = {
+    "lens": loop_lens_chart,
+    "hemisphere": loop_hemisphere_chart,
+    "two-sheet": loop_two_sheet_chart,
+}
+
+
+def loop_set_charts(kind, q, b, centers, p, sets):
+    """Per-row turns from one chart call per set, sets in increasing order.
+
+    Rows come grouped by set; ``centers`` holds each row's set center.
+    """
+    turns = np.empty(len(sets))
+    for j in sorted(set(sets.tolist())):
+        at = np.flatnonzero(sets == j)
+        turns[at] = LOOP_CHARTS[kind](q[at], b[at], centers[at[0]], p, f"set {j}")
+    return turns
+
+
+def loop_generator_charts(kind, q, dataset, cover, p, label=None):
+    """Chart tables ``set id -> (sorted members, turns)`` of a generated cover, set by set.
+
+    With ``label(j, s)``, also the clusters ``set id -> (labelled, unlabelled)``.
+    """
+    tables, clusters = {}, {}
+    for cs in sorted(cover, key=lambda c: c.id):
+        members = sorted(cs.members)
+        rows = np.array([dataset.position(s) for s in members], dtype=int)
+        turns = LOOP_CHARTS[kind](q[rows], dataset.base[rows], cs.center, p, f"set {cs.id}")
+        tables[cs.id] = (members, turns)
+        if label is not None:
+            first = frozenset(s for s in members if label(cs.id, s))
+            clusters[cs.id] = (first, frozenset(members) - first)
+    return tables, clusters

@@ -139,6 +139,37 @@ class TestSynth:
     def test_nonint_model_parameter_rejected(self, tmp_path):
         assert run("synth", "--model", "lens:two", "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--model", "lens:1", "--samples", "0"], "--samples"),
+        (["--model", "lens:1", "--samples", "-5"], "--samples"),
+        (["--model", "lens:1", "--sets", "0"], "--sets"),
+        (["--model", "rp2:1", "--sets", "0"], "--sets"),
+        (["--model", "torus", "--sets", "2"], "--sets"),
+        (["--model", "split:1", "--samples", "1"], "--samples"),
+        (["--model", "torus", "--samples", "0"], "--samples"),
+        (["--model", "lens:1", "--radius", "nan"], "--radius"),
+        (["--model", "lens:1", "--radius", "inf"], "--radius"),
+        (["--model", "lens:1", "--noise", "nan"], "--noise"),
+        (["--model", "torus", "--noise", "-0.1"], "--noise"),
+    ], ids=[
+        "lens-no-samples", "lens-negative-samples", "lens-no-sets", "rp2-no-sets",
+        "torus-two-arcs", "split-one-sample", "torus-no-samples", "nan-radius",
+        "inf-radius", "nan-noise", "negative-noise",
+    ])
+    def test_out_of_range_flag_is_schema_error(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "x"
+        assert run("synth", *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        report = json.loads(err.splitlines()[-1])
+        assert report["error"] == "schema"
+        assert report["message"].startswith(flag + " ")
+        manifest = read(out / "manifest.json")
+        assert manifest["status"] == 1
+        # rejected before the generator ran
+        assert [t["step"] for t in manifest["timings"]] == []
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
 
 class TestWitnessCommand:
     def test_witness_file_has_order_and_quality(self, torus_witness_dir):
@@ -782,6 +813,42 @@ class TestImports:
     def test_unwrap_imports_doublecover_itself(self, pipelines):
         _, _, later = pipelines
         assert later == [0, 0]
+
+    # the circlet modules each command executes; circlet.cli registers the
+    # layers no command needs at import (classes, intlinalg, persistence,
+    # projection, synthetic) as lazy modules, executed on first use
+    EXECUTED = {
+        "synth": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness",
+                  "synthetic"},
+        "witness": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness"},
+        "report": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness",
+                   "classes", "intlinalg", "persistence", "projection"},
+        "coordinatize": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness",
+                         "classes", "intlinalg", "projection"},
+        "trivialize": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness",
+                       "classes", "intlinalg", "projection"},
+    }
+    LAZY = {"classes", "intlinalg", "persistence", "projection", "synthetic"}
+
+    @pytest.mark.parametrize("command", list(EXECUTED))
+    def test_each_command_executes_only_its_modules(self, torus_dir, tmp_path, command):
+        argv = {
+            "synth": ["synth", "--model", "lens:1", "--samples", "600", "--sets", "12"],
+            "coordinatize": ["coordinatize", "--dim", "4", *_bundle_flags(torus_dir)],
+        }.get(command, [command, *_bundle_flags(torus_dir)])
+        script = (
+            "import json, sys, types\n"
+            "from circlet.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "mods = {n[8:]: type(m) is types.ModuleType for n, m in sys.modules.items()\n"
+            "        if n.startswith('circlet.')}\n"
+            "print(json.dumps([code, mods]))\n"
+        )
+        code, mods = _python("-c", script, json.dumps([*argv, f"--out={tmp_path / 'o'}"]))
+        assert code == 0
+        assert {m for m, executed in mods.items() if executed} == self.EXECUTED[command]
+        # the layers it does not execute are still registered, unexecuted
+        assert self.LAZY <= set(mods)
 
     def test_library_import_loads_no_numpy_and_sets_no_variable(self):
         script = (

@@ -24,17 +24,29 @@ from circlet.doublecover import (
 )
 from circlet.errors import LiftUndefined, NotACover, SectionUndefined
 from circlet.intlinalg import solve_gf2
+from circlet import synthetic
 from circlet.nerve import BundleDataset, build_nerve
 from circlet.synthetic import (
+    E1,
     fibonacci_sphere,
     gen_disconnected_fiber,
     gen_lens_bundle,
     gen_rp2_bundle,
     gen_s1_bundle,
     make_cover,
+    quat_rotate,
 )
-from circlet.witness import assemble_witness, triv_quality
-from oracles import bfs_unwrap, loop_trim_flat, loop_trim_labels, o2_values
+from circlet.witness import Trivialization, assemble_witness, triv_quality
+from oracles import (
+    bfs_unwrap,
+    loop_generator_charts,
+    loop_set_charts,
+    loop_trim_flat,
+    loop_trim_labels,
+    o2_values,
+    oracle_quaternions,
+    oracle_split_quaternions,
+)
 
 TAU = 2.0 * math.pi
 
@@ -475,3 +487,195 @@ class TestGeneratorPreconditions:
         assert dataset is torus.dataset
         assert cover is torus.cover
         assert trivs is torus.trivs
+
+
+# generator, its arguments besides the seed, the per-set chart it replaced,
+# the power that chart takes; default sizes and the benchmark's sizes
+CHART_CASES = {
+    "lens1-default": (gen_lens_bundle, dict(p=1), "lens", 1),
+    "lens1-2000-16": (gen_lens_bundle, dict(p=1, n_samples=2000, n_sets=16, radius=0.85),
+                      "lens", 1),
+    "lens2-4000-64": (gen_lens_bundle, dict(p=2, n_samples=4000, n_sets=64, radius=0.44),
+                      "lens", 2),
+    "lens2-2000-64": (gen_lens_bundle, dict(p=2, n_samples=2000, n_sets=64, radius=0.44),
+                      "lens", 2),
+    "rp2-default": (gen_rp2_bundle, dict(p=1), "hemisphere", 1),
+    "rp2:2-2000-20": (gen_rp2_bundle, dict(p=2, n_samples=2000, n_sets=20), "hemisphere", 2),
+    "disconnected-default": (gen_disconnected_fiber, dict(p=5), "two-sheet", 5),
+    "split-default": (gen_disconnected_fiber, dict(p=5, split=True), "hemisphere", 5),
+}
+
+
+def _labels(kind, dataset, cover):
+    """The two-fiber generators' labels, restated; None for one-fiber models."""
+    centers = {cs.id: cs.center for cs in cover}
+    if kind == "two-sheet":
+        return lambda j, s: float(dataset.base_of(s) @ centers[j]) > 0
+    if dataset.ids[-1] >= 2_000_000:
+        return lambda j, s: s < 2_000_000
+    return None
+
+
+class TestChartOracles:
+    """The batched chart pass against one chart call per set, exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", list(CHART_CASES))
+    def test_generator_matches_per_set_loops(self, case, seed):
+        gen, kwargs, kind, p = CHART_CASES[case]
+        b = gen(seed=seed, **kwargs)
+        ds = b.dataset
+        split = kwargs.get("split", False)
+        q = (oracle_split_quaternions if split else oracle_quaternions)(len(ds), seed)
+        assert np.array_equal(quat_rotate(q, E1), ds.base)
+
+        label = _labels(kind, ds, b.cover)
+        n_sets = kwargs.get("n_sets", len(b.cover))
+        untrimmed = make_cover(ds, n_sets, kwargs.get("radius"))
+        if label is None:
+            expected = loop_trim_flat(untrimmed)
+        else:
+            expected = loop_trim_labels(untrimmed, label)
+        assert _cover_state(b.cover) == expected
+
+        tables, clusters = loop_generator_charts(kind, q, ds, b.cover, p, label)
+        want = Trivialization.from_turns(tables)
+        assert b.trivs.sets() == want.sets()
+        for j in want.sets():
+            got, ref = b.trivs.chart(j), want.chart(j)
+            assert np.array_equal(got.ids, ref.ids)
+            assert np.array_equal(got.points, ref.points)
+        assert b.clusters == (clusters if label is not None else None)
+
+
+def _crafted_rows(seed=0, per_set=40):
+    """Rows of four sets around axis-aligned centers, on both hemispheres of each.
+
+    Centers lie on coordinate axes (or between two), so a base point on
+    another axis sits exactly on a set's seam.
+    """
+    centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                        [math.sqrt(0.5), math.sqrt(0.5), 0.0]])
+    q = oracle_quaternions(4000, seed)
+    b = quat_rotate(q, E1)
+    rows = []
+    for c in centers:
+        rows.append(np.flatnonzero(np.abs(b @ c) > 0.6)[:per_set])
+    at = np.concatenate(rows)
+    sets = np.repeat(np.arange(len(centers)), per_set)
+    return q[at].copy(), b[at].copy(), centers[sets], sets
+
+
+def _break(kind, q, b, centers, sets, j, what, far=False):
+    """Make set j fail one check, on a row of its near (or far) side."""
+    side = np.sign(np.einsum("ij,ij->i", b, centers))
+    r = np.flatnonzero((sets == j) & (side == (-1 if far else 1)))[3]
+    if what == "antipode":
+        b[r] = -centers[r]
+    elif what == "seam":
+        b[r] = {0: [0.0, 0.0, 1.0], 1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0],
+                3: [0.0, 0.0, 1.0]}[j]
+    elif what == "nudge":  # a slight drift off the section's plane
+        q[r] = q[r] + np.array([0.0, 0.0, 1e-4, 0.0])
+        q[r] /= np.linalg.norm(q[r])
+    else:  # drift: the quaternion no longer lies over its base point
+        q[r] = q[(r + 7) % len(q)]
+
+
+_FAILURES = {
+    "lens": [
+        [], [(2, "antipode")], [(1, "drift"), (2, "antipode")], [(0, "nudge")],
+        [(2, "drift"), (1, "antipode")], [(3, "drift"), (3, "antipode")],
+    ],
+    "hemisphere": [
+        [], [(2, "seam")], [(1, "drift"), (2, "seam")], [(2, "drift"), (2, "seam")],
+        [(3, "seam"), (0, "drift")],
+    ],
+    "two-sheet": [
+        [], [(1, "seam")], [(1, "drift", True), (2, "drift")],
+        [(1, "drift", True), (1, "drift")], [(1, "drift", True), (1, "nudge")],
+        [(2, "drift", True), (2, "seam", True)],
+        [(0, "drift", True), (3, "seam")],
+    ],
+}
+_BATCHED = {
+    "lens": synthetic._lens_turns,
+    "hemisphere": synthetic._hemisphere_turns,
+    "two-sheet": synthetic._two_sheet_turns,
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return "turns", fn(*args)
+    except (LiftUndefined, SectionUndefined) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestChartErrors:
+    """Chart failures keep their type and message and name the first failing set."""
+
+    @pytest.mark.parametrize("kind, failures", [
+        (kind, f) for kind, cases in _FAILURES.items() for f in cases
+    ], ids=lambda x: x if isinstance(x, str) else "+".join(
+        f"{c[0]}{c[1]}{'-far' if len(c) > 2 else ''}" for c in x) or "none")
+    def test_batched_charts_fail_like_the_set_loop(self, kind, failures):
+        q, b, centers, sets = _crafted_rows()
+        for failure in failures:
+            _break(kind, q, b, centers, sets, *failure)
+        got = _outcome(_BATCHED[kind], q, b, centers, 2, sets)
+        want = _outcome(loop_set_charts, kind, q, b, centers, 2, sets)
+        assert got[0] == want[0]
+        if got[0] == "turns":
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+        assert (got[0] == "turns") == (not failures)
+
+    @pytest.mark.parametrize("gen, error, message", [
+        (lambda: gen_lens_bundle(1, n_samples=2000, n_sets=8, radius=math.pi / 2),
+         SectionUndefined, f"ball radius {math.pi / 2:.3f} reaches the section antipode"),
+        (lambda: gen_rp2_bundle(1, n_samples=2000, n_sets=8, radius=math.pi / 4),
+         LiftUndefined,
+         f"ball radius {math.pi / 4:.3f} is too large for coherent hemisphere lifts"),
+        (lambda: gen_disconnected_fiber(1, n_samples=2000, n_sets=8, radius=0.8),
+         LiftUndefined, "ball radius 0.800 is too large for coherent hemisphere lifts"),
+    ], ids=["lens", "rp2", "disconnected"])
+    def test_lift_radius(self, gen, error, message):
+        with pytest.raises(error) as exc:
+            gen()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("gen, n, seed, split", [
+        (gen_lens_bundle, 60, 0, False),
+        (gen_rp2_bundle, 100, 0, False),
+        (gen_disconnected_fiber, 1000, 0, False),
+        (gen_disconnected_fiber, 1000, 3, True),
+    ], ids=["lens", "rp2", "disconnected", "split"])
+    def test_emptied_set(self, gen, n, seed, split):
+        kwargs = dict(n_samples=n, seed=seed)
+        if gen is gen_disconnected_fiber:
+            kwargs["split"] = split
+            n_sets = 36
+        else:
+            kwargs["n_sets"] = n_sets = 16
+        with pytest.raises(NotACover) as exc:
+            gen(1, **kwargs)
+
+        q = (oracle_split_quaternions if split else oracle_quaternions)(n, seed)
+        ids = (tuple(range(n // 2)) + tuple(2_000_000 + t for t in range(n // 2))
+               if split else tuple(range(n)))
+        kind = "sphere" if gen is gen_lens_bundle else "projective_plane"
+        ds = BundleDataset(ids=ids, base=quat_rotate(q, E1), kind=kind)
+        cover = make_cover(ds, n_sets)
+        if gen is gen_disconnected_fiber:
+            label = _labels("hemisphere" if split else "two-sheet", ds, cover)
+            members, _ = loop_trim_labels(cover, label)
+        else:
+            members, _ = loop_trim_flat(cover)
+        j = min(k for k in members if not members[k])
+        assert str(exc.value) == (
+            f"overlap trimming emptied cover set {j}, which held {len(cover[j].members)} "
+            f"samples before trimming; {len(ids)} samples over {n_sets} sets leave "
+            "overlaps too thin, try fewer --sets"
+        )
