@@ -103,7 +103,7 @@ def canonical_text(obj, indent: int = 0) -> str:
         items = _record_texts(obj, indent + 2) or _column_texts(obj, indent + 2)
         if not items:
             return "[]"
-        return "[\n" + ",\n".join(kid + x for x in items) + "\n" + pad + "]"
+        return "[\n" + kid + (",\n" + kid).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         rows = []
         for k in sorted(obj, key=str):

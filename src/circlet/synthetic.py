@@ -53,6 +53,10 @@ _TAG_COPY = 500
 # samples cannot veto the reflection candidate on a wide sliver
 _MIN_SHARED = 6
 
+# ball membership takes an arccos only for cosines this close to the
+# radius's cosine
+_BOUNDARY_BAND = 1e-9
+
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)
@@ -144,11 +148,26 @@ def _cover_centers(kind: str, n_sets: int) -> np.ndarray:
     raise ValueError(f"no cover construction for base kind {kind!r}")
 
 
-def _center_distances(kind: str, base: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _center_cosines(kind: str, base: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Cosines of the geodesic distances from base points to centers, unclipped."""
     dots = base @ centers.T
-    if kind == "projective_plane":
-        dots = np.abs(dots)
-    return np.arccos(np.clip(dots, -1.0, 1.0))
+    return np.abs(dots) if kind == "projective_plane" else dots
+
+
+def _within(cosines: np.ndarray, radius: float) -> np.ndarray:
+    """``arccos(clip(cosines)) < radius``, taking arccos only near the boundary.
+
+    arccos is accurate to a few ulps, and a cosine more than
+    ``_BOUNDARY_BAND`` from cos(radius) lies at least that far, in radians,
+    from the radius; such a cosine decides the comparison alone.
+    """
+    if not 0.0 < radius < 3.0:
+        return np.arccos(np.clip(cosines, -1.0, 1.0)) < radius
+    c = math.cos(radius)
+    hit = cosines > c + _BOUNDARY_BAND
+    near = (cosines >= c - _BOUNDARY_BAND) & ~hit
+    hit[near] = np.arccos(np.clip(cosines[near], -1.0, 1.0)) < radius
+    return hit
 
 
 def _ball_incidence(dataset: BundleDataset, n_sets: int, radius: float | None):
@@ -164,32 +183,22 @@ def _ball_incidence(dataset: BundleDataset, n_sets: int, radius: float | None):
             f"{dataset.kind!r} cover centers are {centers.shape[1]}-vectors, "
             f"dataset base is {dataset.base.shape[1]}-dimensional"
         )
-    dist = _center_distances(dataset.kind, dataset.base, centers)
+    cosines = _center_cosines(dataset.kind, dataset.base, centers)
     if radius is None:
+        dist = np.arccos(np.clip(cosines, -1.0, 1.0))
         radius = 1.3 * float(dist.min(axis=1).max())
-    hit = dist < radius
+        hit = dist < radius
+    else:
+        hit = _within(cosines, radius)
     uncovered = np.nonzero(~hit.any(axis=1))[0]
     if len(uncovered):
-        worst = float(dist[uncovered].min(axis=1).max())
+        dist = np.arccos(np.clip(cosines[uncovered], -1.0, 1.0))
+        worst = float(dist.min(axis=1).max())
         raise NotACover(
             f"{len(uncovered)} samples lie in no set; nearest-center "
             f"distance reaches {worst:.4f} against radius {radius:.4f}"
         )
     return centers, float(radius), np.ascontiguousarray(hit.T)
-
-
-def _cover_sets(ids: np.ndarray, centers, radius: float, inc, clipped=None) -> list:
-    """``CoverSet`` objects from a set-by-sample incidence over sample ``ids``."""
-    return [
-        CoverSet(
-            id=j,
-            members=frozenset(ids[row].tolist()),
-            center=centers[j],
-            radius=radius,
-            clipped=clipped is not None and bool(clipped[j]),
-        )
-        for j, row in enumerate(inc)
-    ]
 
 
 def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None):
@@ -200,8 +209,7 @@ def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None)
     spiral.  ``radius=None`` picks 1.3 times the empirical covering
     radius.  Every sample must land in at least one set.
     """
-    centers, radius, inc = _ball_incidence(dataset, n_sets, radius)
-    return _cover_sets(np.asarray(dataset.ids), centers, radius, inc)
+    return _Cover(dataset, *_ball_incidence(dataset, n_sets, radius)).cover_sets()
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +257,43 @@ def _add_noise(turns: np.ndarray, seed: int, set_id: int, sigma: float) -> np.nd
 
 
 class _Cover:
-    """A generated cover: set-by-sample incidence over a dataset, with its geometry."""
+    """A generated cover: set-by-sample incidence over a dataset, with its geometry.
+
+    ``sets``, ``rows`` and ``members`` list every incidence by set and then
+    by sample: its set, its sample's position and its sample's id; set j's
+    incidences are ``bounds[j]:bounds[j + 1]``.
+    """
 
     def __init__(self, dataset: BundleDataset, centers, radius: float, inc, clipped=None):
-        self.ids = np.asarray(dataset.ids)
         self.centers, self.radius, self.inc, self.clipped = centers, radius, inc, clipped
-        # every (set, sample) incidence, by set and then by sample
-        self.sets, self.rows = np.nonzero(inc)
+        self.sets, self.rows = np.divmod(np.flatnonzero(inc), inc.shape[1])
+        self.members = np.asarray(dataset.ids, dtype=np.int64)[self.rows]
         self.bounds = np.searchsorted(self.sets, np.arange(len(inc) + 1))
 
-    def parts(self, values: np.ndarray):
-        """``values`` over the incidences, split into one sorted-member slice per set."""
+    def parts(self, values: np.ndarray) -> list:
+        """``values`` over the incidences, split into one slice per set."""
         b = self.bounds
         return [values[b[j]:b[j + 1]] for j in range(len(self.inc))]
 
     def cover_sets(self) -> list:
-        return _cover_sets(self.ids, self.centers, self.radius, self.inc, self.clipped)
+        return [
+            CoverSet(
+                id=j,
+                members=frozenset(m.tolist()),
+                center=self.centers[j],
+                radius=self.radius,
+                clipped=self.clipped is not None and bool(self.clipped[j]),
+            )
+            for j, m in enumerate(self.parts(self.members))
+        ]
 
 
 def _bundle(model, dataset, cover: _Cover, turns, noise, seed, sw_trivial, euler_number,
             clusters=None) -> SyntheticBundle:
     """The bundle with noisy charts from exact turns, one per incidence of ``cover``."""
-    members = cover.parts(cover.ids[cover.rows])
     trivs = Trivialization.from_turns(
         {j: (ids, _add_noise(t, seed, j, noise))
-         for j, (ids, t) in enumerate(zip(members, cover.parts(turns)))}
+         for j, (ids, t) in enumerate(zip(cover.parts(cover.members), cover.parts(turns)))}
     )
     scenario = SyntheticScenario(
         model=model,
@@ -343,7 +363,7 @@ def _overlap_counts(inc: np.ndarray) -> np.ndarray:
     sample, and one ``bincount`` per offset counts them.
     """
     m = len(inc)
-    samples, sets = np.nonzero(inc.T)
+    samples, sets = np.divmod(np.flatnonzero(np.ascontiguousarray(inc.T)), m)
     counts = np.zeros(m * m, np.int64)
     for d in range(1, m):
         same = samples[d:] == samples[:-d]
@@ -386,13 +406,15 @@ def _trimmed(dataset: BundleDataset, centers, radius: float, inc, rule=None) -> 
     while changed:
         changed = False
         for i in range(len(inc) - 1):
-            later = np.flatnonzero(counts[i, i + 1:]) + (i + 1)
-            thin = counts[i, later] < _MIN_SHARED
-            if rule is not None:
-                thin |= np.array([rule(i, j, np.flatnonzero(inc[i] & inc[j])) for j in later],
-                                 dtype=bool)
-            for j in later[thin]:
-                shed = inc[i] & inc[j]
+            row = counts[i, i + 1:]
+            if rule is None:
+                thin = np.flatnonzero((row > 0) & (row < _MIN_SHARED)) + (i + 1)
+            else:
+                thin = [j for j in np.flatnonzero(row) + (i + 1)
+                        if counts[i, j] < _MIN_SHARED
+                        or rule(i, j, np.flatnonzero(inc[i] & inc[j]))]
+            for j in thin:
+                shed = np.flatnonzero(inc[i] & inc[j])
                 drop = np.count_nonzero(inc[:, shed], axis=1)
                 inc[j, shed] = False
                 counts[j] -= drop
@@ -439,22 +461,22 @@ def _dots(b: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", b, anchors)
 
 
-def _section_turns(q, b, anchors, power: int, sets, steps, seam=None) -> np.ndarray:
+def _section_turns(q, b, table, anchor, power: int, sets, steps, seam=None) -> np.ndarray:
     """Fiber turns of samples against the geodesic sections from their anchors.
 
-    Row r is sample ``q[r]`` over base point ``b[r]`` in set ``sets[r]``.
-    The section at b is the minimizing rotation taking the anchor to b,
-    composed with a fixed rotation placing the anchor; the sample
-    quaternion relative to it is a unit complex number whose angle, times
-    the power, is the chart value.  ``steps`` orders the rows the way a
-    loop over the sets (and, within one, over the sides) would chart
-    them, and ``seam`` marks rows that such a loop rejected before
-    charting their set.
+    Row r is sample ``q[r]`` over base point ``b[r]`` in set ``sets[r]``,
+    anchored at ``table[anchor[r]]``.  The section at b is the minimizing
+    rotation taking the anchor to b, composed with a fixed rotation placing
+    the anchor; the sample quaternion relative to it is a unit complex
+    number whose angle, times the power, is the chart value.  ``steps``
+    orders the rows the way a loop over the sets (and, within one, over
+    the sides) would chart them, and ``seam`` marks rows that such a loop
+    rejected before charting their set.
     """
-    a = rotation_between(E1, anchors)
-    sec = quat_mul(rotation_between(anchors, b), a)
+    anchors = table[anchor]
+    sec = quat_mul(rotation_between(anchors, b), rotation_between(E1, table)[anchor])
     w = quat_mul(quat_conj(sec), q)
-    drift = np.max(np.abs(w[:, 2:]), axis=1)
+    drift = np.maximum(np.abs(w[:, 2]), np.abs(w[:, 3]))
     checks = [
         (steps, _dots(b, anchors) <= -1.0 + 1e-9, lambda at: SectionUndefined(
             f"set {sets[at][0]}: a sample sits at the section antipode")),
@@ -471,8 +493,11 @@ def _section_turns(q, b, anchors, power: int, sets, steps, seam=None) -> np.ndar
 
 
 def _lens_turns(q, b, centers, p: int, sets) -> np.ndarray:
-    """Fiber turns at power p against the sections anchored at the set centers."""
-    return _section_turns(q, b, centers, p, sets, sets)
+    """Fiber turns at power p against the sections anchored at the set centers.
+
+    ``centers`` holds one row per set, ``sets`` each sample row's set.
+    """
+    return _section_turns(q, b, centers, sets, p, sets, sets)
 
 
 def _hemisphere_turns(q, b, centers, p: int, sets) -> np.ndarray:
@@ -481,9 +506,9 @@ def _hemisphere_turns(q, b, centers, p: int, sets) -> np.ndarray:
     Samples whose base falls on the far hemisphere are read through the
     gluing, a right multiplication flipping the base.
     """
-    d = _dots(b, centers)
+    d = _dots(b, centers[sets])
     q = np.where((d < 0)[:, None], quat_mul(q, QUAT_J), q)
-    return _section_turns(q, b * np.sign(d)[:, None], centers, 2 * p, sets, sets,
+    return _section_turns(q, b * np.sign(d)[:, None], centers, sets, 2 * p, sets, sets,
                           seam=np.abs(d) < 1e-12)
 
 
@@ -494,11 +519,10 @@ def _two_sheet_turns(q, b, centers, p: int, sets) -> np.ndarray:
     against the section anchored at the center, and those on the far side
     against the one anchored at its antipode, near side first.
     """
-    d = _dots(b, centers)
+    d = _dots(b, centers[sets])
     far = d < 0
-    anchors = np.where(far, -1.0, 1.0)[:, None] * centers
-    return _section_turns(q, b, anchors, 2 * p, sets, 2 * sets + far,
-                          seam=np.abs(d) < 1e-12)
+    return _section_turns(q, b, np.concatenate([centers, -centers]), sets + len(centers) * far,
+                          2 * p, sets, 2 * sets + far, seam=np.abs(d) < 1e-12)
 
 
 def gen_lens_bundle(
@@ -527,7 +551,7 @@ def gen_lens_bundle(
             f"ball radius {cover.radius:.3f} reaches the section antipode"
         )
     sets, rows = cover.sets, cover.rows
-    turns = _lens_turns(q[rows], base[rows], cover.centers[sets], p, sets)
+    turns = _lens_turns(q[rows], base[rows], cover.centers, p, sets)
     return _bundle(f"lens({p})", dataset, cover, turns, noise, seed, True, p)
 
 
@@ -557,7 +581,7 @@ def gen_rp2_bundle(
     )
     cover = _trimmed(dataset, *_hemisphere_incidence(dataset, n_sets, radius))
     sets, rows = cover.sets, cover.rows
-    turns = _hemisphere_turns(q[rows], btrue[rows], cover.centers[sets], p, sets)
+    turns = _hemisphere_turns(q[rows], btrue[rows], cover.centers, p, sets)
     return _bundle(f"rp2({p})", dataset, cover, turns, noise, seed, False, p)
 
 
@@ -619,11 +643,11 @@ def gen_disconnected_fiber(
     # are the hemispheres of the honest double cover; each cluster gets the
     # section anchored at its own hemisphere
     charts = _hemisphere_turns if split else _two_sheet_turns
-    turns = charts(q[rows], btrue[rows], centers[sets], p, sets)
+    turns = charts(q[rows], btrue[rows], centers, p, sets)
     side = labels[sets, rows]
     clusters = {
         j: (frozenset(m[s].tolist()), frozenset(m[~s].tolist()))
-        for j, (m, s) in enumerate(zip(cover.parts(cover.ids[rows]), cover.parts(side)))
+        for j, (m, s) in enumerate(zip(cover.parts(cover.members), cover.parts(side)))
     }
     model = f"disconnected({p})" + ("-split" if split else "")
     euler = p if split else 2 * p

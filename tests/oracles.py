@@ -1093,12 +1093,12 @@ LOOP_CHARTS = {
 def loop_set_charts(kind, q, b, centers, p, sets):
     """Per-row turns from one chart call per set, sets in increasing order.
 
-    Rows come grouped by set; ``centers`` holds each row's set center.
+    ``centers`` holds one row per set, ``sets`` each row's set.
     """
     turns = np.empty(len(sets))
     for j in sorted(set(sets.tolist())):
         at = np.flatnonzero(sets == j)
-        turns[at] = LOOP_CHARTS[kind](q[at], b[at], centers[at[0]], p, f"set {j}")
+        turns[at] = LOOP_CHARTS[kind](q[at], b[at], centers[j], p, f"set {j}")
     return turns
 
 

@@ -563,11 +563,12 @@ def _crafted_rows(seed=0, per_set=40):
         rows.append(np.flatnonzero(np.abs(b @ c) > 0.6)[:per_set])
     at = np.concatenate(rows)
     sets = np.repeat(np.arange(len(centers)), per_set)
-    return q[at].copy(), b[at].copy(), centers[sets], sets
+    return q[at].copy(), b[at].copy(), centers, sets
 
 
 def _break(kind, q, b, centers, sets, j, what, far=False):
     """Make set j fail one check, on a row of its near (or far) side."""
+    centers = centers[sets]
     side = np.sign(np.einsum("ij,ij->i", b, centers))
     r = np.flatnonzero((sets == j) & (side == (-1 if far else 1)))[3]
     if what == "antipode":
