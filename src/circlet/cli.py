@@ -675,19 +675,20 @@ _SUBCOMMANDS = {
 def _build_parser(argv: list[str]) -> _Parser:
     """The parser of the subcommand ``argv`` starts with, or of all of them.
 
-    Usage, help and error text are those of the full parser: the command
-    metavar lists every subcommand whichever ones were added.
+    Usage, help and error text are those of the full parser: with one
+    subcommand added, the command's metavar still lists every one.  The
+    full parser keeps the default metavar, since an invalid-choice error
+    names the argument by its metavar when one is set.
     """
     parser = _Parser(
         prog="circlet",
         description="Discrete approximate circle bundles: synthesize, "
         "witness, classify, and coordinatize.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}"
-    )
-    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    for name in names:
+    one = bool(argv) and argv[0] in _SUBCOMMANDS
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in argv[:1] if one else _SUBCOMMANDS:
         help_text, flags = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")

@@ -461,7 +461,13 @@ def _dots(b: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", b, anchors)
 
 
-def _section_turns(q, b, table, anchor, power: int, sets, steps, seam=None) -> np.ndarray:
+def _seam_check(steps, d, sets):
+    """The check a loop runs on a set before charting it: no base point on the lift seam."""
+    return (steps, np.abs(d) < 1e-12, lambda at: LiftUndefined(
+        f"set {sets[at][0]}: a base point sits on the lift seam"))
+
+
+def _section_turns(q, b, table, anchor, power: int, sets, steps, before=()) -> np.ndarray:
     """Fiber turns of samples against the geodesic sections from their anchors.
 
     Row r is sample ``q[r]`` over base point ``b[r]`` in set ``sets[r]``,
@@ -470,24 +476,20 @@ def _section_turns(q, b, table, anchor, power: int, sets, steps, seam=None) -> n
     the anchor; the sample quaternion relative to it is a unit complex
     number whose angle, times the power, is the chart value.  ``steps``
     orders the rows the way a loop over the sets (and, within one, over
-    the sides) would chart them, and ``seam`` marks rows that such a loop
-    rejected before charting their set.
+    the sides) would chart them, and ``before`` holds the checks such a
+    loop ran on a set before charting it.
     """
     anchors = table[anchor]
     sec = quat_mul(rotation_between(anchors, b), rotation_between(E1, table)[anchor])
     w = quat_mul(quat_conj(sec), q)
     drift = np.maximum(np.abs(w[:, 2]), np.abs(w[:, 3]))
-    checks = [
+    _raise_first([
+        *before,
         (steps, _dots(b, anchors) <= -1.0 + 1e-9, lambda at: SectionUndefined(
             f"set {sets[at][0]}: a sample sits at the section antipode")),
         (steps, drift > 1e-9, lambda at: SectionUndefined(
             f"set {sets[at][0]}: section residual {drift[at].max():.2e} is not planar")),
-    ]
-    if seam is not None:
-        first = sets if steps is sets else steps - steps % 2
-        checks.insert(0, (first, seam, lambda at: LiftUndefined(
-            f"set {sets[at][0]}: a base point sits on the lift seam")))
-    _raise_first(checks)
+    ])
     psi = np.arctan2(w[:, 1], w[:, 0])
     return (power * psi / TAU) % 1.0
 
@@ -509,7 +511,7 @@ def _hemisphere_turns(q, b, centers, p: int, sets) -> np.ndarray:
     d = _dots(b, centers[sets])
     q = np.where((d < 0)[:, None], quat_mul(q, QUAT_J), q)
     return _section_turns(q, b * np.sign(d)[:, None], centers, sets, 2 * p, sets, sets,
-                          seam=np.abs(d) < 1e-12)
+                          before=[_seam_check(sets, d, sets)])
 
 
 def _two_sheet_turns(q, b, centers, p: int, sets) -> np.ndarray:
@@ -522,7 +524,7 @@ def _two_sheet_turns(q, b, centers, p: int, sets) -> np.ndarray:
     d = _dots(b, centers[sets])
     far = d < 0
     return _section_turns(q, b, np.concatenate([centers, -centers]), sets + len(centers) * far,
-                          2 * p, sets, 2 * sets + far, seam=np.abs(d) < 1e-12)
+                          2 * p, sets, 2 * sets + far, before=[_seam_check(2 * sets, d, sets)])
 
 
 def gen_lens_bundle(

@@ -744,6 +744,37 @@ class TestUsage:
         assert run("--help") == 0
         assert "subcommand" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--help"],
+        ["report", "-h"],
+        ["synth", "--model", "lens:1", "--out", "x", "junk"],
+        ["synth", "--model", "lens:1", "--samples", "x", "--out", "x"],
+        ["coordinatize", "--data", "a"],
+        ["witness"],
+        ["--out", "x", "synth"],
+        ["bogus"],
+        [],
+        ["--help"],
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_one_command_parser_reads_like_the_full_one(self, capsys, argv):
+        # only the named subcommand's parser is built; what it prints and
+        # exits with must be what the parser of every subcommand gives
+        def outcome(parser):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            out = capsys.readouterr()
+            return exc.value.code, out.out, out.err
+
+        names = [a for a in argv[:1] if a in cli._INPUTS] or [""]
+        assert outcome(cli._build_parser(argv)) == outcome(cli._build_parser([]))
+        assert cli._build_parser(names).format_usage() == cli._build_parser([]).format_usage()
+
+    def test_invalid_command_error_names_the_command_argument(self, capsys):
+        assert run("bogus") == 1
+        err = capsys.readouterr().err
+        assert "circlet: error: argument command: invalid choice: 'bogus'" in err
+        assert err.startswith("usage: circlet [-h]")
+
 
 def _python(*args, env=None):
     """Run a fresh interpreter on the source tree; its last stdout line as JSON."""
