@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from circlet import synthetic
 from circlet.classes import (
     euler_cochain,
     euler_number,
@@ -24,7 +25,6 @@ from circlet.doublecover import (
 )
 from circlet.errors import LiftUndefined, NotACover, SectionUndefined
 from circlet.intlinalg import solve_gf2
-from circlet import synthetic
 from circlet.nerve import BundleDataset, build_nerve
 from circlet.synthetic import (
     E1,
