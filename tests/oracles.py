@@ -1022,10 +1022,10 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# quaternion-generator charts, one set at a time: the per-set loops the
-# batched chart pass replaced.  The quaternion primitives are the
-# generator's own, so the comparison is exact; what is independent here is
-# the loop structure, the per-set error checks and the label bookkeeping.
+# quaternion-generator charts, one set at a time, against which the batched
+# chart pass is compared.  The quaternion primitives are the generator's
+# own, so the comparison is exact; what is independent here is the loop
+# structure, the per-set error checks and the label bookkeeping.
 
 
 def oracle_quaternions(n: int, seed: int) -> np.ndarray:

@@ -489,8 +489,8 @@ class TestGeneratorPreconditions:
         assert trivs is torus.trivs
 
 
-# generator, its arguments besides the seed, the per-set chart it replaced,
-# the power that chart takes; default sizes and the benchmark's sizes
+# generator, its arguments besides the seed, the per-set oracle chart and
+# the power it takes; default sizes and the benchmark's sizes
 CHART_CASES = {
     "lens1-default": (gen_lens_bundle, dict(p=1), "lens", 1),
     "lens1-2000-16": (gen_lens_bundle, dict(p=1, n_samples=2000, n_sets=16, radius=0.85),
