@@ -1,11 +1,12 @@
-"""Sign and integer characteristic classes of a witness.
+"""Sign and integer characteristic classes of a witness, as arrays on the nerve.
 
-The witness's signs give a sign class; its turns, taken on the principal
-branch, give a real lift whose twisted coboundary rounds to an integer
-class.  On surface bases the integer class pairs with a twisted
-fundamental cycle to give the twisted Euler number.  The cycle comes
-from a collapsed core of the nerve: collapses keep the twisted second
-homology, the core's 2-boundary kernel comes from unit-pivot
+The witness's signs give the sign class on the edges; its turns, taken
+on the principal branch, give a real lift on the edges whose twisted
+coboundary rounds to an integer class on the triangles.  On surface
+bases the integer class pairs with a twisted fundamental cycle, an int
+array on the triangles, to give the twisted Euler number.  The cycle
+comes from a collapsed core of the nerve: collapses keep the twisted
+second homology, the core's 2-boundary kernel comes from unit-pivot
 elimination, and only the small image of the core's 3-boundary in kernel
 parameters (or a block without unit pivots) sees a Smith form.  Its
 sign is anchored on a triangle no boundary can reach.
@@ -20,12 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import principal_turn
-from .cochains import (Cochain, Witness, check_sign_cocycle, coboundary_rows, cocycle_defect,
-                       twisted_coboundary)
+from .cochains import (Witness, check_sign_cocycle, coboundary, coboundary_rows, cocycle_defect,
+                       facet_table, sign_values)
 from .errors import BracketAmbiguous, NotASurface, ShapeMismatch
-from .intlinalg import integer_kernel, ordered_simplices, smith_normal_form
-from .nerve import Nerve, facets
+from .intlinalg import integer_kernel, smith_normal_form
+from .nerve import Nerve
 
 
 # pre-bracket values this close to a half-integer make rounding unreliable
@@ -36,16 +36,17 @@ DEFECT_BOUND = 0.5
 
 @dataclass
 class CharClassResult:
-    """Characteristic classes extracted from one witness.
+    """Characteristic classes extracted from one witness, aligned to its nerve.
 
     Attributes
     ----------
-    sw : Cochain
-        Sign-valued 1-cochain, the witness's signs.
-    euler : Cochain
-        Integer 2-cochain twisted by ``sw``.
-    lift : Cochain
-        The real-valued principal lift the euler cochain was rounded from.
+    nerve : Nerve
+    sw : ndarray
+        The sign class on the edges: the witness's signs.
+    euler : ndarray
+        The integer class on the triangles (int64), twisted by ``sw``.
+    lift : ndarray
+        The principal real lift on the edges that ``euler`` rounds.
     bracket_margin : float
         Smallest distance of any pre-bracket value to a half-integer;
         infinity when the nerve has no triangles.
@@ -54,9 +55,10 @@ class CharClassResult:
         the rounded class is guaranteed to be a twisted cocycle.
     """
 
-    sw: Cochain
-    euler: Cochain
-    lift: Cochain
+    nerve: Nerve
+    sw: np.ndarray
+    euler: np.ndarray
+    lift: np.ndarray
     bracket_margin: float
     cocycle_defect: float
 
@@ -71,13 +73,12 @@ class CharClassResult:
         Only then is its pairing with a fundamental cycle independent of
         the cycle's representative.
         """
-        delta = twisted_coboundary(self.euler, self.sw)
-        return all(v == 0 for v in delta.values.values())
+        return not coboundary(self.euler, self.nerve, 2, self.sw).any()
 
 
-def sw_class(witness: Witness) -> Cochain:
-    """The signs of a witness (its isometries' determinants), as a sign cochain."""
-    return Cochain(witness.nerve, 1, "Z2", dict(zip(witness.nerve.edges, witness.sign.tolist())))
+def sw_class(witness: Witness) -> np.ndarray:
+    """The sign class of a witness: its signs (its isometries' determinants), checked +-1."""
+    return sign_values(witness.sign)
 
 
 def euler_cochain(witness: Witness) -> CharClassResult:
@@ -97,30 +98,24 @@ def euler_cochain(witness: Witness) -> CharClassResult:
             "may fail to be a cocycle",
             defect,
         )
-    sw = sw_class(witness)
-    lift_vals = dict(zip(witness.nerve.edges, map(principal_turn, witness.turn.tolist())))
-    lift = Cochain(witness.nerve, 1, "R", lift_vals, twist=sw)
-    pre = twisted_coboundary(lift, sw)
-    margin = math.inf
-    euler_vals = {}
-    for s, x in pre.values.items():
-        r = x - round(x)
-        gap = 0.5 - abs(r)
-        if gap < BRACKET_GUARD:
-            raise BracketAmbiguous(
-                f"pre-bracket value {x} on {s} is within {BRACKET_GUARD} "
-                "of a half-integer"
-            )
-        margin = min(margin, gap)
-        euler_vals[s] = int(round(x))
-    euler = Cochain(witness.nerve, 2, "Z", euler_vals, twist=sw)
-    return CharClassResult(
-        sw=sw, euler=euler, lift=lift, bracket_margin=margin, cocycle_defect=defect
-    )
+    nerve, sw = witness.nerve, sw_class(witness)
+    check_sign_cocycle(sw, nerve)
+    turn = witness.turn % 1.0
+    lift = np.where(turn <= 0.5, turn, turn - 1.0)  # the branch (-1/2, 1/2]
+    pre = coboundary(lift, nerve, 1, sw)
+    rounded = np.rint(pre)
+    gap = 0.5 - np.abs(pre - rounded)
+    close = np.flatnonzero(gap < BRACKET_GUARD)
+    if close.size:
+        i = close[0]
+        raise BracketAmbiguous(f"pre-bracket value {pre[i].item()} on {nerve.triangles[i]} "
+                               f"is within {BRACKET_GUARD} of a half-integer")
+    margin = float(gap.min()) if gap.size else math.inf
+    return CharClassResult(nerve, sw, rounded.astype(np.int64), lift, margin, defect)
 
 
-def collapsed_core(nerve: Nerve) -> tuple[list[tuple], list[tuple]]:
-    """Triangles and tetrahedra left by elementary collapses, in filtration order.
+def collapsed_core(nerve: Nerve) -> tuple[list[int], list[int]]:
+    """Positions of the triangles and tetrahedra left by elementary collapses.
 
     First each tetrahedron goes with a free triangle, one that is a face
     of no other remaining tetrahedron; then each triangle with no
@@ -128,13 +123,16 @@ def collapsed_core(nerve: Nerve) -> tuple[list[tuple], list[tuple]]:
     face of no other remaining triangle.  Collapses are deformation
     retractions, so the core keeps the twisted second homology and its
     cycles are cycles of the nerve.  Candidates are taken first in first
-    out, seeded in filtration order (lex order without one).
+    out, seeded in filtration order (lex order without one), and both
+    lists come in that order.
     """
-    tris = ordered_simplices(nerve, 2)
-    tets = ordered_simplices(nerve, 3)
-    cofaces: dict = {t: set() for t in tris}
+    tri_edges = facet_table(nerve, 1)[0].tolist()
+    tet_tris = facet_table(nerve, 2)[0].tolist()
+    tris = np.argsort(nerve.stage_index(2), kind="stable").tolist()
+    tets = np.argsort(nerve.stage_index(3), kind="stable").tolist()
+    cofaces = [set() for _ in tri_edges]
     for q in tets:
-        for f in facets(q):
+        for f in tet_tris[q]:
             cofaces[f].add(q)
     live = dict.fromkeys(tris)
     gone = set()
@@ -145,28 +143,28 @@ def collapsed_core(nerve: Nerve) -> tuple[list[tuple], list[tuple]]:
             q = cofaces[t].pop()
             del live[t]
             gone.add(q)
-            for f in facets(q):
+            for f in tet_tris[q]:
                 cofaces[f].discard(q)
                 if len(cofaces[f]) == 1:
                     queue.append(f)
     incident: dict = {}
     for t in live:
-        for e in facets(t):
+        for e in tri_edges[t]:
             incident.setdefault(e, set()).add(t)
     queue = deque(t for t in live if not cofaces[t])
     while queue:
         t = queue.popleft()
-        if t in live and not cofaces[t] and any(len(incident[e]) == 1 for e in facets(t)):
+        if t in live and not cofaces[t] and any(len(incident[e]) == 1 for e in tri_edges[t]):
             del live[t]
-            for e in facets(t):
+            for e in tri_edges[t]:
                 incident[e].discard(t)
                 if len(incident[e]) == 1:
                     queue.extend(incident[e])
     return list(live), [q for q in tets if q not in gone]
 
 
-def orientation_anchor(nerve: Nerve, mu: dict) -> Optional[tuple]:
-    """The triangle that fixes the sign of a twisted fundamental cycle.
+def orientation_anchor(nerve: Nerve, mu: np.ndarray) -> Optional[int]:
+    """Position of the triangle that fixes the sign of a twisted fundamental cycle.
 
     The first triangle in filtration order (lex order without one) with
     no tetrahedral coface and a nonzero coefficient in ``mu``.  No
@@ -174,41 +172,43 @@ def orientation_anchor(nerve: Nerve, mu: dict) -> Optional[tuple]:
     coefficient is the same on every representative of the class.  None
     when the cycle lives only on faces of tetrahedra.
     """
-    faces = {f for q in nerve.tetrahedra for f in facets(q)}
-    return next((t for t in ordered_simplices(nerve, 2) if t not in faces and mu.get(t)), None)
+    faced = np.zeros(len(mu), dtype=bool)
+    faced[facet_table(nerve, 2)[0].ravel()] = True
+    order = np.argsort(nerve.stage_index(2), kind="stable")
+    hit = order[~faced[order] & (mu[order] != 0)]
+    return int(hit[0]) if hit.size else None
 
 
-def fundamental_class_twisted(nerve: Nerve, omega: Cochain) -> dict:
-    """Twisted fundamental 2-cycle of a closed-surface nerve.
+def fundamental_class_twisted(nerve: Nerve, omega: np.ndarray) -> np.ndarray:
+    """Twisted fundamental 2-cycle of a closed-surface nerve, an int array on its triangles.
 
-    The nerve is collapsed to ``collapsed_core``.  The integer kernel of
-    the core's twisted 2-boundary comes from unit-pivot elimination
+    ``omega`` is the twist, a sign 1-cocycle on the edges.  The nerve is
+    collapsed to ``collapsed_core``.  The integer kernel of the core's
+    twisted 2-boundary comes from unit-pivot elimination
     (``intlinalg.integer_kernel``); the core's 3-boundaries, written in
     kernel parameters, form a small matrix whose Smith form must leave
     free rank exactly one, and its free generator is back-substituted
-    into a cycle.  The returned chain maps every triangle of the nerve to
-    its integer coefficient, zero off the core, with the coefficient on
-    ``orientation_anchor`` positive; without an anchor, the first nonzero
-    coefficient in filtration order is positive.
+    into a cycle.  The coefficients are zero off the core, with the one
+    on ``orientation_anchor`` positive; without an anchor, the first
+    nonzero coefficient in filtration order is positive.
     """
-    check_sign_cocycle(omega)
+    check_sign_cocycle(omega, nerve)
     if not nerve.triangles:
         raise NotASurface("nerve has no 2-simplices")
     tris, tets = collapsed_core(nerve)
     # the core's twisted 2-boundary, one sparse row per edge
+    d2 = coboundary_rows(nerve, 1, omega)
     rows: dict = {}
-    for t, col in zip(tris, coboundary_rows(tris, omega.values)):
-        for e, v in col.items():
+    for t in tris:
+        for e, v in d2[t].items():
             rows.setdefault(e, {})[t] = v
     kernel = integer_kernel(list(rows.values()), tris)
     k = kernel.rank
     if k == 0:
         raise NotASurface("twisted boundary has no kernel in degree 2")
     if tets:
-        B = np.array(
-            [kernel.parameters(col) for col in coboundary_rows(tets, omega.values)],
-            dtype=object,
-        ).T
+        d3 = coboundary_rows(nerve, 2, omega)
+        B = np.array([kernel.parameters(d3[q]) for q in tets], dtype=object).T
         snf = smith_normal_form(B)
         free = k - snf.rank
         # the lone zero invariant factor sits last; pull its generator back
@@ -218,18 +218,18 @@ def fundamental_class_twisted(nerve: Nerve, omega: Cochain) -> dict:
     if free != 1:
         raise NotASurface(f"twisted second homology has free rank {free}")
     core = kernel.vector(gen)
-    mu = {t: core.get(t, 0) for t in ordered_simplices(nerve, 2)}
-    anchor = orientation_anchor(nerve, mu)
-    lead = mu[anchor] if anchor is not None else next((c for c in mu.values() if c), None)
+    mu = np.zeros(len(nerve.triangles), dtype=np.int64)
+    mu[list(core)] = list(core.values())
+    at = orientation_anchor(nerve, mu)
+    ordered = mu[np.argsort(nerve.stage_index(2), kind="stable")]
+    lead = mu[at] if at is not None else next((c for c in ordered.tolist() if c), None)
     if lead is None:
         raise NotASurface("fundamental chain vanished")
-    if lead < 0:
-        mu = {t: -c for t, c in mu.items()}
-    return mu
+    return -mu if lead < 0 else mu
 
 
-def euler_number(e: Cochain, mu: dict) -> int:
-    """Integer pairing of a degree-2 cochain with a 2-chain.
+def euler_number(e: np.ndarray, mu: np.ndarray) -> int:
+    """Integer pairing of a 2-cochain with a 2-chain, both arrays on the triangles.
 
     With ``mu`` from ``fundamental_class_twisted`` the sign follows its
     orientation convention: the chain is positive on
@@ -241,8 +241,6 @@ def euler_number(e: Cochain, mu: dict) -> int:
     signs of the chain are fundamental classes; the magnitude is the
     invariant.
     """
-    if e.degree != 2 or e.tag != "Z":
-        raise ShapeMismatch("need an integer 2-cochain")
-    if set(e.values) != set(mu):
+    if len(e) != len(mu):
         raise ShapeMismatch("cochain and chain live on different triangle sets")
-    return sum(int(e.values[s]) * int(mu[s]) for s in mu)
+    return sum(a * b for a, b in zip(e.tolist(), mu.tolist()))

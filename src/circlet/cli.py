@@ -93,7 +93,7 @@ _BLAS_THREADS = _choose_blas_threads()
 import numpy as np
 
 from . import io
-from .cochains import Cochain, Witness
+from .cochains import Witness
 from .errors import (
     GuardError,
     NotASurface,
@@ -231,8 +231,8 @@ def _load_bundle(args):
     return ds, cover, trivs
 
 
-def _sign_is_coboundary(sw: Cochain) -> bool:
-    return intlinalg.sign_potential(sw.values) is not None
+def _sign_is_coboundary(nerve, sw) -> bool:
+    return intlinalg.sign_potential(dict(zip(nerve.edges, sw.tolist()))) is not None
 
 
 def _filtration(nerve, q):
@@ -359,24 +359,13 @@ def _cmd_classes(args, run: _Run):
         wit, _ = io.parse_witness(io.load_json(args.witness))
     with run.timed("classes"):
         result = classes.euler_cochain(wit)
-        swb = _sign_is_coboundary(result.sw)
+        swb = _sign_is_coboundary(wit.nerve, result.sw)
     with run.timed("write"):
-        run.write(
-            "classes.json",
-            io.classes_doc(
-                wit.nerve,
-                result.sw,
-                result.euler,
-                result.lift,
-                result.bracket_margin,
-                swb,
-                result.cocycle_defect,
-            ),
-        )
+        run.write("classes.json", io.classes_doc(result, swb))
     return {
         "command": "classes",
         "sw_coboundary": swb,
-        "euler_support": sum(1 for v in result.euler.values.values() if v != 0),
+        "euler_support": int(np.count_nonzero(result.euler)),
         "bracket_margin": None
         if result.bracket_margin == float("inf")
         else result.bracket_margin,
@@ -386,10 +375,11 @@ def _cmd_classes(args, run: _Run):
 def _cmd_euler(args, run: _Run):
     with run.timed("load"):
         parsed = io.parse_classes(io.load_json(args.classes))
+        nerve = parsed["nerve"]
     with run.timed("pairing"):
-        mu = classes.fundamental_class_twisted(parsed["nerve"], parsed["sw"])
+        mu = classes.fundamental_class_twisted(nerve, parsed["sw"])
         number = classes.euler_number(parsed["euler"], mu)
-        anchor = classes.orientation_anchor(parsed["nerve"], mu)
+        anchor = classes.orientation_anchor(nerve, mu)
     with run.timed("write"):
         run.write(
             "euler.json",
@@ -399,8 +389,8 @@ def _cmd_euler(args, run: _Run):
                 "magnitude": abs(number),
                 "sw_coboundary": parsed["sw_coboundary"],
                 # support of the collapsed-core representative
-                "fundamental_support": sum(1 for v in mu.values() if v != 0),
-                "euler_orientation": None if anchor is None else list(anchor),
+                "fundamental_support": int(np.count_nonzero(mu)),
+                "euler_orientation": None if anchor is None else list(nerve.triangles[anchor]),
             },
         )
     return {
@@ -505,17 +495,14 @@ def _cmd_unwrap(args, run: _Run):
                     {"set": int(j), "sign": int(v)}
                     for j, v in sorted(result.orientations.items())
                 ],
-                "nu": [
-                    {"simplex": list(e), "sign": int(v)}
-                    for e, v in sorted(result.nu.values.items())
-                ],
+                "nu": io.simplex_rows(result.nerve.edges, "sign", result.nu),
             },
         )
     return {
         "command": "unwrap",
         "components": result.components,
         "sets": len(result.cover),
-        "nu_nontrivial": any(v < 0 for v in result.nu.values.values()),
+        "nu_nontrivial": bool(np.any(result.nu < 0)),
     }
 
 
@@ -554,14 +541,14 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
             result = report.classes
         else:
             result = classes.euler_cochain(wit)
-        block["sw_coboundary"] = _sign_is_coboundary(result.sw)
+        block["sw_coboundary"] = _sign_is_coboundary(nerve, result.sw)
         block["cocycle_defect"] = float(result.cocycle_defect)
         block["defect_margin"] = float(result.defect_margin)
         block["euler_cocycle"] = result.euler_is_cocycle()
         mu = classes.fundamental_class_twisted(nerve, result.sw)
         block["euler_number"] = classes.euler_number(result.euler, mu)
         anchor = classes.orientation_anchor(nerve, mu)
-        block["euler_orientation"] = None if anchor is None else list(anchor)
+        block["euler_orientation"] = None if anchor is None else list(nerve.triangles[anchor])
     except (GuardError, NotASurface) as exc:
         block["reason"] = {"error": type(exc).__name__, "message": str(exc)}
     return block

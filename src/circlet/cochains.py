@@ -1,159 +1,92 @@
-"""Cochains on a nerve with values in signs, integers or reals, and the witness.
+"""Cochains on a nerve as arrays, their twisted coboundary, and the witness.
 
-A ``Cochain`` stores its values on ascending vertex tuples only, one
-source of truth per simplex.  It may be twisted by a sign-valued
-1-cocycle, which modifies the coboundary.  An isometry 1-cochain, the
-witness, is a ``Witness``: a turn array and a sign array aligned to the
-nerve's edges, whose holonomy defect is one vectorized product over the
-triangles.
+A p-cochain is an array aligned to ``nerve.simplices[p]`` (lex order):
+the sign class and a twist are +-1 int arrays on the edges, the real
+lift a float array on the edges, the integer class an int array on the
+triangles.  The witness is a ``Witness``, a turn and a sign array on the
+edges, whose holonomy defect is one vectorized product over triangles.
 
-The twisted coboundary convention is written once, in ``coboundary_rows``;
-``coboundary_values`` evaluates it.  Cocycle checks, the persistence
-probes and the integer systems of the fundamental class and the global
-trivialization all read it.
+The twisted coboundary convention is written once, in ``facet_table``;
+``coboundary`` adds over it, ``sign_coboundary`` multiplies over it and
+``coboundary_rows`` hands it to the integer solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import cycle
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .circle import o2_matrices
 from .errors import DegreeUnsupported, NotACocycle, ShapeMismatch
-from .nerve import Nerve, facets
-
-TAGS = ("Z2", "Z", "R")
+from .nerve import Nerve
 
 
-@dataclass
-class Cochain:
-    """A degree-p assignment of coefficients to the nerve's p-simplices.
+def facet_table(nerve: Nerve, p: int, twist: Optional[np.ndarray] = None, values=None):
+    """Facet positions and coefficients of the twisted coboundary of p-cochains.
 
-    Attributes
-    ----------
-    nerve : Nerve
-        The nerve (or stage subcomplex) the cochain lives on.
-    degree : int
-    tag : str
-        Coefficient system: "Z2" (signs, multiplicative), "Z" or "R".
-    values : dict
-        Ascending p-simplex tuple -> coefficient.
-    twist : Cochain, optional
-        Sign-valued 1-cochain twisting the coefficient system.
+    The one statement of the coboundary convention.  Row ``r`` belongs to
+    the (p+1)-simplex ``s = nerve.simplices[p + 1][r]``; column ``i``
+    holds the position among the p-simplices of the facet without vertex
+    ``i`` and its coefficient ``(-1)**i``, except that the facet without
+    the leading vertex carries the twist on the leading edge
+    ``(s[0], s[1])`` (+1 without a twist).  Returns two ``(n, p + 2)``
+    int64 arrays; ``values``, when given, must be a p-cochain.
     """
-
-    nerve: Nerve
-    degree: int
-    tag: str
-    values: dict = field(default_factory=dict)
-    twist: Optional["Cochain"] = None
-
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown coefficient tag {self.tag!r}")
-        expected = set(self.nerve.simplices.get(self.degree, ()))
-        got = set(self.values)
-        if got != expected:
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
-            raise ShapeMismatch(
-                f"degree-{self.degree} cochain domain mismatch; "
-                f"missing {missing}, extra {extra}"
-            )
-        if self.tag == "Z2" and any(v not in (1, -1) for v in self.values.values()):
-            raise ValueError("sign cochain values must be +1 or -1")
+    if not 0 <= p <= 2:
+        raise DegreeUnsupported(f"coboundary not defined on cochains of degree {p}")
+    if values is not None and len(values) != len(nerve.simplices.get(p, ())):
+        raise ShapeMismatch(f"a degree-{p} cochain needs one value per {p}-simplex")
+    at = {s: i for i, s in enumerate(nerve.simplices.get(p, []))}
+    cols = list(zip(*nerve.simplices.get(p + 1, [])))  # vertex i of every coface
+    # the facet without vertex i, for every coface at once
+    pos = np.array([list(map(at.__getitem__, zip(*cols[:i], *cols[i + 1:])))
+                    for i in range(p + 2)], dtype=np.int64).T
+    coef = np.tile((-1) ** np.arange(p + 2), (len(pos), 1))
+    if twist is not None and len(pos):
+        edge = {e: i for i, e in enumerate(nerve.edges)}
+        coef[:, 0] = twist[list(map(edge.__getitem__, zip(cols[0], cols[1])))]
+    return pos, coef
 
 
-def coboundary_rows(simplices, twist: Optional[dict] = None) -> list[dict]:
-    """Sparse rows of the twisted coboundary into the given simplices.
+def coboundary(values: np.ndarray, nerve: Nerve, p: int,
+               twist: Optional[np.ndarray] = None) -> np.ndarray:
+    """Twisted coboundary of a number p-cochain, on the (p+1)-simplices.
 
-    The one statement of the coboundary convention.  Row ``s`` maps each
-    facet of ``s``, in facet order, to its coefficient: the facet without
-    vertex ``i`` carries ``(-1)**i``, except that the facet without the
-    leading vertex carries the twist on the leading edge
-    ``twist[(s[0], s[1])]`` (+1 without a twist).  Any dimension.
+    The signed facet values are added column by column, left to right,
+    so every bit of a float result is fixed.
     """
-    rows = []
-    for s in simplices:
-        row = dict(zip(facets(s), cycle((1, -1))))
-        if twist is not None:
-            row[s[1:]] = twist[s[:2]]
-        rows.append(row)
-    return rows
-
-
-def coboundary_values(values: dict, tag: str, simplices, twist: Optional[dict] = None) -> dict:
-    """The twisted coboundary of a cochain's values on the given simplices.
-
-    Signs ("Z2") multiply their facet values and ignore the twist;
-    numbers add their signed facet values left to right.
-    """
-    return _row_values(values, tag, simplices, coboundary_rows(simplices, twist))
-
-
-def _row_values(values: dict, tag: str, simplices, rows) -> dict:
-    """Evaluate coboundary rows of ``simplices`` on a cochain's values."""
-    out = {}
-    for s, row in zip(simplices, rows):
-        if tag == "Z2":
-            v = 1
-            for f in row:
-                v *= values[f]
-        else:
-            terms = iter(row.items())
-            f, coef = next(terms)
-            v = coef * values[f]
-            for f, coef in terms:
-                v += coef * values[f]
-        out[s] = v
+    pos, coef = facet_table(nerve, p, twist, values)
+    out = coef[:, 0] * values[pos[:, 0]]
+    for i in range(1, p + 2):
+        out = out + coef[:, i] * values[pos[:, i]]
     return out
 
 
-def check_sign_cocycle(omega: Cochain):
-    """Raise unless a sign 1-cochain satisfies the cocycle identity."""
-    _need_sign_cochain(omega)
-    _check_sign_rows(omega, coboundary_rows(omega.nerve.triangles))
+def sign_coboundary(signs: np.ndarray, nerve: Nerve, p: int) -> np.ndarray:
+    """Coboundary of a sign p-cochain: the product of its facet signs (a twist does not act)."""
+    return np.prod(signs[facet_table(nerve, p, values=signs)[0]], axis=1)
 
 
-def _need_sign_cochain(omega: Cochain):
-    if omega.degree != 1 or omega.tag != "Z2":
-        raise ShapeMismatch("twist must be a sign-valued 1-cochain")
+def coboundary_rows(nerve: Nerve, p: int, twist: Optional[np.ndarray] = None) -> list[dict]:
+    """Rows of ``facet_table`` as dicts, facet position -> coefficient, in facet order."""
+    pos, coef = facet_table(nerve, p, twist)
+    return [dict(zip(f, c)) for f, c in zip(pos.tolist(), coef.tolist())]
 
 
-def _check_sign_rows(omega: Cochain, rows):
-    """The cocycle identity on the triangles' coboundary rows (any twist: signs ignore it)."""
-    for t, v in _row_values(omega.values, "Z2", omega.nerve.triangles, rows).items():
-        if v != 1:
-            raise NotACocycle(
-                f"sign cochain fails the cocycle identity on ({','.join(map(str, t))})"
-            )
+def sign_values(signs: np.ndarray) -> np.ndarray:
+    """A sign cochain's values, checked to be +-1."""
+    if not np.all(np.abs(signs) == 1):
+        raise ValueError("sign cochain values must be +1 or -1")
+    return signs
 
 
-def twisted_coboundary(c: Cochain, omega: Optional[Cochain] = None) -> Cochain:
-    """Coboundary of a sign or number cochain, twisted by a sign cocycle when given.
-
-    Follows ``coboundary_rows``: alternating facet signs, with the twist
-    on the facet that drops the leading vertex.  A witness has no
-    coboundary here; ``cocycle_defect`` measures its holonomy.
-    """
-    nerve = c.nerve
-    twist = None
-    if omega is not None:
-        _need_sign_cochain(omega)
-        twist = omega.values
-    if c.degree not in (0, 1, 2):
-        raise DegreeUnsupported(f"coboundary not defined for {c.tag} cochains of degree {c.degree}")
-    simplices = nerve.simplices.get(c.degree + 1, [])
-    rows = coboundary_rows(simplices, twist)
-    if omega is not None:
-        # a 1-cochain's rows are the triangle rows that the twist check reads
-        same = c.degree == 1 and omega.nerve is nerve
-        _check_sign_rows(omega, rows if same else coboundary_rows(omega.nerve.triangles))
-    vals = _row_values(c.values, c.tag, simplices, rows)
-    return Cochain(nerve, c.degree + 1, c.tag, vals, twist=omega)
+def check_sign_cocycle(signs: np.ndarray, nerve: Nerve):
+    """Raise unless a sign 1-cochain is +-1 and satisfies the cocycle identity."""
+    bad = np.flatnonzero(sign_coboundary(sign_values(signs), nerve, 1) != 1)
+    if bad.size:
+        t = nerve.triangles[bad[0]]
+        raise NotACocycle(f"sign cochain fails the cocycle identity on ({','.join(map(str, t))})")
 
 
 class Witness(NamedTuple):
@@ -183,11 +116,9 @@ def cocycle_defect(witness: Witness) -> float:
     the signs close, the norm of the matrix difference where they do
     not.  Zero exactly on a cocycle; zero vacuously with no triangles.
     """
-    tris = witness.nerve.triangles
-    if not tris:
+    if not witness.nerve.triangles:
         return 0.0
-    at = {e: i for i, e in enumerate(witness.nerve.edges)}
-    jk, kl, jl = np.array([(at[j, k], at[k, l], at[j, l]) for j, k, l in tris]).T
+    kl, jl, jk = facet_table(witness.nerve, 1)[0].T
     turn, sign = witness.turn, witness.sign
     trip, trip_sign = (turn[jk] + sign[jk] * turn[kl]) % 1.0, sign[jk] * sign[kl]
     d = np.sqrt(8.0) * np.abs(np.sin(np.pi * (trip - turn[jl])))
@@ -195,11 +126,3 @@ def cocycle_defect(witness: Witness) -> float:
         gap = o2_matrices(trip[i], trip_sign[i]) - o2_matrices(turn[jl[i]], sign[jl[i]])
         d[i] = np.linalg.norm(gap)
     return max(d.tolist())
-
-
-def restrict(c: Cochain, sub: Nerve) -> Cochain:
-    """Restriction of a cochain to a subcomplex of its nerve."""
-    keep = set(sub.simplices.get(c.degree, ()))
-    vals = {s: v for s, v in c.values.items() if s in keep}
-    twist = restrict(c.twist, sub) if c.twist is not None else None
-    return Cochain(sub, c.degree, c.tag, vals, twist=twist)

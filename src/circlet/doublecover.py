@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, check_sign_cocycle
+from .cochains import check_sign_cocycle
 from .errors import InconsistentClusters, LiftUndefined, PropagationConflict
 from .intlinalg import ParityForest
 from .nerve import BundleDataset, CoverSet, Nerve, build_nerve
@@ -42,8 +42,8 @@ def _validated_clusters(clusters: dict) -> dict[int, tuple[frozenset, frozenset]
     return out
 
 
-def connectivity_cocycle(clusters: dict, nerve: Nerve) -> Cochain:
-    """Sign 1-cochain of two-cluster labels: -1 where the labels flip.
+def connectivity_cocycle(clusters: dict, nerve: Nerve) -> np.ndarray:
+    """Sign 1-cochain of two-cluster labels, on the nerve's edges: -1 where the labels flip.
 
     On every edge the shared samples must realize exactly the two
     matching label combinations (plus/plus with minus/minus, or
@@ -51,27 +51,21 @@ def connectivity_cocycle(clusters: dict, nerve: Nerve) -> Cochain:
     The result is validated to be a cocycle on the nerve's triangles.
     """
     cl = _validated_clusters(clusters)
-    vals = {}
+    vals = []
     for (j, k) in nerve.edges:
         if j not in cl or k not in cl:
             raise InconsistentClusters(f"edge ({j}, {k}) has an unlabeled set")
         pj, mj = cl[j]
         pk, mk = cl[k]
-        pp = bool(pj & pk)
-        pm = bool(pj & mk)
-        mp = bool(mj & pk)
-        mm = bool(mj & mk)
-        if (pp, pm, mp, mm) == (True, False, False, True):
-            vals[(j, k)] = 1
-        elif (pp, pm, mp, mm) == (False, True, True, False):
-            vals[(j, k)] = -1
-        else:
+        meets = (bool(pj & pk), bool(pj & mk), bool(mj & pk), bool(mj & mk))
+        if meets not in ((True, False, False, True), (False, True, True, False)):
             raise InconsistentClusters(
                 f"edge ({j}, {k}) meets label combinations "
-                f"(++, +-, -+, --) = {(pp, pm, mp, mm)}"
+                f"(++, +-, -+, --) = {meets}"
             )
-    nu = Cochain(nerve, 1, "Z2", vals)
-    check_sign_cocycle(nu)
+        vals.append(1 if meets[0] else -1)
+    nu = np.array(vals, dtype=np.int64)
+    check_sign_cocycle(nu, nerve)
     return nu
 
 
@@ -94,8 +88,10 @@ class UnwrapResult:
     orientations : dict
         New set id -> +-1 hemisphere orientation, for sets that were
         lifted geometrically; absent ids belong to split components.
-    nu : Cochain
-        The connectivity sign class of the labels on the original nerve.
+    nerve : Nerve
+        The nerve of the original cover.
+    nu : ndarray
+        The connectivity sign class of the labels, on that nerve's edges.
     """
 
     dataset: BundleDataset
@@ -103,7 +99,8 @@ class UnwrapResult:
     set_map: dict
     components: int
     orientations: dict
-    nu: Cochain
+    nerve: Nerve
+    nu: np.ndarray
 
 
 def unwrap_double_cover(
@@ -136,7 +133,7 @@ def unwrap_double_cover(
     nu = connectivity_cocycle(clusters, nerve)
 
     forest = ParityForest()
-    odd = [j for (j, k), v in nu.values.items() if not forest.union(j, k, v < 0)]
+    odd = [j for (j, k), v in zip(nerve.edges, nu.tolist()) if not forest.union(j, k, v < 0)]
     pieces: dict = {}
     for j in sorted(v[0] for v in nerve.vertices):
         pieces.setdefault(forest.find(j), []).append(j)
@@ -255,7 +252,7 @@ def unwrap_double_cover(
     lifted = BundleDataset(ids=dataset.ids, base=base, kind=kind,
                            distances=distances)
     return UnwrapResult(dataset=lifted, cover=new_cover, set_map=set_map,
-                        components=components, orientations=orientations, nu=nu)
+                        components=components, orientations=orientations, nerve=nerve, nu=nu)
 
 
 def carry_charts(trivs: Trivialization, result: UnwrapResult) -> Trivialization:

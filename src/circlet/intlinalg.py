@@ -4,7 +4,8 @@ Smith normal form with full transform tracking, two sparse unit-pivot
 eliminations, and the integer and GF(2) solvers built on them.  All
 integer arithmetic runs on Python ints, so every result is exact.  A
 sparse system is a list of rows, each mapping a column label to its
-integer coefficient, as ``cochains.coboundary_rows`` returns them.
+integer coefficient, as ``cochains.coboundary_rows`` returns them with
+facet positions for labels.
 
 Which solver serves which caller: every integer system first goes
 through a unit-pivot elimination (Mrozek-Batko coreduction), and only a
@@ -39,8 +40,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .nerve import Nerve
 
 
 @dataclass
@@ -552,10 +551,3 @@ def sign_solvable_prefixes(signs: dict) -> list[bool]:
         out.append(out[-1] and forest.union(j, k, s < 0))
     return out
 
-
-def ordered_simplices(nerve: Nerve, p: int) -> list[tuple]:
-    """The p-simplices in filtration order, or lex order without one."""
-    simps = list(nerve.simplices.get(p, []))
-    if nerve.order is not None and nerve.index is not None:
-        simps.sort(key=lambda s: nerve.index[s])
-    return simps

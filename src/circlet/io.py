@@ -11,11 +11,13 @@ it back costs one cos/sin per value, so a round trip may move a chart
 vector by a couple of ulps; everything discrete round-trips exactly.
 
 Bulk fields (dataset ids and base rows, cover members, chart samples and
-angles, cluster ids and members, and the simplex-keyed rows of nerve,
-witness and classes documents) are read as one list per key and checked
-in one step by ``_ints``, ``_floats`` or ``_signs``, the one statement of
-a valid value; ``_need`` runs per row only to name a missing key or a
-wrong container.
+angles, cluster ids and members, and the simplex rows of nerve, witness
+and classes documents) are read as one list per key and checked in one
+step by ``_ints``, ``_floats`` or ``_signs``, the one statement of a
+valid value; ``_need`` runs per row only to name a missing key or a
+wrong container.  Simplex rows go straight into arrays aligned to the
+nerve's simplices through ``_simplex_values``, which rejects a row off
+the nerve, a repeated row and, unless told otherwise, a missing one.
 
 The per-sample record lists (dataset samples, chart values, global
 angles and frame vectors) are built as :class:`Columns`, one array per
@@ -40,12 +42,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cochains import Cochain, Witness
+from .cochains import Witness
 from .errors import SchemaError
 from .nerve import BundleDataset, CoverSet, Nerve, facets
 from .witness import Trivialization
 
 if TYPE_CHECKING:
+    from .classes import CharClassResult
     from .persistence import PersistenceReport, ThresholdPair
     from .synthetic import SyntheticScenario
 
@@ -297,11 +300,34 @@ def _signs(col, where: str) -> np.ndarray:
     return arr
 
 
-def _simplex_values(doc, name: str, key: str, field: str, check) -> dict:
-    """``{simplex: value}`` over the list ``doc[key]``; ``check`` reads its ``field`` column."""
+def _simplex_values(doc, name: str, key: str, field: str, check, simplices, every=True):
+    """The ``field`` values of the rows ``doc[key]`` as an array aligned to ``simplices``.
+
+    ``check`` reads the values.  A row off ``simplices`` or repeating a
+    simplex is a schema error, and so is a simplex without a row when
+    ``every`` holds; otherwise it reads 0.
+    """
     rows, where = _need(doc, key, name, list), f"{key} row"
-    simplices = [_simplex(s, where) for s in _column(rows, "simplex", where)]
-    return dict(zip(simplices, check(_column(rows, field, where), f"{key} {field}").tolist()))
+    got = [_simplex(s, where) for s in _column(rows, "simplex", where)]
+    values = check(_column(rows, field, where), f"{key} {field}")
+    at = {s: i for i, s in enumerate(simplices)}
+    pos = np.array([at.get(s, -1) for s in got], dtype=np.int64)
+    counts = np.bincount(pos + 1, minlength=len(simplices) + 1)
+    bad = next((s for s, i in zip(got, pos.tolist()) if i < 0 or counts[i + 1] > 1), None)
+    if bad is not None:
+        why = "is repeated" if bad in at else "is not a simplex of the nerve"
+        raise SchemaError(f"{name}: {key} row {list(bad)} {why}")
+    if every and len(got) < len(simplices):
+        lost = simplices[int(np.flatnonzero(counts[1:] == 0)[0])]
+        raise SchemaError(f"{name}: {key} has no row for simplex {list(lost)}")
+    out = np.zeros(len(simplices), values.dtype)
+    out[pos] = values
+    return out
+
+
+def simplex_rows(simplices, field: str, values) -> list[dict]:
+    """``{"simplex", field}`` rows of an array aligned to ``simplices``."""
+    return [{"simplex": list(s), field: v} for s, v in zip(simplices, values.tolist())]
 
 
 def _the_float(x, where: str) -> float:
@@ -478,12 +504,14 @@ def parse_nerve(doc) -> Nerve:
             raise SchemaError(f"nerve: bad dimension key {p!r}")
         simplices[dim] = [_simplex(s, "nerve") for s in _need(raw, p, "nerve", list)]
     _check_complex(simplices)
-    nerve = Nerve(simplices=simplices)
+    nerve = Nerve(simplices={p: sorted(s) for p, s in simplices.items()})
+    flat = [s for p in sorted(nerve.simplices) for s in nerve.simplices[p]]
     if "weights" in doc:
-        nerve.weights.update(_simplex_values(doc, "nerve", "weights", "weight", _floats))
+        weights = _simplex_values(doc, "nerve", "weights", "weight", _floats, flat)
+        nerve.weights = dict(zip(flat, weights.tolist()))
     if "order" in doc:
         order = [_simplex(s, "order") for s in _need(doc, "order", "nerve", list)]
-        if sorted(order) != sorted(s for simps in simplices.values() for s in simps):
+        if sorted(order) != sorted(flat):
             raise SchemaError("nerve: order is not a permutation of the simplices")
         index = {s: i + 1 for i, s in enumerate(order)}
         late = next((s for s in order if len(s) > 1
@@ -492,8 +520,8 @@ def parse_nerve(doc) -> Nerve:
             raise SchemaError(f"nerve: order lists {list(late)} before one of its facets")
         nerve.order, nerve.index = order, index
     if "perturbations" in doc:
-        nerve.perturbations.update(
-            _simplex_values(doc, "nerve", "perturbations", "offset", _floats))
+        offsets = _simplex_values(doc, "nerve", "perturbations", "offset", _floats, flat, False)
+        nerve.perturbations = {s: v for s, v in zip(flat, offsets.tolist()) if v}
     return nerve
 
 
@@ -516,63 +544,38 @@ def witness_doc(witness: Witness, quality: dict | None = None) -> dict:
 def parse_witness(doc) -> tuple[Witness, dict | None]:
     _check_schema(doc, "witness")
     nerve = parse_nerve(_need(doc, "nerve", "witness"))
-    turns = _simplex_values(doc, "witness", "values", "turn", _floats)
-    signs = _simplex_values(doc, "witness", "values", "sign", _signs)
-    try:
-        Cochain(nerve, 1, "Z2", signs)  # the one check that the rows cover the edges
-    except Exception as exc:
-        raise SchemaError(f"witness: {exc}")
-    edges = nerve.edges
-    turn = np.array([turns[e] for e in edges], dtype=float) % 1.0
-    sign = np.array([signs[e] for e in edges], dtype=np.int64)
-    return Witness(nerve, turn, sign), doc.get("quality")
+    turn = _simplex_values(doc, "witness", "values", "turn", _floats, nerve.edges)
+    sign = _simplex_values(doc, "witness", "values", "sign", _signs, nerve.edges)
+    return Witness(nerve, turn % 1.0, sign), doc.get("quality")
 
 
 # ---------------------------------------------------------------------------
 # characteristic classes
 
 
-def classes_doc(
-    nerve: Nerve,
-    sw: Cochain,
-    euler: Cochain,
-    lift: Cochain,
-    bracket_margin: float,
-    sw_coboundary: bool,
-    defect: float,
-) -> dict:
+def classes_doc(result: CharClassResult, sw_coboundary: bool) -> dict:
+    nerve, bracket_margin = result.nerve, result.bracket_margin
     return {
         "schema": SCHEMA_PREFIX + "classes",
         "nerve": nerve_doc(nerve),
-        "sw": [
-            {"simplex": list(e), "sign": int(v)} for e, v in sorted(sw.values.items())
-        ],
-        "euler": [
-            {"simplex": list(s), "value": int(v)}
-            for s, v in sorted(euler.values.items())
-        ],
-        "lift": [
-            {"simplex": list(e), "turn": float(v)}
-            for e, v in sorted(lift.values.items())
-        ],
+        "sw": simplex_rows(nerve.edges, "sign", result.sw),
+        "euler": simplex_rows(nerve.triangles, "value", result.euler),
+        "lift": simplex_rows(nerve.edges, "turn", result.lift),
         "bracket_margin": None if math.isinf(bracket_margin) else float(bracket_margin),
         "sw_coboundary": bool(sw_coboundary),
-        "cocycle_defect": float(defect),
+        "cocycle_defect": float(result.cocycle_defect),
     }
 
 
 def parse_classes(doc) -> dict:
     _check_schema(doc, "classes")
     nerve = parse_nerve(_need(doc, "nerve", "classes"))
-    sw = Cochain(nerve, 1, "Z2", _simplex_values(doc, "classes", "sw", "sign", _signs))
-    euler = _simplex_values(doc, "classes", "euler", "value", _ints)
-    lift = _simplex_values(doc, "classes", "lift", "turn", _floats)
     margin = doc.get("bracket_margin")
     return {
         "nerve": nerve,
-        "sw": sw,
-        "euler": Cochain(nerve, 2, "Z", euler, twist=sw),
-        "lift": Cochain(nerve, 1, "R", lift, twist=sw),
+        "sw": _simplex_values(doc, "classes", "sw", "sign", _signs, nerve.edges),
+        "euler": _simplex_values(doc, "classes", "euler", "value", _ints, nerve.triangles),
+        "lift": _simplex_values(doc, "classes", "lift", "turn", _floats, nerve.edges),
         "bracket_margin": math.inf if margin is None else _the_float(margin, "bracket_margin"),
         "sw_coboundary": _need(doc, "sw_coboundary", "classes", bool),
         "cocycle_defect": _the_float(_need(doc, "cocycle_defect", "classes"), "defect"),
@@ -662,9 +665,7 @@ def global_coords_doc(g) -> dict:
         "kind": "global",
         "angles": Columns(id=g.ids, angle_turns=g.turns % 1.0),
         "phi": [{"set": int(j), "sign": int(v)} for j, v in sorted(g.phi.items())],
-        "beta": [
-            {"simplex": list(e), "value": int(v)} for e, v in sorted(g.beta.items())
-        ],
+        "beta": simplex_rows(g.edges, "value", g.beta),
         "residual": float(g.residual),
     }
 

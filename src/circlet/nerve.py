@@ -168,6 +168,15 @@ class Nerve:
         """Effective weight: the raw weight plus any tie-break offset."""
         return self.weights[simplex] + self.perturbations.get(simplex, 0.0)
 
+    def stage_index(self, p: int) -> np.ndarray:
+        """Filtration index of each p-simplex, lex order; its stable argsort is filtration order.
+
+        Without an order the p-simplices count 1, 2, ... in lex order.
+        """
+        simps = self.simplices.get(p, [])
+        index = self.index or dict(zip(simps, range(1, len(simps) + 1)))
+        return np.array([index[s] for s in simps], dtype=np.int64)
+
     def require_order(self):
         if self.order is None or self.index is None:
             raise ValueError("nerve has no filtration order yet; run filtration_order")

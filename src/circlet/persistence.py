@@ -17,10 +17,12 @@ automatically on small nerves; any disagreement with the sweep is a hard
 error.  Stages that add no cell of the class pose the same system, so
 the scan decides each distinct system once.
 
-Cocycle failures and the stage systems both come from the twisted
-coboundary of ``cochains.coboundary_rows``.  Each call builds one stage
-probe: the class's simplices in filtration order with their coboundary
-rows, so every stage reads a prefix.  Only the yes/no answers are used.
+A class is an array on the edges (signs) or the triangles (integers,
+with a sign array on the edges as twist).  Each call builds one
+``StageProbe`` that the sweep and the scan share: the class's cells in
+filtration order with their coboundary rows, so every stage reads a
+prefix, and the first stages where the class or its twist fail the
+cocycle identity.  Only the yes/no answers are used.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .classes import CharClassResult, euler_cochain, sw_class
-from .cochains import Cochain, Witness, coboundary_rows, coboundary_values
+from .cochains import Witness, coboundary, coboundary_rows, sign_coboundary
 from .errors import GuardError, NotACocycle, ShapeMismatch
 from .intlinalg import (
     integer_solvable,
@@ -77,41 +81,46 @@ class PersistenceReport:
     classes: Optional[CharClassResult] = None
 
 
-def _violation_stages(lam: Cochain, nerve: Nerve) -> list[int]:
-    """Filtration indices of simplices witnessing a cocycle failure."""
-    if (lam.tag, lam.degree) not in (("Z2", 1), ("Z", 2)):
-        raise ShapeMismatch("persistence handles sign 1-cochains and integer 2-cochains")
-    unit = 1 if lam.tag == "Z2" else 0
-    twist = lam.twist.values if lam.twist is not None else None
-    cofaces = nerve.simplices.get(lam.degree + 1, [])
-    vals = coboundary_values(lam.values, lam.tag, cofaces, twist)
-    return [nerve.index[s] for s, v in vals.items() if v != unit]
+def _first_stage(nerve: Nerve, p: int, failing: np.ndarray) -> int:
+    """The earliest filtration index of a p-simplex where ``failing`` holds, else past the top."""
+    return int(nerve.stage_index(p)[failing].min(initial=len(nerve) + 1))
 
 
-class _StageProbe:
-    """The coboundary system of a class along the filtration, built once.
+class StageProbe:
+    """The coboundary system of a class along the filtration, built once per call.
 
-    Holds the class's simplices in filtration order, their right sides,
-    the twisted coboundary rows of an integer class and the first stage
-    where its twist fails to be a cocycle.  Stage ``r`` reads the prefix
-    of simplices with index at most ``r``.
+    ``lam`` is a sign class on the edges (``p`` 1) or an integer class on
+    the triangles (``p`` 2) twisted by the sign array ``twist``.  Holds its
+    cells in filtration order, their right sides and, for an integer
+    class, their coboundary rows; ``violation`` and ``twist_broken`` are
+    the first stages where the class and the twist fail the cocycle
+    identity, past the top when they never do.  Stage ``r`` reads the
+    cells with index at most ``r``.
     """
 
-    def __init__(self, lam: Cochain, nerve: Nerve):
-        self.cells = [s for s in nerve.order if len(s) == lam.degree + 1]
-        self.index = [nerve.index[s] for s in self.cells]
-        self.rhs = [lam.values[s] for s in self.cells]
-        self.rows = None  # a sign class goes to the union-find, without rows
-        self.twist_broken = None
+    def __init__(self, lam: np.ndarray, nerve: Nerve, p: int, twist: Optional[np.ndarray] = None):
+        nerve.require_order()
+        if p not in (1, 2) or len(lam) != len(nerve.simplices.get(p, ())):
+            raise ShapeMismatch("persistence handles sign 1-cochains and integer 2-cochains")
+        self.nerve = nerve
         self.answers: dict = {}  # prefix length -> solvable, for the per-stage scan
-        if lam.tag == "Z":
-            twist = lam.twist.values if lam.twist is not None else None
+        stages = nerve.stage_index(p)
+        order = np.argsort(stages, kind="stable").tolist()
+        self.cells = [nerve.simplices[p][i] for i in order]
+        self.index, self.rhs = stages[order].tolist(), lam[order].tolist()
+        self.rows = None  # a sign class goes to the union-find, without rows
+        self.twist_broken = len(nerve) + 1
+        if p == 1:
+            self.violation = _first_stage(nerve, 2, sign_coboundary(lam, nerve, 1) != 1)
+        else:
+            self.violation = _first_stage(nerve, 3, coboundary(lam, nerve, 2, twist) != 0)
             if twist is not None:
-                self.twist_broken = min(_violation_stages(lam.twist, nerve), default=None)
-            self.rows = coboundary_rows(self.cells, twist)
+                self.twist_broken = _first_stage(nerve, 2, sign_coboundary(twist, nerve, 1) != 1)
+            rows = coboundary_rows(nerve, 1, twist)
+            self.rows = [rows[i] for i in order]
 
     def _check_twist(self, r: int) -> None:
-        if self.twist_broken is not None and self.twist_broken <= r:
+        if self.twist_broken <= r:
             raise NotACocycle(f"the twist fails the cocycle identity at stage {r}")
 
     def solvable(self, r: int) -> bool:
@@ -159,25 +168,25 @@ def _pair(nerve: Nerve, cobirth: int, codeath: int) -> ThresholdPair:
     )
 
 
-def persistence(
-    lam: Cochain, nerve: Nerve, cross_check: Optional[bool] = None
-) -> ThresholdPair:
+def persistence(lam: np.ndarray, nerve: Nerve, p: int, twist: Optional[np.ndarray] = None,
+                cross_check: Optional[bool] = None) -> ThresholdPair:
     """Cobirth and codeath stages of a class along the filtration.
 
+    ``lam`` is a sign class on the edges (``p`` 1) or an integer class on
+    the triangles (``p`` 2) twisted by the sign array ``twist``.
     ``cross_check`` forces or suppresses the linear per-stage scan; by
     default it runs on nerves up to 500 simplices and any disagreement
     with the sweep is a hard error.  To scan only part of the
     filtration, pass the class restricted to a ``stage_subcomplex``.
     """
-    nerve.require_order()
-    violations = _violation_stages(lam, nerve)
-    cobirth = min(violations) - 1 if violations else len(nerve)
-    codeath = _StageProbe(lam, nerve).codeath(cobirth)
+    probe = StageProbe(lam, nerve, p, twist)
+    cobirth = probe.violation - 1
+    codeath = probe.codeath(cobirth)
 
     if cross_check is None:
         cross_check = len(nerve) <= CROSS_CHECK_LIMIT
     if cross_check:
-        brute = persistence_brute(lam, nerve)
+        brute = persistence_brute(probe)
         if (brute.cobirth_index, brute.codeath_index) != (cobirth, codeath):
             raise GuardError(
                 f"sweep ({cobirth}, {codeath}) disagrees with "
@@ -186,15 +195,13 @@ def persistence(
     return _pair(nerve, cobirth, codeath)
 
 
-def persistence_brute(lam: Cochain, nerve: Nerve) -> ThresholdPair:
-    """Authoritative linear scan: test every stage, assume no monotonicity."""
-    nerve.require_order()
-    violations = set(_violation_stages(lam, nerve))
-    probe = _StageProbe(lam, nerve)
+def persistence_brute(probe: StageProbe) -> ThresholdPair:
+    """Authoritative linear scan of a probe's class: test every stage, assume no monotonicity."""
+    nerve = probe.nerve
     cobirth = 0
     codeath = 0
     for r in range(1, len(nerve) + 1):
-        if not any(v <= r for v in violations):
+        if r < probe.violation:
             cobirth = r
         if r <= cobirth and probe.solvable(r):
             codeath = r
@@ -209,10 +216,10 @@ def persistence_report(witness: Witness, nerve: Nerve) -> PersistenceReport:
     cobirth; stage indices there agree with the parent filtration.
     """
     nerve.require_order()
-    sw_pair = persistence(sw_class(witness), nerve)
+    sw_pair = persistence(sw_class(witness), nerve, 1)
     sub = stage_subcomplex(nerve, sw_pair.cobirth_index)
     result = euler_cochain(witness.restrict(sub))
-    euler_pair = persistence(result.euler, sub)
+    euler_pair = persistence(result.euler, sub, 2, result.sw)
     return PersistenceReport(
         sw=sw_pair,
         euler=euler_pair,

@@ -237,30 +237,34 @@ def _nearest_o2(m: np.ndarray):
 # frame fields
 
 
-def _pair_rows(groups, sets, values: dict, what: str) -> list:
-    """Values on every ordered pair of supporting sets, ``(n, m, m)`` per group.
+def _pair_rows(groups, sets, edges, up, down, diag, what: str) -> list:
+    """Values on every ordered pair of supporting sets, ``(n, m, m, ...)`` per group.
 
-    ``values`` maps ``(j, k)`` set ids to an entry; entry ``[i, a, b]``
-    of a group is the value on its ``a``-th and ``b``-th supporting sets.
-    Raises ``ShapeMismatch`` when a pair that a support spans is missing.
+    ``up[i]`` sits on the pair ``edges[i]`` of set ids, ``down[i]`` on that
+    pair reversed, ``diag`` on each set paired with itself; entry
+    ``[i, a, b]`` of a group is the value on its ``a``-th and ``b``-th
+    supporting sets.  Raises ``ShapeMismatch`` when a pair that a support
+    spans is missing.
     """
     width = len(sets)
     slot = {j: i for i, j in enumerate(sets)}
-    known = [(slot[j] * width + slot[k], v) for (j, k), v in values.items()
-             if j in slot and k in slot]
-    keys = np.array([key for key, _ in known], dtype=np.int64)
-    order = np.argsort(keys)
-    keys, table = keys[order], np.array([v for _, v in known])[order]
+    ends = np.array([(slot.get(j, -1), slot.get(k, -1)) for j, k in edges], dtype=np.int64)
+    keep = np.flatnonzero((ends.reshape(-1, 2) >= 0).all(axis=1))
+    a, b = ends.reshape(-1, 2)[keep].T
+    # the row of ``table`` that holds each ordered pair of slots, -1 where none does
+    at = np.full((width, width), -1)
+    at[np.arange(width), np.arange(width)] = np.arange(width)
+    at[a, b], at[b, a] = width + np.arange(len(a)), width + len(a) + np.arange(len(a))
+    table = np.concatenate([np.broadcast_to(diag, (width, *np.shape(diag))), up[keep], down[keep]])
     out = []
     for g in groups:
-        want = g.slots[:, :, None] * width + g.slots[:, None, :]
-        at = np.minimum(keys.searchsorted(want), len(keys) - 1)
-        bad = np.flatnonzero(keys[at] != want)
+        pick = at[g.slots[:, :, None], g.slots[:, None, :]]
+        bad = np.flatnonzero(pick < 0)
         if bad.size:
-            i, a, b = np.unravel_index(bad[0], want.shape)
+            i, a, b = np.unravel_index(bad[0], pick.shape)
             pair = sorted((int(g.sets[i, a]), int(g.sets[i, b])))
             raise ShapeMismatch(f"{what} has no value on edge {tuple(pair)}")
-        out.append(table[at])
+        out.append(table[pick])
     return out
 
 
@@ -270,11 +274,9 @@ def _transitions(omega: Witness, groups, sets) -> list:
     The identity on the diagonal, a descending pair the inverse of its
     ascending one: a rotation's negated turn, a reflection itself.
     """
-    values = dict.fromkeys(((j, j) for j in sets), o2_matrices(0.0, 1))
-    values.update(zip(omega.nerve.edges, o2_matrices(omega.turn, omega.sign)))
     back = np.where(omega.sign == 1, -omega.turn % 1.0, omega.turn)
-    values.update(zip([e[::-1] for e in omega.nerve.edges], o2_matrices(back, omega.sign)))
-    return _pair_rows(groups, sets, values, "witness")
+    return _pair_rows(groups, sets, omega.nerve.edges, o2_matrices(omega.turn, omega.sign),
+                      o2_matrices(back, omega.sign), o2_matrices(0.0, 1), "witness")
 
 
 @dataclass(eq=False)
@@ -596,12 +598,14 @@ class GlobalTrivialization:
     turns.  ``phi`` records the per-set reflection fix and ``beta`` the
     per-edge integer winding correction that made the charts agree;
     ``residual`` is the worst remaining chart disagreement (chord units).
+    ``beta`` is an int array aligned to ``edges``.
     """
 
     ids: np.ndarray
     turns: np.ndarray
     phi: dict
-    beta: dict
+    edges: list
+    beta: np.ndarray
     residual: float
 
 
@@ -644,19 +648,16 @@ def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTri
 
     # winding fix: the rounded lift coboundary as an untwisted coboundary over Z
     classes = euler_cochain(hat)
-    tris = nerve.triangles
-    winding = solve_integer(coboundary_rows(tris), [classes.euler.values[t] for t in tris])
+    winding = solve_integer(coboundary_rows(nerve, 1), classes.euler.tolist())
     if winding is None:
         raise NotTrivializable(
             "euler", "the integer class is not a coboundary; the bundle twists"
         )
-    beta = {e: winding.get(e, 0) for e in edges}
+    beta = np.zeros(len(edges), dtype=np.int64)
+    beta[list(winding)] = list(winding.values())
     # per ordered pair (k, j): the rotation lift less its winding correction
-    shift = {(j, j): 0.0 for j in rho.sets}
-    for e in edges:
-        shift[e] = classes.lift.values[e] - beta[e]
-        shift[e[::-1]] = -shift[e]
-    shifts = _pair_rows(rho.groups, rho.sets, shift, "lift")
+    shift = classes.lift - beta
+    shifts = _pair_rows(rho.groups, rho.sets, edges, shift, -shift, 0.0, "lift")
     flip = np.array([phi[j] < 0 for j in rho.sets])
 
     # rotate each chart by its weighted lift difference, then average
@@ -676,5 +677,5 @@ def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTri
     for g, mean in zip(rho.groups, means):
         angles[g.rows] = s1_angle(mean)
     return GlobalTrivialization(
-        ids=rho.ids, turns=angles, phi=phi, beta=beta, residual=residual
+        ids=rho.ids, turns=angles, phi=phi, edges=edges, beta=beta, residual=residual
     )

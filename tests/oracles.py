@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circlet.cochains import Cochain, Witness
+from circlet.cochains import Witness
 from circlet.errors import (
     DiameterTooLarge,
     GuardError,
@@ -71,7 +71,7 @@ def o2_values(witness) -> dict:
 
 def trivial_twist(nerve):
     """The sign cochain that is +1 on every edge."""
-    return Cochain(nerve, 1, "Z2", dict.fromkeys(nerve.edges, 1))
+    return np.ones(len(nerve.edges), dtype=np.int64)
 
 
 def loop_defect(values: dict, triangles) -> float:
@@ -85,6 +85,19 @@ def loop_defect(values: dict, triangles) -> float:
             d = float(np.linalg.norm(a.matrix - b.matrix))
         worst = max(worst, d)
     return worst
+
+
+def loop_lift_coboundary(witness):
+    """Pre-bracket values (one per triangle) and the bracket margin, a triangle at a time.
+
+    On (j, k, l): the principal lifts, in (-1/2, 1/2], of the turns on
+    (k, l) times the sign on (j, k), minus (j, l), plus (j, k), added left to right.
+    """
+    turns = dict(zip(witness.nerve.edges, (witness.turn % 1.0).tolist()))
+    lift = {e: t if t <= 0.5 else t - 1.0 for e, t in turns.items()}
+    sign = dict(zip(witness.nerve.edges, witness.sign.tolist()))
+    pre = [sign[j, k] * lift[k, l] - lift[j, l] + lift[j, k] for j, k, l in witness.nerve.triangles]
+    return pre, min((0.5 - abs(x - round(x)) for x in pre), default=math.inf)
 
 
 def gap_scan_arc(angles, resolution: int = 200_000):
@@ -399,14 +412,16 @@ def column_rows(table: Columns) -> list:
     return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in table.cols.values()))]
 
 
-def dense_boundary(nerve, twist: dict, p: int):
+def dense_boundary(nerve, twist, p: int):
     """Twisted boundary matrix of p-chains, restated from the definition.
 
     The face without vertex i has sign (-1)**i, except that the face
-    without the leading vertex carries the twist on the leading edge.
-    Rows and columns follow the nerve's filtration order (lex without
-    one).  Returns ``(matrix, rows, cols)`` with an object matrix.
+    without the leading vertex carries the twist (a sign array on
+    ``nerve.edges``) on the leading edge.  Rows and columns follow the
+    nerve's filtration order (lex without one).  Returns
+    ``(matrix, rows, cols)`` with an object matrix.
     """
+    twist = dict(zip(nerve.edges, twist.tolist()))
 
     def ordered(q):
         simps = list(nerve.simplices.get(q, []))
@@ -423,7 +438,7 @@ def dense_boundary(nerve, twist: dict, p: int):
     return D, rows, cols
 
 
-def snf_fundamental_class(nerve, twist: dict) -> dict:
+def snf_fundamental_class(nerve, twist) -> dict:
     """Twisted fundamental 2-cycle by two dense full-transform Smith forms.
 
     The kernel of the 2-boundary is read off the Smith form's zero

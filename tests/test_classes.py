@@ -21,6 +21,7 @@ from oracles import (
     dense_boundary,
     gf2_nullspace,
     integer_kernel_via_rationals,
+    loop_lift_coboundary,
     mat_mul,
     snf_fundamental_class,
     trivial_twist,
@@ -37,16 +38,13 @@ from circlet.classes import (
     orientation_anchor,
     sw_class,
 )
-from circlet.cochains import (
-    Cochain,
-    check_sign_cocycle,
-    twisted_coboundary,
-)
+from circlet.cochains import check_sign_cocycle, coboundary
 from circlet.errors import BracketAmbiguous, NotASurface, ShapeMismatch
 from circlet.intlinalg import integer_solvable, solve_gf2
-from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
+from circlet.nerve import CoverSet, build_nerve
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle
-from circlet.witness import assemble_witness
+
+from test_cochains import ORACLE_SCENARIOS
 
 
 def nerve_from_tops(tops):
@@ -118,8 +116,7 @@ def orientation_class(nerve):
     for vec in gf2_nullspace(rows):
         b = np.array(vec, dtype=np.uint8)
         if solve_gf2(inc, b) is None:
-            vals = {e: -1 if vec[col[e]] else 1 for e in edges}
-            return Cochain(nerve, 1, "Z2", vals)
+            return np.array([-1 if vec[col[e]] else 1 for e in edges])
     return None
 
 
@@ -128,9 +125,9 @@ class TestSwClass:
         nerve = triangle_nerve()
         gauges = {0: O2(0.1, 1), 1: O2(0.3, -1), 2: O2(0.7, 1)}
         sw = sw_class(gauge_witness(nerve, gauges))
-        assert sw.tag == "Z2"
-        assert sw.values == {(0, 1): -1, (0, 2): 1, (1, 2): -1}
-        check_sign_cocycle(sw)
+        assert sw.dtype.kind == "i"
+        assert sw.tolist() == [-1, 1, -1]  # on (0, 1), (0, 2), (1, 2)
+        check_sign_cocycle(sw, nerve)
 
     def test_rejects_non_isometry_input(self):
         nerve = triangle_nerve()
@@ -146,8 +143,8 @@ class TestEulerCochain:
         nerve = triangle_nerve()
         wit = rotation_witness(nerve, {(0, 1): 0.4, (1, 2): 0.4, (0, 2): 0.8})
         res = euler_cochain(wit)
-        assert res.euler.values == {(0, 1, 2): 1}
-        assert res.lift.values[(0, 2)] == pytest.approx(-0.2)
+        assert res.euler.tolist() == [1]
+        assert res.lift[1] == pytest.approx(-0.2)  # on (0, 2)
         assert res.bracket_margin == pytest.approx(0.5, abs=1e-12)
 
     def test_product_bundle_vanishes(self):
@@ -156,7 +153,7 @@ class TestEulerCochain:
         nerve = tetra_boundary_nerve()
         gauges = {j: O2(0.011 * (j + 1), 1) for j in range(4)}
         res = euler_cochain(gauge_witness(nerve, gauges))
-        assert all(v == 0 for v in res.euler.values.values())
+        assert not res.euler.any()
         assert res.bracket_margin > 0.4
 
     def test_reflection_product_bundle_vanishes(self):
@@ -168,10 +165,9 @@ class TestEulerCochain:
             3: O2(0.037, -1),
         }
         res = euler_cochain(gauge_witness(nerve, gauges))
-        assert all(v == 0 for v in res.euler.values.values())
+        assert not res.euler.any()
         # and the rounded class is a cocycle twisted by the sign class
-        delta = twisted_coboundary(res.euler, res.sw)
-        assert all(v == 0 for v in delta.values.values())
+        assert not coboundary(res.euler, nerve, 2, res.sw).any()
 
     def test_half_integer_bracket_refused(self):
         nerve = triangle_nerve()
@@ -190,14 +186,14 @@ class TestEulerCochain:
             nerve, {(0, 1): 0.25, (1, 2): 0.2499, (0, 2): 0.0}
         )
         res = euler_cochain(safe)
-        assert res.euler.values[(0, 1, 2)] == 0
+        assert res.euler.tolist() == [0]
         assert res.bracket_margin == pytest.approx(1e-4, rel=1e-6)
 
     def test_margin_reports_worst_triangle(self):
         nerve = triangle_nerve()
         wit = rotation_witness(nerve, {(0, 1): 0.4, (1, 2): 0.3, (0, 2): 0.8})
         res = euler_cochain(wit)
-        assert res.euler.values[(0, 1, 2)] == 1
+        assert res.euler.tolist() == [1]
         assert res.bracket_margin == pytest.approx(0.4, abs=1e-12)
 
     def test_large_defect_warns(self, caplog):
@@ -206,7 +202,7 @@ class TestEulerCochain:
         with caplog.at_level(logging.WARNING, logger="circlet.classes"):
             res = euler_cochain(wit)
         assert any("defect" in rec.message for rec in caplog.records)
-        assert res.euler.values[(0, 1, 2)] == 0
+        assert res.euler.tolist() == [0]
 
     def test_exact_witness_never_warns(self, caplog):
         nerve = tetra_boundary_nerve()
@@ -230,8 +226,7 @@ class TestEulerCochain:
                 res = euler_cochain(gauge_witness(nerve, gauges))
             except BracketAmbiguous:
                 continue  # principal sums can land on a half integer
-            delta = twisted_coboundary(res.euler, res.sw)
-            assert all(v == 0 for v in delta.values.values())
+            assert not coboundary(res.euler, nerve, 2, res.sw).any()
 
 
 class TestFundamentalClass:
@@ -240,28 +235,24 @@ class TestFundamentalClass:
         # coefficient normalized positive
         nerve = tetra_boundary_nerve()
         mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
-        assert mu == {
-            (0, 1, 2): 1,
-            (0, 1, 3): -1,
-            (0, 2, 3): 1,
-            (1, 2, 3): -1,
-        }
+        assert nerve.triangles == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert mu.tolist() == [1, -1, 1, -1]
 
     def test_octahedron_is_a_cycle(self):
         nerve = octahedron_nerve()
         omega = trivial_twist(nerve)
         mu = fundamental_class_twisted(nerve, omega)
-        assert sorted(mu) == nerve.triangles
-        assert all(abs(c) == 1 for c in mu.values())
-        assert mu[nerve.triangles[0]] == 1
-        d2, _, tris = dense_boundary(nerve, omega.values, 2)
-        chain = [[mu[t]] for t in tris]
+        assert len(mu) == len(nerve.triangles)
+        assert np.all(np.abs(mu) == 1)
+        assert mu[0] == 1
+        d2, _, tris = dense_boundary(nerve, omega, 2)
+        chain = [[int(mu[nerve.triangles.index(t)])] for t in tris]
         boundary = mat_mul([[int(x) for x in row] for row in d2], chain)
         assert all(v == [0] for v in boundary)
 
     def test_octahedron_kernel_rank_matches_oracle(self):
         nerve = octahedron_nerve()
-        d2, _, _ = dense_boundary(nerve, trivial_twist(nerve).values, 2)
+        d2, _, _ = dense_boundary(nerve, trivial_twist(nerve), 2)
         plain = [[int(x) for x in row] for row in d2]
         rank, nullity = integer_kernel_via_rationals(plain)
         assert (rank, nullity) == (7, 1)
@@ -275,13 +266,13 @@ class TestFundamentalClass:
         nerve = projective_plane_nerve()
         omega = orientation_class(nerve)
         assert omega is not None
-        check_sign_cocycle(omega)
+        check_sign_cocycle(omega, nerve)
         mu = fundamental_class_twisted(nerve, omega)
-        assert sorted(mu) == nerve.triangles
-        assert all(abs(c) == 1 for c in mu.values())
+        assert len(mu) == len(nerve.triangles)
+        assert np.all(np.abs(mu) == 1)
         # the twisted boundary of the chain vanishes exactly
-        d2, _, tris = dense_boundary(nerve, omega.values, 2)
-        chain = np.array([[mu[t]] for t in tris], dtype=object)
+        d2, _, tris = dense_boundary(nerve, omega, 2)
+        chain = np.array([[int(mu[nerve.triangles.index(t)])] for t in tris], dtype=object)
         assert all(v == 0 for v in np.dot(d2, chain).reshape(-1))
 
     def test_twist_by_coboundary_still_works(self):
@@ -289,11 +280,10 @@ class TestFundamentalClass:
         # but keeps the sphere a sphere
         nerve = tetra_boundary_nerve()
         sigma = {0: 1, 1: -1, 2: 1, 3: -1}
-        vals = {(j, k): sigma[j] * sigma[k] for (j, k) in nerve.edges}
-        omega = Cochain(nerve, 1, "Z2", vals)
+        omega = np.array([sigma[j] * sigma[k] for (j, k) in nerve.edges])
         mu = fundamental_class_twisted(nerve, omega)
-        assert all(abs(c) == 1 for c in mu.values())
-        assert mu[(0, 1, 2)] == 1
+        assert np.all(np.abs(mu) == 1)
+        assert mu[nerve.triangles.index((0, 1, 2))] == 1
 
     def test_solid_tetrahedron_rejected(self):
         # with the 3-cell filled in, the second homology dies
@@ -310,7 +300,7 @@ class TestFundamentalClass:
     def test_first_nonzero_positive(self):
         nerve = octahedron_nerve()
         mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
-        lead = next(mu[t] for t in nerve.triangles if mu[t] != 0)
+        lead = next(c for c in mu.tolist() if c != 0)  # lex order, as no filtration is set
         assert lead > 0
 
 
@@ -318,16 +308,15 @@ class TestEulerNumber:
     def test_pairing_with_zero_cochain(self):
         nerve = tetra_boundary_nerve()
         mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
-        zero = Cochain(nerve, 2, "Z", {t: 0 for t in nerve.triangles})
+        zero = np.zeros(len(nerve.triangles), dtype=np.int64)
         assert euler_number(zero, mu) == 0
 
     def test_frozen_pairing(self):
         nerve = tetra_boundary_nerve()
         mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
-        vals = {t: 0 for t in nerve.triangles}
-        vals[(0, 1, 2)] = 2
-        e = Cochain(nerve, 2, "Z", vals)
-        assert euler_number(e, mu) == 2 * mu[(0, 1, 2)] == 2
+        e = np.zeros(len(nerve.triangles), dtype=np.int64)
+        e[nerve.triangles.index((0, 1, 2))] = 2
+        assert euler_number(e, mu) == 2 * mu[nerve.triangles.index((0, 1, 2))] == 2
 
     def test_hand_built_unit_class(self):
         # concentrate the lift on the edges of one face so its twisted
@@ -338,12 +327,8 @@ class TestEulerNumber:
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
         res = euler_cochain(rotation_witness(nerve, turns))
-        assert res.euler.values == {
-            (0, 1, 2): 1,
-            (0, 1, 3): 0,
-            (0, 2, 3): 0,
-            (1, 2, 3): 0,
-        }
+        assert nerve.triangles == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert res.euler.tolist() == [1, 0, 0, 0]
         mu = fundamental_class_twisted(nerve, res.sw)
         assert euler_number(res.euler, mu) == 1
 
@@ -352,8 +337,7 @@ class TestEulerNumber:
         mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
         with pytest.raises(ShapeMismatch):
             euler_number(trivial_twist(nerve), mu)
-        other = triangle_nerve()
-        e = Cochain(other, 2, "Z", {(0, 1, 2): 1})
+        e = np.ones(len(triangle_nerve().triangles), dtype=np.int64)
         with pytest.raises(ShapeMismatch):
             euler_number(e, mu)
 
@@ -372,25 +356,29 @@ class TestBranchIndependence:
         nerve = tetra_boundary_nerve()
         turns = {e: 0.01 * (i + 1) for i, e in enumerate(nerve.edges)}
         res = euler_cochain(rotation_witness(nerve, turns))
-        shift = {e: 0 for e in nerve.edges}
-        shift[(1, 2)] = 1
-        shifted = Cochain(
-            nerve, 1, "R",
-            {e: res.lift.values[e] + shift[e] for e in nerve.edges},
-            twist=res.sw,
-        )
-        moved = twisted_coboundary(shifted, res.sw)
-        delta = twisted_coboundary(
-            Cochain(nerve, 1, "R", {e: float(shift[e]) for e in nerve.edges},
-                    twist=res.sw),
-            res.sw,
-        )
-        for t in nerve.triangles:
-            expect = res.euler.values[t] + round(delta.values[t])
-            assert round(moved.values[t]) == expect
+        shift = np.zeros(len(nerve.edges))
+        shift[nerve.edges.index((1, 2))] = 1.0
+        moved = coboundary(res.lift + shift, nerve, 1, res.sw)
+        delta = np.rint(coboundary(shift, nerve, 1, res.sw)).astype(np.int64)
+        assert np.rint(moved).astype(np.int64).tolist() == (res.euler + delta).tolist()
         # pairing with the fundamental cycle is unchanged by the shift
         mu = fundamental_class_twisted(nerve, res.sw)
-        assert sum(round(delta.values[t]) * mu[t] for t in nerve.triangles) == 0
+        assert euler_number(delta, mu) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+def test_lift_coboundary_and_margin_match_loop(name, seed, filtered_witness):
+    # the vectorized lift, its twisted coboundary summed facet by facet and
+    # the bracket margin, bit for bit against a per-triangle loop
+    gen, args, kwargs = ORACLE_SCENARIOS[name]
+    wit = filtered_witness(gen, *args, seed=seed, **kwargs)
+    res = euler_cochain(wit)
+    pre, margin = loop_lift_coboundary(wit)
+    got = coboundary(res.lift, wit.nerve, 1, res.sw)
+    assert got.view(np.int64).tolist() == np.array(pre, dtype=float).view(np.int64).tolist()
+    assert res.euler.tolist() == [round(x) for x in pre]
+    assert res.bracket_margin == margin
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +396,10 @@ def octahedron_with_cone():
     return nerve_from_tops(faces + [(0, 1, 2, 3)])
 
 
-def indicator(nerve, omega, triangle, value=1):
-    vals = {t: 0 for t in nerve.triangles}
-    vals[triangle] = value
-    return Cochain(nerve, 2, "Z", vals, twist=omega)
+def indicator(nerve, triangle, value=1):
+    vals = np.zeros(len(nerve.triangles), dtype=np.int64)
+    vals[nerve.triangles.index(triangle)] = value
+    return vals
 
 
 def hand_built_cases():
@@ -424,69 +412,74 @@ def hand_built_cases():
     cases["tetra-boundary"] = (nerve, res.sw, res.euler)
     nerve = octahedron_nerve()
     omega = trivial_twist(nerve)
-    cases["octahedron"] = (nerve, omega, indicator(nerve, omega, (2, 4, 5), 3))
+    cases["octahedron"] = (nerve, omega, indicator(nerve, (2, 4, 5), 3))
     nerve = projective_plane_nerve()
     omega = orientation_class(nerve)
-    cases["rp2-twisted"] = (nerve, omega, indicator(nerve, omega, (1, 3, 5), -2))
+    cases["rp2-twisted"] = (nerve, omega, indicator(nerve, (1, 3, 5), -2))
     nerve = octahedron_with_cone()
     omega = trivial_twist(nerve)
     # zero on the faces of the tetrahedron, so a twisted cocycle
-    cases["octahedron-cone"] = (nerve, omega, indicator(nerve, omega, (4, 5, 6), 2))
+    cases["octahedron-cone"] = (nerve, omega, indicator(nerve, (4, 5, 6), 2))
     return cases
 
 
 HAND_BUILT = hand_built_cases()
 
+# by generator, positional and keyword arguments
 SYNTHETIC = {
-    "lens1-2000-16": lambda: gen_lens_bundle(1, n_samples=2000, n_sets=16, radius=0.85, seed=0),
-    "lens2-2000-64": lambda: gen_lens_bundle(2, n_samples=2000, n_sets=64, radius=0.44, seed=0),
-    "lens2-4000-64": lambda: gen_lens_bundle(2, n_samples=4000, n_sets=64, radius=0.44, seed=0),
-    "rp2-3000": lambda: gen_rp2_bundle(1, n_samples=3000, seed=0),
+    "lens1-2000-16": (gen_lens_bundle, (1,), {"n_samples": 2000, "n_sets": 16, "radius": 0.85}),
+    "lens2-2000-64": (gen_lens_bundle, (2,), {"n_samples": 2000, "n_sets": 64, "radius": 0.44}),
+    "lens2-4000-64": (gen_lens_bundle, (2,), {"n_samples": 4000, "n_sets": 64, "radius": 0.44}),
+    "rp2-3000": (gen_rp2_bundle, (1,), {"n_samples": 3000}),
 }
 
 
 @pytest.fixture(scope="module")
-def synthetic_cases():
+def synthetic_cases(filtered_witness):
     out = {}
-    for name, make in SYNTHETIC.items():
-        ds, cover, trivs = make()
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-        nerve = filtration_order(edge_weights(nerve, trivs, wit))
-        res = euler_cochain(wit._replace(nerve=nerve))
+    for name, (gen, args, kwargs) in SYNTHETIC.items():
+        wit = filtered_witness(gen, *args, seed=0, **kwargs)
+        res = euler_cochain(wit)
         assert res.euler_is_cocycle()
-        out[name] = (nerve, res.sw, res.euler)
+        out[name] = (wit.nerve, res.sw, res.euler)
     return out
 
 
 def boundary_rows(nerve, omega):
     """Rows of the twisted 3-boundary, one per triangle in filtration order."""
-    D, tris, tets = dense_boundary(nerve, omega.values, 3)
+    D, tris, tets = dense_boundary(nerve, omega, 3)
     return tris, [{q: int(v) for q, v in zip(tets, row) if v} for row in D]
+
+
+def as_chain(nerve, chain: dict) -> np.ndarray:
+    """A ``{triangle: coefficient}`` chain as an int array on ``nerve.triangles``."""
+    return np.array([chain[t] for t in nerve.triangles], dtype=np.int64)
 
 
 def check_against_dense_path(nerve, omega, e):
     mu = fundamental_class_twisted(nerve, omega)
-    old = snf_fundamental_class(nerve, omega.values)
+    old = snf_fundamental_class(nerve, omega)
     assert old is not None
+    at = {t: i for i, t in enumerate(nerve.triangles)}
     # a twisted cycle, zero off the collapsed core
-    D2, _, tris = dense_boundary(nerve, omega.values, 2)
-    assert not np.any(np.dot(D2, np.array([mu[t] for t in tris], dtype=object)))
+    D2, _, tris = dense_boundary(nerve, omega, 2)
+    assert not np.any(np.dot(D2, np.array([int(mu[at[t]]) for t in tris], dtype=object)))
     core = set(collapsed_core(nerve)[0])
-    assert all(mu[t] == 0 for t in tris if t not in core)
-    assert abs(euler_number(e, mu)) == abs(euler_number(e, old))
+    assert all(mu[i] == 0 for i in range(len(mu)) if i not in core)
+    assert abs(euler_number(e, mu)) == abs(euler_number(e, as_chain(nerve, old)))
     anchor = orientation_anchor(nerve, mu)
     assert anchor is not None and mu[anchor] > 0
-    assert anchor not in {q[:i] + q[i + 1:] for q in nerve.tetrahedra for i in range(4)}
+    faces = {q[:i] + q[i + 1:] for q in nerve.tetrahedra for i in range(4)}
+    assert nerve.triangles[anchor] not in faces
     # the dense cycle, re-signed by the anchor rule, gives the same number
-    sign = 1 if old[anchor] > 0 else -1
-    assert euler_number(e, {t: sign * c for t, c in old.items()}) == euler_number(e, mu)
+    sign = 1 if old[nerve.triangles[anchor]] > 0 else -1
+    assert euler_number(e, sign * as_chain(nerve, old)) == euler_number(e, mu)
     # and differs from the new cycle by a twisted 3-boundary
     order, rows = boundary_rows(nerve, omega)
-    assert integer_solvable(rows, [mu[t] - sign * old[t] for t in order])
+    assert integer_solvable(rows, [int(mu[at[t]]) - sign * old[t] for t in order])
     if not nerve.tetrahedra:
         # without tetrahedra the cycle is unique up to sign: the old rule
-        assert mu == old
+        assert mu.tolist() == as_chain(nerve, old).tolist()
     return mu
 
 
@@ -499,8 +492,8 @@ def sympy_free_rank(nerve, omega) -> int:
             return 0
         return sum(1 for d in invariant_factors(sympy.Matrix(D.tolist()), domain=sympy.ZZ) if d)
 
-    D2, _, tris = dense_boundary(nerve, omega.values, 2)
-    D3, _, _ = dense_boundary(nerve, omega.values, 3)
+    D2, _, tris = dense_boundary(nerve, omega, 2)
+    D3, _, _ = dense_boundary(nerve, omega, 3)
     return len(tris) - rank(D2) - rank(D3)
 
 
@@ -540,12 +533,13 @@ class TestCollapsedCycle:
         mu = fundamental_class_twisted(nerve, omega)
         # the core is the octahedron; its first face carries the cycle, but
         # adding the tetrahedron's boundary could move that coefficient
-        assert sorted(t for t in mu if mu[t]) == sorted(nerve_from_tops(
+        assert [t for t, c in zip(nerve.triangles, mu) if c] == nerve_from_tops(
             [(1, 2, 3), (1, 3, 5), (1, 4, 5), (1, 2, 4),
-             (2, 3, 6), (3, 5, 6), (4, 5, 6), (2, 4, 6)]).triangles)
-        assert next(t for t in nerve.triangles if mu[t]) == (1, 2, 3)
-        assert orientation_anchor(nerve, mu) == (1, 2, 4)
-        assert mu[(1, 2, 4)] == 1
+             (2, 3, 6), (3, 5, 6), (4, 5, 6), (2, 4, 6)]).triangles
+        assert next(t for t, c in zip(nerve.triangles, mu) if c) == (1, 2, 3)
+        anchor = orientation_anchor(nerve, mu)
+        assert nerve.triangles[anchor] == (1, 2, 4)
+        assert mu[anchor] == 1
 
     def test_fallback_on_a_block_without_unit_pivot(self, monkeypatch):
         # untwisted RP^2: elimination leaves a coefficient 2, the Z/2 that
@@ -577,7 +571,8 @@ def test_boundaries_keep_anchor_and_pairing(rp2_cycle, data):
     tets = nerve.tetrahedra
     tau = data.draw(st.lists(st.integers(-3, 3), min_size=len(tets), max_size=len(tets)))
     coef = dict(zip(tets, tau))
-    moved = {t: c + sum(v * coef[q] for q, v in rows[t].items()) for t, c in mu.items()}
+    moved = np.array([c + sum(v * coef[q] for q, v in rows[t].items())
+                      for t, c in zip(nerve.triangles, mu.tolist())], dtype=np.int64)
     anchor = orientation_anchor(nerve, mu)
     assert orientation_anchor(nerve, moved) == anchor
     assert moved[anchor] == mu[anchor] > 0

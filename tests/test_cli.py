@@ -619,6 +619,22 @@ def _reverse_order(doc):
     doc["nerve"]["order"].reverse()
 
 
+def _repeat(path, **change):
+    """A document mutation: append a copy of the first row of the list at ``path``, changed."""
+
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append({**doc[0], **change})
+
+    return mutate
+
+
+def _repeated_perturbation(doc):
+    edge = doc["nerve"]["simplices"]["1"][0]
+    doc["nerve"]["perturbations"] = [{"simplex": edge, "offset": 1e-15}] * 2
+
+
 class TestMalformedPipelineDocuments:
     """Clusters, classes and witness documents go through the same column checks."""
 
@@ -638,12 +654,19 @@ class TestMalformedPipelineDocuments:
         ("witness.json", _set(["nerve", "weights"], 5)),
         ("witness.json", _set(["nerve", "simplices", "1"], 5)),
         ("witness.json", _reverse_order),
+        ("witness.json", _repeat(["values"], sign=-1)),
+        ("classes.json", _repeat(["sw"], sign=-1)),
+        ("classes.json", _repeat(["euler"], value=7)),
+        ("classes.json", _repeat(["lift"], turn=0.25)),
+        ("witness.json", _repeat(["nerve", "weights"], weight=0.5)),
+        ("witness.json", _repeated_perturbation),
     ], ids=[
         "cluster-id-list", "clusters-not-lists", "member-list", "cluster-id-string",
         "sw-without-simplex", "sw-sign-3", "sw-sign-string", "sw-not-list",
         "euler-value-float", "values-not-list", "witness-sign-float",
         "witness-sign-bool", "weights-not-list", "simplices-not-list",
-        "order-before-facets",
+        "order-before-facets", "repeated-value", "repeated-sw", "repeated-euler",
+        "repeated-lift", "repeated-weight", "repeated-perturbation",
     ])
     def test_schema_exit_without_traceback(self, split_dirs, tmp_path, capsys, name, mutate):
         synth, wit, cls = split_dirs

@@ -1,4 +1,4 @@
-"""Twisted Cech cochains and the witness: coboundaries, defects, restriction."""
+"""Twisted Cech cochains as arrays and the witness: coboundaries, defects, restriction."""
 
 from __future__ import annotations
 
@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from circlet.circle import o2_matrices
 from circlet.cochains import (
-    Cochain,
     Witness,
     check_sign_cocycle,
+    coboundary,
     cocycle_defect,
-    restrict,
-    twisted_coboundary,
+    sign_coboundary,
 )
 from circlet.errors import DegreeUnsupported, NotACocycle, ShapeMismatch
 from circlet.nerve import CoverSet, Nerve, build_nerve, filtration_order, stage_subcomplex
 from circlet.projection import _transitions
+from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 
-from oracles import O2, loop_defect, o2_values, partition_from_rows, trivial_twist, witness_of
+from oracles import (O2, dense_boundary, loop_defect, o2_values, partition_from_rows,
+                     trivial_twist, witness_of)
 
 
 def triangle_nerve():
@@ -33,8 +34,7 @@ def tetra_nerve():
 
 def sign_cocycle_from_vertices(nerve, vertex_signs):
     """delta of a vertex sign assignment: always a cocycle."""
-    vals = {(j, k): vertex_signs[j] * vertex_signs[k] for (j, k) in nerve.edges}
-    return Cochain(nerve, 1, "Z2", vals)
+    return np.array([vertex_signs[j] * vertex_signs[k] for (j, k) in nerve.edges])
 
 
 turns = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, width=32)
@@ -43,14 +43,17 @@ signs = st.sampled_from([1, -1])
 
 class TestCochainContainer:
     def test_domain_must_match(self):
+        # a cochain is an array with one value per simplex of its degree
         nerve = triangle_nerve()
         with pytest.raises(ShapeMismatch):
-            Cochain(nerve, 1, "R", {(0, 1): 0.5})
+            coboundary(np.array([0.5]), nerve, 1)
+        with pytest.raises(ShapeMismatch):
+            sign_coboundary(np.ones(4, dtype=np.int64), nerve, 1)
 
     def test_sign_values_checked(self):
         nerve = triangle_nerve()
         with pytest.raises(ValueError):
-            Cochain(nerve, 0, "Z2", {(0,): 1, (1,): 0, (2,): 1})
+            check_sign_cocycle(np.array([1, 0, 1]), nerve)
 
     def test_permuted_pair_lookup_o2(self):
         # the witness is kept on ascending edges; a descending pair of
@@ -70,59 +73,55 @@ class TestSignCocycleCheck:
     def test_coboundary_signs_pass(self):
         nerve = triangle_nerve()
         omega = sign_cocycle_from_vertices(nerve, {0: 1, 1: -1, 2: -1})
-        check_sign_cocycle(omega)
+        check_sign_cocycle(omega, nerve)
 
     def test_odd_triangle_fails(self):
         nerve = triangle_nerve()
-        vals = {(0, 1): -1, (0, 2): 1, (1, 2): 1}
         with pytest.raises(NotACocycle):
-            check_sign_cocycle(Cochain(nerve, 1, "Z2", vals))
+            check_sign_cocycle(np.array([-1, 1, 1]), nerve)  # -1 on (0, 1)
 
 
 class TestTwistedCoboundary:
+    # the triangle nerve's edges are (0, 1), (0, 2), (1, 2)
+
     def test_zero_cochain_stays_zero(self):
         nerve = tetra_nerve()
         for deg in (0, 1, 2):
-            simps = nerve.simplices[deg]
-            c = Cochain(nerve, deg, "R", {s: 0.0 for s in simps})
-            d = twisted_coboundary(c)
-            assert all(v == 0.0 for v in d.values.values())
+            d = coboundary(np.zeros(len(nerve.simplices[deg])), nerve, deg)
+            assert len(d) == len(nerve.simplices[deg + 1]) and not d.any()
 
     def test_triangle_real_lift_defect(self):
         # frozen worked value: 0.4 + 0.4 - (-0.2) = 1.0
         nerve = triangle_nerve()
-        theta = Cochain(nerve, 1, "R", {(0, 1): 0.4, (0, 2): -0.2, (1, 2): 0.4})
-        d = twisted_coboundary(theta, trivial_twist(nerve))
-        assert d.values[(0, 1, 2)] == pytest.approx(1.0)
+        theta = np.array([0.4, -0.2, 0.4])
+        d = coboundary(theta, nerve, 1, trivial_twist(nerve))
+        assert d.tolist() == [pytest.approx(1.0)]
 
     def test_twist_flips_leading_term(self):
         nerve = triangle_nerve()
         omega = sign_cocycle_from_vertices(nerve, {0: -1, 1: 1, 2: 1})
-        theta = Cochain(nerve, 1, "R", {(0, 1): 0.4, (0, 2): -0.2, (1, 2): 0.4})
-        d = twisted_coboundary(theta, omega)
+        theta = np.array([0.4, -0.2, 0.4])
+        d = coboundary(theta, nerve, 1, omega)
         # omega_01 = -1: -0.4 + 0.2 + 0.4
-        assert d.values[(0, 1, 2)] == pytest.approx(0.2)
+        assert d[0] == pytest.approx(0.2)
 
     def test_degree0_formula(self):
         nerve = triangle_nerve()
         omega = sign_cocycle_from_vertices(nerve, {0: 1, 1: -1, 2: 1})
-        c = Cochain(nerve, 0, "R", {(0,): 0.1, (1,): 0.2, (2,): 0.3})
-        d = twisted_coboundary(c, omega)
-        assert d.values[(0, 1)] == pytest.approx(-1 * 0.2 - 0.1)
-        assert d.values[(1, 2)] == pytest.approx(-1 * 0.3 - 0.2)
-        assert d.values[(0, 2)] == pytest.approx(1 * 0.3 - 0.1)
+        d = coboundary(np.array([0.1, 0.2, 0.3]), nerve, 0, omega)
+        assert d[0] == pytest.approx(-1 * 0.2 - 0.1)
+        assert d[2] == pytest.approx(-1 * 0.3 - 0.2)
+        assert d[1] == pytest.approx(1 * 0.3 - 0.1)
 
     def test_degree0_sign_cochain_multiplicative(self):
         nerve = triangle_nerve()
-        c = Cochain(nerve, 0, "Z2", {(0,): 1, (1,): -1, (2,): 1})
-        d = twisted_coboundary(c)
-        assert d.values == {(0, 1): -1, (0, 2): 1, (1, 2): -1}
+        d = sign_coboundary(np.array([1, -1, 1]), nerve, 0)
+        assert d.tolist() == [-1, 1, -1]
 
     def test_unsupported_degree(self):
         nerve = tetra_nerve()
-        c = Cochain(nerve, 3, "R", {s: 0.0 for s in nerve.tetrahedra})
         with pytest.raises(DegreeUnsupported):
-            twisted_coboundary(c)
+            coboundary(np.zeros(len(nerve.tetrahedra)), nerve, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -134,11 +133,9 @@ class TestTwistedCoboundary:
     def test_coboundary_squares_to_zero_deg0(self, vs, vals):
         nerve = tetra_nerve()
         omega = sign_cocycle_from_vertices(nerve, dict(enumerate(vs)))
-        c = Cochain(
-            nerve, 0, "R", {(j,): float(vals[j]) for j in range(4)}
-        )
-        dd = twisted_coboundary(twisted_coboundary(c, omega), omega)
-        assert all(abs(v) < 1e-9 for v in dd.values.values())
+        c = np.array(vals, dtype=float)
+        dd = coboundary(coboundary(c, nerve, 0, omega), nerve, 1, omega)
+        assert np.all(np.abs(dd) < 1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -150,20 +147,13 @@ class TestTwistedCoboundary:
     def test_coboundary_squares_to_zero_deg1(self, vs, vals):
         nerve = tetra_nerve()
         omega = sign_cocycle_from_vertices(nerve, dict(enumerate(vs)))
-        c = Cochain(
-            nerve,
-            1,
-            "R",
-            {e: float(v) for e, v in zip(nerve.edges, vals)},
-        )
-        dd = twisted_coboundary(twisted_coboundary(c, omega), omega)
-        assert all(abs(v) < 1e-9 for v in dd.values.values())
+        c = np.array(vals, dtype=float)
+        dd = coboundary(coboundary(c, nerve, 1, omega), nerve, 2, omega)
+        assert np.all(np.abs(dd) < 1e-9)
         # integers, degree 2 -> 3: exactly zero on the tetrahedron
-        z = Cochain(
-            nerve, 1, "Z", {e: int(round(4 * v)) for e, v in zip(nerve.edges, vals)}
-        )
-        dd = twisted_coboundary(twisted_coboundary(z, omega), omega)
-        assert dd.degree == 3 and dd.values == {(0, 1, 2, 3): 0}
+        z = np.array([int(round(4 * v)) for v in vals])
+        dd = coboundary(coboundary(z, nerve, 1, omega), nerve, 2, omega)
+        assert dd.dtype.kind == "i" and dd.tolist() == [0]
 
 
 class TestCocycleDefect:
@@ -226,16 +216,16 @@ class TestActByPotential:
 
 class TestRestrict:
     def test_restrict_to_stage(self):
+        # an edge array restricts to a stage through the witness that carries it
         nerve = filtration_order(tetra_nerve())
         sub = stage_subcomplex(nerve, 8)
-        c = Cochain(nerve, 1, "R", {e: float(sum(e)) for e in nerve.edges})
-        rc = restrict(c, sub)
-        assert set(rc.values) == set(sub.edges)
-        for e in sub.edges:
-            assert rc.values[e] == c.values[e]
+        turn = np.array([sum(e) / 10.0 for e in nerve.edges])
+        rw = Witness(nerve, turn, np.ones(len(turn), dtype=np.int64)).restrict(sub)
+        assert rw.turn.tolist() == [sum(e) / 10.0 for e in sub.edges]
+        assert len(sub.edges) < len(nerve.edges)
 
     def test_witness_restricts_by_edge(self):
-        # a parsed nerve may list its edges out of lex order
+        # a nerve built by hand may list its edges out of lex order
         nerve = filtration_order(tetra_nerve())
         shuffled = Nerve({p: list(reversed(v)) for p, v in nerve.simplices.items()})
         shuffled.order, shuffled.index = nerve.order, nerve.index
@@ -244,3 +234,36 @@ class TestRestrict:
         rw = wit.restrict(sub)
         assert isinstance(rw, Witness) and rw.nerve is sub
         assert o2_values(rw) == {e: o2_values(wit)[e] for e in sub.edges}
+
+
+# synth nerves the arrays are compared on, by their exact generator arguments
+ORACLE_SCENARIOS = {
+    "lens1": (gen_lens_bundle, (1,), {"n_samples": 2000, "n_sets": 16, "radius": 0.85}),
+    "lens2": (gen_lens_bundle, (2,), {"n_samples": 4000, "n_sets": 64, "radius": 0.44}),
+    "rp2": (gen_rp2_bundle, (1,), {"n_samples": 2000, "n_sets": 20}),
+    "klein": (gen_s1_bundle, (False,), {}),
+    "torus": (gen_s1_bundle, (True,), {}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+def test_coboundary_matches_dense_boundary(name, seed, filtered_witness):
+    # integer and sign p-cochains, p = 0, 1, 2, against the transpose of the
+    # dense twisted boundary restated from the definition
+    gen, args, kwargs = ORACLE_SCENARIOS[name]
+    nerve = filtered_witness(gen, *args, seed=seed, **kwargs).nerve
+    rng = np.random.default_rng(seed)
+    twists = [trivial_twist(nerve), rng.choice([-1, 1], len(nerve.edges))]
+    for p in (0, 1, 2):
+        ints = rng.integers(-3, 4, len(nerve.simplices[p]))
+        signs = rng.choice([-1, 1], len(nerve.simplices[p]))
+        for twist in twists:
+            D, faces, cofaces = dense_boundary(nerve, twist, p + 1)
+            # the dense matrix is in filtration order, the arrays in lex order
+            lex = [{s: i for i, s in enumerate(nerve.simplices[q])} for q in (p, p + 1)]
+            rows, cols = [lex[0][s] for s in faces], [lex[1][s] for s in cofaces]
+            dense = D.T.astype(np.int64)
+            assert coboundary(ints, nerve, p, twist)[cols].tolist() == (dense @ ints[rows]).tolist()
+            odd = (np.abs(dense) @ (signs[rows] < 0)) % 2
+            assert sign_coboundary(signs, nerve, p)[cols].tolist() == (1 - 2 * odd).tolist()

@@ -92,12 +92,12 @@ class TestConnectivityCocycle:
         assert nerve.edges == [(0, 1), (0, 2), (1, 2)]
         assert not nerve.triangles
         nu = connectivity_cocycle(clusters, nerve)
-        assert nu.values == {(0, 1): 1, (0, 2): -1, (1, 2): 1}
+        assert nu.tolist() == [1, -1, 1]
 
     def test_globally_consistent_labels(self):
         dataset, cover, clusters = two_copy_fixture()
         nu = connectivity_cocycle(clusters, build_nerve(cover))
-        assert set(nu.values.values()) == {1}
+        assert set(nu.tolist()) == {1}
 
     def test_flip_one_set_changes_by_its_coboundary(self):
         _, cover, clusters, _ = ring_fixture()
@@ -108,7 +108,8 @@ class TestConnectivityCocycle:
         nu2 = connectivity_cocycle(flipped, nerve)
         for (j, k) in nerve.edges:
             factor = -1 if 1 in (j, k) else 1
-            assert nu2.values[(j, k)] == factor * nu.values[(j, k)]
+            i = nerve.edges.index((j, k))
+            assert nu2[i] == factor * nu[i]
 
     def test_empty_cluster_rejected(self):
         _, cover, clusters, _ = ring_fixture()
@@ -205,8 +206,8 @@ class TestUnwrapGeometric:
     def test_pulled_back_class_bounds(self):
         dataset, cover, clusters, _ = ring_fixture()
         res = unwrap_double_cover(dataset, cover, clusters)
-        nu = res.nu
-        assert nu.values == connectivity_cocycle(clusters, build_nerve(cover)).values
+        nu = dict(zip(res.nerve.edges, res.nu.tolist()))
+        assert res.nu.tolist() == connectivity_cocycle(clusters, build_nerve(cover)).tolist()
         lifted = build_nerve(res.cover)
         edges = lifted.edges
         verts = [v[0] for v in lifted.vertices]
@@ -218,7 +219,7 @@ class TestUnwrapGeometric:
             A[i, col[c]] = 1
             ja, jc = res.set_map[a][0], res.set_map[c][0]
             edge = (min(ja, jc), max(ja, jc))
-            b[i] = 0 if nu.values[edge] == 1 else 1
+            b[i] = 0 if nu[edge] == 1 else 1
         assert solve_gf2(A, b) is not None
 
     def test_lifted_centers_follow_orientation(self):
@@ -284,7 +285,7 @@ class TestUnwrapGeometric:
                       frozenset((low & a_side) | (high - a_side)))
         nerve = build_nerve(cover)
         nu = connectivity_cocycle(crossed, nerve)
-        assert nu.values == {(0, 1): 1, (0, 2): 1, (1, 2): -1}
+        assert dict(zip(nerve.edges, nu.tolist())) == {(0, 1): 1, (0, 2): 1, (1, 2): -1}
         for unwrap in (unwrap_double_cover, bfs_unwrap):
             with pytest.raises(ValueError, match="antipodal"):
                 unwrap(dataset, cover, crossed)
@@ -326,7 +327,7 @@ def test_matches_breadth_first_oracle(build):
     dataset, cover, clusters = build()
     res = unwrap_double_cover(dataset, cover, clusters)
     ref = bfs_unwrap(dataset, cover, clusters)
-    assert res.nu.values == ref["nu"]
+    assert dict(zip(res.nerve.edges, res.nu.tolist())) == ref["nu"]
     assert (res.components, res.orientations, res.set_map) == (
         ref["components"], ref["orientations"], ref["set_map"])
     assert res.dataset.kind == ref["kind"]

@@ -479,8 +479,20 @@ class TestWitnessSchema:
         doc = io.witness_doc(wit)
         lost = doc["values"][0]["simplex"]
         doc["values"][0]["simplex"] = [0, 99]
-        match = rf"degree-1 cochain domain mismatch; missing \[\({lost[0]}, {lost[1]}\)\], extra \[\(0, 99\)\]"
+        with pytest.raises(SchemaError, match=r"values row \[0, 99\] is not a simplex of the nerve"):
+            io.parse_witness(doc)
+        doc["values"].pop(0)
+        match = rf"values has no row for simplex \[{lost[0]}, {lost[1]}\]"
         with pytest.raises(SchemaError, match=match):
+            io.parse_witness(doc)
+
+    def test_repeated_row_rejected(self, torus):
+        # a second row for an edge must not override the first
+        _, cover, trivs = torus
+        doc = io.witness_doc(assemble_witness(trivs, build_nerve(cover)))
+        first = doc["values"][0]["simplex"]
+        doc["values"].append(dict(doc["values"][0], sign=-1))
+        with pytest.raises(SchemaError, match=rf"values row \[{first[0]}, {first[1]}\] is repeated"):
             io.parse_witness(doc)
 
     def test_turns_are_reduced_to_the_unit_interval(self, torus):
@@ -501,18 +513,19 @@ class TestClassesSchema:
         from circlet.classes import euler_cochain
 
         res = euler_cochain(wit)
-        doc = io.classes_doc(
-            nerve, res.sw, res.euler, res.lift, res.bracket_margin, True, 0.0
-        )
+        doc = io.classes_doc(res, True)
         back = io.parse_classes(doc)
-        assert back["sw"].values == res.sw.values
-        assert back["euler"].values == res.euler.values
-        assert back["lift"].values == res.lift.values
+        assert back["sw"].tolist() == res.sw.tolist()
+        assert back["euler"].tolist() == res.euler.tolist()
+        assert back["lift"].tolist() == res.lift.tolist()
         assert back["sw_coboundary"] is True
+        assert back["cocycle_defect"] == res.cocycle_defect
         # no triangles on this nerve: the margin is infinite, carried as null
         assert doc["bracket_margin"] is None
         assert back["bracket_margin"] == math.inf
-        assert back["euler"].twist is not None
+        # arrays aligned to the parsed nerve: signs and lift on its edges
+        assert len(back["sw"]) == len(back["lift"]) == len(back["nerve"].edges)
+        assert back["euler"].dtype == np.int64 and len(back["euler"]) == len(nerve.triangles)
 
 
 class TestPersistenceSchema:
@@ -563,7 +576,8 @@ class TestCoordsSchema:
             ids=np.array([0, 1]),
             turns=np.array([0.25, 0.75]),
             phi={0: 1, 1: -1},
-            beta={(0, 1): 2},
+            edges=[(0, 1)],
+            beta=np.array([2]),
             residual=1e-9,
         )
         doc = json.loads(io.canonical_text(io.global_coords_doc(g)))

@@ -17,11 +17,11 @@ import pytest
 import circlet
 import circlet.intlinalg
 from circlet.classes import euler_cochain, sw_class
-from circlet.cochains import Cochain, restrict
 from circlet.errors import GuardError, NotACocycle, ShapeMismatch
 from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order, stage_subcomplex
 from circlet.persistence import (
     PersistenceReport,
+    StageProbe,
     ThresholdPair,
     persistence,
     persistence_brute,
@@ -61,14 +61,23 @@ def weighted(nerve, seed=11):
 
 def sign_cochain(nerve, minus_edges=()):
     minus = {tuple(sorted(e)) for e in minus_edges}
-    vals = {e: -1 if e in minus else 1 for e in nerve.edges}
-    return Cochain(nerve, 1, "Z2", vals)
+    return np.array([-1 if e in minus else 1 for e in nerve.edges])
+
+
+def zero_class(nerve):
+    return np.zeros(len(nerve.triangles), dtype=np.int64)
+
+
+def restrict(values, nerve, sub, p):
+    """An array on the nerve's p-simplices, cut to those of the subcomplex ``sub``."""
+    at = {s: i for i, s in enumerate(nerve.simplices[p])}
+    return values[[at[s] for s in sub.simplices[p]]]
 
 
 class TestSignThresholds:
     def test_even_loop_lives_to_the_top(self):
         nerve = cycle_nerve()
-        pair = persistence(sign_cochain(nerve), nerve)
+        pair = persistence(sign_cochain(nerve), nerve, 1)
         assert pair.cobirth_index == len(nerve) == 24
         assert pair.codeath_index == 24
         assert pair.cobirth_weight == pytest.approx(
@@ -78,7 +87,7 @@ class TestSignThresholds:
         # one reflection edge makes the loop holonomy nontrivial; the
         # class is solvable until the last loop edge completes the cycle
         nerve = cycle_nerve()
-        pair = persistence(sign_cochain(nerve, [(0, 1)]), nerve)
+        pair = persistence(sign_cochain(nerve, [(0, 1)]), nerve, 1)
         assert pair.cobirth_index == 24
         assert pair.codeath_index == 23
         assert pair.codeath_weight < pair.cobirth_weight
@@ -92,7 +101,7 @@ class TestSignThresholds:
             ([(0, 1), (1, 2), (4, 5)], True),
             ([(0, 7), (5, 6), (1, 2), (6, 7)], False),
         ]:
-            pair = persistence(sign_cochain(nerve, edges), nerve)
+            pair = persistence(sign_cochain(nerve, edges), nerve, 1)
             assert pair.cobirth_index == top
             assert pair.codeath_index == (top - 1 if parity_odd else top)
 
@@ -102,7 +111,7 @@ class TestSignThresholds:
         for seed in (1, 2, 9):
             nerve = cycle_nerve(seed=seed)
             for minus in [(0, 1), (5, 6), (0, 11)]:
-                pair = persistence(sign_cochain(nerve, [minus]), nerve)
+                pair = persistence(sign_cochain(nerve, [minus]), nerve, 1)
                 assert pair.codeath_index == 23
 
     def test_violation_sets_cobirth(self):
@@ -112,13 +121,13 @@ class TestSignThresholds:
         nerve = weighted(nerve_from_tops([(0, 1, 2)]))
         lam = sign_cochain(nerve, [(0, 1)])
         assert nerve.index[(0, 1, 2)] == 7
-        pair = persistence(lam, nerve)
+        pair = persistence(lam, nerve, 1)
         assert pair.cobirth_index == 6
         assert pair.codeath_index == 5
 
     def test_cocycle_on_filled_triangle_survives(self):
         nerve = weighted(nerve_from_tops([(0, 1, 2)]))
-        pair = persistence(sign_cochain(nerve, [(0, 1), (0, 2)]), nerve)
+        pair = persistence(sign_cochain(nerve, [(0, 1), (0, 2)]), nerve, 1)
         assert pair.cobirth_index == len(nerve) == 7
         assert pair.codeath_index == 7
 
@@ -129,8 +138,8 @@ class TestSignThresholds:
         for _ in range(25):
             minus = [e for e in edges if rng.uniform() < 0.5]
             lam = sign_cochain(nerve, minus)
-            fast = persistence(lam, nerve, cross_check=False)
-            slow = persistence_brute(lam, nerve)
+            fast = persistence(lam, nerve, 1, cross_check=False)
+            slow = persistence_brute(StageProbe(lam, nerve, 1))
             assert (fast.cobirth_index, fast.codeath_index) == (
                 slow.cobirth_index, slow.codeath_index)
 
@@ -167,14 +176,13 @@ class TestEulerThresholds:
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
         res = euler_cochain(rotation_witness(nerve, turns))
-        pair = persistence(res.euler, nerve)
+        pair = persistence(res.euler, nerve, 2, res.sw)
         assert pair.cobirth_index == len(nerve) == 14
         assert pair.codeath_index == 13
 
     def test_zero_class_survives_everywhere(self):
         nerve = weighted(tetra_boundary_nerve(), seed=4)
-        zero = Cochain(nerve, 2, "Z", {t: 0 for t in nerve.triangles})
-        pair = persistence(zero, nerve)
+        pair = persistence(zero_class(nerve), nerve, 2)
         assert (pair.cobirth_index, pair.codeath_index) == (14, 14)
 
     def test_max_stage_clip(self):
@@ -185,7 +193,8 @@ class TestEulerThresholds:
         turns[(0, 2)] = -0.33
         res = euler_cochain(rotation_witness(nerve, turns))
         sub = stage_subcomplex(nerve, 10)
-        pair = persistence(restrict(res.euler, sub), sub)
+        pair = persistence(restrict(res.euler, nerve, sub, 2), sub, 2,
+                           restrict(res.sw, nerve, sub, 1))
         # stage 10 holds vertices and edges only: nothing to violate,
         # nothing to solve for
         assert (pair.cobirth_index, pair.codeath_index) == (10, 10)
@@ -200,17 +209,16 @@ class TestEulerThresholds:
             2: O2(0.013, 1), 3: O2(0.037, -1),
         }
         res = euler_cochain(gauge_witness(nerve, gauges))
-        assert -1 in set(res.sw.values.values())
-        assert all(v == 0 for v in res.euler.values.values())
-        pair = persistence(res.euler, nerve)
+        assert -1 in res.sw.tolist()
+        assert not res.euler.any()
+        pair = persistence(res.euler, nerve, 2, res.sw)
         assert (pair.cobirth_index, pair.codeath_index) == (14, 14)
 
     def test_twist_must_be_a_cocycle_where_probed(self):
         nerve = weighted(tetra_boundary_nerve(), seed=8)
         bad = sign_cochain(nerve, [nerve.edges[0]])
-        zero = Cochain(nerve, 2, "Z", {t: 0 for t in nerve.triangles}, twist=bad)
         with pytest.raises(NotACocycle):
-            persistence(zero, nerve, cross_check=False)
+            persistence(zero_class(nerve), nerve, 2, bad, cross_check=False)
 
     def test_sweep_never_asks_the_per_stage_solver(self, monkeypatch):
         calls = []
@@ -228,19 +236,32 @@ class TestEulerThresholds:
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
         res = euler_cochain(rotation_witness(nerve, turns))
-        pair = persistence(res.euler, nerve, cross_check=False)
+        pair = persistence(res.euler, nerve, 2, res.sw, cross_check=False)
         assert (pair.cobirth_index, pair.codeath_index) == (14, 13)
         assert calls == []
         # the scan solves each distinct prefix of the four faces once,
         # though all 14 stages are scanned
-        persistence(res.euler, nerve, cross_check=True)
+        persistence(res.euler, nerve, 2, res.sw, cross_check=True)
         assert sorted(calls) == [0, 1, 2, 3, 4]
 
-    def test_rejects_wrong_shapes(self):
+    def test_one_probe_serves_sweep_and_scan(self, monkeypatch):
+        # the rows and violation stages are built once per call, cross-check included
+        built = []
+        real = circlet.persistence.coboundary_rows
+        monkeypatch.setattr(circlet.persistence, "coboundary_rows",
+                            lambda *a: built.append(a) or real(*a))
         nerve = weighted(tetra_boundary_nerve(), seed=2)
-        reals = Cochain(nerve, 1, "R", {e: 0.0 for e in nerve.edges})
+        res = euler_cochain(rotation_witness(nerve, {e: 0.1 for e in nerve.edges}))
+        persistence(res.euler, nerve, 2, res.sw, cross_check=True)
+        assert len(built) == 1
+
+    def test_rejects_wrong_shapes(self):
+        # a class must be an array on the edges (signs) or the triangles (integers)
+        nerve = weighted(tetra_boundary_nerve(), seed=2)
         with pytest.raises(ShapeMismatch):
-            persistence(reals, nerve)
+            persistence(np.zeros(len(nerve.edges)), nerve, 2)
+        with pytest.raises(ShapeMismatch):
+            persistence(np.zeros(len(nerve.tetrahedra)), nerve, 3)
 
 
 def tetra_boundary_nerve():
@@ -269,23 +290,24 @@ class TestTwistBreak:
         # one reflection edge breaks the twist on the triangle 3, 4, 5; a
         # unit on one face breaks the class on the tetrahedron
         twist = sign_cochain(nerve, [(3, 4)])
-        vals = {t: int(t == (0, 1, 2)) for t in nerve.triangles}
-        return Cochain(nerve, 2, "Z", vals, twist=twist)
+        return np.array([int(t == (0, 1, 2)) for t in nerve.triangles]), twist
 
     @pytest.mark.parametrize("cross_check", [False, True])
     def test_twist_breaking_at_cobirth_raises(self, cross_check):
         nerve = tetra_beside_triangle(0.28)
         cobirth = nerve.index[(0, 1, 2, 3)] - 1
         assert nerve.index[(3, 4, 5)] == cobirth
+        lam, twist = self.twisted_class(nerve)
         with pytest.raises(NotACocycle):
-            persistence(self.twisted_class(nerve), nerve, cross_check=cross_check)
+            persistence(lam, nerve, 2, twist, cross_check=cross_check)
 
     @pytest.mark.parametrize("cross_check", [False, True])
     def test_twist_breaking_after_cobirth_is_never_probed(self, cross_check):
         nerve = tetra_beside_triangle(0.35)
         cobirth = nerve.index[(0, 1, 2, 3)] - 1
         assert nerve.index[(3, 4, 5)] == cobirth + 2
-        pair = persistence(self.twisted_class(nerve), nerve, cross_check=cross_check)
+        lam, twist = self.twisted_class(nerve)
+        pair = persistence(lam, nerve, 2, twist, cross_check=cross_check)
         # the class pairs to one with the tetrahedron's boundary sphere, so
         # it dies when the last face closes that sphere
         assert (pair.cobirth_index, pair.codeath_index) == (
@@ -293,14 +315,14 @@ class TestTwistBreak:
 
     def test_zero_class_under_a_broken_twist(self):
         nerve = tetra_beside_triangle(0.35)
-        zero = Cochain(nerve, 2, "Z", {t: 0 for t in nerve.triangles},
-                       twist=sign_cochain(nerve, [(3, 4)]))
+        zero, twist = zero_class(nerve), sign_cochain(nerve, [(3, 4)])
         with pytest.raises(NotACocycle):
-            persistence(zero, nerve, cross_check=False)
+            persistence(zero, nerve, 2, twist, cross_check=False)
         with pytest.raises(NotACocycle):
-            persistence_brute(zero, nerve)
+            persistence_brute(StageProbe(zero, nerve, 2, twist))
         sub = stage_subcomplex(nerve, len(nerve) - 1)
-        pair = persistence(restrict(zero, sub), sub, cross_check=True)
+        pair = persistence(zero_class(sub), sub, 2, restrict(twist, nerve, sub, 1),
+                           cross_check=True)
         assert (pair.cobirth_index, pair.codeath_index) == (len(sub), len(sub))
 
 
@@ -308,28 +330,28 @@ class TestCrossCheck:
     def test_explicit_flag_forces_brute(self):
         nerve = cycle_nerve(seed=21)
         lam = sign_cochain(nerve, [(3, 4)])
-        a = persistence(lam, nerve, cross_check=True)
-        b = persistence(lam, nerve, cross_check=False)
+        a = persistence(lam, nerve, 1, cross_check=True)
+        b = persistence(lam, nerve, 1, cross_check=False)
         assert (a.cobirth_index, a.codeath_index) == (
             b.cobirth_index, b.codeath_index)
 
     def test_disagreement_is_a_guard_error(self, monkeypatch):
         nerve = cycle_nerve(seed=21)
         lam = sign_cochain(nerve, [(3, 4)])
-        good = persistence_brute(lam, nerve)
+        good = persistence_brute(StageProbe(lam, nerve, 1))
         off = ThresholdPair(good.cobirth_index, good.cobirth_weight,
                             good.codeath_index - 1, good.codeath_weight)
         monkeypatch.setattr(
             circlet.persistence, "persistence_brute", lambda *a, **k: off
         )
         with pytest.raises(GuardError, match="disagrees with per-stage scan"):
-            persistence(lam, nerve, cross_check=True)
+            persistence(lam, nerve, 1, cross_check=True)
 
     def test_brute_respects_max_stage(self):
         nerve = cycle_nerve(seed=21)
         lam = sign_cochain(nerve, [(3, 4)])
         sub = stage_subcomplex(nerve, 15)
-        pair = persistence_brute(restrict(lam, sub), sub)
+        pair = persistence_brute(StageProbe(restrict(lam, nerve, sub, 1), sub, 1))
         assert pair.cobirth_index == 15
         assert pair.codeath_index == 15  # 3 loop edges still missing
 
@@ -340,9 +362,10 @@ def synthetic_stages(make):
     nerve = build_nerve(cover)
     nerve = filtration_order(edge_weights(nerve, trivs, assemble_witness(trivs, nerve)))
     wit = assemble_witness(trivs, nerve)
-    sw = persistence(sw_class(wit), nerve, cross_check=True)
+    sw = persistence(sw_class(wit), nerve, 1, cross_check=True)
     sub = stage_subcomplex(nerve, sw.cobirth_index)
-    eu = persistence(euler_cochain(wit.restrict(sub)).euler, sub, cross_check=True)
+    res = euler_cochain(wit.restrict(sub))
+    eu = persistence(res.euler, sub, 2, res.sw, cross_check=True)
     return sw.cobirth_index, sw.codeath_index, eu.cobirth_index, eu.codeath_index
 
 

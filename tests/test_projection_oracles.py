@@ -93,7 +93,7 @@ def test_global_angles_match_loop(case):
     fix = {j: O2(0.0, v) for j, v in g.phi.items()}
     hat = {(j, k): fix[j] @ (om @ fix[k].inverse()) for (j, k), om in o2_values(wit).items()}
     lift = euler_cochain(witness_of(wit.nerve, hat)).lift
-    shift = {e: lift.values[e] - g.beta[e] for e in wit.nerve.edges}
+    shift = dict(zip(wit.nerve.edges, (lift - g.beta).tolist()))
     angles, residual = loop_global_angles(trivs, rows, g.phi, shift)
     assert g.ids.tolist() == sorted(angles)
     dev = max(abs(principal_turn(t - angles[s])) for s, t in zip(g.ids.tolist(), g.turns.tolist()))
