@@ -108,7 +108,8 @@ def euler_cochain(witness: Witness) -> CharClassResult:
     close = np.flatnonzero(gap < BRACKET_GUARD)
     if close.size:
         i = close[0]
-        raise BracketAmbiguous(f"pre-bracket value {pre[i].item()} on {nerve.triangles[i]} "
+        t = tuple(nerve.triangles[i].tolist())
+        raise BracketAmbiguous(f"pre-bracket value {pre[i].item()} on {t} "
                                f"is within {BRACKET_GUARD} of a half-integer")
     margin = float(gap.min()) if gap.size else math.inf
     return CharClassResult(nerve, sw, rounded.astype(np.int64), lift, margin, defect)
@@ -193,7 +194,7 @@ def fundamental_class_twisted(nerve: Nerve, omega: np.ndarray) -> np.ndarray:
     nonzero coefficient in filtration order is positive.
     """
     check_sign_cocycle(omega, nerve)
-    if not nerve.triangles:
+    if not len(nerve.triangles):
         raise NotASurface("nerve has no 2-simplices")
     tris, tets = collapsed_core(nerve)
     # the core's twisted 2-boundary, one sparse row per edge

@@ -232,13 +232,13 @@ def _load_bundle(args):
 
 
 def _sign_is_coboundary(nerve, sw) -> bool:
-    return intlinalg.sign_potential(dict(zip(nerve.edges, sw.tolist()))) is not None
+    return intlinalg.sign_potential(nerve.edges, sw) is not None
 
 
 def _filtration(nerve, q):
     """The nerve in filtration order, weighted by the quality report's edge means."""
     # the quality report already holds every edge's mean chord error
-    return filtration_order(simplex_weights(nerve, {e.edge: e.mean_err for e in q.edges}))
+    return filtration_order(simplex_weights(nerve, [e.mean_err for e in q.edges]))
 
 
 def _quality_dict(q) -> dict:
@@ -390,7 +390,7 @@ def _cmd_euler(args, run: _Run):
                 "sw_coboundary": parsed["sw_coboundary"],
                 # support of the collapsed-core representative
                 "fundamental_support": int(np.count_nonzero(mu)),
-                "euler_orientation": None if anchor is None else list(nerve.triangles[anchor]),
+                "euler_orientation": None if anchor is None else nerve.triangles[anchor].tolist(),
             },
         )
     return {
@@ -404,7 +404,7 @@ def _cmd_euler(args, run: _Run):
 def _cmd_persist(args, run: _Run):
     with run.timed("load"):
         wit, _ = io.parse_witness(io.load_json(args.witness))
-    if wit.nerve.order is None:
+    if wit.nerve.stage is None:
         raise SchemaError(
             "witness file has no filtration order; run the witness step first"
         )
@@ -548,7 +548,7 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
         mu = classes.fundamental_class_twisted(nerve, result.sw)
         block["euler_number"] = classes.euler_number(result.euler, mu)
         anchor = classes.orientation_anchor(nerve, mu)
-        block["euler_orientation"] = None if anchor is None else list(nerve.triangles[anchor])
+        block["euler_orientation"] = None if anchor is None else nerve.triangles[anchor].tolist()
     except (GuardError, NotASurface) as exc:
         block["reason"] = {"error": type(exc).__name__, "message": str(exc)}
     return block

@@ -1,14 +1,21 @@
 """Cochains on a nerve as arrays, their twisted coboundary, and the witness.
 
-A p-cochain is an array aligned to ``nerve.simplices[p]`` (lex order):
-the sign class and a twist are +-1 int arrays on the edges, the real
-lift a float array on the edges, the integer class an int array on the
-triangles.  The witness is a ``Witness``, a turn and a sign array on the
-edges, whose holonomy defect is one vectorized product over triangles.
+A p-cochain is an array aligned to ``nerve.simplices[p]``, the nerve's
+``(k, p + 1)`` array of vertex rows in lex order: the sign class and a
+twist are +-1 int arrays on the edges, the real lift a float array on
+the edges, the integer class an int array on the triangles.  The
+witness is a ``Witness``, a turn and a sign array on the edges, whose
+holonomy defect is one vectorized product over triangles.
 
 The twisted coboundary convention is written once, in ``facet_table``;
 ``coboundary`` adds over it, ``sign_coboundary`` multiplies over it and
-``coboundary_rows`` hands it to the integer solvers.
+``coboundary_rows`` hands it to the integer solvers.  Its facet
+positions come from ``Nerve.facet_positions``, cached on the nerve, so
+they are built once per nerve and dimension however many cochains and
+twists are evaluated.  A document writes a cochain as ``{"simplex": [...],
+...}`` rows in the same lex order (``io.simplex_rows``); only
+``nerve.json``'s weight and offset rows interleave the dimensions, in
+tuple lex order.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .circle import o2_matrices
 from .errors import DegreeUnsupported, NotACocycle, ShapeMismatch
-from .nerve import Nerve
+from .nerve import Nerve, lookup
 
 
 def facet_table(nerve: Nerve, p: int, twist: Optional[np.ndarray] = None, values=None):
@@ -31,21 +38,21 @@ def facet_table(nerve: Nerve, p: int, twist: Optional[np.ndarray] = None, values
     ``i`` and its coefficient ``(-1)**i``, except that the facet without
     the leading vertex carries the twist on the leading edge
     ``(s[0], s[1])`` (+1 without a twist).  Returns two ``(n, p + 2)``
-    int64 arrays; ``values``, when given, must be a p-cochain.
+    int64 arrays; ``values``, when given, must be a p-cochain.  The
+    positions are the nerve's cached ``facet_positions(p + 1)``, built
+    once per nerve and dimension; a twist changes only the coefficients.
     """
     if not 0 <= p <= 2:
         raise DegreeUnsupported(f"coboundary not defined on cochains of degree {p}")
-    if values is not None and len(values) != len(nerve.simplices.get(p, ())):
+    if values is not None and len(values) != len(nerve.simplices[p]):
         raise ShapeMismatch(f"a degree-{p} cochain needs one value per {p}-simplex")
-    at = {s: i for i, s in enumerate(nerve.simplices.get(p, []))}
-    cols = list(zip(*nerve.simplices.get(p + 1, [])))  # vertex i of every coface
-    # the facet without vertex i, for every coface at once
-    pos = np.array([list(map(at.__getitem__, zip(*cols[:i], *cols[i + 1:])))
-                    for i in range(p + 2)], dtype=np.int64).T
+    pos = nerve.facet_positions(p + 1)
     coef = np.tile((-1) ** np.arange(p + 2), (len(pos), 1))
-    if twist is not None and len(pos):
-        edge = {e: i for i, e in enumerate(nerve.edges)}
-        coef[:, 0] = twist[list(map(edge.__getitem__, zip(cols[0], cols[1])))]
+    if twist is not None:
+        lead = np.arange(len(pos))  # the leading edge: drop the last vertex down to an edge
+        for q in range(p + 1, 1, -1):
+            lead = nerve.facet_positions(q)[lead, q]
+        coef[:, 0] = twist[lead]
     return pos, coef
 
 
@@ -85,7 +92,7 @@ def check_sign_cocycle(signs: np.ndarray, nerve: Nerve):
     """Raise unless a sign 1-cochain is +-1 and satisfies the cocycle identity."""
     bad = np.flatnonzero(sign_coboundary(sign_values(signs), nerve, 1) != 1)
     if bad.size:
-        t = nerve.triangles[bad[0]]
+        t = nerve.triangles[bad[0]].tolist()
         raise NotACocycle(f"sign cochain fails the cocycle identity on ({','.join(map(str, t))})")
 
 
@@ -101,9 +108,10 @@ class Witness(NamedTuple):
     sign: np.ndarray
 
     def restrict(self, sub: Nerve) -> "Witness":
-        """The witness on a subcomplex, its edges picked by name, not by position."""
-        at = {e: i for i, e in enumerate(self.nerve.edges)}
-        pick = np.array([at[e] for e in sub.edges], dtype=np.int64)
+        """The witness on a subcomplex, its edges picked by their vertices, not by position."""
+        pick = lookup(self.nerve.edges, sub.edges)
+        if (pick < 0).any():
+            raise ShapeMismatch("the subcomplex has an edge off the witness's nerve")
         return Witness(sub, self.turn[pick], self.sign[pick])
 
 
@@ -116,7 +124,7 @@ def cocycle_defect(witness: Witness) -> float:
     the signs close, the norm of the matrix difference where they do
     not.  Zero exactly on a cocycle; zero vacuously with no triangles.
     """
-    if not witness.nerve.triangles:
+    if not len(witness.nerve.triangles):
         return 0.0
     kl, jl, jk = facet_table(witness.nerve, 1)[0].T
     turn, sign = witness.turn, witness.sign

@@ -52,7 +52,7 @@ def connectivity_cocycle(clusters: dict, nerve: Nerve) -> np.ndarray:
     """
     cl = _validated_clusters(clusters)
     vals = []
-    for (j, k) in nerve.edges:
+    for j, k in nerve.edges.tolist():
         if j not in cl or k not in cl:
             raise InconsistentClusters(f"edge ({j}, {k}) has an unlabeled set")
         pj, mj = cl[j]
@@ -133,9 +133,10 @@ def unwrap_double_cover(
     nu = connectivity_cocycle(clusters, nerve)
 
     forest = ParityForest()
-    odd = [j for (j, k), v in zip(nerve.edges, nu.tolist()) if not forest.union(j, k, v < 0)]
+    odd = [j for (j, k), v in zip(nerve.edges.tolist(), nu.tolist())
+           if not forest.union(j, k, v < 0)]
     pieces: dict = {}
-    for j in sorted(v[0] for v in nerve.vertices):
+    for j in nerve.vertices[:, 0].tolist():
         pieces.setdefault(forest.find(j), []).append(j)
     nontrivial = {forest.find(j) for j in odd}
 
@@ -176,7 +177,7 @@ def unwrap_double_cover(
         sheets = ParityForest()
         sheets.union((seed, 0), (seed, 1), True)
         contradicted = None
-        for (j, k) in nerve.edges:
+        for j, k in nerve.edges.tolist():
             if j not in centers:
                 continue
             for cj in (0, 1):

@@ -518,19 +518,19 @@ class ParityForest:
         return True
 
 
-def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
+def sign_potential(edges: np.ndarray, signs, vertices=()) -> Optional[dict]:
     """Vertex signs whose products give an edge sign cochain, or None.
 
-    ``signs`` maps each edge (j, k) to +-1; the result ``phi`` satisfies
-    ``phi[j] * phi[k] == signs[(j, k)]`` on every edge and covers the
-    edges' endpoints plus ``vertices``.  A parity union-find: each
-    component is rooted at its largest vertex id with sign +1, the
-    solution ``solve_gf2`` picks on vertex columns in ascending order.
-    None means some cycle has odd parity, so the cochain is no
-    coboundary.
+    ``edges`` is an ``(n, 2)`` array of vertex pairs and ``signs`` their
+    +-1 values; the result ``phi`` satisfies ``phi[j] * phi[k] == s`` on
+    every edge ``(j, k)`` with sign ``s`` and covers the edges' endpoints
+    plus ``vertices``.  A parity union-find: each component is rooted at
+    its largest vertex id with sign +1, the solution ``solve_gf2`` picks
+    on vertex columns in ascending order.  None means some cycle has odd
+    parity, so the cochain is no coboundary.
     """
     forest = ParityForest()
-    for (j, k), s in signs.items():
+    for (j, k), s in zip(np.asarray(edges).tolist(), np.asarray(signs).tolist()):
         if not forest.union(j, k, s < 0):
             return None
     for v in [*forest.parent, *vertices]:
@@ -539,15 +539,14 @@ def sign_potential(signs: dict, vertices=()) -> Optional[dict]:
     return {v: -1 if forest.parity.get(v, 0) else 1 for v in forest.parent}
 
 
-def sign_solvable_prefixes(signs: dict) -> list[bool]:
-    """Entry n: is the sign cochain on the first n edges of ``signs`` a coboundary?
+def sign_solvable_prefixes(edges: np.ndarray, signs) -> list[bool]:
+    """Entry n: is the sign cochain on the first n of ``edges``, at ``signs``, a coboundary?
 
     ``sign_potential``'s union-find, fed one edge at a time; once an edge
     closes an odd cycle every longer prefix holds that cycle too.
     """
     forest = ParityForest()
     out = [True]
-    for (j, k), s in signs.items():
+    for (j, k), s in zip(np.asarray(edges).tolist(), np.asarray(signs).tolist()):
         out.append(out[-1] and forest.union(j, k, s < 0))
     return out
-

@@ -37,6 +37,7 @@ import json
 import math
 import os
 import platform
+from dataclasses import replace
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .cochains import Witness
 from .errors import SchemaError
-from .nerve import BundleDataset, CoverSet, Nerve, facets
+from .nerve import BundleDataset, CoverSet, Nerve, lookup
 from .witness import Trivialization
 
 if TYPE_CHECKING:
@@ -256,7 +257,7 @@ def _check_schema(doc, name: str):
 def _simplex(row, where: str) -> tuple:
     if not isinstance(row, list) or not all(type(v) is int for v in row):
         raise SchemaError(f"{where}: simplex must be a list of integers")
-    return tuple(row)
+    return tuple(_ints(row, where).tolist())
 
 
 def _column(rows, key: str, where: str, kind=object) -> list:
@@ -300,34 +301,44 @@ def _signs(col, where: str) -> np.ndarray:
     return arr
 
 
-def _simplex_values(doc, name: str, key: str, field: str, check, simplices, every=True):
-    """The ``field`` values of the rows ``doc[key]`` as an array aligned to ``simplices``.
+def _positions(tables: list, got: list) -> np.ndarray:
+    """Position of each simplex of ``got`` among the rows of ``tables`` laid end to end, else -1."""
+    pos, start = np.full(len(got), -1), 0
+    for t in tables:
+        mine = [i for i, s in enumerate(got) if len(s) == t.shape[1]]
+        at = lookup(t, [got[i] for i in mine])
+        pos[mine] = np.where(at < 0, -1, at + start)
+        start += len(t)
+    return pos
 
-    ``check`` reads the values.  A row off ``simplices`` or repeating a
+
+def _simplex_values(doc, name: str, key: str, field: str, check, tables: list, every=True):
+    """The ``field`` values of the rows ``doc[key]`` as one array over the simplex ``tables``.
+
+    ``check`` reads the values.  A row off ``tables`` or repeating a
     simplex is a schema error, and so is a simplex without a row when
     ``every`` holds; otherwise it reads 0.
     """
     rows, where = _need(doc, key, name, list), f"{key} row"
     got = [_simplex(s, where) for s in _column(rows, "simplex", where)]
     values = check(_column(rows, field, where), f"{key} {field}")
-    at = {s: i for i, s in enumerate(simplices)}
-    pos = np.array([at.get(s, -1) for s in got], dtype=np.int64)
-    counts = np.bincount(pos + 1, minlength=len(simplices) + 1)
-    bad = next((s for s, i in zip(got, pos.tolist()) if i < 0 or counts[i + 1] > 1), None)
-    if bad is not None:
-        why = "is repeated" if bad in at else "is not a simplex of the nerve"
-        raise SchemaError(f"{name}: {key} row {list(bad)} {why}")
-    if every and len(got) < len(simplices):
-        lost = simplices[int(np.flatnonzero(counts[1:] == 0)[0])]
-        raise SchemaError(f"{name}: {key} has no row for simplex {list(lost)}")
-    out = np.zeros(len(simplices), values.dtype)
+    pos, n = _positions(tables, got), sum(map(len, tables))
+    counts = np.bincount(pos + 1, minlength=n + 1)
+    bad = np.flatnonzero((pos < 0) | (counts[pos + 1] > 1))
+    if bad.size:
+        why = "is repeated" if pos[bad[0]] >= 0 else "is not a simplex of the nerve"
+        raise SchemaError(f"{name}: {key} row {list(got[bad[0]])} {why}")
+    if every and len(got) < n:
+        lost = [s for t in tables for s in t.tolist()][np.argmin(counts[1:])]
+        raise SchemaError(f"{name}: {key} has no row for simplex {lost}")
+    out = np.zeros(n, values.dtype)
     out[pos] = values
     return out
 
 
-def simplex_rows(simplices, field: str, values) -> list[dict]:
-    """``{"simplex", field}`` rows of an array aligned to ``simplices``."""
-    return [{"simplex": list(s), field: v} for s, v in zip(simplices, values.tolist())]
+def simplex_rows(simplices: np.ndarray, field: str, values) -> list[dict]:
+    """``{"simplex", field}`` rows of an array aligned to the simplex rows ``simplices``."""
+    return [{"simplex": s, field: v} for s, v in zip(simplices.tolist(), values.tolist())]
 
 
 def _the_float(x, where: str) -> float:
@@ -401,24 +412,28 @@ def cover_doc(cover: Sequence[CoverSet]) -> dict:
 
 
 def parse_cover(doc) -> list[CoverSet]:
+    """Cover sets; a set id listed twice, or a member listed twice in one set, is a schema error."""
     _check_schema(doc, "cover")
-    out = []
+    out: dict = {}
     for row in _need(doc, "sets", "cover", list):
         j = _the_int(_need(row, "id", "cover set"), "cover set id")
-        members = _need(row, "members", f"cover set {j}", list)
-        _ints(members, "member")
+        if j in out:
+            raise SchemaError(f"cover set {j} appears twice")
+        listed = _need(row, "members", f"cover set {j}", list)
+        _ints(listed, "member")
+        members = frozenset(listed)
+        if len(members) < len(listed):
+            raise SchemaError(f"cover set {j} lists a member twice")
         center = _need(row, "center", f"cover set {j}", list) if "center" in row else None
         clipped = _need(row, "clipped", f"cover set {j}", bool) if "clipped" in row else False
-        out.append(
-            CoverSet(
-                id=j,
-                members=frozenset(members),
-                center=None if center is None else _floats(center, "center"),
-                radius=_the_float(row["radius"], "radius") if "radius" in row else None,
-                clipped=clipped,
-            )
+        out[j] = CoverSet(
+            id=j,
+            members=members,
+            center=None if center is None else _floats(center, "center"),
+            radius=_the_float(row["radius"], "radius") if "radius" in row else None,
+            clipped=clipped,
         )
-    return out
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +469,22 @@ def parse_trivs(doc) -> Trivialization:
 
 
 def nerve_doc(nerve: Nerve) -> dict:
+    """The nerve's simplices, weights and, when set, order and nonzero offsets.
+
+    Weight and offset rows run in tuple lex order across dimensions (see ``nerve``).
+    """
+    rows = [s for a in nerve.simplices.values() for s in a.tolist()]
+    lex = sorted(range(len(rows)), key=rows.__getitem__)
+    weight, offset = (np.concatenate(list(a.values())).tolist()
+                      for a in (nerve.weights, nerve.perturbations))
     doc: dict = {
-        "simplices": {
-            str(p): [list(s) for s in simps]
-            for p, simps in nerve.simplices.items()
-            if simps
-        },
-        "weights": [
-            {"simplex": list(s), "weight": float(w)}
-            for s, w in sorted(nerve.weights.items())
-        ],
+        "simplices": {str(p): a.tolist() for p, a in nerve.simplices.items() if len(a)},
+        "weights": [{"simplex": rows[i], "weight": weight[i]} for i in lex],
     }
-    if nerve.order is not None:
-        doc["order"] = [list(s) for s in nerve.order]
-    if nerve.perturbations:
-        doc["perturbations"] = [
-            {"simplex": list(s), "offset": float(v)}
-            for s, v in sorted(nerve.perturbations.items())
-        ]
+    if nerve.stage is not None:
+        doc["order"] = [rows[i] for i in np.argsort(np.concatenate(list(nerve.stage.values())))]
+    if any(offset):
+        doc["perturbations"] = [{"simplex": rows[i], "offset": offset[i]} for i in lex if offset[i]]
     return doc
 
 
@@ -486,7 +499,8 @@ def _check_complex(simplices: dict[int, list[tuple]]):
                 )
             if s in seen:
                 raise SchemaError(f"nerve: simplex {list(s)} is repeated")
-            missing = next((f for f in (facets(s) if p else ()) if f not in seen), None)
+            missing = next((f for f in (s[:i] + s[i + 1:] for i in range(len(s)) if p)
+                            if f not in seen), None)
             if missing is not None:
                 raise SchemaError(f"nerve: facet {list(missing)} of {list(s)} is missing")
             seen.add(s)
@@ -504,25 +518,33 @@ def parse_nerve(doc) -> Nerve:
             raise SchemaError(f"nerve: bad dimension key {p!r}")
         simplices[dim] = [_simplex(s, "nerve") for s in _need(raw, p, "nerve", list)]
     _check_complex(simplices)
-    nerve = Nerve(simplices={p: sorted(s) for p, s in simplices.items()})
-    flat = [s for p in sorted(nerve.simplices) for s in nerve.simplices[p]]
+    nerve = Nerve({p: sorted(s) for p, s in simplices.items()})
+    tables = list(nerve.simplices.values())
+    split = np.cumsum(list(map(len, tables)))[:-1]
+
+    def by_dim(flat):
+        return dict(zip(nerve.simplices, np.split(flat, split)))
+
+    weights = stage = offsets = None
     if "weights" in doc:
-        weights = _simplex_values(doc, "nerve", "weights", "weight", _floats, flat)
-        nerve.weights = dict(zip(flat, weights.tolist()))
+        weights = by_dim(_simplex_values(doc, "nerve", "weights", "weight", _floats, tables))
     if "order" in doc:
-        order = [_simplex(s, "order") for s in _need(doc, "order", "nerve", list)]
-        if sorted(order) != sorted(flat):
+        got = [_simplex(s, "order") for s in _need(doc, "order", "nerve", list)]
+        pos = _positions(tables, got)
+        if len(got) != len(nerve) or (pos < 0).any() or np.bincount(pos + 1).max(initial=0) > 1:
             raise SchemaError("nerve: order is not a permutation of the simplices")
-        index = {s: i + 1 for i, s in enumerate(order)}
-        late = next((s for s in order if len(s) > 1
-                     and max(index[f] for f in facets(s)) > index[s]), None)
-        if late is not None:
-            raise SchemaError(f"nerve: order lists {list(late)} before one of its facets")
-        nerve.order, nerve.index = order, index
+        flat = np.empty(len(nerve), np.int64)
+        flat[pos] = np.arange(1, len(pos) + 1)
+        stage = by_dim(flat)
+        late = np.concatenate([np.zeros(len(tables[0]), bool)] + [
+            stage[p - 1][nerve.facet_positions(p)].max(axis=1) > stage[p] for p in list(stage)[1:]])
+        first = next((s for s, i in zip(got, pos.tolist()) if late[i]), None)
+        if first is not None:
+            raise SchemaError(f"nerve: order lists {list(first)} before one of its facets")
     if "perturbations" in doc:
-        offsets = _simplex_values(doc, "nerve", "perturbations", "offset", _floats, flat, False)
-        nerve.perturbations = {s: v for s, v in zip(flat, offsets.tolist()) if v}
-    return nerve
+        offsets = by_dim(_simplex_values(doc, "nerve", "perturbations", "offset", _floats, tables,
+                                         False))
+    return replace(nerve, weights=weights, perturbations=offsets, stage=stage)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +552,11 @@ def parse_nerve(doc) -> Nerve:
 
 
 def witness_doc(witness: Witness, quality: dict | None = None) -> dict:
-    rows = sorted(zip(witness.nerve.edges, witness.turn.tolist(), witness.sign.tolist()))
+    rows = sorted(zip(witness.nerve.edges.tolist(), witness.turn.tolist(), witness.sign.tolist()))
     doc = {
         "schema": SCHEMA_PREFIX + "witness",
         "nerve": nerve_doc(witness.nerve),
-        "values": [{"simplex": list(e), "turn": t, "sign": s} for e, t, s in rows],
+        "values": [{"simplex": e, "turn": t, "sign": s} for e, t, s in rows],
     }
     if quality is not None:
         doc["quality"] = quality
@@ -544,8 +566,8 @@ def witness_doc(witness: Witness, quality: dict | None = None) -> dict:
 def parse_witness(doc) -> tuple[Witness, dict | None]:
     _check_schema(doc, "witness")
     nerve = parse_nerve(_need(doc, "nerve", "witness"))
-    turn = _simplex_values(doc, "witness", "values", "turn", _floats, nerve.edges)
-    sign = _simplex_values(doc, "witness", "values", "sign", _signs, nerve.edges)
+    turn = _simplex_values(doc, "witness", "values", "turn", _floats, [nerve.edges])
+    sign = _simplex_values(doc, "witness", "values", "sign", _signs, [nerve.edges])
     return Witness(nerve, turn % 1.0, sign), doc.get("quality")
 
 
@@ -573,9 +595,9 @@ def parse_classes(doc) -> dict:
     margin = doc.get("bracket_margin")
     return {
         "nerve": nerve,
-        "sw": _simplex_values(doc, "classes", "sw", "sign", _signs, nerve.edges),
-        "euler": _simplex_values(doc, "classes", "euler", "value", _ints, nerve.triangles),
-        "lift": _simplex_values(doc, "classes", "lift", "turn", _floats, nerve.edges),
+        "sw": _simplex_values(doc, "classes", "sw", "sign", _signs, [nerve.edges]),
+        "euler": _simplex_values(doc, "classes", "euler", "value", _ints, [nerve.triangles]),
+        "lift": _simplex_values(doc, "classes", "lift", "turn", _floats, [nerve.edges]),
         "bracket_margin": math.inf if margin is None else _the_float(margin, "bracket_margin"),
         "sw_coboundary": _need(doc, "sw_coboundary", "classes", bool),
         "cocycle_defect": _the_float(_need(doc, "cocycle_defect", "classes"), "defect"),

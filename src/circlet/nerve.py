@@ -5,6 +5,13 @@ with the geometry (center, radius) that produced it.  The nerve collects
 every tuple of cover sets whose members intersect, up to 3-simplices,
 which is all the downstream boundary matrices consume; it is read off
 each sample's support, the tuple of sets that hold it.
+
+The nerve is arrays (``Nerve``): per dimension p a ``(k, p + 1)`` int64
+array of vertex rows in lex order, with weights, tie-break offsets and
+filtration stages aligned to it, and facet positions built once per
+nerve and dimension.  ``nerve.json`` lists weight and offset rows in
+tuple lex order across dimensions, ``[0], [0, 1], [0, 1, 2], [0, 1, 3],
+[0, 2], ...``, and derives its ``order`` from the stages.
 """
 
 from __future__ import annotations
@@ -118,68 +125,117 @@ class CoverSet:
             self.center = np.asarray(self.center, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Nerve:
-    """Simplices of a cover's nerve with weights and a filtration order.
+    """Simplices of a cover's nerve as arrays, with weights and a filtration order.
 
-    ``simplices`` maps dimension to the lex-sorted list of vertex tuples.
-    ``weights`` are the raw alignment weights (zero until filled).  After
-    ``filtration_order`` runs, ``order`` is the global total order,
-    ``index`` maps each simplex to its 1-based position, and
-    ``perturbations`` records the tie-breaking offsets that were added to
-    make weights distinct.
+    ``simplices[p]`` is a read-only ``(k, p + 1)`` int64 array, one row of
+    ascending vertex ids per p-simplex, rows in lex order; every dimension
+    from 0 to the top one (at least 3) is present, possibly empty.
+    Aligned to it are ``weights[p]``, the raw alignment weights (zero
+    until filled), and ``perturbations[p]``, the tie-breaking offsets
+    ``filtration_order`` adds to make weights distinct (zero where there
+    is none).  After ``filtration_order`` runs, ``stage[p]`` holds each
+    simplex's 1-based position in the filtration; before, ``stage`` is
+    None.  Every p-cochain is an array aligned to ``simplices[p]``, and
+    ``facet_positions`` locates faces by position, built once per
+    dimension.  The nerve is frozen and its simplices read-only, so the
+    copies ``simplex_weights``, ``filtration_order`` and
+    ``stage_subcomplex`` make hand the built positions on.  Written out,
+    the weight and offset rows follow tuple lex order across dimensions,
+    not this dimension-major layout (see ``io.nerve_doc``).
     """
 
-    simplices: dict[int, list[tuple]]
-    weights: dict[tuple, float] = field(default_factory=dict)
-    order: list[tuple] | None = None
-    index: dict[tuple, int] | None = None
-    perturbations: dict[tuple, float] = field(default_factory=dict)
+    simplices: dict
+    weights: dict | None = None
+    perturbations: dict | None = None
+    stage: dict | None = None
+    _facets: dict = field(default_factory=dict, repr=False)  # facet positions by dimension
 
     def __post_init__(self):
-        for p, simps in self.simplices.items():
-            for s in simps:
-                self.weights.setdefault(s, 0.0)
+        given = self.simplices
+        simplices = {p: np.asarray(given.get(p, ()), dtype=np.int64).reshape(-1, p + 1)
+                     for p in range(max([3, *given]) + 1)}
+        for a in simplices.values():
+            a.flags.writeable = False
+        object.__setattr__(self, "simplices", simplices)
+        for name in ("weights", "perturbations"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, {p: np.zeros(len(s)) for p, s in simplices.items()})
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.simplices.values())
-
-    def __contains__(self, simplex: tuple) -> bool:
-        p = len(simplex) - 1
-        return simplex in set(self.simplices.get(p, ()))
+        return sum(map(len, self.simplices.values()))
 
     @property
-    def vertices(self) -> list[tuple]:
-        return self.simplices.get(0, [])
+    def vertices(self) -> np.ndarray:
+        return self.simplices[0]
 
     @property
-    def edges(self) -> list[tuple]:
-        return self.simplices.get(1, [])
+    def edges(self) -> np.ndarray:
+        return self.simplices[1]
 
     @property
-    def triangles(self) -> list[tuple]:
-        return self.simplices.get(2, [])
-
-    @property
-    def tetrahedra(self) -> list[tuple]:
-        return self.simplices.get(3, [])
-
-    def weight_at(self, simplex: tuple) -> float:
-        """Effective weight: the raw weight plus any tie-break offset."""
-        return self.weights[simplex] + self.perturbations.get(simplex, 0.0)
+    def triangles(self) -> np.ndarray:
+        return self.simplices[2]
 
     def stage_index(self, p: int) -> np.ndarray:
-        """Filtration index of each p-simplex, lex order; its stable argsort is filtration order.
+        """Filtration index of each p-simplex; its stable argsort is filtration order.
 
         Without an order the p-simplices count 1, 2, ... in lex order.
         """
-        simps = self.simplices.get(p, [])
-        index = self.index or dict(zip(simps, range(1, len(simps) + 1)))
-        return np.array([index[s] for s in simps], dtype=np.int64)
+        return self.stage[p] if self.stage is not None else np.arange(1, len(self.simplices[p]) + 1)
+
+    def stage_weights(self) -> np.ndarray:
+        """The effective weight, raw weight plus offset, of stages 1, 2, ... in turn."""
+        self.require_order()
+        out = np.empty(len(self))
+        for p, stage in self.stage.items():
+            out[stage - 1] = self.weights[p] + self.perturbations[p]
+        return out
+
+    def facet_positions(self, q: int) -> np.ndarray:
+        """Positions among the (q-1)-simplices of each q-simplex's facets, ``(n, q + 1)``.
+
+        Column ``i`` is the facet without vertex ``i``.  Built once per
+        nerve and dimension.
+        """
+        if q not in self._facets:
+            self._facets[q] = _facet_positions(self, q)
+        return self._facets[q]
 
     def require_order(self):
-        if self.order is None or self.index is None:
+        if self.stage is None:
             raise ValueError("nerve has no filtration order yet; run filtration_order")
+
+
+def _lex(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lex order of int rows, and along it the index of each row's distinct value."""
+    order = np.lexsort(rows.T[::-1])
+    step = (rows[order][1:] != rows[order][:-1]).any(axis=1)
+    return order, np.cumsum(np.r_[False, step][:len(order)])
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int array, in lex order."""
+    order, value = _lex(rows)
+    return rows[order][np.diff(value, prepend=-1) > 0]
+
+
+def lookup(table: np.ndarray, rows) -> np.ndarray:
+    """Position of each of ``rows`` in ``table`` (the first, if repeated), -1 where absent."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, table.shape[1])
+    order, value = _lex(np.concatenate([table, rows]))
+    at = np.full(len(order) + 1, -1)
+    mine = order < len(table)
+    at[value[mine][::-1]] = order[mine][::-1]  # the first of equal rows writes last
+    inv = np.empty(len(order), np.int64)
+    inv[order] = value
+    return at[inv[len(table):]]
+
+
+def _facet_positions(nerve: Nerve, q: int) -> np.ndarray:
+    drop = [[j for j in range(q + 1) if j != i] for i in range(q + 1)]  # column i drops vertex i
+    return lookup(nerve.simplices[q - 1], nerve.simplices[q][:, drop]).reshape(-1, q + 1)
 
 
 def build_nerve(cover: Sequence[CoverSet], max_dim: int = 3) -> Nerve:
@@ -187,28 +243,31 @@ def build_nerve(cover: Sequence[CoverSet], max_dim: int = 3) -> Nerve:
 
     A tuple of sets is a simplex exactly when some sample lies in every
     one of them.  So the p-simplices are the distinct (p+1)-subsets of
-    the samples' support tuples, the ascending ids of the sets that hold
-    each sample.  Weights are left at zero.  Tuples are sorted ascending
-    and listed in lex order within each dimension ``0..max_dim``, empty
-    where a dimension has no simplices.  Members may be any hashable
-    values.
+    the samples' supports, the ascending ids of the sets that hold each
+    sample: per support size, the distinct supports take every column
+    combination at once.  Weights are left at zero.  Members may be any
+    hashable values.
     """
     if not cover:
         raise ValueError("cover is empty")
     members = {c.id: c.members for c in cover}
     if len(members) != len(cover):
         raise ValueError("cover set ids are not unique")
-    supports: dict = {}
-    for j in sorted(members):
-        for s in members[j]:
-            supports.setdefault(s, []).append(j)
-    tuples = set(map(tuple, supports.values()))
-    return Nerve(
-        simplices={
-            p: sorted({f for t in tuples for f in combinations(t, p + 1)})
-            for p in range(max_dim + 1)
-        }
-    )
+    ids = sorted(members)
+    code: dict = {}
+    sample = np.array([code.setdefault(s, len(code)) for j in ids for s in members[j]],
+                      dtype=np.int64)
+    at = np.argsort(sample, kind="stable")  # by sample, each support's set ids ascending
+    held = np.repeat(np.array(ids, dtype=np.int64), [len(members[j]) for j in ids])[at]
+    start = np.flatnonzero(np.diff(sample[at], prepend=-1))
+    size = np.diff(np.r_[start, len(at)])
+    simplices = {p: [np.empty((0, p + 1), np.int64)] for p in range(max_dim + 1)}
+    for m in sorted(set(size.tolist())):
+        supports = distinct_rows(held[start[size == m, None] + np.arange(m)])
+        for p in range(min(m, max_dim + 1)):
+            cols = list(combinations(range(m), p + 1))
+            simplices[p].append(supports[:, cols].reshape(-1, p + 1))
+    return Nerve({p: distinct_rows(np.concatenate(v)) for p, v in simplices.items()})
 
 
 def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Witness") -> Nerve:
@@ -221,65 +280,52 @@ def edge_weights(nerve: Nerve, trivs: "Trivialization", witness: "Witness") -> N
     ov, _, means = trivs.chord_errors(witness)
     empty = np.flatnonzero(np.diff(ov.indptr) == 0)
     if empty.size:
-        j, k = nerve.edges[empty[0]]
+        j, k = nerve.edges[empty[0]].tolist()
         raise EmptyOverlap(f"edge ({j}, {k}) has no shared samples")
-    return simplex_weights(nerve, dict(zip(nerve.edges, means)))
+    return simplex_weights(nerve, means)
 
 
-def simplex_weights(nerve: Nerve, edge_means: dict) -> Nerve:
-    """A copy of the nerve weighted by its edges' mean chord errors.
+def simplex_weights(nerve: Nerve, edge_means) -> Nerve:
+    """A copy of the nerve weighted by its edges' mean chord errors, aligned to its edges.
 
-    Edges take their entry of ``edge_means``; higher simplices inherit
-    the max over their facets; vertices stay at zero.
+    Higher simplices inherit the max over their facets; vertices stay at zero.
     """
-    weights: dict[tuple, float] = {v: 0.0 for v in nerve.vertices}
-    for e in nerve.edges:
-        weights[e] = edge_means[e]
-    for p in (2, 3):
-        for s in nerve.simplices.get(p, []):
-            weights[s] = max(weights[f] for f in facets(s))
-    out = Nerve(simplices={p: list(v) for p, v in nerve.simplices.items()})
-    out.weights = weights
-    return out
-
-
-def facets(simplex: tuple) -> list[tuple]:
-    """Codimension-1 faces, each with one vertex dropped."""
-    return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
+    weights = {0: np.zeros(len(nerve.vertices)), 1: np.array(edge_means, dtype=float)}
+    for p in sorted(nerve.simplices)[2:]:
+        weights[p] = weights[p - 1][nerve.facet_positions(p)].max(axis=1)
+    return replace(nerve, weights=weights, perturbations=None, stage=None)
 
 
 def filtration_order(nerve: Nerve) -> Nerve:
     """Total order by (weight, dimension, lex), with recorded tie breaks.
 
-    Exact weight ties among positive-dimensional simplices are perturbed
-    by k * 1e-15 in order position (k = 0, 1, ...) so that reported stage
+    The nerve's simplices, listed dimension by dimension in lex order,
+    take one stable argsort by weight.  Exact weight ties among
+    positive-dimensional simplices are perturbed by k * 1e-15 in order
+    position (k = 0, 1, ... within the tie block) so that reported stage
     weights are distinct; vertices keep weight zero.  A block whose last
     offset would reach the next weight spreads its offsets evenly below
-    it, so effective weights never decrease.  Faces always precede
-    cofaces because facet weights never exceed the coface's.
+    it, ``(above - w) / size``, so effective weights never decrease.
+    Faces always precede cofaces because facet weights never exceed the
+    coface's.
     """
-    everything = [s for p in sorted(nerve.simplices) for s in nerve.simplices[p]]
-    everything.sort(key=lambda s: (nerve.weights[s], len(s), s))
-    perturbations: dict[tuple, float] = {}
-    i = 0
-    while i < len(everything):
-        j = i
-        w = nerve.weights[everything[i]]
-        while j < len(everything) and nerve.weights[everything[j]] == w:
-            j += 1
-        if j - i > 1:
-            above = nerve.weights[everything[j]] if j < len(everything) else float("inf")
-            step = TIE_STEP if w + (j - i - 1) * TIE_STEP < above else (above - w) / (j - i)
-            for k, s in enumerate(everything[i:j]):
-                if k > 0 and len(s) > 1:
-                    perturbations[s] = k * step
-        i = j
-    out = Nerve(simplices={p: list(v) for p, v in nerve.simplices.items()})
-    out.weights = dict(nerve.weights)
-    out.order = everything
-    out.index = {s: i + 1 for i, s in enumerate(everything)}
-    out.perturbations = perturbations
-    return out
+    dims = list(nerve.simplices)
+    w = np.concatenate([nerve.weights[p] for p in dims])
+    dim = np.repeat(dims, [len(nerve.simplices[p]) for p in dims])
+    order = np.argsort(w, kind="stable")
+    ws = w[order]
+    first = np.flatnonzero(np.r_[True, ws[1:] != ws[:-1]])  # where each tie block starts
+    size = np.diff(np.r_[first, len(ws)])
+    low, above = ws[first], np.r_[ws[first[1:]], np.inf]
+    step = np.where(low + (size - 1) * TIE_STEP < above, TIE_STEP, (above - low) / size)
+    block = np.repeat(np.arange(len(first)), size)
+    offset, stage = np.zeros(len(w)), np.empty(len(w), np.int64)
+    offset[order] = np.where(dim[order] > 0, (np.arange(len(ws)) - first[block]) * step[block], 0.0)
+    stage[order] = np.arange(1, len(w) + 1)
+    split = np.cumsum([len(nerve.simplices[p]) for p in dims])[:-1]
+    return replace(nerve, weights={p: a.copy() for p, a in nerve.weights.items()},
+                   perturbations=dict(zip(dims, np.split(offset, split))),
+                   stage=dict(zip(dims, np.split(stage, split))))
 
 
 def stage_subcomplex(nerve: Nerve, r: int) -> Nerve:
@@ -287,25 +333,19 @@ def stage_subcomplex(nerve: Nerve, r: int) -> Nerve:
     nerve.require_order()
     if not 1 <= r <= len(nerve):
         raise IndexOutOfRange(f"stage {r} outside 1..{len(nerve)}")
-    keep = nerve.order[:r]
-    kept = set(keep)
-    for s in keep:
-        if len(s) > 1:
-            for f in facets(s):
-                if f not in kept:
-                    raise GuardError(
-                        f"filtration order is not face-closed: stage {r} "
-                        f"holds {s} but not its face {f}"
-                    )
-    simplices: dict[int, list[tuple]] = {p: [] for p in nerve.simplices}
-    for s in keep:
-        simplices[len(s) - 1].append(s)
-    out = Nerve(simplices={p: sorted(v) for p, v in simplices.items()})
-    out.weights = {s: nerve.weights[s] for s in keep}
-    out.order = list(keep)
-    out.index = {s: i + 1 for i, s in enumerate(keep)}
-    out.perturbations = {s: v for s, v in nerve.perturbations.items() if s in kept}
-    return out
+    keep = {p: stage <= r for p, stage in nerve.stage.items()}
+    late = [(nerve.stage[p][i], p, i) for p in list(keep)[1:] for i in np.flatnonzero(
+        keep[p] & ~keep[p - 1][nerve.facet_positions(p)].all(axis=1)).tolist()]
+    if late:
+        _, p, i = min(late)
+        s = nerve.simplices[p][i]
+        f = np.delete(s, np.argmin(keep[p - 1][nerve.facet_positions(p)[i]]))
+        raise GuardError(f"filtration order is not face-closed: stage {r} "
+                         f"holds {tuple(s.tolist())} but not its face {tuple(f.tolist())}")
+    at = {p: np.cumsum(k) - 1 for p, k in keep.items()}  # new position of each kept simplex
+    return Nerve(*({p: a[p][keep[p]] for p in keep} for a in (
+        nerve.simplices, nerve.weights, nerve.perturbations, nerve.stage)),
+        {q: at[q - 1][pos[keep[q]]] for q, pos in nerve._facets.items()})
 
 
 def cut_base(
@@ -327,7 +367,9 @@ def cut_base(
         raise IndexOutOfRange(f"stage {r} outside 0..{len(nerve)}")
     members = {c.id: set(c.members) for c in cover}
     log: list[tuple] = []
-    for s in reversed(nerve.order[r:]):
+    later = sorted((i, tuple(s)) for p, stage in nerve.stage.items()
+                   for i, s in zip(stage.tolist(), nerve.simplices[p].tolist()) if i > r)
+    for _, s in reversed(later):
         shared = set(members[s[0]])
         for j in s[1:]:
             shared &= members[j]

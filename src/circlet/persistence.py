@@ -83,7 +83,7 @@ class PersistenceReport:
 
 def _first_stage(nerve: Nerve, p: int, failing: np.ndarray) -> int:
     """The earliest filtration index of a p-simplex where ``failing`` holds, else past the top."""
-    return int(nerve.stage_index(p)[failing].min(initial=len(nerve) + 1))
+    return int(nerve.stage[p][failing].min(initial=len(nerve) + 1))
 
 
 class StageProbe:
@@ -100,14 +100,13 @@ class StageProbe:
 
     def __init__(self, lam: np.ndarray, nerve: Nerve, p: int, twist: Optional[np.ndarray] = None):
         nerve.require_order()
-        if p not in (1, 2) or len(lam) != len(nerve.simplices.get(p, ())):
+        if p not in (1, 2) or len(lam) != len(nerve.simplices[p]):
             raise ShapeMismatch("persistence handles sign 1-cochains and integer 2-cochains")
         self.nerve = nerve
         self.answers: dict = {}  # prefix length -> solvable, for the per-stage scan
-        stages = nerve.stage_index(p)
-        order = np.argsort(stages, kind="stable").tolist()
-        self.cells = [nerve.simplices[p][i] for i in order]
-        self.index, self.rhs = stages[order].tolist(), lam[order].tolist()
+        order = np.argsort(nerve.stage[p], kind="stable")
+        self.cells, self.index, self.rhs = (
+            nerve.simplices[p][order], nerve.stage[p][order].tolist(), lam[order].tolist())
         self.rows = None  # a sign class goes to the union-find, without rows
         self.twist_broken = len(nerve) + 1
         if p == 1:
@@ -117,7 +116,7 @@ class StageProbe:
             if twist is not None:
                 self.twist_broken = _first_stage(nerve, 2, sign_coboundary(twist, nerve, 1) != 1)
             rows = coboundary_rows(nerve, 1, twist)
-            self.rows = [rows[i] for i in order]
+            self.rows = [rows[i] for i in order.tolist()]
 
     def _check_twist(self, r: int) -> None:
         if self.twist_broken <= r:
@@ -133,7 +132,7 @@ class StageProbe:
         n = bisect_right(self.index, r)
         if n not in self.answers:
             if self.rows is None:
-                found = sign_potential(dict(zip(self.cells[:n], self.rhs[:n]))) is not None
+                found = sign_potential(self.cells[:n], self.rhs[:n]) is not None
             else:
                 found = integer_solvable(self.rows[:n], self.rhs[:n])
             self.answers[n] = found
@@ -149,7 +148,7 @@ class StageProbe:
         self._check_twist(cobirth)
         n = bisect_right(self.index, cobirth)
         if self.rows is None:
-            solvable = sign_solvable_prefixes(dict(zip(self.cells[:n], self.rhs[:n])))
+            solvable = sign_solvable_prefixes(self.cells[:n], self.rhs[:n])
         else:
             solvable = solvable_prefixes(self.rows[:n], self.rhs[:n])
         m = n
@@ -160,12 +159,8 @@ class StageProbe:
 
 
 def _pair(nerve: Nerve, cobirth: int, codeath: int) -> ThresholdPair:
-    return ThresholdPair(
-        cobirth_index=cobirth,
-        cobirth_weight=nerve.weight_at(nerve.order[cobirth - 1]),
-        codeath_index=codeath,
-        codeath_weight=nerve.weight_at(nerve.order[codeath - 1]),
-    )
+    weight = nerve.stage_weights()
+    return ThresholdPair(cobirth, weight[cobirth - 1].item(), codeath, weight[codeath - 1].item())
 
 
 def persistence(lam: np.ndarray, nerve: Nerve, p: int, twist: Optional[np.ndarray] = None,
@@ -223,7 +218,7 @@ def persistence_report(witness: Witness, nerve: Nerve) -> PersistenceReport:
     return PersistenceReport(
         sw=sw_pair,
         euler=euler_pair,
-        w_max=nerve.weight_at(nerve.order[-1]),
-        stage_sizes={p: len(s) for p, s in nerve.simplices.items() if s},
+        w_max=nerve.stage_weights()[-1].item(),
+        stage_sizes={p: len(s) for p, s in nerve.simplices.items() if len(s)},
         classes=result,
     )

@@ -49,7 +49,7 @@ from .cochains import Witness, coboundary_rows
 from .errors import EigengapTooSmall, GuardError, NotTrivializable, RankDeficient, ShapeMismatch
 from .errors import UncoveredPoint
 from .intlinalg import sign_potential, solve_integer
-from .nerve import BundleDataset, base_geodesic
+from .nerve import BundleDataset, base_geodesic, lookup
 
 
 # below this second-versus-third eigenvalue gap the nearest plane is ill-defined
@@ -247,10 +247,9 @@ def _pair_rows(groups, sets, edges, up, down, diag, what: str) -> list:
     spans is missing.
     """
     width = len(sets)
-    slot = {j: i for i, j in enumerate(sets)}
-    ends = np.array([(slot.get(j, -1), slot.get(k, -1)) for j, k in edges], dtype=np.int64)
-    keep = np.flatnonzero((ends.reshape(-1, 2) >= 0).all(axis=1))
-    a, b = ends.reshape(-1, 2)[keep].T
+    ends = lookup(np.reshape(sets, (-1, 1)), edges.reshape(-1, 1)).reshape(-1, 2)  # slots, -1 off
+    keep = np.flatnonzero((ends >= 0).all(axis=1))
+    a, b = ends[keep].T
     # the row of ``table`` that holds each ordered pair of slots, -1 where none does
     at = np.full((width, width), -1)
     at[np.arange(width), np.arange(width)] = np.arange(width)
@@ -604,7 +603,7 @@ class GlobalTrivialization:
     ids: np.ndarray
     turns: np.ndarray
     phi: dict
-    edges: list
+    edges: np.ndarray
     beta: np.ndarray
     residual: float
 
@@ -629,21 +628,20 @@ def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTri
         Names the first sample whose rotated chart values spread over half a circle.
     """
     nerve = omega.nerve
-    verts = [v[0] for v in nerve.vertices]
-    edges = list(nerve.edges)
+    edges = nerve.edges
 
     # reflection fix: write the sign class as a vertex sign potential
-    phi = sign_potential(dict(zip(edges, omega.sign.tolist())), verts)
+    phi = sign_potential(edges, omega.sign, nerve.vertices[:, 0].tolist())
     if phi is None:
         raise NotTrivializable(
             "sw", "the sign class is not a coboundary; no global orientation exists"
         )
     # conjugate each edge by its end points' reflections
-    head, tail = np.array([[phi[j] for j in e] for e in edges], dtype=np.int64).reshape(-1, 2).T
+    head, tail = np.array([phi[j] for j in edges.ravel().tolist()], dtype=np.int64).reshape(-1, 2).T
     hat = Witness(nerve, head * omega.turn % 1.0, head * omega.sign * tail)
     still = np.flatnonzero(hat.sign != 1)
     if still.size:
-        j, k = edges[still[0]]
+        j, k = edges[still[0]].tolist()
         raise ShapeMismatch(f"edge ({j}, {k}) still reflects after the orientation fix")
 
     # winding fix: the rounded lift coboundary as an untwisted coboundary over Z

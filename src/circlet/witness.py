@@ -162,7 +162,7 @@ class Trivialization:
         return self._charts[j]
 
     def overlaps(self, simplices) -> Overlaps:
-        """Every overlap of ``simplices``, a list of same-length set tuples.
+        """Every overlap of ``simplices``, an ``(n, p)`` array of set ids (or n same-length tuples).
 
         Read off the (sample, set) incidence of the charts involved: the
         charts' concatenated columns, sorted by sample and then set, give
@@ -173,14 +173,13 @@ class Trivialization:
         without a chart and ``ValueError`` when two tuples name the same
         sets.
         """
-        simplices = list(simplices)
-        if not simplices:
+        simplices = np.asarray(simplices, dtype=np.int64)
+        if not len(simplices):
             return Overlaps(np.zeros(1, np.int64), np.empty(0, np.int64), np.empty((0, 0, 2)),
                             np.empty((0, 0)))
-        sets = sorted({j for s in simplices for j in s})
-        charts = [self._charts[j] for j in sets]
-        slot_of = {j: i for i, j in enumerate(sets)}
-        want = np.array([[slot_of[j] for j in s] for s in simplices], dtype=np.int64)
+        sets, want = np.unique(simplices, return_inverse=True)
+        want = want.reshape(simplices.shape)
+        charts = [self._charts[j] for j in sets.tolist()]
         ids = np.concatenate([c.ids for c in charts])
         which, pick = _shared_rows(ids, [len(c.ids) for c in charts], want)
         rows = pick.T
@@ -235,7 +234,7 @@ class Trivialization:
         """
         edges = witness.nerve.edges
         ov = self.overlaps(edges)
-        if not edges:
+        if not len(edges):
             return ov, np.empty(0), []
         each = np.repeat(np.arange(len(edges)), np.diff(ov.indptr))
         errs = turn_chord(ov.turns[0] - (witness.turn[each] + witness.sign[each] * ov.turns[1]))
@@ -357,14 +356,14 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Witness:
     reaches the validity threshold are logged as warnings, not rejected.
     """
     edges = nerve.edges
-    if not edges:
+    if not len(edges):
         return Witness(nerve, np.empty(0), np.empty(0, np.int64))
     indptr, _, points, _ = trivs.overlaps(edges)
     try:
         turns, signs, errs = procrustes_o2(*points, indptr)
     except GuardError as exc:
         i = exc.index[0]
-        j, k = edges[i]
+        j, k = edges[i].tolist()
         if isinstance(exc, TooFewSamples):
             n = indptr[i + 1] - indptr[i]
             raise TooFewSamples(f"edge ({j}, {k}): {n} shared samples") from exc
@@ -411,8 +410,8 @@ def triv_quality(trivs: Trivialization, witness: Witness, nerve: Nerve) -> Quali
     d_triple = _worst_coverage(trivs.overlaps(nerve.triangles))
     ov, errs, means = trivs.chord_errors(witness)
     max_errs = segment_max(errs, ov.indptr).tolist()
-    edge_rows = list(map(EdgeQuality, witness.nerve.edges, witness.turn.tolist(),
-                         witness.sign.tolist(), max_errs, means))
+    edge_rows = list(map(EdgeQuality, map(tuple, witness.nerve.edges.tolist()),
+                         witness.turn.tolist(), witness.sign.tolist(), max_errs, means))
     eps = max(max_errs, default=0.0)
     d_pair = _worst_coverage(ov)
     delta = max(d_pair, d_triple)

@@ -56,9 +56,14 @@ class O2:
         return O2(self.turn + self.sign * other.turn, self.sign * other.sign)
 
 
+def tuples(simplices) -> list:
+    """Rows of a simplex array as vertex tuples."""
+    return list(map(tuple, np.asarray(simplices).tolist()))
+
+
 def witness_of(nerve, values: dict) -> Witness:
     """The package's witness of ``{edge: O2}``, aligned to ``nerve.edges``."""
-    om = [values[e] for e in nerve.edges]
+    om = [values[e] for e in tuples(nerve.edges)]
     turn = np.array([o.turn for o in om], dtype=float)
     return Witness(nerve, turn, np.array([o.sign for o in om], dtype=np.int64))
 
@@ -66,7 +71,7 @@ def witness_of(nerve, values: dict) -> Witness:
 def o2_values(witness) -> dict:
     """``{edge: O2}`` of a package witness."""
     return {e: O2(t, s) for e, t, s in
-            zip(witness.nerve.edges, witness.turn.tolist(), witness.sign.tolist())}
+            zip(tuples(witness.nerve.edges), witness.turn.tolist(), witness.sign.tolist())}
 
 
 def trivial_twist(nerve):
@@ -93,10 +98,11 @@ def loop_lift_coboundary(witness):
     On (j, k, l): the principal lifts, in (-1/2, 1/2], of the turns on
     (k, l) times the sign on (j, k), minus (j, l), plus (j, k), added left to right.
     """
-    turns = dict(zip(witness.nerve.edges, (witness.turn % 1.0).tolist()))
+    turns = dict(zip(tuples(witness.nerve.edges), (witness.turn % 1.0).tolist()))
     lift = {e: t if t <= 0.5 else t - 1.0 for e, t in turns.items()}
-    sign = dict(zip(witness.nerve.edges, witness.sign.tolist()))
-    pre = [sign[j, k] * lift[k, l] - lift[j, l] + lift[j, k] for j, k, l in witness.nerve.triangles]
+    sign = dict(zip(tuples(witness.nerve.edges), witness.sign.tolist()))
+    pre = [sign[j, k] * lift[k, l] - lift[j, l] + lift[j, k]
+           for j, k, l in witness.nerve.triangles.tolist()]
     return pre, min((0.5 - abs(x - round(x)) for x in pre), default=math.inf)
 
 
@@ -421,12 +427,12 @@ def dense_boundary(nerve, twist, p: int):
     nerve's filtration order (lex without one).  Returns
     ``(matrix, rows, cols)`` with an object matrix.
     """
-    twist = dict(zip(nerve.edges, twist.tolist()))
+    twist = dict(zip(tuples(nerve.edges), twist.tolist()))
 
     def ordered(q):
-        simps = list(nerve.simplices.get(q, []))
-        if nerve.index is not None:
-            simps.sort(key=lambda s: nerve.index[s])
+        simps = tuples(nerve.simplices[q]) if q in nerve.simplices else []
+        if nerve.stage is not None:
+            simps = [simps[i] for i in np.argsort(nerve.stage[q], kind="stable")]
         return simps
 
     rows, cols = ordered(p - 1), ordered(p)
@@ -750,6 +756,40 @@ def loop_nerve(cover, max_dim: int = 3) -> dict:
                     shared[s + (j,)] = shared[s] & members[j]
         simplices[p] = sorted(level)
     return simplices
+
+
+def loop_filtration_order(simplices: dict, weights: dict, tie_step: float = 1e-15):
+    """Filtration order and tie offsets of tuple simplices, one sort and one scan of tie blocks.
+
+    ``simplices`` maps dimension to vertex tuples and ``weights`` each
+    tuple to its weight.  The order sorts by (weight, dimension, lex).  In
+    a block of exactly equal weights, the k-th simplex (k = 0, 1, ...) of
+    positive dimension is offset by ``k * step``, with step ``tie_step``
+    unless the block's last offset would reach the next weight ``above``;
+    then ``(above - w) / size``.  Returns the order and ``{simplex: offset}``
+    of the nonzero offsets.
+    """
+    order = sorted((s for simps in simplices.values() for s in simps),
+                   key=lambda s: (weights[s], len(s), s))
+    offsets, i = {}, 0
+    while i < len(order):
+        w, j = weights[order[i]], i
+        while j < len(order) and weights[order[j]] == w:
+            j += 1
+        above = weights[order[j]] if j < len(order) else math.inf
+        step = tie_step if w + (j - i - 1) * tie_step < above else (above - w) / (j - i)
+        for k, s in enumerate(order[i:j]):
+            if k and len(s) > 1:
+                offsets[s] = k * step
+        i = j
+    return order, offsets
+
+
+def nerve_order(nerve) -> list:
+    """A filtered nerve's simplices as tuples, in filtration order."""
+    flat = [(int(i), s) for p, a in nerve.simplices.items()
+            for i, s in zip(nerve.stage[p], tuples(a))]
+    return [s for _, s in sorted(flat)]
 
 
 def loop_overlap(trivs, sets):

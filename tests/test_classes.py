@@ -25,6 +25,7 @@ from oracles import (
     mat_mul,
     snf_fundamental_class,
     trivial_twist,
+    tuples,
     witness_of,
 )
 
@@ -63,11 +64,12 @@ def nerve_from_tops(tops):
 
 def gauge_witness(nerve, gauges):
     """Exact transition cochain of per-vertex gauges: g_j applied after g_k inverse."""
-    return witness_of(nerve, {(j, k): gauges[j] @ gauges[k].inverse() for (j, k) in nerve.edges})
+    return witness_of(nerve, {(j, k): gauges[j] @ gauges[k].inverse()
+                              for (j, k) in tuples(nerve.edges)})
 
 
 def rotation_witness(nerve, turns):
-    return witness_of(nerve, {e: O2(turns[e], 1) for e in nerve.edges})
+    return witness_of(nerve, {e: O2(turns[e], 1) for e in tuples(nerve.edges)})
 
 
 def triangle_nerve():
@@ -99,15 +101,15 @@ def projective_plane_nerve():
 
 def orientation_class(nerve):
     """A sign 1-cocycle that is not a sign coboundary, if one exists."""
-    edges = nerve.edges
+    edges = tuples(nerve.edges)
     col = {e: i for i, e in enumerate(edges)}
     rows = []
-    for (j, k, l) in nerve.triangles:
+    for (j, k, l) in tuples(nerve.triangles):
         row = [0] * len(edges)
         for e in ((j, k), (k, l), (j, l)):
             row[col[e]] = 1
         rows.append(row)
-    verts = nerve.vertices
+    verts = tuples(nerve.vertices)
     vcol = {v[0]: i for i, v in enumerate(verts)}
     inc = np.zeros((len(edges), len(verts)), dtype=np.uint8)
     for i, (j, k) in enumerate(edges):
@@ -131,7 +133,7 @@ class TestSwClass:
 
     def test_rejects_non_isometry_input(self):
         nerve = triangle_nerve()
-        wit = rotation_witness(nerve, {e: 0.1 for e in nerve.edges})
+        wit = rotation_witness(nerve, {e: 0.1 for e in tuples(nerve.edges)})
         with pytest.raises(ValueError):
             sw_class(wit._replace(sign=np.array([1, 0, 1])))
 
@@ -215,7 +217,7 @@ class TestEulerCochain:
         # whenever the witness is an exact cocycle the rounded class must
         # satisfy the twisted cocycle identity on every tetrahedron
         nerve = nerve_from_tops([(0, 1, 2, 3), (1, 2, 3, 4)])
-        assert nerve.tetrahedra
+        assert tuples(nerve.simplices[3])
         rng = np.random.default_rng(7)
         for _ in range(20):
             gauges = {
@@ -235,7 +237,7 @@ class TestFundamentalClass:
         # coefficient normalized positive
         nerve = tetra_boundary_nerve()
         mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
-        assert nerve.triangles == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert tuples(nerve.triangles) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         assert mu.tolist() == [1, -1, 1, -1]
 
     def test_octahedron_is_a_cycle(self):
@@ -246,7 +248,7 @@ class TestFundamentalClass:
         assert np.all(np.abs(mu) == 1)
         assert mu[0] == 1
         d2, _, tris = dense_boundary(nerve, omega, 2)
-        chain = [[int(mu[nerve.triangles.index(t)])] for t in tris]
+        chain = [[int(mu[tuples(nerve.triangles).index(t)])] for t in tris]
         boundary = mat_mul([[int(x) for x in row] for row in d2], chain)
         assert all(v == [0] for v in boundary)
 
@@ -272,7 +274,7 @@ class TestFundamentalClass:
         assert np.all(np.abs(mu) == 1)
         # the twisted boundary of the chain vanishes exactly
         d2, _, tris = dense_boundary(nerve, omega, 2)
-        chain = np.array([[int(mu[nerve.triangles.index(t)])] for t in tris], dtype=object)
+        chain = np.array([[int(mu[tuples(nerve.triangles).index(t)])] for t in tris], dtype=object)
         assert all(v == 0 for v in np.dot(d2, chain).reshape(-1))
 
     def test_twist_by_coboundary_still_works(self):
@@ -280,15 +282,15 @@ class TestFundamentalClass:
         # but keeps the sphere a sphere
         nerve = tetra_boundary_nerve()
         sigma = {0: 1, 1: -1, 2: 1, 3: -1}
-        omega = np.array([sigma[j] * sigma[k] for (j, k) in nerve.edges])
+        omega = np.array([sigma[j] * sigma[k] for (j, k) in tuples(nerve.edges)])
         mu = fundamental_class_twisted(nerve, omega)
         assert np.all(np.abs(mu) == 1)
-        assert mu[nerve.triangles.index((0, 1, 2))] == 1
+        assert mu[tuples(nerve.triangles).index((0, 1, 2))] == 1
 
     def test_solid_tetrahedron_rejected(self):
         # with the 3-cell filled in, the second homology dies
         nerve = nerve_from_tops([(0, 1, 2, 3)])
-        assert nerve.tetrahedra
+        assert tuples(nerve.simplices[3])
         with pytest.raises(NotASurface):
             fundamental_class_twisted(nerve, trivial_twist(nerve))
 
@@ -315,19 +317,19 @@ class TestEulerNumber:
         nerve = tetra_boundary_nerve()
         mu = fundamental_class_twisted(nerve, trivial_twist(nerve))
         e = np.zeros(len(nerve.triangles), dtype=np.int64)
-        e[nerve.triangles.index((0, 1, 2))] = 2
-        assert euler_number(e, mu) == 2 * mu[nerve.triangles.index((0, 1, 2))] == 2
+        e[tuples(nerve.triangles).index((0, 1, 2))] = 2
+        assert euler_number(e, mu) == 2 * mu[tuples(nerve.triangles).index((0, 1, 2))] == 2
 
     def test_hand_built_unit_class(self):
         # concentrate the lift on the edges of one face so its twisted
         # coboundary rounds to that face's indicator: pairing one
         nerve = tetra_boundary_nerve()
-        turns = {e: 0.0 for e in nerve.edges}
+        turns = {e: 0.0 for e in tuples(nerve.edges)}
         turns[(0, 1)] = 0.33
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
         res = euler_cochain(rotation_witness(nerve, turns))
-        assert nerve.triangles == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert tuples(nerve.triangles) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         assert res.euler.tolist() == [1, 0, 0, 0]
         mu = fundamental_class_twisted(nerve, res.sw)
         assert euler_number(res.euler, mu) == 1
@@ -354,10 +356,10 @@ class TestBranchIndependence:
         # an integer shift of the lift on one edge moves the class by the
         # twisted coboundary of that edge's indicator cochain
         nerve = tetra_boundary_nerve()
-        turns = {e: 0.01 * (i + 1) for i, e in enumerate(nerve.edges)}
+        turns = {e: 0.01 * (i + 1) for i, e in enumerate(tuples(nerve.edges))}
         res = euler_cochain(rotation_witness(nerve, turns))
         shift = np.zeros(len(nerve.edges))
-        shift[nerve.edges.index((1, 2))] = 1.0
+        shift[tuples(nerve.edges).index((1, 2))] = 1.0
         moved = coboundary(res.lift + shift, nerve, 1, res.sw)
         delta = np.rint(coboundary(shift, nerve, 1, res.sw)).astype(np.int64)
         assert np.rint(moved).astype(np.int64).tolist() == (res.euler + delta).tolist()
@@ -398,14 +400,14 @@ def octahedron_with_cone():
 
 def indicator(nerve, triangle, value=1):
     vals = np.zeros(len(nerve.triangles), dtype=np.int64)
-    vals[nerve.triangles.index(triangle)] = value
+    vals[tuples(nerve.triangles).index(triangle)] = value
     return vals
 
 
 def hand_built_cases():
     cases = {}
     nerve = tetra_boundary_nerve()
-    turns = {e: 0.0 for e in nerve.edges}
+    turns = {e: 0.0 for e in tuples(nerve.edges)}
     turns[(0, 1)] = turns[(1, 2)] = 0.33
     turns[(0, 2)] = -0.33
     res = euler_cochain(rotation_witness(nerve, turns))
@@ -453,14 +455,14 @@ def boundary_rows(nerve, omega):
 
 def as_chain(nerve, chain: dict) -> np.ndarray:
     """A ``{triangle: coefficient}`` chain as an int array on ``nerve.triangles``."""
-    return np.array([chain[t] for t in nerve.triangles], dtype=np.int64)
+    return np.array([chain[t] for t in tuples(nerve.triangles)], dtype=np.int64)
 
 
 def check_against_dense_path(nerve, omega, e):
     mu = fundamental_class_twisted(nerve, omega)
     old = snf_fundamental_class(nerve, omega)
     assert old is not None
-    at = {t: i for i, t in enumerate(nerve.triangles)}
+    at = {t: i for i, t in enumerate(tuples(nerve.triangles))}
     # a twisted cycle, zero off the collapsed core
     D2, _, tris = dense_boundary(nerve, omega, 2)
     assert not np.any(np.dot(D2, np.array([int(mu[at[t]]) for t in tris], dtype=object)))
@@ -469,15 +471,15 @@ def check_against_dense_path(nerve, omega, e):
     assert abs(euler_number(e, mu)) == abs(euler_number(e, as_chain(nerve, old)))
     anchor = orientation_anchor(nerve, mu)
     assert anchor is not None and mu[anchor] > 0
-    faces = {q[:i] + q[i + 1:] for q in nerve.tetrahedra for i in range(4)}
-    assert nerve.triangles[anchor] not in faces
+    faces = {q[:i] + q[i + 1:] for q in tuples(nerve.simplices[3]) for i in range(4)}
+    assert tuples(nerve.triangles)[anchor] not in faces
     # the dense cycle, re-signed by the anchor rule, gives the same number
-    sign = 1 if old[nerve.triangles[anchor]] > 0 else -1
+    sign = 1 if old[tuples(nerve.triangles)[anchor]] > 0 else -1
     assert euler_number(e, sign * as_chain(nerve, old)) == euler_number(e, mu)
     # and differs from the new cycle by a twisted 3-boundary
     order, rows = boundary_rows(nerve, omega)
     assert integer_solvable(rows, [int(mu[at[t]]) - sign * old[t] for t in order])
-    if not nerve.tetrahedra:
+    if not tuples(nerve.simplices[3]):
         # without tetrahedra the cycle is unique up to sign: the old rule
         assert mu.tolist() == as_chain(nerve, old).tolist()
     return mu
@@ -526,19 +528,19 @@ class TestCollapsedCycle:
         for name, (nerve, _, _) in synthetic_cases.items():
             tris, tets = sizes[name]
             assert tris < len(nerve.triangles) / 1.5
-            assert tets <= len(nerve.tetrahedra) / 4
+            assert tets <= len(tuples(nerve.simplices[3])) / 4
 
     def test_anchor_skips_faces_of_tetrahedra(self):
         nerve, omega, _ = HAND_BUILT["octahedron-cone"]
         mu = fundamental_class_twisted(nerve, omega)
         # the core is the octahedron; its first face carries the cycle, but
         # adding the tetrahedron's boundary could move that coefficient
-        assert [t for t, c in zip(nerve.triangles, mu) if c] == nerve_from_tops(
+        assert [t for t, c in zip(tuples(nerve.triangles), mu) if c] == tuples(nerve_from_tops(
             [(1, 2, 3), (1, 3, 5), (1, 4, 5), (1, 2, 4),
-             (2, 3, 6), (3, 5, 6), (4, 5, 6), (2, 4, 6)]).triangles
-        assert next(t for t, c in zip(nerve.triangles, mu) if c) == (1, 2, 3)
+             (2, 3, 6), (3, 5, 6), (4, 5, 6), (2, 4, 6)]).triangles)
+        assert next(t for t, c in zip(tuples(nerve.triangles), mu) if c) == (1, 2, 3)
         anchor = orientation_anchor(nerve, mu)
-        assert nerve.triangles[anchor] == (1, 2, 4)
+        assert tuples(nerve.triangles)[anchor] == (1, 2, 4)
         assert mu[anchor] == 1
 
     def test_fallback_on_a_block_without_unit_pivot(self, monkeypatch):
@@ -568,11 +570,11 @@ def rp2_cycle(synthetic_cases):
 @given(st.data())
 def test_boundaries_keep_anchor_and_pairing(rp2_cycle, data):
     nerve, e, mu, rows = rp2_cycle
-    tets = nerve.tetrahedra
+    tets = tuples(nerve.simplices[3])
     tau = data.draw(st.lists(st.integers(-3, 3), min_size=len(tets), max_size=len(tets)))
     coef = dict(zip(tets, tau))
     moved = np.array([c + sum(v * coef[q] for q, v in rows[t].items())
-                      for t, c in zip(nerve.triangles, mu.tolist())], dtype=np.int64)
+                      for t, c in zip(tuples(nerve.triangles), mu.tolist())], dtype=np.int64)
     anchor = orientation_anchor(nerve, mu)
     assert orientation_anchor(nerve, moved) == anchor
     assert moved[anchor] == mu[anchor] > 0

@@ -11,6 +11,7 @@ import pytest
 
 import circlet
 from circlet import cli, io
+from circlet import nerve as nerve_module
 from circlet.cli import main
 
 
@@ -174,7 +175,7 @@ class TestSynth:
 class TestWitnessCommand:
     def test_witness_file_has_order_and_quality(self, torus_witness_dir):
         wit, quality = io.parse_witness(read(torus_witness_dir / "witness.json"))
-        assert wit.nerve.order is not None
+        assert wit.nerve.stage is not None
         assert len(wit.turn) == len(wit.sign) == len(wit.nerve.edges) == 12
         assert quality["epsilon"] <= 1e-12
         assert quality["cocycle_epsilon"] <= 1e-12
@@ -330,7 +331,7 @@ class TestClassesAndEuler:
         assert doc["sw_coboundary"] is True
         # the triangle that fixes the sign is a triangle of the nerve
         nerve = io.parse_classes(read(lens_dirs[2] / "classes.json"))["nerve"]
-        assert tuple(doc["euler_orientation"]) in nerve.triangles
+        assert doc["euler_orientation"] in nerve.triangles.tolist()
         assert 0 < doc["fundamental_support"] <= len(nerve.triangles)
 
     def test_classes_document_is_parseable(self, lens_dirs):
@@ -636,7 +637,7 @@ def _repeated_perturbation(doc):
 
 
 class TestMalformedPipelineDocuments:
-    """Clusters, classes and witness documents go through the same column checks."""
+    """Clusters, classes, witness and cover documents go through the same column checks."""
 
     @pytest.mark.parametrize("name, mutate", [
         ("clusters.json", _set(["sets", 0, "id"], [0])),
@@ -660,6 +661,8 @@ class TestMalformedPipelineDocuments:
         ("classes.json", _repeat(["lift"], turn=0.25)),
         ("witness.json", _repeat(["nerve", "weights"], weight=0.5)),
         ("witness.json", _repeated_perturbation),
+        ("cover.json", lambda d: d["sets"].append(d["sets"][0])),
+        ("cover.json", lambda d: d["sets"][0]["members"].append(d["sets"][0]["members"][0])),
     ], ids=[
         "cluster-id-list", "clusters-not-lists", "member-list", "cluster-id-string",
         "sw-without-simplex", "sw-sign-3", "sw-sign-string", "sw-not-list",
@@ -667,10 +670,12 @@ class TestMalformedPipelineDocuments:
         "witness-sign-bool", "weights-not-list", "simplices-not-list",
         "order-before-facets", "repeated-value", "repeated-sw", "repeated-euler",
         "repeated-lift", "repeated-weight", "repeated-perturbation",
+        "repeated-cover-set", "repeated-cover-member",
     ])
     def test_schema_exit_without_traceback(self, split_dirs, tmp_path, capsys, name, mutate):
         synth, wit, cls = split_dirs
-        source = {"clusters.json": synth, "classes.json": cls, "witness.json": wit}[name]
+        source = {"clusters.json": synth, "classes.json": cls, "witness.json": wit,
+                  "cover.json": synth}[name]
         doc = read(source / name)
         mutate(doc)
         bad = tmp_path / name
@@ -680,6 +685,9 @@ class TestMalformedPipelineDocuments:
             "classes.json": [["euler", "--classes", str(bad)]],
             "witness.json": [["classes", "--witness", str(bad)],
                              ["persist", "--witness", str(bad)]],
+            "cover.json": [[cmd, "--data", str(synth / "dataset.json"), "--cover", str(bad),
+                            "--trivs", str(synth / "trivs.json")]
+                           for cmd in ("report", "trivialize")],
         }[name]
         for argv in commands:
             out = tmp_path / argv[0]
@@ -743,6 +751,22 @@ class TestReportCommand:
         assert abs(classes["euler_number"]) == 1 and classes["reason"] is None
         tri = classes["euler_orientation"]
         assert len(tri) == 3 and tri == sorted(tri)
+
+    def test_facet_positions_built_once_per_nerve_and_dimension(self, tmp_path, monkeypatch):
+        synth = tmp_path / "synth"
+        assert run("synth", "--model", "lens:2", "--samples", "4000", "--sets", "64",
+                   "--radius", "0.44", "--out", str(synth)) == 0
+        built = []
+        build = nerve_module._facet_positions
+
+        def counted(nerve, q):
+            # keyed by content: a copy that rebuilds the same positions counts twice
+            built.append((nerve.simplices[q - 1].tobytes(), nerve.simplices[q].tobytes(), q))
+            return build(nerve, q)
+
+        monkeypatch.setattr(nerve_module, "_facet_positions", counted)
+        assert run("report", *_bundle_flags(synth), "--out", str(tmp_path / "rep")) == 0
+        assert built and len(set(built)) == len(built)
 
     def test_dims_outside_ambient_rejected(self, torus_dir, tmp_path):
         code = run(

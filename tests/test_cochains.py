@@ -21,7 +21,7 @@ from circlet.projection import _transitions
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 
 from oracles import (O2, dense_boundary, loop_defect, o2_values, partition_from_rows,
-                     trivial_twist, witness_of)
+                     trivial_twist, tuples, witness_of)
 
 
 def triangle_nerve():
@@ -34,7 +34,7 @@ def tetra_nerve():
 
 def sign_cocycle_from_vertices(nerve, vertex_signs):
     """delta of a vertex sign assignment: always a cocycle."""
-    return np.array([vertex_signs[j] * vertex_signs[k] for (j, k) in nerve.edges])
+    return np.array([vertex_signs[j] * vertex_signs[k] for (j, k) in tuples(nerve.edges)])
 
 
 turns = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, width=32)
@@ -121,7 +121,7 @@ class TestTwistedCoboundary:
     def test_unsupported_degree(self):
         nerve = tetra_nerve()
         with pytest.raises(DegreeUnsupported):
-            coboundary(np.zeros(len(nerve.tetrahedra)), nerve, 3)
+            coboundary(np.zeros(len(tuples(nerve.simplices[3]))), nerve, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -190,7 +190,7 @@ class TestCocycleDefect:
         # a complete nerve on n vertices with random turns and signs: most
         # triangles carry a reflection, and many have signs that do not close
         nerve = build_nerve([CoverSet(j, {99, j}) for j in range(n)], max_dim=2)
-        vals = {e: O2(data.draw(turns), data.draw(signs)) for e in nerve.edges}
+        vals = {e: O2(data.draw(turns), data.draw(signs)) for e in tuples(nerve.edges)}
         assert cocycle_defect(witness_of(nerve, vals)) == loop_defect(vals, nerve.triangles)
 
 
@@ -207,8 +207,8 @@ class TestActByPotential:
     def test_defect_preserved(self, ts, ss, es, zs):
         # conjugation by a potential, with the reference algebra, is isometric
         nerve = triangle_nerve()
-        om = {e: O2(t, s) for e, t, s in zip(nerve.edges, es, zs)}
-        phi = {j: O2(t, s) for (j,), t, s in zip(nerve.vertices, ts, ss)}
+        om = {e: O2(t, s) for e, t, s in zip(tuples(nerve.edges), es, zs)}
+        phi = {j: O2(t, s) for (j,), t, s in zip(tuples(nerve.vertices), ts, ss)}
         hat = {(j, k): phi[j] @ v @ phi[k].inverse() for (j, k), v in om.items()}
         got = cocycle_defect(witness_of(nerve, hat))
         assert got == pytest.approx(cocycle_defect(witness_of(nerve, om)), abs=1e-10)
@@ -219,21 +219,22 @@ class TestRestrict:
         # an edge array restricts to a stage through the witness that carries it
         nerve = filtration_order(tetra_nerve())
         sub = stage_subcomplex(nerve, 8)
-        turn = np.array([sum(e) / 10.0 for e in nerve.edges])
+        turn = np.array([sum(e) / 10.0 for e in tuples(nerve.edges)])
         rw = Witness(nerve, turn, np.ones(len(turn), dtype=np.int64)).restrict(sub)
-        assert rw.turn.tolist() == [sum(e) / 10.0 for e in sub.edges]
+        assert rw.turn.tolist() == [sum(e) / 10.0 for e in tuples(sub.edges)]
         assert len(sub.edges) < len(nerve.edges)
 
     def test_witness_restricts_by_edge(self):
         # a nerve built by hand may list its edges out of lex order
         nerve = filtration_order(tetra_nerve())
-        shuffled = Nerve({p: list(reversed(v)) for p, v in nerve.simplices.items()})
-        shuffled.order, shuffled.index = nerve.order, nerve.index
-        wit = witness_of(shuffled, {e: O2(sum(e) / 10.0, (-1) ** e[0]) for e in nerve.edges})
+        shuffled = Nerve({p: v[::-1] for p, v in nerve.simplices.items()},
+                         stage={p: v[::-1] for p, v in nerve.stage.items()})
+        values = {e: O2(sum(e) / 10.0, (-1) ** e[0]) for e in tuples(nerve.edges)}
+        wit = witness_of(shuffled, values)
         sub = stage_subcomplex(nerve, 8)
         rw = wit.restrict(sub)
         assert isinstance(rw, Witness) and rw.nerve is sub
-        assert o2_values(rw) == {e: o2_values(wit)[e] for e in sub.edges}
+        assert o2_values(rw) == {e: o2_values(wit)[e] for e in tuples(sub.edges)}
 
 
 # synth nerves the arrays are compared on, by their exact generator arguments
@@ -261,7 +262,7 @@ def test_coboundary_matches_dense_boundary(name, seed, filtered_witness):
         for twist in twists:
             D, faces, cofaces = dense_boundary(nerve, twist, p + 1)
             # the dense matrix is in filtration order, the arrays in lex order
-            lex = [{s: i for i, s in enumerate(nerve.simplices[q])} for q in (p, p + 1)]
+            lex = [{s: i for i, s in enumerate(tuples(nerve.simplices[q]))} for q in (p, p + 1)]
             rows, cols = [lex[0][s] for s in faces], [lex[1][s] for s in cofaces]
             dense = D.T.astype(np.int64)
             assert coboundary(ints, nerve, p, twist)[cols].tolist() == (dense @ ints[rows]).tolist()

@@ -31,18 +31,20 @@ from oracles import (
     dense_solve_integer,
     gf2_solvable,
     integer_kernel_via_rationals,
+    nerve_order,
     snf_properties,
     trivial_twist,
+    tuples,
 )
 
 
 def signs_from_vertices(nerve, vertex_signs):
-    return np.array([vertex_signs[j] * vertex_signs[k] for (j, k) in nerve.edges])
+    return np.array([vertex_signs[j] * vertex_signs[k] for (j, k) in tuples(nerve.edges)])
 
 
 def labelled(nerve, p, row):
     """A coboundary row with the facet positions among the p-simplices named."""
-    return [(nerve.simplices[p][f], c) for f, c in row.items()]
+    return [(tuples(nerve.simplices[p])[f], c) for f, c in row.items()]
 
 
 class TestSmithNormalForm:
@@ -247,7 +249,8 @@ class TestTwistedBoundaryMatrix:
         nerve = self.triangle()
         omega = signs_from_vertices(nerve, {0: -1, 1: 1, 2: 1})
         rows = coboundary_rows(nerve, 0, omega)
-        assert labelled(nerve, 0, rows[nerve.edges.index((0, 1))]) == [((1,), -1), ((0,), -1)]
+        row = rows[tuples(nerve.edges).index((0, 1))]
+        assert labelled(nerve, 0, row) == [((1,), -1), ((0,), -1)]
 
     def test_rejects_non_cocycle(self):
         # the classes that read a twist check it first
@@ -270,7 +273,7 @@ class TestTwistedBoundaryMatrix:
                 members = rng.choice(universe, size=size, replace=False)
                 cover.append(CoverSet(j, set(int(x) for x in members)))
             nerve = build_nerve(cover)
-            if not nerve.tetrahedra:
+            if not tuples(nerve.simplices[3]):
                 continue
             vs = {j: int(s) for j, s in zip(range(n_sets), rng.choice([1, -1], n_sets))}
             omega = signs_from_vertices(nerve, vs)
@@ -290,9 +293,7 @@ class TestTwistedBoundaryMatrix:
     def test_filtration_order_respected(self):
         cover = [CoverSet(j, {99, j}) for j in range(3)]
         nerve = build_nerve(cover)
-        nerve.weights[(0, 1)] = 0.3
-        nerve.weights[(0, 2)] = 0.1
-        nerve.weights[(1, 2)] = 0.2
+        nerve.weights[1][:] = [0.3, 0.1, 0.2]  # edges (0, 1), (0, 2), (1, 2)
         ordered = filtration_order(nerve)
         assert np.argsort(nerve.stage_index(1), kind="stable").tolist() == [0, 1, 2]
         assert np.argsort(ordered.stage_index(1), kind="stable").tolist() == [1, 2, 0]
@@ -529,8 +530,8 @@ class TestCoboundaryRows:
         # twist on the leading edge, facet i otherwise carries (-1)**i
         nerve = build_nerve([CoverSet(j, {99}) for j in simplex])
         p = len(simplex) - 1
-        at = nerve.simplices[p].index(simplex)
-        twist = np.array([-1 if e == simplex[:2] else 1 for e in nerve.edges])
+        at = tuples(nerve.simplices[p]).index(simplex)
+        twist = np.array([-1 if e == simplex[:2] else 1 for e in tuples(nerve.edges)])
         assert labelled(nerve, p - 1, coboundary_rows(nerve, p - 1, twist)[at]) == twisted
         assert labelled(nerve, p - 1, coboundary_rows(nerve, p - 1)[at]) == untwisted
 
@@ -543,14 +544,14 @@ class TestCoboundaryRows:
                 for j in range(6)
             ]
             nerve = build_nerve(cover)
-            if not nerve.triangles:
+            if not len(nerve.triangles):
                 continue
             vs = {j: int(s) for j, s in zip(range(6), rng.choice([1, -1], 6))}
             omega = signs_from_vertices(nerve, vs)
             d2, edges, tris = dense_boundary(nerve, omega, 2)
             rows = coboundary_rows(nerve, 1, omega)
             for t, column in zip(tris, d2.T):
-                row = rows[nerve.triangles.index(t)]
+                row = rows[tuples(nerve.triangles).index(t)]
                 assert dict(labelled(nerve, 1, row)) == {e: int(v) for e, v in zip(edges, column) if v}
             ran += 1
         assert ran > 0
@@ -582,11 +583,11 @@ def test_scenario_stages_match_dense_solvers(name):
     nerve, result = scenario(SCENARIOS[name]())
     rng = np.random.default_rng(73)
     tris, edges = [], {}
-    verts = [v[0] for v in nerve.vertices]
+    verts = [v[0] for v in tuples(nerve.vertices)]
     sign_verdicts, euler_verdicts = [True], [True]
-    at = {s: i for p in (1, 2) for i, s in enumerate(nerve.simplices[p])}
+    at = {s: i for p in (1, 2) for i, s in enumerate(tuples(nerve.simplices[p]))}
     all_rows = coboundary_rows(nerve, 1, result.sw)
-    for s in nerve.order:
+    for s in nerve_order(nerve):
         if len(s) == 2:
             edges[s] = int(result.sw[at[s]])
             A = np.zeros((len(edges), len(verts)), dtype=np.uint8)
@@ -594,7 +595,7 @@ def test_scenario_stages_match_dense_solvers(name):
                 A[i, verts.index(j)] = A[i, verts.index(k)] = 1
             b = [1 if v < 0 else 0 for v in edges.values()]
             sign_verdicts.append(solve_gf2(A, b) is not None)
-            assert (sign_potential(edges) is not None) == sign_verdicts[-1]
+            assert (sign_potential(*edge_array(edges)) is not None) == sign_verdicts[-1]
         if len(s) == 3:
             tris.append(s)
             rows = [all_rows[at[t]] for t in tris]
@@ -609,9 +610,14 @@ def test_scenario_stages_match_dense_solvers(name):
                 if b is euler:
                     euler_verdicts.append(expected)
     # one sweep in filtration order decides every stage the same way
-    assert sign_solvable_prefixes(edges) == sign_verdicts
+    assert sign_solvable_prefixes(*edge_array(edges)) == sign_verdicts
     rows = [all_rows[at[t]] for t in tris]
     assert solvable_prefixes(rows, [int(result.euler[at[t]]) for t in tris]) == euler_verdicts
+
+
+def edge_array(signs: dict) -> tuple:
+    """An ``{edge: sign}`` dict as the edge array and sign list the sign solvers take."""
+    return np.array(list(signs), dtype=np.int64).reshape(-1, 2), list(signs.values())
 
 
 def reference_potential(verts, signs):
@@ -628,14 +634,14 @@ def reference_potential(verts, signs):
 
 class TestSignPotential:
     def test_empty(self):
-        assert sign_potential({}) == {}
-        assert sign_potential({}, [3, 1]) == {3: 1, 1: 1}
+        assert sign_potential(*edge_array({})) == {}
+        assert sign_potential(*edge_array({}), [3, 1]) == {3: 1, 1: 1}
 
     def test_odd_cycle(self):
-        assert sign_potential({(0, 1): -1, (1, 2): 1, (0, 2): 1}) is None
+        assert sign_potential(*edge_array({(0, 1): -1, (1, 2): 1, (0, 2): 1})) is None
 
     def test_root_is_the_largest_vertex(self):
-        phi = sign_potential({(0, 1): -1, (1, 2): -1}, [5])
+        phi = sign_potential(*edge_array({(0, 1): -1, (1, 2): -1}), [5])
         assert phi == {0: 1, 1: -1, 2: 1, 5: 1}
 
     def test_matches_dense_gf2_on_random_graphs(self):
@@ -654,11 +660,11 @@ class TestSignPotential:
             for e in edges:
                 if rng.uniform() < 0.1:
                     signs[e] = -signs[e]
-            phi = sign_potential(signs, verts)
+            phi = sign_potential(*edge_array(signs), verts)
             assert phi == reference_potential(verts, signs)
             prefixes = [dict(list(signs.items())[:n]) for n in range(len(signs) + 1)]
-            assert sign_solvable_prefixes(signs) == [
-                sign_potential(p) is not None for p in prefixes]
+            assert sign_solvable_prefixes(*edge_array(signs)) == [
+                sign_potential(*edge_array(p)) is not None for p in prefixes]
             if phi is not None:
                 assert all(phi[j] * phi[k] == s for (j, k), s in signs.items())
             verdicts.add(phi is None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_value_int, per_value_number, recursive_canonical_text
+from oracles import nerve_order, per_value_int, per_value_number, recursive_canonical_text, tuples
 
 from circlet import io
 from circlet.cli import main
@@ -434,17 +434,18 @@ class TestWitnessSchema:
         doc = io.witness_doc(wit, quality=quality)
         back, q = io.parse_witness(doc)
         assert q == quality
-        assert back.nerve.edges == nerve.edges
+        assert np.array_equal(back.nerve.edges, nerve.edges)
         assert back.turn.dtype == np.float64 and back.sign.dtype == np.int64
         assert np.array_equal(back.turn, wit.turn) and np.array_equal(back.sign, wit.sign)
         # empty dimensions are canonicalized away by the schema
-        assert {p: s for p, s in back.nerve.simplices.items() if s} == {
-            p: s for p, s in nerve.simplices.items() if s
+        assert {p: tuples(s) for p, s in back.nerve.simplices.items() if len(s)} == {
+            p: tuples(s) for p, s in nerve.simplices.items() if len(s)
         }
-        assert back.nerve.order == nerve.order
-        assert back.nerve.index == nerve.index
-        for s in nerve.weights:
-            assert back.nerve.weight_at(s) == nerve.weight_at(s)
+        assert nerve_order(back.nerve) == nerve_order(nerve)
+        for p in nerve.simplices:
+            assert np.array_equal(back.nerve.stage[p], nerve.stage[p])
+            assert np.array_equal(back.nerve.weights[p] + back.nerve.perturbations[p],
+                                  nerve.weights[p] + nerve.perturbations[p])
         assert io.canonical_text(io.witness_doc(back, quality=q)) == io.canonical_text(doc)
 
     def test_bad_sign_rejected(self, torus):
@@ -461,7 +462,10 @@ class TestWitnessSchema:
         (lambda n: n.update(order=[[0], [0]]), "permutation"),
         (lambda n: n["order"].pop(), "permutation"),
         (lambda n: n["order"].__setitem__(-1, [0, 99]), "permutation"),
-    ], ids=["perturbation-without-offset", "repeated-order", "short-order", "order-off-the-nerve"])
+        (lambda n: n["simplices"]["0"].append([1 << 63]), "nerve: expected a 64-bit integer"),
+        (lambda n: n["order"].__setitem__(-1, [0, 1 << 63]), "order: expected a 64-bit integer"),
+    ], ids=["perturbation-without-offset", "repeated-order", "short-order", "order-off-the-nerve",
+            "vertex-past-int64", "order-vertex-past-int64"])
     def test_malformed_nerve_rejected(self, torus, mutate, match):
         _, cover, trivs = torus
         nerve = build_nerve(cover)
@@ -500,7 +504,7 @@ class TestWitnessSchema:
         doc = io.witness_doc(assemble_witness(trivs, build_nerve(cover)))
         doc["values"][0]["turn"], doc["values"][1]["turn"] = 1.25, -0.25
         back, _ = io.parse_witness(doc)
-        at = {e: i for i, e in enumerate(back.nerve.edges)}
+        at = {e: i for i, e in enumerate(tuples(back.nerve.edges))}
         rows = [at[tuple(doc["values"][i]["simplex"])] for i in (0, 1)]
         assert back.turn[rows].tolist() == [0.25, 0.75]
 
@@ -576,7 +580,7 @@ class TestCoordsSchema:
             ids=np.array([0, 1]),
             turns=np.array([0.25, 0.75]),
             phi={0: 1, 1: -1},
-            edges=[(0, 1)],
+            edges=np.array([[0, 1]]),
             beta=np.array([2]),
             residual=1e-9,
         )

@@ -14,17 +14,19 @@ from circlet.errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMisma
 from circlet.nerve import (
     BundleDataset,
     CoverSet,
+    Nerve,
     build_nerve,
     base_geodesic,
     cut_base,
     edge_weights,
-    facets,
     filtration_order,
+    simplex_weights,
     stage_subcomplex,
 )
+from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 from circlet.witness import Trivialization
 
-from oracles import O2, witness_of
+from oracles import O2, loop_filtration_order, loop_nerve, nerve_order, tuples, witness_of
 
 
 def circle_dataset(n=8):
@@ -65,14 +67,14 @@ class TestBuildNerve:
             CoverSet(2, {6, 7, 0}),
         ]
         nerve = build_nerve(cover)
-        assert nerve.vertices == [(0,), (1,), (2,)]
-        assert nerve.edges == [(0, 1), (0, 2), (1, 2)]
-        assert nerve.triangles == []
+        assert tuples(nerve.vertices) == [(0,), (1,), (2,)]
+        assert tuples(nerve.edges) == [(0, 1), (0, 2), (1, 2)]
+        assert tuples(nerve.triangles) == []
 
     def test_disjoint_sets(self):
         nerve = build_nerve([CoverSet(0, {0, 1}), CoverSet(1, {2, 3})])
         assert len(nerve.vertices) == 2
-        assert nerve.edges == []
+        assert tuples(nerve.edges) == []
 
     def test_common_sample_gives_tetrahedron(self):
         cover = [CoverSet(j, {99, j}) for j in range(4)]
@@ -80,11 +82,11 @@ class TestBuildNerve:
         assert len(nerve.vertices) == 4
         assert len(nerve.edges) == 6
         assert len(nerve.triangles) == 4
-        assert nerve.tetrahedra == [(0, 1, 2, 3)]
+        assert tuples(nerve.simplices[3]) == [(0, 1, 2, 3)]
 
     def test_empty_set_dropped(self):
         nerve = build_nerve([CoverSet(0, {0}), CoverSet(1, set())])
-        assert nerve.vertices == [(0,)]
+        assert tuples(nerve.vertices) == [(0,)]
 
 
 class TestEdgeWeights:
@@ -100,20 +102,20 @@ class TestEdgeWeights:
     def test_aligned_weights_zero(self):
         nerve, charts, witness = self.nerve_and_charts()
         out = edge_weights(nerve, charts, witness)
-        assert out.weights[(0, 1)] == pytest.approx(0.0)
-        assert out.weights[(0,)] == 0.0
+        assert out.weights[1][0] == pytest.approx(0.0)  # edge (0, 1)
+        assert out.weights[0][0] == 0.0
 
     def test_quarter_turn_single_sample(self):
         nerve, charts, witness = self.nerve_and_charts(misalign=0.25)
         out = edge_weights(nerve, charts, witness)
-        assert out.weights[(0, 1)] == pytest.approx(np.sqrt(2.0))
+        assert out.weights[1][0] == pytest.approx(np.sqrt(2.0))
 
     def test_witness_turn_absorbs_offset(self):
         # chart offset matched by the witness rotation: zero weight
         nerve, charts, _ = self.nerve_and_charts(misalign=0.3)
         witness = witness_of(nerve, {(0, 1): O2(-0.3, 1)})
         out = edge_weights(nerve, charts, witness)
-        assert out.weights[(0, 1)] == pytest.approx(0.0, abs=1e-12)
+        assert out.weights[1][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_overlap_raises(self):
         cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
@@ -133,17 +135,17 @@ class TestEdgeWeights:
                 2: {99: 0.25, 2: 0.0},
             }
         )
-        witness = witness_of(nerve, dict.fromkeys(nerve.edges, O2(0.0, 1)))
+        witness = witness_of(nerve, dict.fromkeys(tuples(nerve.edges), O2(0.0, 1)))
         out = edge_weights(nerve, charts, witness)
-        expected = max(out.weights[(0, 1)], out.weights[(0, 2)], out.weights[(1, 2)])
-        assert out.weights[(0, 1, 2)] == pytest.approx(expected)
+        expected = max(out.weights[1])  # edges (0, 1), (0, 2), (1, 2)
+        assert out.weights[2][0] == pytest.approx(expected)
 
 
 class TestFiltrationOrder:
     def test_zero_weights_dimension_then_lex(self):
         cover = [CoverSet(j, {99, j}) for j in range(3)]
         nerve = filtration_order(build_nerve(cover))
-        assert nerve.order == [
+        assert nerve_order(nerve) == [
             (0,),
             (1,),
             (2,),
@@ -152,37 +154,34 @@ class TestFiltrationOrder:
             (1, 2),
             (0, 1, 2),
         ]
-        assert nerve.index[(0,)] == 1
-        assert nerve.index[(0, 1, 2)] == 7
+        assert nerve.stage[0][0] == 1
+        assert nerve.stage[2][0] == 7
 
     def test_distinct_weights_sorted(self):
         cover = [CoverSet(0, {9, 0}), CoverSet(1, {9, 1}), CoverSet(2, {9, 2})]
         nerve = build_nerve(cover)
-        nerve.weights[(0, 1)] = 0.3
-        nerve.weights[(0, 2)] = 0.1
-        nerve.weights[(1, 2)] = 0.2
-        nerve.weights[(0, 1, 2)] = 0.3
+        nerve.weights[1][:] = [0.3, 0.1, 0.2]  # edges (0, 1), (0, 2), (1, 2)
+        nerve.weights[2][0] = 0.3
         ordered = filtration_order(nerve)
-        assert ordered.order.index((0, 2)) < ordered.order.index((1, 2))
-        assert ordered.order.index((1, 2)) < ordered.order.index((0, 1))
+        order = nerve_order(ordered)
+        assert order.index((0, 2)) < order.index((1, 2))
+        assert order.index((1, 2)) < order.index((0, 1))
         # coface never precedes its faces
-        for s in ordered.order:
-            if len(s) > 1:
-                for f in facets(s):
-                    assert ordered.index[f] < ordered.index[s]
+        for p in (1, 2):
+            faces = ordered.stage[p - 1][ordered.facet_positions(p)]
+            assert (faces < ordered.stage[p][:, None]).all()
 
     def test_exact_ties_perturbed_and_recorded(self):
         cover = [CoverSet(j, {99, j}) for j in range(3)]
         nerve = build_nerve(cover)
-        for e in nerve.edges:
-            nerve.weights[e] = 0.5
+        nerve.weights[1][:] = 0.5
         ordered = filtration_order(nerve)
-        eff = [ordered.weight_at(e) for e in ordered.edges]
+        eff = (ordered.weights[1] + ordered.perturbations[1]).tolist()
         assert len(set(eff)) == 3
-        assert ordered.perturbations[(0, 2)] == pytest.approx(1e-15)
-        assert ordered.perturbations[(1, 2)] == pytest.approx(2e-15)
+        assert ordered.perturbations[1][1] == pytest.approx(1e-15)  # edge (0, 2)
+        assert ordered.perturbations[1][2] == pytest.approx(2e-15)  # edge (1, 2)
         # vertices stay untouched at zero
-        assert all(ordered.weight_at(v) == 0.0 for v in ordered.vertices)
+        assert all(ordered.weights[0] + ordered.perturbations[0] == 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -195,25 +194,22 @@ class TestFiltrationOrder:
         # largest facet's weight, as edge_weights sets them
         cover = [CoverSet(j, {99, j}) for j in range(5)]
         nerve = build_nerve(cover)
-        for e, k in zip(nerve.edges, ks):
-            nerve.weights[e] = base + k * step
+        nerve.weights[1][:] = [base + k * step for k in ks]
         for p in (2, 3):
-            for s in nerve.simplices[p]:
-                nerve.weights[s] = max(nerve.weights[f] for f in facets(s))
+            nerve.weights[p] = nerve.weights[p - 1][nerve.facet_positions(p)].max(axis=1)
         ordered = filtration_order(nerve)
-        eff = [ordered.weight_at(s) for s in ordered.order]
+        eff = ordered.stage_weights().tolist()
         assert all(a <= b for a, b in itertools.pairwise(eff)), eff
 
     def test_tie_block_stays_below_next_weight(self):
         # three edges tied at 0.1, the fourth 1.5e-15 above them
         members = [{"a", "b"}, {"a", "c"}, {"b", "c", "d"}, {"d"}]
         nerve = build_nerve([CoverSet(j, m) for j, m in enumerate(members)])
-        assert nerve.edges == [(0, 1), (0, 2), (1, 2), (2, 3)]
-        for e in nerve.edges:
-            nerve.weights[e] = 0.1
-        nerve.weights[(2, 3)] = 0.1 + 1.5e-15
+        assert tuples(nerve.edges) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        nerve.weights[1][:] = 0.1
+        nerve.weights[1][3] = 0.1 + 1.5e-15  # edge (2, 3)
         ordered = filtration_order(nerve)
-        eff = [ordered.weight_at(e) for e in ordered.order[4:]]
+        eff = ordered.stage_weights()[4:].tolist()
         assert eff[0] < eff[1] < eff[2] < eff[3] == 0.1 + 1.5e-15
 
 
@@ -226,28 +222,53 @@ class TestStageSubcomplex:
         nerve = self.ordered_nerve()
         sub = stage_subcomplex(nerve, 3)
         assert len(sub.vertices) == 3
-        assert sub.edges == []
+        assert tuples(sub.edges) == []
 
     def test_full_prefix(self):
         nerve = self.ordered_nerve()
         sub = stage_subcomplex(nerve, len(nerve))
-        assert sub.simplices == nerve.simplices
+        assert {p: tuples(s) for p, s in sub.simplices.items()} == {
+            p: tuples(s) for p, s in nerve.simplices.items()}
 
     def test_face_closure(self):
         nerve = self.ordered_nerve()
         for r in range(1, len(nerve) + 1):
             sub = stage_subcomplex(nerve, r)
             for p, simps in sub.simplices.items():
-                for s in simps:
+                for s in tuples(simps):
                     if p > 0:
-                        for f in facets(s):
-                            assert f in sub
+                        for i in range(p + 1):
+                            assert s[:i] + s[i + 1:] in tuples(sub.simplices[p - 1])
+
+    def test_facet_positions_handed_on(self):
+        rng = np.random.default_rng(0)
+        cover = [CoverSet(j, rng.choice(12, 6, replace=False).tolist()) for j in range(6)]
+        nerve = build_nerve(cover)
+        nerve = filtration_order(simplex_weights(nerve, rng.uniform(size=len(nerve.edges))))
+        for q in range(1, 4):
+            nerve.facet_positions(q)
+        for r in range(1, len(nerve) + 1):
+            sub = stage_subcomplex(nerve, r)
+            assert sorted(sub._facets) == [1, 2, 3]
+            for q in range(1, 4):
+                fresh = Nerve(sub.simplices).facet_positions(q)
+                assert np.array_equal(sub.facet_positions(q), fresh)
+
+    def test_nerve_is_frozen(self):
+        nerve = self.ordered_nerve()
+        with pytest.raises(AttributeError):
+            nerve.stage = None
+        with pytest.raises(ValueError):
+            nerve.simplices[1][0, 0] = 5
 
     def test_order_without_faces_refused(self):
         nerve = self.ordered_nerve()
-        edge = next(s for s in nerve.order if len(s) == 2)
-        nerve.order.remove(edge)
-        nerve.order.append(edge)
+        # move the first edge in the order to its end
+        edge = int(np.argmin(nerve.stage[1]))
+        first = nerve.stage[1][edge]
+        for stage in nerve.stage.values():
+            stage[stage > first] -= 1
+        nerve.stage[1][edge] = len(nerve)
         with pytest.raises(GuardError, match="face-closed"):
             stage_subcomplex(nerve, len(nerve) - 1)
 
@@ -280,7 +301,7 @@ class TestCutBase:
     def test_single_edge_removal(self):
         ds, cover, nerve = self.setup_cover()
         out, log = cut_base(ds, cover, nerve, len(nerve) - 1)
-        removed_simplex = nerve.order[-1]
+        removed_simplex = nerve_order(nerve)[-1]
         (s, victim, removed) = log[0]
         assert s == removed_simplex
         assert victim == max(removed_simplex)
@@ -298,6 +319,60 @@ class TestCutBase:
             out, _ = cut_base(ds, cover, nerve, r)
             target = stage_subcomplex(nerve, r)
             rebuilt = build_nerve(out)
-            assert rebuilt.simplices == {
-                p: sorted(v) for p, v in target.simplices.items()
+            assert {p: tuples(v) for p, v in rebuilt.simplices.items()} == {
+                p: sorted(tuples(v)) for p, v in target.simplices.items()
             }
+
+
+# synth inputs the array filtration is compared on: the models' defaults, seeds 0-3
+SYNTH_MODELS = {
+    "lens:1": (gen_lens_bundle, (1,), {}),
+    "rp2:1": (gen_rp2_bundle, (1,), {}),
+    "torus": (gen_s1_bundle, (), {"orientable": True}),
+    "klein": (gen_s1_bundle, (), {"orientable": False}),
+}
+
+
+def assert_matches_reference_order(nerve, cover=None):
+    """Simplices, order, weights and offsets equal the tuple reference, bit for bit."""
+    simplices = {p: tuples(s) for p, s in nerve.simplices.items()}
+    if cover is not None:
+        assert simplices == loop_nerve(cover)
+    # the reference weights: edges as weighted, every other simplex the max of its facets
+    weights = {s: 0.0 for s in simplices[0]}
+    weights.update(zip(simplices[1], nerve.weights[1].tolist()))
+    for p in (2, 3):
+        for s in simplices[p]:
+            weights[s] = max(weights[s[:i] + s[i + 1:]] for i in range(p + 1))
+    order, offsets = loop_filtration_order(simplices, weights)
+    assert nerve_order(nerve) == order
+    for p, simps in simplices.items():
+        assert dict(zip(simps, nerve.weights[p].tolist())) == {s: weights[s] for s in simps}
+        assert dict(zip(simps, nerve.perturbations[p].tolist())) == {
+            s: offsets.get(s, 0.0) for s in simps}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("model", sorted(SYNTH_MODELS))
+def test_synth_filtration_matches_reference(scenario, filtered_witness, model, seed):
+    gen, args, kwargs = SYNTH_MODELS[model]
+    _, cover, _ = scenario(gen, *args, seed=seed, **kwargs)
+    nerve = filtered_witness(gen, *args, seed=seed, **kwargs).nerve
+    # a triangle ties with its heaviest edge, so a nerve with triangles has tie blocks
+    assert any(nerve.perturbations[p].any() for p in (1, 2, 3)) or not len(nerve.triangles)
+    assert_matches_reference_order(nerve, cover)
+
+
+@pytest.mark.parametrize("above", [0.5 + 1e-9, 0.5 + 2.5e-15], ids=["exact-ties", "squeezed-ties"])
+def test_hand_built_tie_blocks_match_reference(above):
+    # six edges of a full tetrahedron: five tied at 0.5 with the two triangles
+    # they close, the sixth above them, either far enough for 1e-15 steps or
+    # so close that the block is squeezed below it
+    nerve = build_nerve([CoverSet(j, {99, j}) for j in range(4)])
+    nerve.weights[1][:] = [0.5] * 5 + [above]
+    for p in (2, 3):
+        nerve.weights[p] = nerve.weights[p - 1][nerve.facet_positions(p)].max(axis=1)
+    ordered = filtration_order(nerve)
+    step = ordered.perturbations[1][1]
+    assert step == 1e-15 if above > 0.5 + 1e-12 else 0 < step < 1e-15
+    assert_matches_reference_order(ordered)

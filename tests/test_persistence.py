@@ -30,7 +30,7 @@ from circlet.persistence import (
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 from circlet.witness import assemble_witness
 
-from oracles import O2, witness_of
+from oracles import O2, tuples, witness_of
 from test_classes import gauge_witness, nerve_from_tops, rotation_witness
 
 
@@ -38,30 +38,30 @@ def cycle_nerve(n=12, seed=3):
     """Closed chain of n sets, consecutive overlaps only, distinct weights."""
     cover = [CoverSet(id=j, members={j, (j + 1) % n}) for j in range(n)]
     nerve = build_nerve(cover)
-    assert not nerve.triangles
+    assert not len(nerve.triangles)
     rng = np.random.default_rng(seed)
-    for e in nerve.edges:
-        nerve.weights[e] = float(rng.uniform(0.1, 0.9))
+    nerve.weights[1][:] = [float(rng.uniform(0.1, 0.9)) for _ in nerve.edges]
     return filtration_order(nerve)
 
 
 def weighted(nerve, seed=11):
     rng = np.random.default_rng(seed)
-    for e in nerve.edges:
-        nerve.weights[e] = float(rng.uniform(0.1, 0.9))
-    for t in nerve.triangles:
-        nerve.weights[t] = max(nerve.weights[(t[0], t[1])],
-                               nerve.weights[(t[0], t[2])],
-                               nerve.weights[(t[1], t[2])])
-    for q in nerve.tetrahedra:
-        nerve.weights[q] = max(nerve.weights[f] for f in nerve.triangles
-                               if set(f) <= set(q))
+    nerve.weights[1][:] = [float(rng.uniform(0.1, 0.9)) for _ in nerve.edges]
+    # a triangle or tetrahedron at the largest weight of its facets
+    for p in (2, 3):
+        nerve.weights[p] = nerve.weights[p - 1][nerve.facet_positions(p)].max(axis=1)
     return filtration_order(nerve)
+
+
+def stage_of(nerve, simplex):
+    """The filtration stage of a simplex given by its vertex tuple."""
+    p = len(simplex) - 1
+    return int(nerve.stage[p][tuples(nerve.simplices[p]).index(simplex)])
 
 
 def sign_cochain(nerve, minus_edges=()):
     minus = {tuple(sorted(e)) for e in minus_edges}
-    return np.array([-1 if e in minus else 1 for e in nerve.edges])
+    return np.array([-1 if e in minus else 1 for e in tuples(nerve.edges)])
 
 
 def zero_class(nerve):
@@ -70,8 +70,8 @@ def zero_class(nerve):
 
 def restrict(values, nerve, sub, p):
     """An array on the nerve's p-simplices, cut to those of the subcomplex ``sub``."""
-    at = {s: i for i, s in enumerate(nerve.simplices[p])}
-    return values[[at[s] for s in sub.simplices[p]]]
+    at = {s: i for i, s in enumerate(tuples(nerve.simplices[p]))}
+    return values[[at[s] for s in tuples(sub.simplices[p])]]
 
 
 class TestSignThresholds:
@@ -81,7 +81,7 @@ class TestSignThresholds:
         assert pair.cobirth_index == len(nerve) == 24
         assert pair.codeath_index == 24
         assert pair.cobirth_weight == pytest.approx(
-            nerve.weight_at(nerve.order[-1]))
+            nerve.stage_weights()[-1])
 
     def test_odd_loop_dies_one_stage_early(self):
         # one reflection edge makes the loop holonomy nontrivial; the
@@ -120,7 +120,7 @@ class TestSignThresholds:
         # triangle and already unsolvable with all three edges present
         nerve = weighted(nerve_from_tops([(0, 1, 2)]))
         lam = sign_cochain(nerve, [(0, 1)])
-        assert nerve.index[(0, 1, 2)] == 7
+        assert stage_of(nerve, (0, 1, 2)) == 7
         pair = persistence(lam, nerve, 1)
         assert pair.cobirth_index == 6
         assert pair.codeath_index == 5
@@ -134,7 +134,7 @@ class TestSignThresholds:
     def test_matches_brute_on_random_patterns(self):
         nerve = cycle_nerve(n=8, seed=13)
         rng = np.random.default_rng(0)
-        edges = nerve.edges
+        edges = tuples(nerve.edges)
         for _ in range(25):
             minus = [e for e in edges if rng.uniform() < 0.5]
             lam = sign_cochain(nerve, minus)
@@ -171,7 +171,7 @@ class TestEulerThresholds:
         # it is not a coboundary while all four faces are present; with
         # any face missing the base is a disk and everything solves
         nerve = weighted(tetra_boundary_nerve(), seed=2)
-        turns = {e: 0.0 for e in nerve.edges}
+        turns = {e: 0.0 for e in tuples(nerve.edges)}
         turns[(0, 1)] = 0.33
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
@@ -187,7 +187,7 @@ class TestEulerThresholds:
 
     def test_max_stage_clip(self):
         nerve = weighted(tetra_boundary_nerve(), seed=2)
-        turns = {e: 0.0 for e in nerve.edges}
+        turns = {e: 0.0 for e in tuples(nerve.edges)}
         turns[(0, 1)] = 0.33
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
@@ -231,7 +231,7 @@ class TestEulerThresholds:
         monkeypatch.setattr(circlet.persistence, "integer_solvable", counted)
         monkeypatch.setattr(circlet.intlinalg, "integer_solvable", counted)
         nerve = weighted(tetra_boundary_nerve(), seed=2)
-        turns = {e: 0.0 for e in nerve.edges}
+        turns = {e: 0.0 for e in tuples(nerve.edges)}
         turns[(0, 1)] = 0.33
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33
@@ -251,7 +251,7 @@ class TestEulerThresholds:
         monkeypatch.setattr(circlet.persistence, "coboundary_rows",
                             lambda *a: built.append(a) or real(*a))
         nerve = weighted(tetra_boundary_nerve(), seed=2)
-        res = euler_cochain(rotation_witness(nerve, {e: 0.1 for e in nerve.edges}))
+        res = euler_cochain(rotation_witness(nerve, {e: 0.1 for e in tuples(nerve.edges)}))
         persistence(res.euler, nerve, 2, res.sw, cross_check=True)
         assert len(built) == 1
 
@@ -261,7 +261,7 @@ class TestEulerThresholds:
         with pytest.raises(ShapeMismatch):
             persistence(np.zeros(len(nerve.edges)), nerve, 2)
         with pytest.raises(ShapeMismatch):
-            persistence(np.zeros(len(nerve.tetrahedra)), nerve, 3)
+            persistence(np.zeros(len(tuples(nerve.simplices[3]))), nerve, 3)
 
 
 def tetra_boundary_nerve():
@@ -277,9 +277,8 @@ def tetra_beside_triangle(triangle_weight):
     """
     nerve = nerve_from_tops([(0, 1, 2, 3), (3, 4, 5)])
     for p in (1, 2, 3):
-        for s in nerve.simplices[p]:
-            nerve.weights[s] = 0.25 if max(s) > 3 else 0.1 * p
-    nerve.weights[(3, 4, 5)] = triangle_weight
+        nerve.weights[p][:] = [0.25 if max(s) > 3 else 0.1 * p for s in tuples(nerve.simplices[p])]
+    nerve.weights[2][tuples(nerve.triangles).index((3, 4, 5))] = triangle_weight
     return filtration_order(nerve)
 
 
@@ -290,13 +289,13 @@ class TestTwistBreak:
         # one reflection edge breaks the twist on the triangle 3, 4, 5; a
         # unit on one face breaks the class on the tetrahedron
         twist = sign_cochain(nerve, [(3, 4)])
-        return np.array([int(t == (0, 1, 2)) for t in nerve.triangles]), twist
+        return np.array([int(t == (0, 1, 2)) for t in tuples(nerve.triangles)]), twist
 
     @pytest.mark.parametrize("cross_check", [False, True])
     def test_twist_breaking_at_cobirth_raises(self, cross_check):
         nerve = tetra_beside_triangle(0.28)
-        cobirth = nerve.index[(0, 1, 2, 3)] - 1
-        assert nerve.index[(3, 4, 5)] == cobirth
+        cobirth = stage_of(nerve, (0, 1, 2, 3)) - 1
+        assert stage_of(nerve, (3, 4, 5)) == cobirth
         lam, twist = self.twisted_class(nerve)
         with pytest.raises(NotACocycle):
             persistence(lam, nerve, 2, twist, cross_check=cross_check)
@@ -304,14 +303,14 @@ class TestTwistBreak:
     @pytest.mark.parametrize("cross_check", [False, True])
     def test_twist_breaking_after_cobirth_is_never_probed(self, cross_check):
         nerve = tetra_beside_triangle(0.35)
-        cobirth = nerve.index[(0, 1, 2, 3)] - 1
-        assert nerve.index[(3, 4, 5)] == cobirth + 2
+        cobirth = stage_of(nerve, (0, 1, 2, 3)) - 1
+        assert stage_of(nerve, (3, 4, 5)) == cobirth + 2
         lam, twist = self.twisted_class(nerve)
         pair = persistence(lam, nerve, 2, twist, cross_check=cross_check)
         # the class pairs to one with the tetrahedron's boundary sphere, so
         # it dies when the last face closes that sphere
         assert (pair.cobirth_index, pair.codeath_index) == (
-            cobirth, nerve.index[(1, 2, 3)] - 1)
+            cobirth, stage_of(nerve, (1, 2, 3)) - 1)
 
     def test_zero_class_under_a_broken_twist(self):
         nerve = tetra_beside_triangle(0.35)
@@ -394,12 +393,12 @@ class TestReport:
         assert isinstance(report, PersistenceReport)
         assert (report.sw.cobirth_index, report.sw.codeath_index) == (14, 14)
         assert (report.euler.cobirth_index, report.euler.codeath_index) == (14, 14)
-        assert report.w_max == pytest.approx(nerve.weight_at(nerve.order[-1]))
+        assert report.w_max == pytest.approx(nerve.stage_weights()[-1])
         assert report.stage_sizes == {0: 4, 1: 6, 2: 4}
 
     def test_unit_class_report(self):
         nerve = weighted(tetra_boundary_nerve(), seed=2)
-        turns = {e: 0.0 for e in nerve.edges}
+        turns = {e: 0.0 for e in tuples(nerve.edges)}
         turns[(0, 1)] = 0.33
         turns[(1, 2)] = 0.33
         turns[(0, 2)] = -0.33

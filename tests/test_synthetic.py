@@ -46,6 +46,7 @@ from oracles import (
     o2_values,
     oracle_quaternions,
     oracle_split_quaternions,
+    tuples,
 )
 
 TAU = 2.0 * math.pi
@@ -74,10 +75,10 @@ def shared(trivs, j, k):
 
 
 def sign_coboundary(nerve, cochain) -> bool:
-    verts = [v[0] for v in nerve.simplices[0]]
+    verts = [v[0] for v in tuples(nerve.simplices[0])]
     col = {v: i for i, v in enumerate(verts)}
     rows, rhs = [], []
-    for (j, k), val in zip(nerve.edges, cochain.tolist()):
+    for (j, k), val in zip(tuples(nerve.edges), cochain.tolist()):
         row = [0] * len(verts)
         row[col[j]] = 1
         row[col[k]] = 1
@@ -464,7 +465,7 @@ class TestTrimmingOracles:
 
         res = unwrap_double_cover(ds, b.cover, b.clusters)
         ref = bfs_unwrap(ds, b.cover, b.clusters)
-        assert dict(zip(res.nerve.edges, res.nu.tolist())) == ref["nu"]
+        assert dict(zip(tuples(res.nerve.edges), res.nu.tolist())) == ref["nu"]
         assert res.components == ref["components"] == (2 if split else 1)
         assert res.orientations == ref["orientations"]
         assert res.set_map == ref["set_map"]

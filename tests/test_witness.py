@@ -22,7 +22,7 @@ from circlet.witness import (
     triv_quality,
 )
 
-from oracles import O2, grid_procrustes, o2_values
+from oracles import O2, grid_procrustes, o2_values, tuples
 
 
 def points(turns):
@@ -148,7 +148,7 @@ class TestAssembleWitness:
         nerve, trivs = three_set_nerve_and_charts()
         witness = o2_values(assemble_witness(trivs, nerve))
         assert witness[(0, 1)].turn == pytest.approx(0.2, abs=1e-9)
-        for (j, k) in nerve.edges:
+        for (j, k) in tuples(nerve.edges):
             want = expected_transition(j, k)
             got = witness[(j, k)]
             assert got.sign == want.sign
@@ -188,7 +188,7 @@ class TestAssembleWitness:
         witness_rot = o2_values(assemble_witness(rotated, nerve))
         # the gauge action of the constant rotation c, in the reference algebra
         expected = {e: O2(c) @ om @ O2(c).inverse() for e, om in o2_values(witness).items()}
-        for e in nerve.edges:
+        for e in tuples(nerve.edges):
             got, want = witness_rot[e], expected[e]
             assert got.sign == want.sign
             gap = abs(got.turn - want.turn) % 1.0
@@ -197,7 +197,7 @@ class TestAssembleWitness:
     def test_defect_bounded_by_alpha(self):
         rng = np.random.default_rng(8)
         nerve, trivs = three_set_nerve_and_charts(n_shared=40, seed=5)
-        assert nerve.triangles == [(0, 1, 2)]
+        assert tuples(nerve.triangles) == [(0, 1, 2)]
         noisy = Trivialization.from_turns(
             {
                 j: {
