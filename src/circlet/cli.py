@@ -204,30 +204,37 @@ class _Run:
 
 
 def _load_bundle(args):
+    """Dataset, cover and charts, cross-checked against each other.
+
+    The cover's centers meet the base dimension as it is parsed.  Then the
+    first set in id order that fails a check names the error, its checks
+    in this order: members in the dataset, a chart, and a chart domain
+    equal to the members.  Charts without a cover set come last.
+    """
     ds = io.parse_dataset(io.load_json(args.data))
-    cover = io.parse_cover(io.load_json(args.cover))
+    dim = None if ds.kind == "abstract" else ds.base.shape[1]
+    cover = io.parse_cover(io.load_json(args.cover), dim)
     trivs = io.parse_trivs(io.load_json(args.trivs))
-    ids, charted = set(ds.ids), set(trivs.sets())
-    dim = ds.base.shape[1]
-    for c in cover:
-        if ds.kind != "abstract" and c.center is not None and len(c.center) != dim:
-            raise SchemaError(
-                f"cover set {c.id} center has length {len(c.center)}, "
-                f"base points have {dim}"
-            )
-        if not c.members <= ids:
-            raise SchemaError(
-                f"cover set {c.id} references samples outside the dataset"
-            )
-        if c.id not in charted:
-            raise SchemaError(f"no chart for cover set {c.id}")
-        if set(trivs.chart(c.id).ids.tolist()) != set(c.members):
-            raise SchemaError(
-                f"chart {c.id} domain does not match the cover set members"
-            )
-    extra = charted - {c.id for c in cover}
-    if extra:
-        raise SchemaError(f"charts {sorted(extra)} have no cover set")
+    k = len(cover.set_ids)
+    held = [np.isin(cover.samples, np.array(ds.ids, dtype=np.int64)),
+            trivs.find(cover.samples, cover.sets) >= 0]
+    outside, unmatched = (np.bincount(cover.slots[~ok], minlength=k) > 0 for ok in held)
+    charted = np.isin(cover.set_ids, trivs.set_ids)
+    inside = np.isin(trivs.sets, cover.set_ids)
+    sizes = np.bincount(np.searchsorted(cover.set_ids, trivs.sets[inside]), minlength=k)
+    checks = [
+        (outside, "cover set {} references samples outside the dataset"),
+        (~charted, "no chart for cover set {}"),
+        (unmatched | (sizes != np.diff(cover.indptr)),
+         "chart {} domain does not match the cover set members"),
+    ]
+    failing = np.stack([bad for bad, _ in checks])
+    if failing.any():
+        i = int(np.flatnonzero(failing.any(axis=0))[0])
+        raise SchemaError(checks[int(np.argmax(failing[:, i]))][1].format(cover.set_ids[i]))
+    extra = trivs.set_ids[~np.isin(trivs.set_ids, cover.set_ids)]
+    if extra.size:
+        raise SchemaError(f"charts {extra.tolist()} have no cover set")
     return ds, cover, trivs
 
 
@@ -434,7 +441,7 @@ def _cmd_coordinatize(args, run: _Run):
         with run.timed("stage-cut"):
             nerve = filtration_order(edge_weights(nerve, trivs, wit))
             cover, _ = cut_base(ds, cover, nerve, args.stage)
-            trivs = trivs.restrict({c.id: (c.id, c.members) for c in cover})
+            trivs = trivs.restrict(cover)
             nerve = build_nerve(cover)
             wit = assemble_witness(trivs, nerve)
     with run.timed("coordinates"):
@@ -501,7 +508,7 @@ def _cmd_unwrap(args, run: _Run):
     return {
         "command": "unwrap",
         "components": result.components,
-        "sets": len(result.cover),
+        "sets": len(result.cover.set_ids),
         "nu_nontrivial": bool(np.any(result.nu < 0)),
     }
 

@@ -19,7 +19,7 @@ import numpy as np
 from .cochains import check_sign_cocycle
 from .errors import InconsistentClusters, LiftUndefined, PropagationConflict
 from .intlinalg import ParityForest
-from .nerve import BundleDataset, CoverSet, Nerve, build_nerve
+from .nerve import BundleDataset, Cover, Nerve, build_nerve
 from .witness import Trivialization
 
 
@@ -78,7 +78,7 @@ class UnwrapResult:
     dataset : BundleDataset
         Same sample ids; base points replaced by their chosen lifts when
         the cover unwrapped geometrically.
-    cover : list of CoverSet
+    cover : Cover
         Two sets per original set; old id j becomes 2j and 2j + 1 for
         the first and second cluster.
     set_map : dict
@@ -95,7 +95,7 @@ class UnwrapResult:
     """
 
     dataset: BundleDataset
-    cover: list[CoverSet]
+    cover: Cover
     set_map: dict
     components: int
     orientations: dict
@@ -105,7 +105,7 @@ class UnwrapResult:
 
 def unwrap_double_cover(
     dataset: BundleDataset,
-    cover: list[CoverSet],
+    cover: Cover,
     clusters: dict,
 ) -> UnwrapResult:
     """Split or unwrap a two-cluster dataset along its connectivity class.
@@ -121,11 +121,10 @@ def unwrap_double_cover(
     replaced by the representative on its cluster's hemisphere.
     """
     cl = _validated_clusters(clusters)
-    by_id = {c.id: c for c in cover}
-    if set(cl) != set(by_id):
+    if set(cl) != set(cover.set_ids.tolist()):
         raise InconsistentClusters("cluster labels and cover sets disagree")
     for j, (plus, minus) in cl.items():
-        if plus | minus != by_id[j].members:
+        if plus | minus != frozenset(cover.members(j).tolist()):
             raise InconsistentClusters(
                 f"clusters of set {j} do not partition its members"
             )
@@ -169,9 +168,10 @@ def unwrap_double_cover(
             )
         centers = {}
         for j in piece:
-            if by_id[j].center is None:
+            i = np.searchsorted(cover.set_ids, j)
+            if cover.center is None or np.isnan(cover.center[i]).any():
                 raise ValueError(f"set {j} has no center; cannot pick hemispheres")
-            centers[j] = by_id[j].center
+            centers[j] = cover.center[i]
 
         seed = piece[0]
         sheets = ParityForest()
@@ -234,19 +234,14 @@ def unwrap_double_cover(
         components += 1
         geometric = True
 
-    new_cover = []
-    set_map = {}
-    for j in sorted(by_id):
-        old = by_id[j]
-        for c in (0, 1):
-            nid = 2 * j + c
-            o = orientations.get(nid, 1)
-            center = None if old.center is None else o * old.center
-            new_cover.append(
-                CoverSet(id=nid, members=cl[j][c], center=center,
-                         radius=old.radius, clipped=old.clipped)
-            )
-            set_map[nid] = (j, c)
+    set_map = {2 * j + c: (j, c) for j in cover.set_ids.tolist() for c in (0, 1)}
+    sheet = np.array([orientations.get(new, 1) for new in set_map])
+    new_cover = Cover.of(
+        {new: cl[j][c] for new, (j, c) in set_map.items()},
+        center=None if cover.center is None else sheet[:, None] * np.repeat(cover.center, 2, axis=0),
+        radius=None if cover.radius is None else np.repeat(cover.radius, 2),
+        clipped=np.repeat(cover.clipped, 2),
+    )
 
     kind = "sphere" if geometric else dataset.kind
     distances = dataset.distances if kind == dataset.kind else None
@@ -257,12 +252,17 @@ def unwrap_double_cover(
 
 
 def carry_charts(trivs: Trivialization, result: UnwrapResult) -> Trivialization:
-    """Restrict chart tables to the split cover produced by an unwrap.
+    """Gather chart rows onto the split cover produced by an unwrap.
 
     Each split set keeps the angles of its parent chart on the samples it
     retained; the fiber data is untouched because the unwrap only relabels
     the base.  Parent sets absent from the trivialization are skipped.
     """
-    return trivs.restrict(
-        {cs.id: (result.set_map[cs.id][0], cs.members) for cs in result.cover}
-    )
+    cover = result.cover
+    parent = np.array([result.set_map[j][0] for j in cover.set_ids.tolist()], dtype=np.int64)
+    at = trivs.find(cover.samples, parent[cover.slots])
+    keep = np.isin(parent, trivs.set_ids)
+    rows = at[at >= 0]
+    counts = np.bincount(cover.slots[at >= 0], minlength=len(parent))[keep]
+    return Trivialization(cover.set_ids[keep], np.r_[0, np.cumsum(counts)], trivs.samples[rows],
+                         trivs.points[rows], trivs.turns[rows])

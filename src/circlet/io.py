@@ -45,7 +45,7 @@ import numpy as np
 
 from .cochains import Witness
 from .errors import SchemaError
-from .nerve import BundleDataset, CoverSet, Nerve, lookup
+from .nerve import BundleDataset, Cover, Nerve, _layout, lookup
 from .witness import Trivialization
 
 if TYPE_CHECKING:
@@ -156,56 +156,90 @@ def _record_texts(rows, indent: int) -> list | None:
 class Columns:
     """A record list held as named columns: row ``i`` is ``{key: col[i]}``.
 
-    Each column is a 1-D int or float array, or a 2-D one whose rows are
-    fixed-width number lists.  ``canonical_text`` writes it with the bytes
-    of the equivalent list of dicts.
+    Each column is a 1-D int, float or bool array, a 2-D one whose rows
+    are fixed-width number lists, or a ragged ``(values, indptr)`` pair
+    whose row ``i`` is the list ``values[indptr[i]:indptr[i + 1]]``.
+    ``omit`` maps a key to a mask of the rows that leave it out.
+    ``canonical_text`` writes it with the bytes of the equivalent list of
+    dicts.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "spans", "omit")
 
-    def __init__(self, **cols):
-        self.cols = {k: np.asarray(v) for k, v in cols.items()}
-        if any(c.dtype.kind not in "iuf" or c.ndim not in (1, 2) for c in self.cols.values()):
-            raise SchemaError("a column must be a 1-D or 2-D int or float array")
-        if len({len(c) for c in self.cols.values()}) != 1:
+    def __init__(self, omit=None, **cols):
+        self.spans = {k: np.asarray(v[1]) for k, v in cols.items() if type(v) is tuple}
+        self.cols = {k: np.asarray(v[0] if k in self.spans else v) for k, v in cols.items()}
+        self.omit = omit or {}
+        if any(c.dtype.kind not in "iufb" or c.ndim not in (1, 2) for c in self.cols.values()):
+            raise SchemaError("a column must be a 1-D or 2-D int, float or bool array")
+        if len({len(self.spans.get(k, c)) - (k in self.spans) for k, c in self.cols.items()}) != 1:
             raise ValueError("Columns needs at least one column, all of one length")
 
     def __len__(self) -> int:
-        return len(next(iter(self.cols.values())))
+        key = next(iter(self.cols))
+        return len(self.spans[key]) - 1 if key in self.spans else len(self.cols[key])
+
+
+def _slot_values(flat: np.ndarray) -> tuple[list, str]:
+    """A column's values and the ``%`` spec of one: ``%d``, ``%.17g``, or ``%s`` over texts."""
+    vals = flat.tolist()
+    if flat.dtype.kind == "b":
+        return list(map(_SCALAR_TEXT[bool], vals)), "%s"
+    if flat.dtype.kind != "f":
+        return vals, "%d"
+    if not np.isfinite(flat).all():
+        raise SchemaError("non-finite float has no canonical form; encode as null")
+    if (flat == np.trunc(flat)).any():
+        return list(map(_float_text, vals)), "%s"
+    return vals, "%.17g"
+
+
+def _list_slots(spec: str, width: int, indent: int) -> str:
+    """The text of a list of ``width`` slots, its items at ``indent`` + 2."""
+    item = " " * (indent + 2)
+    return "[\n" + ",\n".join([item + spec] * width) + "\n" + " " * indent + "]" if width else "[]"
 
 
 def _columns_text(table: Columns, indent: int) -> str:
-    """One row template, repeated per row, filled by one ``%`` over every value."""
+    """Row templates filled by one ``%`` over every value.
+
+    Without ragged or omitted columns every row has one template,
+    repeated; otherwise each row builds its own.
+    """
     n = len(table)
     if not n:
         return "[]"
-    kid, field, item = (" " * (indent + k) for k in (2, 4, 6))
-    fields, slots = [], []  # slots: the values of each template slot, in row order
+    kid, field = " " * (indent + 2), " " * (indent + 4)
+    keys = []  # per key: its field text, slot spec, values, value bounds per row, omitted rows
     for key in sorted(table.cols):
         col = table.cols[key]
-        flat = col.reshape(-1)
-        vals, spec = flat.tolist(), "%d"
-        if col.dtype.kind == "f":
-            if not np.isfinite(flat).all():
-                raise SchemaError("non-finite float has no canonical form; encode as null")
-            if (flat == np.trunc(flat)).any():
-                vals, spec = list(map(_float_text, vals)), "%s"
-            else:
-                spec = "%.17g"
-        if col.ndim == 1:
-            text, parts = spec, [vals]
-        else:
-            width = col.shape[1]
-            text = "[\n" + ",\n".join([item + spec] * width) + "\n" + field + "]" if width else "[]"
-            parts = [vals[j::width] for j in range(width)]
-        fields.append(field + json.dumps(key).replace("%", "%%") + ": " + text)
-        slots.extend(parts)
-    row = "{\n" + ",\n".join(fields) + "\n" + kid + "}"
-    k = len(slots)
-    values = [None] * (n * k)
-    for at, part in enumerate(slots):
-        values[at::k] = part
-    return "[\n" + kid + (",\n" + kid).join([row] * n) % tuple(values) + "\n" + " " * indent + "]"
+        vals, spec = _slot_values(col.reshape(-1))
+        listed = col.ndim == 2 or key in table.spans
+        bounds = table.spans.get(key, np.arange(n + 1) * (col.shape[1] if col.ndim == 2 else 1))
+        keys.append((field + json.dumps(key).replace("%", "%%") + ": ", listed, spec, vals, bounds,
+                     table.omit.get(key)))
+    if not table.spans and not table.omit:
+        fields, slots = [], []  # slots: the values of each template slot, in row order
+        for name, listed, spec, vals, bounds, _ in keys:
+            width = int(bounds[1])
+            fields.append(name + (_list_slots(spec, width, indent + 4) if listed else spec))
+            slots.extend(vals[j::width] for j in range(width))
+        k = len(slots)
+        values = [None] * (n * k)
+        for at, part in enumerate(slots):
+            values[at::k] = part
+        rows = ["{\n" + ",\n".join(fields) + "\n" + kid + "}"] * n
+    else:
+        rows, values = [], []
+        for i in range(n):
+            texts = []
+            for name, listed, spec, vals, bounds, gone in keys:
+                if gone is None or not gone[i]:
+                    lo, hi = bounds[i], bounds[i + 1]
+                    texts.append(name + (_list_slots(spec, hi - lo, indent + 4) if listed else spec))
+                    values += vals[lo:hi]
+            rows.append("{\n" + ",\n".join(texts) + "\n" + kid + "}" if texts else "{}")
+    return "[\n" + kid + (",\n" + kid).join(rows) % tuple(values) + "\n" + " " * indent + "]"
 
 
 def sha256_hex(data) -> str:
@@ -345,10 +379,6 @@ def _the_float(x, where: str) -> float:
     return float(_floats([x], where)[0])
 
 
-def _the_int(x, where: str) -> int:
-    return int(_ints([x], where)[0])
-
-
 # ---------------------------------------------------------------------------
 # dataset
 
@@ -396,44 +426,75 @@ def parse_dataset(doc) -> BundleDataset:
 # cover
 
 
-def cover_doc(cover: Sequence[CoverSet]) -> dict:
-    rows = []
-    for c in sorted(cover, key=lambda c: c.id):
-        members = np.fromiter(c.members, dtype=np.int64, count=len(c.members))
-        row: dict = {"id": int(c.id), "members": np.sort(members).tolist()}
-        if c.center is not None:
-            row["center"] = [float(x) for x in c.center]
-        if c.radius is not None:
-            row["radius"] = float(c.radius)
-        if c.clipped:
-            row["clipped"] = True
-        rows.append(row)
-    return {"schema": SCHEMA_PREFIX + "cover", "sets": rows}
+def cover_doc(cover: Cover) -> dict:
+    """The cover's sets from its columns; a set writes ``center``, ``radius`` and ``clipped`` only when it has them."""
+    cols = {"id": cover.set_ids, "members": (cover.samples, cover.indptr), "clipped": cover.clipped}
+    omit = {"clipped": ~cover.clipped}
+    for key, value in (("center", cover.center), ("radius", cover.radius)):
+        if value is not None:
+            cols[key], omit[key] = np.nan_to_num(value), np.isnan(value).reshape(len(value), -1).any(1)
+    return {"schema": SCHEMA_PREFIX + "cover", "sets": Columns(omit, **cols)}
 
 
-def parse_cover(doc) -> list[CoverSet]:
-    """Cover sets; a set id listed twice, or a member listed twice in one set, is a schema error."""
-    _check_schema(doc, "cover")
-    out: dict = {}
-    for row in _need(doc, "sets", "cover", list):
-        j = _the_int(_need(row, "id", "cover set"), "cover set id")
-        if j in out:
-            raise SchemaError(f"cover set {j} appears twice")
-        listed = _need(row, "members", f"cover set {j}", list)
-        _ints(listed, "member")
-        members = frozenset(listed)
-        if len(members) < len(listed):
-            raise SchemaError(f"cover set {j} lists a member twice")
-        center = _need(row, "center", f"cover set {j}", list) if "center" in row else None
-        clipped = _need(row, "clipped", f"cover set {j}", bool) if "clipped" in row else False
-        out[j] = CoverSet(
-            id=j,
-            members=members,
-            center=None if center is None else _floats(center, "center"),
-            radius=_the_float(row["radius"], "radius") if "radius" in row else None,
-            clipped=clipped,
-        )
-    return list(out.values())
+def _set_rows(doc, name: str) -> tuple[list, np.ndarray]:
+    """The ``sets`` rows of a cover or trivs document in ascending id order, and their ids.
+
+    A set id listed twice is a schema error.
+    """
+    _check_schema(doc, name)
+    rows = _need(doc, "sets", name, list)
+    ids = _ints(_column(rows, "id", f"{name} set"), f"{name} set id")
+    by = np.argsort(ids, kind="stable")
+    again = by[1:][ids[by][1:] == ids[by][:-1]]  # stable: every later listing of an id
+    if again.size:
+        raise SchemaError(f"{name} set {ids[again.min()]} appears twice")
+    return [rows[i] for i in by], ids[by]
+
+
+def _present(rows: list, where: list, key: str, kind) -> tuple[list, list]:
+    """The positions of the rows that carry ``key``, and its value in each, a ``kind``."""
+    at = [i for i, row in enumerate(rows) if key in row]
+    return at, [_need(rows[i], key, where[i], kind) for i in at]
+
+
+def parse_cover(doc, dim: int | None = None) -> Cover:
+    """The cover as (set, sample) pairs.
+
+    A cover without sets, a set id listed twice, a set without members, a
+    member listed twice in one set, and centers of differing lengths or,
+    given the base dimension ``dim``, of another length are schema errors.
+    """
+    rows, ids = _set_rows(doc, "cover")
+    if not rows:
+        raise SchemaError("cover has no sets")
+    where = [f"cover set {j}" for j in ids.tolist()]
+    lists = [_need(row, "members", w, list) for row, w in zip(rows, where)]
+    empty = [w for w, m in zip(where, lists) if not m]
+    if empty:
+        raise SchemaError(f"{empty[0]} has no members")
+    samples = _ints(list(chain.from_iterable(lists)), "member")
+    indptr, order = _layout(list(map(len, lists)), samples)
+    at, given = _present(rows, where, "center", list)
+    off = [(i, len(c)) for i, c in zip(at, given) if dim is not None and len(c) != dim]
+    if off:
+        raise SchemaError(f"{where[off[0][0]]} center has length {off[0][1]}, base points have {dim}")
+    center = radius = None
+    if at:
+        if len(set(map(len, given))) > 1:
+            raise SchemaError("cover: set centers differ in length")
+        center = np.full((len(rows), len(given[0])), np.nan)
+        center[at] = _floats(list(chain.from_iterable(given)), "center").reshape(len(at), -1)
+    at, given = _present(rows, where, "radius", object)
+    if at:
+        radius = np.full(len(rows), np.nan)
+        radius[at] = _floats(given, "radius")
+    at, given = _present(rows, where, "clipped", bool)
+    clipped = np.zeros(len(rows), bool)
+    clipped[at] = given
+    cover = Cover(ids, indptr, samples[order], center, radius, clipped)
+    if (twice := cover.first_repeat()) is not None:
+        raise SchemaError(f"cover set {twice[0]} lists a member twice")
+    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -441,27 +502,22 @@ def parse_cover(doc) -> list[CoverSet]:
 
 
 def trivs_doc(trivs: Trivialization) -> dict:
-    rows = []
-    for j in trivs.sets():
-        c = trivs.chart(j)
-        rows.append({"id": int(j), "values": Columns(sample=c.ids, angle_turns=c.turns % 1.0)})
-    return {"schema": SCHEMA_PREFIX + "trivs", "sets": rows}
+    turns = trivs.turns % 1.0
+    return {"schema": SCHEMA_PREFIX + "trivs", "sets": [
+        {"id": j, "values": Columns(sample=trivs.samples[a:b], angle_turns=turns[a:b])}
+        for j, a, b in zip(trivs.set_ids.tolist(), trivs.indptr[:-1], trivs.indptr[1:])]}
 
 
 def parse_trivs(doc) -> Trivialization:
-    """Charts from a trivs document; duplicate ids surface as ``ShapeMismatch``."""
-    _check_schema(doc, "trivs")
-    tables = {}
-    for row in _need(doc, "sets", "trivs", list):
-        j = _the_int(_need(row, "id", "trivs set"), "trivs set id")
-        if j in tables:
-            raise SchemaError(f"trivs set {j} appears twice")
-        values = _need(row, "values", f"trivs set {j}", list)
-        tables[j] = (
-            _ints(_column(values, "sample", "trivs value"), "sample"),
-            _floats(_column(values, "angle_turns", "trivs value"), "angle"),
-        )
-    return Trivialization.from_turns(tables)
+    """Charts from a trivs document; a sample listed twice in one chart surfaces as ``ShapeMismatch``."""
+    rows, ids = _set_rows(doc, "trivs")
+    values = [_need(row, "values", f"trivs set {j}", list) for row, j in zip(rows, ids.tolist())]
+    flat = list(chain.from_iterable(values))
+    return Trivialization.from_pairs(
+        ids, list(map(len, values)),
+        _ints(_column(flat, "sample", "trivs value"), "sample"),
+        _floats(_column(flat, "angle_turns", "trivs value"), "angle"),
+    )
 
 
 # ---------------------------------------------------------------------------

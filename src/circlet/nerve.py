@@ -16,7 +16,8 @@ tuple lex order across dimensions, ``[0], [0, 1], [0, 1, 2], [0, 1, 3],
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -109,20 +110,124 @@ def base_geodesic(kind: str, points: np.ndarray, center: np.ndarray) -> np.ndarr
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-@dataclass
-class CoverSet:
-    """One cover set: an id, its sample members, optional geometry."""
+def _cat(arrays, dtype=np.int64) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype), *arrays])
 
-    id: int
-    members: frozenset
+
+def _layout(counts, samples) -> tuple:
+    """The ``indptr`` of pairs listed set by set, sets ascending, and the order that sorts each set.
+
+    ``counts[i]`` samples of ``samples`` belong to the i-th set.
+    """
+    order = np.lexsort((samples, np.repeat(np.arange(len(counts)), counts)))
+    return np.r_[0, np.cumsum(counts, dtype=np.int64)], order
+
+
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """(set, sample) pairs in CSR form: set ``set_ids[i]`` holds ``samples[indptr[i]:indptr[i + 1]]``.
+
+    ``set_ids`` ascend and so do the samples of each set, so the pairs run
+    by set and then by sample; a set may hold no samples.  ``sets`` gives
+    the set of every pair, ``by_sample`` the sample-major transpose, and
+    ``find`` locates pairs by one ``searchsorted`` on the (set, sample) key.
+    """
+
+    set_ids: np.ndarray
+    indptr: np.ndarray
+    samples: np.ndarray
+
+    _columns = ("samples",)  # the fields aligned to the pairs
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The position in ``set_ids`` of every pair's set."""
+        return np.repeat(np.arange(len(self.set_ids)), np.diff(self.indptr))
+
+    @cached_property
+    def sets(self) -> np.ndarray:
+        return self.set_ids[self.slots]
+
+    @cached_property
+    def by_sample(self) -> np.ndarray:
+        """Positions of the pairs sorted by sample and then by set."""
+        return np.argsort(self.samples, kind="stable")
+
+    @cached_property
+    def _keys(self) -> tuple:
+        """The distinct samples, and each pair's key: set position times their count plus sample rank."""
+        sample = self.samples[self.by_sample]
+        universe = sample[np.r_[True, sample[1:] != sample[:-1]][:len(sample)]]
+        return universe, self.slots * len(universe) + np.searchsorted(universe, self.samples)
+
+    def span(self, j) -> slice:
+        i = int(np.searchsorted(self.set_ids, j))
+        if i == len(self.set_ids) or self.set_ids[i] != j:
+            raise KeyError(j)
+        return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
+
+    def members(self, j) -> np.ndarray:
+        return self.samples[self.span(j)]
+
+    def find(self, samples, sets) -> np.ndarray:
+        """Position of each (sample, set) pair, -1 where the table has none; the arguments broadcast."""
+        samples, sets = np.broadcast_arrays(np.asarray(samples, np.int64), np.asarray(sets, np.int64))
+        universe, keys = self._keys
+        if not len(keys):
+            return np.full(samples.shape, -1)
+        slot = np.minimum(np.searchsorted(self.set_ids, sets), len(self.set_ids) - 1)
+        rank = np.minimum(np.searchsorted(universe, samples), len(universe) - 1)
+        key = slot * len(universe) + rank
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        hit = (self.set_ids[slot] == sets) & (universe[rank] == samples) & (keys[at] == key)
+        return np.where(hit, at, -1)
+
+    def first_repeat(self) -> tuple | None:
+        """The (set id, sample) of the first pair listed twice, or None."""
+        i = np.flatnonzero((self.samples[1:] == self.samples[:-1]) & (self.slots[1:] == self.slots[:-1]))
+        return (int(self.sets[i[0]]), int(self.samples[i[0]])) if i.size else None
+
+    def select(self, keep: np.ndarray):
+        """The pairs where ``keep`` holds, under the same set ids."""
+        counts = np.bincount(self.slots[keep], minlength=len(self.set_ids))
+        return replace(self, indptr=np.r_[0, np.cumsum(counts)],
+                       **{name: getattr(self, name)[keep] for name in self._columns})
+
+
+@dataclass(frozen=True, eq=False)
+class Cover(Pairs):
+    """A cover of the samples as (set, sample) pairs, with optional per-set geometry.
+
+    ``center`` is ``(k, d)`` and ``radius`` ``(k,)``, aligned to ``set_ids``,
+    NaN for a set without one, None when no set has one; ``clipped`` marks
+    the sets a filtration cut removed members from.
+    """
+
     center: np.ndarray | None = None
-    radius: float | None = None
-    clipped: bool = False  # set when a filtration cut removed members
+    radius: np.ndarray | None = None
+    clipped: np.ndarray | None = None
 
     def __post_init__(self):
-        self.members = frozenset(self.members)
-        if self.center is not None:
-            self.center = np.asarray(self.center, dtype=float)
+        if self.clipped is None:
+            object.__setattr__(self, "clipped", np.zeros(len(self.set_ids), bool))
+
+    @classmethod
+    def of(cls, members: dict, center=None, radius=None, clipped=None) -> "Cover":
+        """A cover from ``{set id: sample ids}``; the geometry is aligned to the ascending set ids."""
+        ids = sorted(members)
+        lists = [np.fromiter(members[j], np.int64) for j in ids]
+        indptr, order = _layout(list(map(len, lists)), samples := _cat(lists))
+        k = len(ids)
+        return cls(np.array(ids, np.int64), indptr, samples[order],
+                   None if center is None else np.asarray(center, dtype=float).reshape(k, -1),
+                   None if radius is None else np.broadcast_to(np.asarray(radius, float), k),
+                   None if clipped is None else np.asarray(clipped, bool))
+
+    @property
+    def geometric(self) -> bool:
+        """Whether every set has a center and a radius."""
+        return (self.center is not None and self.radius is not None
+                and not np.isnan(self.center).any() and not np.isnan(self.radius).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,28 +343,19 @@ def _facet_positions(nerve: Nerve, q: int) -> np.ndarray:
     return lookup(nerve.simplices[q - 1], nerve.simplices[q][:, drop]).reshape(-1, q + 1)
 
 
-def build_nerve(cover: Sequence[CoverSet], max_dim: int = 3) -> Nerve:
+def build_nerve(cover: Cover, max_dim: int = 3) -> Nerve:
     """Nerve of a cover: tuples of set ids with a common sample.
 
     A tuple of sets is a simplex exactly when some sample lies in every
     one of them.  So the p-simplices are the distinct (p+1)-subsets of
     the samples' supports, the ascending ids of the sets that hold each
+    sample, which the cover's sample-major transpose lists sample by
     sample: per support size, the distinct supports take every column
-    combination at once.  Weights are left at zero.  Members may be any
-    hashable values.
+    combination at once.  Weights are left at zero.
     """
-    if not cover:
-        raise ValueError("cover is empty")
-    members = {c.id: c.members for c in cover}
-    if len(members) != len(cover):
-        raise ValueError("cover set ids are not unique")
-    ids = sorted(members)
-    code: dict = {}
-    sample = np.array([code.setdefault(s, len(code)) for j in ids for s in members[j]],
-                      dtype=np.int64)
-    at = np.argsort(sample, kind="stable")  # by sample, each support's set ids ascending
-    held = np.repeat(np.array(ids, dtype=np.int64), [len(members[j]) for j in ids])[at]
-    start = np.flatnonzero(np.diff(sample[at], prepend=-1))
+    at = cover.by_sample
+    sample, held = cover.samples[at], cover.sets[at]
+    start = np.flatnonzero(np.r_[True, sample[1:] != sample[:-1]][:len(at)])
     size = np.diff(np.r_[start, len(at)])
     simplices = {p: [np.empty((0, p + 1), np.int64)] for p in range(max_dim + 1)}
     for m in sorted(set(size.tolist())):
@@ -348,43 +444,31 @@ def stage_subcomplex(nerve: Nerve, r: int) -> Nerve:
         {q: at[q - 1][pos[keep[q]]] for q, pos in nerve._facets.items()})
 
 
-def cut_base(
-    dataset: BundleDataset,
-    cover: Sequence[CoverSet],
-    nerve: Nerve,
-    r: int,
-) -> tuple[list[CoverSet], list[tuple]]:
+def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list[tuple]]:
     """Shrink cover sets until the nerve equals the stage-``r`` subcomplex.
 
     Walks the filtration from the top down to stage ``r + 1``; for each
     simplex removed, its lexicographically last vertex gives up the
     samples in the simplex's overlap (they stay in the other vertices'
-    sets).  Returns the modified cover and a log of
-    ``(simplex, vertex, removed_ids)`` triples.
+    sets).  The walk runs on the set-by-sample incidence of the pairs.
+    Returns the cut cover, its sets marked clipped where they lost
+    members, and a log of ``(simplex, vertex, removed_ids)`` triples.
     """
     nerve.require_order()
     if not 0 <= r <= len(nerve):
         raise IndexOutOfRange(f"stage {r} outside 0..{len(nerve)}")
-    members = {c.id: set(c.members) for c in cover}
+    universe, _ = cover._keys
+    column = np.searchsorted(universe, cover.samples)
+    inc = np.zeros((len(cover.set_ids), len(universe)), bool)
+    inc[cover.slots, column] = True
     log: list[tuple] = []
     later = sorted((i, tuple(s)) for p, stage in nerve.stage.items()
                    for i, s in zip(stage.tolist(), nerve.simplices[p].tolist()) if i > r)
     for _, s in reversed(later):
-        shared = set(members[s[0]])
-        for j in s[1:]:
-            shared &= members[j]
-        victim = max(s)
-        removed = tuple(sorted(shared))
-        members[victim] -= shared
-        log.append((s, victim, removed))
-    out = []
-    for c in cover:
-        new_members = frozenset(members[c.id])
-        out.append(
-            replace(
-                c,
-                members=new_members,
-                clipped=c.clipped or (new_members != c.members),
-            )
-        )
-    return out, log
+        rows = np.searchsorted(cover.set_ids, s)
+        shared = inc[rows].all(axis=0)
+        inc[rows[-1]] &= ~shared  # the last vertex is the largest id
+        log.append((s, s[-1], tuple(universe[shared].tolist())))
+    keep = inc[cover.slots, column]
+    cut = cover.select(keep)
+    return replace(cut, clipped=cover.clipped | (np.diff(cut.indptr) < np.diff(cover.indptr))), log

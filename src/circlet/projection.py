@@ -49,7 +49,7 @@ from .cochains import Witness, coboundary_rows
 from .errors import EigengapTooSmall, GuardError, NotTrivializable, RankDeficient, ShapeMismatch
 from .errors import UncoveredPoint
 from .intlinalg import sign_potential, solve_integer
-from .nerve import BundleDataset, base_geodesic, lookup
+from .nerve import BundleDataset, Cover, base_geodesic, lookup
 
 
 # below this second-versus-third eigenvalue gap the nearest plane is ill-defined
@@ -111,7 +111,7 @@ class PartitionOfUnity:
         return 2 * len(self.sets)
 
 
-def partition_of_unity(cover, dataset: BundleDataset) -> PartitionOfUnity:
+def partition_of_unity(cover: Cover, dataset: BundleDataset) -> PartitionOfUnity:
     """Convex weights subordinate to a cover, one row per sample.
 
     Covers with centers and radii get tent weights, proportional to
@@ -120,39 +120,29 @@ def partition_of_unity(cover, dataset: BundleDataset) -> PartitionOfUnity:
     at a sample is contained in the sets that hold it, and rows
     normalize to one.  Raises ``UncoveredPoint`` when a sample belongs to no cover set.
     """
-    cover = list(cover)
-    parametric = dataset.kind != "abstract" and all(
-        c.center is not None and c.radius is not None for c in cover
-    )
+    parametric = dataset.kind != "abstract" and cover.geometric
     ids = np.array(dataset.ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
-    sets = sorted(c.id for c in cover)
-    slot = {j: i for i, j in enumerate(sets)}
-    pos, slots, vals = [], [], []
-    for c in cover:
-        mem = np.fromiter(c.members, np.int64, len(c.members))
-        at = np.minimum(sorted_ids.searchsorted(mem), max(len(ids) - 1, 0))
-        if len(mem) and (not len(ids) or np.any(sorted_ids[at] != mem)):
-            raise ShapeMismatch(f"cover set {c.id} holds samples outside the dataset")
-        if parametric:
-            # stacked (n, 1, k) rows against a (k, 1) center: each distance is
-            # the same one-row product that a single-point call makes
-            b = dataset.base[order[at]]
-            d = base_geodesic(dataset.kind, b[:, None, :], c.center[:, None]).reshape(-1)
-            vals.append(np.maximum(c.radius - d, 0.0))
-        else:
-            vals.append(np.ones(len(mem)))
-        pos.append(at)
-        slots.append(np.full(len(mem), slot[c.id], dtype=np.int64))
-    pos = np.concatenate([np.zeros(0, dtype=np.int64), *pos])
+    pos = np.minimum(sorted_ids.searchsorted(cover.samples), max(len(ids) - 1, 0))
+    outside = sorted_ids[pos] != cover.samples if len(ids) else np.ones(len(pos), bool)
+    if outside.any():
+        raise ShapeMismatch(f"cover set {cover.sets[outside][0]} holds samples outside the dataset")
+    slots = cover.slots
+    if parametric:
+        # stacked (n, 1, k) rows against (n, k, 1) centers: each distance is
+        # the same one-row product that a single-point call makes
+        b = dataset.base[order[pos]]
+        d = base_geodesic(dataset.kind, b[:, None, :], cover.center[slots, :, None]).reshape(-1)
+        vals = np.maximum(cover.radius[slots] - d, 0.0)
+    else:
+        vals = np.ones(len(pos))
     counts = np.bincount(pos, minlength=len(ids))
     bare = np.flatnonzero(counts[np.argsort(order)] == 0)
     if bare.size:
         raise UncoveredPoint(f"sample {dataset.ids[bare[0]]} lies in no cover set")
-    slots, vals = np.concatenate(slots), np.concatenate(vals)
     total = np.zeros(len(ids))
-    np.add.at(total, pos, vals)  # each row adds its terms in cover order
+    np.add.at(total, pos, vals)  # each row adds its terms in set-id order
     # members sit strictly inside their balls, so a zero total only
     # happens on malformed input; fall back to indicators
     dead = total <= 0.0
@@ -163,7 +153,7 @@ def partition_of_unity(cover, dataset: BundleDataset) -> PartitionOfUnity:
     keep = keep[np.lexsort((slots[keep], pos[keep]))]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pos[keep], minlength=len(ids)))])
     mode = "distance" if parametric else "indicator"
-    return PartitionOfUnity(sorted_ids, indptr, slots[keep], w[keep], tuple(sets), mode)
+    return PartitionOfUnity(sorted_ids, indptr, slots[keep], w[keep], tuple(cover.set_ids.tolist()), mode)
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,22 @@ A generated cover is one boolean incidence array, set by sample: row j
 marks the members of set j.  Overlap trimming sweeps the pairs of sets
 over integer shared-sample counts read off that array, and the charts of
 all sets come from one batched pass over its nonzero entries, ordered by
-set and then by sample; ``CoverSet`` objects are built from it once, at
-the end.  A chart failure names the first failing set in set order, as a
-loop over the sets would.
+set and then by sample.  Those entries are the cover's (set, sample)
+pairs (``nerve.Cover``), handed through as they are, and the chart
+values ride along them into the ``Trivialization``.  A chart failure
+names the first failing set in set order, as a loop over the sets would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import LiftUndefined, NotACover, SectionUndefined
-from .nerve import BundleDataset, CoverSet
+from .nerve import BundleDataset, Cover, _cat, _layout
 from .witness import Trivialization
 
 
@@ -209,7 +211,7 @@ def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None)
     spiral.  ``radius=None`` picks 1.3 times the empirical covering
     radius.  Every sample must land in at least one set.
     """
-    return _Cover(dataset, *_ball_incidence(dataset, n_sets, radius)).cover_sets()
+    return _Cover(dataset, *_ball_incidence(dataset, n_sets, radius)).pairs
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ class SyntheticBundle:
     """Generator output; iterates as (dataset, cover, trivs)."""
 
     dataset: BundleDataset
-    cover: list
+    cover: Cover
     trivs: Trivialization
     scenario: SyntheticScenario
     clusters: dict | None = None
@@ -259,42 +261,29 @@ def _add_noise(turns: np.ndarray, seed: int, set_id: int, sigma: float) -> np.nd
 class _Cover:
     """A generated cover: set-by-sample incidence over a dataset, with its geometry.
 
-    ``sets``, ``rows`` and ``members`` list every incidence by set and then
-    by sample: its set, its sample's position and its sample's id; set j's
-    incidences are ``bounds[j]:bounds[j + 1]``.
+    ``sets`` and ``rows`` list every incidence by set and then by sample:
+    its set and its sample's position; ``pairs`` is the same incidence as
+    a ``Cover`` of the sample ids.
     """
 
     def __init__(self, dataset: BundleDataset, centers, radius: float, inc, clipped=None):
-        self.centers, self.radius, self.inc, self.clipped = centers, radius, inc, clipped
+        self.centers, self.radius, self.inc = centers, radius, inc
         self.sets, self.rows = np.divmod(np.flatnonzero(inc), inc.shape[1])
-        self.members = np.asarray(dataset.ids, dtype=np.int64)[self.rows]
-        self.bounds = np.searchsorted(self.sets, np.arange(len(inc) + 1))
-
-    def parts(self, values: np.ndarray) -> list:
-        """``values`` over the incidences, split into one slice per set."""
-        b = self.bounds
-        return [values[b[j]:b[j + 1]] for j in range(len(self.inc))]
-
-    def cover_sets(self) -> list:
-        return [
-            CoverSet(
-                id=j,
-                members=frozenset(m.tolist()),
-                center=self.centers[j],
-                radius=self.radius,
-                clipped=self.clipped is not None and bool(self.clipped[j]),
-            )
-            for j, m in enumerate(self.parts(self.members))
-        ]
+        k = len(inc)
+        indptr, order = _layout(np.count_nonzero(inc, axis=1), np.asarray(dataset.ids)[self.rows])
+        self.sets, self.rows = self.sets[order], self.rows[order]
+        self.pairs = Cover(np.arange(k), indptr, np.asarray(dataset.ids, np.int64)[self.rows],
+                           centers, np.full(k, float(radius)), clipped)
 
 
 def _bundle(model, dataset, cover: _Cover, turns, noise, seed, sw_trivial, euler_number,
             clusters=None) -> SyntheticBundle:
     """The bundle with noisy charts from exact turns, one per incidence of ``cover``."""
-    trivs = Trivialization.from_turns(
-        {j: (ids, _add_noise(t, seed, j, noise))
-         for j, (ids, t) in enumerate(zip(cover.parts(cover.members), cover.parts(turns)))}
-    )
+    pairs = cover.pairs
+    if noise:
+        turns = _cat([_add_noise(turns[a:b], seed, j, noise)
+                      for j, (a, b) in enumerate(zip(pairs.indptr[:-1], pairs.indptr[1:]))], float)
+    trivs = Trivialization.from_pairs(pairs.set_ids, np.diff(pairs.indptr), pairs.samples, turns)
     scenario = SyntheticScenario(
         model=model,
         n_samples=len(dataset),
@@ -305,7 +294,7 @@ def _bundle(model, dataset, cover: _Cover, turns, noise, seed, sw_trivial, euler
         sw_trivial=sw_trivial,
         euler_number=euler_number,
     )
-    return SyntheticBundle(dataset, cover.cover_sets(), trivs, scenario, clusters=clusters)
+    return SyntheticBundle(dataset, pairs, trivs, scenario, clusters=clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +635,10 @@ def gen_disconnected_fiber(
     # section anchored at its own hemisphere
     charts = _hemisphere_turns if split else _two_sheet_turns
     turns = charts(q[rows], btrue[rows], centers, p, sets)
-    side = labels[sets, rows]
-    clusters = {
-        j: (frozenset(m[s].tolist()), frozenset(m[~s].tolist()))
-        for j, (m, s) in enumerate(zip(cover.parts(cover.members), cover.parts(side)))
-    }
+    side, members = labels[sets, rows], cover.pairs.samples
+    clusters = {j: (frozenset(members[a:b][side[a:b]].tolist()),
+                    frozenset(members[a:b][~side[a:b]].tolist()))
+                for j, (a, b) in enumerate(pairwise(cover.pairs.indptr.tolist()))}
     model = f"disconnected({p})" + ("-split" if split else "")
     euler = p if split else 2 * p
     return _bundle(model, dataset, cover, turns, noise, seed, not split, euler,

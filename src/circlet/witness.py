@@ -8,12 +8,12 @@ a sign per edge, whose holonomy defect, together with the chart
 misalignment and the fiber coverage gap, quantifies how far the data is
 from an exact bundle.
 
-Charts are stored column-wise: each chart is a sorted int64 array of
-sample ids with a row-aligned ``(n, 2)`` array of unit vectors and an
-array of their angles in turns.  ``Trivialization.overlaps`` is the one
-intersection of chart domains: it reads every overlap of a list of set
-tuples off the (sample, set) incidence at once and returns them as CSR
-segments.  The witness, the quality report and the edge weights each
+Charts are one table of (set, sample) pairs (``nerve.Pairs``), sorted by
+set and then by sample, with a row-aligned ``(n, 2)`` column of unit
+vectors and a column of their angles in turns.  ``Trivialization.overlaps``
+is the one intersection of chart domains: it reads every overlap of a
+list of set tuples off the table's sample-major transpose at once and
+returns them as CSR segments.  The witness, the quality report and the edge weights each
 make one call per simplex dimension and run their per-overlap kernels
 (the minimax fit, the coverage gap, the chord errors) on the segments.
 """
@@ -35,19 +35,11 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from .nerve import Nerve
+from .nerve import Nerve, Pairs, _cat, _layout
 
 
 # theory range for a valid witness; exceeding it degrades guarantees only
 EPSILON_VALID = math.sqrt(2.0)
-
-
-class Chart(NamedTuple):
-    """One chart as row-aligned columns."""
-
-    ids: np.ndarray  # sorted, duplicate-free int64 sample ids
-    points: np.ndarray  # (n, 2) unit vectors on the circle
-    turns: np.ndarray  # (n,) their angles in turns, in [0, 1)
 
 
 class Overlaps(NamedTuple):
@@ -65,17 +57,15 @@ class Overlaps(NamedTuple):
     turns: np.ndarray  # (m, n)
 
 
-def _subsets(ids: np.ndarray, m: int):
-    """Every m-subset of every sample's support, from concatenated chart ids.
+def _subsets(sid: np.ndarray, order: np.ndarray, m: int):
+    """Every m-subset of every sample's support, from the sample-major transpose.
 
-    Charts are concatenated in set order, so a stable sort by sample is
-    the lexsort by (sample, set).  Returns each subset's sample rank and
-    its rows of the concatenation, sets ascending, one support size at a
-    time, and the number of distinct samples.
+    ``sid`` holds the pairs' samples in the transpose's ``order``, which
+    runs by sample and then by set.  Returns each subset's sample rank and
+    its pair positions, sets ascending, one support size at a time, and
+    the number of distinct samples.
     """
-    order = np.argsort(ids, kind="stable")
-    sid = ids[order]
-    head = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])
+    head = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]][:len(sid)])
     support = np.diff(np.r_[head, len(sid)])
     ranks, picks = [np.empty(0, np.int64)], [np.empty((0, m), np.int64)]
     for q in (np.flatnonzero(np.bincount(support)[m:]) + m).tolist():
@@ -86,28 +76,28 @@ def _subsets(ids: np.ndarray, m: int):
     return np.concatenate(ranks), np.concatenate(picks), len(head)
 
 
-def _shared_rows(ids: np.ndarray, sizes: list, want: np.ndarray):
-    """Rows of concatenated charts at the samples each tuple of charts shares.
+def _shared_rows(charts: Pairs, want: np.ndarray):
+    """Pair positions of the samples each tuple of charts shares.
 
-    ``want`` holds one tuple of chart positions per row, ``sizes`` the
-    charts' lengths.  Returns the tuple of each hit and its rows, one
-    column per chart, ordered by tuple and then sample.
+    ``want`` holds one tuple of chart positions in ``charts.set_ids`` per
+    row.  Returns the tuple of each hit and its pair positions, one column
+    per chart, ordered by tuple and then sample.
     """
     m = want.shape[1]
-    dims = (len(sizes),) * m
+    dims = (len(charts.set_ids),) * m
     perm = np.argsort(want, axis=1, kind="stable")
     wkey = np.ravel_multi_index(tuple(np.take_along_axis(want, perm, axis=1).T), dims)
     by = np.argsort(wkey)
     wkey = wkey[by]
     if np.any(wkey[1:] == wkey[:-1]):
         raise ValueError("two tuples name the same sets")
-    rank, pick, samples = _subsets(ids, m)
-    slot = np.repeat(np.arange(len(sizes)), sizes)
-    key = np.ravel_multi_index(tuple(slot[pick].T), dims)
+    order = charts.by_sample
+    rank, pick, samples = _subsets(charts.samples[order], order, m)
+    key = np.ravel_multi_index(tuple(charts.slots[pick].T), dims)
     at = np.minimum(np.searchsorted(wkey, key), len(wkey) - 1)
     hit = np.flatnonzero(wkey[at] == key)
     which = by[at[hit]]
-    del slot, key, at  # incidence-sized: free them before the reorder
+    del key, at  # incidence-sized: free them before the reorder
     o = np.argsort(which * samples + rank[hit])
     which, pick = which[o], pick[hit[o]]
     if np.any(perm != np.arange(m)):  # some tuple lists its sets out of order
@@ -115,58 +105,54 @@ def _shared_rows(ids: np.ndarray, sizes: list, want: np.ndarray):
     return which, pick
 
 
-class Trivialization:
-    """Circle-valued charts over a cover, one :class:`Chart` per cover set.
+@dataclass(frozen=True, eq=False)
+class Trivialization(Pairs):
+    """Circle-valued charts over a cover: (set, sample) pairs with aligned chart values.
 
-    ``charts`` maps a set id to (sample ids, ``(n, 2)`` points), ids in
-    any order; a chart's domain is exactly its cover set's members.
-    Angles are computed once, here, and ``restrict`` copies whole rows.
+    Row i of ``points`` (unit 2-vectors) and ``turns`` (their angles in
+    turns, in [0, 1)) is the value of chart ``sets[i]`` at ``samples[i]``;
+    a chart's domain is exactly its cover set's members.  Angles are
+    computed once, when the charts are built, and ``restrict`` keeps rows.
 
     ``overlaps(simplices)`` is the only intersection of chart domains.
-
-    Raises ``ShapeMismatch`` when a point is not a 2-vector or a chart
-    repeats a sample id.
     """
 
-    def __init__(self, charts: dict):
-        self._charts = {}
-        for j, (ids, pts) in charts.items():
-            ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-            pts = np.asarray(pts, dtype=float) if len(ids) else np.empty((0, 2))
-            if pts.shape != (len(ids), 2):
-                raise ShapeMismatch(f"chart {j}: need one 2-vector per sample")
-            order = np.argsort(ids, kind="stable")
-            ids, pts = ids[order], pts[order]
-            dup = ids[1:][ids[1:] == ids[:-1]]
-            if len(dup):
-                raise ShapeMismatch(f"chart {j}: sample {dup[0]} appears twice")
-            self._charts[j] = Chart(ids, pts, s1_angle(pts))
+    points: np.ndarray
+    turns: np.ndarray
+
+    _columns = ("samples", "points", "turns")
 
     @classmethod
     def from_turns(cls, tables: dict) -> "Trivialization":
-        """Charts from angles in turns: ``set id -> (ids, turns)`` or ``{id: turn}``."""
-        charts = {}
-        for j, table in tables.items():
-            if isinstance(table, dict):
-                table = (list(table), list(table.values()))
-            ids, turns = table
-            # reduced first: a huge finite turn must not overflow to a NaN point
-            t = TWO_PI * (np.asarray(turns, dtype=float) % 1.0)
-            charts[j] = (ids, np.stack([np.cos(t), np.sin(t)], axis=-1))
-        return cls(charts)
+        """Charts from angles in turns, ``set id -> (sample ids, turns)``."""
+        ids = sorted(tables)
+        samples = [np.asarray(tables[j][0], np.int64).reshape(-1) for j in ids]
+        turns = [np.asarray(tables[j][1], float).reshape(-1) for j in ids]
+        bad = [j for j, a, t in zip(ids, samples, turns) if len(a) != len(t)]
+        if bad:
+            raise ShapeMismatch(f"chart {bad[0]}: need one angle per sample")
+        return cls.from_pairs(ids, list(map(len, samples)), _cat(samples), _cat(turns, float))
 
-    def sets(self) -> list[int]:
-        return sorted(self._charts)
+    @classmethod
+    def from_pairs(cls, ids, counts, samples, turns) -> "Trivialization":
+        """Charts listed set by set, ids ascending: ``counts[i]`` (sample, turn) pairs of set ``ids[i]``.
 
-    def chart(self, j) -> Chart:
-        return self._charts[j]
+        Raises ``ShapeMismatch`` when a chart repeats a sample id.
+        """
+        indptr, order = _layout(counts, samples)
+        # reduced first: a huge finite turn must not overflow to a NaN point
+        t = TWO_PI * (turns[order] % 1.0)
+        points = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        charts = cls(np.asarray(ids, np.int64), indptr, samples[order], points, s1_angle(points))
+        if (twice := charts.first_repeat()) is not None:
+            raise ShapeMismatch("chart {}: sample {} appears twice".format(*twice))
+        return charts
 
     def overlaps(self, simplices) -> Overlaps:
         """Every overlap of ``simplices``, an ``(n, p)`` array of set ids (or n same-length tuples).
 
-        Read off the (sample, set) incidence of the charts involved: the
-        charts' concatenated columns, sorted by sample and then set, give
-        every sample's support, and the tuples a sample lies in are the
+        Read off the charts' sample-major transpose: the sets a sample
+        lies in are its support, and the tuples it lies in are the
         combinations of its support, enumerated once per support size.
         The sets of a tuple may come in any order, and row ``p`` of the
         result follows the tuple's order.  Raises ``KeyError`` for a set
@@ -177,15 +163,13 @@ class Trivialization:
         if not len(simplices):
             return Overlaps(np.zeros(1, np.int64), np.empty(0, np.int64), np.empty((0, 0, 2)),
                             np.empty((0, 0)))
-        sets, want = np.unique(simplices, return_inverse=True)
-        want = want.reshape(simplices.shape)
-        charts = [self._charts[j] for j in sets.tolist()]
-        ids = np.concatenate([c.ids for c in charts])
-        which, pick = _shared_rows(ids, [len(c.ids) for c in charts], want)
+        lost = simplices[~np.isin(simplices, self.set_ids)]
+        if lost.size:
+            raise KeyError(int(lost.min()))
+        which, pick = _shared_rows(self, np.searchsorted(self.set_ids, simplices))
         rows = pick.T
         indptr = np.r_[0, np.cumsum(np.bincount(which, minlength=len(simplices)))]
-        points = np.concatenate([c.points for c in charts])[rows]
-        return Overlaps(indptr, ids[rows[0]], points, np.concatenate([c.turns for c in charts])[rows])
+        return Overlaps(indptr, self.samples[rows[0]], self.points[rows], self.turns[rows])
 
     def at(self, samples, sets):
         """Points and angles of samples in charts, elementwise.
@@ -193,36 +177,20 @@ class Trivialization:
         ``samples`` and ``sets`` broadcast against each other: ``at(s, [j, k])``
         gives sample ``s`` in charts ``j`` and ``k``, and an ``(n, 1)`` column
         of samples against ``(n, m)`` set ids gives every sample in each of
-        its sets.  Returns points ``(..., 2)`` and turns ``(...)``.
+        its sets.  Returns points ``(..., 2)`` and turns ``(...)``.  Raises
+        ``KeyError`` naming the lowest chart that lacks a sample.
         """
         samples, sets = np.broadcast_arrays(np.asarray(samples, dtype=np.int64), sets)
-        pts = np.empty(samples.shape + (2,))
-        turns = np.empty(samples.shape)
-        for j in sorted(set(sets.ravel().tolist())):
-            here = sets == j
-            c = self._charts[j]
-            want = samples[here]
-            r = np.minimum(c.ids.searchsorted(want), max(len(c.ids) - 1, 0))
-            miss = c.ids[r] != want if len(c.ids) else np.ones(len(want), bool)
-            if miss.any():
-                raise KeyError(f"chart {j} has no sample {want[miss][0]}")
-            pts[here] = c.points[r]
-            turns[here] = c.turns[r]
-        return pts, turns
+        pos = self.find(samples, sets)
+        miss = pos < 0
+        if miss.any():
+            j = sets[miss].min()
+            raise KeyError(f"chart {j} has no sample {samples[miss & (sets == j)][0]}")
+        return self.points[pos], self.turns[pos]
 
-    def restrict(self, domains: dict) -> "Trivialization":
-        """Charts cut to new domains, ``new id -> (parent id, sample ids)``.
-
-        A new chart keeps its parent's rows on those samples the parent
-        holds; parents without a chart are skipped.
-        """
-        out = Trivialization({})
-        for new, (j, members) in domains.items():
-            c = self._charts.get(j)
-            if c is not None:
-                keep = np.isin(c.ids, np.fromiter(members, np.int64, len(members)))
-                out._charts[new] = Chart(*(col[keep] for col in c))
-        return out
+    def restrict(self, cover: Pairs) -> "Trivialization":
+        """The charts cut to the cover's sets: the rows whose (set, sample) pair the cover holds."""
+        return self.select(cover.find(self.samples, self.sets) >= 0)
 
     def chord_errors(self, witness: Witness):
         """Chord misalignment of each edge's first chart against the witness image of its second.

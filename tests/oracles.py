@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,36 @@ from circlet.errors import (
 )
 from circlet.io import Columns
 from circlet.projection import PartitionOfUnity
+from circlet.witness import Trivialization
+
+
+class Chart(NamedTuple):
+    """One chart's rows of a ``Trivialization``."""
+
+    ids: np.ndarray
+    points: np.ndarray
+    turns: np.ndarray
+
+
+def chart(trivs, j) -> Chart:
+    at = trivs.span(j)
+    return Chart(trivs.samples[at], trivs.points[at], trivs.turns[at])
+
+
+def charts_of(tables: dict) -> Trivialization:
+    """Charts from ``{set id: {sample id: turn}}``."""
+    return Trivialization.from_turns({j: (list(t), list(t.values())) for j, t in tables.items()})
+
+
+def cover_sets(cover) -> list:
+    """A cover's sets one by one: ``id``, ``members`` (a frozenset), ``center``, ``radius``, ``clipped``."""
+    def given(col, i):
+        return None if col is None or np.isnan(col[i]).any() else col[i]
+
+    return [SimpleNamespace(id=j, members=frozenset(cover.members(j).tolist()),
+                            center=given(cover.center, i), radius=given(cover.radius, i),
+                            clipped=bool(cover.clipped[i]))
+            for i, j in enumerate(cover.set_ids.tolist())]
 
 
 @dataclass(frozen=True)
@@ -413,9 +445,17 @@ def recursive_canonical_text(obj, indent: int = 0) -> str:
 
 
 def column_rows(table: Columns) -> list:
-    """Row ``i`` of a column record list as ``{key: col[i]}``, plain Python values."""
-    keys = list(table.cols)
-    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in table.cols.values()))]
+    """Row ``i`` of a column record list as ``{key: col[i]}``, plain Python values.
+
+    A ragged column gives row ``i`` its slice, and an omitted key is left out.
+    """
+    rows = [{} for _ in range(len(table))]
+    for key, col in table.cols.items():
+        vals, span, gone = col.tolist(), table.spans.get(key), table.omit.get(key)
+        for i, row in enumerate(rows):
+            if gone is None or not gone[i]:
+                row[key] = vals[i] if span is None else vals[span[i]:span[i + 1]]
+    return rows
 
 
 def dense_boundary(nerve, twist, p: int):
@@ -494,7 +534,7 @@ def loop_partition_weights(cover, dataset):
     summed in cover order and normalized; covers without geometry get
     membership indicators.
     """
-    cover = list(cover)
+    cover = cover_sets(cover)
     parametric = dataset.kind != "abstract" and all(
         c.center is not None and c.radius is not None for c in cover
     )
@@ -604,7 +644,7 @@ def _loop_karcher(pts, w):
 
 
 def _chart_value(trivs, j, s):
-    c = trivs.chart(j)
+    c = chart(trivs, j)
     r = int(c.ids.searchsorted(s))
     return c.points[r], float(c.turns[r])
 
@@ -743,7 +783,7 @@ _TIE_TOL = 1e-12
 
 def loop_nerve(cover, max_dim: int = 3) -> dict:
     """Simplices by extending each tuple with every later set that still meets it."""
-    members = {c.id: set(c.members) for c in cover}
+    members = {c.id: set(c.members) for c in cover_sets(cover)}
     verts = sorted(j for j, m in members.items() if m)
     simplices = {0: [(j,) for j in verts]}
     shared = {(j,): members[j] for j in verts}
@@ -794,11 +834,11 @@ def nerve_order(nerve) -> list:
 
 def loop_overlap(trivs, sets):
     """Shared ids of charts and each chart's rows, by chained pairwise intersection."""
-    ids = trivs.chart(sets[0]).ids
+    ids = chart(trivs, sets[0]).ids
     rows = [np.arange(len(ids))]
     for j in sets[1:]:
         ids, here, there = np.intersect1d(
-            ids, trivs.chart(j).ids, assume_unique=True, return_indices=True
+            ids, chart(trivs, j).ids, assume_unique=True, return_indices=True
         )
         rows = [r[here] for r in rows] + [there]
     return ids, rows
@@ -857,7 +897,7 @@ def loop_witness(trivs, edges):
         if len(ids) < 2:
             raise TooFewSamples(f"edge ({j}, {k}): {len(ids)} shared samples")
         try:
-            turn, sign, err = loop_procrustes(trivs.chart(j).points[rj], trivs.chart(k).points[rk])
+            turn, sign, err = loop_procrustes(chart(trivs, j).points[rj], chart(trivs, k).points[rk])
         except GuardError as exc:
             raise type(exc)(f"edge ({j}, {k}): {exc}") from exc
         values[(j, k)] = (turn, sign)
@@ -879,7 +919,7 @@ def loop_edge_errors(trivs, values, edge):
     j, k = edge
     turn, sign = values[edge]
     _, (rj, rk) = loop_overlap(trivs, edge)
-    return _chord(trivs.chart(j).turns[rj] - (turn + sign * trivs.chart(k).turns[rk]))
+    return _chord(chart(trivs, j).turns[rj] - (turn + sign * chart(trivs, k).turns[rk]))
 
 
 def loop_quality(trivs, values, edges, triangles) -> dict:
@@ -894,7 +934,7 @@ def loop_quality(trivs, values, edges, triangles) -> dict:
         for s in simplices:
             _, rows_of = loop_overlap(trivs, s)
             for j, r in zip(s, rows_of):
-                worst = max(worst, loop_coverage_gap(trivs.chart(j).turns[r]))
+                worst = max(worst, loop_coverage_gap(chart(trivs, j).turns[r]))
         return worst
 
     return {
@@ -915,7 +955,7 @@ def loop_trim_flat(cover, min_shared: int = 6):
 
     Returns (members by set id, ids of the sets that shed samples).
     """
-    members = {cs.id: set(cs.members) for cs in cover}
+    members = {cs.id: set(cs.members) for cs in cover_sets(cover)}
     ids = sorted(members)
     clipped = set()
     changed = True
@@ -938,7 +978,7 @@ def loop_trim_labels(cover, label, min_shared: int = 6):
     ``label(j, s)`` is sample s's label in set j.  Returns (members by
     set id, ids of the sets that shed samples).
     """
-    members = {cs.id: set(cs.members) for cs in cover}
+    members = {cs.id: set(cs.members) for cs in cover_sets(cover)}
     order = sorted(members)
     clipped = set()
     changed = True
@@ -973,7 +1013,7 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
     hemisphere.  Returns base, kind, set_map, components, orientations,
     nu and the lifted sets' (members, center) by new id.
     """
-    by_id = {c.id: c for c in cover}
+    by_id = {c.id: c for c in cover_sets(cover)}
     cl = {j: (frozenset(a), frozenset(b)) for j, (a, b) in clusters.items()}
     for j, (plus, minus) in cl.items():
         if not plus or not minus or plus & minus or plus | minus != by_id[j].members:
@@ -1163,7 +1203,7 @@ def loop_generator_charts(kind, q, dataset, cover, p, label=None):
     With ``label(j, s)``, also the clusters ``set id -> (labelled, unlabelled)``.
     """
     tables, clusters = {}, {}
-    for cs in sorted(cover, key=lambda c: c.id):
+    for cs in cover_sets(cover):
         members = sorted(cs.members)
         rows = np.array([dataset.position(s) for s in members], dtype=int)
         turns = LOOP_CHARTS[kind](q[rows], dataset.base[rows], cs.center, p, f"set {cs.id}")

@@ -42,7 +42,7 @@ from circlet.classes import (
 from circlet.cochains import check_sign_cocycle, coboundary
 from circlet.errors import BracketAmbiguous, NotASurface, ShapeMismatch
 from circlet.intlinalg import integer_solvable, solve_gf2
-from circlet.nerve import CoverSet, build_nerve
+from circlet.nerve import Cover, build_nerve
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle
 
 from test_cochains import ORACLE_SCENARIOS
@@ -58,8 +58,7 @@ def nerve_from_tops(tops):
     for i, top in enumerate(tops):
         for j in top:
             members.setdefault(j, set()).add(10_000 + i)
-    cover = [CoverSet(id=j, members=members[j]) for j in sorted(members)]
-    return build_nerve(cover)
+    return build_nerve(Cover.of(members))
 
 
 def gauge_witness(nerve, gauges):

@@ -5,9 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import circlet
 from circlet import cli, io
@@ -89,9 +93,9 @@ class TestSynth:
         cover = io.parse_cover(read(torus_dir / "cover.json"))
         trivs = io.parse_trivs(read(torus_dir / "trivs.json"))
         assert len(ds.ids) == 400
-        assert len(cover) == 12
-        for c in cover:
-            assert set(trivs.chart(c.id).ids.tolist()) == set(c.members)
+        assert cover.set_ids.tolist() == list(range(12))
+        for key in ("set_ids", "indptr", "samples"):
+            assert np.array_equal(getattr(trivs, key), getattr(cover, key))
 
     def test_same_seed_byte_identical(self, torus_dir, tmp_path):
         out = tmp_path / "again"
@@ -126,7 +130,7 @@ class TestSynth:
             "--seed", "2", "--out", str(out),
         ) == 0
         clusters = io.parse_clusters(read(out / "clusters.json"))
-        assert set(clusters) == {c.id for c in io.parse_cover(read(out / "cover.json"))}
+        assert set(clusters) == set(io.parse_cover(read(out / "cover.json")).set_ids.tolist())
 
     def test_bad_model_is_schema_error(self, tmp_path, capsys):
         assert run("synth", "--model", "mobius", "--out", str(tmp_path / "x")) == 1
@@ -636,33 +640,105 @@ def _repeated_perturbation(doc):
     doc["nerve"]["perturbations"] = [{"simplex": edge, "offset": 1e-15}] * 2
 
 
-class TestMalformedPipelineDocuments:
-    """Clusters, classes, witness and cover documents go through the same column checks."""
+def _empty_first_set(cover, trivs):
+    cover["sets"][0]["members"], trivs["sets"][0]["values"] = [], []
 
-    @pytest.mark.parametrize("name, mutate", [
-        ("clusters.json", _set(["sets", 0, "id"], [0])),
-        ("clusters.json", _set(["sets", 0, "clusters"], [1, 2])),
-        ("clusters.json", lambda d: d["sets"][0]["clusters"][0].append([1])),
-        ("clusters.json", _set(["sets", 0, "id"], "0")),
-        ("classes.json", lambda d: d["sw"][0].pop("simplex")),
-        ("classes.json", _set(["sw", 0, "sign"], 3)),
-        ("classes.json", _set(["sw", 0, "sign"], "x")),
-        ("classes.json", _set(["sw"], 5)),
-        ("classes.json", _set(["euler", 0, "value"], 1.5)),
-        ("witness.json", _set(["values"], 5)),
-        ("witness.json", _set(["values", 0, "sign"], 1.0)),
-        ("witness.json", _set(["values", 0, "sign"], True)),
-        ("witness.json", _set(["nerve", "weights"], 5)),
-        ("witness.json", _set(["nerve", "simplices", "1"], 5)),
-        ("witness.json", _reverse_order),
-        ("witness.json", _repeat(["values"], sign=-1)),
-        ("classes.json", _repeat(["sw"], sign=-1)),
-        ("classes.json", _repeat(["euler"], value=7)),
-        ("classes.json", _repeat(["lift"], turn=0.25)),
-        ("witness.json", _repeat(["nerve", "weights"], weight=0.5)),
-        ("witness.json", _repeated_perturbation),
-        ("cover.json", lambda d: d["sets"].append(d["sets"][0])),
-        ("cover.json", lambda d: d["sets"][0]["members"].append(d["sets"][0]["members"][0])),
+
+def _drop_first(name):
+    """A cover-and-trivs mutation: drop set 0 from the one document ``name``."""
+    return lambda cover, trivs: {"cover": cover, "trivs": trivs}[name]["sets"].pop(0)
+
+
+def _short_center(cover, trivs):
+    cover["sets"][0]["center"] = cover["sets"][0]["center"][:2]
+
+
+def _outside_member(cover, trivs):
+    cover["sets"][0]["members"].append(10**9)
+
+
+def _short_chart(cover, trivs):
+    trivs["sets"][0]["values"].pop()
+
+
+def _no_sets(cover, trivs):
+    cover["sets"], trivs["sets"] = [], []
+
+
+def _paired_edit(edit, at, cover, trivs):
+    """Apply one edit to both documents: to their set lists, or to the set at position ``at``.
+
+    Both list the same sets in the same order, before the edit and after it.
+    """
+    sets = [cover["sets"], trivs["sets"]]
+    if edit == "reorder":
+        for rows in sets:
+            rows.reverse()
+    if edit == "reorder" or not sets[0]:
+        return
+    at %= len(sets[0])
+    if edit == "drop-set":
+        for rows in sets:
+            rows.pop(at)
+        return
+    members, values = sets[0][at]["members"], sets[1][at]["values"]
+    if edit == "empty-set":
+        members.clear()
+        values.clear()
+    elif edit == "drop-member" and members:
+        gone = members.pop(0)
+        values[:] = [v for v in values if v["sample"] != gone]
+    elif edit == "outside-sample":
+        members.append(10**6)
+        values.append({"sample": 10**6, "angle_turns": 0.0})
+
+
+@pytest.fixture(scope="module")
+def small_lens(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lens") / "synth"
+    assert run("synth", "--model", "lens:1", "--samples", "300", "--sets", "12",
+               "--out", str(out)) == 0
+    return out
+
+
+class TestMalformedPipelineDocuments:
+    """Clusters, classes, witness and cover documents go through the same column checks.
+
+    A ``bundle`` case edits cover.json and trivs.json together and pins
+    the message the run reports.
+    """
+
+    @pytest.mark.parametrize("name, mutate, message", [
+        ("clusters.json", _set(["sets", 0, "id"], [0]), None),
+        ("clusters.json", _set(["sets", 0, "clusters"], [1, 2]), None),
+        ("clusters.json", lambda d: d["sets"][0]["clusters"][0].append([1]), None),
+        ("clusters.json", _set(["sets", 0, "id"], "0"), None),
+        ("classes.json", lambda d: d["sw"][0].pop("simplex"), None),
+        ("classes.json", _set(["sw", 0, "sign"], 3), None),
+        ("classes.json", _set(["sw", 0, "sign"], "x"), None),
+        ("classes.json", _set(["sw"], 5), None),
+        ("classes.json", _set(["euler", 0, "value"], 1.5), None),
+        ("witness.json", _set(["values"], 5), None),
+        ("witness.json", _set(["values", 0, "sign"], 1.0), None),
+        ("witness.json", _set(["values", 0, "sign"], True), None),
+        ("witness.json", _set(["nerve", "weights"], 5), None),
+        ("witness.json", _set(["nerve", "simplices", "1"], 5), None),
+        ("witness.json", _reverse_order, None),
+        ("witness.json", _repeat(["values"], sign=-1), None),
+        ("classes.json", _repeat(["sw"], sign=-1), None),
+        ("classes.json", _repeat(["euler"], value=7), None),
+        ("classes.json", _repeat(["lift"], turn=0.25), None),
+        ("witness.json", _repeat(["nerve", "weights"], weight=0.5), None),
+        ("witness.json", _repeated_perturbation, None),
+        ("cover.json", lambda d: d["sets"].append(d["sets"][0]), None),
+        ("cover.json", lambda d: d["sets"][0]["members"].append(d["sets"][0]["members"][0]), None),
+        ("bundle", _outside_member, "cover set 0 references samples outside the dataset"),
+        ("bundle", _drop_first("trivs"), "no chart for cover set 0"),
+        ("bundle", _short_chart, "chart 0 domain does not match the cover set members"),
+        ("bundle", _drop_first("cover"), "charts [0] have no cover set"),
+        ("bundle", _short_center, "cover set 0 center has length 2, base points have 3"),
+        ("bundle", _no_sets, "cover has no sets"),
+        ("bundle", _empty_first_set, "cover set 0 has no members"),
     ], ids=[
         "cluster-id-list", "clusters-not-lists", "member-list", "cluster-id-string",
         "sw-without-simplex", "sw-sign-3", "sw-sign-string", "sw-not-list",
@@ -670,32 +746,62 @@ class TestMalformedPipelineDocuments:
         "witness-sign-bool", "weights-not-list", "simplices-not-list",
         "order-before-facets", "repeated-value", "repeated-sw", "repeated-euler",
         "repeated-lift", "repeated-weight", "repeated-perturbation",
-        "repeated-cover-set", "repeated-cover-member",
+        "repeated-cover-set", "repeated-cover-member", "cover-sample-outside-dataset",
+        "chart-missing", "chart-domain-short", "chart-without-cover-set", "center-length",
+        "cover-and-trivs-without-sets", "cover-and-chart-set-empty",
     ])
-    def test_schema_exit_without_traceback(self, split_dirs, tmp_path, capsys, name, mutate):
+    def test_schema_exit_without_traceback(self, split_dirs, tmp_path, capsys, name, mutate,
+                                           message):
         synth, wit, cls = split_dirs
         source = {"clusters.json": synth, "classes.json": cls, "witness.json": wit,
-                  "cover.json": synth}[name]
-        doc = read(source / name)
-        mutate(doc)
-        bad = tmp_path / name
-        bad.write_text(json.dumps(doc))
+                  "cover.json": synth, "bundle": synth}[name]
+        names = ["cover.json", "trivs.json"] if name == "bundle" else [name]
+        docs = [read(source / n) for n in names]
+        mutate(*docs)
+        for n, doc in zip(names, docs):
+            (tmp_path / n).write_text(json.dumps(doc))
+        bad = tmp_path / names[0]
+        trivs = tmp_path / "trivs.json" if name == "bundle" else synth / "trivs.json"
         commands = {
             "clusters.json": [["unwrap", *_bundle_flags(synth), "--clusters", str(bad)]],
             "classes.json": [["euler", "--classes", str(bad)]],
             "witness.json": [["classes", "--witness", str(bad)],
                              ["persist", "--witness", str(bad)]],
             "cover.json": [[cmd, "--data", str(synth / "dataset.json"), "--cover", str(bad),
-                            "--trivs", str(synth / "trivs.json")]
+                            "--trivs", str(trivs)]
                            for cmd in ("report", "trivialize")],
-        }[name]
+        }[names[0]]
         for argv in commands:
             out = tmp_path / argv[0]
             assert run(*argv, "--out", str(out)) == 1
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert json.loads(err.splitlines()[-1])["error"] == "schema"
+            assert message is None or json.loads(err.splitlines()[-1])["message"] == message
             assert read(out / "manifest.json")["status"] == 1
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(
+        st.sampled_from(["drop-set", "empty-set", "drop-member", "outside-sample", "reorder"]),
+        st.integers(0, 11)), min_size=1, max_size=3))
+    def test_paired_edits_exit_without_traceback(self, small_lens, capsys, edits):
+        # the same edit to cover.json and trivs.json keeps them consistent with
+        # each other, so a run reaches past the cross-checks it would otherwise stop at
+        cover, trivs = (read(small_lens / n) for n in ("cover.json", "trivs.json"))
+        for edit, at in edits:
+            _paired_edit(edit, at, cover, trivs)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, doc in (("cover.json", cover), ("trivs.json", trivs)):
+                (tmp / name).write_text(json.dumps(doc))
+            for command in ("report", "trivialize"):
+                code = run(command, "--data", str(small_lens / "dataset.json"),
+                           "--cover", str(tmp / "cover.json"), "--trivs", str(tmp / "trivs.json"),
+                           "--out", str(tmp / command))
+                assert code in (0, 1, 2, 3)
+                assert "Traceback" not in capsys.readouterr().err
+                assert read(tmp / command / "manifest.json")["status"] == code
 
 
 class TestReportCommand:
@@ -1035,7 +1141,7 @@ class TestProcessEntry:
         assert {r["path"] for r in manifest["outputs"]} == {
             "dataset.json", "cover.json", "trivs.json", "scenario.json",
         }
-        assert io.parse_trivs(read(out / "trivs.json")).sets() == list(range(12))
+        assert io.parse_trivs(read(out / "trivs.json")).set_ids.tolist() == list(range(12))
 
     def test_schema_error_exits_one(self, tmp_path):
         out = tmp_path / "bad"

@@ -16,7 +16,7 @@ from circlet.cochains import (
     sign_coboundary,
 )
 from circlet.errors import DegreeUnsupported, NotACocycle, ShapeMismatch
-from circlet.nerve import CoverSet, Nerve, build_nerve, filtration_order, stage_subcomplex
+from circlet.nerve import Cover, Nerve, build_nerve, filtration_order, stage_subcomplex
 from circlet.projection import _transitions
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 
@@ -25,11 +25,11 @@ from oracles import (O2, dense_boundary, loop_defect, o2_values, partition_from_
 
 
 def triangle_nerve():
-    return build_nerve([CoverSet(j, {99, j}) for j in range(3)])
+    return build_nerve(Cover.of({j: {99, j} for j in range(3)}))
 
 
 def tetra_nerve():
-    return build_nerve([CoverSet(j, {99, j}) for j in range(4)])
+    return build_nerve(Cover.of({j: {99, j} for j in range(4)}))
 
 
 def sign_cocycle_from_vertices(nerve, vertex_signs):
@@ -172,7 +172,7 @@ class TestCocycleDefect:
         assert cocycle_defect(witness_of(nerve, vals)) == pytest.approx(expected)
 
     def test_no_triangles_returns_zero(self):
-        nerve = build_nerve([CoverSet(0, {0, 1}), CoverSet(1, {1, 2})])
+        nerve = build_nerve(Cover.of({0: {0, 1}, 1: {1, 2}}))
         assert cocycle_defect(witness_of(nerve, {(0, 1): O2(0.2, -1)})) == 0.0
 
     def test_signs_that_do_not_close(self):
@@ -189,7 +189,7 @@ class TestCocycleDefect:
     def test_matches_per_triangle_loop_exactly(self, data, n):
         # a complete nerve on n vertices with random turns and signs: most
         # triangles carry a reflection, and many have signs that do not close
-        nerve = build_nerve([CoverSet(j, {99, j}) for j in range(n)], max_dim=2)
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(n)}), max_dim=2)
         vals = {e: O2(data.draw(turns), data.draw(signs)) for e in tuples(nerve.edges)}
         assert cocycle_defect(witness_of(nerve, vals)) == loop_defect(vals, nerve.triangles)
 

@@ -22,8 +22,8 @@ from circlet.errors import (
     PropagationConflict,
 )
 from circlet.intlinalg import solve_gf2
-from circlet.nerve import BundleDataset, CoverSet, build_nerve
-from oracles import bfs_unwrap, tuples
+from circlet.nerve import BundleDataset, Cover, build_nerve
+from oracles import bfs_unwrap, cover_sets, tuples
 
 TAU = 2 * math.pi
 
@@ -44,19 +44,17 @@ def ring_fixture(n=40):
     """
     angles = [TAU * t / n for t in range(n)]
     base = np.array([[math.cos(a), math.sin(a), 0.0] for a in angles])
-    clusters = {}
-    cover = []
+    clusters, members, centers, radii = {}, {}, [], []
     for j, (lo, hi) in INTERVALS.items():
         c0 = {t for t, a in enumerate(angles) if in_arc(a, lo, hi)}
         c1 = {t for t, a in enumerate(angles)
               if in_arc(a, lo + math.pi, hi + math.pi)}
         clusters[j] = (frozenset(c0), frozenset(c1))
         mid = (lo + hi) / 2
-        cover.append(CoverSet(
-            id=j, members=c0 | c1,
-            center=np.array([math.cos(mid), math.sin(mid), 0.0]),
-            radius=(hi - lo) / 2,
-        ))
+        members[j] = c0 | c1
+        centers.append([math.cos(mid), math.sin(mid), 0.0])
+        radii.append((hi - lo) / 2)
+    cover = Cover.of(members, center=centers, radius=radii)
     dataset = BundleDataset(ids=tuple(range(n)), base=base,
                             kind="projective_plane")
     return dataset, cover, clusters, angles
@@ -69,19 +67,17 @@ def two_copy_fixture(n=20):
     point = [[math.cos(a), math.sin(a)] for a in angles]
     ids = tuple(100 + t for t in range(n)) + tuple(200 + t for t in range(n))
     base = np.array(point + point)
-    clusters = {}
-    cover = []
+    clusters, members, centers, radii = {}, {}, [], []
     for j, (lo, hi) in arcs.items():
         hit = {t for t, a in enumerate(angles) if in_arc(a, lo, hi)}
         a_part = frozenset(100 + t for t in hit)
         b_part = frozenset(200 + t for t in hit)
         clusters[j] = (a_part, b_part)
         mid = (lo + hi) / 2
-        cover.append(CoverSet(
-            id=j, members=a_part | b_part,
-            center=np.array([math.cos(mid), math.sin(mid)]),
-            radius=(hi - lo) / 2,
-        ))
+        members[j] = a_part | b_part
+        centers.append([math.cos(mid), math.sin(mid)])
+        radii.append((hi - lo) / 2)
+    cover = Cover.of(members, center=centers, radius=radii)
     return BundleDataset(ids=ids, base=base, kind="circle"), cover, clusters
 
 
@@ -149,7 +145,7 @@ class TestUnwrapTrivial:
         dataset, cover, clusters = two_copy_fixture()
         res = unwrap_double_cover(dataset, cover, clusters)
         assert isinstance(res, UnwrapResult)
-        assert len(res.cover) == 6
+        assert len(res.cover.set_ids) == 6
         assert res.components == 2
         assert res.orientations == {}
         assert res.dataset.kind == "circle"
@@ -165,7 +161,7 @@ class TestUnwrapTrivial:
         res = unwrap_double_cover(dataset, cover, clusters)
         for nid, (j, c) in res.set_map.items():
             assert nid == 2 * j + c
-            new_set = next(s for s in res.cover if s.id == nid)
+            new_set = next(s for s in cover_sets(res.cover) if s.id == nid)
             assert new_set.members == clusters[j][c]
 
 
@@ -173,7 +169,7 @@ class TestUnwrapGeometric:
     def test_connected_six_set_lift(self):
         dataset, cover, clusters, _ = ring_fixture()
         res = unwrap_double_cover(dataset, cover, clusters)
-        assert len(res.cover) == 6
+        assert len(res.cover.set_ids) == 6
         assert res.components == 1
         assert res.dataset.kind == "sphere"
         lifted = build_nerve(res.cover)
@@ -225,8 +221,8 @@ class TestUnwrapGeometric:
     def test_lifted_centers_follow_orientation(self):
         dataset, cover, clusters, _ = ring_fixture()
         res = unwrap_double_cover(dataset, cover, clusters)
-        old = {c.id: c for c in cover}
-        for s in res.cover:
+        old = {c.id: c for c in cover_sets(cover)}
+        for s in cover_sets(res.cover):
             j, _ = res.set_map[s.id]
             o = res.orientations[s.id]
             assert np.allclose(s.center, o * old[j].center)
@@ -246,7 +242,7 @@ class TestUnwrapGeometric:
         dataset, cover, clusters, angles = ring_fixture()
         shared = sorted(clusters[0][0] & clusters[1][0])
         victim = shared[-1]
-        c0, c1 = cover[0].center, cover[1].center
+        c0, c1 = cover.center[0], cover.center[1]
         u = 0.9 * c0 - 1.0 * c1
         u /= np.linalg.norm(u)
         assert float(u @ c0) > 0 > float(u @ c1)
@@ -261,7 +257,7 @@ class TestUnwrapGeometric:
     def test_equatorial_sample_rejected(self):
         dataset, cover, clusters, _ = ring_fixture()
         victim = sorted(clusters[0][0] & clusters[1][0])[0]
-        c0 = cover[0].center
+        c0 = cover.center[0]
         perp = np.array([-c0[1], c0[0], 0.0])
         base = np.array(dataset.base, copy=True)
         base[victim] = perp / np.linalg.norm(perp)
@@ -277,9 +273,10 @@ class TestUnwrapGeometric:
         dataset, cover, clusters = two_copy_fixture(n=20)
         angles = {100 + t: TAU * t / 20 for t in range(20)}
         angles.update({200 + t: TAU * t / 20 for t in range(20)})
-        low = {s for s in cover[2].members if in_arc(angles[s], 3.0, 4.5)}
-        high = cover[2].members - low
-        a_side = {s for s in cover[2].members if s < 200}
+        held = frozenset(cover.members(2).tolist())
+        low = {s for s in held if in_arc(angles[s], 3.0, 4.5)}
+        high = held - low
+        a_side = {s for s in held if s < 200}
         crossed = dict(clusters)
         crossed[2] = (frozenset((high & a_side) | (low - a_side)),
                       frozenset((low & a_side) | (high - a_side)))
@@ -332,6 +329,6 @@ def test_matches_breadth_first_oracle(build):
         ref["components"], ref["orientations"], ref["set_map"])
     assert res.dataset.kind == ref["kind"]
     assert np.array_equal(res.dataset.base, ref["base"])
-    for cs in res.cover:
+    for cs in cover_sets(res.cover):
         members, center = ref["sets"][cs.id]
         assert cs.members == members and np.array_equal(cs.center, center)

@@ -21,7 +21,7 @@ from circlet.intlinalg import (
     solve_integer,
     solvable_prefixes,
 )
-from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order
+from circlet.nerve import Cover, build_nerve, edge_weights, filtration_order
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 from circlet.witness import assemble_witness
 
@@ -231,7 +231,7 @@ class TestTwistedBoundaryMatrix:
     """The twisted boundary matrix, read as the transpose of ``coboundary_rows``."""
 
     def triangle(self):
-        return build_nerve([CoverSet(j, {99, j}) for j in range(3)])
+        return build_nerve(Cover.of({j: {99, j} for j in range(3)}))
 
     def test_untwisted_is_standard_boundary(self):
         nerve = self.triangle()
@@ -267,12 +267,11 @@ class TestTwistedBoundaryMatrix:
         for trial in range(15):
             n_sets = int(rng.integers(4, 7))
             universe = list(range(12))
-            cover = []
+            cover = {}
             for j in range(n_sets):
                 size = int(rng.integers(4, 9))
-                members = rng.choice(universe, size=size, replace=False)
-                cover.append(CoverSet(j, set(int(x) for x in members)))
-            nerve = build_nerve(cover)
+                cover[j] = rng.choice(universe, size=size, replace=False)
+            nerve = build_nerve(Cover.of(cover))
             if not tuples(nerve.simplices[3]):
                 continue
             vs = {j: int(s) for j, s in zip(range(n_sets), rng.choice([1, -1], n_sets))}
@@ -291,8 +290,7 @@ class TestTwistedBoundaryMatrix:
         assert ran > 0
 
     def test_filtration_order_respected(self):
-        cover = [CoverSet(j, {99, j}) for j in range(3)]
-        nerve = build_nerve(cover)
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(3)}))
         nerve.weights[1][:] = [0.3, 0.1, 0.2]  # edges (0, 1), (0, 2), (1, 2)
         ordered = filtration_order(nerve)
         assert np.argsort(nerve.stage_index(1), kind="stable").tolist() == [0, 1, 2]
@@ -528,7 +526,7 @@ class TestCoboundaryRows:
     def test_hand_written_rows(self, simplex, twisted, untwisted):
         # facets in order; the one without the leading vertex carries the
         # twist on the leading edge, facet i otherwise carries (-1)**i
-        nerve = build_nerve([CoverSet(j, {99}) for j in simplex])
+        nerve = build_nerve(Cover.of({j: {99} for j in simplex}))
         p = len(simplex) - 1
         at = tuples(nerve.simplices[p]).index(simplex)
         twist = np.array([-1 if e == simplex[:2] else 1 for e in tuples(nerve.edges)])
@@ -539,11 +537,8 @@ class TestCoboundaryRows:
         rng = np.random.default_rng(71)
         ran = 0
         for _ in range(10):
-            cover = [
-                CoverSet(j, set(int(x) for x in rng.choice(12, size=6, replace=False)))
-                for j in range(6)
-            ]
-            nerve = build_nerve(cover)
+            nerve = build_nerve(Cover.of({j: rng.choice(12, size=6, replace=False)
+                                          for j in range(6)}))
             if not len(nerve.triangles):
                 continue
             vs = {j: int(s) for j, s in zip(range(6), rng.choice([1, -1], 6))}
@@ -557,7 +552,7 @@ class TestCoboundaryRows:
         assert ran > 0
 
     def test_no_twist_is_the_constant_sign(self):
-        nerve = build_nerve([CoverSet(j, {99, j}) for j in range(3)])
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(3)}))
         assert coboundary_rows(nerve, 1) == coboundary_rows(nerve, 1, trivial_twist(nerve))
 
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nerve_order, per_value_int, per_value_number, recursive_canonical_text, tuples
+from oracles import chart, nerve_order, per_value_int, per_value_number, recursive_canonical_text, tuples
 
 from circlet import io
 from circlet.cli import main
 from circlet.errors import SchemaError, ShapeMismatch
-from circlet.nerve import BundleDataset, CoverSet, build_nerve, edge_weights, filtration_order
+from circlet.nerve import BundleDataset, Cover, build_nerve, edge_weights, filtration_order
 from circlet.persistence import PersistenceReport, ThresholdPair
 from circlet.synthetic import gen_s1_bundle
 from circlet.witness import Trivialization, assemble_witness
@@ -94,20 +94,31 @@ column_pools = st.sampled_from([
 
 @st.composite
 def column_tables(draw):
-    """Columns of one length: int, float, and 2-D float columns of width 1-4."""
+    """Columns of one length: int, float, bool, 2-D float columns of width 1-4 and
+    ragged int columns, each key left out of some rows or of none."""
     n = draw(st.integers(0, 5))
-    cols = {}
+    cols, omit = {}, {}
+    ints = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
     for key in draw(st.lists(record_keys, min_size=1, max_size=4, unique=True)):
-        kind = draw(st.sampled_from(["int", "float", "rows"]))
-        if kind == "int":
-            ints = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
-            cols[key] = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+        kind = draw(st.sampled_from(["int", "float", "rows", "bool", "ragged"]))
+        if draw(st.booleans()):
+            omit[key] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+        if kind in ("int", "bool"):
+            cells = ints if kind == "int" else st.booleans()
+            cols[key] = np.array(draw(st.lists(cells, min_size=n, max_size=n)),
+                                 dtype=np.int64 if kind == "int" else bool)
+            continue
+        if kind == "ragged":
+            ends = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            flat = draw(st.lists(ints, min_size=int(ends[-1]) if n else 0,
+                                 max_size=int(ends[-1]) if n else 0))
+            cols[key] = (np.array(flat, dtype=np.int64), np.r_[0, ends].astype(np.int64))
             continue
         width = draw(st.integers(1, 4)) if kind == "rows" else 1
         pool = draw(column_pools)
         flat = np.array(draw(st.lists(pool, min_size=n * width, max_size=n * width)), dtype=float)
         cols[key] = flat.reshape(n, width) if kind == "rows" else flat
-    return io.Columns(**cols)
+    return io.Columns(omit, **cols)
 
 
 class TestCanonicalText:
@@ -224,7 +235,7 @@ class TestCanonicalText:
 
     def test_columns_hold_only_numbers(self):
         with pytest.raises(SchemaError):
-            io.Columns(ok=np.array([True, False]))
+            io.Columns(ok=np.array(["yes", "no"]))
         with pytest.raises(SchemaError):
             io.Columns(ok=np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
@@ -317,8 +328,8 @@ class TestColumnChecks:
                 io.parse_trivs(doc)
             return
         with np.errstate(over="ignore", invalid="ignore"):  # angles near the double's limit
-            want = Trivialization.from_turns({0: (samples, turns)}).chart(0)
-            got = io.parse_trivs(doc).chart(0)
+            want = chart(Trivialization.from_turns({0: (samples, turns)}), 0)
+            got = chart(io.parse_trivs(doc), 0)
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
 
     @settings(max_examples=300, deadline=None)
@@ -366,7 +377,7 @@ class TestColumnChecks:
             with pytest.raises(SchemaError, match="member: expected a 64-bit integer"):
                 io.parse_cover(doc)
         else:
-            assert io.parse_cover(doc)[0].members == {1, expect, 2}
+            assert io.parse_cover(doc).samples.tolist() == sorted({1, expect, 2})
 
     def test_missing_keys_and_containers_are_named(self):
         rows = [{"sample": 1, "angle_turns": 0.5}, {"angle_turns": 0.5}]
@@ -386,19 +397,15 @@ class TestCoverSchema:
     def test_round_trip(self, torus):
         _, cover, _ = torus
         doc = io.cover_doc(cover)
-        back = io.parse_cover(doc)
-        assert len(back) == len(cover)
-        for a, b in zip(sorted(cover, key=lambda c: c.id), back):
-            assert a.id == b.id
-            assert a.members == b.members
-            assert np.array_equal(a.center, b.center)
-            assert a.radius == b.radius
+        back = io.parse_cover(written(doc))
+        for key in ("set_ids", "indptr", "samples", "center", "radius", "clipped"):
+            assert np.array_equal(getattr(back, key), getattr(cover, key))
         assert io.canonical_text(io.cover_doc(back)) == io.canonical_text(doc)
 
     def test_clipped_flag_survives(self):
-        c = CoverSet(3, {1, 2}, clipped=True)
-        back = io.parse_cover(io.cover_doc([c]))[0]
-        assert back.clipped
+        c = Cover.of({3: {1, 2}}, clipped=[True])
+        back = io.parse_cover(written(io.cover_doc(c)))
+        assert back.clipped.tolist() == [True]
         assert back.center is None and back.radius is None
 
 
@@ -406,12 +413,10 @@ class TestTrivsSchema:
     def test_round_trip_moves_vectors_at_most_ulps(self, torus):
         _, _, trivs = torus
         back = io.parse_trivs(written(io.trivs_doc(trivs)))
-        assert back.sets() == trivs.sets()
-        worst = 0.0
-        for j in trivs.sets():
-            assert np.array_equal(back.chart(j).ids, trivs.chart(j).ids)
-            for v, w in zip(trivs.chart(j).points, back.chart(j).points):
-                worst = max(worst, float(np.linalg.norm(w - v)))
+        assert np.array_equal(back.set_ids, trivs.set_ids)
+        assert np.array_equal(back.indptr, trivs.indptr)
+        assert np.array_equal(back.samples, trivs.samples)
+        worst = float(np.linalg.norm(back.points - trivs.points, axis=1).max())
         # the angle codec costs one trig round trip, nothing more
         assert worst <= 1e-14
 

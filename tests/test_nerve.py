@@ -13,7 +13,7 @@ from circlet.circle import s1_point
 from circlet.errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMismatch
 from circlet.nerve import (
     BundleDataset,
-    CoverSet,
+    Cover,
     Nerve,
     build_nerve,
     base_geodesic,
@@ -24,9 +24,8 @@ from circlet.nerve import (
     stage_subcomplex,
 )
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
-from circlet.witness import Trivialization
 
-from oracles import O2, loop_filtration_order, loop_nerve, nerve_order, tuples, witness_of
+from oracles import O2, charts_of, loop_filtration_order, loop_nerve, nerve_order, tuples, witness_of
 
 
 def circle_dataset(n=8):
@@ -61,41 +60,32 @@ class TestDataset:
 class TestBuildNerve:
     def test_three_arcs_circle(self):
         # pairwise overlaps, no triple overlap
-        cover = [
-            CoverSet(0, {0, 1, 2, 3}),
-            CoverSet(1, {3, 4, 5, 6}),
-            CoverSet(2, {6, 7, 0}),
-        ]
-        nerve = build_nerve(cover)
+        nerve = build_nerve(Cover.of({0: {0, 1, 2, 3}, 1: {3, 4, 5, 6}, 2: {6, 7, 0}}))
         assert tuples(nerve.vertices) == [(0,), (1,), (2,)]
         assert tuples(nerve.edges) == [(0, 1), (0, 2), (1, 2)]
         assert tuples(nerve.triangles) == []
 
     def test_disjoint_sets(self):
-        nerve = build_nerve([CoverSet(0, {0, 1}), CoverSet(1, {2, 3})])
+        nerve = build_nerve(Cover.of({0: {0, 1}, 1: {2, 3}}))
         assert len(nerve.vertices) == 2
         assert tuples(nerve.edges) == []
 
     def test_common_sample_gives_tetrahedron(self):
-        cover = [CoverSet(j, {99, j}) for j in range(4)]
-        nerve = build_nerve(cover)
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(4)}))
         assert len(nerve.vertices) == 4
         assert len(nerve.edges) == 6
         assert len(nerve.triangles) == 4
         assert tuples(nerve.simplices[3]) == [(0, 1, 2, 3)]
 
     def test_empty_set_dropped(self):
-        nerve = build_nerve([CoverSet(0, {0}), CoverSet(1, set())])
+        nerve = build_nerve(Cover.of({0: {0}, 1: set()}))
         assert tuples(nerve.vertices) == [(0,)]
 
 
 class TestEdgeWeights:
     def nerve_and_charts(self, misalign=0.0):
-        cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
-        nerve = build_nerve(cover)
-        charts = Trivialization.from_turns(
-            {0: {0: 0.1, 1: 0.2}, 1: {1: 0.2 + misalign, 2: 0.9}}
-        )
+        nerve = build_nerve(Cover.of({0: {0, 1}, 1: {1, 2}}))
+        charts = charts_of({0: {0: 0.1, 1: 0.2}, 1: {1: 0.2 + misalign, 2: 0.9}})
         witness = witness_of(nerve, {(0, 1): O2(0.0, 1)})
         return nerve, charts, witness
 
@@ -118,17 +108,15 @@ class TestEdgeWeights:
         assert out.weights[1][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_overlap_raises(self):
-        cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
-        nerve = build_nerve(cover)
-        charts = Trivialization.from_turns({0: {0: 0.1}, 1: {2: 0.9}})
+        nerve = build_nerve(Cover.of({0: {0, 1}, 1: {1, 2}}))
+        charts = charts_of({0: {0: 0.1}, 1: {2: 0.9}})
         witness = witness_of(nerve, {(0, 1): O2(0.0, 1)})
         with pytest.raises(EmptyOverlap):
             edge_weights(nerve, charts, witness)
 
     def test_higher_simplex_inherits_max_facet(self):
-        cover = [CoverSet(j, {99, j}) for j in range(3)]
-        nerve = build_nerve(cover)
-        charts = Trivialization.from_turns(
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(3)}))
+        charts = charts_of(
             {
                 0: {99: 0.0, 0: 0.0},
                 1: {99: 0.1, 1: 0.0},
@@ -143,8 +131,7 @@ class TestEdgeWeights:
 
 class TestFiltrationOrder:
     def test_zero_weights_dimension_then_lex(self):
-        cover = [CoverSet(j, {99, j}) for j in range(3)]
-        nerve = filtration_order(build_nerve(cover))
+        nerve = filtration_order(build_nerve(Cover.of({j: {99, j} for j in range(3)})))
         assert nerve_order(nerve) == [
             (0,),
             (1,),
@@ -158,8 +145,7 @@ class TestFiltrationOrder:
         assert nerve.stage[2][0] == 7
 
     def test_distinct_weights_sorted(self):
-        cover = [CoverSet(0, {9, 0}), CoverSet(1, {9, 1}), CoverSet(2, {9, 2})]
-        nerve = build_nerve(cover)
+        nerve = build_nerve(Cover.of({j: {9, j} for j in range(3)}))
         nerve.weights[1][:] = [0.3, 0.1, 0.2]  # edges (0, 1), (0, 2), (1, 2)
         nerve.weights[2][0] = 0.3
         ordered = filtration_order(nerve)
@@ -172,8 +158,7 @@ class TestFiltrationOrder:
             assert (faces < ordered.stage[p][:, None]).all()
 
     def test_exact_ties_perturbed_and_recorded(self):
-        cover = [CoverSet(j, {99, j}) for j in range(3)]
-        nerve = build_nerve(cover)
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(3)}))
         nerve.weights[1][:] = 0.5
         ordered = filtration_order(nerve)
         eff = (ordered.weights[1] + ordered.perturbations[1]).tolist()
@@ -192,8 +177,7 @@ class TestFiltrationOrder:
     def test_effective_weights_never_decrease(self, base, step, ks):
         # edges on a few near-tied weights, higher simplices at their
         # largest facet's weight, as edge_weights sets them
-        cover = [CoverSet(j, {99, j}) for j in range(5)]
-        nerve = build_nerve(cover)
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(5)}))
         nerve.weights[1][:] = [base + k * step for k in ks]
         for p in (2, 3):
             nerve.weights[p] = nerve.weights[p - 1][nerve.facet_positions(p)].max(axis=1)
@@ -203,8 +187,8 @@ class TestFiltrationOrder:
 
     def test_tie_block_stays_below_next_weight(self):
         # three edges tied at 0.1, the fourth 1.5e-15 above them
-        members = [{"a", "b"}, {"a", "c"}, {"b", "c", "d"}, {"d"}]
-        nerve = build_nerve([CoverSet(j, m) for j, m in enumerate(members)])
+        members = [{10, 11}, {10, 12}, {11, 12, 13}, {13}]
+        nerve = build_nerve(Cover.of(dict(enumerate(members))))
         assert tuples(nerve.edges) == [(0, 1), (0, 2), (1, 2), (2, 3)]
         nerve.weights[1][:] = 0.1
         nerve.weights[1][3] = 0.1 + 1.5e-15  # edge (2, 3)
@@ -215,8 +199,7 @@ class TestFiltrationOrder:
 
 class TestStageSubcomplex:
     def ordered_nerve(self):
-        cover = [CoverSet(j, {99, j}) for j in range(3)]
-        return filtration_order(build_nerve(cover))
+        return filtration_order(build_nerve(Cover.of({j: {99, j} for j in range(3)})))
 
     def test_vertex_prefix(self):
         nerve = self.ordered_nerve()
@@ -242,8 +225,7 @@ class TestStageSubcomplex:
 
     def test_facet_positions_handed_on(self):
         rng = np.random.default_rng(0)
-        cover = [CoverSet(j, rng.choice(12, 6, replace=False).tolist()) for j in range(6)]
-        nerve = build_nerve(cover)
+        nerve = build_nerve(Cover.of({j: rng.choice(12, 6, replace=False) for j in range(6)}))
         nerve = filtration_order(simplex_weights(nerve, rng.uniform(size=len(nerve.edges))))
         for q in range(1, 4):
             nerve.facet_positions(q)
@@ -283,20 +265,17 @@ class TestStageSubcomplex:
 class TestCutBase:
     def setup_cover(self):
         ds = circle_dataset(6)
-        cover = [
-            CoverSet(0, {0, 1, 2}),
-            CoverSet(1, {2, 3, 4}),
-            CoverSet(2, {4, 5, 0}),
-        ]
+        cover = Cover.of({0: {0, 1, 2}, 1: {2, 3, 4}, 2: {4, 5, 0}})
         nerve = filtration_order(build_nerve(cover))
         return ds, cover, nerve
 
     def test_full_stage_keeps_cover(self):
         ds, cover, nerve = self.setup_cover()
         out, log = cut_base(ds, cover, nerve, len(nerve))
-        assert [c.members for c in out] == [c.members for c in cover]
+        assert np.array_equal(out.samples, cover.samples)
+        assert np.array_equal(out.indptr, cover.indptr)
         assert log == []
-        assert not any(c.clipped for c in out)
+        assert not out.clipped.any()
 
     def test_single_edge_removal(self):
         ds, cover, nerve = self.setup_cover()
@@ -305,13 +284,12 @@ class TestCutBase:
         (s, victim, removed) = log[0]
         assert s == removed_simplex
         assert victim == max(removed_simplex)
-        by_id = {c.id: c for c in out}
-        assert by_id[victim].clipped
+        assert out.clipped.tolist() == [j == victim for j in range(3)]
         # removed samples left the victim but stayed in the other vertex
         other = [j for j in removed_simplex if j != victim][0]
         for sample in removed:
-            assert sample not in by_id[victim].members
-            assert sample in by_id[other].members
+            assert sample not in out.members(victim)
+            assert sample in out.members(other)
 
     def test_nerve_matches_stage(self):
         ds, cover, nerve = self.setup_cover()
@@ -368,7 +346,7 @@ def test_hand_built_tie_blocks_match_reference(above):
     # six edges of a full tetrahedron: five tied at 0.5 with the two triangles
     # they close, the sixth above them, either far enough for 1e-15 steps or
     # so close that the block is squeezed below it
-    nerve = build_nerve([CoverSet(j, {99, j}) for j in range(4)])
+    nerve = build_nerve(Cover.of({j: {99, j} for j in range(4)}))
     nerve.weights[1][:] = [0.5] * 5 + [above]
     for p in (2, 3):
         nerve.weights[p] = nerve.weights[p - 1][nerve.facet_positions(p)].max(axis=1)

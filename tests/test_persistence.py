@@ -18,7 +18,7 @@ import circlet
 import circlet.intlinalg
 from circlet.classes import euler_cochain, sw_class
 from circlet.errors import GuardError, NotACocycle, ShapeMismatch
-from circlet.nerve import CoverSet, build_nerve, edge_weights, filtration_order, stage_subcomplex
+from circlet.nerve import Cover, build_nerve, edge_weights, filtration_order, stage_subcomplex
 from circlet.persistence import (
     PersistenceReport,
     StageProbe,
@@ -36,8 +36,7 @@ from test_classes import gauge_witness, nerve_from_tops, rotation_witness
 
 def cycle_nerve(n=12, seed=3):
     """Closed chain of n sets, consecutive overlaps only, distinct weights."""
-    cover = [CoverSet(id=j, members={j, (j + 1) % n}) for j in range(n)]
-    nerve = build_nerve(cover)
+    nerve = build_nerve(Cover.of({j: {j, (j + 1) % n} for j in range(n)}))
     assert not len(nerve.triangles)
     rng = np.random.default_rng(seed)
     nerve.weights[1][:] = [float(rng.uniform(0.1, 0.9)) for _ in nerve.edges]

@@ -24,7 +24,7 @@ from circlet.errors import (
     ShapeMismatch,
     UncoveredPoint,
 )
-from circlet.nerve import BundleDataset, CoverSet, Nerve, base_geodesic, build_nerve
+from circlet.nerve import BundleDataset, Cover, Nerve, base_geodesic, build_nerve
 from circlet.projection import (
     BundleMapResult,
     FrameField,
@@ -41,9 +41,11 @@ from circlet.projection import (
     stiefel_reduce,
 )
 from circlet.synthetic import gen_lens_bundle, gen_s1_bundle, make_cover
-from circlet.witness import Trivialization, assemble_witness, triv_quality
+from circlet.witness import assemble_witness, triv_quality
 
-from oracles import O2, partition_from_rows, projection_distances, tuples, witness_of
+from oracles import (
+    O2, charts_of, cover_sets, partition_from_rows, projection_distances, tuples, witness_of,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,9 +168,8 @@ class TestPartitionOfUnity:
         ds, cover, _, _, _, rho = torus
         assert rho.mode == "distance"
         member_of = {s: set() for s in ds.ids}
-        for c in cover:
-            for s in c.members:
-                member_of[s].add(c.id)
+        for j, s in zip(cover.sets.tolist(), cover.samples.tolist()):
+            member_of[s].add(j)
         for s in ds.ids:
             supp, w = row_of(rho, s)
             assert abs(sum(w) - 1.0) <= 1e-12
@@ -186,10 +187,7 @@ class TestPartitionOfUnity:
     def test_equidistant_equal_arcs_split_evenly(self):
         ds = BundleDataset(ids=(0,), base=np.array([[1.0, 0.0]]), kind="circle")
         c = math.cos(0.3), math.sin(0.3)
-        cover = [
-            CoverSet(0, {0}, center=np.array([c[0], c[1]]), radius=0.5),
-            CoverSet(1, {0}, center=np.array([c[0], -c[1]]), radius=0.5),
-        ]
+        cover = Cover.of({0: {0}, 1: {0}}, center=[[c[0], c[1]], [c[0], -c[1]]], radius=0.5)
         rho = partition_of_unity(cover, ds)
         assert row_of(rho, 0)[0] == [0, 1]
         assert row_of(rho, 0)[1][0] == pytest.approx(0.5, abs=1e-12)
@@ -197,7 +195,7 @@ class TestPartitionOfUnity:
 
     def test_indicator_mode_without_geometry(self, torus):
         ds, cover, _, _, _, _ = torus
-        bare = [CoverSet(c.id, c.members) for c in cover]
+        bare = Cover(cover.set_ids, cover.indptr, cover.samples)
         rho = partition_of_unity(bare, ds)
         assert rho.mode == "indicator"
         two = [s for s in ds.ids if len(row_of(rho, s)[0]) == 2]
@@ -210,7 +208,7 @@ class TestPartitionOfUnity:
             base=np.array([[1, 0], [0, 1], [-1, 0]], dtype=float),
             kind="circle",
         )
-        cover = [CoverSet(0, {0, 1})]
+        cover = Cover.of({0: {0, 1}})
         with pytest.raises(UncoveredPoint, match="2"):
             partition_of_unity(cover, ds)
 
@@ -218,7 +216,7 @@ class TestPartitionOfUnity:
         # trimming sheds samples that still sit inside the ball; the
         # partition must follow membership, not geometry
         ds, cover, _, _, rho = lens
-        clipped = [c for c in cover if c.clipped]
+        clipped = [c for c in cover_sets(cover) if c.clipped]
         assert clipped
         masked = 0
         for c in clipped:
@@ -451,9 +449,7 @@ class TestProjectTrivialization:
         cover3 = make_cover(ds, 3, radius=2.2)
         nerve3 = build_nerve(cover3)
         ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
-        trivs3 = Trivialization.from_turns(
-            {c.id: {s: ang[s] for s in c.members} for c in cover3}
-        )
+        trivs3 = charts_of({c.id: {s: ang[s] for s in c.members} for c in cover_sets(cover3)})
         wit3 = assemble_witness(trivs3, nerve3)
         rho3 = partition_of_unity(cover3, ds)
         ff, (_, _, pairs) = projected(wit3, rho3)
@@ -600,14 +596,12 @@ class TestBundleMap:
         cover1 = make_cover(ds, 1, radius=3.2)
         nerve1 = build_nerve(cover1)
         rng = np.random.default_rng(0)
-        trivs1 = Trivialization.from_turns(
-            {0: {s: rng.uniform() for s in ds.ids}}
-        )
+        trivs1 = charts_of({0: {s: rng.uniform() for s in ds.ids}})
         wit1 = witness_of(nerve1, {})
         rho1 = partition_of_unity(cover1, ds)
         bm = bundle_map(trivs1, wit1, rho1, d=2)
-        ids = trivs1.chart(0).ids.tolist()
-        chart = trivs1.chart(0).points
+        ids = trivs1.samples.tolist()
+        chart = trivs1.points
         assert bm.ids.tolist() == ids
         out = bm.vectors
         m, *_ = np.linalg.lstsq(chart, out, rcond=None)
@@ -618,7 +612,7 @@ class TestBundleMap:
 
     def test_eigengap_error_names_base_point(self):
         om, rho = degenerate_triangle()
-        trivs = Trivialization.from_turns({j: {7: 0.0} for j in range(3)})
+        trivs = charts_of({j: {7: 0.0} for j in range(3)})
         with pytest.raises(EigengapTooSmall, match="base point 7"):
             bundle_map(trivs, om, rho, d=6)
 
@@ -627,8 +621,8 @@ class TestBundleMap:
         cover3 = make_cover(ds, 3, radius=2.2)
         nerve3 = build_nerve(cover3)
         ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
-        tables = {c.id: {s: ang[s] for s in c.members} for c in cover3}
-        wit3 = assemble_witness(Trivialization.from_turns(tables), nerve3)
+        tables = {c.id: {s: ang[s] for s in c.members} for c in cover_sets(cover3)}
+        wit3 = assemble_witness(charts_of(tables), nerve3)
         rho3 = partition_of_unity(cover3, ds)
         victim = next(s for s in rho3.ids.tolist() if len(row_of(rho3, s)[0]) == 3)
         # the exact witness transports the victim's three chart values to
@@ -636,7 +630,7 @@ class TestBundleMap:
         tables[1][victim] += 1.0 / 3.0
         tables[2][victim] -= 1.0 / 3.0
         with pytest.raises(DiameterTooLarge, match=f"sample {victim}, chart 0:"):
-            bundle_map(Trivialization.from_turns(tables), wit3, rho3, d=6)
+            bundle_map(charts_of(tables), wit3, rho3, d=6)
 
 
 class TestGlobalTrivialize:
@@ -657,8 +651,8 @@ class TestGlobalTrivialize:
         cover3 = make_cover(ds, 3, radius=2.2)
         nerve3 = build_nerve(cover3)
         ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
-        trivs3 = Trivialization.from_turns(
-            {c.id: {s: ang[s] + 0.4 * c.id for s in c.members} for c in cover3}
+        trivs3 = charts_of(
+            {c.id: {s: ang[s] + 0.4 * c.id for s in c.members} for c in cover_sets(cover3)}
         )
         wit3 = assemble_witness(trivs3, nerve3)
         g = global_trivialize(trivs3, wit3, partition_of_unity(cover3, ds))

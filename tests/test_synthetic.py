@@ -38,6 +38,8 @@ from circlet.synthetic import (
 )
 from circlet.witness import Trivialization, assemble_witness, triv_quality
 from oracles import (
+    chart,
+    cover_sets,
     bfs_unwrap,
     loop_generator_charts,
     loop_set_charts,
@@ -142,7 +144,7 @@ class TestMakeCover:
 
     def test_projective_centers_upper_half(self):
         q = gen_rp2_bundle(1, n_samples=2000, n_sets=20, seed=0)
-        centers = np.array([cs.center for cs in q.cover])
+        centers = np.array([cs.center for cs in cover_sets(q.cover)])
         lattice = fibonacci_sphere(40)[:20]
         np.testing.assert_allclose(centers, lattice, atol=1e-12)
         assert np.all(centers[:, 2] > 0)
@@ -150,7 +152,7 @@ class TestMakeCover:
     def test_membership_is_metric_ball(self):
         ds = sphere_dataset(1500, seed=9)
         cover = make_cover(ds, 16)
-        for cs in cover:
+        for cs in cover_sets(cover):
             dots = np.clip(ds.base @ cs.center, -1.0, 1.0)
             inside = np.arccos(dots) < cs.radius
             assert cs.members == frozenset(np.nonzero(inside)[0].tolist())
@@ -158,13 +160,13 @@ class TestMakeCover:
     def test_every_sample_covered_after_trim(self, lens1):
         bundle, _ = lens1
         union = set()
-        for cs in bundle.cover:
+        for cs in cover_sets(bundle.cover):
             union |= set(cs.members)
         assert union == set(bundle.dataset.ids)
 
     def test_trimmed_overlaps_not_thin(self, lens1):
         bundle, _ = lens1
-        members = [set(cs.members) for cs in bundle.cover]
+        members = [set(cs.members) for cs in cover_sets(bundle.cover)]
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 assert len(a & b) == 0 or len(a & b) >= 6
@@ -174,9 +176,9 @@ class TestDeterminism:
     def test_s1_bit_identical(self):
         a = gen_s1_bundle(True, noise=0.02, seed=11)
         b = gen_s1_bundle(True, noise=0.02, seed=11)
-        assert a.trivs.sets() == b.trivs.sets()
-        for j in a.trivs.sets():
-            for x, y in zip(a.trivs.chart(j), b.trivs.chart(j)):
+        assert a.trivs.set_ids.tolist() == b.trivs.set_ids.tolist()
+        for j in a.trivs.set_ids.tolist():
+            for x, y in zip(chart(a.trivs, j), chart(b.trivs, j)):
                 assert np.array_equal(x, y)
 
     def test_s1_seed_sensitivity(self):
@@ -188,8 +190,8 @@ class TestDeterminism:
         a = gen_lens_bundle(2, n_samples=500, n_sets=12, seed=4)
         b = gen_lens_bundle(2, n_samples=500, n_sets=12, seed=4)
         assert np.array_equal(a.dataset.base, b.dataset.base)
-        for j in a.trivs.sets():
-            for x, y in zip(a.trivs.chart(j), b.trivs.chart(j)):
+        for j in a.trivs.set_ids.tolist():
+            for x, y in zip(chart(a.trivs, j), chart(b.trivs, j)):
                 assert np.array_equal(x, y)
 
 
@@ -283,14 +285,14 @@ class TestNoiseCalibration:
     def test_noise_is_reproducible(self):
         a = gen_s1_bundle(True, noise=0.05, seed=3)
         b = gen_s1_bundle(True, noise=0.05, seed=3)
-        j = a.trivs.sets()[0]
-        assert np.array_equal(a.trivs.chart(j).points[0], b.trivs.chart(j).points[0])
+        j = a.trivs.set_ids.tolist()[0]
+        assert np.array_equal(chart(a.trivs, j).points[0], chart(b.trivs, j).points[0])
 
     def test_noise_changes_angles(self):
         a = gen_s1_bundle(True, noise=0.0, seed=3)
         b = gen_s1_bundle(True, noise=0.05, seed=3)
-        j = a.trivs.sets()[0]
-        assert not np.array_equal(a.trivs.chart(j).points[0], b.trivs.chart(j).points[0])
+        j = a.trivs.set_ids.tolist()[0]
+        assert not np.array_equal(chart(a.trivs, j).points[0], chart(b.trivs, j).points[0])
 
 
 class TestLensBundle:
@@ -333,7 +335,7 @@ class TestRp2Bundle:
 
     def test_determinant_pattern_from_centers(self, rp21):
         bundle, (nerve, wit, res, eu) = rp21
-        centers = {cs.id: cs.center for cs in bundle.cover}
+        centers = {cs.id: cs.center for cs in cover_sets(bundle.cover)}
         for (j, k), om in o2_values(wit).items():
             expected = 1 if float(centers[j] @ centers[k]) > 0 else -1
             assert om.sign == expected
@@ -378,7 +380,7 @@ class TestDisconnectedFiber:
     def test_lifted_overlaps_not_thin(self, disconnected1):
         b = disconnected1
         res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
-        members = [set(cs.members) for cs in res.cover]
+        members = [set(cs.members) for cs in cover_sets(res.cover)]
         for i, a in enumerate(members):
             for c in members[i + 1 :]:
                 assert len(a & c) == 0 or len(a & c) >= 6
@@ -401,7 +403,7 @@ class TestDisconnectedFiber:
         b = gen_disconnected_fiber(1, n_samples=1000, seed=seed, split=split)
         res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
         lifted = carry_charts(b.trivs, res)
-        assert set(lifted.sets()) == {cs.id for cs in res.cover}
+        assert set(lifted.set_ids.tolist()) == {cs.id for cs in cover_sets(res.cover)}
 
     @pytest.mark.parametrize("split, seed", [(True, 3), (False, 0), (False, 5)])
     def test_emptied_set_is_named(self, split, seed):
@@ -414,7 +416,7 @@ class TestDisconnectedFiber:
         ):
             gen_disconnected_fiber(1, n_samples=1000, seed=seed, split=split)
         b = gen_disconnected_fiber(1, n_samples=1000, n_sets=30, seed=seed, split=split)
-        assert len(b.cover) == 30
+        assert len(b.cover.set_ids) == 30
 
     def test_scenario_records(self, disconnected1):
         s = disconnected1.scenario
@@ -430,7 +432,8 @@ class TestDisconnectedFiber:
 
 
 def _cover_state(cover):
-    return {cs.id: set(cs.members) for cs in cover}, {cs.id for cs in cover if cs.clipped}
+    sets = cover_sets(cover)
+    return {cs.id: set(cs.members) for cs in sets}, {cs.id for cs in sets if cs.clipped}
 
 
 class TestTrimmingOracles:
@@ -448,7 +451,7 @@ class TestTrimmingOracles:
     def test_label_rule_and_unwrap(self, split, seed):
         b = gen_disconnected_fiber(1, n_samples=1500, n_sets=24, seed=seed, split=split)
         ds = b.dataset
-        centers = {cs.id: cs.center for cs in b.cover}
+        centers = {cs.id: cs.center for cs in cover_sets(b.cover)}
 
         def label(j, s):
             if split:
@@ -457,7 +460,7 @@ class TestTrimmingOracles:
 
         expected = loop_trim_labels(make_cover(ds, 24, None), label)
         assert expected[1] and _cover_state(b.cover) == expected
-        for cs in b.cover:
+        for cs in cover_sets(b.cover):
             assert b.clusters[cs.id] == tuple(
                 frozenset(s for s in cs.members if label(cs.id, s) == side)
                 for side in (True, False)
@@ -471,11 +474,11 @@ class TestTrimmingOracles:
         assert res.set_map == ref["set_map"]
         assert res.dataset.kind == ref["kind"]
         assert np.array_equal(res.dataset.base, ref["base"])
-        for cs in res.cover:
+        for cs in cover_sets(res.cover):
             members, center = ref["sets"][cs.id]
             assert cs.members == members
             assert np.array_equal(cs.center, center)
-            assert cs.clipped == b.cover[cs.id // 2].clipped
+            assert cs.clipped == b.cover.clipped[cs.id // 2]
 
 
 class TestGeneratorPreconditions:
@@ -509,7 +512,7 @@ CHART_CASES = {
 
 def _labels(kind, dataset, cover):
     """The two-fiber generators' labels, restated; None for one-fiber models."""
-    centers = {cs.id: cs.center for cs in cover}
+    centers = {cs.id: cs.center for cs in cover_sets(cover)}
     if kind == "two-sheet":
         return lambda j, s: float(dataset.base_of(s) @ centers[j]) > 0
     if dataset.ids[-1] >= 2_000_000:
@@ -531,7 +534,7 @@ class TestChartOracles:
         assert np.array_equal(quat_rotate(q, E1), ds.base)
 
         label = _labels(kind, ds, b.cover)
-        n_sets = kwargs.get("n_sets", len(b.cover))
+        n_sets = kwargs.get("n_sets", len(b.cover.set_ids))
         untrimmed = make_cover(ds, n_sets, kwargs.get("radius"))
         if label is None:
             expected = loop_trim_flat(untrimmed)
@@ -541,9 +544,9 @@ class TestChartOracles:
 
         tables, clusters = loop_generator_charts(kind, q, ds, b.cover, p, label)
         want = Trivialization.from_turns(tables)
-        assert b.trivs.sets() == want.sets()
-        for j in want.sets():
-            got, ref = b.trivs.chart(j), want.chart(j)
+        assert b.trivs.set_ids.tolist() == want.set_ids.tolist()
+        for j in want.set_ids.tolist():
+            got, ref = chart(b.trivs, j), chart(want, j)
             assert np.array_equal(got.ids, ref.ids)
             assert np.array_equal(got.points, ref.points)
         assert b.clusters == (clusters if label is not None else None)
@@ -677,7 +680,7 @@ class TestChartErrors:
             members, _ = loop_trim_flat(cover)
         j = min(k for k in members if not members[k])
         assert str(exc.value) == (
-            f"overlap trimming emptied cover set {j}, which held {len(cover[j].members)} "
+            f"overlap trimming emptied cover set {j}, which held {len(cover.members(j))} "
             f"samples before trimming; {len(ids)} samples over {n_sets} sets leave "
             "overlaps too thin, try fewer --sets"
         )

@@ -13,16 +13,15 @@ from circlet.circle import s1_angle, s1_point
 from circlet.cochains import cocycle_defect
 from circlet.errors import DiameterTooLarge, TooFewSamples
 from circlet.doublecover import carry_charts
-from circlet.nerve import CoverSet, build_nerve
+from circlet.nerve import Cover, build_nerve
 from circlet.witness import (
-    Trivialization,
     assemble_witness,
     coverage_gap,
     procrustes_o2,
     triv_quality,
 )
 
-from oracles import O2, grid_procrustes, o2_values, tuples
+from oracles import O2, chart, charts_of, grid_procrustes, o2_values, tuples
 
 
 def points(turns):
@@ -132,14 +131,13 @@ def three_set_nerve_and_charts(n_shared=5, seed=0):
         }
         for j, g in GAUGES.items()
     }
-    cover = [CoverSet(j, members[j]) for j in range(3)]
-    nerve = build_nerve(cover)
-    return nerve, Trivialization.from_turns(tables)
+    nerve = build_nerve(Cover.of(members))
+    return nerve, charts_of(tables)
 
 
 def turn_table(trivs, j):
     """Chart ``j`` as {sample id: angle in turns}, in sample-id order."""
-    c = trivs.chart(j)
+    c = chart(trivs, j)
     return dict(zip(c.ids.tolist(), c.turns.tolist()))
 
 
@@ -156,9 +154,8 @@ class TestAssembleWitness:
             assert min(gap, 1.0 - gap) < 1e-9
 
     def test_single_edge_nerve(self):
-        cover = [CoverSet(0, {0, 1, 2}), CoverSet(1, {1, 2, 3})]
-        nerve = build_nerve(cover)
-        trivs = Trivialization.from_turns(
+        nerve = build_nerve(Cover.of({0: {0, 1, 2}, 1: {1, 2, 3}}))
+        trivs = charts_of(
             {0: {0: 0.1, 1: 0.2, 2: 0.3}, 1: {1: 0.1, 2: 0.2, 3: 0.5}}
         )
         witness = assemble_witness(trivs, nerve)
@@ -169,9 +166,8 @@ class TestAssembleWitness:
         assert om.turn == pytest.approx(0.1, abs=1e-9)
 
     def test_edge_error_carries_edge_identity(self):
-        cover = [CoverSet(0, {0, 1}), CoverSet(1, {1, 2})]
-        nerve = build_nerve(cover)
-        trivs = Trivialization.from_turns({0: {0: 0.1, 1: 0.2}, 1: {1: 0.4, 2: 0.5}})
+        nerve = build_nerve(Cover.of({0: {0, 1}, 1: {1, 2}}))
+        trivs = charts_of({0: {0: 0.1, 1: 0.2}, 1: {1: 0.4, 2: 0.5}})
         with pytest.raises(TooFewSamples, match=r"\(0, 1\)"):
             assemble_witness(trivs, nerve)
 
@@ -179,10 +175,10 @@ class TestAssembleWitness:
         nerve, trivs = three_set_nerve_and_charts(seed=3)
         witness = assemble_witness(trivs, nerve)
         c = 0.17
-        rotated = Trivialization.from_turns(
+        rotated = charts_of(
             {
                 j: {s: (t + c) % 1.0 for s, t in turn_table(trivs, j).items()}
-                for j in trivs.sets()
+                for j in trivs.set_ids.tolist()
             }
         )
         witness_rot = o2_values(assemble_witness(rotated, nerve))
@@ -198,13 +194,13 @@ class TestAssembleWitness:
         rng = np.random.default_rng(8)
         nerve, trivs = three_set_nerve_and_charts(n_shared=40, seed=5)
         assert tuples(nerve.triangles) == [(0, 1, 2)]
-        noisy = Trivialization.from_turns(
+        noisy = charts_of(
             {
                 j: {
                     s: (t + rng.normal(0.0, 0.005)) % 1.0
                     for s, t in turn_table(trivs, j).items()
                 }
-                for j in trivs.sets()
+                for j in trivs.set_ids.tolist()
             }
         )
         witness = assemble_witness(noisy, nerve)
@@ -245,13 +241,13 @@ class TestTrivQuality:
         sigma = 0.01
         rng = np.random.default_rng(21)
         nerve, trivs = three_set_nerve_and_charts(n_shared=150, seed=13)
-        noisy = Trivialization.from_turns(
+        noisy = charts_of(
             {
                 j: {
                     s: (t + rng.normal(0.0, sigma)) % 1.0
                     for s, t in turn_table(trivs, j).items()
                 }
-                for j in trivs.sets()
+                for j in trivs.set_ids.tolist()
             }
         )
         witness = assemble_witness(noisy, nerve)
@@ -265,10 +261,10 @@ class TestFromTurns:
     def test_huge_finite_turn_is_reduced_before_the_multiply(self):
         huge = {0: {0: 1e308, 1: -1e308, 2: 0.25}}
         reduced = {0: {s: t % 1.0 for s, t in huge[0].items()}}
-        big, small = Trivialization.from_turns(huge), Trivialization.from_turns(reduced)
-        assert np.isfinite(big.chart(0).points).all()
-        assert np.array_equal(big.chart(0).points, small.chart(0).points)
-        assert np.array_equal(big.chart(0).turns, small.chart(0).turns)
+        big, small = charts_of(huge), charts_of(reduced)
+        assert np.isfinite(chart(big, 0).points).all()
+        assert np.array_equal(chart(big, 0).points, chart(small, 0).points)
+        assert np.array_equal(chart(big, 0).turns, chart(small, 0).turns)
 
 
 # chart domains over a dozen sample ids: disjoint, single-sample and
@@ -280,7 +276,7 @@ domains_st = st.dictionaries(
 
 def random_charts(domains, seed=0):
     rng = np.random.default_rng(seed)
-    return Trivialization.from_turns(
+    return charts_of(
         {j: {s: float(rng.random()) for s in ids} for j, ids in domains.items()}
     )
 
@@ -288,15 +284,15 @@ def random_charts(domains, seed=0):
 def vector_dicts(trivs):
     """The charts as {set id: {sample id: 2-vector}}, the reference layout."""
     return {
-        j: dict(zip(trivs.chart(j).ids.tolist(), trivs.chart(j).points))
-        for j in trivs.sets()
+        j: dict(zip(chart(trivs, j).ids.tolist(), chart(trivs, j).points))
+        for j in trivs.set_ids.tolist()
     }
 
 
 def assert_charts_equal(trivs, reference):
-    assert trivs.sets() == sorted(reference)
+    assert trivs.set_ids.tolist() == sorted(reference)
     for j, table in reference.items():
-        c = trivs.chart(j)
+        c = chart(trivs, j)
         assert c.ids.tolist() == sorted(table)
         assert np.array_equal(c.points.reshape(-1, 2),
                               np.array([table[s] for s in sorted(table)]).reshape(-1, 2))
@@ -328,14 +324,11 @@ class TestRestrict:
     @given(domains=domains_st, data=st.data())
     def test_stage_cut_matches_dict_comprehension(self, domains, data):
         trivs = random_charts(domains, seed=1)
-        cover = [
-            CoverSet(j, data.draw(st.sets(st.sampled_from(sorted(ids))))
-                     if ids else set())
-            for j, ids in domains.items()
-        ]
+        members = {j: data.draw(st.sets(st.sampled_from(sorted(ids)))) if ids else set()
+                   for j, ids in domains.items()}
         charts = vector_dicts(trivs)
-        reference = {c.id: {s: charts[c.id][s] for s in c.members} for c in cover}
-        cut = trivs.restrict({c.id: (c.id, c.members) for c in cover})
+        reference = {j: {s: charts[j][s] for s in m} for j, m in members.items()}
+        cut = trivs.restrict(Cover.of(members))
         assert_charts_equal(cut, reference)
 
     @settings(max_examples=200, deadline=None)
@@ -351,15 +344,14 @@ class TestRestrict:
         # parents 6 and 7 never have a chart; members may leave the parent
         trivs = random_charts(domains, seed=2)
         result = SimpleNamespace(
-            cover=[CoverSet(new, members) for new, (_, members) in split.items()],
+            cover=Cover.of({new: members for new, (_, members) in split.items()}),
             set_map={new: (j, 0) for new, (j, _) in split.items()},
         )
         charts = vector_dicts(trivs)
         reference = {}
-        for cs in result.cover:
-            j, _ = result.set_map[cs.id]
+        for new, (j, members) in split.items():
             parent = charts.get(j)
             if parent is None:
                 continue
-            reference[cs.id] = {s: parent[s] for s in cs.members if s in parent}
+            reference[new] = {s: parent[s] for s in members if s in parent}
         assert_charts_equal(carry_charts(trivs, result), reference)

@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 
 from circlet.circle import enclosing_arcs
 from circlet.errors import DiameterTooLarge, EmptyOverlap, GuardError
-from circlet.nerve import CoverSet, build_nerve, edge_weights
+from circlet.nerve import Cover, build_nerve, edge_weights
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 from circlet.witness import (
-    Trivialization,
     assemble_witness,
     coverage_gap,
     procrustes_o2,
@@ -31,6 +30,8 @@ from circlet.witness import (
 
 from oracles import (
     O2,
+    chart,
+    charts_of,
     loop_arc,
     loop_coverage_gap,
     loop_nerve,
@@ -171,14 +172,14 @@ def gauged_charts(domains, grid, draw, consistent=True):
         c, sign = draw(st.integers(0, 7)) / 8.0, draw(st.sampled_from([1, -1]))
         tables[j] = {s: (c + sign * (theta[s] if consistent else angle())) % 1.0
                      for s in sorted(ids)}
-    return Trivialization.from_turns(tables)
+    return charts_of(tables)
 
 
 @settings(max_examples=300, deadline=None)
 @given(domains=cover_st, grid=st.booleans(), consistent=st.booleans(), data=st.data())
 def test_random_covers_match_oracles(domains, grid, consistent, data):
     trivs = gauged_charts(domains, grid, data.draw, consistent)
-    cover = [CoverSet(j, ids) for j, ids in domains.items()]
+    cover = Cover.of(domains)
     assert_layer_matches(cover, trivs)
     # an arbitrary witness reaches the quality and the weights even where no fit exists
     nerve = build_nerve(cover)
@@ -192,7 +193,7 @@ def test_random_covers_match_oracles(domains, grid, consistent, data):
 def test_charts_narrower_than_the_cover(domains, data):
     # each cover set also holds samples its chart lacks, so overlaps can be empty
     trivs = gauged_charts(domains, True, data.draw)
-    cover = [CoverSet(j, set(ids) | {10 + j, 20}) for j, ids in domains.items()]
+    cover = Cover.of({j: set(ids) | {10 + j, 20} for j, ids in domains.items()})
     nerve = build_nerve(cover)
     values = {e: O2(0.0, 1) for e in tuples(nerve.edges)}
     assert_layer_matches(cover, trivs, values)
@@ -200,8 +201,8 @@ def test_charts_narrower_than_the_cover(domains, data):
 
 @settings(max_examples=100, deadline=None)
 @given(domains=cover_st)
-def test_string_members_give_the_same_nerve(domains):
-    cover = [CoverSet(j, {f"s{s}" for s in ids}) for j, ids in domains.items()]
+def test_far_apart_member_ids_give_the_same_nerve(domains):
+    cover = Cover.of({j: {(s - 5) * 10**15 for s in ids} for j, ids in domains.items()})
     nerve = build_nerve(cover)
     assert {p: tuples(s) for p, s in nerve.simplices.items()} == loop_nerve(cover)
 
@@ -217,6 +218,6 @@ def test_overlap_takes_sets_in_any_order(domains, data):
         many = trivs.overlaps([tuple(sets[i] for i in perm)])
         assert many.ids.tolist() == want_ids.tolist()
         for p, i in enumerate(perm):
-            chart = trivs.chart(sets[i])
-            assert np.array_equal(many.points[p], chart.points[want_rows[i]].reshape(-1, 2))
-            assert np.array_equal(many.turns[p], chart.turns[want_rows[i]])
+            rows = chart(trivs, sets[i])
+            assert np.array_equal(many.points[p], rows.points[want_rows[i]].reshape(-1, 2))
+            assert np.array_equal(many.turns[p], rows.turns[want_rows[i]])
