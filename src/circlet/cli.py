@@ -216,9 +216,13 @@ def _load_bundle(args):
     cover = io.parse_cover(io.load_json(args.cover), dim)
     trivs = io.parse_trivs(io.load_json(args.trivs))
     k = len(cover.set_ids)
-    held = [np.isin(cover.samples, np.array(ds.ids, dtype=np.int64)),
-            trivs.find(cover.samples, cover.sets) >= 0]
-    outside, unmatched = (np.bincount(cover.slots[~ok], minlength=k) > 0 for ok in held)
+    outside = ~np.isin(cover.samples, np.array(ds.ids, dtype=np.int64))
+    # charts whose pairs are the cover's own need no search
+    same = all(np.array_equal(getattr(trivs, key), getattr(cover, key))
+               for key in ("set_ids", "indptr", "samples"))
+    uncharted = np.zeros(len(outside), bool) if same else trivs.find(cover.samples, cover.sets) < 0
+    outside, unmatched = (np.bincount(cover.slots[bad], minlength=k) > 0
+                          for bad in (outside, uncharted))
     charted = np.isin(cover.set_ids, trivs.set_ids)
     inside = np.isin(trivs.sets, cover.set_ids)
     sizes = np.bincount(np.searchsorted(cover.set_ids, trivs.sets[inside]), minlength=k)

@@ -236,12 +236,10 @@ def unwrap_double_cover(
 
     set_map = {2 * j + c: (j, c) for j in cover.set_ids.tolist() for c in (0, 1)}
     sheet = np.array([orientations.get(new, 1) for new in set_map])
-    new_cover = Cover.of(
-        {new: cl[j][c] for new, (j, c) in set_map.items()},
-        center=None if cover.center is None else sheet[:, None] * np.repeat(cover.center, 2, axis=0),
-        radius=None if cover.radius is None else np.repeat(cover.radius, 2),
-        clipped=np.repeat(cover.clipped, 2),
-    )
+    center = None if cover.center is None else sheet[:, None] * np.repeat(cover.center, 2, axis=0)
+    new_cover = Cover.of({new: cl[j][c] for new, (j, c) in set_map.items()}, center=center,
+                         radius=None if cover.radius is None else np.repeat(cover.radius, 2),
+                         clipped=np.repeat(cover.clipped, 2))
 
     kind = "sphere" if geometric else dataset.kind
     distances = dataset.distances if kind == dataset.kind else None

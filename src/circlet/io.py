@@ -38,7 +38,8 @@ import math
 import os
 import platform
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, pairwise
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -236,7 +237,8 @@ def _columns_text(table: Columns, indent: int) -> str:
             for name, listed, spec, vals, bounds, gone in keys:
                 if gone is None or not gone[i]:
                     lo, hi = bounds[i], bounds[i + 1]
-                    texts.append(name + (_list_slots(spec, hi - lo, indent + 4) if listed else spec))
+                    slots = _list_slots(spec, hi - lo, indent + 4) if listed else spec
+                    texts.append(name + slots)
                     values += vals[lo:hi]
             rows.append("{\n" + ",\n".join(texts) + "\n" + kid + "}" if texts else "{}")
     return "[\n" + kid + (",\n" + kid).join(rows) % tuple(values) + "\n" + " " * indent + "]"
@@ -297,7 +299,7 @@ def _simplex(row, where: str) -> tuple:
 def _column(rows, key: str, where: str, kind=object) -> list:
     """``row[key]`` of every row, each a ``kind``; ``_need`` names the first row that fails."""
     try:
-        col = [row[key] for row in rows]
+        col = list(map(itemgetter(key), rows))
         if kind is object or set(map(type, col)) <= {kind}:
             return col
     except (TypeError, KeyError):
@@ -427,12 +429,17 @@ def parse_dataset(doc) -> BundleDataset:
 
 
 def cover_doc(cover: Cover) -> dict:
-    """The cover's sets from its columns; a set writes ``center``, ``radius`` and ``clipped`` only when it has them."""
+    """The cover's sets, written from its columns.
+
+    A set writes ``center`` and ``radius`` when it has them (they are not
+    NaN), and ``clipped`` only when it is true.
+    """
     cols = {"id": cover.set_ids, "members": (cover.samples, cover.indptr), "clipped": cover.clipped}
     omit = {"clipped": ~cover.clipped}
     for key, value in (("center", cover.center), ("radius", cover.radius)):
         if value is not None:
-            cols[key], omit[key] = np.nan_to_num(value), np.isnan(value).reshape(len(value), -1).any(1)
+            cols[key] = np.nan_to_num(value)
+            omit[key] = np.isnan(value).reshape(len(value), -1).any(axis=1)
     return {"schema": SCHEMA_PREFIX + "cover", "sets": Columns(omit, **cols)}
 
 
@@ -475,9 +482,9 @@ def parse_cover(doc, dim: int | None = None) -> Cover:
     samples = _ints(list(chain.from_iterable(lists)), "member")
     indptr, order = _layout(list(map(len, lists)), samples)
     at, given = _present(rows, where, "center", list)
-    off = [(i, len(c)) for i, c in zip(at, given) if dim is not None and len(c) != dim]
+    off = [(where[i], len(c)) for i, c in zip(at, given) if dim is not None and len(c) != dim]
     if off:
-        raise SchemaError(f"{where[off[0][0]]} center has length {off[0][1]}, base points have {dim}")
+        raise SchemaError("{} center has length {}, base points have {}".format(*off[0], dim))
     center = radius = None
     if at:
         if len(set(map(len, given))) > 1:
@@ -505,11 +512,11 @@ def trivs_doc(trivs: Trivialization) -> dict:
     turns = trivs.turns % 1.0
     return {"schema": SCHEMA_PREFIX + "trivs", "sets": [
         {"id": j, "values": Columns(sample=trivs.samples[a:b], angle_turns=turns[a:b])}
-        for j, a, b in zip(trivs.set_ids.tolist(), trivs.indptr[:-1], trivs.indptr[1:])]}
+        for j, (a, b) in zip(trivs.set_ids.tolist(), pairwise(trivs.indptr.tolist()))]}
 
 
 def parse_trivs(doc) -> Trivialization:
-    """Charts from a trivs document; a sample listed twice in one chart surfaces as ``ShapeMismatch``."""
+    """Charts from a trivs document; a sample listed twice in a chart is a ``ShapeMismatch``."""
     rows, ids = _set_rows(doc, "trivs")
     values = [_need(row, "values", f"trivs set {j}", list) for row, j in zip(rows, ids.tolist())]
     flat = list(chain.from_iterable(values))

@@ -1,10 +1,14 @@
 """Covers of a sampled base space, their nerve, and the weights filtration.
 
-A cover set is a finite object: a set of sample ids, optionally tagged
-with the geometry (center, radius) that produced it.  The nerve collects
-every tuple of cover sets whose members intersect, up to 3-simplices,
-which is all the downstream boundary matrices consume; it is read off
-each sample's support, the tuple of sets that hold it.
+A cover is one table of (set, sample) pairs in CSR form (``Pairs``, after
+Saad's compressed sparse rows): ascending set ids, an ``indptr`` over
+them, and the int64 samples sorted by set and then by sample, with the
+per-set geometry (center, radius) that produced it.  Charts are the same
+table with a value column per pair (``witness.Trivialization``).  The
+nerve collects every tuple of cover sets whose members intersect, up to
+3-simplices, which is all the downstream boundary matrices consume; it is
+read off the table's sample-major transpose, each sample's support being
+the sets that hold it.
 
 The nerve is arrays (``Nerve``): per dimension p a ``(k, p + 1)`` int64
 array of vertex rows in lex order, with weights, tie-break offsets and
@@ -16,10 +20,10 @@ tuple lex order across dimensions, ``[0], [0, 1], [0, 1, 2], [0, 1, 3],
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -117,20 +121,23 @@ def _cat(arrays, dtype=np.int64) -> np.ndarray:
 def _layout(counts, samples) -> tuple:
     """The ``indptr`` of pairs listed set by set, sets ascending, and the order that sorts each set.
 
-    ``counts[i]`` samples of ``samples`` belong to the i-th set.
+    ``counts[i]`` samples of ``samples`` belong to the i-th set.  Sets
+    already in order, as circlet writes them, keep their order as is.
     """
-    order = np.lexsort((samples, np.repeat(np.arange(len(counts)), counts)))
-    return np.r_[0, np.cumsum(counts, dtype=np.int64)], order
+    rank = np.repeat(np.arange(len(counts)), counts)
+    ordered = ((samples[1:] >= samples[:-1]) | (rank[1:] > rank[:-1])).all()
+    return np.r_[0, np.cumsum(counts, dtype=np.int64)], slice(None) if ordered else np.lexsort(
+        (samples, rank))
 
 
 @dataclass(frozen=True, eq=False)
 class Pairs:
-    """(set, sample) pairs in CSR form: set ``set_ids[i]`` holds ``samples[indptr[i]:indptr[i + 1]]``.
+    """(set, sample) pairs in CSR form: set ``set_ids[i]`` holds ``samples[indptr[i]:indptr[i+1]]``.
 
     ``set_ids`` ascend and so do the samples of each set, so the pairs run
     by set and then by sample; a set may hold no samples.  ``sets`` gives
     the set of every pair, ``by_sample`` the sample-major transpose, and
-    ``find`` locates pairs by one ``searchsorted`` on the (set, sample) key.
+    ``find`` locates pairs by their (set, sample) rows.
     """
 
     set_ids: np.ndarray
@@ -153,38 +160,19 @@ class Pairs:
         """Positions of the pairs sorted by sample and then by set."""
         return np.argsort(self.samples, kind="stable")
 
-    @cached_property
-    def _keys(self) -> tuple:
-        """The distinct samples, and each pair's key: set position times their count plus sample rank."""
-        sample = self.samples[self.by_sample]
-        universe = sample[np.r_[True, sample[1:] != sample[:-1]][:len(sample)]]
-        return universe, self.slots * len(universe) + np.searchsorted(universe, self.samples)
-
-    def span(self, j) -> slice:
-        i = int(np.searchsorted(self.set_ids, j))
-        if i == len(self.set_ids) or self.set_ids[i] != j:
-            raise KeyError(j)
-        return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
-
     def members(self, j) -> np.ndarray:
-        return self.samples[self.span(j)]
+        return self.samples[self.sets == j]
 
     def find(self, samples, sets) -> np.ndarray:
-        """Position of each (sample, set) pair, -1 where the table has none; the arguments broadcast."""
-        samples, sets = np.broadcast_arrays(np.asarray(samples, np.int64), np.asarray(sets, np.int64))
-        universe, keys = self._keys
-        if not len(keys):
-            return np.full(samples.shape, -1)
-        slot = np.minimum(np.searchsorted(self.set_ids, sets), len(self.set_ids) - 1)
-        rank = np.minimum(np.searchsorted(universe, samples), len(universe) - 1)
-        key = slot * len(universe) + rank
-        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        hit = (self.set_ids[slot] == sets) & (universe[rank] == samples) & (keys[at] == key)
-        return np.where(hit, at, -1)
+        """Position of each (sample, set) pair, -1 where the table has none; arguments broadcast."""
+        samples, sets = np.broadcast_arrays(np.asarray(samples, np.int64),
+                                            np.asarray(sets, np.int64))
+        return lookup(np.stack([self.sets, self.samples], axis=1),
+                      np.stack([sets, samples], axis=-1)).reshape(samples.shape)
 
     def first_repeat(self) -> tuple | None:
         """The (set id, sample) of the first pair listed twice, or None."""
-        i = np.flatnonzero((self.samples[1:] == self.samples[:-1]) & (self.slots[1:] == self.slots[:-1]))
+        i = np.flatnonzero((np.diff(self.samples) == 0) & (np.diff(self.slots) == 0))
         return (int(self.sets[i[0]]), int(self.samples[i[0]])) if i.size else None
 
     def select(self, keep: np.ndarray):
@@ -213,7 +201,7 @@ class Cover(Pairs):
 
     @classmethod
     def of(cls, members: dict, center=None, radius=None, clipped=None) -> "Cover":
-        """A cover from ``{set id: sample ids}``; the geometry is aligned to the ascending set ids."""
+        """A cover from ``{set id: sample ids}``, with geometry aligned to the ascending set ids."""
         ids = sorted(members)
         lists = [np.fromiter(members[j], np.int64) for j in ids]
         indptr, order = _layout(list(map(len, lists)), samples := _cat(lists))
@@ -222,12 +210,6 @@ class Cover(Pairs):
                    None if center is None else np.asarray(center, dtype=float).reshape(k, -1),
                    None if radius is None else np.broadcast_to(np.asarray(radius, float), k),
                    None if clipped is None else np.asarray(clipped, bool))
-
-    @property
-    def geometric(self) -> bool:
-        """Whether every set has a center and a radius."""
-        return (self.center is not None and self.radius is not None
-                and not np.isnan(self.center).any() and not np.isnan(self.radius).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,7 +426,7 @@ def stage_subcomplex(nerve: Nerve, r: int) -> Nerve:
         {q: at[q - 1][pos[keep[q]]] for q, pos in nerve._facets.items()})
 
 
-def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list[tuple]]:
+def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list]:
     """Shrink cover sets until the nerve equals the stage-``r`` subcomplex.
 
     Walks the filtration from the top down to stage ``r + 1``; for each
@@ -457,7 +439,7 @@ def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tupl
     nerve.require_order()
     if not 0 <= r <= len(nerve):
         raise IndexOutOfRange(f"stage {r} outside 0..{len(nerve)}")
-    universe, _ = cover._keys
+    universe = distinct_rows(cover.samples[:, None])[:, 0]
     column = np.searchsorted(universe, cover.samples)
     inc = np.zeros((len(cover.set_ids), len(universe)), bool)
     inc[cover.slots, column] = True

@@ -120,7 +120,8 @@ def partition_of_unity(cover: Cover, dataset: BundleDataset) -> PartitionOfUnity
     at a sample is contained in the sets that hold it, and rows
     normalize to one.  Raises ``UncoveredPoint`` when a sample belongs to no cover set.
     """
-    parametric = dataset.kind != "abstract" and cover.geometric
+    parametric = dataset.kind != "abstract" and not any(
+        col is None or np.isnan(col).any() for col in (cover.center, cover.radius))
     ids = np.array(dataset.ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
@@ -153,7 +154,8 @@ def partition_of_unity(cover: Cover, dataset: BundleDataset) -> PartitionOfUnity
     keep = keep[np.lexsort((slots[keep], pos[keep]))]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pos[keep], minlength=len(ids)))])
     mode = "distance" if parametric else "indicator"
-    return PartitionOfUnity(sorted_ids, indptr, slots[keep], w[keep], tuple(cover.set_ids.tolist()), mode)
+    sets = tuple(cover.set_ids.tolist())
+    return PartitionOfUnity(sorted_ids, indptr, slots[keep], w[keep], sets, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None)
     spiral.  ``radius=None`` picks 1.3 times the empirical covering
     radius.  Every sample must land in at least one set.
     """
-    return _Cover(dataset, *_ball_incidence(dataset, n_sets, radius)).pairs
+    return _pairs(dataset, *_ball_incidence(dataset, n_sets, radius))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,43 +258,34 @@ def _add_noise(turns: np.ndarray, seed: int, set_id: int, sigma: float) -> np.nd
     return (turns + rng.normal(0.0, sigma, size=len(turns)) / TAU) % 1.0
 
 
-class _Cover:
-    """A generated cover: set-by-sample incidence over a dataset, with its geometry.
-
-    ``sets`` and ``rows`` list every incidence by set and then by sample:
-    its set and its sample's position; ``pairs`` is the same incidence as
-    a ``Cover`` of the sample ids.
-    """
-
-    def __init__(self, dataset: BundleDataset, centers, radius: float, inc, clipped=None):
-        self.centers, self.radius, self.inc = centers, radius, inc
-        self.sets, self.rows = np.divmod(np.flatnonzero(inc), inc.shape[1])
-        k = len(inc)
-        indptr, order = _layout(np.count_nonzero(inc, axis=1), np.asarray(dataset.ids)[self.rows])
-        self.sets, self.rows = self.sets[order], self.rows[order]
-        self.pairs = Cover(np.arange(k), indptr, np.asarray(dataset.ids, np.int64)[self.rows],
-                           centers, np.full(k, float(radius)), clipped)
+def _pairs(dataset: BundleDataset, centers, radius: float, inc, clipped=None) -> tuple:
+    """The set-by-sample incidence ``inc`` as a ``Cover`` of the sample ids, and each pair's row."""
+    sets, rows = np.divmod(np.flatnonzero(inc), inc.shape[1])
+    ids = np.asarray(dataset.ids, np.int64)
+    indptr, order = _layout(np.count_nonzero(inc, axis=1), ids[rows])
+    k = len(inc)
+    return Cover(np.arange(k), indptr, ids[rows[order]], centers, np.full(k, float(radius)),
+                 clipped), rows[order]
 
 
-def _bundle(model, dataset, cover: _Cover, turns, noise, seed, sw_trivial, euler_number,
+def _bundle(model, dataset, cover: Cover, turns, noise, seed, sw_trivial, euler_number,
             clusters=None) -> SyntheticBundle:
-    """The bundle with noisy charts from exact turns, one per incidence of ``cover``."""
-    pairs = cover.pairs
+    """The bundle with noisy charts from exact turns, one per pair of ``cover``."""
     if noise:
         turns = _cat([_add_noise(turns[a:b], seed, j, noise)
-                      for j, (a, b) in enumerate(zip(pairs.indptr[:-1], pairs.indptr[1:]))], float)
-    trivs = Trivialization.from_pairs(pairs.set_ids, np.diff(pairs.indptr), pairs.samples, turns)
+                      for j, (a, b) in enumerate(pairwise(cover.indptr.tolist()))], float)
+    trivs = Trivialization.from_pairs(cover.set_ids, np.diff(cover.indptr), cover.samples, turns)
     scenario = SyntheticScenario(
         model=model,
         n_samples=len(dataset),
-        cover_sets=len(cover.inc),
-        cover_radius=cover.radius,
+        cover_sets=len(cover.set_ids),
+        cover_radius=float(cover.radius[0]),
         noise=noise,
         seed=seed,
         sw_trivial=sw_trivial,
         euler_number=euler_number,
     )
-    return SyntheticBundle(dataset, pairs, trivs, scenario, clusters=clusters)
+    return SyntheticBundle(dataset, cover, trivs, scenario, clusters=clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +313,8 @@ def gen_s1_bundle(
     gauges = _stream(seed, _TAG_GAUGE).random(n_arcs)
     base = np.stack([np.cos(TAU * beta), np.sin(TAU * beta)], axis=1)
     dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="circle")
-    cover = _Cover(dataset, *_ball_incidence(dataset, n_arcs, 1.25 * math.pi / n_arcs))
-
-    sets, rows = cover.sets, cover.rows
+    cover, rows = _pairs(dataset, *_ball_incidence(dataset, n_arcs, 1.25 * math.pi / n_arcs))
+    sets = cover.sets
     vals = phi[rows]
     if not orientable:
         # the seam arc reads the fiber through the flip on the side past
@@ -365,7 +355,7 @@ def _overlap_counts(inc: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _trimmed(dataset: BundleDataset, centers, radius: float, inc, rule=None) -> _Cover:
+def _trimmed(dataset: BundleDataset, centers, radius: float, inc, rule=None) -> tuple:
     """The ball cover with every thin overlap trimmed away.
 
     Witness fitting needs at least two shared samples per edge, and a
@@ -418,7 +408,7 @@ def _trimmed(dataset: BundleDataset, centers, radius: float, inc, rule=None) -> 
             f"{held[j]} samples before trimming; {inc.shape[1]} samples "
             f"over {len(inc)} sets leave overlaps too thin, try fewer --sets"
         )
-    return _Cover(dataset, centers, radius, inc, clipped)
+    return _pairs(dataset, centers, radius, inc, clipped)
 
 
 def _hemisphere_incidence(dataset: BundleDataset, n_sets: int, radius: float | None):
@@ -536,13 +526,12 @@ def gen_lens_bundle(
     q = _sample_quaternions(n_samples, seed)
     base = quat_rotate(q, E1)
     dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="sphere")
-    cover = _trimmed(dataset, *_ball_incidence(dataset, n_sets, radius))
-    if cover.radius >= math.pi / 2:
+    cover, rows = _trimmed(dataset, *_ball_incidence(dataset, n_sets, radius))
+    if cover.radius[0] >= math.pi / 2:
         raise SectionUndefined(
-            f"ball radius {cover.radius:.3f} reaches the section antipode"
+            f"ball radius {cover.radius[0]:.3f} reaches the section antipode"
         )
-    sets, rows = cover.sets, cover.rows
-    turns = _lens_turns(q[rows], base[rows], cover.centers, p, sets)
+    turns = _lens_turns(q[rows], base[rows], cover.center, p, cover.sets)
     return _bundle(f"lens({p})", dataset, cover, turns, noise, seed, True, p)
 
 
@@ -570,9 +559,8 @@ def gen_rp2_bundle(
     dataset = BundleDataset(
         ids=tuple(range(n_samples)), base=btrue, kind="projective_plane"
     )
-    cover = _trimmed(dataset, *_hemisphere_incidence(dataset, n_sets, radius))
-    sets, rows = cover.sets, cover.rows
-    turns = _hemisphere_turns(q[rows], btrue[rows], cover.centers, p, sets)
+    cover, rows = _trimmed(dataset, *_hemisphere_incidence(dataset, n_sets, radius))
+    turns = _hemisphere_turns(q[rows], btrue[rows], cover.center, p, cover.sets)
     return _bundle(f"rp2({p})", dataset, cover, turns, noise, seed, False, p)
 
 
@@ -627,18 +615,18 @@ def gen_disconnected_fiber(
         matching = seen.sum() == 2 and ((seen[0] and seen[3]) or (seen[1] and seen[2]))
         return not matching or combos[seen].min() < _MIN_SHARED
 
-    cover = _trimmed(dataset, centers, radius, inc, thin)
-    sets, rows = cover.sets, cover.rows
+    cover, rows = _trimmed(dataset, centers, radius, inc, thin)
+    sets = cover.sets
     # split: labels are the two copies; both live on the quotient, so each
     # chart reads through the hemisphere gluing as usual.  Connected: labels
     # are the hemispheres of the honest double cover; each cluster gets the
     # section anchored at its own hemisphere
     charts = _hemisphere_turns if split else _two_sheet_turns
     turns = charts(q[rows], btrue[rows], centers, p, sets)
-    side, members = labels[sets, rows], cover.pairs.samples
-    clusters = {j: (frozenset(members[a:b][side[a:b]].tolist()),
-                    frozenset(members[a:b][~side[a:b]].tolist()))
-                for j, (a, b) in enumerate(pairwise(cover.pairs.indptr.tolist()))}
+    side = labels[sets, rows]
+    clusters = {j: (frozenset(cover.samples[a:b][side[a:b]].tolist()),
+                    frozenset(cover.samples[a:b][~side[a:b]].tolist()))
+                for j, (a, b) in enumerate(pairwise(cover.indptr.tolist()))}
     model = f"disconnected({p})" + ("-split" if split else "")
     euler = p if split else 2 * p
     return _bundle(model, dataset, cover, turns, noise, seed, not split, euler,

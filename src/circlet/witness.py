@@ -13,9 +13,10 @@ set and then by sample, with a row-aligned ``(n, 2)`` column of unit
 vectors and a column of their angles in turns.  ``Trivialization.overlaps``
 is the one intersection of chart domains: it reads every overlap of a
 list of set tuples off the table's sample-major transpose at once and
-returns them as CSR segments.  The witness, the quality report and the edge weights each
-make one call per simplex dimension and run their per-overlap kernels
-(the minimax fit, the coverage gap, the chord errors) on the segments.
+returns them as CSR segments.  The witness, the quality report and the
+edge weights each make one call per simplex dimension and run their
+per-overlap kernels (the minimax fit, the coverage gap, the chord errors)
+on the segments.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from .nerve import Nerve, Pairs, _cat, _layout
+from .nerve import Nerve, Pairs, _layout
 
 
 # theory range for a valid witness; exceeding it degrades guarantees only
@@ -123,19 +124,8 @@ class Trivialization(Pairs):
     _columns = ("samples", "points", "turns")
 
     @classmethod
-    def from_turns(cls, tables: dict) -> "Trivialization":
-        """Charts from angles in turns, ``set id -> (sample ids, turns)``."""
-        ids = sorted(tables)
-        samples = [np.asarray(tables[j][0], np.int64).reshape(-1) for j in ids]
-        turns = [np.asarray(tables[j][1], float).reshape(-1) for j in ids]
-        bad = [j for j, a, t in zip(ids, samples, turns) if len(a) != len(t)]
-        if bad:
-            raise ShapeMismatch(f"chart {bad[0]}: need one angle per sample")
-        return cls.from_pairs(ids, list(map(len, samples)), _cat(samples), _cat(turns, float))
-
-    @classmethod
     def from_pairs(cls, ids, counts, samples, turns) -> "Trivialization":
-        """Charts listed set by set, ids ascending: ``counts[i]`` (sample, turn) pairs of set ``ids[i]``.
+        """Charts listed set by set, ids ascending: set ``ids[i]`` has ``counts[i]`` (sample, turn) pairs.
 
         Raises ``ShapeMismatch`` when a chart repeats a sample id.
         """

@@ -40,13 +40,16 @@ class Chart(NamedTuple):
 
 
 def chart(trivs, j) -> Chart:
-    at = trivs.span(j)
+    at = trivs.sets == j
     return Chart(trivs.samples[at], trivs.points[at], trivs.turns[at])
 
 
 def charts_of(tables: dict) -> Trivialization:
     """Charts from ``{set id: {sample id: turn}}``."""
-    return Trivialization.from_turns({j: (list(t), list(t.values())) for j, t in tables.items()})
+    ids = sorted(tables)
+    return Trivialization.from_pairs(
+        ids, [len(tables[j]) for j in ids], np.array([s for j in ids for s in tables[j]], np.int64),
+        np.array([t for j in ids for t in tables[j].values()], float))
 
 
 def cover_sets(cover) -> list:

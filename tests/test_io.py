@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chart, nerve_order, per_value_int, per_value_number, recursive_canonical_text, tuples
+from oracles import chart, charts_of, nerve_order, per_value_int, per_value_number, recursive_canonical_text, tuples
 
 from circlet import io
 from circlet.cli import main
@@ -17,7 +17,7 @@ from circlet.errors import SchemaError, ShapeMismatch
 from circlet.nerve import BundleDataset, Cover, build_nerve, edge_weights, filtration_order
 from circlet.persistence import PersistenceReport, ThresholdPair
 from circlet.synthetic import gen_s1_bundle
-from circlet.witness import Trivialization, assemble_witness
+from circlet.witness import assemble_witness
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +328,7 @@ class TestColumnChecks:
                 io.parse_trivs(doc)
             return
         with np.errstate(over="ignore", invalid="ignore"):  # angles near the double's limit
-            want = chart(Trivialization.from_turns({0: (samples, turns)}), 0)
+            want = chart(charts_of({0: dict(zip(samples, turns))}), 0)
             got = chart(io.parse_trivs(doc), 0)
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
 

@@ -36,9 +36,10 @@ from circlet.synthetic import (
     make_cover,
     quat_rotate,
 )
-from circlet.witness import Trivialization, assemble_witness, triv_quality
+from circlet.witness import assemble_witness, triv_quality
 from oracles import (
     chart,
+    charts_of,
     cover_sets,
     bfs_unwrap,
     loop_generator_charts,
@@ -543,7 +544,7 @@ class TestChartOracles:
         assert _cover_state(b.cover) == expected
 
         tables, clusters = loop_generator_charts(kind, q, ds, b.cover, p, label)
-        want = Trivialization.from_turns(tables)
+        want = charts_of({j: dict(zip(*t)) for j, t in tables.items()})
         assert b.trivs.set_ids.tolist() == want.set_ids.tolist()
         for j in want.set_ids.tolist():
             got, ref = chart(b.trivs, j), chart(want, j)
