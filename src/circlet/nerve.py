@@ -124,10 +124,11 @@ def _layout(counts, samples) -> tuple:
     ``counts[i]`` samples of ``samples`` belong to the i-th set.  Sets
     already in order, as circlet writes them, keep their order as is.
     """
+    indptr = np.r_[0, np.cumsum(counts, dtype=np.int64)]
     rank = np.repeat(np.arange(len(counts)), counts)
-    ordered = ((samples[1:] >= samples[:-1]) | (rank[1:] > rank[:-1])).all()
-    return np.r_[0, np.cumsum(counts, dtype=np.int64)], slice(None) if ordered else np.lexsort(
-        (samples, rank))
+    if ((samples[1:] >= samples[:-1]) | (rank[1:] > rank[:-1])).all():
+        return indptr, slice(None)
+    return indptr, np.lexsort((samples, rank))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +205,8 @@ class Cover(Pairs):
         """A cover from ``{set id: sample ids}``, with geometry aligned to the ascending set ids."""
         ids = sorted(members)
         lists = [np.fromiter(members[j], np.int64) for j in ids]
-        indptr, order = _layout(list(map(len, lists)), samples := _cat(lists))
+        samples = _cat(lists)
+        indptr, order = _layout(list(map(len, lists)), samples)
         k = len(ids)
         return cls(np.array(ids, np.int64), indptr, samples[order],
                    None if center is None else np.asarray(center, dtype=float).reshape(k, -1),
@@ -451,6 +453,5 @@ def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tupl
         shared = inc[rows].all(axis=0)
         inc[rows[-1]] &= ~shared  # the last vertex is the largest id
         log.append((s, s[-1], tuple(universe[shared].tolist())))
-    keep = inc[cover.slots, column]
-    cut = cover.select(keep)
+    cut = cover.select(inc[cover.slots, column])
     return replace(cut, clipped=cover.clipped | (np.diff(cut.indptr) < np.diff(cover.indptr))), log
