@@ -15,7 +15,9 @@ angles, cluster ids and members, and the simplex rows of nerve, witness
 and classes documents) are read as one list per key and checked in one
 step by ``_ints``, ``_floats`` or ``_signs``, the one statement of a
 valid value; ``_need`` runs per row only to name a missing key or a
-wrong container.  Simplex rows go straight into arrays aligned to the
+wrong container.  Cover members and chart values go straight into one
+table of (set, sample) pairs each (``nerve.Cover``,
+``witness.Trivialization``), sets in id order.  Simplex rows go straight into arrays aligned to the
 nerve's simplices through ``_simplex_values``, which rejects a row off
 the nerve, a repeated row and, unless told otherwise, a missing one.
 
@@ -23,6 +25,9 @@ The per-sample record lists (dataset samples, chart values, global
 angles and frame vectors) are built as :class:`Columns`, one array per
 key, and written through one row template repeated once per row and one
 ``%`` over the interleaved values: ints by ``%d``, floats by ``%.17g``.
+The cover's sets are :class:`Columns` too, with members as a ragged
+column and the keys a set lacks left out, so each row builds its own
+template.
 A float column holding an integral value (``0.0``, ``-0.0``, ``1.0``,
 ``1e17``) is formatted value by value instead, so such a float keeps its
 decimal marker.  Any other list of dicts sharing one nonempty set of
