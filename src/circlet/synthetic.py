@@ -260,7 +260,7 @@ def _add_noise(turns: np.ndarray, seed: int, set_id: int, sigma: float) -> np.nd
 
 def _pairs(dataset: BundleDataset, centers, radius: float, inc, clipped=None) -> tuple:
     """The set-by-sample incidence ``inc`` as a ``Cover`` of the sample ids, and each pair's row."""
-    sets, rows = np.divmod(np.flatnonzero(inc), inc.shape[1])
+    rows = np.flatnonzero(inc) % inc.shape[1]
     ids = np.asarray(dataset.ids, np.int64)
     indptr, order = _layout(np.count_nonzero(inc, axis=1), ids[rows])
     k = len(inc)
