@@ -53,7 +53,8 @@ def charts_of(tables: dict) -> Trivialization:
 
 
 def cover_sets(cover) -> list:
-    """A cover's sets one by one: ``id``, ``members`` (a frozenset), ``center``, ``radius``, ``clipped``."""
+    """A cover's sets one by one: ``id``, ``members`` (a frozenset), ``center``, ``radius``
+    and ``clipped``."""
     def given(col, i):
         return None if col is None or np.isnan(col[i]).any() else col[i]
 
@@ -900,7 +901,8 @@ def loop_witness(trivs, edges):
         if len(ids) < 2:
             raise TooFewSamples(f"edge ({j}, {k}): {len(ids)} shared samples")
         try:
-            turn, sign, err = loop_procrustes(chart(trivs, j).points[rj], chart(trivs, k).points[rk])
+            turn, sign, err = loop_procrustes(chart(trivs, j).points[rj],
+                                              chart(trivs, k).points[rk])
         except GuardError as exc:
             raise type(exc)(f"edge ({j}, {k}): {exc}") from exc
         values[(j, k)] = (turn, sign)

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chart, charts_of, nerve_order, per_value_int, per_value_number, recursive_canonical_text, tuples
+from oracles import (
+    chart, charts_of, nerve_order, per_value_int, per_value_number, recursive_canonical_text,
+    tuples,
+)
 
 from circlet import io
 from circlet.cli import main

@@ -25,7 +25,9 @@ from circlet.nerve import (
 )
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
 
-from oracles import O2, charts_of, loop_filtration_order, loop_nerve, nerve_order, tuples, witness_of
+from oracles import (
+    O2, charts_of, loop_filtration_order, loop_nerve, nerve_order, tuples, witness_of,
+)
 
 
 def circle_dataset(n=8):
