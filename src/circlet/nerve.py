@@ -161,15 +161,30 @@ class Pairs:
         """Positions of the pairs sorted by sample and then by set."""
         return np.argsort(self.samples, kind="stable")
 
+    @cached_property
+    def _keys(self) -> tuple:
+        """The distinct samples, and every pair's ascending key ``slot * len(distinct) + rank``."""
+        distinct, rank = np.unique(self.samples, return_inverse=True)
+        return distinct, self.slots * len(distinct) + rank.reshape(-1)
+
     def members(self, j) -> np.ndarray:
         return self.samples[self.sets == j]
 
     def find(self, samples, sets) -> np.ndarray:
-        """Position of each (sample, set) pair, -1 where the table has none; arguments broadcast."""
+        """Position of each (sample, set) pair, -1 where the table has none; arguments broadcast.
+
+        One ``searchsorted`` of the queries' keys; a query whose set or
+        sample the table lacks lands on some pair that differs from it.
+        """
         samples, sets = np.broadcast_arrays(np.asarray(samples, np.int64),
                                             np.asarray(sets, np.int64))
-        return lookup(np.stack([self.sets, self.samples], axis=1),
-                      np.stack([sets, samples], axis=-1)).reshape(samples.shape)
+        distinct, keys = self._keys
+        if not len(keys):
+            return np.full(samples.shape, -1)
+        key = np.searchsorted(self.set_ids, sets) * len(distinct)
+        key += np.searchsorted(distinct, samples)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where((self.samples[at] == samples) & (self.sets[at] == sets), at, -1)
 
     def first_repeat(self) -> tuple | None:
         """The (set id, sample) of the first pair listed twice, or None."""

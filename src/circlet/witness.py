@@ -125,7 +125,7 @@ class Trivialization(Pairs):
 
     @classmethod
     def from_pairs(cls, ids, counts, samples, turns) -> "Trivialization":
-        """Charts listed set by set, ids ascending: set ``ids[i]`` has ``counts[i]`` (sample, turn) pairs.
+        """Charts listed set by set, ids ascending: set ``ids[i]`` has ``counts[i]`` pairs.
 
         Raises ``ShapeMismatch`` when a chart repeats a sample id.
         """

@@ -264,6 +264,23 @@ class TestStageSubcomplex:
             stage_subcomplex(nerve, len(nerve) + 1)
 
 
+class TestPairs:
+    members = st.dictionaries(st.integers(-3, 3),
+                              st.sets(st.integers(-4, 4) | st.integers(-2**62, 2**62), max_size=5),
+                              max_size=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(members=members, queries=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                                             max_size=12))
+    def test_find_locates_every_pair(self, members, queries):
+        cover = Cover.of(members)
+        where = {(s, j): i for i, (j, s) in enumerate(zip(cover.sets.tolist(),
+                                                          cover.samples.tolist()))}
+        queries += [(s, j) for j, s in zip(cover.sets.tolist(), cover.samples.tolist())]
+        samples, sets = np.array(queries, np.int64).reshape(-1, 2).T
+        assert cover.find(samples, sets).tolist() == [where.get(q, -1) for q in queries]
+
+
 class TestCutBase:
     def setup_cover(self):
         ds = circle_dataset(6)
