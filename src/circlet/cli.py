@@ -217,10 +217,7 @@ def _load_bundle(args):
     trivs = io.parse_trivs(io.load_json(args.trivs))
     k = len(cover.set_ids)
     outside = ~np.isin(cover.samples, np.array(ds.ids, dtype=np.int64))
-    # charts whose pairs are the cover's own need no search
-    same = all(np.array_equal(getattr(trivs, key), getattr(cover, key))
-               for key in ("set_ids", "indptr", "samples"))
-    uncharted = np.zeros(len(outside), bool) if same else trivs.find(cover.samples, cover.sets) < 0
+    uncharted = trivs.find(cover.samples, cover.sets) < 0
     outside, unmatched = (np.bincount(cover.slots[bad], minlength=k) > 0
                           for bad in (outside, uncharted))
     charted = np.isin(cover.set_ids, trivs.set_ids)

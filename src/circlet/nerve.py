@@ -121,14 +121,10 @@ def _cat(arrays, dtype=np.int64) -> np.ndarray:
 def _layout(counts, samples) -> tuple:
     """The ``indptr`` of pairs listed set by set, sets ascending, and the order that sorts each set.
 
-    ``counts[i]`` samples of ``samples`` belong to the i-th set.  Sets
-    already in order, as circlet writes them, keep their order as is.
+    ``counts[i]`` samples of ``samples`` belong to the i-th set.
     """
     indptr = np.r_[0, np.cumsum(counts, dtype=np.int64)]
-    rank = np.repeat(np.arange(len(counts)), counts)
-    if ((samples[1:] >= samples[:-1]) | (rank[1:] > rank[:-1])).all():
-        return indptr, slice(None)
-    return indptr, np.lexsort((samples, rank))
+    return indptr, np.lexsort((samples, np.repeat(np.arange(len(counts)), counts)))
 
 
 @dataclass(frozen=True, eq=False)
