@@ -17,17 +17,15 @@ step by ``_ints``, ``_floats`` or ``_signs``, the one statement of a
 valid value; ``_need`` runs per row only to name a missing key or a
 wrong container.  Cover members and chart values go straight into one
 table of (set, sample) pairs each (``nerve.Cover``,
-``witness.Trivialization``), sets in id order.  Simplex rows go straight into arrays aligned to the
-nerve's simplices through ``_simplex_values``, which rejects a row off
-the nerve, a repeated row and, unless told otherwise, a missing one.
+``witness.Trivialization``), sets in id order.  Simplex rows go
+straight into arrays aligned to the nerve's simplices through
+``_simplex_values``, which rejects a row off the nerve, a repeated row
+and, unless told otherwise, a missing one.
 
 The per-sample record lists (dataset samples, chart values, global
 angles and frame vectors) are built as :class:`Columns`, one array per
 key, and written through one row template repeated once per row and one
 ``%`` over the interleaved values: ints by ``%d``, floats by ``%.17g``.
-The cover's sets are :class:`Columns` too, with members as a ragged
-column and the keys a set lacks left out, so each row builds its own
-template.
 A float column holding an integral value (``0.0``, ``-0.0``, ``1.0``,
 ``1e17``) is formatted value by value instead, so such a float keeps its
 decimal marker.  Any other list of dicts sharing one nonempty set of
@@ -162,91 +160,56 @@ def _record_texts(rows, indent: int) -> list | None:
 class Columns:
     """A record list held as named columns: row ``i`` is ``{key: col[i]}``.
 
-    Each column is a 1-D int, float or bool array, a 2-D one whose rows
-    are fixed-width number lists, or a ragged ``(values, indptr)`` pair
-    whose row ``i`` is the list ``values[indptr[i]:indptr[i + 1]]``.
-    ``omit`` maps a key to a mask of the rows that leave it out.
-    ``canonical_text`` writes it with the bytes of the equivalent list of
-    dicts.
+    Each column is a 1-D int or float array, or a 2-D one whose rows are
+    fixed-width number lists.  ``canonical_text`` writes it with the bytes
+    of the equivalent list of dicts.
     """
 
-    __slots__ = ("cols", "spans", "omit")
+    __slots__ = ("cols",)
 
-    def __init__(self, omit=None, **cols):
-        self.spans = {k: np.asarray(v[1]) for k, v in cols.items() if type(v) is tuple}
-        self.cols = {k: np.asarray(v[0] if k in self.spans else v) for k, v in cols.items()}
-        self.omit = omit or {}
-        if any(c.dtype.kind not in "iufb" or c.ndim not in (1, 2) for c in self.cols.values()):
-            raise SchemaError("a column must be a 1-D or 2-D int, float or bool array")
-        if len({len(self.spans.get(k, c)) - (k in self.spans) for k, c in self.cols.items()}) != 1:
+    def __init__(self, **cols):
+        self.cols = {k: np.asarray(v) for k, v in cols.items()}
+        if any(c.dtype.kind not in "iuf" or c.ndim not in (1, 2) for c in self.cols.values()):
+            raise SchemaError("a column must be a 1-D or 2-D int or float array")
+        if len({len(c) for c in self.cols.values()}) != 1:
             raise ValueError("Columns needs at least one column, all of one length")
 
     def __len__(self) -> int:
-        key = next(iter(self.cols))
-        return len(self.spans[key]) - 1 if key in self.spans else len(self.cols[key])
-
-
-def _slot_values(flat: np.ndarray) -> tuple[list, str]:
-    """A column's values and the ``%`` spec of one: ``%d``, ``%.17g``, or ``%s`` over texts."""
-    vals = flat.tolist()
-    if flat.dtype.kind == "b":
-        return list(map(_SCALAR_TEXT[bool], vals)), "%s"
-    if flat.dtype.kind != "f":
-        return vals, "%d"
-    if not np.isfinite(flat).all():
-        raise SchemaError("non-finite float has no canonical form; encode as null")
-    if (flat == np.trunc(flat)).any():
-        return list(map(_float_text, vals)), "%s"
-    return vals, "%.17g"
-
-
-def _list_slots(spec: str, width: int, indent: int) -> str:
-    """The text of a list of ``width`` slots, its items at ``indent`` + 2."""
-    item = " " * (indent + 2)
-    return "[\n" + ",\n".join([item + spec] * width) + "\n" + " " * indent + "]" if width else "[]"
+        return len(next(iter(self.cols.values())))
 
 
 def _columns_text(table: Columns, indent: int) -> str:
-    """Row templates filled by one ``%`` over every value.
-
-    Without ragged or omitted columns every row has one template,
-    repeated; otherwise each row builds its own.
-    """
+    """One row template, repeated per row, filled by one ``%`` over every value."""
     n = len(table)
     if not n:
         return "[]"
-    kid, field = " " * (indent + 2), " " * (indent + 4)
-    keys = []  # per key: its field text, slot spec, values, value bounds per row, omitted rows
+    kid, field, item = (" " * (indent + k) for k in (2, 4, 6))
+    fields, slots = [], []  # slots: the values of each template slot, in row order
     for key in sorted(table.cols):
         col = table.cols[key]
-        vals, spec = _slot_values(col.reshape(-1))
-        listed = col.ndim == 2 or key in table.spans
-        bounds = table.spans.get(key, np.arange(n + 1) * (col.shape[1] if col.ndim == 2 else 1))
-        keys.append((field + json.dumps(key).replace("%", "%%") + ": ", listed, spec, vals, bounds,
-                     table.omit.get(key)))
-    if not table.spans and not table.omit:
-        fields, slots = [], []  # slots: the values of each template slot, in row order
-        for name, listed, spec, vals, bounds, _ in keys:
-            width = int(bounds[1])
-            fields.append(name + (_list_slots(spec, width, indent + 4) if listed else spec))
-            slots.extend(vals[j::width] for j in range(width))
-        k = len(slots)
-        values = [None] * (n * k)
-        for at, part in enumerate(slots):
-            values[at::k] = part
-        rows = ["{\n" + ",\n".join(fields) + "\n" + kid + "}"] * n
-    else:
-        rows, values = [], []
-        for i in range(n):
-            texts = []
-            for name, listed, spec, vals, bounds, gone in keys:
-                if gone is None or not gone[i]:
-                    lo, hi = bounds[i], bounds[i + 1]
-                    slots = _list_slots(spec, hi - lo, indent + 4) if listed else spec
-                    texts.append(name + slots)
-                    values += vals[lo:hi]
-            rows.append("{\n" + ",\n".join(texts) + "\n" + kid + "}" if texts else "{}")
-    return "[\n" + kid + (",\n" + kid).join(rows) % tuple(values) + "\n" + " " * indent + "]"
+        flat = col.reshape(-1)
+        vals, spec = flat.tolist(), "%d"
+        if col.dtype.kind == "f":
+            if not np.isfinite(flat).all():
+                raise SchemaError("non-finite float has no canonical form; encode as null")
+            if (flat == np.trunc(flat)).any():
+                vals, spec = list(map(_float_text, vals)), "%s"
+            else:
+                spec = "%.17g"
+        if col.ndim == 1:
+            text, parts = spec, [vals]
+        else:
+            width = col.shape[1]
+            text = "[\n" + ",\n".join([item + spec] * width) + "\n" + field + "]" if width else "[]"
+            parts = [vals[j::width] for j in range(width)]
+        fields.append(field + json.dumps(key).replace("%", "%%") + ": " + text)
+        slots.extend(parts)
+    row = "{\n" + ",\n".join(fields) + "\n" + kid + "}"
+    k = len(slots)
+    values = [None] * (n * k)
+    for at, part in enumerate(slots):
+        values[at::k] = part
+    return "[\n" + kid + (",\n" + kid).join([row] * n) % tuple(values) + "\n" + " " * indent + "]"
 
 
 def sha256_hex(data) -> str:
@@ -434,18 +397,21 @@ def parse_dataset(doc) -> BundleDataset:
 
 
 def cover_doc(cover: Cover) -> dict:
-    """The cover's sets, written from its columns.
+    """The cover's sets in id order.
 
-    A set writes ``center`` and ``radius`` when it has them (they are not
+    A set writes ``center`` and ``radius`` where it has them (they are not
     NaN), and ``clipped`` only when it is true.
     """
-    cols = {"id": cover.set_ids, "members": (cover.samples, cover.indptr), "clipped": cover.clipped}
-    omit = {"clipped": ~cover.clipped}
-    for key, value in (("center", cover.center), ("radius", cover.radius)):
-        if value is not None:
-            cols[key] = np.nan_to_num(value)
-            omit[key] = np.isnan(value).reshape(len(value), -1).any(axis=1)
-    return {"schema": SCHEMA_PREFIX + "cover", "sets": Columns(omit, **cols)}
+    rows = [{"id": j, "members": cover.samples[a:b].tolist()}
+            for j, (a, b) in zip(cover.set_ids.tolist(), pairwise(cover.indptr.tolist()))]
+    for key, col in (("center", cover.center), ("radius", cover.radius)):
+        if col is not None:
+            given = ~np.isnan(col).reshape(len(rows), -1).any(axis=1)
+            for i, value in zip(np.flatnonzero(given).tolist(), col[given].tolist()):
+                rows[i][key] = value
+    for i in np.flatnonzero(cover.clipped).tolist():
+        rows[i]["clipped"] = True
+    return {"schema": SCHEMA_PREFIX + "cover", "sets": rows}
 
 
 def _set_rows(doc, name: str) -> tuple[list, np.ndarray]:

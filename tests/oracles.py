@@ -449,17 +449,9 @@ def recursive_canonical_text(obj, indent: int = 0) -> str:
 
 
 def column_rows(table: Columns) -> list:
-    """Row ``i`` of a column record list as ``{key: col[i]}``, plain Python values.
-
-    A ragged column gives row ``i`` its slice, and an omitted key is left out.
-    """
-    rows = [{} for _ in range(len(table))]
-    for key, col in table.cols.items():
-        vals, span, gone = col.tolist(), table.spans.get(key), table.omit.get(key)
-        for i, row in enumerate(rows):
-            if gone is None or not gone[i]:
-                row[key] = vals[i] if span is None else vals[span[i]:span[i + 1]]
-    return rows
+    """Row ``i`` of a column record list as ``{key: col[i]}``, plain Python values."""
+    keys = list(table.cols)
+    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in table.cols.values()))]
 
 
 def dense_boundary(nerve, twist, p: int):
