@@ -657,6 +657,12 @@ def _outside_member(cover, trivs):
     cover["sets"][0]["members"].append(10**9)
 
 
+def _outside_then_short_center(cover, trivs):
+    """Set 0 fails a cross-check and set 1 the parse: the parse reports first."""
+    _outside_member(cover, trivs)
+    cover["sets"][1]["center"] = cover["sets"][1]["center"][:2]
+
+
 def _short_chart(cover, trivs):
     trivs["sets"][0]["values"].pop()
 
@@ -737,6 +743,8 @@ class TestMalformedPipelineDocuments:
         ("bundle", _short_chart, "chart 0 domain does not match the cover set members"),
         ("bundle", _drop_first("cover"), "charts [0] have no cover set"),
         ("bundle", _short_center, "cover set 0 center has length 2, base points have 3"),
+        ("bundle", _outside_then_short_center,
+         "cover set 1 center has length 2, base points have 3"),
         ("bundle", _no_sets, "cover has no sets"),
         ("bundle", _empty_first_set, "cover set 0 has no members"),
     ], ids=[
@@ -748,6 +756,7 @@ class TestMalformedPipelineDocuments:
         "repeated-lift", "repeated-weight", "repeated-perturbation",
         "repeated-cover-set", "repeated-cover-member", "cover-sample-outside-dataset",
         "chart-missing", "chart-domain-short", "chart-without-cover-set", "center-length",
+        "center-length-before-cross-checks",
         "cover-and-trivs-without-sets", "cover-and-chart-set-empty",
     ])
     def test_schema_exit_without_traceback(self, split_dirs, tmp_path, capsys, name, mutate,
