@@ -452,8 +452,7 @@ def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tupl
     nerve.require_order()
     if not 0 <= r <= len(nerve):
         raise IndexOutOfRange(f"stage {r} outside 0..{len(nerve)}")
-    universe = distinct_rows(cover.samples[:, None])[:, 0]
-    column = np.searchsorted(universe, cover.samples)
+    universe, column = np.unique(cover.samples, return_inverse=True)
     inc = np.zeros((len(cover.set_ids), len(universe)), bool)
     inc[cover.slots, column] = True
     log: list[tuple] = []
