@@ -699,6 +699,27 @@ def _paired_edit(edit, at, cover, trivs):
         values.append({"sample": 10**6, "angle_turns": 0.0})
 
 
+def _empty_cluster(doc):
+    row = doc["sets"][0]
+    row["clusters"] = [sorted(row["clusters"][0] + row["clusters"][1]), []]
+
+
+def _overlapping_clusters(doc):
+    row = doc["sets"][0]
+    row["clusters"][1].append(row["clusters"][0][0])
+
+
+# clusters.json edits that leave set 0's labels inconsistent, and the message each gives
+CLUSTER_EDITS = [
+    (_empty_cluster, "set 0 has an empty cluster"),
+    (_overlapping_clusters, "clusters of set 0 overlap"),
+    (lambda d: d["sets"][0]["clusters"][0].pop(), "clusters of set 0 do not partition its members"),
+    (lambda d: d["sets"].pop(0), "cluster labels and cover sets disagree"),
+]
+CLUSTER_EDIT_IDS = ["empty-cluster", "overlapping-clusters", "unlabelled-member",
+                    "missing-cluster-row"]
+
+
 @pytest.fixture(scope="module")
 def small_lens(tmp_path_factory):
     out = tmp_path_factory.mktemp("lens") / "synth"
@@ -788,6 +809,20 @@ class TestMalformedPipelineDocuments:
             assert json.loads(err.splitlines()[-1])["error"] == "schema"
             assert message is None or json.loads(err.splitlines()[-1])["message"] == message
             assert read(out / "manifest.json")["status"] == 1
+
+    @pytest.mark.parametrize("mutate, message", CLUSTER_EDITS, ids=CLUSTER_EDIT_IDS)
+    def test_inconsistent_clusters_guard_exit(self, split_dirs, tmp_path, capsys, mutate,
+                                              message):
+        synth = split_dirs[0]
+        doc = read(synth / "clusters.json")
+        mutate(doc)
+        (tmp_path / "clusters.json").write_text(json.dumps(doc))
+        out = tmp_path / "unwrap"
+        assert run("unwrap", *_bundle_flags(synth), "--clusters", str(tmp_path / "clusters.json"),
+                   "--out", str(out)) == 3
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["message"] == message
+        assert read(out / "guard.json")["message"] == message
+        assert read(out / "manifest.json")["status"] == 3
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
