@@ -216,7 +216,7 @@ def _load_bundle(args):
     cover = io.parse_cover(io.load_json(args.cover), dim)
     trivs = io.parse_trivs(io.load_json(args.trivs))
     k = len(cover.set_ids)
-    outside = ~np.isin(cover.samples, np.array(ds.ids, dtype=np.int64))
+    outside = ~np.isin(cover.samples, ds.ids)
     uncharted = trivs.find(cover.samples, cover.sets) < 0
     outside, unmatched = (np.bincount(cover.slots[bad], minlength=k) > 0
                           for bad in (outside, uncharted))
@@ -326,7 +326,7 @@ def _cmd_synth(args, run: _Run):
         run.write("trivs.json", io.trivs_doc(bundle.trivs))
         run.write("scenario.json", io.scenario_doc(bundle.scenario))
         if bundle.clusters is not None:
-            run.write("clusters.json", io.clusters_doc(bundle.clusters))
+            run.write("clusters.json", io.clusters_doc(bundle.cover, bundle.clusters))
 
     sc = bundle.scenario
     return {
@@ -482,9 +482,9 @@ def _cmd_unwrap(args, run: _Run):
 
     with run.timed("load"):
         ds, cover, trivs = _load_bundle(args)
-        clusters = io.parse_clusters(io.load_json(args.clusters))
+        label = io.parse_clusters(io.load_json(args.clusters), cover)
     with run.timed("unwrap"):
-        result = unwrap_double_cover(ds, cover, clusters)
+        result = unwrap_double_cover(ds, cover, label)
         lifted = carry_charts(trivs, result)
     with run.timed("write"):
         run.write("dataset.json", io.dataset_doc(result.dataset))
@@ -496,8 +496,8 @@ def _cmd_unwrap(args, run: _Run):
                 "schema": "circlet/unwrap",
                 "components": result.components,
                 "set_map": [
-                    {"set": int(new), "parent": int(j), "cluster": int(c)}
-                    for new, (j, c) in sorted(result.set_map.items())
+                    {"set": new, "parent": new // 2, "cluster": new % 2}
+                    for new in result.cover.set_ids.tolist()
                 ],
                 "orientations": [
                     {"set": int(j), "sign": int(v)}

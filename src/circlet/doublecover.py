@@ -4,10 +4,16 @@ A bundle whose fiber is two disjoint circles carries a sign 1-cocycle nu
 recording whether the component labels flip across each overlap.  When
 nu is a coboundary the total space splits into two circle bundles over
 the same base; when it is not, the base unwraps to its double cover and
-the labels select a lift of every base point.  For antipodal-quotient
-bases the lift is concrete: each cluster picks a hemisphere around its
-set's (signed) center, and a parity union-find over the cluster relations
-propagates the hemisphere choices.
+the labels select a lift of every base point.
+
+The labels are one bool column aligned to the cover's pairs, True in
+cluster 0, and nu counts the four label combinations per edge over the
+samples its sets share (``witness._shared_rows``).  For
+antipodal-quotient bases the lift is concrete: each cluster picks a
+hemisphere around its set's (signed) center, the sign of (v.c_j)(v.c_k)
+at each shared base point v relating two clusters' hemispheres, and a
+parity union-find over those relations, at most four per edge, gives
+every pair one lift sign.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochains import check_sign_cocycle
-from .errors import InconsistentClusters, LiftUndefined, PropagationConflict
+from .errors import (InconsistentClusters, LiftUndefined, NotUnwrappable, PropagationConflict,
+                     SchemaError, ShapeMismatch)
 from .intlinalg import ParityForest
 from .nerve import BundleDataset, Cover, Nerve, build_nerve
-from .witness import Trivialization
+from .witness import Trivialization, _shared_rows
 
 
 # base-point dot products against a set center smaller than this cannot
@@ -28,43 +35,33 @@ from .witness import Trivialization
 PERP_TOL = 1e-12
 
 
-def _validated_clusters(clusters: dict) -> dict[int, tuple[frozenset, frozenset]]:
-    out = {}
-    for j, parts in clusters.items():
-        if len(parts) != 2:
-            raise InconsistentClusters(f"set {j} needs exactly two clusters")
-        a, b = frozenset(parts[0]), frozenset(parts[1])
-        if not a or not b:
-            raise InconsistentClusters(f"set {j} has an empty cluster")
-        if a & b:
-            raise InconsistentClusters(f"clusters of set {j} overlap")
-        out[j] = (a, b)
-    return out
+def _shared_labels(cover: Cover, label: np.ndarray, nerve: Nerve) -> tuple:
+    """Every sample an edge's sets share, by edge and then sample.
 
-
-def connectivity_cocycle(clusters: dict, nerve: Nerve) -> np.ndarray:
-    """Sign 1-cochain of two-cluster labels, on the nerve's edges: -1 where the labels flip.
-
-    On every edge the shared samples must realize exactly the two
-    matching label combinations (plus/plus with minus/minus, or
-    plus/minus with minus/plus); anything else is inconsistent data.
-    The result is validated to be a cocycle on the nerve's triangles.
+    Returns each row's edge position, its pairs in the edge's two sets,
+    and its label combination, 0 to 3 for ++, +-, -+ and --.
     """
-    cl = _validated_clusters(clusters)
-    vals = []
-    for j, k in nerve.edges.tolist():
-        if j not in cl or k not in cl:
-            raise InconsistentClusters(f"edge ({j}, {k}) has an unlabeled set")
-        pj, mj = cl[j]
-        pk, mk = cl[k]
-        meets = (bool(pj & pk), bool(pj & mk), bool(mj & pk), bool(mj & mk))
-        if meets not in ((True, False, False, True), (False, True, True, False)):
-            raise InconsistentClusters(
-                f"edge ({j}, {k}) meets label combinations "
-                f"(++, +-, -+, --) = {meets}"
-            )
-        vals.append(1 if meets[0] else -1)
-    nu = np.array(vals, dtype=np.int64)
+    which, pick = _shared_rows(cover, np.searchsorted(cover.set_ids, nerve.edges))
+    return which, pick, 2 * ~label[pick[:, 0]] + ~label[pick[:, 1]]
+
+
+def connectivity_cocycle(cover: Cover, label: np.ndarray, nerve: Nerve) -> np.ndarray:
+    """Sign 1-cochain of two-cluster labels on the nerve's edges: -1 where the labels flip.
+
+    ``label`` is aligned to the cover's pairs, True in cluster 0.  On
+    every edge the shared samples must realize exactly the two matching
+    label combinations (plus/plus with minus/minus, or plus/minus with
+    minus/plus); anything else is inconsistent data.  The result is
+    validated to be a cocycle on the nerve's triangles.
+    """
+    which, _, combo = _shared_labels(cover, np.asarray(label, bool), nerve)
+    meets = np.bincount(4 * which + combo, minlength=4 * len(nerve.edges)).reshape(-1, 4) > 0
+    bad = np.flatnonzero((meets != meets[:, ::-1]).any(axis=1) | (meets[:, 0] == meets[:, 1]))
+    if bad.size:
+        j, k = nerve.edges[bad[0]].tolist()
+        raise InconsistentClusters(f"edge ({j}, {k}) meets label combinations "
+                                   f"(++, +-, -+, --) = {tuple(meets[bad[0]].tolist())}")
+    nu = np.where(meets[:, 0], 1, -1)
     check_sign_cocycle(nu, nerve)
     return nu
 
@@ -79,10 +76,8 @@ class UnwrapResult:
         Same sample ids; base points replaced by their chosen lifts when
         the cover unwrapped geometrically.
     cover : Cover
-        Two sets per original set; old id j becomes 2j and 2j + 1 for
-        the first and second cluster.
-    set_map : dict
-        New set id -> (old set id, cluster index).
+        Two sets per original set: cluster c of set j (c = 0 where the
+        label holds) becomes set 2j + c.
     components : int
         Connected components of the lifted cover's overlap graph.
     orientations : dict
@@ -96,40 +91,30 @@ class UnwrapResult:
 
     dataset: BundleDataset
     cover: Cover
-    set_map: dict
     components: int
     orientations: dict
     nerve: Nerve
     nu: np.ndarray
 
 
-def unwrap_double_cover(
-    dataset: BundleDataset,
-    cover: Cover,
-    clusters: dict,
-) -> UnwrapResult:
+def unwrap_double_cover(dataset: BundleDataset, cover: Cover, label: np.ndarray) -> UnwrapResult:
     """Split or unwrap a two-cluster dataset along its connectivity class.
 
     One parity union-find over the nerve's edges, at nu's signs, yields
     the connected pieces of the cover and whether nu is a coboundary on
     each.  Where it is, the piece splits into two disjoint copies and
     base points are left alone.  Otherwise the base must be an antipodal
-    quotient: a second union-find over the cluster relations, plus an odd
-    edge between the two clusters of the piece's smallest set (the
-    seed), gives every cluster a hemisphere orientation, its parity
-    relative to the seed's first cluster.  Each sample's base point is
-    replaced by the representative on its cluster's hemisphere.
+    quotient (else ``NotUnwrappable``) and the piece's sets need centers
+    (else ``SchemaError``).  Each (edge, cluster, cluster) group of
+    shared samples relates two hemispheres; with an odd relation between
+    the two clusters of the piece's smallest set (the seed), a second
+    union-find gives every cluster an orientation, its parity relative
+    to the seed's first cluster.  Each sample's base point is replaced
+    by the representative on its clusters' hemisphere.
     """
-    cl = _validated_clusters(clusters)
-    if set(cl) != set(cover.set_ids.tolist()):
-        raise InconsistentClusters("cluster labels and cover sets disagree")
-    for j, (plus, minus) in cl.items():
-        if plus | minus != frozenset(cover.members(j).tolist()):
-            raise InconsistentClusters(
-                f"clusters of set {j} do not partition its members"
-            )
+    label = np.asarray(label, bool)
     nerve = build_nerve(cover)
-    nu = connectivity_cocycle(clusters, nerve)
+    nu = connectivity_cocycle(cover, label, nerve)
 
     forest = ParityForest()
     odd = [j for (j, k), v in zip(nerve.edges.tolist(), nu.tolist())
@@ -139,20 +124,17 @@ def unwrap_double_cover(
         pieces.setdefault(forest.find(j), []).append(j)
     nontrivial = {forest.find(j) for j in odd}
 
-    base = np.array(dataset.base, dtype=float, copy=True)
-    orientations: dict[int, int] = {}
-    components = 0
-    geometric = False
-
-    labeled = {s for parts in cl.values() for part in parts for s in part}
-    orphans = [s for s in dataset.ids if s not in labeled]
+    orphans = np.count_nonzero(~np.isin(dataset.ids, cover.samples))
     if orphans:
         import logging  # loaded only where a warning is logged
 
         logging.getLogger(__name__).warning(
             "%d samples belong to no cover set; their base points pass through unlifted",
-            len(orphans))
+            orphans)
 
+    base = dataset.base.copy()
+    sheet = np.zeros(2 * len(cover.set_ids), np.int64)  # per new set: +-1 where lifted, else 0
+    components = 0
     for root, piece in pieces.items():
         if root not in nontrivial:
             # trivial class: the piece separates into two untouched copies
@@ -161,92 +143,92 @@ def unwrap_double_cover(
 
         # nontrivial class: unwrap the base geometrically
         if dataset.kind != "projective_plane":
-            raise ValueError(
+            raise NotUnwrappable(
                 "nontrivial connectivity class over a "
                 f"{dataset.kind!r} base; only antipodal-quotient bases "
                 "unwrap geometrically"
             )
-        centers = {}
-        for j in piece:
-            i = np.searchsorted(cover.set_ids, j)
-            if cover.center is None or np.isnan(cover.center[i]).any():
-                raise ValueError(f"set {j} has no center; cannot pick hemispheres")
-            centers[j] = cover.center[i]
+        slots = np.searchsorted(cover.set_ids, piece)
+        lacking = np.ones(len(piece), bool) if cover.center is None else np.isnan(
+            cover.center[slots]).any(axis=1)
+        if lacking.any():
+            raise SchemaError(f"set {piece[np.argmax(lacking)]} has no center; "
+                              "cannot pick hemispheres")
+        if not np.isin(cover.samples, dataset.ids).all():
+            raise ShapeMismatch("the cover holds samples outside the dataset")
+        order = np.argsort(dataset.ids, kind="stable")
+        rows = order[np.searchsorted(dataset.ids, cover.samples, sorter=order)]
+        dots = np.einsum("ij,ij->i", dataset.base[rows], cover.center[cover.slots])
+
+        # the piece's shared samples by edge, label combination and sample
+        which, pick, combo = _shared_labels(cover, label, nerve)
+        at = np.flatnonzero(np.isin(nerve.edges[which, 0], piece))
+        at = at[np.argsort((4 * which + combo)[at], kind="stable")]
+        key = (4 * which + combo)[at]
+        d = dots[pick[at]]
+        flat = np.flatnonzero((np.abs(d) < PERP_TOL).any(axis=1))
+        if flat.size:
+            raise LiftUndefined(f"sample {cover.samples[pick[at[flat[0]], 0]]} sits on the "
+                                "boundary of a hemisphere around its set center")
+        flips = d[:, 0] * d[:, 1] <= 0
+        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        ends = 2 * nerve.edges[key[head] // 4] + np.c_[key[head] % 4 // 2, key[head] % 2]
+        mixed = np.flatnonzero(np.logical_and.reduceat(flips, head)
+                               != np.logical_or.reduceat(flips, head))
+        if mixed.size:
+            (j, cj), (k, ck) = (divmod(n, 2) for n in ends[mixed[0]].tolist())
+            raise PropagationConflict(f"overlap of clusters ({j},{cj}) and ({k},{ck}) "
+                                      "straddles the antipodal seam")
 
         seed = piece[0]
         sheets = ParityForest()
-        sheets.union((seed, 0), (seed, 1), True)
+        sheets.union(2 * seed, 2 * seed + 1, True)
         contradicted = None
-        for j, k in nerve.edges.tolist():
-            if j not in centers:
-                continue
-            for cj in (0, 1):
-                for ck in (0, 1):
-                    shared = cl[j][cj] & cl[k][ck]
-                    if not shared:
-                        continue
-                    signs = set()
-                    for s in sorted(shared):
-                        v = dataset.base_of(s)
-                        dj = float(v @ centers[j])
-                        dk = float(v @ centers[k])
-                        if abs(dj) < PERP_TOL or abs(dk) < PERP_TOL:
-                            raise LiftUndefined(
-                                f"sample {s} sits on the boundary of a "
-                                "hemisphere around its set center"
-                            )
-                        signs.add(1 if dj * dk > 0 else -1)
-                    if len(signs) > 1:
-                        raise PropagationConflict(
-                            f"overlap of clusters ({j},{cj}) and ({k},{ck}) "
-                            "straddles the antipodal seam"
-                        )
-                    if not sheets.union((j, cj), (k, ck), signs.pop() < 0):
-                        contradicted = contradicted or (k, ck)
+        for a, b, o in zip(*ends.T.tolist(), flips[head].tolist()):
+            if not sheets.union(a, b, o):
+                contradicted = contradicted or divmod(b, 2)
         if contradicted:
             raise PropagationConflict(
                 f"cluster {contradicted} is reached with contradictory "
                 "hemisphere orientations"
             )
-        top = sheets.find((seed, 0))
-        flip = sheets.parity.get((seed, 0), 0)
-        sample_sign: dict = {}
-        for j in piece:
+        top = sheets.find(2 * seed)
+        flip = sheets.parity.get(2 * seed, 0)
+        for j, i in zip(piece, slots.tolist()):
             for c in (0, 1):
-                if sheets.find((j, c)) != top:
+                if sheets.find(2 * j + c) != top:
                     raise PropagationConflict(
                         f"cluster graph is disconnected; {(j, c)} was never reached"
                     )
-                sheet = -1 if sheets.parity.get((j, c), 0) ^ flip else 1
-                orientations[2 * j + c] = sheet
-                axis = sheet * centers[j]
-                for s in cl[j][c]:
-                    v = dataset.base_of(s)
-                    eta = 1 if float(v @ axis) > 0 else -1
-                    if sample_sign.setdefault(s, eta) != eta:
-                        raise PropagationConflict(f"sample {s} needs two different lifts")
-            if orientations[2 * j] == orientations[2 * j + 1]:
+                sheet[2 * i + c] = -1 if sheets.parity.get(2 * j + c, 0) ^ flip else 1
+            if sheet[2 * i] == sheet[2 * i + 1]:
                 raise PropagationConflict(
                     f"both clusters of set {j} landed on the same sheet"
                 )
-        for s, eta in sample_sign.items():
-            base[dataset.position(s)] = eta * dataset.base_of(s)
+
+        # one lift sign per pair of the piece, pairs by sample
+        q = cover.by_sample[np.isin(cover.slots, slots)[cover.by_sample]]
+        eta = np.where(sheet[2 * cover.slots[q] + ~label[q]] * dots[q] > 0, 1, -1)
+        clash = np.flatnonzero((np.diff(cover.samples[q]) == 0) & (np.diff(eta) != 0))
+        if clash.size:
+            raise PropagationConflict(f"sample {cover.samples[q[clash[0]]]} needs two different lifts")
+        base[rows[q]] = eta[:, None] * dataset.base[rows[q]]
         components += 1
-        geometric = True
 
-    set_map = {2 * j + c: (j, c) for j in cover.set_ids.tolist() for c in (0, 1)}
-    sheet = np.array([orientations.get(new, 1) for new in set_map])
-    center = None if cover.center is None else sheet[:, None] * np.repeat(cover.center, 2, axis=0)
-    new_cover = Cover.of({new: cl[j][c] for new, (j, c) in set_map.items()}, center=center,
-                         radius=None if cover.radius is None else np.repeat(cover.radius, 2),
-                         clipped=np.repeat(cover.clipped, 2))
-
-    kind = "sphere" if geometric else dataset.kind
+    new = 2 * cover.slots + ~label  # every pair's new set, by position
+    ids = (2 * cover.set_ids[:, None] + [0, 1]).reshape(-1)
+    signs = np.where(sheet == 0, 1, sheet)
+    new_cover = Cover(
+        ids, np.r_[0, np.cumsum(np.bincount(new, minlength=len(ids)))],
+        cover.samples[np.argsort(new, kind="stable")],
+        None if cover.center is None else signs[:, None] * np.repeat(cover.center, 2, axis=0),
+        None if cover.radius is None else np.repeat(cover.radius, 2), np.repeat(cover.clipped, 2))
+    orientations = dict(zip(ids[sheet != 0].tolist(), sheet[sheet != 0].tolist()))
+    kind = "sphere" if sheet.any() else dataset.kind
     distances = dataset.distances if kind == dataset.kind else None
-    lifted = BundleDataset(ids=dataset.ids, base=base, kind=kind,
-                           distances=distances)
-    return UnwrapResult(dataset=lifted, cover=new_cover, set_map=set_map,
-                        components=components, orientations=orientations, nerve=nerve, nu=nu)
+    lifted = BundleDataset(ids=dataset.ids, base=base, kind=kind, distances=distances)
+    return UnwrapResult(dataset=lifted, cover=new_cover, components=components,
+                        orientations=orientations, nerve=nerve, nu=nu)
 
 
 def carry_charts(trivs: Trivialization, result: UnwrapResult) -> Trivialization:
@@ -257,7 +239,7 @@ def carry_charts(trivs: Trivialization, result: UnwrapResult) -> Trivialization:
     the base.  Parent sets absent from the trivialization are skipped.
     """
     cover = result.cover
-    parent = np.array([result.set_map[j][0] for j in cover.set_ids.tolist()], dtype=np.int64)
+    parent = cover.set_ids // 2
     at = trivs.find(cover.samples, parent[cover.slots])
     keep = np.isin(parent, trivs.set_ids)
     rows = at[at >= 0]

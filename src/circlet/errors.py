@@ -107,6 +107,12 @@ class ObstructionError(CircletError):
     reason: str = ""
 
 
+class NotUnwrappable(ObstructionError):
+    """A nontrivial connectivity class over a base that is no antipodal quotient."""
+
+    reason = "nu"
+
+
 class NotTrivializable(ObstructionError):
     """No global trivialization exists; ``reason`` names the obstruction."""
 

@@ -17,7 +17,8 @@ step by ``_ints``, ``_floats`` or ``_signs``, the one statement of a
 valid value; ``_need`` runs per row only to name a missing key or a
 wrong container.  Cover members and chart values go straight into one
 table of (set, sample) pairs each (``nerve.Cover``,
-``witness.Trivialization``), sets in id order.  Simplex rows go
+``witness.Trivialization``), sets in id order, and cluster labels into
+one bool column aligned to the cover's pairs.  Simplex rows go
 straight into arrays aligned to the nerve's simplices through
 ``_simplex_values``, which rejects a row off the nerve, a repeated row
 and, unless told otherwise, a missing one.
@@ -49,7 +50,7 @@ import numpy as np
 
 from .cochains import Witness
 from .errors import SchemaError
-from .nerve import BundleDataset, Cover, Nerve, _layout, lookup
+from .nerve import BundleDataset, Cover, Nerve, _layout, ascending, lookup
 from .witness import Trivialization
 
 if TYPE_CHECKING:
@@ -359,8 +360,8 @@ def dataset_doc(ds: BundleDataset) -> dict:
         "schema": SCHEMA_PREFIX + "dataset",
         "base_space": base_space,
         "samples": Columns(
-            id=np.array(ds.ids, dtype=np.int64),
-            base=np.asarray(ds.base, dtype=float),
+            id=ds.ids,
+            base=ds.base,
         ),
     }
     if ds.kind == "abstract":
@@ -372,8 +373,7 @@ def parse_dataset(doc) -> BundleDataset:
     _check_schema(doc, "dataset")
     kind = _need(_need(doc, "base_space", "dataset"), "kind", "base_space")
     rows = _need(doc, "samples", "dataset", list)
-    ids = _column(rows, "id", "sample")
-    _ints(ids, "sample id")
+    ids = _ints(_column(rows, "id", "sample"), "sample id")
     base = _column(rows, "base", "sample", list)
     flat = _floats(list(chain.from_iterable(base)), "sample base")
     if len(set(map(len, base))) > 1:
@@ -387,7 +387,7 @@ def parse_dataset(doc) -> BundleDataset:
                 raise SchemaError("dataset: distances must be rows of numbers, all one length")
             flat = _floats(list(chain.from_iterable(table)), "distances")
             dists = flat.reshape(len(table), len(table[0]) if table else 0)
-        return BundleDataset(ids=tuple(ids), base=arr, kind=kind, distances=dists)
+        return BundleDataset(ids=ids, base=arr, kind=kind, distances=dists)
     except ValueError as exc:
         raise SchemaError(f"dataset: {exc}")
 
@@ -415,17 +415,16 @@ def cover_doc(cover: Cover) -> dict:
 
 
 def _set_rows(doc, name: str) -> tuple[list, np.ndarray]:
-    """The ``sets`` rows of a cover or trivs document in ascending id order, and their ids.
+    """The ``sets`` rows of a cover, trivs or clusters document in ascending id order, and their ids.
 
     A set id listed twice is a schema error.
     """
     _check_schema(doc, name)
     rows = _need(doc, "sets", name, list)
     ids = _ints(_column(rows, "id", f"{name} set"), f"{name} set id")
-    by = np.argsort(ids, kind="stable")
-    again = by[1:][ids[by][1:] == ids[by][:-1]]  # stable: every later listing of an id
-    if again.size:
-        raise SchemaError(f"{name} set {ids[again.min()]} appears twice")
+    by, again = ascending(ids)
+    if again is not None:
+        raise SchemaError(f"{name} set {again} appears twice")
     return [rows[i] for i in by], ids[by]
 
 
@@ -668,29 +667,43 @@ def persistence_doc(report: PersistenceReport) -> dict:
 # cluster labels
 
 
-def clusters_doc(clusters: dict) -> dict:
-    rows = []
-    for j in sorted(clusters):
-        a, b = clusters[j]
-        rows.append(
-            {
-                "id": int(j),
-                "clusters": [sorted(int(s) for s in a), sorted(int(s) for s in b)],
-            }
-        )
-    return {"schema": SCHEMA_PREFIX + "clusters", "sets": rows}
+def clusters_doc(cover: Cover, label: np.ndarray) -> dict:
+    """Each cover set's two clusters, members ascending: the pairs ``label`` marks, then the rest."""
+    return {"schema": SCHEMA_PREFIX + "clusters", "sets": [
+        {"id": j, "clusters": [cover.samples[a:b][label[a:b]].tolist(),
+                               cover.samples[a:b][~label[a:b]].tolist()]}
+        for j, (a, b) in zip(cover.set_ids.tolist(), pairwise(cover.indptr.tolist()))]}
 
 
-def parse_clusters(doc) -> dict:
-    _check_schema(doc, "clusters")
-    rows = _need(doc, "sets", "clusters", list)
-    ids = _ints(_column(rows, "id", "cluster row"), "cluster id").tolist()
-    out = {}
-    for j, pair in zip(ids, _column(rows, "clusters", "cluster row", list)):
-        if len(pair) != 2 or not set(map(type, pair)) <= {list}:
-            raise SchemaError("cluster row: need exactly two clusters, each a list of sample ids")
-        out[j] = tuple(frozenset(_ints(part, "cluster member").tolist()) for part in pair)
-    return out
+def parse_clusters(doc, cover: Cover) -> np.ndarray:
+    """Two-cluster labels as one bool column aligned to the cover's pairs, True in cluster 0.
+
+    Each cover set has one row of two clusters of its members.  A set
+    listed twice, an empty cluster, a member in both clusters or in
+    neither, a sample outside its set, and a row for a set the cover
+    lacks, or none for one it has, are schema errors.
+    """
+    rows, ids = _set_rows(doc, "clusters")
+    parts = _column(rows, "clusters", "clusters set", list)
+    if not all(len(pair) == 2 and set(map(type, pair)) <= {list} for pair in parts):
+        raise SchemaError("cluster row: need exactly two clusters, each a list of sample ids")
+    members = _ints(list(chain.from_iterable(chain.from_iterable(parts))), "cluster member")
+    sizes = np.array([list(map(len, pair)) for pair in parts], np.int64).reshape(-1, 2)
+    if (empty := ids[(sizes == 0).any(axis=1)]).size:
+        raise SchemaError(f"set {empty[0]} has an empty cluster")
+    if not np.array_equal(ids, cover.set_ids):
+        raise SchemaError("cluster labels and cover sets disagree")
+    owner = np.repeat(ids, sizes.sum(axis=1))
+    at = cover.find(members, owner)
+    first = np.repeat(np.tile([True, False], len(ids)), sizes.reshape(-1))
+    votes = [np.bincount(at[(at >= 0) & side], minlength=len(cover.samples)) > 0
+             for side in (first, ~first)]
+    if (both := cover.sets[votes[0] & votes[1]]).size:
+        raise SchemaError(f"clusters of set {both[0]} overlap")
+    loose = np.r_[cover.sets[~(votes[0] | votes[1])], owner[at < 0]]
+    if loose.size:
+        raise SchemaError(f"clusters of set {loose.min()} do not partition its members")
+    return votes[0]
 
 
 # ---------------------------------------------------------------------------

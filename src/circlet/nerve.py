@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,15 +39,11 @@ BASE_KINDS = ("circle", "sphere", "projective_plane", "abstract")
 TIE_STEP = 1e-15
 
 
-def unique_ids(ids: Iterable) -> list:
-    out = list(ids)
-    if len(set(out)) < len(out):
-        seen = set()
-        for i in out:
-            if i in seen:
-                raise ValueError(f"duplicate id: {i!r}")
-            seen.add(i)
-    return out
+def ascending(ids: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The stable order that sorts int ``ids``, and the id whose second listing comes first, or None."""
+    by = np.argsort(ids, kind="stable")
+    again = by[1:][ids[by][1:] == ids[by][:-1]]  # stable: every later listing of an id
+    return by, int(ids[again.min()]) if again.size else None
 
 
 @dataclass
@@ -56,8 +52,10 @@ class BundleDataset:
 
     Attributes
     ----------
-    ids : tuple
-        Unique sample ids, in storage order.
+    ids : ndarray of shape (n,)
+        Distinct int64 sample ids in storage order: row i of ``base`` is
+        sample ``ids[i]``.  A repeated id is a ``ValueError`` naming the
+        id whose second listing comes first.
     base : ndarray of shape (n, k)
         Base point of each sample: unit 2-vectors on the circle, unit
         3-vectors on the sphere and the projective plane (antipodal pairs
@@ -68,13 +66,15 @@ class BundleDataset:
         Explicit base distance table; required when kind is "abstract".
     """
 
-    ids: tuple
+    ids: np.ndarray
     base: np.ndarray
     kind: str
     distances: np.ndarray | None = None
 
     def __post_init__(self):
-        self.ids = tuple(unique_ids(self.ids))
+        self.ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
+        if (again := ascending(self.ids)[1]) is not None:
+            raise ValueError(f"duplicate id: {again}")
         self.base = np.asarray(self.base, dtype=float)
         if self.kind not in BASE_KINDS:
             raise ValueError(f"unknown base kind {self.kind!r}")
@@ -90,16 +90,9 @@ class BundleDataset:
             norms = np.linalg.norm(self.base, axis=1)
             if not np.allclose(norms, 1.0, atol=1e-9):
                 raise ValueError("parametric base points must be unit vectors")
-        self._pos = {s: i for i, s in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def position(self, sample_id) -> int:
-        return self._pos[sample_id]
-
-    def base_of(self, sample_id) -> np.ndarray:
-        return self.base[self._pos[sample_id]]
 
 
 def base_geodesic(kind: str, points: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ def partition_of_unity(cover: Cover, dataset: BundleDataset) -> PartitionOfUnity
     """
     parametric = dataset.kind != "abstract" and not any(
         col is None or np.isnan(col).any() for col in (cover.center, cover.radius))
-    ids = np.array(dataset.ids, dtype=np.int64)
+    ids = dataset.ids
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     pos = np.minimum(sorted_ids.searchsorted(cover.samples), max(len(ids) - 1, 0))

@@ -244,7 +244,7 @@ class SyntheticBundle:
     cover: Cover
     trivs: Trivialization
     scenario: SyntheticScenario
-    clusters: dict | None = None
+    clusters: np.ndarray | None = None  # two-fiber models: True where a pair is in cluster 0
 
     def __iter__(self):
         return iter((self.dataset, self.cover, self.trivs))
@@ -261,10 +261,9 @@ def _add_noise(turns: np.ndarray, seed: int, set_id: int, sigma: float) -> np.nd
 def _pairs(dataset: BundleDataset, centers, radius: float, inc, clipped=None) -> tuple:
     """The set-by-sample incidence ``inc`` as a ``Cover`` of the sample ids, and each pair's row."""
     rows = np.flatnonzero(inc) % inc.shape[1]
-    ids = np.asarray(dataset.ids, np.int64)
-    indptr, order = _layout(np.count_nonzero(inc, axis=1), ids[rows])
+    indptr, order = _layout(np.count_nonzero(inc, axis=1), dataset.ids[rows])
     k = len(inc)
-    return Cover(np.arange(k), indptr, ids[rows[order]], centers, np.full(k, float(radius)),
+    return Cover(np.arange(k), indptr, dataset.ids[rows[order]], centers, np.full(k, float(radius)),
                  clipped), rows[order]
 
 
@@ -312,7 +311,7 @@ def gen_s1_bundle(
     phi = _stream(seed, _TAG_FIBER).random(n_samples)
     gauges = _stream(seed, _TAG_GAUGE).random(n_arcs)
     base = np.stack([np.cos(TAU * beta), np.sin(TAU * beta)], axis=1)
-    dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="circle")
+    dataset = BundleDataset(ids=np.arange(n_samples), base=base, kind="circle")
     cover, rows = _pairs(dataset, *_ball_incidence(dataset, n_arcs, 1.25 * math.pi / n_arcs))
     sets = cover.sets
     vals = phi[rows]
@@ -525,7 +524,7 @@ def gen_lens_bundle(
         raise ValueError("p must be a positive integer")
     q = _sample_quaternions(n_samples, seed)
     base = quat_rotate(q, E1)
-    dataset = BundleDataset(ids=tuple(range(n_samples)), base=base, kind="sphere")
+    dataset = BundleDataset(ids=np.arange(n_samples), base=base, kind="sphere")
     cover, rows = _trimmed(dataset, *_ball_incidence(dataset, n_sets, radius))
     if cover.radius[0] >= math.pi / 2:
         raise SectionUndefined(
@@ -557,7 +556,7 @@ def gen_rp2_bundle(
     q = _sample_quaternions(n_samples, seed)
     btrue = quat_rotate(q, E1)
     dataset = BundleDataset(
-        ids=tuple(range(n_samples)), base=btrue, kind="projective_plane"
+        ids=np.arange(n_samples), base=btrue, kind="projective_plane"
     )
     cover, rows = _trimmed(dataset, *_hemisphere_incidence(dataset, n_sets, radius))
     turns = _hemisphere_turns(q[rows], btrue[rows], cover.center, p, cover.sets)
@@ -589,17 +588,17 @@ def gen_disconnected_fiber(
         q = np.concatenate(
             [_sample_quaternions(half, (seed << 1) ^ (_TAG_COPY + c)) for c in (0, 1)]
         )
-        ids = tuple(range(half)) + tuple(2_000_000 + t for t in range(half))
+        ids = np.r_[np.arange(half), 2_000_000 + np.arange(half)]
     else:
         q = _sample_quaternions(n_samples, seed)
-        ids = tuple(range(n_samples))
+        ids = np.arange(n_samples)
     btrue = quat_rotate(q, E1)
     dataset = BundleDataset(ids=ids, base=btrue, kind="projective_plane")
     centers, radius, inc = _hemisphere_incidence(dataset, n_sets, radius)
 
     # a sample's label in a set: in the first copy, or on the near hemisphere
     if split:
-        labels = np.broadcast_to(np.asarray(ids) < 2_000_000, inc.shape)
+        labels = np.broadcast_to(ids < 2_000_000, inc.shape)
     else:
         labels = centers @ btrue.T > 0
 
@@ -623,11 +622,7 @@ def gen_disconnected_fiber(
     # section anchored at its own hemisphere
     charts = _hemisphere_turns if split else _two_sheet_turns
     turns = charts(q[rows], btrue[rows], centers, p, sets)
-    side = labels[sets, rows]
-    clusters = {j: (frozenset(cover.samples[a:b][side[a:b]].tolist()),
-                    frozenset(cover.samples[a:b][~side[a:b]].tolist()))
-                for j, (a, b) in enumerate(pairwise(cover.indptr.tolist()))}
     model = f"disconnected({p})" + ("-split" if split else "")
     euler = p if split else 2 * p
     return _bundle(model, dataset, cover, turns, noise, seed, not split, euler,
-                   clusters)
+                   labels[sets, rows])

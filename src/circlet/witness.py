@@ -85,6 +85,8 @@ def _shared_rows(charts: Pairs, want: np.ndarray):
     per chart, ordered by tuple and then sample.
     """
     m = want.shape[1]
+    if not len(want):
+        return np.empty(0, np.int64), np.empty((0, m), np.int64)
     dims = (len(charts.set_ids),) * m
     perm = np.argsort(want, axis=1, kind="stable")
     wkey = np.ravel_multi_index(tuple(np.take_along_axis(want, perm, axis=1).T), dims)

@@ -22,6 +22,7 @@ from circlet.errors import (
     GuardError,
     InconsistentClusters,
     LiftUndefined,
+    NotUnwrappable,
     PropagationConflict,
     SectionUndefined,
     TooFewSamples,
@@ -998,7 +999,13 @@ def loop_trim_labels(cover, label, min_shared: int = 6):
     return members, clipped
 
 
-def bfs_unwrap(dataset, cover, clusters) -> dict:
+def clusters_of(cover, label) -> dict:
+    """``{set id: (cluster 0, cluster 1)}`` as frozensets, from a label column on the cover's pairs."""
+    return {j: tuple(frozenset(cover.samples[(cover.sets == j) & (label == side)].tolist())
+                     for side in (True, False)) for j in cover.set_ids.tolist()}
+
+
+def bfs_unwrap(dataset, cover, label) -> dict:
     """Two-cluster unwrapping with breadth-first searches and a GF(2) elimination.
 
     The connectivity sign on an overlap is read off its label pairs; the
@@ -1007,14 +1014,12 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
     other piece every cluster's hemisphere orientation propagates by BFS
     from the piece's smallest set, whose two clusters start opposite, and
     each sample takes the base representative on its cluster's
-    hemisphere.  Returns base, kind, set_map, components, orientations,
+    hemisphere.  Returns base, kind, components, orientations,
     nu and the lifted sets' (members, center) by new id.
     """
     by_id = {c.id: c for c in cover_sets(cover)}
-    cl = {j: (frozenset(a), frozenset(b)) for j, (a, b) in clusters.items()}
-    for j, (plus, minus) in cl.items():
-        if not plus or not minus or plus & minus or plus | minus != by_id[j].members:
-            raise InconsistentClusters(f"clusters of set {j} do not partition its members")
+    cl = clusters_of(cover, label)
+    pos = {s: i for i, s in enumerate(dataset.ids.tolist())}
     edges = loop_nerve(cover, max_dim=1)[1]
     nu = {}
     for (j, k) in edges:
@@ -1051,7 +1056,7 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
             components += 2
             continue
         if dataset.kind != "projective_plane":
-            raise ValueError("nontrivial connectivity class needs an antipodal base")
+            raise NotUnwrappable("nontrivial connectivity class needs an antipodal base")
         centers = {j: by_id[j].center for j in piece}
         rel = {(j, c): [] for j in piece for c in (0, 1)}
         for (j, k) in piece_edges:
@@ -1059,7 +1064,7 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
                 for ck in (0, 1):
                     signs = set()
                     for s in sorted(cl[j][cj] & cl[k][ck]):
-                        v = dataset.base_of(s)
+                        v = dataset.base[pos[s]]
                         dj, dk = float(v @ centers[j]), float(v @ centers[k])
                         if abs(dj) < 1e-12 or abs(dk) < 1e-12:
                             raise LiftUndefined(f"sample {s} sits on a hemisphere boundary")
@@ -1088,11 +1093,11 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
             for c in (0, 1):
                 orientations[2 * j + c] = orient[(j, c)]
                 for s in cl[j][c]:
-                    eta = 1 if float(dataset.base_of(s) @ centers[j]) * orient[(j, c)] > 0 else -1
+                    eta = 1 if float(dataset.base[pos[s]] @ centers[j]) * orient[(j, c)] > 0 else -1
                     if lift.setdefault(s, eta) != eta:
                         raise PropagationConflict(f"sample {s} needs two different lifts")
         for s, eta in lift.items():
-            base[dataset.position(s)] = eta * dataset.base_of(s)
+            base[pos[s]] = eta * dataset.base[pos[s]]
         components += 1
         geometric = True
 
@@ -1105,7 +1110,6 @@ def bfs_unwrap(dataset, cover, clusters) -> dict:
     return {
         "base": base,
         "kind": "sphere" if geometric else dataset.kind,
-        "set_map": {2 * j + c: (j, c) for j in by_id for c in (0, 1)},
         "components": components,
         "orientations": orientations,
         "nu": nu,
@@ -1200,9 +1204,10 @@ def loop_generator_charts(kind, q, dataset, cover, p, label=None):
     With ``label(j, s)``, also the clusters ``set id -> (labelled, unlabelled)``.
     """
     tables, clusters = {}, {}
+    pos = {s: i for i, s in enumerate(dataset.ids.tolist())}
     for cs in cover_sets(cover):
         members = sorted(cs.members)
-        rows = np.array([dataset.position(s) for s in members], dtype=int)
+        rows = np.array([pos[s] for s in members], dtype=int)
         turns = LOOP_CHARTS[kind](q[rows], dataset.base[rows], cs.center, p, f"set {cs.id}")
         tables[cs.id] = (members, turns)
         if label is not None:

@@ -17,6 +17,7 @@ import circlet
 from circlet import cli, io
 from circlet import nerve as nerve_module
 from circlet.cli import main
+from circlet.synthetic import gen_disconnected_fiber
 
 
 def run(*argv):
@@ -129,8 +130,9 @@ class TestSynth:
             "synth", "--model", "split:1", "--samples", "1200", "--sets", "36",
             "--seed", "2", "--out", str(out),
         ) == 0
-        clusters = io.parse_clusters(read(out / "clusters.json"))
-        assert set(clusters) == set(io.parse_cover(read(out / "cover.json")).set_ids.tolist())
+        cover = io.parse_cover(read(out / "cover.json"))
+        label = io.parse_clusters(read(out / "clusters.json"), cover)
+        assert label.shape == cover.samples.shape and label.any() and not label.all()
 
     def test_bad_model_is_schema_error(self, tmp_path, capsys):
         assert run("synth", "--model", "mobius", "--out", str(tmp_path / "x")) == 1
@@ -544,58 +546,6 @@ class TestCoordinatizeCommand:
         assert payload["guard"] == "RankDeficient"
 
 
-class TestUnwrapCommand:
-    def test_split_labels_give_two_components(self, tmp_path, capsys):
-        synth = tmp_path / "split"
-        assert run(
-            "synth", "--model", "split:1", "--samples", "3000", "--sets", "36",
-            "--seed", "2", "--out", str(synth),
-        ) == 0
-        out = tmp_path / "un"
-        code = run(
-            "unwrap", "--data", str(synth / "dataset.json"),
-            "--cover", str(synth / "cover.json"),
-            "--trivs", str(synth / "trivs.json"),
-            "--clusters", str(synth / "clusters.json"), "--out", str(out),
-        )
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert summary["components"] == 2
-        assert summary["nu_nontrivial"] is False
-
-    def test_connected_fiber_unwraps_to_double_euler(self, tmp_path, capsys):
-        base = tmp_path
-        assert run(
-            "synth", "--model", "disconnected:1", "--samples", "8000", "--sets", "36",
-            "--seed", "2", "--out", str(base / "d0"),
-        ) == 0
-        assert run(
-            "unwrap", "--data", str(base / "d0" / "dataset.json"),
-            "--cover", str(base / "d0" / "cover.json"),
-            "--trivs", str(base / "d0" / "trivs.json"),
-            "--clusters", str(base / "d0" / "clusters.json"),
-            "--out", str(base / "d1"),
-        ) == 0
-        unwrap = read(base / "d1" / "unwrap.json")
-        assert unwrap["components"] == 1
-        assert any(row["sign"] == -1 for row in unwrap["nu"])
-        assert run(
-            "witness", "--data", str(base / "d1" / "dataset.json"),
-            "--cover", str(base / "d1" / "cover.json"),
-            "--trivs", str(base / "d1" / "trivs.json"),
-            "--out", str(base / "d2"),
-        ) == 0
-        assert run(
-            "classes", "--witness", str(base / "d2" / "witness.json"),
-            "--out", str(base / "d3"),
-        ) == 0
-        assert run(
-            "euler", "--classes", str(base / "d3" / "classes.json"),
-            "--out", str(base / "d4"),
-        ) == 0
-        assert read(base / "d4" / "euler.json")["magnitude"] == 2
-
-
 @pytest.fixture(scope="module")
 def split_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("split")
@@ -709,15 +659,9 @@ def _overlapping_clusters(doc):
     row["clusters"][1].append(row["clusters"][0][0])
 
 
-# clusters.json edits that leave set 0's labels inconsistent, and the message each gives
-CLUSTER_EDITS = [
-    (_empty_cluster, "set 0 has an empty cluster"),
-    (_overlapping_clusters, "clusters of set 0 overlap"),
-    (lambda d: d["sets"][0]["clusters"][0].pop(), "clusters of set 0 do not partition its members"),
-    (lambda d: d["sets"].pop(0), "cluster labels and cover sets disagree"),
-]
-CLUSTER_EDIT_IDS = ["empty-cluster", "overlapping-clusters", "unlabelled-member",
-                    "missing-cluster-row"]
+def _outside_first_listing(doc):
+    """List set 0 twice, first with samples the dataset lacks."""
+    doc["sets"].insert(0, {"id": 0, "clusters": [[10**9], [10**9 + 1]]})
 
 
 @pytest.fixture(scope="module")
@@ -726,6 +670,148 @@ def small_lens(tmp_path_factory):
     assert run("synth", "--model", "lens:1", "--samples", "300", "--sets", "12",
                "--out", str(out)) == 0
     return out
+
+
+def _write_bundle(bundle, directory):
+    """A generated bundle's dataset, cover, charts and clusters, written as synth writes them."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, doc in (("dataset", io.dataset_doc(bundle.dataset)),
+                      ("cover", io.cover_doc(bundle.cover)), ("trivs", io.trivs_doc(bundle.trivs)),
+                      ("clusters", io.clusters_doc(bundle.cover, bundle.clusters))):
+        io.dump_json(doc, str(directory / f"{name}.json"))
+
+
+def _unwrap_argv(synth, edited, names, out):
+    """``unwrap`` on synth's documents, with those in ``names`` read from ``edited`` instead."""
+    path = {n: (edited if n in names else synth) / n
+            for n in ("dataset.json", "cover.json", "trivs.json", "clusters.json")}
+    return ["unwrap", f"--data={path['dataset.json']}", f"--cover={path['cover.json']}",
+            f"--trivs={path['trivs.json']}", f"--clusters={path['clusters.json']}", f"--out={out}"]
+
+
+def _cluster_edit(edit, at, clusters, cover, dataset):
+    """One edit of the clusters document, or of the cover or dataset document beside it."""
+    rows = clusters["sets"]
+    if edit == "base-kind":
+        dataset["base_space"]["kind"] = ("sphere", "circle", "abstract")[at % 3]
+    elif edit == "drop-center":
+        cover["sets"][at % len(cover["sets"])].pop("center", None)
+    elif rows:
+        row = rows[at % len(rows)]
+        if edit == "drop-row":
+            rows.remove(row)
+        elif edit == "repeat-row":
+            rows.append(json.loads(json.dumps(row)))
+        elif row["clusters"][at % 2]:
+            row["clusters"][1 - at % 2].append(row["clusters"][at % 2].pop())
+
+
+@pytest.fixture(scope="module")
+def small_disconnected(tmp_path_factory):
+    out = tmp_path_factory.mktemp("disconnected") / "synth"
+    assert run("synth", "--model", "disconnected:1", "--samples", "1000", "--sets", "20",
+               "--out", str(out)) == 0
+    return out
+
+
+class TestUnwrapCommand:
+    def test_split_labels_give_two_components(self, tmp_path, capsys):
+        synth = tmp_path / "split"
+        assert run(
+            "synth", "--model", "split:1", "--samples", "3000", "--sets", "36",
+            "--seed", "2", "--out", str(synth),
+        ) == 0
+        out = tmp_path / "un"
+        code = run(
+            "unwrap", "--data", str(synth / "dataset.json"),
+            "--cover", str(synth / "cover.json"),
+            "--trivs", str(synth / "trivs.json"),
+            "--clusters", str(synth / "clusters.json"), "--out", str(out),
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["components"] == 2
+        assert summary["nu_nontrivial"] is False
+
+    @pytest.mark.parametrize("source", ["8000-36-seed-2", 0, 1, 2, 3])
+    def test_connected_fiber_unwraps_to_double_euler(self, scenario, tmp_path, source):
+        # synth's own output, and the generator's at defaults for seeds 0-3:
+        # unwrapped, the bundle has |e| = 2 and an orientable sign class
+        if source == "8000-36-seed-2":
+            assert run("synth", "--model", "disconnected:1", "--samples", "8000", "--sets", "36",
+                       "--seed", "2", "--out", str(tmp_path / "d0")) == 0
+        else:
+            _write_bundle(scenario(gen_disconnected_fiber, 1, seed=source), tmp_path / "d0")
+        assert run("unwrap", *_bundle_flags(tmp_path / "d0"),
+                   "--clusters", str(tmp_path / "d0" / "clusters.json"),
+                   "--out", str(tmp_path / "d1")) == 0
+        unwrap = read(tmp_path / "d1" / "unwrap.json")
+        assert unwrap["components"] == 1
+        assert any(row["sign"] == -1 for row in unwrap["nu"])
+        assert run("report", "--dims", "2", *_bundle_flags(tmp_path / "d1"),
+                   "--out", str(tmp_path / "d2")) == 0
+        block = read(tmp_path / "d2" / "report.json")["classes"]
+        assert (abs(block["euler_number"]), block["sw_coboundary"], block["reason"]) == (2, True, None)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_split_fiber_report_recovers_its_euler_number(self, scenario, tmp_path, seed):
+        b = scenario(gen_disconnected_fiber, 1, seed=seed, split=True)
+        _write_bundle(b, tmp_path)
+        assert run("report", "--dims", "2", *_bundle_flags(tmp_path),
+                   "--out", str(tmp_path / "report")) == 0
+        block = read(tmp_path / "report" / "report.json")["classes"]
+        assert (abs(block["euler_number"]), block["reason"]) == (b.scenario.euler_number, None)
+
+    @pytest.mark.parametrize("name, mutate, code, message", [
+        ("cover.json", lambda d: d["sets"][3].pop("center"), 1,
+         "set 3 has no center; cannot pick hemispheres"),
+        ("dataset.json", _set(["base_space", "kind"], "sphere"), 2,
+         "nontrivial connectivity class over a 'sphere' base; "
+         "only antipodal-quotient bases unwrap geometrically"),
+        ("clusters.json", _outside_first_listing, 1, "clusters set 0 appears twice"),
+    ], ids=["set-without-center", "sphere-base", "repeated-cluster-row"])
+    def test_unwrap_faults_exit_with_a_manifest(self, small_disconnected, tmp_path, capsys,
+                                                name, mutate, code, message):
+        doc = read(small_disconnected / name)
+        mutate(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+        argv = _unwrap_argv(small_disconnected, tmp_path, {name}, tmp_path / "un")
+        assert run(*argv) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert json.loads((err if code == 1 else out).splitlines()[-1])["message"] == message
+        assert read(tmp_path / "un" / "manifest.json")["status"] == code
+        if code == 2:
+            assert read(tmp_path / "un" / "obstruction.json")["obstruction"] == "nu"
+
+    def test_centers_are_needed_only_where_a_piece_lifts(self, split_dirs, tmp_path):
+        synth = split_dirs[0]
+        cover = read(synth / "cover.json")
+        for row in cover["sets"]:
+            del row["center"]
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        assert run(*_unwrap_argv(synth, tmp_path, {"cover.json"}, tmp_path / "un")) == 0
+        assert read(tmp_path / "un" / "unwrap.json")["components"] == 2
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(
+        st.sampled_from(["drop-row", "repeat-row", "move-sample", "drop-center", "base-kind"]),
+        st.integers(0, 59)), min_size=1, max_size=3))
+    def test_cluster_edits_exit_without_traceback(self, small_disconnected, capsys, edits):
+        # clusters.json edited together with cover.json or dataset.json
+        docs = {n: read(small_disconnected / n)
+                for n in ("clusters.json", "cover.json", "dataset.json")}
+        for edit, at in edits:
+            _cluster_edit(edit, at, *docs.values())
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, doc in docs.items():
+                (tmp / name).write_text(json.dumps(doc))
+            code = run(*_unwrap_argv(small_disconnected, tmp, set(docs), tmp / "un"))
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in capsys.readouterr().err
+            assert read(tmp / "un" / "manifest.json")["status"] == code
 
 
 class TestMalformedPipelineDocuments:
@@ -740,6 +826,12 @@ class TestMalformedPipelineDocuments:
         ("clusters.json", _set(["sets", 0, "clusters"], [1, 2]), None),
         ("clusters.json", lambda d: d["sets"][0]["clusters"][0].append([1]), None),
         ("clusters.json", _set(["sets", 0, "id"], "0"), None),
+        ("clusters.json", _empty_cluster, "set 0 has an empty cluster"),
+        ("clusters.json", _overlapping_clusters, "clusters of set 0 overlap"),
+        ("clusters.json", lambda d: d["sets"][0]["clusters"][0].pop(),
+         "clusters of set 0 do not partition its members"),
+        ("clusters.json", lambda d: d["sets"].pop(0), "cluster labels and cover sets disagree"),
+        ("clusters.json", _outside_first_listing, "clusters set 0 appears twice"),
         ("classes.json", lambda d: d["sw"][0].pop("simplex"), None),
         ("classes.json", _set(["sw", 0, "sign"], 3), None),
         ("classes.json", _set(["sw", 0, "sign"], "x"), None),
@@ -770,6 +862,8 @@ class TestMalformedPipelineDocuments:
         ("bundle", _empty_first_set, "cover set 0 has no members"),
     ], ids=[
         "cluster-id-list", "clusters-not-lists", "member-list", "cluster-id-string",
+        "empty-cluster", "overlapping-clusters", "unlabelled-member", "missing-cluster-row",
+        "repeated-cluster-row",
         "sw-without-simplex", "sw-sign-3", "sw-sign-string", "sw-not-list",
         "euler-value-float", "values-not-list", "witness-sign-float",
         "witness-sign-bool", "weights-not-list", "simplices-not-list",
@@ -809,20 +903,6 @@ class TestMalformedPipelineDocuments:
             assert json.loads(err.splitlines()[-1])["error"] == "schema"
             assert message is None or json.loads(err.splitlines()[-1])["message"] == message
             assert read(out / "manifest.json")["status"] == 1
-
-    @pytest.mark.parametrize("mutate, message", CLUSTER_EDITS, ids=CLUSTER_EDIT_IDS)
-    def test_inconsistent_clusters_guard_exit(self, split_dirs, tmp_path, capsys, mutate,
-                                              message):
-        synth = split_dirs[0]
-        doc = read(synth / "clusters.json")
-        mutate(doc)
-        (tmp_path / "clusters.json").write_text(json.dumps(doc))
-        out = tmp_path / "unwrap"
-        assert run("unwrap", *_bundle_flags(synth), "--clusters", str(tmp_path / "clusters.json"),
-                   "--out", str(out)) == 3
-        assert json.loads(capsys.readouterr().out.splitlines()[-1])["message"] == message
-        assert read(out / "guard.json")["message"] == message
-        assert read(out / "manifest.json")["status"] == 3
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -254,7 +254,7 @@ class TestDatasetSchema:
         ds, _, _ = torus
         doc = written(io.dataset_doc(ds))
         back = io.parse_dataset(doc)
-        assert back.ids == ds.ids
+        assert np.array_equal(back.ids, ds.ids)
         assert back.kind == ds.kind
         assert np.array_equal(back.base, ds.base)
         assert io.canonical_text(io.dataset_doc(back)) == io.canonical_text(doc)
@@ -346,8 +346,8 @@ class TestColumnChecks:
         except SchemaError as exc:
             assert "expected a" not in str(exc)
         else:
-            assert ds.ids == tuple(r["id"] for r in rows)
-            assert ds.base[at, 1] == expect if key == "base" else type(ds.ids[at]) is int
+            assert ds.ids.tolist() == [r["id"] for r in rows]
+            assert (ds.base[at, 1] if key == "base" else ds.ids[at]) == expect
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5))
@@ -545,19 +545,45 @@ class TestPersistenceSchema:
                                       {"dim": 2, "count": 3}]
 
 
+def _clusters(*rows):
+    return {"schema": "circlet/clusters", "sets": [{"id": j, "clusters": c} for j, c in rows]}
+
+
 class TestClustersSchema:
+    """A label column aligned to the cover's pairs; every inconsistency is a schema error."""
+
+    COVER = Cover.of({0: [1, 2, 3], 4: [3, 5, 6]})
+
     def test_round_trip(self):
-        clusters = {0: (frozenset({1, 2}), frozenset({3})), 4: (frozenset(), frozenset({5}))}
-        back = io.parse_clusters(io.clusters_doc(clusters))
-        assert back == clusters
+        label = np.array([True, True, False, False, True, False])
+        doc = written(io.clusters_doc(self.COVER, label))
+        assert doc == _clusters((0, [[1, 2], [3]]), (4, [[5], [3, 6]]))
+        assert np.array_equal(io.parse_clusters(doc, self.COVER), label)
+
+    def test_rows_in_any_order_and_a_sample_listed_twice_in_one_cluster(self):
+        doc = _clusters((4, [[5], [6, 3, 6]]), (0, [[2, 1, 1], [3]]))
+        label = io.parse_clusters(doc, self.COVER)
+        assert label.tolist() == [True, True, False, False, True, False]
 
     def test_wrong_arity_rejected(self):
-        doc = {
-            "schema": "circlet/clusters",
-            "sets": [{"id": 0, "clusters": [[1], [2], [3]]}],
-        }
         with pytest.raises(SchemaError, match="two clusters"):
-            io.parse_clusters(doc)
+            io.parse_clusters(_clusters((0, [[1], [2], [3]]), (4, [[5], [3, 6]])), self.COVER)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, [[9], [8]]), (0, [[1, 2], [3]]), (4, [[5], [3, 6]])], "clusters set 0 appears twice"),
+        ([(0, [[1, 2], [3]]), (4, [[], [3, 5, 6]])], "set 4 has an empty cluster"),
+        ([(0, [[1, 2], [3, 2]]), (4, [[5], [3, 6]])], "clusters of set 0 overlap"),
+        ([(0, [[1, 2], [3]])], "cluster labels and cover sets disagree"),
+        ([(0, [[1, 2], [3]]), (4, [[5], [3, 6]]), (7, [[1], [2]])],
+         "cluster labels and cover sets disagree"),
+        ([(0, [[1, 2], [3]]), (4, [[5], [3]])], "clusters of set 4 do not partition its members"),
+        ([(0, [[1, 2], [3]]), (4, [[5], [3, 6, 1]])],
+         "clusters of set 4 do not partition its members"),
+    ], ids=["repeated-row", "empty-cluster", "overlap", "missing-row",
+            "extra-row", "member-without-label", "label-outside-its-set"])
+    def test_inconsistent_labels_rejected(self, rows, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            io.parse_clusters(_clusters(*rows), self.COVER)
 
 
 class TestScenarioSchema:

@@ -49,9 +49,18 @@ class TestDataset:
             BundleDataset(ids=(0, 1), base=np.zeros((2, 0)), kind="abstract")
 
     def test_positions(self):
-        ds = circle_dataset(4)
-        assert ds.position(2) == 2
-        assert np.allclose(ds.base_of(0), [1.0, 0.0])
+        # a sample's position is its index in the int64 ids column
+        ds = BundleDataset(ids=(7, -3, 2**62), base=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                           kind="circle")
+        assert ds.ids.dtype == np.int64 and ds.ids.tolist() == [7, -3, 2**62]
+        assert ds.base[np.flatnonzero(ds.ids == -3)].tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("ids, again", [
+        ((5, 3, 3, 5), 3), ((1, 2, 1, 2), 1), ((4, 9, 4, 4), 4), ((2**62, -1, 2**62), 2**62),
+    ])
+    def test_duplicate_named_by_the_earliest_second_listing(self, ids, again):
+        with pytest.raises(ValueError, match=f"^duplicate id: {again}$"):
+            BundleDataset(ids=ids, base=np.tile([1.0, 0.0], (len(ids), 1)), kind="circle")
 
     def test_geodesic_projective_identifies_antipodes(self):
         p = np.array([[0.0, 0.0, 1.0]])

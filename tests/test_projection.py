@@ -448,7 +448,7 @@ class TestProjectTrivialization:
         ds, _, _, _, _, _ = torus
         cover3 = make_cover(ds, 3, radius=2.2)
         nerve3 = build_nerve(cover3)
-        ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
+        ang = dict(zip(ds.ids.tolist(), s1_angle(ds.base).tolist()))
         trivs3 = charts_of({c.id: {s: ang[s] for s in c.members} for c in cover_sets(cover3)})
         wit3 = assemble_witness(trivs3, nerve3)
         rho3 = partition_of_unity(cover3, ds)
@@ -620,7 +620,7 @@ class TestBundleMap:
         ds, _, _, _, _, _ = torus
         cover3 = make_cover(ds, 3, radius=2.2)
         nerve3 = build_nerve(cover3)
-        ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
+        ang = dict(zip(ds.ids.tolist(), s1_angle(ds.base).tolist()))
         tables = {c.id: {s: ang[s] for s in c.members} for c in cover_sets(cover3)}
         wit3 = assemble_witness(charts_of(tables), nerve3)
         rho3 = partition_of_unity(cover3, ds)
@@ -650,7 +650,7 @@ class TestGlobalTrivialize:
         ds, _, _, _, _, _ = torus
         cover3 = make_cover(ds, 3, radius=2.2)
         nerve3 = build_nerve(cover3)
-        ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
+        ang = dict(zip(ds.ids.tolist(), s1_angle(ds.base).tolist()))
         trivs3 = charts_of(
             {c.id: {s: ang[s] + 0.4 * c.id for s in c.members} for c in cover_sets(cover3)}
         )
@@ -696,7 +696,7 @@ class TestGlobalTrivialize:
         rho_sq = partition_from_rows(sq, rho.sets, mode="distance")
         g1 = global_trivialize(trivs, wit, rho)
         g2 = global_trivialize(trivs, wit, rho_sq)
-        base_ang = {s: float(s1_angle(ds.base_of(s)[None, :])[0]) for s in ds.ids}
+        base_ang = dict(zip(ds.ids.tolist(), s1_angle(ds.base).tolist()))
         order = sorted(ds.ids, key=lambda s: base_ang[s])
         angle1 = dict(zip(g1.ids.tolist(), g1.turns.tolist()))
         angle2 = dict(zip(g2.ids.tolist(), g2.turns.tolist()))

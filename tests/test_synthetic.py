@@ -40,6 +40,7 @@ from circlet.witness import assemble_witness, triv_quality
 from oracles import (
     chart,
     charts_of,
+    clusters_of,
     cover_sets,
     bfs_unwrap,
     loop_generator_charts,
@@ -360,7 +361,7 @@ class TestRp2Bundle:
 class TestDisconnectedFiber:
     def test_connectivity_class_nontrivial(self, disconnected1):
         nerve = build_nerve(disconnected1.cover)
-        nu = connectivity_cocycle(disconnected1.clusters, nerve)
+        nu = connectivity_cocycle(disconnected1.cover, disconnected1.clusters, nerve)
         assert not sign_coboundary(nerve, nu)
 
     def test_unwrap_recovers_double_euler(self, disconnected1):
@@ -453,16 +454,18 @@ class TestTrimmingOracles:
         b = gen_disconnected_fiber(1, n_samples=1500, n_sets=24, seed=seed, split=split)
         ds = b.dataset
         centers = {cs.id: cs.center for cs in cover_sets(b.cover)}
+        base = dict(zip(ds.ids.tolist(), ds.base))
 
         def label(j, s):
             if split:
                 return s < 2_000_000
-            return float(ds.base_of(s) @ centers[j]) > 0
+            return float(base[s] @ centers[j]) > 0
 
         expected = loop_trim_labels(make_cover(ds, 24, None), label)
         assert expected[1] and _cover_state(b.cover) == expected
+        clusters = clusters_of(b.cover, b.clusters)
         for cs in cover_sets(b.cover):
-            assert b.clusters[cs.id] == tuple(
+            assert clusters[cs.id] == tuple(
                 frozenset(s for s in cs.members if label(cs.id, s) == side)
                 for side in (True, False)
             )
@@ -472,7 +475,6 @@ class TestTrimmingOracles:
         assert dict(zip(tuples(res.nerve.edges), res.nu.tolist())) == ref["nu"]
         assert res.components == ref["components"] == (2 if split else 1)
         assert res.orientations == ref["orientations"]
-        assert res.set_map == ref["set_map"]
         assert res.dataset.kind == ref["kind"]
         assert np.array_equal(res.dataset.base, ref["base"])
         for cs in cover_sets(res.cover):
@@ -515,7 +517,8 @@ def _labels(kind, dataset, cover):
     """The two-fiber generators' labels, restated; None for one-fiber models."""
     centers = {cs.id: cs.center for cs in cover_sets(cover)}
     if kind == "two-sheet":
-        return lambda j, s: float(dataset.base_of(s) @ centers[j]) > 0
+        base = dict(zip(dataset.ids.tolist(), dataset.base))
+        return lambda j, s: float(base[s] @ centers[j]) > 0
     if dataset.ids[-1] >= 2_000_000:
         return lambda j, s: s < 2_000_000
     return None
@@ -550,7 +553,8 @@ class TestChartOracles:
             got, ref = chart(b.trivs, j), chart(want, j)
             assert np.array_equal(got.ids, ref.ids)
             assert np.array_equal(got.points, ref.points)
-        assert b.clusters == (clusters if label is not None else None)
+        assert (b.clusters is None) == (label is None)
+        assert label is None or clusters_of(b.cover, b.clusters) == clusters
 
 
 def _crafted_rows(seed=0, per_set=40):
