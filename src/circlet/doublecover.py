@@ -36,13 +36,23 @@ PERP_TOL = 1e-12
 
 
 def _shared_labels(cover: Cover, label: np.ndarray, nerve: Nerve) -> tuple:
-    """Every sample an edge's sets share, by edge and then sample.
+    """Every sample an edge's sets share, by edge and then sample, and the labels' class nu.
 
-    Returns each row's edge position, its pairs in the edge's two sets,
-    and its label combination, 0 to 3 for ++, +-, -+ and --.
+    Returns each row's edge position, its pairs in the edge's two sets
+    and its label combination, 0 to 3 for ++, +-, -+ and --; then nu, as
+    ``connectivity_cocycle`` states it.
     """
     which, pick = _shared_rows(cover, np.searchsorted(cover.set_ids, nerve.edges))
-    return which, pick, 2 * ~label[pick[:, 0]] + ~label[pick[:, 1]]
+    combo = 2 * ~label[pick[:, 0]] + ~label[pick[:, 1]]
+    meets = np.bincount(4 * which + combo, minlength=4 * len(nerve.edges)).reshape(-1, 4) > 0
+    bad = np.flatnonzero((meets != meets[:, ::-1]).any(axis=1) | (meets[:, 0] == meets[:, 1]))
+    if bad.size:
+        j, k = nerve.edges[bad[0]].tolist()
+        raise InconsistentClusters(f"edge ({j}, {k}) meets label combinations "
+                                   f"(++, +-, -+, --) = {tuple(meets[bad[0]].tolist())}")
+    nu = np.where(meets[:, 0], 1, -1)
+    check_sign_cocycle(nu, nerve)
+    return which, pick, combo, nu
 
 
 def connectivity_cocycle(cover: Cover, label: np.ndarray, nerve: Nerve) -> np.ndarray:
@@ -54,16 +64,7 @@ def connectivity_cocycle(cover: Cover, label: np.ndarray, nerve: Nerve) -> np.nd
     minus/plus); anything else is inconsistent data.  The result is
     validated to be a cocycle on the nerve's triangles.
     """
-    which, _, combo = _shared_labels(cover, np.asarray(label, bool), nerve)
-    meets = np.bincount(4 * which + combo, minlength=4 * len(nerve.edges)).reshape(-1, 4) > 0
-    bad = np.flatnonzero((meets != meets[:, ::-1]).any(axis=1) | (meets[:, 0] == meets[:, 1]))
-    if bad.size:
-        j, k = nerve.edges[bad[0]].tolist()
-        raise InconsistentClusters(f"edge ({j}, {k}) meets label combinations "
-                                   f"(++, +-, -+, --) = {tuple(meets[bad[0]].tolist())}")
-    nu = np.where(meets[:, 0], 1, -1)
-    check_sign_cocycle(nu, nerve)
-    return nu
+    return _shared_labels(cover, np.asarray(label, bool), nerve)[3]
 
 
 @dataclass
@@ -114,7 +115,7 @@ def unwrap_double_cover(dataset: BundleDataset, cover: Cover, label: np.ndarray)
     """
     label = np.asarray(label, bool)
     nerve = build_nerve(cover)
-    nu = connectivity_cocycle(cover, label, nerve)
+    which, pick, combo, nu = _shared_labels(cover, label, nerve)
 
     forest = ParityForest()
     odd = [j for (j, k), v in zip(nerve.edges.tolist(), nu.tolist())
@@ -161,7 +162,6 @@ def unwrap_double_cover(dataset: BundleDataset, cover: Cover, label: np.ndarray)
         dots = np.einsum("ij,ij->i", dataset.base[rows], cover.center[cover.slots])
 
         # the piece's shared samples by edge, label combination and sample
-        which, pick, combo = _shared_labels(cover, label, nerve)
         at = np.flatnonzero(np.isin(nerve.edges[which, 0], piece))
         at = at[np.argsort((4 * which + combo)[at], kind="stable")]
         key = (4 * which + combo)[at]
