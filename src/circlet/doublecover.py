@@ -211,7 +211,8 @@ def unwrap_double_cover(dataset: BundleDataset, cover: Cover, label: np.ndarray)
         eta = np.where(sheet[2 * cover.slots[q] + ~label[q]] * dots[q] > 0, 1, -1)
         clash = np.flatnonzero((np.diff(cover.samples[q]) == 0) & (np.diff(eta) != 0))
         if clash.size:
-            raise PropagationConflict(f"sample {cover.samples[q[clash[0]]]} needs two different lifts")
+            s = cover.samples[q[clash[0]]]
+            raise PropagationConflict(f"sample {s} needs two different lifts")
         base[rows[q]] = eta[:, None] * dataset.base[rows[q]]
         components += 1
 

@@ -415,7 +415,7 @@ def cover_doc(cover: Cover) -> dict:
 
 
 def _set_rows(doc, name: str) -> tuple[list, np.ndarray]:
-    """The ``sets`` rows of a cover, trivs or clusters document in ascending id order, and their ids.
+    """The ``sets`` rows of a cover, trivs or clusters document, ids ascending, and their ids.
 
     A set id listed twice is a schema error.
     """
@@ -668,7 +668,7 @@ def persistence_doc(report: PersistenceReport) -> dict:
 
 
 def clusters_doc(cover: Cover, label: np.ndarray) -> dict:
-    """Each cover set's two clusters, members ascending: the pairs ``label`` marks, then the rest."""
+    """Each cover set's two clusters, members ascending: the pairs ``label`` marks, the rest."""
     return {"schema": SCHEMA_PREFIX + "clusters", "sets": [
         {"id": j, "clusters": [cover.samples[a:b][label[a:b]].tolist(),
                                cover.samples[a:b][~label[a:b]].tolist()]}

@@ -40,7 +40,7 @@ TIE_STEP = 1e-15
 
 
 def ascending(ids: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """The stable order that sorts int ``ids``, and the id whose second listing comes first, or None."""
+    """The stable order sorting int ``ids``, and the id whose second listing is first, or None."""
     by = np.argsort(ids, kind="stable")
     again = by[1:][ids[by][1:] == ids[by][:-1]]  # stable: every later listing of an id
     return by, int(ids[again.min()]) if again.size else None
@@ -155,9 +155,6 @@ class Pairs:
         """The distinct samples, and every pair's ascending key ``slot * len(distinct) + rank``."""
         distinct, rank = np.unique(self.samples, return_inverse=True)
         return distinct, self.slots * len(distinct) + rank.reshape(-1)
-
-    def members(self, j) -> np.ndarray:
-        return self.samples[self.sets == j]
 
     def find(self, samples, sets) -> np.ndarray:
         """Position of each (sample, set) pair, -1 where the table has none; arguments broadcast.

@@ -59,7 +59,7 @@ def cover_sets(cover) -> list:
     def given(col, i):
         return None if col is None or np.isnan(col[i]).any() else col[i]
 
-    return [SimpleNamespace(id=j, members=frozenset(cover.members(j).tolist()),
+    return [SimpleNamespace(id=j, members=frozenset(cover.samples[cover.sets == j].tolist()),
                             center=given(cover.center, i), radius=given(cover.radius, i),
                             clipped=bool(cover.clipped[i]))
             for i, j in enumerate(cover.set_ids.tolist())]
@@ -1000,7 +1000,7 @@ def loop_trim_labels(cover, label, min_shared: int = 6):
 
 
 def clusters_of(cover, label) -> dict:
-    """``{set id: (cluster 0, cluster 1)}`` as frozensets, from a label column on the cover's pairs."""
+    """``{set id: (cluster 0, cluster 1)}`` as frozensets from a label column on a cover's pairs."""
     return {j: tuple(frozenset(cover.samples[(cover.sets == j) & (label == side)].tolist())
                      for side in (True, False)) for j in cover.set_ids.tolist()}
 

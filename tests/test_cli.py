@@ -751,7 +751,8 @@ class TestUnwrapCommand:
         assert run("report", "--dims", "2", *_bundle_flags(tmp_path / "d1"),
                    "--out", str(tmp_path / "d2")) == 0
         block = read(tmp_path / "d2" / "report.json")["classes"]
-        assert (abs(block["euler_number"]), block["sw_coboundary"], block["reason"]) == (2, True, None)
+        assert (abs(block["euler_number"]), block["sw_coboundary"], block["reason"]) == (
+            2, True, None)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_split_fiber_report_recovers_its_euler_number(self, scenario, tmp_path, seed):

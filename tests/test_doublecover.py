@@ -310,7 +310,7 @@ def _shuffled_ring():
     perm = np.random.default_rng(7).permutation(len(dataset))
     ids = 10**12 - 3 * dataset.ids
     shuffled = BundleDataset(ids=ids[perm], base=dataset.base[perm], kind="projective_plane")
-    members = {j: ids[cover.members(j)].tolist() for j in cover.set_ids.tolist()}
+    members = {j: ids[cover.samples[cover.sets == j]].tolist() for j in cover.set_ids.tolist()}
     moved = Cover.of(members, center=cover.center, radius=cover.radius)
     relabel = label_of(moved, {j: (set(ids[sorted(a)].tolist()), None)
                                for j, (a, _) in clusters_of(cover, label).items()})

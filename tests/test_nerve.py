@@ -316,8 +316,8 @@ class TestCutBase:
         # removed samples left the victim but stayed in the other vertex
         other = [j for j in removed_simplex if j != victim][0]
         for sample in removed:
-            assert sample not in out.members(victim)
-            assert sample in out.members(other)
+            assert sample not in out.samples[out.sets == victim]
+            assert sample in out.samples[out.sets == other]
 
     def test_nerve_matches_stage(self):
         ds, cover, nerve = self.setup_cover()

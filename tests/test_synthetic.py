@@ -685,7 +685,7 @@ class TestChartErrors:
             members, _ = loop_trim_flat(cover)
         j = min(k for k in members if not members[k])
         assert str(exc.value) == (
-            f"overlap trimming emptied cover set {j}, which held {len(cover.members(j))} "
+            f"overlap trimming emptied cover set {j}, which held {np.count_nonzero(cover.sets == j)} "
             f"samples before trimming; {len(ids)} samples over {n_sets} sets leave "
             "overlaps too thin, try fewer --sets"
         )
