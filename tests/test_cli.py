@@ -733,21 +733,46 @@ class TestUnwrapCommand:
         assert summary["components"] == 2
         assert summary["nu_nontrivial"] is False
 
-    @pytest.mark.parametrize("source", ["8000-36-seed-2", 0, 1, 2, 3])
-    def test_connected_fiber_unwraps_to_double_euler(self, scenario, tmp_path, source):
-        # synth's own output, and the generator's at defaults for seeds 0-3:
-        # unwrapped, the bundle has |e| = 2 and an orientable sign class
-        if source == "8000-36-seed-2":
-            assert run("synth", "--model", "disconnected:1", "--samples", "8000", "--sets", "36",
-                       "--seed", "2", "--out", str(tmp_path / "d0")) == 0
-        else:
-            _write_bundle(scenario(gen_disconnected_fiber, 1, seed=source), tmp_path / "d0")
+    def test_connected_fiber_unwraps_to_double_euler(self, tmp_path, capsys):
+        base = tmp_path
+        assert run(
+            "synth", "--model", "disconnected:1", "--samples", "8000", "--sets", "36",
+            "--seed", "2", "--out", str(base / "d0"),
+        ) == 0
+        assert run(
+            "unwrap", "--data", str(base / "d0" / "dataset.json"),
+            "--cover", str(base / "d0" / "cover.json"),
+            "--trivs", str(base / "d0" / "trivs.json"),
+            "--clusters", str(base / "d0" / "clusters.json"),
+            "--out", str(base / "d1"),
+        ) == 0
+        unwrap = read(base / "d1" / "unwrap.json")
+        assert unwrap["components"] == 1
+        assert any(row["sign"] == -1 for row in unwrap["nu"])
+        assert run(
+            "witness", "--data", str(base / "d1" / "dataset.json"),
+            "--cover", str(base / "d1" / "cover.json"),
+            "--trivs", str(base / "d1" / "trivs.json"),
+            "--out", str(base / "d2"),
+        ) == 0
+        assert run(
+            "classes", "--witness", str(base / "d2" / "witness.json"),
+            "--out", str(base / "d3"),
+        ) == 0
+        assert run(
+            "euler", "--classes", str(base / "d3" / "classes.json"),
+            "--out", str(base / "d4"),
+        ) == 0
+        assert read(base / "d4" / "euler.json")["magnitude"] == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_connected_fiber_unwraps_to_double_euler_at_defaults(self, scenario, tmp_path, seed):
+        # the generator's bundles at defaults: unwrapped, |e| = 2 and the sign class is trivial
+        _write_bundle(scenario(gen_disconnected_fiber, 1, seed=seed), tmp_path / "d0")
         assert run("unwrap", *_bundle_flags(tmp_path / "d0"),
                    "--clusters", str(tmp_path / "d0" / "clusters.json"),
                    "--out", str(tmp_path / "d1")) == 0
-        unwrap = read(tmp_path / "d1" / "unwrap.json")
-        assert unwrap["components"] == 1
-        assert any(row["sign"] == -1 for row in unwrap["nu"])
+        assert read(tmp_path / "d1" / "unwrap.json")["components"] == 1
         assert run("report", "--dims", "2", *_bundle_flags(tmp_path / "d1"),
                    "--out", str(tmp_path / "d2")) == 0
         block = read(tmp_path / "d2" / "report.json")["classes"]
