@@ -794,8 +794,7 @@ class TestUnwrapCommand:
         ("dataset.json", _set(["base_space", "kind"], "sphere"), 2,
          "nontrivial connectivity class over a 'sphere' base; "
          "only antipodal-quotient bases unwrap geometrically"),
-        ("clusters.json", _outside_first_listing, 1, "clusters set 0 appears twice"),
-    ], ids=["set-without-center", "sphere-base", "repeated-cluster-row"])
+    ], ids=["set-without-center", "sphere-base"])
     def test_unwrap_faults_exit_with_a_manifest(self, small_disconnected, tmp_path, capsys,
                                                 name, mutate, code, message):
         doc = read(small_disconnected / name)
