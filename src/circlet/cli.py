@@ -45,10 +45,11 @@ A process executes only the modules its command runs.  ``io``, ``errors``,
 ``synthetic`` are registered through ``importlib.util.LazyLoader`` and run
 on their first attribute access.  So ``synth`` executes ``synthetic`` and
 none of the other four, ``witness`` none of them, ``report`` all but
-``synthetic``, and ``coordinatize`` and ``trivialize`` neither
-``synthetic`` nor ``persistence``.  Handlers call a lazy layer through its
-module (``projection.bundle_map(...)``), never through a name bound at
-import.  Function-level imports would save the same time, but a lazy
+``synthetic``, ``coordinatize`` only ``projection``, and ``trivialize``
+neither ``synthetic`` nor ``persistence``.  Handlers, and ``projection``
+itself, call a lazy layer through its module
+(``projection.bundle_map(...)``), never through a name bound at import.
+Function-level imports would save the same time, but a lazy
 module is in ``sys.modules`` and on the ``circlet`` package from the
 start, so a tool that wraps functions in every loaded circlet module (the
 benchmark's tracer) finds and wraps it, and its first lookup runs it.
@@ -67,6 +68,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 
 # the variables OpenBLAS reads for its thread count, first one set wins
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -128,19 +130,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_OBSTRUCTION = 2
 EXIT_GUARD = 3
-
-# which flags name input files, per subcommand
-_INPUTS = {
-    "synth": [],
-    "witness": ["data", "cover", "trivs"],
-    "classes": ["witness"],
-    "euler": ["classes"],
-    "persist": ["witness"],
-    "coordinatize": ["data", "cover", "trivs"],
-    "trivialize": ["data", "cover", "trivs"],
-    "unwrap": ["data", "cover", "trivs", "clusters"],
-    "report": ["data", "cover", "trivs"],
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,15 +239,11 @@ def _filtration(nerve, q):
 
 
 def _quality_dict(q) -> dict:
+    """The quality report's summary fields: all but the per-edge rows."""
+    doc = {f.name: getattr(q, f.name) for f in fields(q) if f.name != "edges"}
     # alpha is infinite when coverage is too sparse; null in transit
-    return {
-        "epsilon": float(q.epsilon),
-        "delta": float(q.delta),
-        "delta_pairwise": float(q.delta_pairwise),
-        "delta_triple": float(q.delta_triple),
-        "alpha": None if not np.isfinite(q.alpha) else float(q.alpha),
-        "cocycle_epsilon": float(q.cocycle_epsilon),
-    }
+    doc["alpha"] = None if not np.isfinite(q.alpha) else float(q.alpha)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +373,20 @@ def _cmd_euler(args, run: _Run):
         mu = classes.fundamental_class_twisted(nerve, parsed["sw"])
         number = classes.euler_number(parsed["euler"], mu)
         anchor = classes.orientation_anchor(nerve, mu)
+    summary = {"euler_number": number, "magnitude": abs(number),
+               "sw_coboundary": parsed["sw_coboundary"]}
     with run.timed("write"):
         run.write(
             "euler.json",
             {
                 "schema": "circlet/euler",
-                "euler_number": number,
-                "magnitude": abs(number),
-                "sw_coboundary": parsed["sw_coboundary"],
+                **summary,
                 # support of the collapsed-core representative
                 "fundamental_support": int(np.count_nonzero(mu)),
                 "euler_orientation": None if anchor is None else nerve.triangles[anchor].tolist(),
             },
         )
-    return {
-        "command": "euler",
-        "euler_number": number,
-        "magnitude": abs(number),
-        "sw_coboundary": parsed["sw_coboundary"],
-    }
+    return {"command": "euler", **summary}
 
 
 def _cmd_persist(args, run: _Run):
@@ -665,6 +645,11 @@ _SUBCOMMANDS = {
     "unwrap": ("lift a two-cluster bundle to its double cover",
                _BUNDLE + [("--clusters", {"required": True})]),
 }
+
+# which flags name input files, per subcommand, in usage order
+_FILES = ("--data", "--cover", "--trivs", "--witness", "--classes", "--clusters")
+_INPUTS = {name: [flag[2:] for flag, _ in flags if flag in _FILES]
+           for name, (_, flags) in _SUBCOMMANDS.items()}
 
 
 def _build_parser(argv: list[str]) -> _Parser:

@@ -21,7 +21,9 @@ table of (set, sample) pairs each (``nerve.Cover``,
 one bool column aligned to the cover's pairs.  Simplex rows go
 straight into arrays aligned to the nerve's simplices through
 ``_simplex_values``, which rejects a row off the nerve, a repeated row
-and, unless told otherwise, a missing one.
+and, unless told otherwise, a missing one.  A document that mirrors a
+dataclass (a scenario, a threshold pair) takes its fields from
+``dataclasses.asdict``, so the dataclass is the one list of them.
 
 The per-sample record lists (dataset samples, chart values, global
 angles and frame vectors) are built as :class:`Columns`, one array per
@@ -41,7 +43,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import chain, pairwise
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
@@ -55,7 +57,7 @@ from .witness import Trivialization
 
 if TYPE_CHECKING:
     from .classes import CharClassResult
-    from .persistence import PersistenceReport, ThresholdPair
+    from .persistence import PersistenceReport
     from .synthetic import SyntheticScenario
 
 SCHEMA_PREFIX = "circlet/"
@@ -641,20 +643,11 @@ def parse_classes(doc) -> dict:
 # persistence
 
 
-def _pair_doc(p: ThresholdPair) -> dict:
-    return {
-        "cobirth_index": int(p.cobirth_index),
-        "cobirth_weight": float(p.cobirth_weight),
-        "codeath_index": int(p.codeath_index),
-        "codeath_weight": float(p.codeath_weight),
-    }
-
-
 def persistence_doc(report: PersistenceReport) -> dict:
     return {
         "schema": SCHEMA_PREFIX + "persistence",
-        "sw": _pair_doc(report.sw),
-        "euler": _pair_doc(report.euler),
+        "sw": asdict(report.sw),
+        "euler": asdict(report.euler),
         "w_max": float(report.w_max),
         "stage_sizes": [
             {"dim": int(p), "count": int(n)}
@@ -679,9 +672,10 @@ def parse_clusters(doc, cover: Cover) -> np.ndarray:
     """Two-cluster labels as one bool column aligned to the cover's pairs, True in cluster 0.
 
     Each cover set has one row of two clusters of its members.  A set
-    listed twice, an empty cluster, a member in both clusters or in
-    neither, a sample outside its set, and a row for a set the cover
-    lacks, or none for one it has, are schema errors.
+    listed twice, an empty cluster, a sample listed twice in one cluster,
+    a member in both clusters or in neither, a sample outside its set,
+    and a row for a set the cover lacks, or none for one it has, are
+    schema errors.
     """
     rows, ids = _set_rows(doc, "clusters")
     parts = _column(rows, "clusters", "clusters set", list)
@@ -696,8 +690,12 @@ def parse_clusters(doc, cover: Cover) -> np.ndarray:
     owner = np.repeat(ids, sizes.sum(axis=1))
     at = cover.find(members, owner)
     first = np.repeat(np.tile([True, False], len(ids)), sizes.reshape(-1))
-    votes = [np.bincount(at[(at >= 0) & side], minlength=len(cover.samples)) > 0
-             for side in (first, ~first)]
+    tally = np.stack([np.bincount(at[(at >= 0) & side], minlength=len(cover.samples))
+                      for side in (first, ~first)])
+    if (twice := np.flatnonzero((tally > 1).any(axis=0))).size:
+        raise SchemaError("a cluster of set {} lists sample {} twice".format(
+            cover.sets[twice[0]], cover.samples[twice[0]]))
+    votes = tally > 0
     if (both := cover.sets[votes[0] & votes[1]]).size:
         raise SchemaError(f"clusters of set {both[0]} overlap")
     loose = np.r_[cover.sets[~(votes[0] | votes[1])], owner[at < 0]]
@@ -711,17 +709,7 @@ def parse_clusters(doc, cover: Cover) -> np.ndarray:
 
 
 def scenario_doc(sc: SyntheticScenario) -> dict:
-    return {
-        "schema": SCHEMA_PREFIX + "scenario",
-        "model": sc.model,
-        "n_samples": int(sc.n_samples),
-        "cover_sets": int(sc.cover_sets),
-        "cover_radius": float(sc.cover_radius),
-        "noise": float(sc.noise),
-        "seed": int(sc.seed),
-        "sw_trivial": bool(sc.sw_trivial),
-        "euler_number": int(sc.euler_number),
-    }
+    return {"schema": SCHEMA_PREFIX + "scenario", **asdict(sc)}
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,8 @@ def _facet_positions(nerve: Nerve, q: int) -> np.ndarray:
     return lookup(nerve.simplices[q - 1], nerve.simplices[q][:, drop]).reshape(-1, q + 1)
 
 
-def build_nerve(cover: Cover, max_dim: int = 3) -> Nerve:
-    """Nerve of a cover: tuples of set ids with a common sample.
+def build_nerve(cover: Cover) -> Nerve:
+    """Nerve of a cover up to tetrahedra: tuples of set ids with a common sample.
 
     A tuple of sets is a simplex exactly when some sample lies in every
     one of them.  So the p-simplices are the distinct (p+1)-subsets of
@@ -342,10 +342,10 @@ def build_nerve(cover: Cover, max_dim: int = 3) -> Nerve:
     sample, held = cover.samples[at], cover.sets[at]
     start = np.flatnonzero(np.r_[True, sample[1:] != sample[:-1]][:len(at)])
     size = np.diff(np.r_[start, len(at)])
-    simplices = {p: [np.empty((0, p + 1), np.int64)] for p in range(max_dim + 1)}
+    simplices = {p: [np.empty((0, p + 1), np.int64)] for p in range(4)}
     for m in sorted(set(size.tolist())):
         supports = distinct_rows(held[start[size == m, None] + np.arange(m)])
-        for p in range(min(m, max_dim + 1)):
+        for p in range(min(m, 4)):
             cols = list(combinations(range(m), p + 1))
             simplices[p].append(supports[:, cols].reshape(-1, p + 1))
     return Nerve({p: distinct_rows(np.concatenate(v)) for p, v in simplices.items()})

@@ -43,12 +43,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import classes, intlinalg
 from .circle import TWO_PI, karcher_mean, o2_matrices, s1_angle
-from .classes import euler_cochain
 from .cochains import Witness, coboundary_rows
 from .errors import EigengapTooSmall, GuardError, NotTrivializable, RankDeficient, ShapeMismatch
 from .errors import UncoveredPoint
-from .intlinalg import sign_potential, solve_integer
 from .nerve import BundleDataset, Cover, base_geodesic, lookup
 
 
@@ -623,7 +622,7 @@ def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTri
     edges = nerve.edges
 
     # reflection fix: write the sign class as a vertex sign potential
-    phi = sign_potential(edges, omega.sign, nerve.vertices[:, 0].tolist())
+    phi = intlinalg.sign_potential(edges, omega.sign, nerve.vertices[:, 0].tolist())
     if phi is None:
         raise NotTrivializable(
             "sw", "the sign class is not a coboundary; no global orientation exists"
@@ -637,8 +636,8 @@ def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTri
         raise ShapeMismatch(f"edge ({j}, {k}) still reflects after the orientation fix")
 
     # winding fix: the rounded lift coboundary as an untwisted coboundary over Z
-    classes = euler_cochain(hat)
-    winding = solve_integer(coboundary_rows(nerve, 1), classes.euler.tolist())
+    fixed = classes.euler_cochain(hat)
+    winding = intlinalg.solve_integer(coboundary_rows(nerve, 1), fixed.euler.tolist())
     if winding is None:
         raise NotTrivializable(
             "euler", "the integer class is not a coboundary; the bundle twists"
@@ -646,7 +645,7 @@ def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTri
     beta = np.zeros(len(edges), dtype=np.int64)
     beta[list(winding)] = list(winding.values())
     # per ordered pair (k, j): the rotation lift less its winding correction
-    shift = classes.lift - beta
+    shift = fixed.lift - beta
     shifts = _pair_rows(rho.groups, rho.sets, edges, shift, -shift, 0.0, "lift")
     flip = np.array([phi[j] < 0 for j in rho.sets])
 

@@ -279,10 +279,10 @@ def _bundle(model, dataset, cover: Cover, turns, noise, seed, sw_trivial, euler_
         n_samples=len(dataset),
         cover_sets=len(cover.set_ids),
         cover_radius=float(cover.radius[0]),
-        noise=noise,
-        seed=seed,
-        sw_trivial=sw_trivial,
-        euler_number=euler_number,
+        noise=float(noise),
+        seed=int(seed),
+        sw_trivial=bool(sw_trivial),
+        euler_number=int(euler_number),
     )
     return SyntheticBundle(dataset, cover, trivs, scenario, clusters=clusters)
 

@@ -13,10 +13,11 @@ set and then by sample, with a row-aligned ``(n, 2)`` column of unit
 vectors and a column of their angles in turns.  ``Trivialization.overlaps``
 is the one intersection of chart domains: it reads every overlap of a
 list of set tuples off the table's sample-major transpose at once and
-returns them as CSR segments.  The witness, the quality report and the
-edge weights each make one call per simplex dimension and run their
-per-overlap kernels (the minimax fit, the coverage gap, the chord errors)
-on the segments.
+returns the charts' angles there as CSR segments.  The witness, the
+quality report and the edge weights each make one call per simplex
+dimension and run their per-overlap kernels (the minimax fit, the
+coverage gap, the chord errors) on those angles; only ``projection``'s
+chart means read the unit vectors.
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ class Overlaps(NamedTuple):
 
     Segment ``i``, ``indptr[i]:indptr[i + 1]``, holds the samples that
     every set of tuple ``i`` contains, ids ascending.  Row ``p`` of
-    ``points`` and ``turns`` holds the values of the tuple's ``p``-th
-    chart at those samples.
+    ``turns`` holds the angles of the tuple's ``p``-th chart at those
+    samples.
     """
 
     indptr: np.ndarray  # (k + 1,)
     ids: np.ndarray  # (n,)
-    points: np.ndarray  # (m, n, 2)
     turns: np.ndarray  # (m, n)
 
 
@@ -153,15 +153,14 @@ class Trivialization(Pairs):
         """
         simplices = np.asarray(simplices, dtype=np.int64)
         if not len(simplices):
-            return Overlaps(np.zeros(1, np.int64), np.empty(0, np.int64), np.empty((0, 0, 2)),
-                            np.empty((0, 0)))
+            return Overlaps(np.zeros(1, np.int64), np.empty(0, np.int64), np.empty((0, 0)))
         lost = simplices[~np.isin(simplices, self.set_ids)]
         if lost.size:
             raise KeyError(int(lost.min()))
         which, pick = _shared_rows(self, np.searchsorted(self.set_ids, simplices))
         rows = pick.T
         indptr = np.r_[0, np.cumsum(np.bincount(which, minlength=len(simplices)))]
-        return Overlaps(indptr, self.samples[rows[0]], self.points[rows], self.turns[rows])
+        return Overlaps(indptr, self.samples[rows[0]], self.turns[rows])
 
     def at(self, samples, sets):
         """Points and angles of samples in charts, elementwise.
@@ -233,53 +232,38 @@ class QualityReport:
     edges: list[EdgeQuality] = field(default_factory=list)
 
 
-def _fit_failure(counts: np.ndarray, i: int) -> GuardError:
-    """Why segment ``i`` of a minimax fit has no witness."""
-    if counts[i] < 2:
-        return TooFewSamples(f"minimax alignment needs >= 2 samples, got {counts[i]}", index=(i,))
-    return DiameterTooLarge(
-        "rotation and reflection residuals both spread over half a circle", index=(i,)
-    )
+def procrustes_o2(alpha, beta, indptr):
+    """Minimax alignment of two charts' angles on each segment of their shared samples.
 
-
-def procrustes_o2(f_vals, g_vals, indptr=None):
-    """Minimax alignment of two circle-valued sample lists, or of each segment of them.
-
-    Considers the rotation candidate built from the differences of
-    angles and the reflection candidate built from their sums; for each,
-    the turn is the midpoint of the shortest arc enclosing the residuals
-    (the chord error is monotone in circular distance, so the midpoint
-    is the minimax choice).  Returns whichever candidate achieves the
-    smaller actual max chord error, with that error; the rotation on a
-    tie.  An arc whose largest gap is tied is no candidate: ties only
-    happen at width >= 1/2, out of range anyway.
-
-    Without ``indptr`` the lists are one segment and the result is the
-    floats ``(turn, sign, error)``.  With it, rows ``indptr[i]:indptr[i + 1]`` form
-    segment ``i``, every segment is fitted on its own in one pass, and
-    the result is the arrays ``(turns, signs, errors)``.
+    ``alpha`` and ``beta`` hold the two charts' angles in turns at the
+    same samples, and rows ``indptr[i]:indptr[i + 1]`` form segment ``i``;
+    every segment is fitted on its own in one pass.  Considers the
+    rotation candidate built from the differences of angles and the
+    reflection candidate built from their sums; for each, the turn is
+    the midpoint of the shortest arc enclosing the residuals (the chord
+    error is monotone in circular distance, so the midpoint is the
+    minimax choice).  Returns the arrays ``(turns, signs, errors)``: per
+    segment whichever candidate achieves the smaller actual max chord
+    error, with that error; the rotation on a tie.  An arc whose largest
+    gap is tied is no candidate: ties only happen at width >= 1/2, out
+    of range anyway.
 
     Raises
     ------
     TooFewSamples
-        Fewer than two samples.
+        A segment has fewer than two samples.
     DiameterTooLarge
-        Both residual sets spread over half a circle or more, so neither
-        enclosing-arc construction is valid.
+        Both residual sets of a segment spread over half a circle or
+        more, so neither enclosing-arc construction is valid.
 
-    For segments, the error is that of the first failing segment, with
-    ``index=(i,)``.
+    The error is that of the first failing segment, with ``index=(i,)``.
     """
-    f_vals = np.atleast_2d(np.asarray(f_vals, dtype=float))
-    g_vals = np.atleast_2d(np.asarray(g_vals, dtype=float))
-    if f_vals.shape != g_vals.shape:
-        raise ShapeMismatch("sample lists differ in shape")
-    bounds = np.asarray([0, len(f_vals)] if indptr is None else indptr, dtype=np.int64)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if alpha.shape != beta.shape:
+        raise ShapeMismatch("angle lists differ in shape")
+    bounds = np.asarray(indptr, dtype=np.int64)
     counts = np.diff(bounds)
-    if indptr is None and counts[0] < 2:
-        raise _fit_failure(counts, 0)  # before the angles: a short list need not hold 2-vectors
-    alpha = s1_angle(f_vals)
-    beta = s1_angle(g_vals)
     fits = []
     for combine in (np.subtract, np.add):
         resid = combine(alpha, beta) % 1.0
@@ -290,7 +274,12 @@ def procrustes_o2(f_vals, g_vals, indptr=None):
     (t_rot, ok_rot, e_rot), (t_ref, ok_ref, e_ref) = fits
     bad = np.flatnonzero((counts < 2) | ~(ok_rot | ok_ref))
     if bad.size:
-        raise _fit_failure(counts, int(bad[0]))
+        i = int(bad[0])
+        if counts[i] < 2:
+            raise TooFewSamples(f"minimax alignment needs >= 2 samples, got {counts[i]}", index=(i,))
+        raise DiameterTooLarge(
+            "rotation and reflection residuals both spread over half a circle", index=(i,)
+        )
     ties = np.count_nonzero(ok_rot & ok_ref & (e_rot == e_ref))
     if ties:
         import logging  # loaded only where a tie is logged
@@ -302,8 +291,6 @@ def procrustes_o2(f_vals, g_vals, indptr=None):
     turns = np.where(reflect, t_ref, t_rot)
     signs = np.where(reflect, -1, 1)
     errs = np.where(reflect, e_ref, e_rot)
-    if indptr is None:
-        return float(turns[0]), int(signs[0]), float(errs[0])
     return turns, signs, errs
 
 
@@ -318,9 +305,9 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Witness:
     edges = nerve.edges
     if not len(edges):
         return Witness(nerve, np.empty(0), np.empty(0, np.int64))
-    indptr, _, points, _ = trivs.overlaps(edges)
+    indptr, _, charts = trivs.overlaps(edges)
     try:
-        turns, signs, errs = procrustes_o2(*points, indptr)
+        turns, signs, errs = procrustes_o2(*charts, indptr)
     except GuardError as exc:
         i = exc.index[0]
         j, k = edges[i].tolist()
@@ -340,15 +327,15 @@ def assemble_witness(trivs: Trivialization, nerve: Nerve) -> Witness:
     return Witness(nerve, turns, signs)
 
 
-def coverage_gap(turns: np.ndarray, indptr=None) -> float:
-    """Hausdorff gap of a circular sample set: 2 sin(g/4), g the max gap; 2 when empty.
+def coverage_gap(turns: np.ndarray, indptr) -> float:
+    """Worst Hausdorff gap of the circular sample sets ``turns[indptr[i]:indptr[i + 1]]``.
 
-    With ``indptr``, the worst gap over the segments
-    ``turns[indptr[i]:indptr[i + 1]]``, 0 with none: the gap grows with
-    g, so it is the gap of the largest g of ``enclosing_arcs``.
+    A set's gap is 2 sin(g/4), g its max gap, and 2 when it is empty; 0
+    with no sets.  The gap grows with g, so it is the gap of the largest
+    g of ``enclosing_arcs``.
     """
     turns = np.asarray(turns, dtype=float)
-    gaps = enclosing_arcs(turns, [0, len(turns)] if indptr is None else indptr).max_gap
+    gaps = enclosing_arcs(turns, indptr).max_gap
     if not len(gaps):
         return 0.0
     g = float(np.max(gaps)) * 2.0 * np.pi

@@ -659,6 +659,11 @@ def _overlapping_clusters(doc):
     row["clusters"][1].append(row["clusters"][0][0])
 
 
+def _repeated_cluster_sample(doc):
+    row = doc["sets"][0]
+    row["clusters"][0].append(row["clusters"][0][0])
+
+
 def _outside_first_listing(doc):
     """List set 0 twice, first with samples the dataset lacks."""
     doc["sets"].insert(0, {"id": 0, "clusters": [[10**9], [10**9 + 1]]})
@@ -857,6 +862,7 @@ class TestMalformedPipelineDocuments:
          "clusters of set 0 do not partition its members"),
         ("clusters.json", lambda d: d["sets"].pop(0), "cluster labels and cover sets disagree"),
         ("clusters.json", _outside_first_listing, "clusters set 0 appears twice"),
+        ("clusters.json", _repeated_cluster_sample, "a cluster of set 0 lists sample 0 twice"),
         ("classes.json", lambda d: d["sw"][0].pop("simplex"), None),
         ("classes.json", _set(["sw", 0, "sign"], 3), None),
         ("classes.json", _set(["sw", 0, "sign"], "x"), None),
@@ -888,7 +894,7 @@ class TestMalformedPipelineDocuments:
     ], ids=[
         "cluster-id-list", "clusters-not-lists", "member-list", "cluster-id-string",
         "empty-cluster", "overlapping-clusters", "unlabelled-member", "missing-cluster-row",
-        "repeated-cluster-row",
+        "repeated-cluster-row", "repeated-cluster-sample",
         "sw-without-simplex", "sw-sign-3", "sw-sign-string", "sw-not-list",
         "euler-value-float", "values-not-list", "witness-sign-float",
         "witness-sign-bool", "weights-not-list", "simplices-not-list",
@@ -1157,7 +1163,7 @@ class TestImports:
         "report": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness",
                    "classes", "intlinalg", "persistence", "projection"},
         "coordinatize": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness",
-                         "classes", "intlinalg", "projection"},
+                         "projection"},
         "trivialize": {"cli", "io", "errors", "nerve", "cochains", "circle", "witness",
                        "classes", "intlinalg", "projection"},
     }

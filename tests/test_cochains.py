@@ -189,7 +189,7 @@ class TestCocycleDefect:
     def test_matches_per_triangle_loop_exactly(self, data, n):
         # a complete nerve on n vertices with random turns and signs: most
         # triangles carry a reflection, and many have signs that do not close
-        nerve = build_nerve(Cover.of({j: {99, j} for j in range(n)}), max_dim=2)
+        nerve = build_nerve(Cover.of({j: {99, j} for j in range(n)}))
         vals = {e: O2(data.draw(turns), data.draw(signs)) for e in tuples(nerve.edges)}
         assert cocycle_defect(witness_of(nerve, vals)) == loop_defect(vals, nerve.triangles)
 

@@ -560,8 +560,8 @@ class TestClustersSchema:
         assert doc == _clusters((0, [[1, 2], [3]]), (4, [[5], [3, 6]]))
         assert np.array_equal(io.parse_clusters(doc, self.COVER), label)
 
-    def test_rows_in_any_order_and_a_sample_listed_twice_in_one_cluster(self):
-        doc = _clusters((4, [[5], [6, 3, 6]]), (0, [[2, 1, 1], [3]]))
+    def test_rows_in_any_order(self):
+        doc = _clusters((4, [[5], [6, 3]]), (0, [[2, 1], [3]]))
         label = io.parse_clusters(doc, self.COVER)
         assert label.tolist() == [True, True, False, False, True, False]
 
@@ -573,13 +573,17 @@ class TestClustersSchema:
         ([(0, [[9], [8]]), (0, [[1, 2], [3]]), (4, [[5], [3, 6]])], "clusters set 0 appears twice"),
         ([(0, [[1, 2], [3]]), (4, [[], [3, 5, 6]])], "set 4 has an empty cluster"),
         ([(0, [[1, 2], [3, 2]]), (4, [[5], [3, 6]])], "clusters of set 0 overlap"),
+        ([(0, [[2, 1, 1], [3]]), (4, [[5], [6, 3, 6]])],
+         "a cluster of set 0 lists sample 1 twice"),
+        ([(0, [[1, 2], [3]]), (4, [[5], [6, 3, 6]])], "a cluster of set 4 lists sample 6 twice"),
         ([(0, [[1, 2], [3]])], "cluster labels and cover sets disagree"),
         ([(0, [[1, 2], [3]]), (4, [[5], [3, 6]]), (7, [[1], [2]])],
          "cluster labels and cover sets disagree"),
         ([(0, [[1, 2], [3]]), (4, [[5], [3]])], "clusters of set 4 do not partition its members"),
         ([(0, [[1, 2], [3]]), (4, [[5], [3, 6, 1]])],
          "clusters of set 4 do not partition its members"),
-    ], ids=["repeated-row", "empty-cluster", "overlap", "missing-row",
+    ], ids=["repeated-row", "empty-cluster", "overlap", "sample-twice-in-a-cluster",
+            "sample-twice-in-the-second-cluster", "missing-row",
             "extra-row", "member-without-label", "label-outside-its-set"])
     def test_inconsistent_labels_rejected(self, rows, message):
         with pytest.raises(SchemaError, match=f"^{message}$"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.circle import s1_angle, s1_point
+from circlet.circle import s1_angle
 from circlet.cochains import cocycle_defect
 from circlet.errors import DiameterTooLarge, TooFewSamples
 from circlet.doublecover import carry_charts
@@ -24,22 +24,24 @@ from circlet.witness import (
 from oracles import O2, chart, charts_of, grid_procrustes, o2_values, tuples
 
 
-def points(turns):
-    return np.stack([s1_point(t) for t in np.atleast_1d(turns)])
+def fit(alpha, beta):
+    """One minimax fit of two angle lists, as ``(turn, sign, error)``."""
+    turns, signs, errs = procrustes_o2(alpha, beta, [0, len(alpha)])
+    return turns[0], signs[0], errs[0]
 
 
 class TestProcrustes:
     def test_identical_gives_identity(self):
-        f = points([0.1, 0.3, 0.7])
-        turn, sign, err = procrustes_o2(f, f)
-        assert (type(turn), type(sign), type(err)) == (float, int, float)
-        assert sign == 1
-        assert turn == pytest.approx(0.0, abs=1e-12)
-        assert err == pytest.approx(0.0, abs=1e-12)
+        f = np.array([0.1, 0.3, 0.7])
+        turns, signs, errs = procrustes_o2(f, f, [0, 3])
+        assert (turns.dtype, signs.dtype.kind, errs.dtype) == (float, "i", float)
+        assert signs.tolist() == [1]
+        assert turns[0] == pytest.approx(0.0, abs=1e-12)
+        assert errs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_conjugation(self):
         alpha = np.array([0.05, 0.2, 0.4])
-        turn, sign, err = procrustes_o2(points(alpha), points(-alpha))
+        turn, sign, err = fit(alpha, -alpha)
         assert sign == -1
         assert turn == pytest.approx(0.0, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-12)
@@ -47,23 +49,23 @@ class TestProcrustes:
     def test_frozen_rotation_instance(self):
         # frozen derived value: constant offset 0.13 recovered exactly
         alpha = np.array([0.0, 0.10, 0.25, 0.40, 0.77])
-        turn, sign, err = procrustes_o2(points(alpha), points(alpha - 0.13))
+        turn, sign, err = fit(alpha, alpha - 0.13)
         assert sign == 1
         assert turn == pytest.approx(0.13, abs=1e-9)
         assert err == pytest.approx(0.0, abs=1e-9)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            procrustes_o2(points([0.1]), points([0.2]))
+            fit([0.1], [0.2])
         with pytest.raises(TooFewSamples):
-            procrustes_o2([], [])
+            fit([], [])
 
     def test_diameter_guard(self):
         # beta constant: both residual sets equal alpha, evenly spread
         alpha = np.array([0.0, 0.25, 0.5, 0.75])
         beta = np.zeros(4)
         with pytest.raises(DiameterTooLarge):
-            procrustes_o2(points(alpha), points(beta))
+            fit(alpha, beta)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(19)
@@ -80,7 +82,7 @@ class TestProcrustes:
             else:
                 beta = (true.turn - alpha) % 1.0
             beta = (beta + rng.normal(0.0, 0.01, n)) % 1.0
-            turn, sign, err = procrustes_o2(points(alpha), points(beta))
+            turn, sign, err = fit(alpha, beta)
             g_turn, g_sign, g_err = grid_procrustes(alpha, beta)
             assert err <= g_err + 1e-4
             assert sign == g_sign
@@ -89,7 +91,7 @@ class TestProcrustes:
         rng = np.random.default_rng(77)
         alpha = rng.random(6) * 0.3
         beta = (alpha - 0.2 + rng.normal(0, 0.02, 6)) % 1.0
-        turn, sign, err = procrustes_o2(points(alpha), points(beta))
+        turn, sign, err = fit(alpha, beta)
         from circlet.circle import turn_chord
 
         for t in np.linspace(0, 1, 400, endpoint=False):
@@ -212,15 +214,16 @@ class TestCoverageGap:
     def test_half_circle_gap(self):
         # image occupying half the circle: g = pi, gap = 2 sin(pi/4)
         turns = np.linspace(0.0, 0.5, 50)
-        assert coverage_gap(turns) == pytest.approx(np.sqrt(2.0), abs=1e-2)
+        assert coverage_gap(turns, [0, 50]) == pytest.approx(np.sqrt(2.0), abs=1e-2)
 
     def test_dense_circle_small(self):
         turns = np.linspace(0.0, 1.0, 200, endpoint=False)
-        assert coverage_gap(turns) < 0.02
+        assert coverage_gap(turns, [0, 200]) < 0.02
 
     def test_empty_and_single(self):
-        assert coverage_gap(np.array([])) == 2.0
-        assert coverage_gap(np.array([0.3])) == pytest.approx(2.0)
+        assert coverage_gap(np.array([]), [0, 0]) == 2.0
+        assert coverage_gap(np.array([0.3]), [0, 1]) == pytest.approx(2.0)
+        assert coverage_gap(np.array([]), [0]) == 0.0
 
 
 class TestTrivQuality:
@@ -311,11 +314,10 @@ class TestOverlap:
         expected = sorted(set.intersection(*(set(domains[j]) for j in sets)))
         assert ov.indptr.tolist() == [0, len(expected)]
         assert ov.ids.tolist() == expected
-        assert len(ov.points) == len(ov.turns) == len(sets)
+        assert len(ov.turns) == len(sets)
         tables = vector_dicts(trivs)
-        for j, points, turns in zip(sets, ov.points, ov.turns):
-            for s, p, t in zip(expected, points, turns):
-                assert np.array_equal(p, tables[j][s])
+        for j, turns in zip(sets, ov.turns):
+            for s, t in zip(expected, turns):
                 assert t == s1_angle(tables[j][s])
 
 

@@ -17,10 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.circle import enclosing_arcs
+from circlet.circle import enclosing_arcs, s1_angle
 from circlet.errors import DiameterTooLarge, EmptyOverlap, GuardError
 from circlet.nerve import Cover, build_nerve, edge_weights
-from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
+from circlet.synthetic import (
+    gen_disconnected_fiber,
+    gen_lens_bundle,
+    gen_rp2_bundle,
+    gen_s1_bundle,
+)
 from circlet.witness import (
     assemble_witness,
     coverage_gap,
@@ -100,6 +105,37 @@ def test_synth_scenarios_match_oracles(name):
     assert_layer_matches(cover, trivs)
 
 
+# synth models at their defaults, seed 0: (generator, its first argument)
+DEFAULTS = {
+    "lens:1": (gen_lens_bundle, 1),
+    "rp2:1": (gen_rp2_bundle, 1),
+    "torus": (gen_s1_bundle, True),
+    "klein": (gen_s1_bundle, False),
+    "disconnected:1": (gen_disconnected_fiber, 1),
+}
+
+
+@pytest.mark.parametrize("model", DEFAULTS)
+def test_witness_fits_the_stored_angles_as_the_vectors_would(scenario, model):
+    """The witness layer reads the charts' stored angles, never their unit vectors.
+
+    That is exact because the stored angles are ``s1_angle`` of the stored
+    vectors, bit for bit; so ``assemble_witness`` equals the per-edge fit of
+    ``s1_angle`` of the shared chart points, which is how the fit was made
+    when it still read the vectors.
+    """
+    gen, arg = DEFAULTS[model]
+    _, cover, trivs = scenario(gen, arg, seed=0)
+    assert np.array_equal(s1_angle(trivs.points), trivs.turns)
+    nerve = build_nerve(cover)
+    wit = assemble_witness(trivs, nerve)
+    for (j, k), turn, sign in zip(nerve.edges.tolist(), wit.turn.tolist(), wit.sign.tolist()):
+        _, (rj, rk) = loop_overlap(trivs, (j, k))
+        turns, signs, _ = procrustes_o2(s1_angle(chart(trivs, j).points[rj]),
+                                        s1_angle(chart(trivs, k).points[rk]), [0, len(rj)])
+        assert (turns[0], signs[0]) == (turn, sign)
+
+
 class TestKernels:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-1, 15), min_size=1, max_size=9), st.booleans())
@@ -115,7 +151,7 @@ class TestKernels:
         assert arc.ties[0] == len(mids)
         # with tied gaps, the midpoint of the first of them
         assert (arc.midpoint[0], arc.width[0], arc.max_gap[0]) == (mid, width, max_gap)
-        assert coverage_gap(angles) == loop_coverage_gap(angles)
+        assert coverage_gap(angles, [0, len(angles)]) == loop_coverage_gap(angles)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 7), max_size=6), min_size=1, max_size=6))
@@ -139,16 +175,16 @@ class TestKernels:
         with pytest.raises(DiameterTooLarge) as want:
             loop_procrustes(f, g)
         with pytest.raises(DiameterTooLarge) as got:
-            procrustes_o2(f, g)
+            procrustes_o2(s1_angle(f), s1_angle(g), [0, 2])
         assert str(got.value) == str(want.value)
 
     def test_tied_rotation_falls_to_the_reflection(self):
         # rotation residuals {0, 1/2} tie; the reflection residuals coincide
         f, g = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]
         assert len(loop_arc([0.0, 0.5])[3]) == 2
-        turn, sign, err = procrustes_o2(f, g)
-        assert (turn, sign, err) == loop_procrustes(np.array(f), np.array(g))
-        assert sign == -1
+        turns, signs, errs = procrustes_o2(s1_angle(f), s1_angle(g), [0, 2])
+        assert (turns[0], signs[0], errs[0]) == loop_procrustes(np.array(f), np.array(g))
+        assert signs[0] == -1
 
 
 # small covers: empty sets, single-sample and empty overlaps, reflecting
@@ -219,5 +255,4 @@ def test_overlap_takes_sets_in_any_order(domains, data):
         assert many.ids.tolist() == want_ids.tolist()
         for p, i in enumerate(perm):
             rows = chart(trivs, sets[i])
-            assert np.array_equal(many.points[p], rows.points[want_rows[i]].reshape(-1, 2))
             assert np.array_equal(many.turns[p], rows.turns[want_rows[i]])
