@@ -39,6 +39,16 @@ Every output file is closed by then, and circlet registers no exit handler
 and starts no thread, so skipping the teardown loses nothing.  An exception
 that escapes ``main`` takes the interpreter's usual exit.
 
+A command holds each input only while a stage reads it.  ``report`` drops
+the charts once ``triv_quality`` has read them, and the dataset and cover
+once ``partition_of_unity`` has; ``coordinatize`` and ``trivialize`` drop
+the dataset and cover after the partition and keep the charts, which
+``bundle_map`` and ``global_trivialize`` read.  Each input is a local of a
+stage helper (``_witnessed``, ``_classified``, ``_partitioned``) and dies
+when the helper returns.  Reference counting frees it at once, collector
+or not, so the frames and the reduction curve, the largest arrays of
+``report``, reuse its memory instead of raising the process's peak.
+
 A process executes only the modules its command runs.  ``io``, ``errors``,
 ``nerve``, ``cochains``, ``circle`` and ``witness`` load with this module;
 ``classes``, ``intlinalg``, ``persistence``, ``projection`` and
@@ -155,8 +165,11 @@ class _Run:
         self.out_dir: str | None = None
 
     def open(self, out_dir: str):
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"cannot make output directory {out_dir}: {exc.strerror}")
         self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
 
     def write(self, name: str, doc: dict):
         doc = dict(doc)
@@ -226,6 +239,37 @@ def _load_bundle(args):
     if extra.size:
         raise SchemaError(f"charts {extra.tolist()} have no cover set")
     return ds, cover, trivs
+
+
+def _witnessed(args, run: _Run):
+    """The dataset, cover, witness and quality report of a bundle; the charts die here."""
+    with run.timed("load"):
+        ds, cover, trivs = _load_bundle(args)
+    with run.timed("witness"):
+        nerve = build_nerve(cover)
+        wit = assemble_witness(trivs, nerve)
+        q = triv_quality(trivs, wit, nerve)
+    return ds, cover, wit, q
+
+
+def _partitioned(args, run: _Run, stage: int | None = None):
+    """The charts, witness and partition of unity of a bundle cut to ``stage``, if given."""
+    with run.timed("load"):
+        ds, cover, trivs = _load_bundle(args)
+    with run.timed("nerve"):
+        nerve = build_nerve(cover)
+        wit = assemble_witness(trivs, nerve)
+    if stage is not None:
+        if not 1 <= stage <= len(nerve):
+            raise SchemaError(f"--stage {stage} outside 1..{len(nerve)}")
+        with run.timed("stage-cut"):
+            nerve = filtration_order(edge_weights(nerve, trivs, wit))
+            cover, _ = cut_base(ds, cover, nerve, stage)
+            trivs = trivs.restrict(cover)
+            wit = assemble_witness(trivs, build_nerve(cover))
+    with run.timed("partition"):
+        rho = projection.partition_of_unity(cover, ds)
+    return trivs, wit, rho
 
 
 def _sign_is_coboundary(nerve, sw) -> bool:
@@ -325,15 +369,9 @@ def _cmd_synth(args, run: _Run):
 
 
 def _cmd_witness(args, run: _Run):
-    with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
-    with run.timed("nerve"):
-        nerve = build_nerve(cover)
-    with run.timed("witness"):
-        wit = assemble_witness(trivs, nerve)
-        q = triv_quality(trivs, wit, nerve)
+    _, _, wit, q = _witnessed(args, run)
     with run.timed("filtration"):
-        nerve = _filtration(nerve, q)
+        nerve = _filtration(wit.nerve, q)
         wit = wit._replace(nerve=nerve)
     with run.timed("write"):
         run.write("witness.json", io.witness_doc(wit, quality=_quality_dict(q)))
@@ -411,22 +449,8 @@ def _cmd_persist(args, run: _Run):
 
 
 def _cmd_coordinatize(args, run: _Run):
-    with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
-    with run.timed("nerve"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-    if args.stage is not None:
-        if not 1 <= args.stage <= len(nerve):
-            raise SchemaError(f"--stage {args.stage} outside 1..{len(nerve)}")
-        with run.timed("stage-cut"):
-            nerve = filtration_order(edge_weights(nerve, trivs, wit))
-            cover, _ = cut_base(ds, cover, nerve, args.stage)
-            trivs = trivs.restrict(cover)
-            nerve = build_nerve(cover)
-            wit = assemble_witness(trivs, nerve)
+    trivs, wit, rho = _partitioned(args, run, args.stage)
     with run.timed("coordinates"):
-        rho = projection.partition_of_unity(cover, ds)
         _check_dims([args.dim], rho.ambient)
         bm = projection.bundle_map(trivs, wit, rho, d=args.dim, stage=args.stage)
     with run.timed("write"):
@@ -441,12 +465,8 @@ def _cmd_coordinatize(args, run: _Run):
 
 
 def _cmd_trivialize(args, run: _Run):
-    with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
-    with run.timed("pipeline"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-        rho = projection.partition_of_unity(cover, ds)
+    trivs, wit, rho = _partitioned(args, run)
+    with run.timed("trivialize"):
         g = projection.global_trivialize(trivs, wit, rho)
     with run.timed("write"):
         run.write("coords.json", io.global_coords_doc(g))
@@ -542,20 +562,22 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
     return block
 
 
-def _cmd_report(args, run: _Run):
-    with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
-    with run.timed("witness"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-        q = triv_quality(trivs, wit, nerve)
+def _classified(args, run: _Run):
+    """report's stages before its frames; the dataset and cover die here."""
+    ds, cover, wit, q = _witnessed(args, run)
     with run.timed("persistence"):
-        nerve = _filtration(nerve, q)
+        nerve = _filtration(wit.nerve, q)
         report = persistence.persistence_report(wit, nerve)
     with run.timed("classes"):
         classes_block = _report_classes(wit, nerve, report)
-    with run.timed("reduction"):
+    with run.timed("partition"):
         rho = projection.partition_of_unity(cover, ds)
+    return wit, q, report, classes_block, rho
+
+
+def _cmd_report(args, run: _Run):
+    wit, q, report, classes_block, rho = _classified(args, run)
+    with run.timed("reduction"):
         ff = projection.frame_field(wit, rho)
         if args.dims:
             try:

@@ -235,6 +235,8 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}")
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
@@ -750,6 +752,8 @@ def file_digest(path: str) -> str:
             return sha256_hex(fh.read())
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}")
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}")
 
 
 def input_rows(paths: Sequence[str]) -> list[dict]:

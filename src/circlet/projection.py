@@ -259,14 +259,16 @@ def _pair_rows(groups, sets, edges, up, down, diag, what: str) -> list:
 
 
 def _transitions(omega: Witness, groups, sets) -> list:
-    """Witness matrices ``(n, m, m, 2, 2)`` per group, on every ordered pair of supporting sets.
+    """Witness matrices ``(n, m, m, 2, 2)`` per group, in frame layout.
 
-    The identity on the diagonal, a descending pair the inverse of its
-    ascending one: a rotation's negated turn, a reflection itself.
+    Entry ``[i, a, b]`` is the transition from the ``b``-th supporting set
+    into the ``a``-th: the identity on the diagonal, the witness of an
+    edge below it and its inverse (a rotation's negated turn, a reflection
+    itself) above it.
     """
     back = np.where(omega.sign == 1, -omega.turn % 1.0, omega.turn)
-    return _pair_rows(groups, sets, omega.nerve.edges, o2_matrices(omega.turn, omega.sign),
-                      o2_matrices(back, omega.sign), o2_matrices(0.0, 1), "witness")
+    return _pair_rows(groups, sets, omega.nerve.edges, o2_matrices(back, omega.sign),
+                      o2_matrices(omega.turn, omega.sign), o2_matrices(0.0, 1), "witness")
 
 
 @dataclass(eq=False)
@@ -275,8 +277,11 @@ class FrameField:
 
     ``frames[g]`` ``(n, m, r, 2)`` belongs to ``groups[g]``; frame ``a`` of
     a sample belongs to its ``a``-th supporting set.  Restricted frames
-    (r = 2m) occupy the ambient row pairs of the support's slots; reduced
-    ones (r = ``dim``) are dense and carry their projection ``errors``.
+    (r = 2m) occupy the ambient row pairs of the support's slots: rows
+    ``2b, 2b + 1`` of frame ``a`` are the transition from set ``b`` into
+    set ``a`` times the square root of ``b``'s weight, a view of the
+    scaled ``(n, m, m, 2, 2)`` transitions.  Reduced frames (r = ``dim``)
+    are dense and carry their projection ``errors``.
     """
 
     groups: list
@@ -345,8 +350,8 @@ def frame_field(omega: Witness, rho: PartitionOfUnity, samples=None) -> FrameFie
     for g, t in zip(groups, _transitions(omega, groups, rho.sets)):
         n, m = g.weights.shape
         # block b of frame a: the transition from set b into set a, times sqrt(w_b)
-        blocks = np.sqrt(g.weights)[:, :, None, None, None] * t
-        frames.append(blocks.transpose(0, 2, 1, 3, 4).reshape(n, m, 2 * m, 2))
+        t *= np.sqrt(g.weights)[:, None, :, None, None]
+        frames.append(t.reshape(n, m, 2 * m, 2))
     return FrameField(groups=groups, frames=frames, dim=rho.ambient)
 
 
@@ -482,12 +487,14 @@ def reduction_curve(frames: FrameField, dims=None) -> list:
     Returns ``(d, mean_error, max_error)`` rows without recomputing the
     principal basis per dimension: each frame's squared coefficients
     against the full basis are accumulated once, a block of samples at a
-    time, and the means add the frames in (sample, set) order.
+    time, into one ``(len(dims), frames)`` error table in group order, and
+    each dimension's mean adds its row's frames in (sample, set) order.
     """
     _, vecs = frames.principal_basis()
     dims = list(range(2, frames.dim + 1) if dims is None else dims)
     cut = np.array(dims, dtype=int) - 1
-    errs, keys = [], []
+    errs = np.empty((len(cut), sum(f.shape[0] * f.shape[1] for f in frames.frames)))
+    at, keys = 0, []
     for g, f in enumerate(frames.frames):
         rows = frames.rows(g)
         step = max(1, _BLOCK // max(f[0].size * frames.dim, 1))
@@ -496,10 +503,12 @@ def reduction_curve(frames: FrameField, dims=None) -> list:
             y *= y
             # the two-term sum a reduce over the axis of length 2 would make, without its overhead
             tail = 2.0 - np.cumsum(y[..., 0] + y[..., 1], axis=-1)
-            errs.append(np.sqrt(np.clip(tail[..., cut], 0.0, None)).reshape(-1, len(cut)).T)
+            block = np.sqrt(np.clip(tail[..., cut], 0.0, None)).reshape(-1, len(cut)).T
+            errs[:, at : at + block.shape[1]] = block
+            at += block.shape[1]
         keys.append(np.repeat(frames.groups[g].rows, f.shape[1]))
-    errs = np.concatenate(errs, axis=1)[:, np.argsort(np.concatenate(keys), kind="stable")]
-    return [(int(d), float(e.mean()), float(e.max())) for d, e in zip(dims, errs)]
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return [(int(d), float(e[order].mean()), float(e.max())) for d, e in zip(dims, errs)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end subcommand pipelines, exit codes, and output provenance."""
 
+import errno
 import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import circlet
-from circlet import cli, io
+from circlet import cli, io, projection
 from circlet import nerve as nerve_module
 from circlet.cli import main
 from circlet.synthetic import gen_disconnected_fiber
@@ -323,6 +325,46 @@ class TestWitnessCommand:
             assert "Traceback" not in err
             assert json.loads(err.splitlines()[-1])["error"] == "schema"
             assert read(out / "manifest.json")["status"] == 1
+
+
+class TestPathErrors:
+    """A path the system refuses ends as one schema line on stderr that names it."""
+
+    def report(self, torus_dir, data, out):
+        return run("report", f"--data={data}", f"--cover={torus_dir / 'cover.json'}",
+                   f"--trivs={torus_dir / 'trivs.json'}", f"--out={out}")
+
+    def schema_line(self, capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "schema"
+        return doc["message"]
+
+    @pytest.mark.parametrize("where, code", [
+        ("data", errno.EISDIR), ("out", errno.EEXIST), ("out-under", errno.ENOTDIR),
+    ], ids=["data-is-a-directory", "out-is-a-file", "out-under-a-file"])
+    def test_schema_exit(self, torus_dir, tmp_path, capsys, where, code):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        data, out = torus_dir / "dataset.json", tmp_path / "out"
+        if where == "data":
+            data = tmp_path
+        else:
+            out = plain if where == "out" else plain / "sub"
+        assert self.report(torus_dir, data, out) == 1
+        path, verb = (data, "read") if where == "data" else (out, "make output directory")
+        assert self.schema_line(capsys) == f"cannot {verb} {path}: {os.strerror(code)}"
+        assert plain.read_text() == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode")
+    def test_unreadable_input(self, torus_dir, tmp_path, capsys):
+        data = tmp_path / "dataset.json"
+        data.write_bytes((torus_dir / "dataset.json").read_bytes())
+        data.chmod(0)
+        assert self.report(torus_dir, data, tmp_path / "out") == 1
+        assert self.schema_line(capsys) == f"cannot read {data}: {os.strerror(errno.EACCES)}"
 
 
 class TestClassesAndEuler:
@@ -1037,6 +1079,55 @@ class TestReportCommand:
             "--dims", "2,4,99", "--out", str(tmp_path / "x"),
         )
         assert code == 1
+
+
+class TestInputsReleased:
+    """A command drops each parsed input once its last reader has run.
+
+    Each parser keeps a weak reference to what it returns, and a probe on
+    a later stage records which inputs are still alive when it starts.
+    """
+
+    @pytest.fixture
+    def alive_at(self, monkeypatch):
+        def probe(stage):
+            refs, seen = {}, {}
+            for name in ("parse_dataset", "parse_cover", "parse_trivs"):
+                def parsed(*args, _parse=getattr(io, name), _name=name):
+                    out = _parse(*args)
+                    refs[_name] = weakref.ref(out)
+                    return out
+
+                monkeypatch.setattr(io, name, parsed)
+            call = getattr(projection, stage)
+
+            def probed(*args, **kwargs):
+                seen.update((name, ref() is not None) for name, ref in refs.items())
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(projection, stage, probed)
+            return seen
+
+        return probe
+
+    def test_report_frees_every_input_before_the_frames(self, torus_dir, tmp_path, alive_at):
+        seen = alive_at("frame_field")
+        assert run("report", *_bundle_flags(torus_dir), "--out", str(tmp_path / "x")) == 0
+        assert seen == {"parse_dataset": False, "parse_cover": False, "parse_trivs": False}
+
+    @pytest.mark.parametrize("command, stage, flags", [
+        ("coordinatize", "bundle_map", ["--dim", "4"]),
+        ("coordinatize", "bundle_map", ["--dim", "4", "--stage", "23"]),
+        ("trivialize", "global_trivialize", []),
+    ], ids=["coordinatize", "coordinatize-stage", "trivialize"])
+    def test_charts_outlive_the_dataset_and_cover(self, torus_dir, tmp_path, alive_at,
+                                                   command, stage, flags):
+        seen = alive_at(stage)
+        argv = [command, *_bundle_flags(torus_dir), *flags, "--out", str(tmp_path / "x")]
+        assert run(*argv) == 0
+        assert seen["parse_dataset"] is False and seen["parse_cover"] is False
+        # the stage cut replaces the parsed charts with their restriction
+        assert seen["parse_trivs"] is ("--stage" not in flags)
 
 
 class TestUsage:

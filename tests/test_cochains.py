@@ -56,15 +56,16 @@ class TestCochainContainer:
             check_sign_cocycle(np.array([1, 0, 1]), nerve)
 
     def test_permuted_pair_lookup_o2(self):
-        # the witness is kept on ascending edges; a descending pair of
-        # supporting sets reads the inverse isometry
+        # the witness is kept on ascending edges (j, k), the transition from
+        # j into k; in frame layout entry [a, b] is the transition from set b
+        # into set a, so [k, j] holds the witness and [j, k] its inverse
         nerve = triangle_nerve()
         vals = {(0, 1): O2(0.3, -1), (0, 2): O2(0.3, 1), (1, 2): O2(0.85, 1)}
         rho = partition_from_rows({7: {0: 0.5, 1: 0.25, 2: 0.25}}, (0, 1, 2), "indicator")
         (t,) = _transitions(witness_of(nerve, vals), rho.groups, rho.sets)
         for (j, k), om in vals.items():
-            assert np.array_equal(t[0, j, k], o2_matrices(om.turn, om.sign))
-            assert np.allclose(t[0, k, j], om.inverse().matrix, atol=1e-15)
+            assert np.array_equal(t[0, k, j], o2_matrices(om.turn, om.sign))
+            assert np.allclose(t[0, j, k], om.inverse().matrix, atol=1e-15)
             assert np.allclose(t[0, j, k] @ t[0, k, j], np.eye(2), atol=1e-15)
         assert np.array_equal(t[0, 1, 1], np.eye(2))
 

@@ -1,8 +1,11 @@
 """Serialization round trips, canonical text, and provenance digests."""
 
 import dataclasses
+import errno
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -674,6 +677,12 @@ class TestProvenance:
     def test_missing_input_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):
             io.file_digest(str(tmp_path / "nope.json"))
+
+    def test_an_unreadable_path_names_the_system_error(self, tmp_path):
+        for read in (io.file_digest, io.load_json):
+            message = f"cannot read {tmp_path}: {os.strerror(errno.EISDIR)}"
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                read(str(tmp_path))
 
     def test_load_rejects_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ as stated.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,12 +352,56 @@ class TestFrameField:
             else:
                 assert np.linalg.norm(block) == 0.0
 
+    def test_frame_layout(self, noisy_torus):
+        # rows 2b, 2b + 1 of frame a: the transition from set b into set a, times sqrt(w_b)
+        _, _, _, _, wit, rho = noisy_torus
+        ff = frame_field(wit, rho)
+        edge = dict(zip(tuples(wit.nerve.edges), o2_matrices(wit.turn, wit.sign)))
+        (g, group), = [(g, grp) for g, grp in enumerate(ff.groups) if grp.sets.shape[1] == 2]
+        for sets, w, f in zip(group.sets[:20], group.weights, ff.frames[g]):
+            for a, b in itertools.product(range(2), repeat=2):
+                j, k = int(sets[a]), int(sets[b])
+                into = np.eye(2) if a == b else edge[(k, j)] if b < a else edge[(j, k)].T
+                assert np.allclose(f[a, 2 * b : 2 * b + 2], np.sqrt(w[b]) * into, atol=1e-14)
+
     def test_rejects_wrong_degree(self, torus):
         # a witness with no values on the nerve's edges, only its vertices
         _, _, _, nerve, _, rho = torus
         bare = Witness(Nerve({0: nerve.vertices}), np.empty(0), np.empty(0, np.int64))
         with pytest.raises(ShapeMismatch, match="witness has no value on edge"):
             frame_field(bare, rho)
+
+
+class TestPeakMemory:
+    """The frames and the error curve of lens:2 2000/64 hold one copy of their largest array."""
+
+    @pytest.fixture(scope="class")
+    def lens2(self, scenario):
+        ds, cover, trivs = scenario(gen_lens_bundle, 2, n_samples=2000, n_sets=64, radius=0.44,
+                                    seed=0)
+        return assemble_witness(trivs, build_nerve(cover)), partition_of_unity(cover, ds)
+
+    @staticmethod
+    def traced(call):
+        """``call()`` and the most bytes it held at once beyond what was held before it."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_frame_field_holds_one_copy_of_its_frames(self, lens2):
+        ff, peak = self.traced(lambda: frame_field(*lens2))
+        assert peak <= 1.5 * sum(f.nbytes for f in ff.frames)
+
+    def test_reduction_curve_holds_one_error_table(self, lens2):
+        ff = frame_field(*lens2)
+        curve, peak = self.traced(lambda: reduction_curve(ff))
+        assert len(curve) == ff.dim - 1 == 127
+        frames = sum(f.shape[0] * f.shape[1] for f in ff.frames)
+        assert peak <= 1.5 * len(curve) * frames * np.dtype(float).itemsize
 
 
 class TestClassifyingMap:
