@@ -43,11 +43,11 @@ A command holds each input only while a stage reads it.  ``report`` drops
 the charts once ``triv_quality`` has read them, and the dataset and cover
 once ``partition_of_unity`` has; ``coordinatize`` and ``trivialize`` drop
 the dataset and cover after the partition and keep the charts, which
-``bundle_map`` and ``global_trivialize`` read.  Each input is a local of a
-stage helper (``_witnessed``, ``_classified``, ``_partitioned``) and dies
-when the helper returns.  Reference counting frees it at once, collector
-or not, so the frames and the reduction curve, the largest arrays of
-``report``, reuse its memory instead of raising the process's peak.
+``bundle_map`` and ``global_trivialize`` read.  Each handler deletes its
+last reference to an input right after that stage.  Reference counting
+frees it at once, collector or not, so the frames and the reduction curve,
+the largest arrays of ``report``, reuse its memory instead of raising the
+process's peak.
 
 A process executes only the modules its command runs.  ``io``, ``errors``,
 ``nerve``, ``cochains``, ``circle`` and ``witness`` load with this module;
@@ -241,37 +241,6 @@ def _load_bundle(args):
     return ds, cover, trivs
 
 
-def _witnessed(args, run: _Run):
-    """The dataset, cover, witness and quality report of a bundle; the charts die here."""
-    with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
-    with run.timed("witness"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-        q = triv_quality(trivs, wit, nerve)
-    return ds, cover, wit, q
-
-
-def _partitioned(args, run: _Run, stage: int | None = None):
-    """The charts, witness and partition of unity of a bundle cut to ``stage``, if given."""
-    with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
-    with run.timed("nerve"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-    if stage is not None:
-        if not 1 <= stage <= len(nerve):
-            raise SchemaError(f"--stage {stage} outside 1..{len(nerve)}")
-        with run.timed("stage-cut"):
-            nerve = filtration_order(edge_weights(nerve, trivs, wit))
-            cover, _ = cut_base(ds, cover, nerve, stage)
-            trivs = trivs.restrict(cover)
-            wit = assemble_witness(trivs, build_nerve(cover))
-    with run.timed("partition"):
-        rho = projection.partition_of_unity(cover, ds)
-    return trivs, wit, rho
-
-
 def _sign_is_coboundary(nerve, sw) -> bool:
     return intlinalg.sign_potential(nerve.edges, sw) is not None
 
@@ -369,9 +338,15 @@ def _cmd_synth(args, run: _Run):
 
 
 def _cmd_witness(args, run: _Run):
-    _, _, wit, q = _witnessed(args, run)
+    with run.timed("load"):
+        ds, cover, trivs = _load_bundle(args)
+    with run.timed("nerve"):
+        nerve = build_nerve(cover)
+    with run.timed("witness"):
+        wit = assemble_witness(trivs, nerve)
+        q = triv_quality(trivs, wit, nerve)
     with run.timed("filtration"):
-        nerve = _filtration(wit.nerve, q)
+        nerve = _filtration(nerve, q)
         wit = wit._replace(nerve=nerve)
     with run.timed("write"):
         run.write("witness.json", io.witness_doc(wit, quality=_quality_dict(q)))
@@ -449,8 +424,23 @@ def _cmd_persist(args, run: _Run):
 
 
 def _cmd_coordinatize(args, run: _Run):
-    trivs, wit, rho = _partitioned(args, run, args.stage)
+    with run.timed("load"):
+        ds, cover, trivs = _load_bundle(args)
+    with run.timed("nerve"):
+        nerve = build_nerve(cover)
+        wit = assemble_witness(trivs, nerve)
+    if args.stage is not None:
+        if not 1 <= args.stage <= len(nerve):
+            raise SchemaError(f"--stage {args.stage} outside 1..{len(nerve)}")
+        with run.timed("stage-cut"):
+            nerve = filtration_order(edge_weights(nerve, trivs, wit))
+            cover, _ = cut_base(ds, cover, nerve, args.stage)
+            trivs = trivs.restrict(cover)
+            nerve = build_nerve(cover)
+            wit = assemble_witness(trivs, nerve)
     with run.timed("coordinates"):
+        rho = projection.partition_of_unity(cover, ds)
+        del ds, cover
         _check_dims([args.dim], rho.ambient)
         bm = projection.bundle_map(trivs, wit, rho, d=args.dim, stage=args.stage)
     with run.timed("write"):
@@ -465,8 +455,13 @@ def _cmd_coordinatize(args, run: _Run):
 
 
 def _cmd_trivialize(args, run: _Run):
-    trivs, wit, rho = _partitioned(args, run)
-    with run.timed("trivialize"):
+    with run.timed("load"):
+        ds, cover, trivs = _load_bundle(args)
+    with run.timed("pipeline"):
+        nerve = build_nerve(cover)
+        wit = assemble_witness(trivs, nerve)
+        rho = projection.partition_of_unity(cover, ds)
+        del ds, cover
         g = projection.global_trivialize(trivs, wit, rho)
     with run.timed("write"):
         run.write("coords.json", io.global_coords_doc(g))
@@ -562,22 +557,22 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
     return block
 
 
-def _classified(args, run: _Run):
-    """report's stages before its frames; the dataset and cover die here."""
-    ds, cover, wit, q = _witnessed(args, run)
+def _cmd_report(args, run: _Run):
+    with run.timed("load"):
+        ds, cover, trivs = _load_bundle(args)
+    with run.timed("witness"):
+        nerve = build_nerve(cover)
+        wit = assemble_witness(trivs, nerve)
+        q = triv_quality(trivs, wit, nerve)
+        del trivs
     with run.timed("persistence"):
-        nerve = _filtration(wit.nerve, q)
+        nerve = _filtration(nerve, q)
         report = persistence.persistence_report(wit, nerve)
     with run.timed("classes"):
         classes_block = _report_classes(wit, nerve, report)
-    with run.timed("partition"):
-        rho = projection.partition_of_unity(cover, ds)
-    return wit, q, report, classes_block, rho
-
-
-def _cmd_report(args, run: _Run):
-    wit, q, report, classes_block, rho = _classified(args, run)
     with run.timed("reduction"):
+        rho = projection.partition_of_unity(cover, ds)
+        del ds, cover
         ff = projection.frame_field(wit, rho)
         if args.dims:
             try:

@@ -114,15 +114,10 @@ def _cat(arrays, dtype=np.int64) -> np.ndarray:
 def _layout(counts, samples) -> tuple:
     """The ``indptr`` of pairs listed set by set, sets ascending, and the order that sorts each set.
 
-    ``counts[i]`` samples of ``samples`` belong to the i-th set.  Sets
-    whose samples already ascend, as circlet writes them, keep the
-    identity order, which is what the stable lexsort would return.
+    ``counts[i]`` samples of ``samples`` belong to the i-th set.
     """
     indptr = np.r_[0, np.cumsum(counts, dtype=np.int64)]
-    sets = np.repeat(np.arange(len(counts)), counts)
-    if ((np.diff(samples) >= 0) | (np.diff(sets) > 0)).all():
-        return indptr, np.arange(len(sets))
-    return indptr, np.lexsort((samples, sets))
+    return indptr, np.lexsort((samples, np.repeat(np.arange(len(counts)), counts)))
 
 
 @dataclass(frozen=True, eq=False)

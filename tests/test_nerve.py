@@ -24,7 +24,6 @@ from circlet.nerve import (
     stage_subcomplex,
 )
 from circlet.synthetic import gen_lens_bundle, gen_rp2_bundle, gen_s1_bundle
-from circlet.witness import Trivialization
 
 from oracles import (
     O2, charts_of, loop_filtration_order, loop_nerve, nerve_order, tuples, witness_of,
@@ -289,27 +288,6 @@ class TestPairs:
         queries += [(s, j) for j, s in zip(cover.sets.tolist(), cover.samples.tolist())]
         samples, sets = np.array(queries, np.int64).reshape(-1, 2).T
         assert cover.find(samples, sets).tolist() == [where.get(q, -1) for q in queries]
-
-
-    @settings(max_examples=100, deadline=None)
-    @given(members=st.dictionaries(st.integers(-3, 3), st.sets(st.integers(-4, 4), max_size=6),
-                                   max_size=4),
-           seed=st.integers(0, 2**32 - 1))
-    def test_sorted_and_shuffled_tables_give_equal_pairs(self, members, seed):
-        # sorted sets skip the lexsort; the stable lexsort of shuffled ones lands on the same table
-        rng = np.random.default_rng(seed)
-        ids = sorted(members)
-        tables = [{j: sorted(members[j]) for j in ids},
-                  {j: rng.permutation(sorted(members[j])).astype(np.int64) for j in ids}]
-        covers = [Cover.of(t) for t in tables]
-        charts = []
-        for t in tables:
-            samples = np.array([s for j in ids for s in t[j]], np.int64)
-            charts.append(Trivialization.from_pairs(ids, [len(t[j]) for j in ids], samples,
-                                                    samples % 7 / 7))
-        for a, b in (covers, charts):
-            for name in ("set_ids", "indptr", *type(a)._columns):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestCutBase:
