@@ -64,7 +64,9 @@ module is in ``sys.modules`` and on the ``circlet`` package from the
 start, so a tool that wraps functions in every loaded circlet module (the
 benchmark's tracer) finds and wraps it, and its first lookup runs it.
 Only the parser of the subcommand ``argv`` names is built; help, usage
-and error text read as if all of them were.
+and error text read as if all of them were.  Each command is one
+``_SUBCOMMANDS`` row, its handler beside its help and flags, and each synth
+model one ``_MODELS`` row, which names its generator in ``synthetic``.
 """
 
 from __future__ import annotations
@@ -251,6 +253,17 @@ def _filtration(nerve, q):
     return filtration_order(simplex_weights(nerve, [e.mean_err for e in q.edges]))
 
 
+def _pairing(nerve, sw, euler) -> tuple:
+    """The twisted fundamental cycle, the Euler number, and the orientation triangle.
+
+    The orientation is the triangle whose cycle coefficient is positive, or None.
+    """
+    mu = classes.fundamental_class_twisted(nerve, sw)
+    number = classes.euler_number(euler, mu)
+    anchor = classes.orientation_anchor(nerve, mu)
+    return mu, number, None if anchor is None else nerve.triangles[anchor].tolist()
+
+
 def _quality_dict(q) -> dict:
     """The quality report's summary fields: all but the per-edge rows."""
     doc = {f.name: getattr(q, f.name) for f in fields(q) if f.name != "edges"}
@@ -263,20 +276,17 @@ def _quality_dict(q) -> dict:
 # subcommand handlers
 
 
-def _check_synth_ranges(args, name: str, circle: bool):
-    """Reject a synth flag outside the range its generator accepts, naming the flag."""
-    least = 2 if name == "split" else 1  # a split bundle needs a sample per copy
-    if args.samples is not None and args.samples < least:
-        raise SchemaError(f"--samples must be at least {least} for model {name!r}, "
-                          f"got {args.samples}")
-    least = 3 if circle else 1
-    if args.sets is not None and args.sets < least:
-        raise SchemaError(f"--sets must be at least {least} for model {name!r}, "
-                          f"got {args.sets}")
-    if args.radius is not None and not math.isfinite(args.radius):
-        raise SchemaError(f"--radius must be finite, got {args.radius}")
-    if not math.isfinite(args.noise) or args.noise < 0:
-        raise SchemaError(f"--noise must be finite and not negative, got {args.noise}")
+# synth model -> its generator in ``synthetic``, the default of its ``:p``
+# parameter (None: the model takes none, and its cover is circle arcs), and
+# the keywords it fixes; a name, not the function, so only ``synth`` runs ``synthetic``
+_MODELS = {
+    "torus": ("gen_s1_bundle", None, {"orientable": True}),
+    "klein": ("gen_s1_bundle", None, {"orientable": False}),
+    "lens": ("gen_lens_bundle", 1, {}),
+    "rp2": ("gen_rp2_bundle", 1, {}),
+    "disconnected": ("gen_disconnected_fiber", 5, {"split": False}),
+    "split": ("gen_disconnected_fiber", 5, {"split": True}),
+}
 
 
 def _cmd_synth(args, run: _Run):
@@ -289,34 +299,34 @@ def _cmd_synth(args, run: _Run):
             raise SchemaError(f"model parameter must be an integer, got {arg!r}")
         if power <= 0:
             raise SchemaError("model parameter must be positive")
-
-    kwargs: dict = {"seed": args.seed, "noise": args.noise}
-    if args.samples is not None:
-        kwargs["n_samples"] = args.samples
-    circle = name in ("torus", "klein")
-    if args.sets is not None:
-        kwargs["n_arcs" if circle else "n_sets"] = args.sets
-    if args.radius is not None:
-        if circle:
-            raise SchemaError("circle covers fix their radius from the arc count")
-        kwargs["radius"] = args.radius
+    model = _MODELS.get(name)
+    circle = model is not None and model[1] is None
+    if circle and args.radius is not None:
+        raise SchemaError("circle covers fix their radius from the arc count")
     if circle and power is not None:
         raise SchemaError(f"model {name!r} takes no parameter")
-    if not circle and name not in ("lens", "rp2", "disconnected", "split"):
+    if model is None:
         raise SchemaError(f"unknown model {args.model!r}")
-    _check_synth_ranges(args, name, circle)
+    generator, default, fixed = model
+    # each flag in the range its generator accepts; a split bundle needs a sample per copy
+    for flag, value, least in (("--samples", args.samples, 2 if fixed.get("split") else 1),
+                               ("--sets", args.sets, 3 if circle else 1)):
+        if value is not None and value < least:
+            raise SchemaError(f"{flag} must be at least {least} for model {name!r}, "
+                              f"got {value}")
+    if args.radius is not None and not math.isfinite(args.radius):
+        raise SchemaError(f"--radius must be finite, got {args.radius}")
+    if not math.isfinite(args.noise) or args.noise < 0:
+        raise SchemaError(f"--noise must be finite and not negative, got {args.noise}")
 
+    kwargs = {"seed": args.seed, "noise": args.noise, **fixed}
+    for key, value in (("n_samples", args.samples), ("n_arcs" if circle else "n_sets", args.sets),
+                       ("radius", args.radius)):
+        if value is not None:
+            kwargs[key] = value
+    params = () if circle else (default if power is None else power,)
     with run.timed("generate"):
-        if circle:
-            bundle = synthetic.gen_s1_bundle(orientable=(name == "torus"), **kwargs)
-        elif name == "lens":
-            bundle = synthetic.gen_lens_bundle(1 if power is None else power, **kwargs)
-        elif name == "rp2":
-            bundle = synthetic.gen_rp2_bundle(1 if power is None else power, **kwargs)
-        else:
-            bundle = synthetic.gen_disconnected_fiber(
-                5 if power is None else power, split=(name == "split"), **kwargs
-            )
+        bundle = getattr(synthetic, generator)(*params, **kwargs)
 
     with run.timed("write"):
         run.write("dataset.json", io.dataset_doc(bundle.dataset))
@@ -328,7 +338,6 @@ def _cmd_synth(args, run: _Run):
 
     sc = bundle.scenario
     return {
-        "command": "synth",
         "model": sc.model,
         "samples": sc.n_samples,
         "cover_sets": sc.cover_sets,
@@ -351,7 +360,6 @@ def _cmd_witness(args, run: _Run):
     with run.timed("write"):
         run.write("witness.json", io.witness_doc(wit, quality=_quality_dict(q)))
     return {
-        "command": "witness",
         "edges": len(nerve.edges),
         "triangles": len(nerve.triangles),
         "epsilon": q.epsilon,
@@ -367,15 +375,10 @@ def _cmd_classes(args, run: _Run):
         result = classes.euler_cochain(wit)
         swb = _sign_is_coboundary(wit.nerve, result.sw)
     with run.timed("write"):
-        run.write("classes.json", io.classes_doc(result, swb))
-    return {
-        "command": "classes",
-        "sw_coboundary": swb,
-        "euler_support": int(np.count_nonzero(result.euler)),
-        "bracket_margin": None
-        if result.bracket_margin == float("inf")
-        else result.bracket_margin,
-    }
+        doc = io.classes_doc(result, swb)
+        run.write("classes.json", doc)
+    return {"sw_coboundary": swb, "euler_support": int(np.count_nonzero(result.euler)),
+            "bracket_margin": doc["bracket_margin"]}
 
 
 def _cmd_euler(args, run: _Run):
@@ -383,9 +386,7 @@ def _cmd_euler(args, run: _Run):
         parsed = io.parse_classes(io.load_json(args.classes))
         nerve = parsed["nerve"]
     with run.timed("pairing"):
-        mu = classes.fundamental_class_twisted(nerve, parsed["sw"])
-        number = classes.euler_number(parsed["euler"], mu)
-        anchor = classes.orientation_anchor(nerve, mu)
+        mu, number, orientation = _pairing(nerve, parsed["sw"], parsed["euler"])
     summary = {"euler_number": number, "magnitude": abs(number),
                "sw_coboundary": parsed["sw_coboundary"]}
     with run.timed("write"):
@@ -396,10 +397,10 @@ def _cmd_euler(args, run: _Run):
                 **summary,
                 # support of the collapsed-core representative
                 "fundamental_support": int(np.count_nonzero(mu)),
-                "euler_orientation": None if anchor is None else nerve.triangles[anchor].tolist(),
+                "euler_orientation": orientation,
             },
         )
-    return {"command": "euler", **summary}
+    return summary
 
 
 def _cmd_persist(args, run: _Run):
@@ -414,7 +415,6 @@ def _cmd_persist(args, run: _Run):
     with run.timed("write"):
         run.write("persistence.json", io.persistence_doc(report))
     return {
-        "command": "persist",
         "sw_cobirth": report.sw.cobirth_weight,
         "sw_codeath": report.sw.codeath_weight,
         "euler_cobirth": report.euler.cobirth_weight,
@@ -445,13 +445,8 @@ def _cmd_coordinatize(args, run: _Run):
         bm = projection.bundle_map(trivs, wit, rho, d=args.dim, stage=args.stage)
     with run.timed("write"):
         run.write("coords.json", io.frame_coords_doc(bm))
-    return {
-        "command": "coordinatize",
-        "dim": bm.dim,
-        "stage": bm.stage,
-        "overlap_residual": bm.overlap_residual,
-        "plane_residual": bm.plane_residual,
-    }
+    return {"dim": bm.dim, "stage": bm.stage, "overlap_residual": bm.overlap_residual,
+            "plane_residual": bm.plane_residual}
 
 
 def _cmd_trivialize(args, run: _Run):
@@ -465,11 +460,7 @@ def _cmd_trivialize(args, run: _Run):
         g = projection.global_trivialize(trivs, wit, rho)
     with run.timed("write"):
         run.write("coords.json", io.global_coords_doc(g))
-    return {
-        "command": "trivialize",
-        "samples": len(g.ids),
-        "residual": g.residual,
-    }
+    return {"samples": len(g.ids), "residual": g.residual}
 
 
 def _cmd_unwrap(args, run: _Run):
@@ -501,12 +492,8 @@ def _cmd_unwrap(args, run: _Run):
                 "nu": io.simplex_rows(result.nerve.edges, "sign", result.nu),
             },
         )
-    return {
-        "command": "unwrap",
-        "components": result.components,
-        "sets": len(result.cover.set_ids),
-        "nu_nontrivial": bool(np.any(result.nu < 0)),
-    }
+    return {"components": result.components, "sets": len(result.cover.set_ids),
+            "nu_nontrivial": bool(np.any(result.nu < 0))}
 
 
 def _default_dims(ambient: int) -> list[int]:
@@ -529,10 +516,9 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
     """The classes block of report.json.
 
     Keys stay null when a guard or obstruction stops the computation, and
-    ``reason`` names the error.  ``euler_orientation`` is the triangle
-    whose fundamental-cycle coefficient is positive; ``euler_cocycle``
-    says whether the rounded class vanishes on every tetrahedron, which
-    makes the pairing independent of the cycle's representative.
+    ``reason`` names the error.  ``euler_cocycle`` says whether the
+    rounded class vanishes on every tetrahedron, which makes the pairing
+    independent of the cycle's representative.
     """
     block = dict.fromkeys((
         "sw_coboundary", "euler_number", "euler_orientation", "euler_cocycle",
@@ -548,10 +534,8 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
         block["cocycle_defect"] = float(result.cocycle_defect)
         block["defect_margin"] = float(result.defect_margin)
         block["euler_cocycle"] = result.euler_is_cocycle()
-        mu = classes.fundamental_class_twisted(nerve, result.sw)
-        block["euler_number"] = classes.euler_number(result.euler, mu)
-        anchor = classes.orientation_anchor(nerve, mu)
-        block["euler_orientation"] = None if anchor is None else nerve.triangles[anchor].tolist()
+        _, block["euler_number"], block["euler_orientation"] = _pairing(
+            nerve, result.sw, result.euler)
     except (GuardError, NotASurface) as exc:
         block["reason"] = {"error": type(exc).__name__, "message": str(exc)}
     return block
@@ -605,25 +589,7 @@ def _cmd_report(args, run: _Run):
                 ],
             },
         )
-    return {
-        "command": "report",
-        "epsilon": q.epsilon,
-        "w_max": report.w_max,
-        "dims": dims,
-    }
-
-
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "witness": _cmd_witness,
-    "classes": _cmd_classes,
-    "euler": _cmd_euler,
-    "persist": _cmd_persist,
-    "coordinatize": _cmd_coordinatize,
-    "trivialize": _cmd_trivialize,
-    "unwrap": _cmd_unwrap,
-    "report": _cmd_report,
-}
+    return {"epsilon": q.epsilon, "w_max": report.w_max, "dims": dims}
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +598,13 @@ _HANDLERS = {
 
 _BUNDLE = [(flag, {"required": True}) for flag in ("--data", "--cover", "--trivs")]
 
-# subcommand -> help text and its arguments besides --out, in usage order
+# subcommand -> its handler, help text and arguments besides --out, in usage order
 _SUBCOMMANDS = {
-    "synth": ("generate a synthetic bundle with known ground truth", [
+    "synth": (_cmd_synth, "generate a synthetic bundle with known ground truth", [
         ("--model", {
             "required": True,
-            "help": "torus | klein | lens:p | rp2:p | disconnected:p | split:p",
+            "help": " | ".join(name if default is None else f"{name}:p"
+                               for name, (_, default, _) in _MODELS.items()),
         }),
         ("--samples", {"type": int, "default": None}),
         ("--sets", {"type": int, "default": None, "help": "cover sets (or arcs)"}),
@@ -645,28 +612,29 @@ _SUBCOMMANDS = {
         ("--noise", {"type": float, "default": 0.0, "help": "fiber noise, radians"}),
         ("--seed", {"type": int, "default": 0}),
     ]),
-    "witness": ("estimate overlap isometries and their quality", _BUNDLE),
-    "coordinatize": ("embed samples through reduced frames", _BUNDLE + [
+    "witness": (_cmd_witness, "estimate overlap isometries and their quality", _BUNDLE),
+    "coordinatize": (_cmd_coordinatize, "embed samples through reduced frames", _BUNDLE + [
         ("--dim", {"type": int, "required": True}),
         ("--stage", {"type": int, "default": None}),
     ]),
-    "trivialize": ("assemble one global fiber coordinate", _BUNDLE),
-    "report": ("quality, persistence, and reduction-curve summary", _BUNDLE + [
+    "trivialize": (_cmd_trivialize, "assemble one global fiber coordinate", _BUNDLE),
+    "report": (_cmd_report, "quality, persistence, and reduction-curve summary", _BUNDLE + [
         ("--dims", {"default": None, "help": "comma list, e.g. 2,4,8"}),
     ]),
-    "classes": ("sign and integer classes of a witness", [("--witness", {"required": True})]),
-    "euler": ("pair the integer class with the fundamental class",
-              [("--classes", {"required": True})]),
-    "persist": ("class persistence along the weight filtration",
+    "classes": (_cmd_classes, "sign and integer classes of a witness",
                 [("--witness", {"required": True})]),
-    "unwrap": ("lift a two-cluster bundle to its double cover",
+    "euler": (_cmd_euler, "pair the integer class with the fundamental class",
+              [("--classes", {"required": True})]),
+    "persist": (_cmd_persist, "class persistence along the weight filtration",
+                [("--witness", {"required": True})]),
+    "unwrap": (_cmd_unwrap, "lift a two-cluster bundle to its double cover",
                _BUNDLE + [("--clusters", {"required": True})]),
 }
 
 # which flags name input files, per subcommand, in usage order
 _FILES = ("--data", "--cover", "--trivs", "--witness", "--classes", "--clusters")
 _INPUTS = {name: [flag[2:] for flag, _ in flags if flag in _FILES]
-           for name, (_, flags) in _SUBCOMMANDS.items()}
+           for name, (_, _, flags) in _SUBCOMMANDS.items()}
 
 
 def _build_parser(argv: list[str]) -> _Parser:
@@ -686,7 +654,7 @@ def _build_parser(argv: list[str]) -> _Parser:
     metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if one else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in argv[:1] if one else _SUBCOMMANDS:
-        help_text, flags = _SUBCOMMANDS[name]
+        _, help_text, flags = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
         for flag, options in flags:
@@ -751,7 +719,7 @@ def _main(argv) -> int:
         input_paths = [getattr(args, k) for k in _INPUTS[args.command]]
         run = _Run(args.command, config, input_paths, getattr(args, "seed", None))
         run.open(args.out)
-        summary = _HANDLERS[args.command](args, run)
+        summary = _SUBCOMMANDS[args.command][0](args, run)
     except SchemaError as exc:
         _emit({"error": "schema", "message": str(exc)}, sys.stderr)
         if run is not None:
@@ -775,7 +743,7 @@ def _main(argv) -> int:
             run.finish(EXIT_GUARD)
         return EXIT_GUARD
     run.finish(EXIT_OK)
-    _emit(summary)
+    _emit({"command": args.command, **summary})
     return EXIT_OK
 
 

@@ -443,7 +443,8 @@ def parse_cover(doc, dim: int | None = None) -> Cover:
 
     A cover without sets, a set id listed twice, a set without members, a
     member listed twice in one set, and centers of differing lengths or,
-    given the base dimension ``dim``, of another length are schema errors.
+    given the base dimension ``dim``, of another length or off the unit
+    sphere by more than 1e-9 are schema errors.
     """
     rows, ids = _set_rows(doc, "cover")
     if not rows:
@@ -465,6 +466,9 @@ def parse_cover(doc, dim: int | None = None) -> Cover:
             raise SchemaError("cover: set centers differ in length")
         center = np.full((len(rows), len(given[0])), np.nan)
         center[at] = _floats(list(chain.from_iterable(given)), "center").reshape(len(at), -1)
+        far = np.abs(np.sqrt(np.einsum("ij,ij->i", center[at], center[at])) - 1) > 1e-9
+        if dim is not None and far.any():
+            raise SchemaError(f"{where[at[np.argmax(far)]]} center is not a unit vector")
     at, given = _present(rows, where, "radius", object)
     if at:
         radius = np.full(len(rows), np.nan)
@@ -581,7 +585,14 @@ def parse_nerve(doc) -> Nerve:
     if "perturbations" in doc:
         offsets = by_dim(_simplex_values(doc, "nerve", "perturbations", "offset", _floats, tables,
                                          False))
-    return replace(nerve, weights=weights, perturbations=offsets, stage=stage)
+    nerve = replace(nerve, weights=weights, perturbations=offsets, stage=stage)
+    if stage is not None:
+        w = nerve.stage_weights()
+        if (fall := np.flatnonzero(w[1:] < w[:-1])).size:
+            i = int(fall[0]) + 1
+            raise SchemaError(f"nerve: order lists {list(got[i])} at stage {i + 1}, "
+                              f"weighing less than stage {i}")
+    return nerve
 
 
 # ---------------------------------------------------------------------------

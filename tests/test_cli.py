@@ -289,6 +289,7 @@ class TestWitnessCommand:
         ("cover.json", lambda d: d["sets"][0].update(members=7)),
         ("cover.json", lambda d: d.update(sets={"0": []})),
         ("cover.json", lambda d: d["sets"][0].update(clipped="no")),
+        ("cover.json", lambda d: d["sets"][0].update(center=[2.0, 0.0])),
         ("dataset.json", lambda d: d["samples"][0]["base"].append(0.0)),
         ("dataset.json", lambda d: d["samples"][0].update(id="0")),
         ("dataset.json", lambda d: d["samples"][0].update(id=0.5)),
@@ -300,7 +301,8 @@ class TestWitnessCommand:
     ], ids=[
         "string-center", "long-center", "scalar-center", "string-set-id",
         "bool-set-id", "string-member", "float-member", "members-not-list",
-        "sets-not-list", "string-clipped", "long-base", "string-sample-id", "float-sample-id",
+        "sets-not-list", "string-clipped", "center-off-the-circle", "long-base",
+        "string-sample-id", "float-sample-id",
         "scalar-base", "samples-not-list", "distance-row-not-list",
         "ragged-distances", "distances-wrong-row-count",
     ])
@@ -449,7 +451,10 @@ class TestPersistCommand:
         (lambda n: n.update(order=[[0], [0]]), "permutation"),
         (lambda n: n.update(perturbations=[{"simplex": [0, 1]}]), "offset"),
         (_boolean_vertices, "list of integers"),
-    ], ids=["order-not-a-permutation", "perturbation-without-offset", "boolean-vertices"])
+        (lambda n: [r.update(weight=1 / (1 + i)) for i, r in enumerate(n["weights"])],
+         "weighing less than stage"),
+    ], ids=["order-not-a-permutation", "perturbation-without-offset", "boolean-vertices",
+            "weights-fall-along-order"])
     def test_malformed_nerve_rejected(self, torus_witness_dir, tmp_path, capsys, mutate, match):
         doc = read(torus_witness_dir / "witness.json")
         mutate(doc["nerve"])
@@ -1468,8 +1473,8 @@ class TestCollector:
 
     def test_paused_during_the_command(self, setting, monkeypatch, tmp_path, capsys):
         seen = []
-        monkeypatch.setitem(cli._HANDLERS, "synth",
-                            lambda args, run: seen.append(gc.isenabled()) or {})
+        row = (lambda args, run: seen.append(gc.isenabled()) or {}, *cli._SUBCOMMANDS["synth"][1:])
+        monkeypatch.setitem(cli._SUBCOMMANDS, "synth", row)
         assert main(["synth", "--model", "torus", "--out", str(tmp_path / "x")]) == 0
         assert seen == [False] and gc.isenabled() is setting
         capsys.readouterr()
@@ -1478,7 +1483,42 @@ class TestCollector:
         def fail(args, run):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "synth", fail)
+        monkeypatch.setitem(cli._SUBCOMMANDS, "synth", (fail, *cli._SUBCOMMANDS["synth"][1:]))
         with pytest.raises(RuntimeError, match="boom"):
             main(["synth", "--model", "torus", "--out", str(tmp_path / "x")])
         assert gc.isenabled() is setting
+
+
+class TestStdoutSummary:
+    """Each command's last stdout line names it and carries its summary keys."""
+
+    KEYS = {
+        "synth": {"model", "samples", "cover_sets", "sw_trivial", "euler_number"},
+        "witness": {"edges", "triangles", "epsilon", "delta", "cocycle_epsilon"},
+        "classes": {"sw_coboundary", "euler_support", "bracket_margin"},
+        "euler": {"euler_number", "magnitude", "sw_coboundary"},
+        "persist": {"sw_cobirth", "sw_codeath", "euler_cobirth", "euler_codeath", "w_max"},
+        "coordinatize": {"dim", "stage", "overlap_residual", "plane_residual"},
+        "trivialize": {"samples", "residual"},
+        "unwrap": {"components", "sets", "nu_nontrivial"},
+        "report": {"epsilon", "w_max", "dims"},
+    }
+
+    @pytest.mark.parametrize("command", list(KEYS))
+    def test_keys(self, command, torus_dir, torus_witness_dir, lens_dirs, small_disconnected,
+                  tmp_path, capsys):
+        witness = ["--witness", str(torus_witness_dir / "witness.json")]
+        argv = {
+            "synth": ["--model", "torus", "--samples", "300", "--sets", "12"],
+            "classes": witness,
+            "euler": ["--classes", str(lens_dirs[2] / "classes.json")],
+            "persist": witness,
+            "coordinatize": ["--dim", "4", *_bundle_flags(torus_dir)],
+            "unwrap": [*_bundle_flags(small_disconnected),
+                       f"--clusters={small_disconnected / 'clusters.json'}"],
+        }.get(command, _bundle_flags(torus_dir))
+        capsys.readouterr()
+        assert run(command, *argv, "--out", str(tmp_path / "o")) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary.pop("command") == command
+        assert set(summary) == self.KEYS[command]

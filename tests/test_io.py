@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -365,11 +365,15 @@ class TestColumnChecks:
 
     @settings(max_examples=200, deadline=None)
     @given(value=field_values)
+    @example(value=1)
     def test_cover_members(self, value):
         doc = {"schema": "circlet/cover", "sets": [{"id": 0, "members": [1, value, 2]}]}
         expect = per_value_int(value)
         if expect is None:
             with pytest.raises(SchemaError, match="member: expected a 64-bit integer"):
+                io.parse_cover(doc)
+        elif expect in (1, 2):
+            with pytest.raises(SchemaError, match="cover set 0 lists a member twice"):
                 io.parse_cover(doc)
         else:
             assert io.parse_cover(doc).samples.tolist() == sorted({1, expect, 2})
@@ -464,8 +468,10 @@ class TestWitnessSchema:
         (lambda n: n["order"].__setitem__(-1, [0, 99]), "permutation"),
         (lambda n: n["simplices"]["0"].append([1 << 63]), "nerve: expected a 64-bit integer"),
         (lambda n: n["order"].__setitem__(-1, [0, 1 << 63]), "order: expected a 64-bit integer"),
+        (lambda n: [r.update(weight=1 / (1 + i)) for i, r in enumerate(n["weights"])],
+         "at stage 2, weighing less than stage 1"),
     ], ids=["perturbation-without-offset", "repeated-order", "short-order", "order-off-the-nerve",
-            "vertex-past-int64", "order-vertex-past-int64"])
+            "vertex-past-int64", "order-vertex-past-int64", "weights-fall-along-order"])
     def test_malformed_nerve_rejected(self, torus, mutate, match):
         _, cover, trivs = torus
         nerve = build_nerve(cover)
