@@ -5,11 +5,13 @@ Usage: python compare_outputs.py BASE HEAD
 In each tree it runs ``python -m circlet.cli`` children with
 ``PYTHONPATH=<tree>/src``: ``synth`` at seed 0 on four models, then
 ``witness``, ``classes``, ``euler``, ``persist``, ``report``,
-``trivialize`` and ``coordinatize --dim 4`` on each generated bundle, and
-``unwrap`` wherever synth wrote ``clusters.json``.  It compares every
-output file byte for byte (``manifest.json`` without its timings), every
-exit code and every stdout line.  It prints ``N files, M differ`` and each
-difference, and exits 0 whatever it finds: it is a report, not a gate.
+``trivialize`` and ``coordinatize --dim 4`` on each generated bundle,
+``coordinatize --dim 4 --stage r`` at the witness's last stage but one and
+at half its stages, and ``unwrap`` wherever synth wrote ``clusters.json``.
+It compares every output file byte for byte (``manifest.json`` without its
+timings), every exit code and every stdout line.  It prints ``N files, M
+differ`` and each difference, and exits 0 whatever it finds: it is a
+report, not a gate.
 """
 
 import json
@@ -27,8 +29,12 @@ MODELS = {
 STREAMS = ("exit code", "stdout")
 
 
-def _runs(model: str):
-    """The children of one model, in order: each one's output directory and arguments."""
+def _runs(model: str, work: str):
+    """The children of one model, in order: each one's output directory and arguments.
+
+    The stage cuts read the filtration length off the ``witness.json`` an
+    earlier child wrote under ``work``, and are skipped where it wrote none.
+    """
     synth = f"{model}/synth"
     bundle = [f"--data={synth}/dataset.json", f"--cover={synth}/cover.json",
               f"--trivs={synth}/trivs.json"]
@@ -41,6 +47,13 @@ def _runs(model: str):
     yield f"{model}/report", ["report", *bundle]
     yield f"{model}/trivialize", ["trivialize", *bundle]
     yield f"{model}/coordinatize", ["coordinatize", "--dim", "4", *bundle]
+    written = os.path.join(work, model, "witness", "witness.json")
+    if os.path.exists(written):
+        with open(written) as fh:
+            stages = len(json.load(fh)["nerve"]["order"])
+        for name, r in (("last", stages - 1), ("half", stages // 2)):
+            yield f"{model}/stage-{name}", ["coordinatize", "--dim", "4", "--stage", str(r),
+                                            *bundle]
     yield f"{model}/unwrap", ["unwrap", *bundle, f"--clusters={synth}/clusters.json"]
 
 
@@ -50,7 +63,7 @@ def run_tree(tree: str, work: str) -> dict:
     os.makedirs(work)
     found = {}
     for model in MODELS:
-        for out, argv in _runs(model):
+        for out, argv in _runs(model, work):
             if argv[0] == "unwrap" and not os.path.exists(f"{work}/{model}/synth/clusters.json"):
                 continue
             done = subprocess.run([sys.executable, "-m", "circlet.cli", *argv, f"--out={out}"],

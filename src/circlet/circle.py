@@ -24,10 +24,10 @@ TWO_PI = 2.0 * math.pi
 _GAP_TIE_TOL = 1e-12
 
 
-def principal_turn(t: float) -> float:
-    """Representative of ``t`` modulo 1 in the branch (-1/2, 1/2]."""
-    r = t % 1.0
-    return r if r <= 0.5 else r - 1.0
+def principal_turn(t):
+    """Representative of ``t`` modulo 1 in the branch (-1/2, 1/2]; elementwise on arrays."""
+    r = np.asarray(t, dtype=float) % 1.0
+    return np.where(r <= 0.5, r, r - 1.0)[()]
 
 
 def s1_point(turn: float) -> np.ndarray:
@@ -176,9 +176,7 @@ def karcher_mean(points: np.ndarray, weights) -> np.ndarray:
         raise DiameterTooLarge(
             f"points span {width[i]:.6f} turns, not contained in a half circle", index=i
         )
-    rel = (support - center) % 1.0
-    rel = np.where(rel <= 0.5, rel, rel - 1.0)  # principal_turn
-    mean = center[..., 0] + np.sum(w * rel, axis=-1)
+    mean = center[..., 0] + np.sum(w * principal_turn(support - center), axis=-1)
     return s1_point(mean % 1.0)
 
 

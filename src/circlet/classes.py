@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .circle import principal_turn
 from .cochains import (Witness, check_sign_cocycle, coboundary, coboundary_rows, cocycle_defect,
                        facet_table, sign_values)
 from .errors import BracketAmbiguous, NotASurface, ShapeMismatch
@@ -100,8 +101,7 @@ def euler_cochain(witness: Witness) -> CharClassResult:
         )
     nerve, sw = witness.nerve, sw_class(witness)
     check_sign_cocycle(sw, nerve)
-    turn = witness.turn % 1.0
-    lift = np.where(turn <= 0.5, turn, turn - 1.0)  # the branch (-1/2, 1/2]
+    lift = principal_turn(witness.turn)
     pre = coboundary(lift, nerve, 1, sw)
     rounded = np.rint(pre)
     gap = 0.5 - np.abs(pre - rounded)

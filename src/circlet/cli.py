@@ -39,15 +39,15 @@ Every output file is closed by then, and circlet registers no exit handler
 and starts no thread, so skipping the teardown loses nothing.  An exception
 that escapes ``main`` takes the interpreter's usual exit.
 
-A command holds each input only while a stage reads it.  ``report`` drops
-the charts once ``triv_quality`` has read them, and the dataset and cover
-once ``partition_of_unity`` has; ``coordinatize`` and ``trivialize`` drop
-the dataset and cover after the partition and keep the charts, which
-``bundle_map`` and ``global_trivialize`` read.  Each handler deletes its
-last reference to an input right after that stage.  Reference counting
-frees it at once, collector or not, so the frames and the reduction curve,
-the largest arrays of ``report``, reuse its memory instead of raising the
-process's peak.
+A command holds one table per bundle, the charts on the cover's geometry,
+and each input only while a stage reads it.  ``report`` drops the dataset and
+the chart table once ``partition_of_unity`` has read them; ``coordinatize``
+and ``trivialize`` drop the dataset after the partition and keep the
+charts, which ``bundle_map`` and ``global_trivialize`` read.  Each handler
+deletes its last reference to an input right after that stage.  Reference
+counting frees it at once, collector or not, so the frames and the
+reduction curve, the largest arrays of ``report``, reuse its memory
+instead of raising the process's peak.
 
 A process executes only the modules its command runs.  ``io``, ``errors``,
 ``nerve``, ``cochains``, ``circle`` and ``witness`` load with this module;
@@ -80,7 +80,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 
 # the variables OpenBLAS reads for its thread count, first one set wins
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -208,12 +208,14 @@ class _Run:
 
 
 def _load_bundle(args):
-    """Dataset, cover and charts, cross-checked against each other.
+    """The dataset and the charts on the cover's geometry, cross-checked against each other.
 
     The cover's centers meet the base dimension as it is parsed.  Then the
     first set in id order that fails a check names the error, its checks
     in this order: members in the dataset, a chart, and a chart domain
-    equal to the members.  Charts without a cover set come last.
+    equal to the members.  Charts without a cover set come last.  Once
+    they pass, the cover and the charts list the same pairs, so the charts
+    take the cover's centers, radii and clipped flags and stand for both.
     """
     ds = io.parse_dataset(io.load_json(args.data))
     dim = None if ds.kind == "abstract" else ds.base.shape[1]
@@ -240,7 +242,7 @@ def _load_bundle(args):
     extra = trivs.set_ids[~np.isin(trivs.set_ids, cover.set_ids)]
     if extra.size:
         raise SchemaError(f"charts {extra.tolist()} have no cover set")
-    return ds, cover, trivs
+    return ds, replace(trivs, center=cover.center, radius=cover.radius, clipped=cover.clipped)
 
 
 def _sign_is_coboundary(nerve, sw) -> bool:
@@ -250,7 +252,7 @@ def _sign_is_coboundary(nerve, sw) -> bool:
 def _filtration(nerve, q):
     """The nerve in filtration order, weighted by the quality report's edge means."""
     # the quality report already holds every edge's mean chord error
-    return filtration_order(simplex_weights(nerve, [e.mean_err for e in q.edges]))
+    return filtration_order(simplex_weights(nerve, q.edge_mean))
 
 
 def _pairing(nerve, sw, euler) -> tuple:
@@ -265,8 +267,8 @@ def _pairing(nerve, sw, euler) -> tuple:
 
 
 def _quality_dict(q) -> dict:
-    """The quality report's summary fields: all but the per-edge rows."""
-    doc = {f.name: getattr(q, f.name) for f in fields(q) if f.name != "edges"}
+    """The quality report's summary fields: all but the per-edge arrays."""
+    doc = {f.name: getattr(q, f.name) for f in fields(q) if not f.name.startswith("edge_")}
     # alpha is infinite when coverage is too sparse; null in transit
     doc["alpha"] = None if not np.isfinite(q.alpha) else float(q.alpha)
     return doc
@@ -348,12 +350,12 @@ def _cmd_synth(args, run: _Run):
 
 def _cmd_witness(args, run: _Run):
     with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
+        _, charts = _load_bundle(args)
     with run.timed("nerve"):
-        nerve = build_nerve(cover)
+        nerve = build_nerve(charts)
     with run.timed("witness"):
-        wit = assemble_witness(trivs, nerve)
-        q = triv_quality(trivs, wit, nerve)
+        wit = assemble_witness(charts, nerve)
+        q = triv_quality(charts, wit, nerve)
     with run.timed("filtration"):
         nerve = _filtration(nerve, q)
         wit = wit._replace(nerve=nerve)
@@ -425,24 +427,23 @@ def _cmd_persist(args, run: _Run):
 
 def _cmd_coordinatize(args, run: _Run):
     with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
+        ds, charts = _load_bundle(args)
     with run.timed("nerve"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
+        nerve = build_nerve(charts)
+        wit = assemble_witness(charts, nerve)
     if args.stage is not None:
         if not 1 <= args.stage <= len(nerve):
             raise SchemaError(f"--stage {args.stage} outside 1..{len(nerve)}")
         with run.timed("stage-cut"):
-            nerve = filtration_order(edge_weights(nerve, trivs, wit))
-            cover, _ = cut_base(ds, cover, nerve, args.stage)
-            trivs = trivs.restrict(cover)
-            nerve = build_nerve(cover)
-            wit = assemble_witness(trivs, nerve)
+            nerve = filtration_order(edge_weights(nerve, charts, wit))
+            charts, _ = cut_base(charts, nerve, args.stage)
+            nerve = build_nerve(charts)
+            wit = assemble_witness(charts, nerve)
     with run.timed("coordinates"):
-        rho = projection.partition_of_unity(cover, ds)
-        del ds, cover
+        rho = projection.partition_of_unity(charts, ds)
+        del ds
         _check_dims([args.dim], rho.ambient)
-        bm = projection.bundle_map(trivs, wit, rho, d=args.dim, stage=args.stage)
+        bm = projection.bundle_map(charts, wit, rho, d=args.dim, stage=args.stage)
     with run.timed("write"):
         run.write("coords.json", io.frame_coords_doc(bm))
     return {"dim": bm.dim, "stage": bm.stage, "overlap_residual": bm.overlap_residual,
@@ -451,31 +452,30 @@ def _cmd_coordinatize(args, run: _Run):
 
 def _cmd_trivialize(args, run: _Run):
     with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
+        ds, charts = _load_bundle(args)
     with run.timed("pipeline"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-        rho = projection.partition_of_unity(cover, ds)
-        del ds, cover
-        g = projection.global_trivialize(trivs, wit, rho)
+        nerve = build_nerve(charts)
+        wit = assemble_witness(charts, nerve)
+        rho = projection.partition_of_unity(charts, ds)
+        del ds
+        g = projection.global_trivialize(charts, wit, rho)
     with run.timed("write"):
         run.write("coords.json", io.global_coords_doc(g))
     return {"samples": len(g.ids), "residual": g.residual}
 
 
 def _cmd_unwrap(args, run: _Run):
-    from .doublecover import carry_charts, unwrap_double_cover
+    from .doublecover import unwrap_double_cover
 
     with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
-        label = io.parse_clusters(io.load_json(args.clusters), cover)
+        ds, charts = _load_bundle(args)
+        label = io.parse_clusters(io.load_json(args.clusters), charts)
     with run.timed("unwrap"):
-        result = unwrap_double_cover(ds, cover, label)
-        lifted = carry_charts(trivs, result)
+        result = unwrap_double_cover(ds, charts, label)
     with run.timed("write"):
         run.write("dataset.json", io.dataset_doc(result.dataset))
         run.write("cover.json", io.cover_doc(result.cover))
-        run.write("trivs.json", io.trivs_doc(lifted))
+        run.write("trivs.json", io.trivs_doc(result.cover))
         run.write(
             "unwrap.json",
             {
@@ -543,20 +543,19 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
 
 def _cmd_report(args, run: _Run):
     with run.timed("load"):
-        ds, cover, trivs = _load_bundle(args)
+        ds, charts = _load_bundle(args)
     with run.timed("witness"):
-        nerve = build_nerve(cover)
-        wit = assemble_witness(trivs, nerve)
-        q = triv_quality(trivs, wit, nerve)
-        del trivs
+        nerve = build_nerve(charts)
+        wit = assemble_witness(charts, nerve)
+        q = triv_quality(charts, wit, nerve)
     with run.timed("persistence"):
         nerve = _filtration(nerve, q)
         report = persistence.persistence_report(wit, nerve)
     with run.timed("classes"):
         classes_block = _report_classes(wit, nerve, report)
     with run.timed("reduction"):
-        rho = projection.partition_of_unity(cover, ds)
-        del ds, cover
+        rho = projection.partition_of_unity(charts, ds)
+        del ds, charts
         ff = projection.frame_field(wit, rho)
         if args.dims:
             try:

@@ -18,7 +18,7 @@ every pair one lift sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (InconsistentClusters, LiftUndefined, NotUnwrappable, Propag
                      SchemaError, ShapeMismatch)
 from .intlinalg import ParityForest
 from .nerve import BundleDataset, Cover, Nerve, build_nerve
-from .witness import Trivialization, _shared_rows
+from .witness import _shared_rows
 
 
 # base-point dot products against a set center smaller than this cannot
@@ -78,7 +78,8 @@ class UnwrapResult:
         the cover unwrapped geometrically.
     cover : Cover
         Two sets per original set: cluster c of set j (c = 0 where the
-        label holds) becomes set 2j + c.
+        label holds) becomes set 2j + c, and its pairs keep every column
+        of the input's, so charts in give charts out.
     components : int
         Connected components of the lifted cover's overlap graph.
     orientations : dict
@@ -217,13 +218,14 @@ def unwrap_double_cover(dataset: BundleDataset, cover: Cover, label: np.ndarray)
         components += 1
 
     new = 2 * cover.slots + ~label  # every pair's new set, by position
+    perm = np.argsort(new, kind="stable")
     ids = (2 * cover.set_ids[:, None] + [0, 1]).reshape(-1)
     signs = np.where(sheet == 0, 1, sheet)
-    new_cover = Cover(
-        ids, np.r_[0, np.cumsum(np.bincount(new, minlength=len(ids)))],
-        cover.samples[np.argsort(new, kind="stable")],
-        None if cover.center is None else signs[:, None] * np.repeat(cover.center, 2, axis=0),
-        None if cover.radius is None else np.repeat(cover.radius, 2), np.repeat(cover.clipped, 2))
+    new_cover = replace(
+        cover, set_ids=ids, indptr=np.r_[0, np.cumsum(np.bincount(new, minlength=len(ids)))],
+        center=None if cover.center is None else signs[:, None] * np.repeat(cover.center, 2, 0),
+        radius=None if cover.radius is None else np.repeat(cover.radius, 2),
+        clipped=np.repeat(cover.clipped, 2), **{c: getattr(cover, c)[perm] for c in cover._columns})
     orientations = dict(zip(ids[sheet != 0].tolist(), sheet[sheet != 0].tolist()))
     kind = "sphere" if sheet.any() else dataset.kind
     distances = dataset.distances if kind == dataset.kind else None
@@ -231,19 +233,3 @@ def unwrap_double_cover(dataset: BundleDataset, cover: Cover, label: np.ndarray)
     return UnwrapResult(dataset=lifted, cover=new_cover, components=components,
                         orientations=orientations, nerve=nerve, nu=nu)
 
-
-def carry_charts(trivs: Trivialization, result: UnwrapResult) -> Trivialization:
-    """Gather chart rows onto the split cover produced by an unwrap.
-
-    Each split set keeps the angles of its parent chart on the samples it
-    retained; the fiber data is untouched because the unwrap only relabels
-    the base.  Parent sets absent from the trivialization are skipped.
-    """
-    cover = result.cover
-    parent = cover.set_ids // 2
-    at = trivs.find(cover.samples, parent[cover.slots])
-    keep = np.isin(parent, trivs.set_ids)
-    rows = at[at >= 0]
-    counts = np.bincount(cover.slots[at >= 0], minlength=len(parent))[keep]
-    return Trivialization(cover.set_ids[keep], np.r_[0, np.cumsum(counts)], trivs.samples[rows],
-                         trivs.points[rows], trivs.turns[rows])

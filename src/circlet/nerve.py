@@ -3,12 +3,13 @@
 A cover is one table of (set, sample) pairs in CSR form (``Pairs``, after
 Saad's compressed sparse rows): ascending set ids, an ``indptr`` over
 them, and the int64 samples sorted by set and then by sample, with the
-per-set geometry (center, radius) that produced it.  Charts are the same
-table with a value column per pair (``witness.Trivialization``).  The
-nerve collects every tuple of cover sets whose members intersect, up to
-3-simplices, which is all the downstream boundary matrices consume; it is
-read off the table's sample-major transpose, each sample's support being
-the sets that hold it.
+per-set geometry (center, radius) that produced it.  Charts are a cover
+with a value column per pair (``witness.Trivialization``), so what cuts a
+cover (``select``, ``cut_base``) cuts charts alike.  The nerve collects
+every tuple of cover sets whose members intersect, up to 3-simplices,
+which is all the downstream boundary matrices consume; it is read off the
+table's sample-major transpose, each sample's support being the sets that
+hold it.
 
 The nerve is arrays (``Nerve``): per dimension p a ``(k, p + 1)`` int64
 array of vertex rows in lex order, with weights, tie-break offsets and
@@ -88,7 +89,7 @@ class BundleDataset:
             if self.base.shape[0] != len(self.ids):
                 raise ShapeMismatch("base array does not match sample count")
             norms = np.linalg.norm(self.base, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-9):
+            if not np.allclose(norms, 1.0, rtol=0.0, atol=1e-9):
                 raise ValueError("parametric base points must be unit vectors")
 
     def __len__(self) -> int:
@@ -395,7 +396,7 @@ def filtration_order(nerve: Nerve) -> Nerve:
     dim = np.repeat(dims, [len(nerve.simplices[p]) for p in dims])
     order = np.argsort(w, kind="stable")
     ws = w[order]
-    first = np.flatnonzero(np.r_[True, ws[1:] != ws[:-1]])  # where each tie block starts
+    first = np.flatnonzero(np.r_[True, ws[1:] != ws[:-1]][:len(ws)])  # where tie blocks start
     size = np.diff(np.r_[first, len(ws)])
     low, above = ws[first], np.r_[ws[first[1:]], np.inf]
     step = np.where(low + (size - 1) * TIE_STEP < above, TIE_STEP, (above - low) / size)
@@ -429,7 +430,7 @@ def stage_subcomplex(nerve: Nerve, r: int) -> Nerve:
         {q: at[q - 1][pos[keep[q]]] for q, pos in nerve._facets.items()})
 
 
-def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list]:
+def cut_base(cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list]:
     """Shrink cover sets until the nerve equals the stage-``r`` subcomplex.
 
     Walks the filtration from the top down to stage ``r + 1``; for each
@@ -438,6 +439,7 @@ def cut_base(dataset: BundleDataset, cover: Cover, nerve: Nerve, r: int) -> tupl
     sets).  The walk runs on the set-by-sample incidence of the pairs.
     Returns the cut cover, its sets marked clipped where they lost
     members, and a log of ``(simplex, vertex, removed_ids)`` triples.
+    Charts cut to charts: the kept pairs keep their values.
     """
     nerve.require_order()
     if not 0 <= r <= len(nerve):

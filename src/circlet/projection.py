@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import classes, intlinalg
-from .circle import TWO_PI, karcher_mean, o2_matrices, s1_angle
+from .circle import TWO_PI, karcher_mean, o2_matrices, s1_angle, s1_point
 from .cochains import Witness, coboundary_rows
 from .errors import EigengapTooSmall, GuardError, NotTrivializable, RankDeficient, ShapeMismatch
 from .errors import UncoveredPoint
@@ -665,8 +665,7 @@ def global_trivialize(trivs, omega: Witness, rho: PartitionOfUnity) -> GlobalTri
         mu = 0.0
         for b in range(sh.shape[1]):
             mu = mu + g.weights[:, b, None] * sh[:, b, :]
-        t = TWO_PI * ((np.where(flip[g.slots], -turns, turns) + mu) % 1.0)
-        xy = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        xy = s1_point((np.where(flip[g.slots], -turns, turns) + mu) % 1.0)
         for a, b in combinations(range(xy.shape[1]), 2):
             residual = max(residual, float(np.linalg.norm(xy[:, a] - xy[:, b], axis=-1).max()))
         pts.append(xy)

@@ -8,28 +8,28 @@ a sign per edge, whose holonomy defect, together with the chart
 misalignment and the fiber coverage gap, quantifies how far the data is
 from an exact bundle.
 
-Charts are one table of (set, sample) pairs (``nerve.Pairs``), sorted by
-set and then by sample, with a row-aligned ``(n, 2)`` column of unit
-vectors and a column of their angles in turns.  ``Trivialization.overlaps``
-is the one intersection of chart domains: it reads every overlap of a
-list of set tuples off the table's sample-major transpose at once and
-returns the charts' angles there as CSR segments.  The witness, the
-quality report and the edge weights each make one call per simplex
-dimension and run their per-overlap kernels (the minimax fit, the
-coverage gap, the chord errors) on those angles; only ``projection``'s
+Charts are the cover's table of (set, sample) pairs (``nerve.Cover``),
+sorted by set and then by sample, with a row-aligned ``(n, 2)`` column of
+unit vectors and a column of their angles in turns.
+``Trivialization.overlaps`` is the one intersection of chart domains: it
+reads every overlap of a list of set tuples off the table's sample-major
+transpose at once and returns the charts' angles there as CSR segments.
+The witness, the quality report and the edge weights each make one call
+per simplex dimension and run their per-overlap kernels (the minimax fit,
+the coverage gap, the chord errors) on those angles; only ``projection``'s
 chart means read the unit vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, pairwise
 from typing import NamedTuple
 
 import numpy as np
 
-from .circle import TWO_PI, enclosing_arcs, s1_angle, segment_max, turn_chord
+from .circle import enclosing_arcs, s1_angle, s1_point, segment_max, turn_chord
 from .cochains import Witness, cocycle_defect
 from .errors import (
     DiameterTooLarge,
@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from .nerve import Nerve, Pairs, _layout
+from .nerve import Cover, Nerve, Pairs, _layout
 
 
 # theory range for a valid witness; exceeding it degrades guarantees only
@@ -108,14 +108,16 @@ def _shared_rows(charts: Pairs, want: np.ndarray):
     return which, pick
 
 
-@dataclass(frozen=True, eq=False)
-class Trivialization(Pairs):
-    """Circle-valued charts over a cover: (set, sample) pairs with aligned chart values.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Trivialization(Cover):
+    """Circle-valued charts over a cover: its (set, sample) pairs with aligned chart values.
 
     Row i of ``points`` (unit 2-vectors) and ``turns`` (their angles in
-    turns, in [0, 1)) is the value of chart ``sets[i]`` at ``samples[i]``;
-    a chart's domain is exactly its cover set's members.  Angles are
-    computed once, when the charts are built, and ``restrict`` keeps rows.
+    turns, in [0, 1)) is the value of chart ``sets[i]`` at ``samples[i]``,
+    so a chart's domain is exactly its cover set's members, and whatever
+    cuts or splits the cover (``select``, ``dataclasses.replace``) carries
+    the values.  Angles are computed once, when the charts are built.
+    Charts read from a trivs document alone have no geometry.
 
     ``overlaps(simplices)`` is the only intersection of chart domains.
     """
@@ -133,9 +135,9 @@ class Trivialization(Pairs):
         """
         indptr, order = _layout(counts, samples)
         # reduced first: a huge finite turn must not overflow to a NaN point
-        t = TWO_PI * (turns[order] % 1.0)
-        points = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        charts = cls(np.asarray(ids, np.int64), indptr, samples[order], points, s1_angle(points))
+        points = s1_point(turns[order] % 1.0)
+        charts = cls(np.asarray(ids, np.int64), indptr, samples[order],
+                     points=points, turns=s1_angle(points))
         if (twice := charts.first_repeat()) is not None:
             raise ShapeMismatch("chart {}: sample {} appears twice".format(*twice))
         return charts
@@ -179,10 +181,6 @@ class Trivialization(Pairs):
             raise KeyError(f"chart {j} has no sample {samples[miss & (sets == j)][0]}")
         return self.points[pos], self.turns[pos]
 
-    def restrict(self, cover: Pairs) -> "Trivialization":
-        """The charts cut to the cover's sets: the rows whose (set, sample) pair the cover holds."""
-        return self.select(cover.find(self.samples, self.sets) >= 0)
-
     def chord_errors(self, witness: Witness):
         """Chord misalignment of each edge's first chart against the witness image of its second.
 
@@ -194,22 +192,11 @@ class Trivialization(Pairs):
         edges = witness.nerve.edges
         ov = self.overlaps(edges)
         if not len(edges):
-            return ov, np.empty(0), []
+            return ov, np.empty(0), np.empty(0)
         each = np.repeat(np.arange(len(edges)), np.diff(ov.indptr))
         errs = turn_chord(ov.turns[0] - (witness.turn[each] + witness.sign[each] * ov.turns[1]))
         means = [float(np.mean(errs[a:b])) if b > a else 0.0 for a, b in pairwise(ov.indptr)]
-        return ov, errs, means
-
-
-@dataclass
-class EdgeQuality:
-    """Alignment detail for one nerve edge under a given witness."""
-
-    edge: tuple
-    turn: float
-    sign: int
-    max_err: float
-    mean_err: float  # the filtration weight
+        return ov, errs, np.array(means)
 
 
 @dataclass
@@ -220,7 +207,9 @@ class QualityReport:
     samples; ``delta`` the worst fiber-coverage gap over pairwise and
     triple overlaps (both flavors also reported separately);
     ``alpha = epsilon / (1 - delta)`` and ``cocycle_epsilon`` is the
-    witness's holonomy defect.
+    witness's holonomy defect.  ``edge_max`` and ``edge_mean``, aligned to
+    the witness's edges, hold each edge's worst and mean chord error; the
+    means are the filtration weights.
     """
 
     epsilon: float
@@ -229,7 +218,8 @@ class QualityReport:
     delta_triple: float
     alpha: float
     cocycle_epsilon: float
-    edges: list[EdgeQuality] = field(default_factory=list)
+    edge_max: np.ndarray
+    edge_mean: np.ndarray
 
 
 def procrustes_o2(alpha, beta, indptr):
@@ -356,10 +346,8 @@ def triv_quality(trivs: Trivialization, witness: Witness, nerve: Nerve) -> Quali
     # triangles first, so that their overlaps are freed before the edges' are built
     d_triple = _worst_coverage(trivs.overlaps(nerve.triangles))
     ov, errs, means = trivs.chord_errors(witness)
-    max_errs = segment_max(errs, ov.indptr).tolist()
-    edge_rows = list(map(EdgeQuality, map(tuple, witness.nerve.edges.tolist()),
-                         witness.turn.tolist(), witness.sign.tolist(), max_errs, means))
-    eps = max(max_errs, default=0.0)
+    max_errs = segment_max(errs, ov.indptr)
+    eps = max(max_errs.tolist(), default=0.0)
     d_pair = _worst_coverage(ov)
     delta = max(d_pair, d_triple)
     alpha = math.inf if delta >= 1.0 else eps / (1.0 - delta)
@@ -370,5 +358,6 @@ def triv_quality(trivs: Trivialization, witness: Witness, nerve: Nerve) -> Quali
         delta_triple=d_triple,
         alpha=alpha,
         cocycle_epsilon=cocycle_defect(witness),
-        edges=edge_rows,
+        edge_max=max_errs,
+        edge_mean=means,
     )

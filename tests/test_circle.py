@@ -119,6 +119,7 @@ class TestLog:
 
     def test_principal_branch(self):
         assert principal_turn(0.75) == pytest.approx(-0.25)
+        assert principal_turn(np.array([0.25, 0.75, -0.5])).tolist() == [0.25, -0.25, 0.5]
 
     @given(st.floats(min_value=-0.5, max_value=0.5, allow_nan=False, exclude_min=True))
     def test_roundtrip(self, t):

@@ -291,6 +291,8 @@ class TestWitnessCommand:
         ("cover.json", lambda d: d["sets"][0].update(clipped="no")),
         ("cover.json", lambda d: d["sets"][0].update(center=[2.0, 0.0])),
         ("dataset.json", lambda d: d["samples"][0]["base"].append(0.0)),
+        ("dataset.json", lambda d: d["samples"][0].update(
+            base=[x * (1 + 5e-6) for x in d["samples"][0]["base"]])),
         ("dataset.json", lambda d: d["samples"][0].update(id="0")),
         ("dataset.json", lambda d: d["samples"][0].update(id=0.5)),
         ("dataset.json", lambda d: d["samples"][0].update(base=1.0)),
@@ -302,6 +304,7 @@ class TestWitnessCommand:
         "string-center", "long-center", "scalar-center", "string-set-id",
         "bool-set-id", "string-member", "float-member", "members-not-list",
         "sets-not-list", "string-clipped", "center-off-the-circle", "long-base",
+        "base-off-the-circle",
         "string-sample-id", "float-sample-id",
         "scalar-base", "samples-not-list", "distance-row-not-list",
         "ragged-distances", "distances-wrong-row-count",
@@ -1087,23 +1090,33 @@ class TestReportCommand:
 
 
 class TestInputsReleased:
-    """A command drops each parsed input once its last reader has run.
+    """A command drops each input once its last reader has run.
 
-    Each parser keeps a weak reference to what it returns, and a probe on
-    a later stage records which inputs are still alive when it starts.
+    Each parser, ``_load_bundle`` and ``cut_base`` keep a weak reference
+    to what they return (the latter two under one name, ``charts``, the
+    table a command holds), and a probe on a later stage records which of
+    them are still alive when it starts.
     """
 
     @pytest.fixture
     def alive_at(self, monkeypatch):
         def probe(stage):
             refs, seen = {}, {}
-            for name in ("parse_dataset", "parse_cover", "parse_trivs"):
-                def parsed(*args, _parse=getattr(io, name), _name=name):
-                    out = _parse(*args)
-                    refs[_name] = weakref.ref(out)
+
+            def keep(module, name, key, pick=lambda out: out):
+                call = getattr(module, name)
+
+                def made(*args):
+                    out = call(*args)
+                    refs[key] = weakref.ref(pick(out))
                     return out
 
-                monkeypatch.setattr(io, name, parsed)
+                monkeypatch.setattr(module, name, made)
+
+            for name in ("parse_dataset", "parse_cover", "parse_trivs"):
+                keep(io, name, name)
+            for name, at in (("_load_bundle", 1), ("cut_base", 0)):
+                keep(cli, name, "charts", lambda out, at=at: out[at])
             call = getattr(projection, stage)
 
             def probed(*args, **kwargs):
@@ -1118,7 +1131,8 @@ class TestInputsReleased:
     def test_report_frees_every_input_before_the_frames(self, torus_dir, tmp_path, alive_at):
         seen = alive_at("frame_field")
         assert run("report", *_bundle_flags(torus_dir), "--out", str(tmp_path / "x")) == 0
-        assert seen == {"parse_dataset": False, "parse_cover": False, "parse_trivs": False}
+        assert seen == {"parse_dataset": False, "parse_cover": False, "parse_trivs": False,
+                        "charts": False}
 
     @pytest.mark.parametrize("command, stage, flags", [
         ("coordinatize", "bundle_map", ["--dim", "4"]),
@@ -1130,9 +1144,9 @@ class TestInputsReleased:
         seen = alive_at(stage)
         argv = [command, *_bundle_flags(torus_dir), *flags, "--out", str(tmp_path / "x")]
         assert run(*argv) == 0
-        assert seen["parse_dataset"] is False and seen["parse_cover"] is False
-        # the stage cut replaces the parsed charts with their restriction
-        assert seen["parse_trivs"] is ("--stage" not in flags)
+        # the parsed cover and charts live on only as the one table the command holds
+        assert seen == {"parse_dataset": False, "parse_cover": False, "parse_trivs": False,
+                        "charts": True}
 
 
 class TestUsage:

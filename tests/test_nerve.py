@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.circle import s1_point
 from circlet.errors import EmptyOverlap, GuardError, IndexOutOfRange, ShapeMismatch
 from circlet.nerve import (
     BundleDataset,
@@ -30,19 +29,12 @@ from oracles import (
 )
 
 
-def circle_dataset(n=8):
-    turns = np.arange(n) / n
-    return BundleDataset(
-        ids=tuple(range(n)),
-        base=np.stack([s1_point(t) for t in turns]),
-        kind="circle",
-    )
-
-
 class TestDataset:
     def test_rejects_non_unit_base(self):
-        with pytest.raises(ValueError):
-            BundleDataset(ids=(0,), base=np.array([[2.0, 0.0]]), kind="circle")
+        # 1 + 5e-6 is within allclose's default relative tolerance, not within 1e-9
+        for scale in (2.0, 1.0 + 5e-6):
+            with pytest.raises(ValueError, match="unit vectors"):
+                BundleDataset(ids=(0,), base=np.array([[scale, 0.0]]), kind="circle")
 
     def test_abstract_needs_distances(self):
         with pytest.raises(ValueError):
@@ -154,6 +146,11 @@ class TestFiltrationOrder:
         ]
         assert nerve.stage[0][0] == 1
         assert nerve.stage[2][0] == 7
+
+    def test_empty_nerve(self):
+        # the nerve of a cover whose sets are all empty has no stages
+        nerve = filtration_order(build_nerve(Cover.of({0: set()})))
+        assert len(nerve) == 0 and all(not len(s) for s in nerve.stage.values())
 
     def test_distinct_weights_sorted(self):
         nerve = build_nerve(Cover.of({j: {9, j} for j in range(3)}))
@@ -292,22 +289,21 @@ class TestPairs:
 
 class TestCutBase:
     def setup_cover(self):
-        ds = circle_dataset(6)
         cover = Cover.of({0: {0, 1, 2}, 1: {2, 3, 4}, 2: {4, 5, 0}})
         nerve = filtration_order(build_nerve(cover))
-        return ds, cover, nerve
+        return cover, nerve
 
     def test_full_stage_keeps_cover(self):
-        ds, cover, nerve = self.setup_cover()
-        out, log = cut_base(ds, cover, nerve, len(nerve))
+        cover, nerve = self.setup_cover()
+        out, log = cut_base(cover, nerve, len(nerve))
         assert np.array_equal(out.samples, cover.samples)
         assert np.array_equal(out.indptr, cover.indptr)
         assert log == []
         assert not out.clipped.any()
 
     def test_single_edge_removal(self):
-        ds, cover, nerve = self.setup_cover()
-        out, log = cut_base(ds, cover, nerve, len(nerve) - 1)
+        cover, nerve = self.setup_cover()
+        out, log = cut_base(cover, nerve, len(nerve) - 1)
         removed_simplex = nerve_order(nerve)[-1]
         (s, victim, removed) = log[0]
         assert s == removed_simplex
@@ -320,9 +316,9 @@ class TestCutBase:
             assert sample in out.samples[out.sets == other]
 
     def test_nerve_matches_stage(self):
-        ds, cover, nerve = self.setup_cover()
+        cover, nerve = self.setup_cover()
         for r in range(len(nerve.vertices), len(nerve) + 1):
-            out, _ = cut_base(ds, cover, nerve, r)
+            out, _ = cut_base(cover, nerve, r)
             target = stage_subcomplex(nerve, r)
             rebuilt = build_nerve(out)
             assert {p: tuples(v) for p, v in rebuilt.simplices.items()} == {

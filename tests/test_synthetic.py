@@ -7,6 +7,7 @@ four-ball nerve shape was read off a direct run.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from circlet.classes import (
 )
 from circlet.cochains import cocycle_defect
 from circlet.doublecover import (
-    carry_charts,
     connectivity_cocycle,
     unwrap_double_cover,
 )
@@ -119,6 +119,12 @@ def lens1():
 def rp21():
     bundle = gen_rp2_bundle(1, n_samples=8000, n_sets=48, seed=3)
     return bundle, run_classes(*bundle)
+
+
+def on_cover(bundle):
+    """The bundle's charts on its cover's geometry, as the CLI loads them."""
+    c = bundle.cover
+    return replace(bundle.trivs, center=c.center, radius=c.radius, clipped=c.clipped)
 
 
 @pytest.fixture(scope="module")
@@ -366,13 +372,13 @@ class TestDisconnectedFiber:
 
     def test_unwrap_recovers_double_euler(self, disconnected1):
         b = disconnected1
-        res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
+        res = unwrap_double_cover(b.dataset, on_cover(b), b.clusters)
         assert res.components == 1
         assert res.dataset.kind == "sphere"
         for j in {sid // 2 for sid in res.orientations}:
             assert res.orientations[2 * j] == -res.orientations[2 * j + 1]
-        lifted = carry_charts(b.trivs, res)
-        ln = build_nerve(res.cover)
+        lifted = res.cover
+        ln = build_nerve(lifted)
         wit = assemble_witness(lifted, ln)
         cres = euler_cochain(wit)
         assert sign_coboundary(ln, cres.sw)
@@ -403,9 +409,10 @@ class TestDisconnectedFiber:
         # combination only; unless the generator sheds them, unwrapping
         # rejects its own input
         b = gen_disconnected_fiber(1, n_samples=1000, seed=seed, split=split)
-        res = unwrap_double_cover(b.dataset, b.cover, b.clusters)
-        lifted = carry_charts(b.trivs, res)
-        assert set(lifted.set_ids.tolist()) == {cs.id for cs in cover_sets(res.cover)}
+        lifted = unwrap_double_cover(b.dataset, on_cover(b), b.clusters).cover
+        assert lifted.set_ids.tolist() == [2 * j + c for j in b.cover.set_ids.tolist()
+                                           for c in (0, 1)]
+        assert len(lifted.turns) == len(b.trivs.turns)
 
     @pytest.mark.parametrize("split, seed", [(True, 3), (False, 0), (False, 5)])
     def test_emptied_set_is_named(self, split, seed):

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlet.circle import s1_angle
+from circlet.circle import s1_angle, s1_point
 from circlet.cochains import cocycle_defect
 from circlet.errors import DiameterTooLarge, TooFewSamples
-from circlet.doublecover import carry_charts
-from circlet.nerve import Cover, build_nerve
+from circlet.doublecover import unwrap_double_cover
+from circlet.nerve import BundleDataset, Cover, build_nerve, cut_base, filtration_order
 from circlet.witness import (
+    Trivialization,
     assemble_witness,
     coverage_gap,
     procrustes_o2,
@@ -236,9 +235,8 @@ class TestTrivQuality:
         assert report.alpha == pytest.approx(0.0, abs=1e-9)
         assert report.delta < 0.2
         assert report.delta == max(report.delta_pairwise, report.delta_triple)
-        assert len(report.edges) == 3
-        for row in report.edges:
-            assert row.max_err == pytest.approx(0.0, abs=1e-9)
+        assert report.edge_max.shape == report.edge_mean.shape == (3,)
+        assert np.allclose(report.edge_max, 0.0, atol=1e-9)
 
     def test_noise_band(self):
         sigma = 0.01
@@ -292,16 +290,6 @@ def vector_dicts(trivs):
     }
 
 
-def assert_charts_equal(trivs, reference):
-    assert trivs.set_ids.tolist() == sorted(reference)
-    for j, table in reference.items():
-        c = chart(trivs, j)
-        assert c.ids.tolist() == sorted(table)
-        assert np.array_equal(c.points.reshape(-1, 2),
-                              np.array([table[s] for s in sorted(table)]).reshape(-1, 2))
-        assert np.array_equal(c.turns, s1_angle(c.points))
-
-
 class TestOverlap:
     @settings(max_examples=200, deadline=None)
     @given(domains=domains_st, data=st.data())
@@ -321,37 +309,49 @@ class TestOverlap:
                 assert t == s1_angle(tables[j][s])
 
 
-class TestRestrict:
-    @settings(max_examples=200, deadline=None)
-    @given(domains=domains_st, data=st.data())
-    def test_stage_cut_matches_dict_comprehension(self, domains, data):
-        trivs = random_charts(domains, seed=1)
-        members = {j: data.draw(st.sets(st.sampled_from(sorted(ids)))) if ids else set()
-                   for j, ids in domains.items()}
-        charts = vector_dicts(trivs)
-        reference = {j: {s: charts[j][s] for s in m} for j, m in members.items()}
-        cut = trivs.restrict(Cover.of(members))
-        assert_charts_equal(cut, reference)
+class TestOneTable:
+    """Charts are a cover with values: cutting or splitting the cover carries them."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        domains=domains_st,
-        split=st.dictionaries(
-            st.tuples(st.integers(0, 7), st.integers(0, 1)),
-            st.sets(st.integers(0, 13), max_size=8),
-            max_size=6,
-        ),
-    )
-    def test_carry_charts_matches_dict_comprehension(self, domains, split):
-        # cluster c of parent j is set 2j + c; parents 6 and 7 never have a
-        # chart, and members may leave the parent
-        trivs = random_charts(domains, seed=2)
-        result = SimpleNamespace(cover=Cover.of({2 * j + c: m for (j, c), m in split.items()}))
-        charts = vector_dicts(trivs)
-        reference = {}
-        for (j, c), members in split.items():
-            parent = charts.get(j)
-            if parent is None:
-                continue
-            reference[2 * j + c] = {s: parent[s] for s in members if s in parent}
-        assert_charts_equal(carry_charts(trivs, result), reference)
+    @given(domains=domains_st, data=st.data())
+    def test_stage_cut_keeps_the_values_of_every_surviving_pair(self, domains, data):
+        trivs = random_charts(domains, seed=1)
+        nerve = filtration_order(build_nerve(trivs))
+        r = data.draw(st.integers(0, len(nerve)))
+        cut, log = cut_base(trivs, nerve, r)
+        bare, bare_log = cut_base(Cover(trivs.set_ids, trivs.indptr, trivs.samples), nerve, r)
+        assert type(cut) is Trivialization and type(bare) is Cover
+        assert log == bare_log
+        for name in ("set_ids", "indptr", "samples", "clipped"):
+            assert np.array_equal(getattr(cut, name), getattr(bare, name))
+        at = trivs.find(cut.samples, cut.sets)
+        assert (at >= 0).all()
+        assert np.array_equal(cut.points, trivs.points[at])
+        assert np.array_equal(cut.turns, trivs.turns[at])
+
+    # each point p of a set is two samples, 2p in cluster 0 and 2p + 1 in
+    # cluster 1, and a set may swap its clusters: every overlap then meets
+    # both matching label combinations, and the class is a coboundary
+    @settings(max_examples=200, deadline=None)
+    @given(points=domains_st, data=st.data())
+    def test_unwrap_gives_each_split_set_its_parent_chart(self, points, data):
+        swap = {j: data.draw(st.booleans()) for j in points}
+        trivs = random_charts({j: {s for p in ps for s in (2 * p, 2 * p + 1)}
+                               for j, ps in points.items()}, seed=2)
+        label = (trivs.samples % 2 == 0) ^ np.array([swap[j] for j in trivs.sets.tolist()], bool)
+        ids = np.arange(24)
+        ds = BundleDataset(ids=ids, base=s1_point(ids / 24), kind="circle")
+        out = unwrap_double_cover(ds, trivs, label).cover
+        assert type(out) is Trivialization
+        assert out.set_ids.tolist() == [2 * j + c for j in sorted(points) for c in (0, 1)]
+        parent, cluster = np.divmod(out.sets, 2)
+        at = trivs.find(out.samples, parent)
+        assert len(out.samples) == len(trivs.samples) and (at >= 0).all()
+        assert np.array_equal(cluster, ~label[at])
+        assert np.array_equal(out.points, trivs.points[at])
+        assert np.array_equal(out.turns, trivs.turns[at])
+        bare = unwrap_double_cover(ds, Cover(trivs.set_ids, trivs.indptr, trivs.samples),
+                                   label).cover
+        assert type(bare) is Cover
+        for name in ("set_ids", "indptr", "samples", "clipped"):
+            assert np.array_equal(getattr(out, name), getattr(bare, name))

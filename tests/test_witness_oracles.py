@@ -84,8 +84,10 @@ def assert_layer_matches(cover, trivs, witness_values=None):
     values = {e: (om.turn, om.sign) for e, om in o2_values(witness).items()}
     want = loop_quality(trivs, values, tuples(nerve.edges), tuples(nerve.triangles))
     q = triv_quality(trivs, witness, nerve)
-    assert [(r.edge, r.max_err, r.mean_err) for r in q.edges] == want["rows"]
-    assert [(r.turn, r.sign) for r in q.edges] == [values[e] for e in tuples(nerve.edges)]
+    rows = zip(tuples(witness.nerve.edges), q.edge_max.tolist(), q.edge_mean.tolist())
+    assert list(rows) == want["rows"]
+    assert list(zip(witness.turn.tolist(), witness.sign.tolist())) == [
+        values[e] for e in tuples(witness.nerve.edges)]
     assert q.epsilon == want["epsilon"]
     assert q.delta_pairwise == want["delta_pairwise"]
     assert q.delta_triple == want["delta_triple"]
