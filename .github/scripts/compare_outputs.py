@@ -7,11 +7,12 @@ In each tree it runs ``python -m circlet.cli`` children with
 ``witness``, ``classes``, ``euler``, ``persist``, ``report``,
 ``trivialize`` and ``coordinatize --dim 4`` on each generated bundle,
 ``coordinatize --dim 4 --stage r`` at the witness's last stage but one and
-at half its stages, and ``unwrap`` wherever synth wrote ``clusters.json``.
-It compares every output file byte for byte (``manifest.json`` without its
-timings), every exit code and every stdout line.  It prints ``N files, M
-differ`` and each difference, and exits 0 whatever it finds: it is a
-report, not a gate.
+at half its stages, ``coordinatize --dim 1`` (a schema exit, which writes
+only ``manifest.json``), and ``unwrap`` wherever synth wrote
+``clusters.json``.  It compares every output file byte for byte
+(``manifest.json`` without its timings), every exit code, and all of
+stdout and stderr.  It prints ``N files, M differ`` and each difference,
+and exits 0 whatever it finds: it is a report, not a gate.
 """
 
 import json
@@ -26,7 +27,7 @@ MODELS = {
     "split1": ["--model", "split:1", "--samples", "2000", "--sets", "20"],
     "disconnected1": ["--model", "disconnected:1", "--samples", "1000", "--sets", "20"],
 }
-STREAMS = ("exit code", "stdout")
+STREAMS = ("exit code", "stdout", "stderr")
 
 
 def _runs(model: str, work: str):
@@ -47,6 +48,7 @@ def _runs(model: str, work: str):
     yield f"{model}/report", ["report", *bundle]
     yield f"{model}/trivialize", ["trivialize", *bundle]
     yield f"{model}/coordinatize", ["coordinatize", "--dim", "4", *bundle]
+    yield f"{model}/schema-exit", ["coordinatize", "--dim", "1", *bundle]
     written = os.path.join(work, model, "witness", "witness.json")
     if os.path.exists(written):
         with open(written) as fh:
@@ -70,6 +72,7 @@ def run_tree(tree: str, work: str) -> dict:
                                   cwd=work, env=env, capture_output=True)
             found[out, "exit code"] = str(done.returncode).encode()
             found[out, "stdout"] = done.stdout
+            found[out, "stderr"] = done.stderr
             where = os.path.join(work, out)
             for name in sorted(os.listdir(where)) if os.path.isdir(where) else []:
                 with open(os.path.join(where, name), "rb") as fh:
@@ -100,7 +103,8 @@ def main(base: str, head: str):
     files = sum(k[1] not in STREAMS for k in keys)
     files_differ = sum(k[1] not in STREAMS for k in differ)
     print(f"{files} files, {files_differ} differ")
-    print(f"{len(keys) - files} exit codes and stdout lines, {len(differ) - files_differ} differ")
+    print(f"{len(keys) - files} exit codes, stdouts and stderrs, "
+          f"{len(differ) - files_differ} differ")
     for key in differ:
         print(f"differs: {key[0]} {key[1]}")
         print(_show(before.get(key), after.get(key)))

@@ -1,14 +1,18 @@
 """Command-line pipelines over the library.
 
 Each subcommand reads schema-validated JSON, runs one pipeline stage,
-and writes its outputs plus a run manifest into ``--out``.  Every output
-document carries the provenance digest of the command, its configuration,
-and its input files, so downstream files can be traced to the exact bytes
-that produced them.
+and writes its outputs plus a run manifest into ``--out``.  ``_Run``
+owns the run's record: it computes the provenance digest once, a hash of
+the command, the configuration's hash, each input file's name and sha256,
+and the seed.  Every output document carries the digest, so downstream
+files can be traced to the exact bytes that produced them, and
+``_Run.finish`` writes it into ``manifest.json`` with the rest.
 
 Exit codes partition by error family: 0 success, 1 schema violation,
 2 topological obstruction (a certified result, reported machine-readably
-on stdout), 3 numerical guard.
+on stdout), 3 numerical guard.  Obstruction and guard exits share one
+path: the payload on stdout, ``obstruction.json`` or ``guard.json``, and
+the manifest with the exit code as its status.
 
 A run uses one BLAS thread unless its caller chose a count.  The largest
 matrix a pipeline factors is the frame moment, of order twice the number of
@@ -77,6 +81,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -106,7 +111,7 @@ _BLAS_THREADS = _choose_blas_threads()
 # numpy, and every module below that imports it, loads OpenBLAS only here
 import numpy as np
 
-from . import io
+from . import __version__, io
 from .cochains import Witness
 from .errors import (
     GuardError,
@@ -154,15 +159,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Run:
-    """Provenance and output bookkeeping for one subcommand invocation."""
+    """One command's record: its provenance, computed once, and its outputs.
 
-    def __init__(self, command: str, config: dict, input_paths: list[str], seed):
-        self.command = command
-        self.config = config
-        self.inputs = io.input_rows(input_paths)
-        self.seed = seed
-        self.digest = io.provenance_digest(command, config, self.inputs, seed)
-        self.timings: list[tuple[str, float]] = []
+    The configuration is every parsed flag but ``command`` and ``out``,
+    input files by base name and a non-finite float as its text.
+    """
+
+    def __init__(self, args):
+        self.command = args.command
+        files = _INPUTS[args.command]
+        self.config = {}
+        for key, value in sorted(vars(args).items()):
+            if key in ("command", "out"):
+                continue
+            if key in files:
+                self.config[key] = os.path.basename(value)
+            elif type(value) is float and not math.isfinite(value):
+                # canonical JSON has no non-finite float; the manifest of the
+                # run that rejects this flag records its text
+                self.config[key] = str(value)
+            else:
+                self.config[key] = value
+        self.inputs = [{"path": os.path.basename(path), "sha256": io.file_digest(path)}
+                       for path in (getattr(args, key) for key in files)]
+        self.seed = getattr(args, "seed", None)
+        self.config_hash = io.sha256_hex(io.canonical_text(self.config))
+        self.digest = io.sha256_hex(io.canonical_text({
+            "command": self.command,
+            "config_hash": self.config_hash,
+            "inputs": self.inputs,
+            "seed": self.seed,
+        }))
+        self.timings: list[dict] = []
         self.outputs: list[dict] = []
         self.out_dir: str | None = None
 
@@ -185,21 +213,29 @@ class _Run:
         try:
             yield
         finally:
-            self.timings.append((name, time.perf_counter() - t0))
+            self.timings.append({"step": name, "seconds": time.perf_counter() - t0})
 
     def finish(self, status: int):
         if self.out_dir is None:
             return
-        doc = io.manifest_doc(
-            self.command,
-            self.config,
-            self.inputs,
-            self.seed,
-            self.timings,
-            outputs=self.outputs,
-        )
-        doc["status"] = status
-        doc["blas"] = _BLAS_THREADS
+        doc = {
+            "schema": "circlet/manifest",
+            "command": self.command,
+            "config": self.config,
+            "config_hash": self.config_hash,
+            "inputs": self.inputs,
+            "seed": self.seed,
+            "digest": self.digest,
+            "versions": {
+                "circlet": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
+            "timings": self.timings,
+            "outputs": self.outputs,
+            "status": status,
+            "blas": _BLAS_THREADS,
+        }
         io.dump_json(doc, os.path.join(self.out_dir, "manifest.json"))
 
 
@@ -700,23 +736,9 @@ def _main(argv) -> int:
     # the youngest generation hands its memory to the command
     gc.collect(0)
 
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("command", "out"):
-            continue
-        if key in _INPUTS[args.command]:
-            config[key] = os.path.basename(value)
-        elif type(value) is float and not math.isfinite(value):
-            # canonical JSON has no non-finite float; the manifest of the
-            # run that rejects this flag records its text
-            config[key] = str(value)
-        else:
-            config[key] = value
-
     run = None
     try:
-        input_paths = [getattr(args, k) for k in _INPUTS[args.command]]
-        run = _Run(args.command, config, input_paths, getattr(args, "seed", None))
+        run = _Run(args)
         run.open(args.out)
         summary = _SUBCOMMANDS[args.command][0](args, run)
     except SchemaError as exc:
@@ -724,23 +746,17 @@ def _main(argv) -> int:
         if run is not None:
             run.finish(EXIT_SCHEMA)
         return EXIT_SCHEMA
-    except ObstructionError as exc:
-        payload = {
-            "obstruction": getattr(exc, "reason", ""),
-            "message": str(exc),
-        }
+    except (ObstructionError, GuardError) as exc:
+        # only a handler raises these, and a handler runs once _Run(args) and run.open succeeded
+        if isinstance(exc, ObstructionError):
+            name, code, first = "obstruction", EXIT_OBSTRUCTION, exc.reason
+        else:
+            name, code, first = "guard", EXIT_GUARD, type(exc).__name__
+        payload = {name: first, "message": str(exc)}
         _emit(payload)
-        if run is not None and run.out_dir is not None:
-            run.write("obstruction.json", {"schema": "circlet/obstruction", **payload})
-            run.finish(EXIT_OBSTRUCTION)
-        return EXIT_OBSTRUCTION
-    except GuardError as exc:
-        payload = {"guard": type(exc).__name__, "message": str(exc)}
-        _emit(payload)
-        if run is not None and run.out_dir is not None:
-            run.write("guard.json", {"schema": "circlet/guard", **payload})
-            run.finish(EXIT_GUARD)
-        return EXIT_GUARD
+        run.write(f"{name}.json", {"schema": f"circlet/{name}", **payload})
+        run.finish(code)
+        return code
     run.finish(EXIT_OK)
     _emit({"command": args.command, **summary})
     return EXIT_OK

@@ -1,9 +1,11 @@
-"""JSON schemas, canonical serialization, and run provenance.
+"""JSON schemas, canonical serialization, and file digests.
 
 Every document is written in a canonical text form: keys sorted, floats
 with 17 significant digits (enough to reproduce the double exactly),
 newline-terminated.  Identical objects therefore serialize to identical
-bytes, which is what makes output digests meaningful.
+bytes, which is what makes output digests meaningful.  This module keeps
+the canonical text and the digests of files; a run's provenance, its
+digest and its manifest, belongs to ``cli._Run``.
 
 Angles travel in turns.  Isometries travel as {turn, sign} pairs,
 matrices row-major.  A chart travels as its stored angles, and reading
@@ -41,12 +43,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import platform
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from itertools import chain, pairwise
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -229,14 +230,26 @@ def dump_json(obj, path: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def load_json(path: str):
+@contextmanager
+def _reading(path: str):
+    """Within the block, the two path failures of reading ``path`` become schema errors."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        yield
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}")
+
+
+def file_digest(path: str) -> str:
+    with _reading(path), open(path, "rb") as fh:
+        return sha256_hex(fh.read())
+
+
+def load_json(path: str):
+    try:
+        with _reading(path), open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
@@ -751,67 +764,3 @@ def frame_coords_doc(bm) -> dict:
         "plane_residual": float(bm.plane_residual),
         "vectors": Columns(id=bm.ids, v=bm.vectors),
     }
-
-
-# ---------------------------------------------------------------------------
-# provenance
-
-
-def file_digest(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return sha256_hex(fh.read())
-    except FileNotFoundError:
-        raise SchemaError(f"input file not found: {path}")
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc.strerror}")
-
-
-def input_rows(paths: Sequence[str]) -> list[dict]:
-    return [
-        {"path": os.path.basename(p), "sha256": file_digest(p)} for p in paths
-    ]
-
-
-def provenance_digest(command: str, config: dict, inputs: list[dict], seed) -> str:
-    core = {
-        "command": command,
-        "config_hash": sha256_hex(canonical_text(config)),
-        "inputs": inputs,
-        "seed": seed,
-    }
-    return sha256_hex(canonical_text(core))
-
-
-def manifest_doc(
-    command: str,
-    config: dict,
-    inputs: list[dict],
-    seed,
-    timings: list[tuple[str, float]],
-    outputs: list[dict] | None = None,
-) -> dict:
-    return {
-        "schema": SCHEMA_PREFIX + "manifest",
-        "command": command,
-        "config": config,
-        "config_hash": sha256_hex(canonical_text(config)),
-        "inputs": inputs,
-        "seed": seed,
-        "digest": provenance_digest(command, config, inputs, seed),
-        "versions": {
-            "circlet": _package_version(),
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "timings": [
-            {"step": name, "seconds": float(sec)} for name, sec in timings
-        ],
-        "outputs": outputs or [],
-    }
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__

@@ -334,25 +334,21 @@ class FrameField:
         return _sorted_eigh(self.moment())
 
 
-def frame_field(omega: Witness, rho: PartitionOfUnity, samples=None) -> FrameField:
+def frame_field(omega: Witness, rho: PartitionOfUnity) -> FrameField:
     """Square-root-weighted stacks of witness transitions, per sample.
 
     The frame of set ``j`` at a base point stacks each supporting set's
     transition into ``j`` scaled by the square root of its weight; the
     columns are exactly orthonormal.  Frames are stored restricted to
-    their support blocks.  ``samples`` limits the field to those ids.
+    their support blocks.
     """
-    groups = rho.groups
-    if samples is not None:
-        groups = [SupportGroup(*(col[np.isin(g.ids, samples)] for col in g)) for g in groups]
-        groups = [g for g in groups if len(g.ids)]
     frames = []
-    for g, t in zip(groups, _transitions(omega, groups, rho.sets)):
+    for g, t in zip(rho.groups, _transitions(omega, rho.groups, rho.sets)):
         n, m = g.weights.shape
         # block b of frame a: the transition from set b into set a, times sqrt(w_b)
         t *= np.sqrt(g.weights)[:, None, :, None, None]
         frames.append(t.reshape(n, m, 2 * m, 2))
-    return FrameField(groups=groups, frames=frames, dim=rho.ambient)
+    return FrameField(groups=rho.groups, frames=frames, dim=rho.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +477,17 @@ def stiefel_reduce(frames: FrameField, d: int) -> FrameField:
     return FrameField(frames.groups, reduced, d, False, "psc-substitute", errors)
 
 
-def reduction_curve(frames: FrameField, dims=None) -> list:
+def reduction_curve(frames: FrameField, dims) -> list:
     """Projection error versus target dimension, for the error curve.
 
-    Returns ``(d, mean_error, max_error)`` rows without recomputing the
-    principal basis per dimension: each frame's squared coefficients
-    against the full basis are accumulated once, a block of samples at a
-    time, into one ``(len(dims), frames)`` error table in group order, and
-    each dimension's mean adds its row's frames in (sample, set) order.
+    Returns a ``(d, mean_error, max_error)`` row per ``d`` in ``dims``
+    without recomputing the principal basis per dimension: each frame's
+    squared coefficients against the full basis are accumulated once, a
+    block of samples at a time, into one ``(len(dims), frames)`` error
+    table in group order, and each dimension's mean adds its row's frames
+    in (sample, set) order.
     """
     _, vecs = frames.principal_basis()
-    dims = list(range(2, frames.dim + 1) if dims is None else dims)
     cut = np.array(dims, dtype=int) - 1
     errs = np.empty((len(cut), sum(f.shape[0] * f.shape[1] for f in frames.frames)))
     at, keys = 0, []

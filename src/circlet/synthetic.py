@@ -175,7 +175,7 @@ def _within(cosines: np.ndarray, radius: float) -> np.ndarray:
 def _ball_incidence(dataset: BundleDataset, n_sets: int, radius: float | None):
     """Centers, radius and set-by-sample membership of evenly spread geodesic balls.
 
-    Raises ``NotACover`` when a sample lands in no ball.
+    Raises ``NotACover`` when a sample lands in no ball or a ball holds no sample.
     """
     if n_sets < 1:
         raise ValueError("n_sets must be positive")
@@ -200,6 +200,10 @@ def _ball_incidence(dataset: BundleDataset, n_sets: int, radius: float | None):
             f"{len(uncovered)} samples lie in no set; nearest-center "
             f"distance reaches {worst:.4f} against radius {radius:.4f}"
         )
+    empty = np.flatnonzero(~hit.any(axis=0))
+    if len(empty):
+        raise NotACover(f"cover set {empty[0]} holds no sample; {len(hit)} samples over "
+                        f"{hit.shape[1]} sets leave it empty, try fewer --sets")
     return centers, float(radius), np.ascontiguousarray(hit.T)
 
 
@@ -209,7 +213,7 @@ def make_cover(dataset: BundleDataset, n_sets: int, radius: float | None = None)
     Circle bases get evenly spaced arc centers, spheres a golden-angle
     spiral, projective planes hemisphere representatives of a symmetric
     spiral.  ``radius=None`` picks 1.3 times the empirical covering
-    radius.  Every sample must land in at least one set.
+    radius.  Every sample must land in a set, and every set hold a sample.
     """
     return _pairs(dataset, *_ball_incidence(dataset, n_sets, radius))[0]
 

@@ -1,7 +1,9 @@
 """End-to-end subcommand pipelines, exit codes, and output provenance."""
 
+import argparse
 import errno
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -147,6 +149,22 @@ class TestSynth:
 
     def test_nonint_model_parameter_rejected(self, tmp_path):
         assert run("synth", "--model", "lens:two", "--out", str(tmp_path / "x")) == 1
+
+    def test_empty_arc_is_a_guard_exit(self, tmp_path, capsys):
+        # 30 samples over 12 arcs leave arc 4 empty: a guard, not a cover
+        # that every downstream command refuses
+        out = tmp_path / "thin"
+        capsys.readouterr()
+        assert run("synth", "--model", "torus", "--samples", "30", "--sets", "12",
+                   "--out", str(out)) == 3
+        guard = read(out / "guard.json")
+        assert json.loads(capsys.readouterr().out) == {
+            "guard": "NotACover",
+            "message": "cover set 4 holds no sample; 30 samples over 12 sets leave it empty, "
+                       "try fewer --sets",
+        } == {k: guard[k] for k in ("guard", "message")}
+        assert sorted(os.listdir(out)) == ["guard.json", "manifest.json"]
+        assert read(out / "manifest.json")["status"] == 3
 
     @pytest.mark.parametrize("flags, flag", [
         (["--model", "lens:1", "--samples", "0"], "--samples"),
@@ -1465,6 +1483,126 @@ class TestProcessEntry:
         with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"circlet": "circlet.cli:run"}
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _check_record(out_dir, inputs=()):
+    """The command and status of the manifest in ``out_dir``, once it restates its record.
+
+    ``inputs`` are the run's input files in usage order.  Each hash is
+    recomputed here from its recipe, and every output carries the digest.
+    """
+    manifest = read(out_dir / "manifest.json")
+    assert manifest["config_hash"] == _sha256(io.canonical_text(manifest["config"]))
+    core = {key: manifest[key] for key in ("command", "config_hash", "inputs", "seed")}
+    assert manifest["digest"] == _sha256(io.canonical_text(core))
+    assert manifest["inputs"] == [{"path": p.name, "sha256": _sha256(p.read_bytes())}
+                                  for p in inputs]
+    outputs = {row["path"]: row["sha256"] for row in manifest["outputs"]}
+    assert set(outputs) == set(os.listdir(out_dir)) - {"manifest.json"}
+    for name, sha in outputs.items():
+        assert _sha256((out_dir / name).read_bytes()) == sha
+        assert read(out_dir / name)["provenance"] == manifest["digest"]
+    return manifest["command"], manifest["status"]
+
+
+class TestRunRecord:
+    """``_Run`` computes a run's provenance once and writes its manifest."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Three input files, by flag."""
+        paths = {key: tmp_path / f"{key}.json" for key in ("data", "cover", "trivs")}
+        for key, path in paths.items():
+            path.write_text(key)
+        return {key: str(path) for key, path in paths.items()}
+
+    @staticmethod
+    def record(command, **flags):
+        return cli._Run(argparse.Namespace(command=command, out="unused", **flags))
+
+    def test_digest_ignores_config_key_order(self, files):
+        flags = {"dims": "2,4", **files}
+        forward = self.record("report", **flags)
+        backward = self.record("report", **dict(reversed(flags.items())))
+        assert forward.config == backward.config
+        assert (forward.config_hash, forward.digest) == (backward.config_hash, backward.digest)
+
+    def test_digest_sensitive_to_every_part(self, files, tmp_path):
+        base = self.record("coordinatize", dim=4, stage=None, **files).digest
+        # the command
+        assert self.record("trivialize", **files).digest != self.record("witness", **files).digest
+        # the configuration
+        assert self.record("coordinatize", dim=5, stage=None, **files).digest != base
+        # an input file's bytes, under the same name
+        (tmp_path / "cover.json").write_text("cover, edited")
+        assert self.record("coordinatize", dim=4, stage=None, **files).digest != base
+        # the seed
+        synth = {"model": "torus", "samples": None, "sets": None, "radius": None, "noise": 0.0}
+        assert self.record("synth", seed=0, **synth).digest != self.record(
+            "synth", seed=1, **synth).digest
+
+    def test_manifest_shape(self, tmp_path):
+        run = self.record("synth", model="torus", samples=None, sets=None, radius=None,
+                          noise=float("nan"), seed=7)
+        run.open(str(tmp_path))
+        with run.timed("generate"):
+            pass
+        run.write("scenario.json", {"schema": "circlet/scenario"})
+        run.finish(0)
+        doc = read(tmp_path / "manifest.json")
+        assert set(doc) == {"schema", "command", "config", "config_hash", "inputs", "seed",
+                            "digest", "versions", "timings", "outputs", "status", "blas"}
+        assert doc["schema"] == "circlet/manifest"
+        assert doc["config"] == {"model": "torus", "noise": "nan", "radius": None,
+                                 "samples": None, "seed": 7, "sets": None}
+        assert (doc["inputs"], doc["seed"], doc["digest"]) == ([], 7, run.digest)
+        assert doc["versions"]["circlet"] == circlet.__version__
+        assert [t["step"] for t in doc["timings"]] == ["generate"]
+        assert doc["outputs"] == [{"path": "scenario.json",
+                                   "sha256": _sha256((tmp_path / "scenario.json").read_bytes())}]
+        assert (doc["status"], doc["blas"]) == (0, cli._BLAS_THREADS)
+        _check_record(tmp_path)
+
+    def test_every_manifest_restates_its_record(
+            self, torus_dir, torus_witness_dir, lens_dirs, split_dirs, small_lens,
+            small_disconnected, tmp_path, capsys):
+        def bundle(d):
+            return [d / name for name in ("dataset.json", "cover.json", "trivs.json")]
+
+        seen = {
+            _check_record(out_dir, inputs)
+            for out_dir, inputs in [
+                (torus_dir, []), (torus_witness_dir, bundle(torus_dir)),
+                (small_lens, []), (small_disconnected, []),
+                *((s, []) for s in (lens_dirs[0], split_dirs[0])),
+                *((w, bundle(s)) for s, w, _ in (lens_dirs, split_dirs)),
+                *((c, [w / "witness.json"]) for _, w, c in (lens_dirs, split_dirs)),
+            ]
+        }
+        # each run writes into ``<command>-<exit code>``
+        for command, inputs, extra, code in [
+            ("classes", [torus_witness_dir / "witness.json"], [], 0),
+            ("euler", [lens_dirs[2] / "classes.json"], [], 0),
+            ("euler", [tmp_path / "classes-0" / "classes.json"], [], 3),
+            ("persist", [torus_witness_dir / "witness.json"], [], 0),
+            ("report", bundle(torus_dir), ["--dims", "2,4"], 0),
+            ("coordinatize", bundle(torus_dir), ["--dim", "4"], 0),
+            ("coordinatize", bundle(torus_dir), ["--dim", "1"], 1),
+            ("trivialize", bundle(torus_dir), [], 0),
+            ("trivialize", bundle(lens_dirs[0]), [], 2),
+            ("unwrap", [*bundle(small_disconnected), small_disconnected / "clusters.json"], [], 0),
+        ]:
+            out = tmp_path / f"{command}-{code}"
+            flags = [f"--{key}={path}" for key, path in zip(cli._INPUTS[command], inputs)]
+            assert run(command, *flags, *extra, "--out", str(out)) == code
+            seen.add(_check_record(out, inputs))
+        capsys.readouterr()
+        assert {command for command, _ in seen} == set(cli._SUBCOMMANDS)
+        assert {status for _, status in seen} == {0, 1, 2, 3}
 
 
 class TestCollector:

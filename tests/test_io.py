@@ -650,39 +650,15 @@ class TestCoordsSchema:
 
 
 # ---------------------------------------------------------------------------
-# provenance
+# file reads and digests
 
 
 class TestProvenance:
-    def test_digest_ignores_config_key_order(self):
-        rows = [{"path": "a.json", "sha256": "00"}]
-        d1 = io.provenance_digest("witness", {"a": 1, "b": 2.5}, rows, None)
-        d2 = io.provenance_digest("witness", {"b": 2.5, "a": 1}, rows, None)
-        assert d1 == d2
-
-    def test_digest_sensitive_to_every_part(self):
-        rows = [{"path": "a.json", "sha256": "00"}]
-        base = io.provenance_digest("witness", {"a": 1}, rows, 0)
-        assert io.provenance_digest("classes", {"a": 1}, rows, 0) != base
-        assert io.provenance_digest("witness", {"a": 2}, rows, 0) != base
-        assert io.provenance_digest("witness", {"a": 1}, rows, 1) != base
-        other = [{"path": "a.json", "sha256": "01"}]
-        assert io.provenance_digest("witness", {"a": 1}, other, 0) != base
-
-    def test_manifest_doc_shape(self):
-        doc = io.manifest_doc(
-            "synth", {"model": "torus"}, [], 7, [("generate", 0.5)],
-            outputs=[{"path": "dataset.json", "sha256": "ff"}],
-        )
-        assert doc["schema"] == "circlet/manifest"
-        assert doc["seed"] == 7
-        assert doc["digest"] == io.provenance_digest("synth", {"model": "torus"}, [], 7)
-        assert doc["versions"]["circlet"]
-        assert doc["timings"][0]["step"] == "generate"
-
     def test_missing_input_file(self, tmp_path):
-        with pytest.raises(SchemaError, match="not found"):
-            io.file_digest(str(tmp_path / "nope.json"))
+        path = str(tmp_path / "nope.json")
+        for read in (io.file_digest, io.load_json):
+            with pytest.raises(SchemaError, match=re.escape(f"input file not found: {path}")):
+                read(path)
 
     def test_an_unreadable_path_names_the_system_error(self, tmp_path):
         for read in (io.file_digest, io.load_json):

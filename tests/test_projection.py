@@ -132,9 +132,9 @@ def row_of(rho, s):
     return [rho.sets[k] for k in rho.slots[lo:hi]], rho.weights[lo:hi]
 
 
-def projected(omega, rho, samples=None):
+def projected(omega, rho):
     """The frame field of a witness and its ``_project`` stages 1-3."""
-    ff = frame_field(omega, rho, samples)
+    ff = frame_field(omega, rho)
     return ff, _project(ff)
 
 
@@ -327,23 +327,24 @@ class TestFrameField:
     def test_columns_orthonormal(self, lens):
         ds, _, trivs, nerve, rho = lens
         wit = assemble_witness(trivs, nerve)
-        ff = frame_field(wit, rho, samples=rho.ids[:50])
-        assert sum(len(g.ids) for g in ff.groups) == 50
+        ff = frame_field(wit, rho)
+        assert sum(len(g.ids) for g in ff.groups) == len(rho.ids) == 2000
         for f in ff.frames:
             assert np.allclose(f.swapaxes(-1, -2) @ f, np.eye(2), atol=1e-10)
 
     def test_dense_embedding_places_blocks(self, torus):
         _, _, _, _, wit, rho = torus
         s = rho.ids[0]
-        ff = frame_field(wit, rho, samples=[s])
-        (group,) = ff.groups
-        support = group.sets[0].tolist()
-        rows = ff.rows(0)[0]
+        ff = frame_field(wit, rho)
+        ((g, i),) = [(g, i) for g, group in enumerate(ff.groups)
+                     for i in np.flatnonzero(group.ids == s).tolist()]
+        support = ff.groups[g].sets[i].tolist()
+        rows = ff.rows(g)[i]
         assert rows.tolist() == [
             r for i in support for r in (2 * rho.sets.index(i), 2 * rho.sets.index(i) + 1)
         ]
         dense = np.zeros((rho.ambient, 2))
-        dense[rows] = ff.frames[0][0, 0]
+        dense[rows] = ff.frames[g][i, 0]
         hot = {rho.sets.index(i) for i in support}
         for slot in range(len(rho.sets)):
             block = dense[2 * slot : 2 * slot + 2, :]
@@ -398,7 +399,7 @@ class TestPeakMemory:
 
     def test_reduction_curve_holds_one_error_table(self, lens2):
         ff = frame_field(*lens2)
-        curve, peak = self.traced(lambda: reduction_curve(ff))
+        curve, peak = self.traced(lambda: reduction_curve(ff, dims=range(2, ff.dim + 1)))
         assert len(curve) == ff.dim - 1 == 127
         frames = sum(f.shape[0] * f.shape[1] for f in ff.frames)
         assert peak <= 1.5 * len(curve) * frames * np.dtype(float).itemsize
@@ -434,7 +435,7 @@ class TestClassifyingMap:
     def test_degenerate_point_named_in_error(self):
         om, rho = degenerate_triangle()
         with pytest.raises(EigengapTooSmall, match="base point 7"):
-            projected(om, rho, samples=[7])
+            projected(om, rho)
 
 
 class TestProjectCocycle:
@@ -569,7 +570,7 @@ class TestStiefelReduce:
         # max of the per-frame errors of the reduction to that dimension
         _, _, _, _, rho = lens
         _, with_defect = defect_apparatus
-        ff = frame_field(with_defect(0.1), rho, samples=rho.ids[:400])
+        ff = frame_field(with_defect(0.1), rho)
         dims = [2, 3, 8, 33, 68]
         curve = reduction_curve(ff, dims=dims)
         assert [row[0] for row in curve] == dims
@@ -605,7 +606,7 @@ class TestStiefelReduce:
 
     def test_dimension_bounds(self, torus):
         _, _, _, _, wit, rho = torus
-        ff = frame_field(wit, rho, samples=rho.ids[:5])
+        ff = frame_field(wit, rho)
         with pytest.raises(ValueError):
             stiefel_reduce(ff, 1)
         with pytest.raises(ValueError):

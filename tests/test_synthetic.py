@@ -144,6 +144,26 @@ class TestMakeCover:
         with pytest.raises(NotACover):
             make_cover(circle_dataset(), 12, math.pi / 30)
 
+    def test_empty_arc_is_named(self):
+        # 30 samples over 12 arcs leave arc 4 empty; a cover with an empty
+        # set would be refused by every command that reads it
+        with pytest.raises(NotACover) as exc:
+            gen_s1_bundle(orientable=True, n_samples=30, n_arcs=12, seed=0)
+        assert str(exc.value) == ("cover set 4 holds no sample; 30 samples over 12 sets "
+                                  "leave it empty, try fewer --sets")
+
+    def test_empty_ball_is_named_before_trimming(self):
+        # the first ball without a sample, found by the metric definition
+        base = quat_rotate(oracle_quaternions(10, 0), E1)
+        dist = np.arccos(np.clip(base @ fibonacci_sphere(50).T, -1.0, 1.0))
+        held = (dist < 1.3 * dist.min(axis=1).max()).any(axis=0)
+        j = int(np.argmin(held))
+        assert not held[j]
+        with pytest.raises(NotACover) as exc:
+            gen_lens_bundle(1, n_samples=10, n_sets=50, seed=0)
+        assert str(exc.value) == (f"cover set {j} holds no sample; 10 samples over 50 sets "
+                                  "leave it empty, try fewer --sets")
+
     def test_four_giant_balls_tetrahedral(self):
         cover = make_cover(sphere_dataset(), 4)
         nerve = build_nerve(cover)
