@@ -3,7 +3,7 @@
 Usage: python compare_outputs.py BASE HEAD
 
 In each tree it runs ``python -m circlet.cli`` children with
-``PYTHONPATH=<tree>/src``: ``synth`` at seed 0 on four models, then
+``PYTHONPATH=<tree>/src``: ``synth`` at seed 0 on six models, then
 ``witness``, ``classes``, ``euler``, ``persist``, ``report``,
 ``trivialize`` and ``coordinatize --dim 4`` on each generated bundle,
 ``coordinatize --dim 4 --stage r`` at the witness's last stage but one and
@@ -26,6 +26,11 @@ MODELS = {
     "torus": ["--model", "torus", "--samples", "400", "--sets", "12"],
     "split1": ["--model", "split:1", "--samples", "2000", "--sets", "20"],
     "disconnected1": ["--model", "disconnected:1", "--samples", "1000", "--sets", "20"],
+    # its stage cuts leave edges with a single shared sample
+    "rp21": ["--model", "rp2:1", "--samples", "2000", "--sets", "20"],
+    # the one model run with fiber noise
+    "lens1-noisy": ["--model", "lens:1", "--samples", "2000", "--sets", "16", "--radius", "0.85",
+                    "--noise", "0.05"],
 }
 STREAMS = ("exit code", "stdout", "stderr")
 

@@ -51,7 +51,11 @@ charts, which ``bundle_map`` and ``global_trivialize`` read.  Each handler
 deletes its last reference to an input right after that stage.  Reference
 counting frees it at once, collector or not, so the frames and the
 reduction curve, the largest arrays of ``report``, reuse its memory
-instead of raising the process's peak.
+instead of raising the process's peak.  ``coordinatize --stage r`` cuts the
+chart table and keeps the command's nerve and witness: the classes at stage r
+are that witness restricted to stage r, and it holds on every pair of sets a
+cut support spans.  A witness refitted on the cut would belong to no class,
+and the cut's thinned overlaps can leave it one sample to fit an edge on.
 
 A process executes only the modules its command runs.  ``io``, ``errors``,
 ``nerve``, ``cochains``, ``circle`` and ``witness`` load with this module;
@@ -281,10 +285,6 @@ def _load_bundle(args):
     return ds, replace(trivs, center=cover.center, radius=cover.radius, clipped=cover.clipped)
 
 
-def _sign_is_coboundary(nerve, sw) -> bool:
-    return intlinalg.sign_potential(nerve.edges, sw) is not None
-
-
 def _filtration(nerve, q):
     """The nerve in filtration order, weighted by the quality report's edge means."""
     # the quality report already holds every edge's mean chord error
@@ -346,12 +346,14 @@ def _cmd_synth(args, run: _Run):
     if model is None:
         raise SchemaError(f"unknown model {args.model!r}")
     generator, default, fixed = model
-    # each flag in the range its generator accepts; a split bundle needs a sample per copy
+    # each flag in the range its generator accepts: a split bundle needs a sample per
+    # copy, and no count may pass the longest float64 array numpy can address
+    most = np.iinfo(np.intp).max // 8
     for flag, value, least in (("--samples", args.samples, 2 if fixed.get("split") else 1),
                                ("--sets", args.sets, 3 if circle else 1)):
-        if value is not None and value < least:
-            raise SchemaError(f"{flag} must be at least {least} for model {name!r}, "
-                              f"got {value}")
+        if value is not None and not least <= value <= most:
+            bound = f"at least {least}" if value < least else f"at most {most}"
+            raise SchemaError(f"{flag} must be {bound} for model {name!r}, got {value}")
     if args.radius is not None and not math.isfinite(args.radius):
         raise SchemaError(f"--radius must be finite, got {args.radius}")
     if not math.isfinite(args.noise) or args.noise < 0:
@@ -364,7 +366,10 @@ def _cmd_synth(args, run: _Run):
             kwargs[key] = value
     params = () if circle else (default if power is None else power,)
     with run.timed("generate"):
-        bundle = getattr(synthetic, generator)(*params, **kwargs)
+        try:
+            bundle = getattr(synthetic, generator)(*params, **kwargs)
+        except MemoryError as exc:
+            raise SchemaError(f"model {args.model!r} does not fit in memory: {exc}")
 
     with run.timed("write"):
         run.write("dataset.json", io.dataset_doc(bundle.dataset))
@@ -411,7 +416,7 @@ def _cmd_classes(args, run: _Run):
         wit, _ = io.parse_witness(io.load_json(args.witness))
     with run.timed("classes"):
         result = classes.euler_cochain(wit)
-        swb = _sign_is_coboundary(wit.nerve, result.sw)
+        swb = intlinalg.sign_potential(wit.nerve.edges, result.sw) is not None
     with run.timed("write"):
         doc = io.classes_doc(result, swb)
         run.write("classes.json", doc)
@@ -471,10 +476,8 @@ def _cmd_coordinatize(args, run: _Run):
         if not 1 <= args.stage <= len(nerve):
             raise SchemaError(f"--stage {args.stage} outside 1..{len(nerve)}")
         with run.timed("stage-cut"):
-            nerve = filtration_order(edge_weights(nerve, charts, wit))
-            charts, _ = cut_base(charts, nerve, args.stage)
-            nerve = build_nerve(charts)
-            wit = assemble_witness(charts, nerve)
+            charts = cut_base(charts, filtration_order(edge_weights(nerve, charts, wit)),
+                              args.stage)
     with run.timed("coordinates"):
         rho = projection.partition_of_unity(charts, ds)
         del ds
@@ -566,7 +569,8 @@ def _report_classes(wit: Witness, nerve, report) -> dict:
             result = report.classes
         else:
             result = classes.euler_cochain(wit)
-        block["sw_coboundary"] = _sign_is_coboundary(nerve, result.sw)
+        # here the sign class is a cocycle on the whole nerve, a coboundary iff its codeath is the top
+        block["sw_coboundary"] = report.sw.codeath_index == len(nerve)
         block["cocycle_defect"] = float(result.cocycle_defect)
         block["defect_margin"] = float(result.defect_margin)
         block["euler_cocycle"] = result.euler_is_cocycle()

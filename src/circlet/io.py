@@ -613,7 +613,7 @@ def parse_nerve(doc) -> Nerve:
 
 
 def witness_doc(witness: Witness, quality: dict | None = None) -> dict:
-    rows = sorted(zip(witness.nerve.edges.tolist(), witness.turn.tolist(), witness.sign.tolist()))
+    rows = zip(witness.nerve.edges.tolist(), witness.turn.tolist(), witness.sign.tolist())
     doc = {
         "schema": SCHEMA_PREFIX + "witness",
         "nerve": nerve_doc(witness.nerve),

@@ -430,7 +430,7 @@ def stage_subcomplex(nerve: Nerve, r: int) -> Nerve:
         {q: at[q - 1][pos[keep[q]]] for q, pos in nerve._facets.items()})
 
 
-def cut_base(cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list]:
+def cut_base(cover: Cover, nerve: Nerve, r: int) -> Cover:
     """Shrink cover sets until the nerve equals the stage-``r`` subcomplex.
 
     Walks the filtration from the top down to stage ``r + 1``; for each
@@ -438,8 +438,8 @@ def cut_base(cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list]:
     samples in the simplex's overlap (they stay in the other vertices'
     sets).  The walk runs on the set-by-sample incidence of the pairs.
     Returns the cut cover, its sets marked clipped where they lost
-    members, and a log of ``(simplex, vertex, removed_ids)`` triples.
-    Charts cut to charts: the kept pairs keep their values.
+    members.  Charts cut to charts: the kept pairs keep their values, and
+    every pair of sets a cut support spans is an edge of stage ``r``.
     """
     nerve.require_order()
     if not 0 <= r <= len(nerve):
@@ -447,13 +447,10 @@ def cut_base(cover: Cover, nerve: Nerve, r: int) -> tuple[Cover, list]:
     universe, column = np.unique(cover.samples, return_inverse=True)
     inc = np.zeros((len(cover.set_ids), len(universe)), bool)
     inc[cover.slots, column] = True
-    log: list[tuple] = []
     later = sorted((i, tuple(s)) for p, stage in nerve.stage.items()
                    for i, s in zip(stage.tolist(), nerve.simplices[p].tolist()) if i > r)
     for _, s in reversed(later):
         rows = np.searchsorted(cover.set_ids, s)
-        shared = inc[rows].all(axis=0)
-        inc[rows[-1]] &= ~shared  # the last vertex is the largest id
-        log.append((s, s[-1], tuple(universe[shared].tolist())))
+        inc[rows[-1]] &= ~inc[rows].all(axis=0)  # the last vertex is the largest id
     cut = cover.select(inc[cover.slots, column])
-    return replace(cut, clipped=cover.clipped | (np.diff(cut.indptr) < np.diff(cover.indptr))), log
+    return replace(cut, clipped=cover.clipped | (np.diff(cut.indptr) < np.diff(cover.indptr)))

@@ -149,8 +149,7 @@ def partition_of_unity(cover: Cover, dataset: BundleDataset) -> PartitionOfUnity
     vals[dead[pos]] = 1.0
     total[dead] = counts[dead]
     w = vals / total[pos]
-    keep = np.flatnonzero(w > 0.0)
-    keep = keep[np.lexsort((slots[keep], pos[keep]))]
+    keep = cover.by_sample[w[cover.by_sample] > 0.0]  # by sample, then by set
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pos[keep], minlength=len(ids)))])
     mode = "distance" if parametric else "indicator"
     sets = tuple(cover.set_ids.tolist())
@@ -542,9 +541,9 @@ def bundle_map(
     frames in its planes, round their products to isometries, transport
     chart values through those isometries, and push the weighted
     circular mean of the transported values through the frame of the
-    heaviest supporting set.  Charts built over a stage-cut cover refer
-    to that stage through ``stage``; the inputs must already be
-    restricted to it.
+    heaviest supporting set.  Charts cut to a stage (``nerve.cut_base``)
+    name it in ``stage``; ``omega`` may be the whole cover's witness, read
+    only on pairs of sets a support spans, every one an edge of the stage.
 
     Raises
     ------

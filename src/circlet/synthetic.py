@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import LiftUndefined, NotACover, SectionUndefined
 from .nerve import BundleDataset, Cover, _cat, _layout
-from .witness import Trivialization
+from .witness import Trivialization, _subsets
 
 
 TAU = 2.0 * math.pi
@@ -341,18 +341,13 @@ def _overlap_counts(inc: np.ndarray) -> np.ndarray:
     """Shared-sample counts of every pair of sets, in integers; set sizes on the diagonal.
 
     Each sample adds one to every pair of the sets holding it: the
-    incidences sorted by sample pair up at offsets 1, 2, ... within a
-    sample, and one ``bincount`` per offset counts them.
+    incidence read sample by sample lists each sample's sets ascending,
+    ``witness._subsets`` pairs them up, and one ``bincount`` counts them.
     """
     m = len(inc)
     samples, sets = np.divmod(np.flatnonzero(np.ascontiguousarray(inc.T)), m)
-    counts = np.zeros(m * m, np.int64)
-    for d in range(1, m):
-        same = samples[d:] == samples[:-d]
-        if not same.any():
-            break
-        counts += np.bincount(sets[:-d][same] * m + sets[d:][same], minlength=m * m)
-    counts = counts.reshape(m, m)
+    pair = sets[_subsets(samples, np.arange(len(sets)), 2)[1]]
+    counts = np.bincount(pair[:, 0] * m + pair[:, 1], minlength=m * m).reshape(m, m)
     counts += counts.T
     np.fill_diagonal(counts, np.count_nonzero(inc, axis=1))
     return counts

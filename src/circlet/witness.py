@@ -81,31 +81,27 @@ def _shared_rows(charts: Pairs, want: np.ndarray):
     """Pair positions of the samples each tuple of charts shares.
 
     ``want`` holds one tuple of chart positions in ``charts.set_ids`` per
-    row.  Returns the tuple of each hit and its pair positions, one column
-    per chart, ordered by tuple and then sample.
+    row, as a nerve lists its simplices (rows ascending, distinct and in
+    lex order, so their mixed-radix keys ascend; else ``ValueError``).
+    Returns the tuple of each hit and its pair positions, one column per
+    chart, ordered by tuple and then sample.
     """
     m = want.shape[1]
     if not len(want):
         return np.empty(0, np.int64), np.empty((0, m), np.int64)
     dims = (len(charts.set_ids),) * m
-    perm = np.argsort(want, axis=1, kind="stable")
-    wkey = np.ravel_multi_index(tuple(np.take_along_axis(want, perm, axis=1).T), dims)
-    by = np.argsort(wkey)
-    wkey = wkey[by]
-    if np.any(wkey[1:] == wkey[:-1]):
-        raise ValueError("two tuples name the same sets")
+    wkey = np.ravel_multi_index(tuple(want.T), dims)
+    if np.any(np.diff(want, axis=1) <= 0) or np.any(np.diff(wkey) <= 0):
+        raise ValueError("tuples must list ascending sets, each tuple once, in lex order")
     order = charts.by_sample
     rank, pick, samples = _subsets(charts.samples[order], order, m)
     key = np.ravel_multi_index(tuple(charts.slots[pick].T), dims)
     at = np.minimum(np.searchsorted(wkey, key), len(wkey) - 1)
     hit = np.flatnonzero(wkey[at] == key)
-    which = by[at[hit]]
+    which = at[hit]
     del key, at  # incidence-sized: free them before the reorder
     o = np.argsort(which * samples + rank[hit])
-    which, pick = which[o], pick[hit[o]]
-    if np.any(perm != np.arange(m)):  # some tuple lists its sets out of order
-        pick = np.take_along_axis(pick, np.argsort(perm, axis=1)[which], axis=1)
-    return which, pick
+    return which[o], pick[hit[o]]
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -148,10 +144,10 @@ class Trivialization(Cover):
         Read off the charts' sample-major transpose: the sets a sample
         lies in are its support, and the tuples it lies in are the
         combinations of its support, enumerated once per support size.
-        The sets of a tuple may come in any order, and row ``p`` of the
-        result follows the tuple's order.  Raises ``KeyError`` for a set
-        without a chart and ``ValueError`` when two tuples name the same
-        sets.
+        The tuples come as a nerve lists them: sets ascending, each tuple
+        once, in lex order; row ``p`` of the result is the tuple's
+        ``p``-th chart.  Raises ``KeyError`` for a set without a chart and
+        ``ValueError`` for tuples out of that order.
         """
         simplices = np.asarray(simplices, dtype=np.int64)
         if not len(simplices):

@@ -1,11 +1,13 @@
 """End-to-end subcommand pipelines, exit codes, and output provenance."""
 
 import argparse
+import collections
 import errno
 import gc
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -21,7 +23,7 @@ import circlet
 from circlet import cli, io, projection
 from circlet import nerve as nerve_module
 from circlet.cli import main
-from circlet.synthetic import gen_disconnected_fiber
+from circlet.synthetic import gen_disconnected_fiber, gen_lens_bundle, gen_rp2_bundle
 
 
 def run(*argv):
@@ -174,14 +176,15 @@ class TestSynth:
         (["--model", "torus", "--sets", "2"], "--sets"),
         (["--model", "split:1", "--samples", "1"], "--samples"),
         (["--model", "torus", "--samples", "0"], "--samples"),
+        (["--model", "torus", "--samples", str(10**23)], "--samples"),
         (["--model", "lens:1", "--radius", "nan"], "--radius"),
         (["--model", "lens:1", "--radius", "inf"], "--radius"),
         (["--model", "lens:1", "--noise", "nan"], "--noise"),
         (["--model", "torus", "--noise", "-0.1"], "--noise"),
     ], ids=[
         "lens-no-samples", "lens-negative-samples", "lens-no-sets", "rp2-no-sets",
-        "torus-two-arcs", "split-one-sample", "torus-no-samples", "nan-radius",
-        "inf-radius", "nan-noise", "negative-noise",
+        "torus-two-arcs", "split-one-sample", "torus-no-samples", "torus-huge-samples",
+        "nan-radius", "inf-radius", "nan-noise", "negative-noise",
     ])
     def test_out_of_range_flag_is_schema_error(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "x"
@@ -195,6 +198,27 @@ class TestSynth:
         assert manifest["status"] == 1
         # rejected before the generator ran
         assert [t["step"] for t in manifest["timings"]] == []
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
+    def test_generator_out_of_memory_is_schema_error(self, tmp_path):
+        # a billion samples need gigabytes; under a 2 GiB address-space limit
+        # the generator's first sample table fails to allocate
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "x"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circlet.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "circlet.cli", "synth", "--model", "lens:1",
+             "--samples", "1000000000", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=limit,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        report = json.loads(done.stderr.splitlines()[-1])
+        assert report["error"] == "schema"
+        assert report["message"].startswith("model 'lens:1' does not fit in memory")
+        assert read(out / "manifest.json")["status"] == 1
         assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
@@ -602,6 +626,34 @@ class TestCoordinatizeCommand:
         assert f"dims [{dim}] outside 2..24 for this cover" in capsys.readouterr().err
         assert read(out / "manifest.json")["status"] == 1
 
+    def test_stage_cut_builds_one_nerve_and_one_witness(self, torus_dir, tmp_path, monkeypatch):
+        calls = collections.Counter()
+        for name in ("build_nerve", "assemble_witness"):
+            def counted(*args, _name=name, _call=getattr(cli, name)):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert run("coordinatize", *_bundle_flags(torus_dir), "--dim", "4", "--stage", "23",
+                   "--out", str(tmp_path / "x")) == 0
+        assert calls == {"build_nerve": 1, "assemble_witness": 1}
+
+    # stages whose cut leaves an edge with a single shared sample: a witness
+    # fitted on the cut cover would fail there, the whole cover's holds
+    @pytest.mark.parametrize("bundle, stage", [
+        ("rp2:1", 79), ("rp2:1", 136), ("rp2:1", 229), ("lens:2", 277), ("lens:2", 400),
+    ])
+    def test_stage_cut_keeps_the_whole_cover_witness(self, scenario, tmp_path, bundle, stage):
+        gen, arg, kwargs = {
+            "rp2:1": (gen_rp2_bundle, 1, {"n_samples": 2000, "n_sets": 20}),
+            "lens:2": (gen_lens_bundle, 2, {"n_samples": 2000, "n_sets": 64, "radius": 0.44}),
+        }[bundle]
+        _write_bundle(scenario(gen, arg, **kwargs, seed=0), tmp_path / "b")
+        out = tmp_path / "c"
+        assert run("coordinatize", *_bundle_flags(tmp_path / "b"), "--dim", "4",
+                   "--stage", str(stage), "--out", str(out)) == 0
+        assert read(out / "coords.json")["stage"] == stage
+
     def test_deep_stage_cut_trips_rank_guard(self, torus_dir, tmp_path, capsys):
         code = run(
             "coordinatize", "--data", str(torus_dir / "dataset.json"),
@@ -746,11 +798,13 @@ def small_lens(tmp_path_factory):
 
 
 def _write_bundle(bundle, directory):
-    """A generated bundle's dataset, cover, charts and clusters, written as synth writes them."""
+    """A generated bundle's dataset, cover, charts and any clusters, written as synth writes them."""
     directory.mkdir(parents=True, exist_ok=True)
-    for name, doc in (("dataset", io.dataset_doc(bundle.dataset)),
-                      ("cover", io.cover_doc(bundle.cover)), ("trivs", io.trivs_doc(bundle.trivs)),
-                      ("clusters", io.clusters_doc(bundle.cover, bundle.clusters))):
+    docs = [("dataset", io.dataset_doc(bundle.dataset)), ("cover", io.cover_doc(bundle.cover)),
+            ("trivs", io.trivs_doc(bundle.trivs))]
+    if bundle.clusters is not None:
+        docs.append(("clusters", io.clusters_doc(bundle.cover, bundle.clusters)))
+    for name, doc in docs:
         io.dump_json(doc, str(directory / f"{name}.json"))
 
 
@@ -1133,8 +1187,8 @@ class TestInputsReleased:
 
             for name in ("parse_dataset", "parse_cover", "parse_trivs"):
                 keep(io, name, name)
-            for name, at in (("_load_bundle", 1), ("cut_base", 0)):
-                keep(cli, name, "charts", lambda out, at=at: out[at])
+            keep(cli, "_load_bundle", "charts", lambda out: out[1])
+            keep(cli, "cut_base", "charts")
             call = getattr(projection, stage)
 
             def probed(*args, **kwargs):

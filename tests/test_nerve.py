@@ -295,30 +295,28 @@ class TestCutBase:
 
     def test_full_stage_keeps_cover(self):
         cover, nerve = self.setup_cover()
-        out, log = cut_base(cover, nerve, len(nerve))
-        assert np.array_equal(out.samples, cover.samples)
-        assert np.array_equal(out.indptr, cover.indptr)
-        assert log == []
+        out = cut_base(cover, nerve, len(nerve))
+        for name in ("set_ids", "indptr", "samples"):
+            assert np.array_equal(getattr(out, name), getattr(cover, name))
         assert not out.clipped.any()
 
     def test_single_edge_removal(self):
         cover, nerve = self.setup_cover()
-        out, log = cut_base(cover, nerve, len(nerve) - 1)
+        out = cut_base(cover, nerve, len(nerve) - 1)
         removed_simplex = nerve_order(nerve)[-1]
-        (s, victim, removed) = log[0]
-        assert s == removed_simplex
-        assert victim == max(removed_simplex)
+        victim = max(removed_simplex)
+        members = {j: set(cover.samples[cover.sets == j].tolist()) for j in range(3)}
+        removed = set.intersection(*(members[j] for j in removed_simplex))
+        assert removed
+        # the removed samples left the victim but stayed in the other vertex
+        members[victim] -= removed
+        assert {j: set(out.samples[out.sets == j].tolist()) for j in range(3)} == members
         assert out.clipped.tolist() == [j == victim for j in range(3)]
-        # removed samples left the victim but stayed in the other vertex
-        other = [j for j in removed_simplex if j != victim][0]
-        for sample in removed:
-            assert sample not in out.samples[out.sets == victim]
-            assert sample in out.samples[out.sets == other]
 
     def test_nerve_matches_stage(self):
         cover, nerve = self.setup_cover()
         for r in range(len(nerve.vertices), len(nerve) + 1):
-            out, _ = cut_base(cover, nerve, r)
+            out = cut_base(cover, nerve, r)
             target = stage_subcomplex(nerve, r)
             rebuilt = build_nerve(out)
             assert {p: tuples(v) for p, v in rebuilt.simplices.items()} == {

@@ -11,6 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from circlet import synthetic
 from circlet.classes import (
@@ -509,6 +512,23 @@ class TestTrimmingOracles:
             assert cs.members == members
             assert np.array_equal(cs.center, center)
             assert cs.clipped == b.cover.clipped[cs.id // 2]
+
+
+# set-by-sample incidences: a single set, samples in no set and sets
+# holding no sample all turn up
+incidence_st = st.tuples(st.integers(1, 8), st.integers(0, 16)).flatmap(
+    lambda shape: hnp.arrays(bool, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inc=incidence_st)
+@example(inc=np.zeros((4, 6), bool))
+@example(inc=np.ones((1, 5), bool))
+def test_overlap_counts_are_the_incidence_products(inc):
+    wide = inc.astype(np.int64)
+    counts = synthetic._overlap_counts(inc)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, wide @ wide.T)
 
 
 class TestGeneratorPreconditions:

@@ -295,9 +295,10 @@ class TestOverlap:
     @given(domains=domains_st, data=st.data())
     def test_matches_set_intersection(self, domains, data):
         trivs = random_charts(domains)
-        sets = data.draw(
+        # a tuple as a nerve lists it, sets ascending
+        sets = sorted(data.draw(
             st.lists(st.sampled_from(sorted(domains)), min_size=1, max_size=3, unique=True)
-        )
+        ))
         ov = trivs.overlaps([tuple(sets)])
         expected = sorted(set.intersection(*(set(domains[j]) for j in sets)))
         assert ov.indptr.tolist() == [0, len(expected)]
@@ -318,10 +319,9 @@ class TestOneTable:
         trivs = random_charts(domains, seed=1)
         nerve = filtration_order(build_nerve(trivs))
         r = data.draw(st.integers(0, len(nerve)))
-        cut, log = cut_base(trivs, nerve, r)
-        bare, bare_log = cut_base(Cover(trivs.set_ids, trivs.indptr, trivs.samples), nerve, r)
+        cut = cut_base(trivs, nerve, r)
+        bare = cut_base(Cover(trivs.set_ids, trivs.indptr, trivs.samples), nerve, r)
         assert type(cut) is Trivialization and type(bare) is Cover
-        assert log == bare_log
         for name in ("set_ids", "indptr", "samples", "clipped"):
             assert np.array_equal(getattr(cut, name), getattr(bare, name))
         at = trivs.find(cut.samples, cut.sets)

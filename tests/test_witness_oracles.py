@@ -247,14 +247,24 @@ def test_far_apart_member_ids_give_the_same_nerve(domains):
 
 @settings(max_examples=200, deadline=None)
 @given(domains=cover_st, data=st.data())
-def test_overlap_takes_sets_in_any_order(domains, data):
+def test_overlap_takes_tuples_in_nerve_order_only(domains, data):
     trivs = gauged_charts(domains, False, data.draw)
-    order = data.draw(st.permutations(sorted(domains)))
-    sets = order[: data.draw(st.integers(1, min(3, len(order))))]
+    sets = sorted(data.draw(st.permutations(sorted(domains)))[
+        : data.draw(st.integers(1, min(3, len(domains))))])
     want_ids, want_rows = loop_overlap(trivs, sets)
     for perm in itertools.permutations(range(len(sets))):
-        many = trivs.overlaps([tuple(sets[i] for i in perm)])
+        tup = tuple(sets[i] for i in perm)
+        if list(tup) != sets:  # a tuple whose sets do not ascend
+            with pytest.raises(ValueError, match="ascending"):
+                trivs.overlaps([tup])
+            continue
+        many = trivs.overlaps([tup])
         assert many.ids.tolist() == want_ids.tolist()
-        for p, i in enumerate(perm):
-            rows = chart(trivs, sets[i])
-            assert np.array_equal(many.turns[p], rows.turns[want_rows[i]])
+        for p, j in enumerate(sets):
+            assert np.array_equal(many.turns[p], chart(trivs, j).turns[want_rows[p]])
+    # rows listed twice, or out of lex order
+    if len(domains) > 1:
+        low, high = sorted(domains)[:2]
+        for rows in ([(low,), (low,)], [(high,), (low,)]):
+            with pytest.raises(ValueError, match="lex order"):
+                trivs.overlaps(rows)
